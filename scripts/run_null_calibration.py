@@ -15,12 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from roimeta.meta import (
-    fixed_effect_summary,
-    heterogeneity_stats,
-    random_effect_summary,
-    z_significance,
-)
+from roimeta.meta import summarize_effects
 from roimeta.pipeline import collect_effects
 from roimeta.preprocess import qualify
 from roimeta.simulate import SimConfig, generate_experiment
@@ -47,12 +42,9 @@ def main() -> int:
         )
         dataset = generate_experiment(config)
         effects, _ = collect_effects(qualify(dataset).qualified)
-        fixed = fixed_effect_summary(effects)
-        het = heterogeneity_stats(effects, fixed.mu)
-        rnd = random_effect_summary(effects, het.tau2)
-        sig = z_significance(rnd.mu_star, rnd.nu_star, args.confidence_level)
-        significant += sig.significant
-        positive += rnd.mu_star > 0
+        summary = summarize_effects(effects, args.confidence_level)
+        significant += summary.significance.significant
+        positive += summary.random.mu_star > 0
     elapsed = time.perf_counter() - started
 
     nominal = 1.0 - args.confidence_level

@@ -22,13 +22,9 @@ from .campaigns import (
     Arm,
     ArmTotals,
     CampaignExperiment,
-    EventCounts,
-    EventValueSchedule,
     ExperimentDataset,
     PartMeasurement,
     arm_totals,
-    campaign_value,
-    roi,
 )
 from .dataio import ingest, render_dataset_csv, write_dataset
 from .errors import (
@@ -69,6 +65,7 @@ from .pipeline import (
     TrafficRecommendation,
     TrafficSchedule,
     Verdict,
+    calibrate_baselines,
     collect_effects,
     decide,
     evaluate,
@@ -82,7 +79,7 @@ from .preprocess import (
     qualify,
 )
 from .reportio import render_report, report_from_json, report_to_json
-from .simulate import SimConfig, assign_arm, generate_experiment
+from .simulate import SimConfig, generate_experiment
 from .statfuncs import chi_square_sf, normal_cdf, normal_quantile
 from .subgroups import (
     GroupAssignment,

@@ -96,13 +96,6 @@ def macro_delta(dataset: ExperimentDataset, aggregator: str = "mean") -> float:
     return fsum(diffs) / len(diffs)
 
 
-_STATISTICS = {
-    BaselineMethod.MICRO: micro_delta,
-    BaselineMethod.MACRO: lambda ds: macro_delta(ds, "mean"),
-    BaselineMethod.MACRO_MEDIAN: lambda ds: macro_delta(ds, "median"),
-}
-
-
 def _split_once(
     campaign: CampaignExperiment, share_b: float, stream: HashStream
 ) -> CampaignExperiment:
@@ -126,16 +119,16 @@ def aa_calibrate(
     split_ratio: tuple[float, float] = (0.5, 0.5),
     repeats_k: int = 5,
     seed: int = 0,
-    method: BaselineMethod = BaselineMethod.MICRO,
-) -> AaCalibration:
-    """Estimate a decision threshold from repeated A/A splits of control traffic.
+) -> dict[BaselineMethod, AaCalibration]:
+    """Estimate every baseline's decision threshold from repeated A/A splits.
 
     Each repeat splits every campaign's control parts (at least two required;
     campaigns with fewer are skipped with a warning) into disjoint pseudo-arms
-    with part counts proportional to ``split_ratio``, computes the method
-    statistic on the pseudo-experiment, and the threshold is the signed mean
-    over repeats. Splits derive deterministically from (seed, repeat,
-    campaign_id), so repeats are replayable and order independent.
+    with part counts proportional to ``split_ratio``, computes each method's
+    statistic on that one pseudo-experiment, and each threshold is the signed
+    mean of its statistic over repeats. Splits derive deterministically from
+    (seed, repeat, campaign_id), so repeats are replayable and order
+    independent.
     """
     total = split_ratio[0] + split_ratio[1]
     if split_ratio[0] <= 0 or split_ratio[1] <= 0:
@@ -153,8 +146,7 @@ def aa_calibrate(
         )
     if not eligible:
         raise InsufficientDataError("no campaign has >= 2 control parts to split")
-    statistic = _STATISTICS[method]
-    per_repeat: list[float] = []
+    per_repeat: dict[BaselineMethod, list[float]] = {m: [] for m in BaselineMethod}
     for k in range(repeats_k):
         pseudo = ExperimentDataset(
             tuple(
@@ -162,13 +154,18 @@ def aa_calibrate(
                 for c in eligible
             )
         )
-        per_repeat.append(statistic(pseudo))
-    return AaCalibration(
-        repeats_k=repeats_k,
-        split_seed=seed,
-        per_repeat_stats=tuple(per_repeat),
-        theta=fsum(per_repeat) / repeats_k,
-    )
+        per_repeat[BaselineMethod.MICRO].append(micro_delta(pseudo))
+        per_repeat[BaselineMethod.MACRO].append(macro_delta(pseudo, "mean"))
+        per_repeat[BaselineMethod.MACRO_MEDIAN].append(macro_delta(pseudo, "median"))
+    return {
+        method: AaCalibration(
+            repeats_k=repeats_k,
+            split_seed=seed,
+            per_repeat_stats=tuple(stats),
+            theta=fsum(stats) / repeats_k,
+        )
+        for method, stats in per_repeat.items()
+    }
 
 
 def threshold_decision(statistic: float, theta: float) -> BaselineDecision:

@@ -1,4 +1,4 @@
-"""Campaign domain model: arms, traffic parts, event values, and ROI.
+"""Campaign domain model: arms, traffic parts, campaigns, and ROI.
 
 Monetary amounts are quantized to integer micro-units at construction time so
 that aggregation is bit-exact and independent of summation order.
@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import SchemaError, UndefinedRoiError
+from .errors import UndefinedRoiError
 
 MICROS_PER_UNIT = 1_000_000
 
@@ -31,59 +31,6 @@ def to_micros(amount: float) -> int:
 
 def from_micros(micros: int) -> float:
     return micros / MICROS_PER_UNIT
-
-
-@dataclass(frozen=True)
-class EventValueSchedule:
-    """Monetary value credited per occurrence of each tracked event type."""
-
-    entries: dict[str, float]
-
-    def __post_init__(self):
-        for name, value in self.entries.items():
-            if not isinstance(name, str) or not name:
-                raise SchemaError(f"event type name must be non-empty text, got {name!r}")
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
-                raise SchemaError(f"value for event type {name!r} must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class EventCounts:
-    """Observed number of events per event type."""
-
-    counts: dict[str, int]
-
-    def __post_init__(self):
-        for name, count in self.counts.items():
-            if not isinstance(name, str) or not name:
-                raise SchemaError(f"event type name must be non-empty text, got {name!r}")
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise SchemaError(f"count for event type {name!r} must be a non-negative integer")
-
-
-def campaign_value(counts: EventCounts, schedule: EventValueSchedule) -> float:
-    """Total value generated: per-event value times event count, summed over types.
-
-    Every counted event type must appear in the schedule.
-    """
-    total_micros = 0
-    for name, count in counts.counts.items():
-        if name not in schedule.entries:
-            raise SchemaError(f"event type {name!r} is not in the value schedule")
-        total_micros += to_micros(schedule.entries[name]) * count
-    return from_micros(total_micros)
-
-
-def roi(value: float, spend: float) -> float:
-    """Return on investment: value generated per unit of spend.
-
-    Undefined for non-positive spend; callers must exclude or report such rows.
-    """
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"value must be finite and >= 0, got {value!r}")
-    if not math.isfinite(spend) or spend <= 0:
-        raise UndefinedRoiError(f"ROI is undefined for spend {spend!r}")
-    return value / spend
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 
-from .baselines import BaselineMethod, aa_calibrate
 from .config import (
     EVAL_KEY_PARSERS,
     load_evaluation_config,
@@ -23,12 +22,12 @@ from .config import (
 )
 from .dataio import INPUT_FORMATS, ingest, write_dataset, write_text_atomic
 from .errors import RoimetaError
-from .meta import fixed_effect_summary, heterogeneity_stats
+from .meta import summarize_effects
 from .pipeline import (
-    AaSettings,
     EvaluationConfig,
     ExplicitThetas,
     Verdict,
+    calibrate_baselines,
     collect_effects,
     evaluate,
 )
@@ -82,15 +81,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     qualified = qualify(dataset, config.qualification).qualified
     if isinstance(config.aa, ExplicitThetas):
         raise RoimetaError("calibrate needs aa_* settings, not explicit thetas")
-    aa: AaSettings = config.aa
-    share = aa.treatment_share
-    if share is None:
-        share = float(qualified.metadata.get("treatment_share", 0.5))
-    ratio = (1.0 - share, share)
-    doc = {}
-    for method in (BaselineMethod.MICRO, BaselineMethod.MACRO):
-        calibration = aa_calibrate(qualified, ratio, aa.repeats_k, aa.seed, method)
-        doc[method.value] = to_plain(calibration)
+    calibrations = calibrate_baselines(qualified, config.aa)
+    doc = {method.value: to_plain(calibration) for method, calibration in calibrations.items()}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
@@ -100,12 +92,9 @@ def _cmd_subgroup(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     qualified = qualify(dataset, config.qualification).qualified
     effects, _ = collect_effects(qualified, config.variance_formula)
-    fixed = fixed_effect_summary(effects)
-    heterogeneity = heterogeneity_stats(effects, fixed.mu)
+    tau2 = summarize_effects(effects, config.confidence_level).heterogeneity.tau2
     groups = resolve_subgroups(qualified, config.subgroups)
-    report = subgroup_analysis(
-        effects, heterogeneity.tau2, groups, config.confidence_level
-    )
+    report = subgroup_analysis(effects, tau2, groups, config.confidence_level)
     print(json.dumps(to_plain(report), indent=2, sort_keys=True))
     return 0
 

@@ -133,11 +133,15 @@ def _typed_values(
     return typed
 
 
+def _given(values: dict[str, object], *keys: str, **renamed: str) -> dict[str, object]:
+    """Keyword arguments for the config keys present in ``values``; absent keys
+    are left out so that the dataclass defaults apply. ``renamed`` maps a
+    field name to its config key."""
+    fields = {key: key for key in keys} | renamed
+    return {field: values[key] for field, key in fields.items() if key in values}
+
+
 def evaluation_config_from_values(values: dict[str, object]) -> EvaluationConfig:
-    qualification = QualificationConfig(
-        min_impressions_per_part=values.get("min_impressions_per_part", 100),
-        min_qualified_fraction=values.get("min_qualified_fraction", 0.9),
-    )
     has_thetas = "micro_theta" in values or "macro_theta" in values
     has_aa = any(k in values for k in ("aa_repeats_k", "aa_seed", "aa_treatment_share"))
     if has_thetas and has_aa:
@@ -151,30 +155,25 @@ def evaluation_config_from_values(values: dict[str, object]) -> EvaluationConfig
             micro_theta=values["micro_theta"], macro_theta=values["macro_theta"]
         )
     else:
-        aa = AaSettings(
-            repeats_k=values.get("aa_repeats_k", 5),
-            seed=values.get("aa_seed", 0),
-            treatment_share=values.get("aa_treatment_share"),
-        )
-    kind = values.get("subgroup_kind", "by_label" if "subgroup_labels" in values else "by_spend_cumulative")
-    subgroups = SubgroupSpec(
-        kind=kind,
-        spend_fractions=values.get("spend_fractions", (1 / 3, 1 / 3, 1 / 3)),
-        labels=values.get("subgroup_labels"),
+        aa = AaSettings(**_given(
+            values, repeats_k="aa_repeats_k", seed="aa_seed", treatment_share="aa_treatment_share"
+        ))
+    subgroup_args = _given(
+        values, "spend_fractions", kind="subgroup_kind", labels="subgroup_labels"
     )
-    schedule = TrafficSchedule(
-        phases=values.get("phases", (0.01, 0.10, 0.20, 0.50)),
-        current_share=values.get("current_share", 0.01),
-    )
+    if "subgroup_labels" in values:
+        subgroup_args.setdefault("kind", "by_label")
     return EvaluationConfig(
-        confidence_level=values.get("confidence_level", 0.95),
-        homogeneity_level=values.get("homogeneity_level", 0.10),
-        qualification=qualification,
+        qualification=QualificationConfig(
+            **_given(values, "min_impressions_per_part", "min_qualified_fraction")
+        ),
         aa=aa,
-        subgroups=subgroups,
-        variance_formula=values.get("variance_formula", "noncentral_t"),
-        skip_subgroup_on_strong_reject=values.get("skip_subgroup_on_strong_reject", True),
-        schedule=schedule,
+        subgroups=SubgroupSpec(**subgroup_args),
+        schedule=TrafficSchedule(**_given(values, "phases", "current_share")),
+        **_given(
+            values, "confidence_level", "homogeneity_level", "variance_formula",
+            "skip_subgroup_on_strong_reject",
+        ),
     )
 
 

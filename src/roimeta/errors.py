@@ -6,7 +6,7 @@ class RoimetaError(Exception):
 
 
 class SchemaError(RoimetaError):
-    """Input violates a declared schema (unknown event type, bad label, ...)."""
+    """Input violates a declared schema (missing label, bad report document, ...)."""
 
 
 class UndefinedRoiError(RoimetaError):

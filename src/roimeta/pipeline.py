@@ -2,12 +2,13 @@
 
 ``evaluate`` runs the stages in a fixed order: qualification, micro/macro
 baselines against A/A-calibrated (or explicit) thresholds, per-campaign effect
-sizes, the fixed-then-random effects combination, the Z/CI significance test,
-subgroup diagnostics (skipped on a strong rejection when configured), the
-verdict, and a traffic-ramp recommendation. The verdict is a pure function of
-the significance result: accept needs a significant effect with a confidence
-interval entirely above zero; a significant interval entirely below zero is a
-harmful (strong) rejection; anything else rejects for ineffectiveness.
+sizes, the fixed-then-random effects combination with its Z/CI significance
+test (``meta.summarize_effects``), subgroup diagnostics (skipped on a strong
+rejection when configured), the verdict, and a traffic-ramp recommendation.
+The verdict is a pure function of the significance result: accept needs a
+significant effect with a confidence interval entirely above zero; a
+significant interval entirely below zero is a harmful (strong) rejection;
+anything else rejects for ineffectiveness.
 Baseline verdicts are reported alongside but never drive the decision.
 """
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .baselines import (
+    AaCalibration,
     BaselineMethod,
     BaselineResult,
     aa_calibrate,
@@ -40,10 +42,7 @@ from .meta import (
     SignificanceResult,
     arm_stats,
     effect_size,
-    fixed_effect_summary,
-    heterogeneity_stats,
-    random_effect_summary,
-    z_significance,
+    summarize_effects,
 )
 from .preprocess import QualificationConfig, QualificationReport, qualify
 from .subgroups import SubgroupReport, SubgroupSpec, resolve_subgroups, subgroup_analysis
@@ -205,31 +204,37 @@ def recommend_traffic(
     return TrafficRecommendation(action="ramp_up", next_share=schedule.phases[index + 1])
 
 
+def calibrate_baselines(
+    qualified: ExperimentDataset, settings: AaSettings
+) -> dict[BaselineMethod, AaCalibration]:
+    """A/A-calibrate every baseline threshold on the qualified dataset.
+
+    The pseudo-treatment share is ``settings.treatment_share``, else the
+    dataset's ``treatment_share`` metadata, else an even split.
+    """
+    share = settings.treatment_share
+    if share is None:
+        raw = qualified.metadata.get("treatment_share", "0.5")
+        try:
+            share = float(raw)
+        except ValueError:
+            raise ConfigError(
+                f"dataset metadata treatment_share is not numeric: {raw!r}"
+            ) from None
+    return aa_calibrate(qualified, (1.0 - share, share), settings.repeats_k, settings.seed)
+
+
 def _resolve_thetas(
     qualified: ExperimentDataset, config: EvaluationConfig
-) -> tuple[float, float]:
+) -> dict[BaselineMethod, float]:
     if isinstance(config.aa, ExplicitThetas):
-        return config.aa.micro_theta, config.aa.macro_theta
-    share = config.aa.treatment_share
-    if share is None:
-        raw = qualified.metadata.get("treatment_share")
-        if raw is not None:
-            try:
-                share = float(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"dataset metadata treatment_share is not numeric: {raw!r}"
-                ) from None
-        else:
-            share = 0.5
-    ratio = (1.0 - share, share)
-    micro_cal = aa_calibrate(
-        qualified, ratio, config.aa.repeats_k, config.aa.seed, BaselineMethod.MICRO
-    )
-    macro_cal = aa_calibrate(
-        qualified, ratio, config.aa.repeats_k, config.aa.seed, BaselineMethod.MACRO
-    )
-    return micro_cal.theta, macro_cal.theta
+        return {
+            BaselineMethod.MICRO: config.aa.micro_theta,
+            BaselineMethod.MACRO: config.aa.macro_theta,
+            BaselineMethod.MACRO_MEDIAN: config.aa.macro_theta,
+        }
+    calibrations = calibrate_baselines(qualified, config.aa)
+    return {method: calibration.theta for method, calibration in calibrations.items()}
 
 
 def collect_effects(
@@ -269,17 +274,16 @@ def evaluate(
             f"all {dataset.n} campaign(s) were disqualified during preprocessing"
         )
 
-    micro_theta, macro_theta = _resolve_thetas(qualified, config)
-    micro_stat = micro_delta(qualified)
-    macro_stat = macro_delta(qualified, "mean")
-    macro_median_stat = macro_delta(qualified, "median")
-    baselines = (
-        BaselineResult(BaselineMethod.MICRO, micro_stat, micro_theta,
-                       threshold_decision(micro_stat, micro_theta)),
-        BaselineResult(BaselineMethod.MACRO, macro_stat, macro_theta,
-                       threshold_decision(macro_stat, macro_theta)),
-        BaselineResult(BaselineMethod.MACRO_MEDIAN, macro_median_stat, macro_theta,
-                       threshold_decision(macro_median_stat, macro_theta)),
+    thetas = _resolve_thetas(qualified, config)
+    deltas = {
+        BaselineMethod.MICRO: micro_delta(qualified),
+        BaselineMethod.MACRO: macro_delta(qualified, "mean"),
+        BaselineMethod.MACRO_MEDIAN: macro_delta(qualified, "median"),
+    }
+    baselines = tuple(
+        BaselineResult(method, statistic, thetas[method],
+                       threshold_decision(statistic, thetas[method]))
+        for method, statistic in deltas.items()
     )
 
     effects, exclusions = collect_effects(qualified, config.variance_formula)
@@ -288,18 +292,15 @@ def evaluate(
             "no qualified campaign is eligible for effect-size analysis "
             f"({len(exclusions)} excluded)"
         )
-    fixed = fixed_effect_summary(effects)
-    heterogeneity = heterogeneity_stats(effects, fixed.mu)
-    random = random_effect_summary(effects, heterogeneity.tau2)
-    significance = z_significance(random.mu_star, random.nu_star, config.confidence_level)
-    decision = decide(significance)
+    summary = summarize_effects(effects, config.confidence_level)
+    decision = decide(summary.significance)
 
     subgroup = None
     skip = config.skip_subgroup_on_strong_reject and decision.verdict is Verdict.REJECT_HARMFUL
     if not skip:
         groups = resolve_subgroups(qualified, config.subgroups)
         subgroup = subgroup_analysis(
-            effects, heterogeneity.tau2, groups, config.confidence_level
+            effects, summary.heterogeneity.tau2, groups, config.confidence_level
         )
 
     recommendation = recommend_traffic(decision, config.schedule)
@@ -308,10 +309,10 @@ def evaluate(
         baselines=baselines,
         effects=effects,
         effect_exclusions=exclusions,
-        fixed=fixed,
-        heterogeneity=heterogeneity,
-        random=random,
-        significance=significance,
+        fixed=summary.fixed,
+        heterogeneity=summary.heterogeneity,
+        random=summary.random,
+        significance=summary.significance,
         subgroup=subgroup,
         decision=decision,
         recommendation=recommendation,

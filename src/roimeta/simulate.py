@@ -14,7 +14,6 @@ for fidelity to any production traffic.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -59,22 +58,6 @@ class SimConfig:
             raise ConfigError("outlier_campaigns must be between 0 and n_campaigns")
         if self.impressions_per_part_mean < 0:
             raise ConfigError("impressions_per_part_mean must be >= 0")
-
-
-def user_bucket_point(user_id: str, salt: str = "") -> float:
-    """Map (salt, user_id) to a stable point in [0, 1)."""
-    raw = hashlib.blake2b(
-        f"{salt}\x1f{user_id}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(raw, "big") * 2.0 ** -64
-
-
-def assign_arm(user_id: str, treatment_share: float, salt: str = "") -> Arm:
-    """Deterministic user-level bucketing: same user, same arm, for a fixed salt."""
-    if not 0.0 <= treatment_share <= 1.0:
-        raise ConfigError(f"treatment_share must be in [0, 1], got {treatment_share!r}")
-    point = user_bucket_point(user_id, salt)
-    return Arm.TREATMENT if point < treatment_share else Arm.CONTROL
 
 
 def _mean_one_lognormal(stream: HashStream, sd: float) -> float:

@@ -5,9 +5,7 @@ Cochran's Q is recomputed with the random-model weights: per-group Q around
 the group mean, their sum (within-group), and the remainder of the grand-mean
 Q (between-group, chi-square with K-1 degrees of freedom). A significant
 between-group component means group membership explains part of the effect
-variation. By default every group shares the single global between-study
-variance; re-estimating it inside each group is available as a non-default
-mode.
+variation. Every group shares the single global between-study variance.
 """
 
 from __future__ import annotations
@@ -19,10 +17,18 @@ from math import fsum
 
 from .campaigns import ExperimentDataset
 from .errors import ConfigError, InsufficientDataError, SchemaError
-from .meta import EffectSize, cochran_q, fixed_effect_summary, tau_squared
+from .meta import EffectSize
 from .statfuncs import chi_square_sf, normal_cdf, normal_quantile
 
 SUBGROUP_KINDS = ("by_spend_cumulative", "by_label")
+_THIRDS = (1 / 3, 1 / 3, 1 / 3)
+
+
+def _check_fractions(fractions: tuple[float, ...]) -> None:
+    if not fractions or any(f <= 0 for f in fractions):
+        raise ConfigError("spend fractions must be positive")
+    if abs(fsum(fractions) - 1.0) > 1e-12:
+        raise ConfigError(f"spend fractions must sum to 1, got {fsum(fractions)!r}")
 
 
 @dataclass(frozen=True)
@@ -30,7 +36,7 @@ class SubgroupSpec:
     """How to partition campaigns: cumulative spend tiers or an explicit label map."""
 
     kind: str = "by_spend_cumulative"
-    spend_fractions: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
+    spend_fractions: tuple[float, ...] = _THIRDS
     labels: dict[str, str] | None = None
 
     def __post_init__(self):
@@ -38,12 +44,7 @@ class SubgroupSpec:
             raise ConfigError(f"kind must be one of {SUBGROUP_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "spend_fractions", tuple(self.spend_fractions))
         if self.kind == "by_spend_cumulative":
-            if not self.spend_fractions or any(f <= 0 for f in self.spend_fractions):
-                raise ConfigError("spend_fractions must be positive")
-            if abs(fsum(self.spend_fractions) - 1.0) > 1e-12:
-                raise ConfigError(
-                    f"spend_fractions must sum to 1, got {fsum(self.spend_fractions)!r}"
-                )
+            _check_fractions(self.spend_fractions)
         if self.kind == "by_label" and not self.labels:
             raise ConfigError("by_label partitioning requires a labels map")
 
@@ -79,7 +80,7 @@ class SubgroupReport:
 
 
 def partition_by_spend(
-    dataset: ExperimentDataset, fractions: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
+    dataset: ExperimentDataset, fractions: tuple[float, ...] = _THIRDS
 ) -> tuple[GroupAssignment, ...]:
     """Partition campaigns into cumulative-spend tiers, biggest spenders first.
 
@@ -90,10 +91,7 @@ def partition_by_spend(
     dropped with a warning.
     """
     fractions = tuple(fractions)
-    if not fractions or any(f <= 0 for f in fractions):
-        raise ConfigError("fractions must be positive")
-    if abs(fsum(fractions) - 1.0) > 1e-12:
-        raise ConfigError(f"fractions must sum to 1, got {fsum(fractions)!r}")
+    _check_fractions(fractions)
     if not dataset.campaigns:
         raise InsufficientDataError("no campaigns to partition")
     spends = sorted(
@@ -149,19 +147,11 @@ def resolve_subgroups(
     return partition_by_spend(dataset, spec.spend_fractions)
 
 
-def _reestimated_tau2(group_effects: list[EffectSize]) -> float:
-    """Method-of-moments between-study variance within one group."""
-    fixed = fixed_effect_summary(group_effects)
-    q, _ = cochran_q(group_effects, fixed.mu)
-    return tau_squared(q, len(group_effects), [e.w for e in group_effects])
-
-
 def subgroup_analysis(
     effects: list[EffectSize] | tuple[EffectSize, ...],
     tau2: float,
     groups: tuple[GroupAssignment, ...] | list[GroupAssignment],
     confidence_level: float = 0.95,
-    tau2_mode: str = "global",
 ) -> SubgroupReport:
     """Decompose grand-mean heterogeneity into within- and between-group parts.
 
@@ -169,11 +159,6 @@ def subgroup_analysis(
     with the global ``tau2``, which makes the identity exact: the grand-mean Q
     equals the sum of per-group Qs plus the between-group component. Groups
     left empty after matching against ``effects`` are dropped.
-
-    ``tau2_mode="per_group"`` re-estimates the between-study variance inside
-    each group for that group's summary effect, interval, and homogeneity
-    statistic; with separate per-group weights the between-group remainder is
-    no longer guaranteed non-negative, which is why global is the default.
     """
     if not effects:
         raise InsufficientDataError("no effects to analyze")
@@ -181,10 +166,6 @@ def subgroup_analysis(
         raise ValueError(f"tau2 must be >= 0, got {tau2!r}")
     if not 0.0 < confidence_level < 1.0:
         raise ConfigError(f"confidence_level must be in (0, 1), got {confidence_level!r}")
-    if tau2_mode not in ("global", "per_group"):
-        raise ConfigError(
-            f"tau2_mode must be 'global' or 'per_group', got {tau2_mode!r}"
-        )
     by_id: dict[str, EffectSize] = {}
     for effect in effects:
         if effect.campaign_id in by_id:
@@ -214,17 +195,12 @@ def subgroup_analysis(
         if not present:
             warnings.warn(f"subgroup {group.group_id!r} has no analyzable campaigns; dropped")
             continue
-        if tau2_mode == "per_group":
-            group_tau2 = _reestimated_tau2([by_id[cid] for cid in present])
-            weights = {cid: 1.0 / (by_id[cid].v + group_tau2) for cid in present}
-        else:
-            weights = {cid: w_star[cid] for cid in present}
-        group_sum_w = fsum(weights.values())
-        mu_k = fsum(weights[cid] * by_id[cid].d for cid in present) / group_sum_w
+        group_sum_w = fsum(w_star[cid] for cid in present)
+        mu_k = fsum(w_star[cid] * by_id[cid].d for cid in present) / group_sum_w
         nu_k = 1.0 / group_sum_w
         se_k = math.sqrt(nu_k)
         z_k = mu_k / se_k
-        q_k = fsum(weights[cid] * (by_id[cid].d - mu_k) ** 2 for cid in present)
+        q_k = fsum(w_star[cid] * (by_id[cid].d - mu_k) ** 2 for cid in present)
         p_q_k = chi_square_sf(q_k, len(present) - 1) if len(present) > 1 else 1.0
         summaries.append(SubgroupSummary(
             group_id=group.group_id,

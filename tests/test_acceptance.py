@@ -27,16 +27,7 @@ from roimeta.baselines import (
 )
 from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
 from roimeta.dataio import ingest, write_dataset
-from roimeta.meta import (
-    SignificanceResult,
-    arm_stats,
-    effect_size,
-    fixed_effect_summary,
-    heterogeneity_stats,
-    random_effect_summary,
-    summarize_effects,
-    z_significance,
-)
+from roimeta.meta import SignificanceResult, summarize_effects, z_significance
 from roimeta.pipeline import (
     AaSettings,
     EvaluationConfig,
@@ -64,12 +55,11 @@ def swap_arms(dataset: ExperimentDataset) -> ExperimentDataset:
 
 
 def engine_summary(dataset):
-    effects = [
-        effect_size(arm_stats(c.parts_a), arm_stats(c.parts_b),
-                    campaign_id=c.campaign_id)
-        for c in dataset.campaigns
-    ]
-    return effects, summarize_effects(effects)
+    """Effects, excluded campaign ids and meta summary, as ``evaluate`` derives
+    them; the summary is None when every campaign is excluded."""
+    effects, exclusions = collect_effects(dataset)
+    excluded = {x.campaign_id for x in exclusions}
+    return effects, excluded, summarize_effects(effects) if effects else None
 
 
 class TestCriterion1DecisionFixtures:
@@ -118,7 +108,8 @@ class TestCriterion2OracleEquivalence:
         rng = np.random.default_rng(20260808)
         for _ in range(100):
             dataset = random_dataset(rng, n_campaigns=(2, 10), parts_per_arm=(2, 6))
-            _, summary = engine_summary(dataset)
+            _, excluded, summary = engine_summary(dataset)
+            assert not excluded
             expected = oracle_meta(dataset)
             assert summary.fixed.mu == pytest.approx(expected["mu"], abs=1e-9)
             assert summary.fixed.nu == pytest.approx(expected["nu"], abs=1e-9)
@@ -169,11 +160,7 @@ class TestCriterion4NullCalibration:
         for seed in range(NULL_RUNS):
             dataset = generate_experiment(null_config(seed))
             effects, _ = collect_effects(qualify(dataset).qualified)
-            fixed = fixed_effect_summary(effects)
-            het = heterogeneity_stats(effects, fixed.mu)
-            rnd = random_effect_summary(effects, het.tau2)
-            sig = z_significance(rnd.mu_star, rnd.nu_star, 0.95)
-            if sig.significant:
+            if summarize_effects(effects, 0.95).significance.significant:
                 significant += 1
         rate = significant / NULL_RUNS
         elapsed = time.perf_counter() - start
@@ -188,10 +175,7 @@ class TestCriterion5SignRecovery:
             config = replace(null_config(seed), treatment_lift=0.10)
             dataset = generate_experiment(config)
             effects, _ = collect_effects(qualify(dataset).qualified)
-            fixed = fixed_effect_summary(effects)
-            het = heterogeneity_stats(effects, fixed.mu)
-            rnd = random_effect_summary(effects, het.tau2)
-            if rnd.mu_star > 0:
+            if summarize_effects(effects).random.mu_star > 0:
                 positive += 1
         assert positive >= 0.95 * MC_RUNS, f"mu* > 0 in only {positive}/{MC_RUNS} runs"
 
@@ -226,7 +210,8 @@ class TestCriterion7SubgroupDecomposition:
         rng = np.random.default_rng(777)
         for _ in range(100):
             dataset = random_dataset(rng, n_campaigns=(4, 12))
-            effects, summary = engine_summary(dataset)
+            effects, excluded, summary = engine_summary(dataset)
+            assert not excluded
             tau2 = summary.heterogeneity.tau2
             groups = partition_by_spend(dataset, (1 / 3, 1 / 3, 1 / 3))
             report = subgroup_analysis(effects, tau2, groups)
@@ -248,15 +233,25 @@ class TestCriterion7SubgroupDecomposition:
 
 
 class TestCriterion8InvariantSuite:
+    # Campaigns with constant, unequal arm ROIs have no finite effect size and
+    # are excluded, as in ``evaluate``. Swapping arms and rescaling ROIs keep
+    # such a campaign degenerate, so the excluded set must itself be invariant.
+
     @settings(max_examples=60, deadline=None)
     @given(dataset_strategy())
     def test_arm_swap_antisymmetry(self, dataset):
-        effects, summary = engine_summary(dataset)
-        swapped_effects, swapped = engine_summary(swap_arms(dataset))
+        effects, excluded, summary = engine_summary(dataset)
+        swapped_effects, swapped_excluded, swapped = engine_summary(swap_arms(dataset))
+        assert swapped_excluded == excluded
+        assert len(effects) + len(excluded) == dataset.n
+        assert [e.campaign_id for e in swapped_effects] == [e.campaign_id for e in effects]
         for e, s in zip(effects, swapped_effects):
             assert s.d == -e.d
             assert s.v == e.v
             assert s.w == e.w
+        if not effects:
+            assert swapped is None
+            return
         assert swapped.fixed.mu == -summary.fixed.mu
         assert swapped.fixed.nu == summary.fixed.nu
         assert swapped.heterogeneity.q == summary.heterogeneity.q
@@ -280,22 +275,37 @@ class TestCriterion8InvariantSuite:
             [replace(p, roi=p.roi * factor) for p in target.parts_a],
             [replace(p, roi=p.roi * factor) for p in target.parts_b],
         )
-        original = effect_size(
-            arm_stats(target.parts_a), arm_stats(target.parts_b),
-            campaign_id=target.campaign_id,
+        campaigns = list(dataset.campaigns)
+        campaigns[index] = scaled_campaign
+        effects, excluded, summary = engine_summary(dataset)
+        scaled_effects, scaled_excluded, scaled_summary = engine_summary(
+            ExperimentDataset(tuple(campaigns))
         )
-        scaled = effect_size(
-            arm_stats(scaled_campaign.parts_a), arm_stats(scaled_campaign.parts_b),
-            campaign_id=target.campaign_id,
+        assert scaled_excluded == excluded
+        assert [e.campaign_id for e in scaled_effects] == [e.campaign_id for e in effects]
+        for original, scaled in zip(effects, scaled_effects):
+            assert scaled.delta == pytest.approx(original.delta, rel=1e-9, abs=1e-12)
+            assert scaled.d == pytest.approx(original.d, rel=1e-9, abs=1e-12)
+            assert scaled.v == pytest.approx(original.v, rel=1e-9, abs=1e-12)
+        if not effects:
+            assert scaled_summary is None
+            return
+        for field in ("mu_star", "nu_star"):
+            assert getattr(scaled_summary.random, field) == pytest.approx(
+                getattr(summary.random, field), rel=1e-9, abs=1e-12
+            )
+        assert scaled_summary.heterogeneity.tau2 == pytest.approx(
+            summary.heterogeneity.tau2, rel=1e-9, abs=1e-12
         )
-        assert scaled.delta == pytest.approx(original.delta, rel=1e-9, abs=1e-12)
-        assert scaled.d == pytest.approx(original.d, rel=1e-9, abs=1e-12)
-        assert scaled.v == pytest.approx(original.v, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(dataset_strategy())
     def test_variance_orderings(self, dataset):
-        effects, summary = engine_summary(dataset)
+        effects, excluded, summary = engine_summary(dataset)
+        assert len(effects) + len(excluded) == dataset.n
+        if not effects:
+            assert summary is None
+            return
         assert summary.heterogeneity.tau2 >= 0.0
         assert summary.random.nu_star >= summary.fixed.nu - 1e-15
         assert summary.fixed.nu <= min(e.v for e in effects) + 1e-15

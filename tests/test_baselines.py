@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import dataset_strategy, make_campaign, make_dataset, make_part
+from roimeta import baselines
 from roimeta.baselines import (
     AaCalibration,
     BaselineDecision,
@@ -16,6 +17,7 @@ from roimeta.baselines import (
 )
 from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
 from roimeta.errors import ConfigError, InsufficientDataError, UndefinedRoiError
+from roimeta.randomness import HashStream
 
 
 def swap_arms(dataset: ExperimentDataset) -> ExperimentDataset:
@@ -141,8 +143,7 @@ class TestAaCalibration:
             make_campaign("c1", [1.4] * 6, [1.4] * 2),
             make_campaign("c2", [1.4] * 4, [1.4] * 2),
         ])
-        for method in (BaselineMethod.MICRO, BaselineMethod.MACRO):
-            calibration = aa_calibrate(dataset, (0.5, 0.5), 5, seed=3, method=method)
+        for calibration in aa_calibrate(dataset, (0.5, 0.5), 5, seed=3).values():
             assert calibration.theta == pytest.approx(0.0, abs=1e-12)
 
     def test_per_campaign_constant_roi_zeroes_macro(self):
@@ -150,9 +151,9 @@ class TestAaCalibration:
             make_campaign("c1", [1.1] * 5, [1.1] * 2),
             make_campaign("c2", [0.7] * 5, [0.7] * 2),
         ])
-        calibration = aa_calibrate(dataset, (0.8, 0.2), 7, seed=12,
-                                   method=BaselineMethod.MACRO)
-        assert calibration.theta == pytest.approx(0.0, abs=1e-12)
+        calibrations = aa_calibrate(dataset, (0.8, 0.2), 7, seed=12)
+        for method in (BaselineMethod.MACRO, BaselineMethod.MACRO_MEDIAN):
+            assert calibrations[method].theta == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
         dataset = make_dataset([
@@ -163,13 +164,14 @@ class TestAaCalibration:
         second = aa_calibrate(dataset, (0.9, 0.1), 5, seed=77)
         assert first == second
         different = aa_calibrate(dataset, (0.9, 0.1), 5, seed=78)
-        assert different.per_repeat_stats != first.per_repeat_stats
+        micro = BaselineMethod.MICRO
+        assert different[micro].per_repeat_stats != first[micro].per_repeat_stats
 
     def test_even_split_statistic_support(self):
         # equal-spend parts with ROIs {1,1,2,2} under a 2/2 split can only
         # produce pseudo-deltas -1, 0, or +1
         dataset = make_dataset([make_campaign("c1", [1.0, 1.0, 2.0, 2.0], [1.0, 1.0])])
-        calibration = aa_calibrate(dataset, (0.5, 0.5), 40, seed=5)
+        calibration = aa_calibrate(dataset, (0.5, 0.5), 40, seed=5)[BaselineMethod.MICRO]
         for stat in calibration.per_repeat_stats:
             assert min(abs(stat - t) for t in (-1.0, 0.0, 1.0)) <= 1e-12
 
@@ -179,8 +181,9 @@ class TestAaCalibration:
             make_campaign("c2", [1.0], [1.0, 1.0]),
         ])
         with pytest.warns(UserWarning, match="fewer than 2 control parts"):
-            calibration = aa_calibrate(dataset, (0.5, 0.5), 3, seed=1)
-        assert isinstance(calibration, AaCalibration)
+            calibrations = aa_calibrate(dataset, (0.5, 0.5), 3, seed=1)
+        assert set(calibrations) == set(BaselineMethod)
+        assert all(isinstance(c, AaCalibration) for c in calibrations.values())
 
     def test_no_splittable_campaign_rejected(self):
         dataset = make_dataset([make_campaign("c1", [1.0], [1.0, 1.0])])
@@ -192,10 +195,38 @@ class TestAaCalibration:
         dataset = make_dataset([
             make_campaign("c1", [1.0, 1.5, 0.8, 1.1, 0.6], [1.0, 1.0]),
         ])
-        calibration = aa_calibrate(dataset, (0.7, 0.3), 9, seed=2)
-        assert calibration.theta == pytest.approx(
-            math.fsum(calibration.per_repeat_stats) / 9, abs=1e-15
+        for calibration in aa_calibrate(dataset, (0.7, 0.3), 9, seed=2).values():
+            assert calibration.theta == pytest.approx(
+                math.fsum(calibration.per_repeat_stats) / 9, abs=1e-15
+            )
+
+    def test_every_statistic_comes_from_one_split_per_repeat(self, monkeypatch):
+        dataset = make_dataset([
+            make_campaign("c1", [1.0, 1.5, 0.8, 1.1], [1.0, 1.0]),
+            make_campaign("c2", [0.9, 1.2, 1.4, 2.0], [1.0, 1.0]),
+            make_campaign("c3", [3.0, 0.2, 1.3, 0.7], [1.0, 1.0]),
+        ])
+        opened = []
+
+        class CountingStream(baselines.HashStream):
+            def __init__(self, *key):
+                opened.append(key)
+                super().__init__(*key)
+
+        monkeypatch.setattr(baselines, "HashStream", CountingStream)
+        calibrations = aa_calibrate(dataset, (0.5, 0.5), 4, seed=9)
+        assert sorted(opened) == sorted(
+            ("aa-split", 9, k, c.campaign_id) for k in range(4) for c in dataset.campaigns
         )
+        for k in range(4):
+            pseudo = make_dataset([
+                baselines._split_once(c, 0.5, HashStream("aa-split", 9, k, c.campaign_id))
+                for c in dataset.campaigns
+            ])
+            stats = {m: calibrations[m].per_repeat_stats[k] for m in BaselineMethod}
+            assert stats[BaselineMethod.MICRO] == micro_delta(pseudo)
+            assert stats[BaselineMethod.MACRO] == macro_delta(pseudo, "mean")
+            assert stats[BaselineMethod.MACRO_MEDIAN] == macro_delta(pseudo, "median")
 
 
 class TestThresholdDecision:

@@ -5,83 +5,11 @@ from conftest import make_campaign, make_part
 from roimeta.campaigns import (
     Arm,
     CampaignExperiment,
-    EventCounts,
-    EventValueSchedule,
     ExperimentDataset,
     PartMeasurement,
     arm_totals,
-    campaign_value,
-    roi,
 )
-from roimeta.errors import SchemaError, UndefinedRoiError
-
-
-class TestCampaignValue:
-    def test_click_schedule(self):
-        counts = EventCounts({"click": 1000})
-        schedule = EventValueSchedule({"click": 0.5})
-        assert campaign_value(counts, schedule) == 500.0
-
-    def test_empty_counts(self):
-        assert campaign_value(EventCounts({}), EventValueSchedule({"click": 0.5})) == 0.0
-
-    def test_two_event_types(self):
-        counts = EventCounts({"click": 100, "conversion": 3})
-        schedule = EventValueSchedule({"click": 0.5, "conversion": 10.0})
-        assert campaign_value(counts, schedule) == 80.0
-
-    def test_unknown_event_type(self):
-        with pytest.raises(SchemaError):
-            campaign_value(EventCounts({"view": 1}), EventValueSchedule({"click": 0.5}))
-
-    @given(
-        st.dictionaries(
-            st.sampled_from(["click", "conversion", "view"]),
-            st.integers(0, 10_000),
-            min_size=1,
-        )
-    )
-    def test_linear_in_counts(self, counts):
-        schedule = EventValueSchedule({"click": 0.5, "conversion": 10.0, "view": 0.01})
-        single = campaign_value(EventCounts(counts), schedule)
-        doubled = campaign_value(
-            EventCounts({k: 2 * v for k, v in counts.items()}), schedule
-        )
-        assert doubled == 2 * single
-
-    def test_rejects_negative_value(self):
-        with pytest.raises(SchemaError):
-            EventValueSchedule({"click": -0.5})
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(SchemaError):
-            EventCounts({"click": -1})
-
-
-class TestRoi:
-    def test_basic(self):
-        assert roi(500.0, 250.0) == 2.0
-
-    def test_zero_value(self):
-        assert roi(0.0, 100.0) == 0.0
-
-    def test_hand_division(self):
-        assert roi(80.0, 64.0) == 1.25
-
-    @pytest.mark.parametrize("spend", [0.0, -1.0])
-    def test_undefined_for_nonpositive_spend(self, spend):
-        with pytest.raises(UndefinedRoiError):
-            roi(1.0, spend)
-
-    @given(
-        st.floats(min_value=0.0, max_value=1e6),
-        st.floats(min_value=1e-3, max_value=1e6),
-        st.floats(min_value=1e-3, max_value=1e3),
-    )
-    def test_scale_invariance(self, value, spend, c):
-        assert roi(c * value, c * spend) == pytest.approx(
-            roi(value, spend), rel=1e-12, abs=1e-12
-        )
+from roimeta.errors import UndefinedRoiError
 
 
 class TestPartMeasurement:

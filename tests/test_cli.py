@@ -137,7 +137,7 @@ class TestCalibrateAndSubgroup:
         code = main(["calibrate", str(data), "--config", str(workdir / "eval.cfg")])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"micro", "macro"}
+        assert set(doc) == {"micro", "macro", "macro_median"}
         assert doc["micro"]["repeats_k"] == 5
         assert len(doc["micro"]["per_repeat_stats"]) == 5
 
@@ -151,6 +151,25 @@ class TestCalibrateAndSubgroup:
             doc["q_within"] + doc["q_between"], abs=1e-9
         )
         assert len(doc["summaries"]) >= 1
+
+
+class TestSubcommandsAgreeWithEvaluate:
+    def test_calibrate_and_subgroup_match_the_evaluate_report(self, workdir, capsys):
+        data = simulate(workdir)
+        config = ["--config", str(workdir / "eval.cfg")]
+        report_path = workdir / "report.json"
+        assert main(["evaluate", str(data), *config, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        capsys.readouterr()
+
+        assert main(["calibrate", str(data), *config]) == 0
+        calibrations = json.loads(capsys.readouterr().out)
+        thetas = {b["method"]: b["threshold_theta"] for b in report["baselines"]}
+        assert {method: c["theta"] for method, c in calibrations.items()} == thetas
+
+        assert main(["subgroup", str(data), *config]) == 0
+        assert report["subgroup"] is not None
+        assert json.loads(capsys.readouterr().out) == report["subgroup"]
 
 
 class TestReport:

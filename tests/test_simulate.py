@@ -2,12 +2,11 @@ import math
 
 import pytest
 
-from roimeta.campaigns import Arm
 from roimeta.errors import ConfigError
 from roimeta.pipeline import collect_effects
 from roimeta.preprocess import qualify
 from roimeta.randomness import HashStream
-from roimeta.simulate import SimConfig, assign_arm, generate_experiment
+from roimeta.simulate import SimConfig, generate_experiment
 
 
 class TestHashStream:
@@ -46,35 +45,6 @@ class TestHashStream:
         shuffled = items[:]
         stream.shuffle(shuffled)
         assert sorted(shuffled) == items
-
-
-class TestAssignArm:
-    def test_share_zero_always_control(self):
-        assert all(
-            assign_arm(f"user-{i}", 0.0, "salt") is Arm.CONTROL for i in range(200)
-        )
-
-    def test_share_one_always_treatment(self):
-        assert all(
-            assign_arm(f"user-{i}", 1.0, "salt") is Arm.TREATMENT for i in range(200)
-        )
-
-    def test_stable_per_user(self):
-        for i in range(50):
-            uid = f"user-{i}"
-            assert assign_arm(uid, 0.3, "s1") is assign_arm(uid, 0.3, "s1")
-
-    def test_large_population_fraction(self):
-        share = 0.2
-        hits = sum(
-            assign_arm(f"user-{i}", share, "exp-7") is Arm.TREATMENT
-            for i in range(100_000)
-        )
-        assert abs(hits / 100_000 - share) <= 0.005
-
-    def test_rejects_bad_share(self):
-        with pytest.raises(ConfigError):
-            assign_arm("u", 1.5)
 
 
 class TestGenerateExperiment:

@@ -155,37 +155,6 @@ class TestSubgroupAnalysis:
             report = subgroup_analysis(effects, 0.0, groups)
         assert [s.group_id for s in report.summaries] == ["g1"]
 
-    def test_per_group_tau2_mode(self):
-        # one internally heterogeneous group, one homogeneous group
-        effects = [
-            pinned_effect("c0", 2.0, 0.1), pinned_effect("c1", -2.0, 0.1),
-            pinned_effect("c2", 0.3, 0.1), pinned_effect("c3", 0.3, 0.1),
-        ]
-        groups = (
-            GroupAssignment("wild", ("c0", "c1")),
-            GroupAssignment("calm", ("c2", "c3")),
-        )
-        global_report = subgroup_analysis(effects, 0.0, groups)
-        local_report = subgroup_analysis(effects, 0.0, groups, tau2_mode="per_group")
-        wild_global = global_report.summaries[0]
-        wild_local = local_report.summaries[0]
-        # re-estimated spread widens the heterogeneous group's interval
-        assert wild_local.ci_high - wild_local.ci_low > wild_global.ci_high - wild_global.ci_low
-        assert wild_local.q_star_k < wild_global.q_star_k
-        # the homogeneous group re-estimates tau2 = 0 and is unchanged
-        assert local_report.summaries[1] == global_report.summaries[1]
-        # the within + between identity holds in both modes
-        for report in (global_report, local_report):
-            assert report.q_star_total == pytest.approx(
-                report.q_within + report.q_between, abs=1e-12
-            )
-
-    def test_rejects_unknown_tau2_mode(self):
-        effects = [pinned_effect("c0", 0.1, 0.1)]
-        with pytest.raises(ConfigError):
-            subgroup_analysis(effects, 0.0, (GroupAssignment("g", ("c0",)),),
-                              tau2_mode="weird")
-
     def test_decomposition_against_direct_between_formula(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
