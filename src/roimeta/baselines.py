@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import statistics
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from math import fsum
 
 from .campaigns import (
     Arm,
-    CampaignExperiment,
     ExperimentDataset,
-    arm_totals,
-    from_micros,
+    micro_totals,
+    roi_of_micros,
     to_micros,
 )
-from .errors import ConfigError, InsufficientDataError, UndefinedRoiError
+from .errors import ConfigError, InsufficientDataError
 from .randomness import HashStream
 
 
@@ -59,29 +58,14 @@ class AaCalibration:
 
 def micro_roi(dataset: ExperimentDataset, arm: Arm) -> float:
     """Pooled ROI of one arm: total value over total spend across campaigns."""
-    spend_micros = 0
-    value_micros = 0
-    for campaign in dataset.campaigns:
-        parts = campaign.parts_a if arm is Arm.CONTROL else campaign.parts_b
-        spend_micros += sum(to_micros(p.spend) for p in parts)
-        value_micros += sum(to_micros(p.value) for p in parts)
-    if spend_micros <= 0:
-        raise UndefinedRoiError(f"arm {arm.value}: total spend over all campaigns is zero")
-    return from_micros(value_micros) / from_micros(spend_micros)
+    parts = [c.parts_a if arm is Arm.CONTROL else c.parts_b for c in dataset.campaigns]
+    totals = [micro_totals(p) for p in parts]
+    return roi_of_micros(sum(t[0] for t in totals), sum(t[1] for t in totals), arm)
 
 
 def micro_delta(dataset: ExperimentDataset) -> float:
     """Treatment-minus-control difference of pooled ROIs."""
     return micro_roi(dataset, Arm.TREATMENT) - micro_roi(dataset, Arm.CONTROL)
-
-
-def _campaign_roi_diff(campaign: CampaignExperiment) -> float:
-    for parts, arm in ((campaign.parts_a, Arm.CONTROL), (campaign.parts_b, Arm.TREATMENT)):
-        if not parts:
-            raise UndefinedRoiError(
-                f"campaign {campaign.campaign_id!r} has no parts for arm {arm.value}"
-            )
-    return arm_totals(campaign.parts_b).roi - arm_totals(campaign.parts_a).roi
 
 
 def macro_delta(dataset: ExperimentDataset, aggregator: str = "mean") -> float:
@@ -90,28 +74,14 @@ def macro_delta(dataset: ExperimentDataset, aggregator: str = "mean") -> float:
         raise ConfigError(f"aggregator must be 'mean' or 'median', got {aggregator!r}")
     if not dataset.campaigns:
         raise InsufficientDataError("no campaigns")
-    diffs = [_campaign_roi_diff(c) for c in dataset.campaigns]
+    diffs = [
+        roi_of_micros(*micro_totals(c.parts_b), Arm.TREATMENT, c.campaign_id)
+        - roi_of_micros(*micro_totals(c.parts_a), Arm.CONTROL, c.campaign_id)
+        for c in dataset.campaigns
+    ]
     if aggregator == "median":
         return statistics.median(diffs)
     return fsum(diffs) / len(diffs)
-
-
-def _split_once(
-    campaign: CampaignExperiment, share_b: float, stream: HashStream
-) -> CampaignExperiment:
-    """Split one campaign's control parts into pseudo control/treatment arms."""
-    m = campaign.m_a
-    order = list(range(m))
-    stream.shuffle(order)
-    n_b = min(max(round(m * share_b), 1), m - 1)
-    chosen = set(order[:n_b])
-    pseudo_a = [p for j, p in enumerate(campaign.parts_a) if j not in chosen]
-    pseudo_b = [
-        replace(p, arm=Arm.TREATMENT)
-        for j, p in enumerate(campaign.parts_a)
-        if j in chosen
-    ]
-    return CampaignExperiment(campaign.campaign_id, pseudo_a, pseudo_b)
 
 
 def aa_calibrate(
@@ -129,13 +99,17 @@ def aa_calibrate(
     mean of its statistic over repeats. Splits derive deterministically from
     (seed, repeat, campaign_id), so repeats are replayable and order
     independent.
+
+    Column kernel: each call reads eligible campaigns' control spend and value
+    into integer micro-unit lists once; a repeat shuffles an index list, sums
+    the chosen pseudo-treatment indices, gets pseudo-control by subtraction
+    and takes the float steps of ``micro_delta`` and ``macro_delta``.
     """
-    total = split_ratio[0] + split_ratio[1]
     if split_ratio[0] <= 0 or split_ratio[1] <= 0:
         raise ConfigError(f"split_ratio parts must be positive, got {split_ratio!r}")
     if not isinstance(repeats_k, int) or repeats_k < 1:
         raise ConfigError(f"repeats_k must be an integer >= 1, got {repeats_k!r}")
-    share_b = split_ratio[1] / total
+    share_b = split_ratio[1] / (split_ratio[0] + split_ratio[1])
     eligible = [c for c in dataset.campaigns if c.m_a >= 2]
     skipped = [c.campaign_id for c in dataset.campaigns if c.m_a < 2]
     if skipped:
@@ -146,17 +120,33 @@ def aa_calibrate(
         )
     if not eligible:
         raise InsufficientDataError("no campaign has >= 2 control parts to split")
+    columns = []
+    for campaign in eligible:
+        spends = [to_micros(p.spend) for p in campaign.parts_a]
+        values = [to_micros(p.value) for p in campaign.parts_a]
+        n_b = min(max(round(len(spends) * share_b), 1), len(spends) - 1)
+        columns.append((campaign.campaign_id, spends, values, sum(spends), sum(values), n_b))
     per_repeat: dict[BaselineMethod, list[float]] = {m: [] for m in BaselineMethod}
     for k in range(repeats_k):
-        pseudo = ExperimentDataset(
-            tuple(
-                _split_once(c, share_b, HashStream("aa-split", seed, k, c.campaign_id))
-                for c in eligible
-            )
+        arms = []  # pseudo-arm micro totals (spend_a, value_a, spend_b, value_b)
+        for campaign_id, spends, values, spend, value, n_b in columns:
+            order = list(range(len(spends)))
+            HashStream("aa-split", seed, k, campaign_id).shuffle(order)
+            spend_b = sum([spends[j] for j in order[:n_b]])
+            value_b = sum([values[j] for j in order[:n_b]])
+            arms.append((spend - spend_b, value - value_b, spend_b, value_b))
+        spend_a, value_a, spend_b, value_b = map(sum, zip(*arms))
+        per_repeat[BaselineMethod.MICRO].append(
+            roi_of_micros(spend_b, value_b, Arm.TREATMENT)
+            - roi_of_micros(spend_a, value_a, Arm.CONTROL)
         )
-        per_repeat[BaselineMethod.MICRO].append(micro_delta(pseudo))
-        per_repeat[BaselineMethod.MACRO].append(macro_delta(pseudo, "mean"))
-        per_repeat[BaselineMethod.MACRO_MEDIAN].append(macro_delta(pseudo, "median"))
+        diffs = [
+            roi_of_micros(sb, vb, Arm.TREATMENT, column[0])
+            - roi_of_micros(sa, va, Arm.CONTROL, column[0])
+            for column, (sa, va, sb, vb) in zip(columns, arms)
+        ]
+        per_repeat[BaselineMethod.MACRO].append(fsum(diffs) / len(diffs))
+        per_repeat[BaselineMethod.MACRO_MEDIAN].append(statistics.median(diffs))
     return {
         method: AaCalibration(
             repeats_k=repeats_k,

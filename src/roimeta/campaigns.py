@@ -82,6 +82,19 @@ class ArmTotals:
     roi: float
 
 
+def micro_totals(parts: list[PartMeasurement] | tuple[PartMeasurement, ...]) -> tuple[int, int]:
+    """Exact total spend and value of parts, in integer micro-units."""
+    return sum(to_micros(p.spend) for p in parts), sum(to_micros(p.value) for p in parts)
+
+
+def roi_of_micros(spend: int, value: int, arm: Arm, campaign_id: str | None = None) -> float:
+    """One arm's ROI from micro totals of one campaign, or of all (campaign_id None)."""
+    if spend <= 0:
+        where = "over all campaigns" if campaign_id is None else f"of campaign {campaign_id!r}"
+        raise UndefinedRoiError(f"arm {arm.value}: total spend {where} is zero")
+    return from_micros(value) / from_micros(spend)
+
+
 def arm_totals(parts: list[PartMeasurement] | tuple[PartMeasurement, ...]) -> ArmTotals:
     """Sum spend and value over one arm's parts and derive the arm ROI.
 
@@ -98,15 +111,9 @@ def arm_totals(parts: list[PartMeasurement] | tuple[PartMeasurement, ...]) -> Ar
             )
         if part.arm is not arm:
             raise ValueError(f"parts mix arms {arm.value} and {part.arm.value}")
-    spend_micros = sum(to_micros(p.spend) for p in parts)
-    value_micros = sum(to_micros(p.value) for p in parts)
-    spend = from_micros(spend_micros)
-    value = from_micros(value_micros)
-    if spend_micros <= 0:
-        raise UndefinedRoiError(
-            f"campaign {campaign_id!r} arm {arm.value}: total spend is zero"
-        )
-    return ArmTotals(spend=spend, value=value, roi=value / spend)
+    spend, value = micro_totals(parts)
+    roi = roi_of_micros(spend, value, arm, campaign_id)
+    return ArmTotals(spend=from_micros(spend), value=from_micros(value), roi=roi)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .baselines import (
     micro_delta,
     threshold_decision,
 )
-from .campaigns import ExperimentDataset
+from .campaigns import ExperimentDataset, micro_totals
 from .errors import (
     ConfigError,
     DegenerateEffectError,
@@ -56,8 +56,8 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class AaSettings:
-    """A/A calibration parameters; ``treatment_share`` falls back to dataset
-    metadata and then to an even split."""
+    """A/A calibration parameters; ``treatment_share`` overrides the share
+    observed in the data (see ``calibrate_baselines``)."""
 
     repeats_k: int = 5
     seed: int = 0
@@ -210,17 +210,17 @@ def calibrate_baselines(
     """A/A-calibrate every baseline threshold on the qualified dataset.
 
     The pseudo-treatment share is ``settings.treatment_share``, else the
-    dataset's ``treatment_share`` metadata, else an even split.
+    observed treatment spend share: arm-B spend over all spend, in exact
+    micro-units, so the same parts give the same thresholds however they were
+    read.
     """
     share = settings.treatment_share
     if share is None:
-        raw = qualified.metadata.get("treatment_share", "0.5")
-        try:
-            share = float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"dataset metadata treatment_share is not numeric: {raw!r}"
-            ) from None
+        spend_b = sum(micro_totals(c.parts_b)[0] for c in qualified.campaigns)
+        spend = spend_b + sum(micro_totals(c.parts_a)[0] for c in qualified.campaigns)
+        if not 0 < spend_b < spend:
+            raise InsufficientDataError("no treatment share without spend in both arms")
+        share = spend_b / spend
     return aa_calibrate(qualified, (1.0 - share, share), settings.repeats_k, settings.seed)
 
 

@@ -21,17 +21,20 @@ _POISSON_EXACT_LIMIT = 50.0
 class HashStream:
     """Deterministic stream of variates identified by its key parts."""
 
-    __slots__ = ("_key", "_counter")
+    __slots__ = ("_prefix", "_counter")
 
     def __init__(self, *key_parts: object):
         material = "\x1f".join(str(part) for part in key_parts).encode("utf-8")
-        self._key = hashlib.blake2b(material, digest_size=16).digest()
+        # Each draw hashes key + counter; the key is absorbed here, once.
+        key = hashlib.blake2b(material, digest_size=16).digest()
+        self._prefix = hashlib.blake2b(key, digest_size=8)
         self._counter = 0
 
     def _next_u64(self) -> int:
-        block = self._key + self._counter.to_bytes(8, "big")
+        block = self._prefix.copy()
+        block.update(self._counter.to_bytes(8, "big"))
         self._counter += 1
-        return int.from_bytes(hashlib.blake2b(block, digest_size=8).digest(), "big")
+        return int.from_bytes(block.digest(), "big")
 
     def uniform(self) -> float:
         """Uniform draw strictly inside (0, 1)."""

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import dataset_strategy, make_campaign, make_dataset, make_part
+from conftest import dataset_strategy, make_campaign, make_dataset, make_part, sane_rois
 from roimeta import baselines
 from roimeta.baselines import (
     AaCalibration,
@@ -15,20 +17,95 @@ from roimeta.baselines import (
     micro_roi,
     threshold_decision,
 )
-from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
+from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset, PartMeasurement
 from roimeta.errors import ConfigError, InsufficientDataError, UndefinedRoiError
 from roimeta.randomness import HashStream
 
 
 def swap_arms(dataset: ExperimentDataset) -> ExperimentDataset:
-    from dataclasses import replace
-
     campaigns = []
     for c in dataset.campaigns:
         new_a = [replace(p, arm=Arm.CONTROL) for p in c.parts_b]
         new_b = [replace(p, arm=Arm.TREATMENT) for p in c.parts_a]
         campaigns.append(CampaignExperiment(c.campaign_id, new_a, new_b))
     return ExperimentDataset(tuple(campaigns), metadata=dict(dataset.metadata))
+
+
+def split_once(
+    campaign: CampaignExperiment, share_b: float, stream: HashStream
+) -> CampaignExperiment:
+    """Reference A/A split: one campaign's control parts rebuilt as a
+    pseudo-experiment of part objects, for ``micro_delta``/``macro_delta``."""
+    m = campaign.m_a
+    order = list(range(m))
+    stream.shuffle(order)
+    n_b = min(max(round(m * share_b), 1), m - 1)
+    chosen = set(order[:n_b])
+    pseudo_a = [p for j, p in enumerate(campaign.parts_a) if j not in chosen]
+    pseudo_b = [
+        replace(p, arm=Arm.TREATMENT)
+        for j, p in enumerate(campaign.parts_a)
+        if j in chosen
+    ]
+    return CampaignExperiment(campaign.campaign_id, pseudo_a, pseudo_b)
+
+
+def pseudo_experiment(
+    dataset: ExperimentDataset, share_b: float, seed: int, k: int
+) -> ExperimentDataset:
+    return make_dataset([
+        split_once(c, share_b, HashStream("aa-split", seed, k, c.campaign_id))
+        for c in dataset.campaigns
+        if c.m_a >= 2
+    ])
+
+
+def reference_stats(dataset, split_ratio, repeats_k, seed) -> dict[BaselineMethod, tuple]:
+    """Per-repeat statistics of the object path, computed one pseudo-experiment
+    at a time."""
+    share_b = split_ratio[1] / (split_ratio[0] + split_ratio[1])
+    stats = {m: [] for m in BaselineMethod}
+    for k in range(repeats_k):
+        pseudo = pseudo_experiment(dataset, share_b, seed, k)
+        stats[BaselineMethod.MICRO].append(micro_delta(pseudo))
+        stats[BaselineMethod.MACRO].append(macro_delta(pseudo, "mean"))
+        stats[BaselineMethod.MACRO_MEDIAN].append(macro_delta(pseudo, "median"))
+    return {m: tuple(values) for m, values in stats.items()}
+
+
+def outcome(compute):
+    """Float bits of every statistic, or the UndefinedRoiError message."""
+    try:
+        stats = compute()
+    except UndefinedRoiError as exc:
+        return "UndefinedRoiError", str(exc)
+    return {m: [s.hex() for s in values] for m, values in stats.items()}
+
+
+money = st.floats(min_value=1e-6, max_value=1e4)
+shares = st.one_of(
+    st.floats(min_value=1e-4, max_value=0.05),
+    st.floats(min_value=0.05, max_value=0.95),
+    st.floats(min_value=0.95, max_value=1.0 - 1e-4),
+)
+
+
+@st.composite
+def uneven_campaign(draw, campaign_id: str) -> CampaignExperiment:
+    """Control parts with independent, possibly zero spends, unqualified."""
+    parts_a = []
+    for j in range(draw(st.integers(2, 7))):
+        spend = 0.0 if draw(st.integers(0, 9)) == 0 else draw(money)
+        value = spend * draw(sane_rois) if spend else 0.0
+        parts_a.append(PartMeasurement(campaign_id, Arm.CONTROL, j, 1000, spend, value))
+    parts_b = [make_part(campaign_id, Arm.TREATMENT, 0, roi=1.0)]
+    return CampaignExperiment(campaign_id, parts_a, parts_b)
+
+
+@st.composite
+def uneven_dataset(draw) -> ExperimentDataset:
+    n = draw(st.integers(1, 5))
+    return make_dataset([draw(uneven_campaign(f"c{i}")) for i in range(n)])
 
 
 def two_campaign_dataset():
@@ -219,14 +296,38 @@ class TestAaCalibration:
             ("aa-split", 9, k, c.campaign_id) for k in range(4) for c in dataset.campaigns
         )
         for k in range(4):
-            pseudo = make_dataset([
-                baselines._split_once(c, 0.5, HashStream("aa-split", 9, k, c.campaign_id))
-                for c in dataset.campaigns
-            ])
+            pseudo = pseudo_experiment(dataset, 0.5, 9, k)
             stats = {m: calibrations[m].per_repeat_stats[k] for m in BaselineMethod}
             assert stats[BaselineMethod.MICRO] == micro_delta(pseudo)
             assert stats[BaselineMethod.MACRO] == macro_delta(pseudo, "mean")
             assert stats[BaselineMethod.MACRO_MEDIAN] == macro_delta(pseudo, "median")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        uneven_dataset(), shares, st.integers(1, 4), st.integers(0, 10**6),
+    )
+    def test_column_kernel_matches_object_path(self, dataset, share, repeats_k, seed):
+        split_ratio = (1.0 - share, share)
+
+        def kernel():
+            calibrations = aa_calibrate(dataset, split_ratio, repeats_k, seed)
+            return {m: c.per_repeat_stats for m, c in calibrations.items()}
+
+        assert outcome(kernel) == outcome(
+            lambda: reference_stats(dataset, split_ratio, repeats_k, seed)
+        )
+
+    def test_zero_spend_control_part_is_undefined(self):
+        # with two control parts every split isolates the zero-spend one
+        zero = PartMeasurement("c1", Arm.CONTROL, 0, 1000, 0.0, 0.0)
+        paid = PartMeasurement("c1", Arm.CONTROL, 1, 1000, 2.0, 2.4)
+        dataset = make_dataset([
+            CampaignExperiment("c1", [zero, paid], [make_part("c1", Arm.TREATMENT, 0, roi=1.0)]),
+            make_campaign("c2", [1.0, 1.5, 0.8], [1.0]),
+        ])
+        for seed in range(5):
+            with pytest.raises(UndefinedRoiError, match="'c1'"):
+                aa_calibrate(dataset, (0.5, 0.5), 3, seed=seed)
 
 
 class TestThresholdDecision:

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
 from conftest import make_campaign, make_dataset, make_part
 from roimeta.baselines import BaselineDecision, BaselineMethod
-from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
-from roimeta.errors import ConfigError, NoQualifiedCampaignsError
+from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset, to_micros
+from roimeta.dataio import ingest, write_dataset
+from roimeta.errors import ConfigError, InsufficientDataError, NoQualifiedCampaignsError
 from roimeta.meta import SignificanceResult
 from roimeta.pipeline import (
     AaSettings,
@@ -12,10 +15,12 @@ from roimeta.pipeline import (
     ExplicitThetas,
     TrafficSchedule,
     Verdict,
+    calibrate_baselines,
     decide,
     evaluate,
     recommend_traffic,
 )
+from roimeta.preprocess import qualify
 from roimeta.simulate import SimConfig, generate_experiment
 
 
@@ -167,14 +172,26 @@ class TestEvaluate:
         with pytest.raises(NoQualifiedCampaignsError, match="effect-size"):
             evaluate(make_dataset([thin]), config_with_thetas())
 
-    def test_metadata_share_feeds_calibration(self):
+    def test_observed_share_feeds_calibration(self):
         dataset = lifted_dataset()
-        with_meta = ExperimentDataset(dataset.campaigns, metadata={"treatment_share": "0.1"})
-        from_meta = evaluate(with_meta, EvaluationConfig(aa=AaSettings(seed=5)))
+        qualified = qualify(dataset).qualified
+        spend_b = sum(to_micros(p.spend) for c in qualified.campaigns for p in c.parts_b)
+        spend_a = sum(to_micros(p.spend) for c in qualified.campaigns for p in c.parts_a)
+        share = spend_b / (spend_a + spend_b)
+        assert share == pytest.approx(0.1, abs=1e-3)
+        observed = evaluate(dataset, EvaluationConfig(aa=AaSettings(seed=5)))
         explicit = evaluate(dataset, EvaluationConfig(
-            aa=AaSettings(seed=5, treatment_share=0.1),
+            aa=AaSettings(seed=5, treatment_share=share),
         ))
-        assert from_meta.baselines == explicit.baselines
+        assert observed.baselines == explicit.baselines
+        even = evaluate(dataset, EvaluationConfig(aa=AaSettings(seed=5, treatment_share=0.5)))
+        assert observed.baselines != even.baselines
+        # dataset metadata plays no part in the share
+        for raw in ("0.5", "n/a"):
+            with_meta = ExperimentDataset(dataset.campaigns, metadata={"treatment_share": raw})
+            assert evaluate(
+                with_meta, EvaluationConfig(aa=AaSettings(seed=5))
+            ).baselines == observed.baselines
 
     def test_verdict_reproducible_from_significance(self):
         report = evaluate(lifted_dataset(), config_with_thetas())
@@ -200,3 +217,40 @@ class TestEvaluate:
             AaSettings(repeats_k=0)
         with pytest.raises(ConfigError):
             AaSettings(treatment_share=0.0)
+
+
+def render_record_lines(dataset: ExperimentDataset) -> str:
+    """Record-lines text with the same 6-decimal money as the CSV writer."""
+    return "".join(
+        f'{{"campaign_id": {json.dumps(p.campaign_id)}, "arm": "{p.arm.value}", '
+        f'"part_id": {p.part_id}, "impressions": {p.impressions}, '
+        f'"spend": {p.spend:.6f}, "value": {p.value:.6f}}}\n'
+        for c in dataset.campaigns
+        for p in c.parts_a + c.parts_b
+    )
+
+
+class TestCalibrateBaselines:
+    @pytest.mark.parametrize("sim,aa_seed", [
+        (SimConfig(n_campaigns=40, seed=3), 1),
+        (SimConfig(n_campaigns=30, m_a=4, m_b=7, treatment_share=0.3,
+                   part_noise_sd=0.2, seed=8), 2),
+        (SimConfig(n_campaigns=25, m_a=2, m_b=3, treatment_share=0.05, seed=21), 3),
+        (SimConfig(n_campaigns=12, m_a=9, m_b=9, treatment_share=0.5,
+                   budget_log_sd=3.0, seed=34), 4),
+    ], ids=["40-campaigns", "share-0.3", "two-control-parts", "even-share"])
+    def test_default_share_survives_a_file_round_trip(self, tmp_path, sim, aa_seed):
+        dataset = generate_experiment(sim)
+        settings = AaSettings(seed=aa_seed)
+        in_memory = calibrate_baselines(dataset, settings)
+        csv_path = tmp_path / "parts.csv"
+        write_dataset(dataset, csv_path)
+        jsonl_path = tmp_path / "parts.jsonl"
+        jsonl_path.write_text(render_record_lines(dataset), encoding="utf-8")
+        assert calibrate_baselines(ingest(csv_path), settings) == in_memory
+        assert calibrate_baselines(ingest(jsonl_path, "record-lines"), settings) == in_memory
+
+    def test_share_needs_spend_in_both_arms(self):
+        one_armed = make_dataset([make_campaign("c1", [1.0, 1.2], [])])
+        with pytest.raises(InsufficientDataError, match="treatment share"):
+            calibrate_baselines(one_armed, AaSettings())

@@ -39,6 +39,24 @@ class TestHashStream:
         mean = sum(draws) / len(draws)
         assert mean == pytest.approx(2000.0, rel=0.01)
 
+    @pytest.mark.parametrize("key,expected", [
+        (("x", 1), [
+            0.4422043807225623, 0.16332588996732045, 0.18181098716848162,
+            0.4792241040660869, 0.29193193743184087, 0.7384774926582678,
+            0.01568420990421139, 0.4503348708317101,
+        ]),
+        (("aa-split", 9, 0, "c1"), [
+            0.9260549156328864, 0.22049136377084183, 0.7404377107957899,
+            0.6903585910793928, 0.7133044173914874, 0.11566107088333073,
+            0.6580987005124302, 0.017785713509410446,
+        ]),
+    ], ids=["x", "aa-split"])
+    def test_stream_values_are_pinned(self, key, expected):
+        # values of the roimeta-hash-stream/1 generator; any change to them
+        # must come with a new generator tag
+        stream = HashStream(*key)
+        assert [stream.uniform() for _ in range(8)] == expected
+
     def test_shuffle_is_a_permutation(self):
         stream = HashStream("s")
         items = list(range(10))
