@@ -20,11 +20,9 @@ from .baselines import (
 )
 from .campaigns import (
     Arm,
-    ArmTotals,
     CampaignExperiment,
     ExperimentDataset,
     PartMeasurement,
-    arm_totals,
 )
 from .dataio import ingest, render_dataset_csv, write_dataset
 from .errors import (

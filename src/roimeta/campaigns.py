@@ -73,15 +73,6 @@ class PartMeasurement:
             raise ValueError(f"roi must be finite and >= 0, got {self.roi!r}")
 
 
-@dataclass(frozen=True)
-class ArmTotals:
-    """Campaign-level totals for one arm."""
-
-    spend: float
-    value: float
-    roi: float
-
-
 def micro_totals(parts: list[PartMeasurement] | tuple[PartMeasurement, ...]) -> tuple[int, int]:
     """Exact total spend and value of parts, in integer micro-units."""
     return sum(to_micros(p.spend) for p in parts), sum(to_micros(p.value) for p in parts)
@@ -93,27 +84,6 @@ def roi_of_micros(spend: int, value: int, arm: Arm, campaign_id: str | None = No
         where = "over all campaigns" if campaign_id is None else f"of campaign {campaign_id!r}"
         raise UndefinedRoiError(f"arm {arm.value}: total spend {where} is zero")
     return from_micros(value) / from_micros(spend)
-
-
-def arm_totals(parts: list[PartMeasurement] | tuple[PartMeasurement, ...]) -> ArmTotals:
-    """Sum spend and value over one arm's parts and derive the arm ROI.
-
-    All parts must share a campaign and an arm; total spend must be positive.
-    """
-    if not parts:
-        raise ValueError("arm_totals requires at least one part")
-    campaign_id = parts[0].campaign_id
-    arm = parts[0].arm
-    for part in parts:
-        if part.campaign_id != campaign_id:
-            raise ValueError(
-                f"parts mix campaigns {campaign_id!r} and {part.campaign_id!r}"
-            )
-        if part.arm is not arm:
-            raise ValueError(f"parts mix arms {arm.value} and {part.arm.value}")
-    spend, value = micro_totals(parts)
-    roi = roi_of_micros(spend, value, arm, campaign_id)
-    return ArmTotals(spend=from_micros(spend), value=from_micros(value), roi=roi)
 
 
 @dataclass(frozen=True)

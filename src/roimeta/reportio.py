@@ -3,35 +3,25 @@ human tables.
 
 The machine format is deterministic (sorted keys, repr-exact floats), so the
 same report always serializes to identical bytes, and parsing it back yields
-an object equal to the original.
+an object equal to the original. Decoding is the inverse of ``to_plain``,
+driven by the field types of the report dataclasses, so a report field is
+declared once, on its dataclass.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import operator
+import types
+import typing
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
-from .baselines import BaselineDecision, BaselineMethod, BaselineResult
-from .campaigns import Arm, CampaignExperiment, ExperimentDataset, PartMeasurement
+from .baselines import BaselineDecision
 from .errors import SchemaError
-from .meta import (
-    EffectSize,
-    FixedEffectSummary,
-    HeterogeneityStats,
-    RandomEffectSummary,
-    SignificanceResult,
-)
-from .pipeline import (
-    Decision,
-    EffectExclusion,
-    EvaluationReport,
-    TrafficRecommendation,
-    Verdict,
-)
-from .preprocess import DisqualifiedCampaign, ExcludedPart, QualificationReport
-from .subgroups import SubgroupReport, SubgroupSummary
+from .pipeline import EvaluationReport, Verdict
 
 SCHEMA_VERSION = "1"
 
@@ -62,117 +52,72 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
 
-def _part_from_dict(doc: dict) -> PartMeasurement:
-    return PartMeasurement(
-        campaign_id=doc["campaign_id"],
-        arm=Arm(doc["arm"]),
-        part_id=doc["part_id"],
-        impressions=doc["impressions"],
-        spend=doc["spend"],
-        value=doc["value"],
-        roi=doc["roi"],
-    )
+def _same(value: Any) -> Any:
+    return value
 
 
-def _dataset_from_dict(doc: dict) -> ExperimentDataset:
-    campaigns = tuple(
-        CampaignExperiment(
-            c["campaign_id"],
-            tuple(_part_from_dict(p) for p in c["parts_a"]),
-            tuple(_part_from_dict(p) for p in c["parts_b"]),
-        )
-        for c in doc["campaigns"]
-    )
-    return ExperimentDataset(campaigns, metadata=dict(doc["metadata"]))
+@functools.cache
+def _decoder(tp: Any) -> Callable[[Any], Any]:
+    """The inverse of ``to_plain`` for values annotated ``tp``.
+
+    Raises TypeError for an annotation it cannot invert, so no value is ever
+    passed through undecoded by accident.
+    """
+    if tp in (str, int, float, bool):
+        return _same
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp
+    if dataclasses.is_dataclass(tp):
+        return _dataclass_decoder(tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple and args[1:] == (Ellipsis,):
+        item = _decoder(args[0])
+        return tuple if item is _same else lambda doc: tuple(map(item, doc))
+    if tp == dict[str, str]:
+        return dict
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        inner = _decoder(args[0] if args[1] is type(None) else args[1])
+        return inner if inner is _same else lambda doc: None if doc is None else inner(doc)
+    raise TypeError(f"cannot decode a report value annotated {tp!r}")
 
 
-def _qualification_from_dict(doc: dict) -> QualificationReport:
-    return QualificationReport(
-        qualified=_dataset_from_dict(doc["qualified"]),
-        excluded_parts=tuple(
-            ExcludedPart(p["campaign_id"], Arm(p["arm"]), p["part_id"], p["reason"])
-            for p in doc["excluded_parts"]
-        ),
-        disqualified_campaigns=tuple(
-            DisqualifiedCampaign(c["campaign_id"], c["reason"])
-            for c in doc["disqualified_campaigns"]
-        ),
-        disqualified_fraction=doc["disqualified_fraction"],
-    )
+def _dataclass_decoder(tp: type) -> Callable[[Any], Any]:
+    """Read ``tp`` from an object holding exactly its field names, passing the
+    values positionally in field order and decoding only those that need it."""
+    hints = typing.get_type_hints(tp)
+    names = tuple(f.name for f in dataclasses.fields(tp))
+    get = operator.itemgetter(*names)
+    if len(names) == 1:  # itemgetter of one key returns the bare value, not a 1-tuple
+        get = lambda doc, one=get: (one(doc),)
+    decoded = [
+        (i, decode) for i, name in enumerate(names)
+        if (decode := _decoder(hints[name])) is not _same
+    ]
 
+    def from_plain(doc: Any) -> Any:
+        # With the count right, ``get`` raises KeyError unless the keys are exact.
+        if type(doc) is not dict or len(doc) != len(names):
+            raise ValueError(f"{tp.__name__} must be an object with the keys {sorted(names)}")
+        values = get(doc)
+        if decoded:
+            values = list(values)
+            for i, decode in decoded:
+                values[i] = decode(values[i])
+        return tp(*values)
 
-def _subgroup_from_dict(doc: dict | None) -> SubgroupReport | None:
-    if doc is None:
-        return None
-    return SubgroupReport(
-        summaries=tuple(
-            SubgroupSummary(
-                group_id=s["group_id"],
-                members=tuple(s["members"]),
-                mu_star_k=s["mu_star_k"],
-                ci_low=s["ci_low"],
-                ci_high=s["ci_high"],
-                p_z_k=s["p_z_k"],
-                q_star_k=s["q_star_k"],
-                p_q_star_k=s["p_q_star_k"],
-            )
-            for s in doc["summaries"]
-        ),
-        q_star_total=doc["q_star_total"],
-        q_within=doc["q_within"],
-        q_between=doc["q_between"],
-        df_between=doc["df_between"],
-        p_between=doc["p_between"],
-    )
+    return from_plain
 
 
 def report_from_dict(doc: dict) -> EvaluationReport:
-    version = doc.get("schema_version")
+    doc = dict(doc)
+    version = doc.pop("schema_version", None)
     if version != SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported report schema_version {version!r}, expected {SCHEMA_VERSION!r}"
         )
+    decode = _decoder(EvaluationReport)
     try:
-        return EvaluationReport(
-            qualification=_qualification_from_dict(doc["qualification"]),
-            baselines=tuple(
-                BaselineResult(
-                    BaselineMethod(b["method"]), b["statistic"],
-                    b["threshold_theta"], BaselineDecision(b["decision"]),
-                )
-                for b in doc["baselines"]
-            ),
-            effects=tuple(
-                EffectSize(
-                    campaign_id=e["campaign_id"], delta=e["delta"],
-                    pooled_sd=e["pooled_sd"], df=e["df"],
-                    correction=e["correction"], d=e["d"], v=e["v"], w=e["w"],
-                )
-                for e in doc["effects"]
-            ),
-            effect_exclusions=tuple(
-                EffectExclusion(x["campaign_id"], x["reason"])
-                for x in doc["effect_exclusions"]
-            ),
-            fixed=FixedEffectSummary(**doc["fixed"]),
-            heterogeneity=HeterogeneityStats(**doc["heterogeneity"]),
-            random=RandomEffectSummary(
-                per_study_w_star=tuple(doc["random"]["per_study_w_star"]),
-                mu_star=doc["random"]["mu_star"],
-                nu_star=doc["random"]["nu_star"],
-            ),
-            significance=SignificanceResult(**doc["significance"]),
-            subgroup=_subgroup_from_dict(doc["subgroup"]),
-            decision=Decision(
-                verdict=Verdict(doc["decision"]["verdict"]),
-                basis=doc["decision"]["basis"],
-                requires_approval=doc["decision"]["requires_approval"],
-            ),
-            recommendation=TrafficRecommendation(
-                action=doc["recommendation"]["action"],
-                next_share=doc["recommendation"]["next_share"],
-            ),
-        )
+        return decode(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed report document: {exc}") from None
 

@@ -37,7 +37,7 @@ from roimeta.pipeline import (
     evaluate,
 )
 from roimeta.preprocess import qualify
-from roimeta.reportio import render_report, report_from_json
+from roimeta.reportio import render_report, report_from_json, report_to_json
 from roimeta.simulate import SimConfig, generate_experiment
 from roimeta.statfuncs import normal_quantile
 from roimeta.subgroups import partition_by_spend, subgroup_analysis
@@ -356,3 +356,4 @@ class TestCriterion9GoldenPipeline:
         # the saved intermediate state reproduces the verdict
         parsed = report_from_json(golden)
         assert decide(parsed.significance) == parsed.decision
+        assert report_to_json(parsed) == golden

@@ -7,7 +7,8 @@ from roimeta.campaigns import (
     CampaignExperiment,
     ExperimentDataset,
     PartMeasurement,
-    arm_totals,
+    micro_totals,
+    roi_of_micros,
 )
 from roimeta.errors import UndefinedRoiError
 
@@ -54,29 +55,25 @@ class TestPartMeasurement:
 
 
 class TestArmTotals:
+    """One arm's exact micro totals (``micro_totals``) and ROI (``roi_of_micros``)."""
+
     def test_two_parts(self):
         parts = [
             make_part("c1", Arm.CONTROL, 0, spend=5.0, value=10.0, roi=None),
             make_part("c1", Arm.CONTROL, 1, spend=10.0, value=20.0, roi=None),
         ]
-        totals = arm_totals(parts)
-        assert (totals.spend, totals.value, totals.roi) == (15.0, 30.0, 2.0)
+        spend, value = micro_totals(parts)
+        assert (spend, value) == (15_000_000, 30_000_000)
+        assert roi_of_micros(spend, value, Arm.CONTROL, "c1") == 2.0
 
     def test_single_part(self):
-        totals = arm_totals([make_part("c1", Arm.CONTROL, 0, spend=4.0, value=4.0)])
-        assert totals.roi == 1.0
-
-    def test_mixed_campaigns_rejected(self):
-        parts = [
-            make_part("c1", Arm.CONTROL, 0, spend=1.0, value=1.0),
-            make_part("c2", Arm.CONTROL, 1, spend=1.0, value=1.0),
-        ]
-        with pytest.raises(ValueError):
-            arm_totals(parts)
+        totals = micro_totals([make_part("c1", Arm.CONTROL, 0, spend=4.0, value=4.0)])
+        assert roi_of_micros(*totals, Arm.CONTROL, "c1") == 1.0
 
     def test_zero_total_spend(self):
+        totals = micro_totals([make_part("c1", Arm.CONTROL, 0, spend=0.0, value=0.0)])
         with pytest.raises(UndefinedRoiError):
-            arm_totals([make_part("c1", Arm.CONTROL, 0, spend=0.0, value=0.0)])
+            roi_of_micros(*totals, Arm.CONTROL, "c1")
 
     @given(st.permutations(list(range(6))))
     def test_permutation_invariant(self, order):
@@ -85,7 +82,7 @@ class TestArmTotals:
             for j in range(6)
         ]
         shuffled = [parts[i] for i in order]
-        assert arm_totals(shuffled) == arm_totals(parts)
+        assert micro_totals(shuffled) == micro_totals(parts)
 
 
 class TestContainers:

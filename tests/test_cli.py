@@ -185,6 +185,9 @@ class TestReport:
         code = main(["report", str(report_path), "--format", "human"])
         assert code == 0
         assert capsys.readouterr().out == human_first
+        code = main(["report", str(report_path), "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out.encode("utf-8") == report_path.read_bytes()
 
     def test_json_roundtrip_is_byte_identical(self, workdir, capsys):
         data = simulate(workdir)

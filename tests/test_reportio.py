@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 
 import pytest
 
@@ -7,11 +9,29 @@ from roimeta.campaigns import Arm, CampaignExperiment
 from roimeta.errors import SchemaError
 from roimeta.pipeline import EvaluationConfig, ExplicitThetas, Verdict, evaluate
 from roimeta.reportio import (
+    _decoder,
     render_report,
     report_from_json,
     report_to_json,
 )
 from roimeta.simulate import SimConfig, generate_experiment
+
+
+PART = ("qualification", "qualified", "campaigns", 0, "parts_a", 0)
+DELETE = object()
+
+
+def edited(path, value):
+    """Report text with the value at ``path`` replaced, or removed by DELETE."""
+    def edit(doc):
+        *parents, key = path
+        target = functools.reduce(operator.getitem, parents, doc)
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        return json.dumps(doc)
+    return edit
 
 
 def thetas_config(**kwargs):
@@ -67,11 +87,25 @@ class TestMachineFormat:
         with pytest.raises(SchemaError, match="schema_version"):
             report_from_json(json.dumps(doc))
 
-    def test_rejects_truncated_document(self):
+    @pytest.mark.parametrize("malform", [
+        pytest.param(lambda doc: '{"schema_version": "1"}', id="truncated"),
+        pytest.param(lambda doc: "not json at all", id="not-json"),
+        pytest.param(edited(PART + ("extra",), 1), id="unknown-key-in-part"),
+        pytest.param(edited(("fixed", "extra"), 1), id="unknown-key-in-fixed"),
+        pytest.param(edited(PART + ("spend",), DELETE), id="missing-nested-key"),
+        pytest.param(edited(PART + ("arm",), "C"), id="unknown-arm"),
+        pytest.param(edited(("decision", "verdict"), "maybe"), id="unknown-verdict"),
+        pytest.param(edited(("fixed",), None), id="null-fixed"),
+        pytest.param(edited(("baselines",), 5), id="number-for-baselines"),
+    ])
+    def test_rejects_malformed_document(self, accept_report, malform):
+        text = malform(json.loads(report_to_json(accept_report)))
         with pytest.raises(SchemaError):
-            report_from_json('{"schema_version": "1"}')
-        with pytest.raises(SchemaError):
-            report_from_json("not json at all")
+            report_from_json(text)
+
+    def test_decoder_rejects_unsupported_annotation(self):
+        with pytest.raises(TypeError, match="cannot decode"):
+            _decoder(set[str])
 
 
 class TestHumanFormat:
