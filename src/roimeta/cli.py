@@ -12,7 +12,6 @@ success.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .config import (
@@ -33,10 +32,11 @@ from .pipeline import (
 )
 from .preprocess import qualify
 from .reportio import (
-    to_plain,
     render_report,
     report_from_json,
     report_to_json,
+    to_json,
+    to_plain,
 )
 from .simulate import generate_experiment
 from .subgroups import resolve_subgroups, subgroup_analysis
@@ -83,7 +83,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise RoimetaError("calibrate needs aa_* settings, not explicit thetas")
     calibrations = calibrate_baselines(qualified, config.aa)
     doc = {method.value: to_plain(calibration) for method, calibration in calibrations.items()}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(to_json(doc), end="")
     return 0
 
 
@@ -95,7 +95,7 @@ def _cmd_subgroup(args: argparse.Namespace) -> int:
     tau2 = summarize_effects(effects, config.confidence_level).heterogeneity.tau2
     groups = resolve_subgroups(qualified, config.subgroups)
     report = subgroup_analysis(effects, tau2, groups, config.confidence_level)
-    print(json.dumps(to_plain(report), indent=2, sort_keys=True))
+    print(to_json(to_plain(report)), end="")
     return 0
 
 

@@ -3,9 +3,22 @@ human tables.
 
 The machine format is deterministic (sorted keys, repr-exact floats), so the
 same report always serializes to identical bytes, and parsing it back yields
-an object equal to the original. Decoding is the inverse of ``to_plain``,
-driven by the field types of the report dataclasses, so a report field is
+an object equal to the original. Encoding and decoding are both driven by the
+field types of the report dataclasses (``_codec``), so a report field is
 declared once, on its dataclass.
+
+The machine text is exactly ``json.dumps(doc, indent=2, sort_keys=True)``,
+but ``to_json`` does not call it that way: whenever ``indent`` is set, json
+falls back from its C encoder to a pure-Python one, which made writing a
+report slower than computing it. ``to_json`` writes the indentation itself
+only for containers that hold containers. Every flat block (a dict or list
+of scalars) goes to a ``JSONEncoder`` whose item separator carries the
+newline and the indentation, so the C encoder writes it in one call. A list
+of flat dicts (parts, effects, exclusions) is also one call, and its
+``},\n<pad>{`` item boundaries are then re-indented with one ``str.replace``.
+That is safe because encoded JSON never holds a raw newline inside a string,
+so every newline in the encoder's output is a separator, and inside a flat
+dict the next item after a separator starts with a key's quote, not ``{``.
 """
 
 from __future__ import annotations
@@ -27,85 +40,202 @@ SCHEMA_VERSION = "1"
 
 REPORT_FORMATS = ("human-table", "machine-json")
 
+_CONTAINERS = frozenset((dict, list))
 
-def to_plain(obj: Any) -> Any:
-    if isinstance(obj, Enum):
-        return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, (list, tuple)):
-        return [to_plain(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: to_plain(value) for key, value in obj.items()}
-    return obj
+# The types ``json.loads`` gives a value of each scalar annotation. A float
+# field also takes an int: ``ExplicitThetas(micro_theta=0)`` writes one.
+_SCALAR_JSON_TYPES = {str: (str,), bool: (bool,), int: (int,), float: (float, int)}
 
-
-def report_to_dict(report: EvaluationReport) -> dict:
-    doc = to_plain(report)
-    doc["schema_version"] = SCHEMA_VERSION
-    return doc
-
-
-def report_to_json(report: EvaluationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+_JSON_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+    type(None): "null", list: "an array", dict: "an object",
+}
 
 
 def _same(value: Any) -> Any:
     return value
 
 
+class _Codec(typing.NamedTuple):
+    json_types: frozenset  # the types json.loads may give such a value
+    to_plain: Callable[[Any], Any]
+    from_plain: Callable[[Any], Any]
+
+
+def _json_type_error(where: str, allowed: frozenset, value: Any) -> TypeError:
+    kinds = {_JSON_NAMES[t] for t in allowed}
+    if float in allowed:
+        kinds.discard("an integer")
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    return TypeError(f"{where} must be {' or '.join(sorted(kinds))}, not {got}")
+
+
+def _or_none(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return convert if convert is _same else lambda v: None if v is None else convert(v)
+
+
 @functools.cache
-def _decoder(tp: Any) -> Callable[[Any], Any]:
-    """The inverse of ``to_plain`` for values annotated ``tp``.
+def _codec(tp: Any) -> _Codec:
+    """How a value annotated ``tp`` becomes a plain JSON value and back.
 
     Raises TypeError for an annotation it cannot invert, so no value is ever
-    passed through undecoded by accident.
+    passed through unconverted or unchecked by accident.
     """
-    if tp in (str, int, float, bool):
-        return _same
+    if tp in _SCALAR_JSON_TYPES:
+        return _Codec(frozenset(_SCALAR_JSON_TYPES[tp]), _same, _same)
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp
+        members = _Members(tp)
+        return _Codec(
+            frozenset(map(type, members)), operator.attrgetter("value"), members.__getitem__
+        )
     if dataclasses.is_dataclass(tp):
-        return _dataclass_decoder(tp)
+        return _dataclass_codec(tp)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple and args[1:] == (Ellipsis,):
-        item = _decoder(args[0])
-        return tuple if item is _same else lambda doc: tuple(map(item, doc))
+        return _tuple_codec(_codec(args[0]))
     if tp == dict[str, str]:
-        return dict
+        return _Codec(frozenset({dict}), dict, _str_dict)
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        inner = _decoder(args[0] if args[1] is type(None) else args[1])
-        return inner if inner is _same else lambda doc: None if doc is None else inner(doc)
-    raise TypeError(f"cannot decode a report value annotated {tp!r}")
+        inner = _codec(args[0] if args[1] is type(None) else args[1])
+        return _Codec(
+            inner.json_types | {type(None)}, _or_none(inner.to_plain), _or_none(inner.from_plain)
+        )
+    raise TypeError(f"cannot encode or decode a report value annotated {tp!r}")
 
 
-def _dataclass_decoder(tp: type) -> Callable[[Any], Any]:
-    """Read ``tp`` from an object holding exactly its field names, passing the
-    values positionally in field order and decoding only those that need it."""
+class _Members(dict):
+    """An enum's members by value: a dict lookup, which is many times faster
+    than ``tp(value)``, with the same ValueError for an unknown value."""
+
+    def __init__(self, tp: type[Enum]):
+        super().__init__((m.value, m) for m in tp)
+        self.tp = tp
+
+    def __missing__(self, value: Any) -> Enum:
+        raise ValueError(f"{value!r} is not a valid {self.tp.__name__}")
+
+
+def _tuple_codec(item: _Codec) -> _Codec:
+    """A tuple is written as a JSON array and read only from one (the
+    enclosing dataclass checks that), with every item of the item's type."""
+    def from_plain(doc: list) -> tuple:
+        if not item.json_types.issuperset(map(type, doc)):
+            bad = next(v for v in doc if type(v) not in item.json_types)
+            raise _json_type_error("an array item", item.json_types, bad)
+        return tuple(doc) if item.from_plain is _same else tuple(map(item.from_plain, doc))
+
+    to_plain = list if item.to_plain is _same else lambda v: list(map(item.to_plain, v))
+    return _Codec(frozenset({list}), to_plain, from_plain)
+
+
+def _str_dict(doc: dict) -> dict:
+    for value in doc.values():
+        if type(value) is not str:
+            raise _json_type_error("an object value", frozenset({str}), value)
+    return dict(doc)
+
+
+def _dataclass_codec(tp: type) -> _Codec:
+    """Write ``tp`` as an object of its fields, converting only the fields
+    that need it. Read it from an object holding exactly its field names,
+    each of its field's JSON type, passing the values positionally in field
+    order and decoding only those that need it."""
     hints = typing.get_type_hints(tp)
     names = tuple(f.name for f in dataclasses.fields(tp))
-    get = operator.itemgetter(*names)
-    if len(names) == 1:  # itemgetter of one key returns the bare value, not a 1-tuple
-        get = lambda doc, one=get: (one(doc),)
-    decoded = [
-        (i, decode) for i, name in enumerate(names)
-        if (decode := _decoder(hints[name])) is not _same
-    ]
+    codecs = [_codec(hints[name]) for name in names]
+    json_types = tuple(c.json_types for c in codecs)
+    attrs, items = operator.attrgetter(*names), operator.itemgetter(*names)
+    if len(names) == 1:  # a getter of one name returns the bare value, not a 1-tuple
+        attrs = lambda obj, one=attrs: (one(obj),)
+        items = lambda doc, one=items: (one(doc),)
+    encoded = [(name, c.to_plain) for name, c in zip(names, codecs) if c.to_plain is not _same]
+    decoded = [(i, c.from_plain) for i, c in enumerate(codecs) if c.from_plain is not _same]
+
+    def to_plain(obj: Any) -> dict:
+        doc = dict(zip(names, attrs(obj)))
+        for name, encode in encoded:
+            doc[name] = encode(doc[name])
+        return doc
 
     def from_plain(doc: Any) -> Any:
-        # With the count right, ``get`` raises KeyError unless the keys are exact.
+        # With the count right, ``items`` raises KeyError unless the keys are exact.
         if type(doc) is not dict or len(doc) != len(names):
             raise ValueError(f"{tp.__name__} must be an object with the keys {sorted(names)}")
-        values = get(doc)
+        values = items(doc)
+        if not all(map(operator.contains, json_types, map(type, values))):
+            i = next(i for i, v in enumerate(values) if type(v) not in json_types[i])
+            raise _json_type_error(f"{tp.__name__}.{names[i]}", json_types[i], values[i])
         if decoded:
             values = list(values)
             for i, decode in decoded:
                 values[i] = decode(values[i])
         return tp(*values)
 
-    return from_plain
+    return _Codec(frozenset({dict}), to_plain, from_plain)
+
+
+def to_plain(obj: Any) -> dict:
+    """A report dataclass as a plain document: enums as their values, tuples
+    as lists, nested dataclasses as objects."""
+    return _codec(type(obj)).to_plain(obj)
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> Callable[[Any], str]:
+    """Encode a value whose items sit one level below ``depth``, one per line."""
+    separators = (",\n" + "  " * (depth + 1), ": ")
+    return json.JSONEncoder(sort_keys=True, separators=separators).encode
+
+
+def _write(value: Any, depth: int, out: list[str]) -> None:
+    kind = type(value)
+    if kind not in _CONTAINERS or not value:
+        out.append(_flat_encoder(depth)(value))
+        return
+    pad, inner = "  " * depth, "  " * (depth + 1)
+    if _CONTAINERS.isdisjoint(map(type, value.values() if kind is dict else value)):
+        text = _flat_encoder(depth)(value)
+        out.append(f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}")
+    elif kind is list and all(
+        type(item) is dict and item and _CONTAINERS.isdisjoint(map(type, item.values()))
+        for item in value
+    ):
+        deeper = inner + "  "
+        body = _flat_encoder(depth + 1)(value)[2:-2].replace(
+            "},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}"
+        )
+        out.append(f"[\n{inner}{{\n{deeper}{body}\n{inner}}}\n{pad}]")
+    elif kind is dict:
+        key_encoder, separator = _flat_encoder(depth), "{\n"
+        for key, item in sorted(value.items()):
+            out.append(f"{separator}{inner}{key_encoder(key)}: ")
+            _write(item, depth + 1, out)
+            separator = ",\n"
+        out.append(f"\n{pad}}}")
+    else:
+        separator = "[\n"
+        for item in value:
+            out.append(separator + inner)
+            _write(item, depth + 1, out)
+            separator = ",\n"
+        out.append(f"\n{pad}]")
+
+
+def to_json(doc: Any) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for a plain
+    document (dicts with string keys, lists and JSON scalars, as ``to_plain``
+    and ``json.loads`` make them), written mostly by json's C encoder (see
+    the module docstring)."""
+    out: list[str] = []
+    _write(doc, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def report_to_json(report: EvaluationReport) -> str:
+    doc = to_plain(report)
+    doc["schema_version"] = SCHEMA_VERSION
+    return to_json(doc)
 
 
 def report_from_dict(doc: dict) -> EvaluationReport:
@@ -115,7 +245,7 @@ def report_from_dict(doc: dict) -> EvaluationReport:
         raise SchemaError(
             f"unsupported report schema_version {version!r}, expected {SCHEMA_VERSION!r}"
         )
-    decode = _decoder(EvaluationReport)
+    decode = _codec(EvaluationReport).from_plain
     try:
         return decode(doc)
     except (KeyError, TypeError, ValueError) as exc:

@@ -163,13 +163,16 @@ class TestSubcommandsAgreeWithEvaluate:
         capsys.readouterr()
 
         assert main(["calibrate", str(data), *config]) == 0
-        calibrations = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        calibrations = json.loads(out)
+        assert out == json.dumps(calibrations, indent=2, sort_keys=True) + "\n"
         thetas = {b["method"]: b["threshold_theta"] for b in report["baselines"]}
         assert {method: c["theta"] for method, c in calibrations.items()} == thetas
 
         assert main(["subgroup", str(data), *config]) == 0
         assert report["subgroup"] is not None
-        assert json.loads(capsys.readouterr().out) == report["subgroup"]
+        out = capsys.readouterr().out
+        assert out == json.dumps(report["subgroup"], indent=2, sort_keys=True) + "\n"
 
 
 class TestReport:

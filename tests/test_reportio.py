@@ -1,23 +1,29 @@
+import dataclasses
 import functools
 import json
 import operator
+from enum import Enum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_campaign, make_dataset, make_part
 from roimeta.campaigns import Arm, CampaignExperiment
 from roimeta.errors import SchemaError
 from roimeta.pipeline import EvaluationConfig, ExplicitThetas, Verdict, evaluate
 from roimeta.reportio import (
-    _decoder,
+    _codec,
     render_report,
     report_from_json,
     report_to_json,
+    to_json,
 )
 from roimeta.simulate import SimConfig, generate_experiment
 
 
 PART = ("qualification", "qualified", "campaigns", 0, "parts_a", 0)
+SUMMARY = ("subgroup", "summaries", 0)
 DELETE = object()
 
 
@@ -32,6 +38,38 @@ def edited(path, value):
             target[key] = value
         return json.dumps(doc)
     return edit
+
+
+def indented(doc):
+    """The reference machine text: json's own (pure-Python) indent encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def plain(obj):
+    """Reference value-driven conversion of a report to a plain document."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [plain(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    return obj
+
+
+# Strings that a broken re-indent or escape would trip over.
+TRICKY = st.sampled_from(
+    ['"', "\\", "\n", "},\n  {", "},\n    {", ",\n", "é", "\u2028", "💡"]
+)
+TEXT = st.text(max_size=4) | TRICKY | st.lists(TRICKY | st.text(max_size=2), max_size=3).map("".join)
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+FLAT_DICTS = st.dictionaries(TEXT, SCALARS, min_size=1, max_size=4)
+DOCUMENTS = st.recursive(
+    SCALARS | FLAT_DICTS | st.lists(FLAT_DICTS, min_size=1, max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=40,
+)
 
 
 def thetas_config(**kwargs):
@@ -69,6 +107,18 @@ def report_with_exclusions():
 
 
 class TestMachineFormat:
+    @settings(max_examples=400, deadline=None)
+    @given(DOCUMENTS)
+    def test_writer_matches_json_indent(self, doc):
+        assert to_json(doc) == indented(doc)
+
+    @pytest.mark.parametrize("name", [
+        "accept_report", "skipped_subgroup_report", "report_with_exclusions",
+    ])
+    def test_report_matches_json_indent(self, request, name):
+        report = request.getfixturevalue(name)
+        assert report_to_json(report) == indented({**plain(report), "schema_version": "1"})
+
     def test_roundtrip_equality(self, accept_report, skipped_subgroup_report,
                                 report_with_exclusions):
         for report in (accept_report, skipped_subgroup_report, report_with_exclusions):
@@ -97,15 +147,25 @@ class TestMachineFormat:
         pytest.param(edited(("decision", "verdict"), "maybe"), id="unknown-verdict"),
         pytest.param(edited(("fixed",), None), id="null-fixed"),
         pytest.param(edited(("baselines",), 5), id="number-for-baselines"),
+        pytest.param(edited(SUMMARY + ("members",), "abc"), id="string-for-members"),
+        pytest.param(edited(SUMMARY + ("members",), [1, 2]), id="numbers-in-members"),
+        pytest.param(edited(("fixed", "mu"), "abc"), id="string-for-mu"),
+        pytest.param(edited(("heterogeneity", "df"), True), id="boolean-for-df"),
+        pytest.param(edited(("qualification", "qualified", "metadata"), {"source": 1}),
+                     id="number-in-metadata"),
     ])
     def test_rejects_malformed_document(self, accept_report, malform):
         text = malform(json.loads(report_to_json(accept_report)))
         with pytest.raises(SchemaError):
             report_from_json(text)
 
+    def test_float_field_accepts_an_integer(self, accept_report):
+        text = edited(("fixed", "mu"), 0)(json.loads(report_to_json(accept_report)))
+        assert report_from_json(text).fixed.mu == 0
+
     def test_decoder_rejects_unsupported_annotation(self):
-        with pytest.raises(TypeError, match="cannot decode"):
-            _decoder(set[str])
+        with pytest.raises(TypeError, match="cannot encode or decode"):
+            _codec(set[str])
 
 
 class TestHumanFormat:
