@@ -13,6 +13,7 @@ from .baselines import (
     BaselineMethod,
     BaselineResult,
     aa_calibrate,
+    campaign_micro_totals,
     macro_delta,
     micro_delta,
     micro_roi,

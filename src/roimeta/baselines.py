@@ -26,6 +26,8 @@ from .campaigns import (
 from .errors import ConfigError, InsufficientDataError
 from .randomness import HashStream
 
+MicroTotals = dict[str, tuple[int, int, int, int]]  # see campaign_micro_totals
+
 
 class BaselineMethod(str, Enum):
     MICRO = "micro"
@@ -56,28 +58,35 @@ class AaCalibration:
     theta: float
 
 
-def micro_roi(dataset: ExperimentDataset, arm: Arm) -> float:
+def campaign_micro_totals(dataset: ExperimentDataset) -> MicroTotals:
+    """Exact (spend_a, value_a, spend_b, value_b) micro-units of each campaign, by
+    id in dataset order: what the deltas below read."""
+    return {c.campaign_id: micro_totals(c.parts_a) + micro_totals(c.parts_b)
+            for c in dataset.campaigns}
+
+
+def micro_roi(totals: MicroTotals, arm: Arm) -> float:
     """Pooled ROI of one arm: total value over total spend across campaigns."""
-    parts = [c.parts_a if arm is Arm.CONTROL else c.parts_b for c in dataset.campaigns]
-    totals = [micro_totals(p) for p in parts]
-    return roi_of_micros(sum(t[0] for t in totals), sum(t[1] for t in totals), arm)
+    i = 0 if arm is Arm.CONTROL else 2
+    spend = sum(t[i] for t in totals.values())
+    return roi_of_micros(spend, sum(t[i + 1] for t in totals.values()), arm)
 
 
-def micro_delta(dataset: ExperimentDataset) -> float:
+def micro_delta(totals: MicroTotals) -> float:
     """Treatment-minus-control difference of pooled ROIs."""
-    return micro_roi(dataset, Arm.TREATMENT) - micro_roi(dataset, Arm.CONTROL)
+    return micro_roi(totals, Arm.TREATMENT) - micro_roi(totals, Arm.CONTROL)
 
 
-def macro_delta(dataset: ExperimentDataset, aggregator: str = "mean") -> float:
+def macro_delta(totals: MicroTotals, aggregator: str = "mean") -> float:
     """Mean (or median) of per-campaign treatment-minus-control ROI differences."""
     if aggregator not in ("mean", "median"):
         raise ConfigError(f"aggregator must be 'mean' or 'median', got {aggregator!r}")
-    if not dataset.campaigns:
+    if not totals:
         raise InsufficientDataError("no campaigns")
     diffs = [
-        roi_of_micros(*micro_totals(c.parts_b), Arm.TREATMENT, c.campaign_id)
-        - roi_of_micros(*micro_totals(c.parts_a), Arm.CONTROL, c.campaign_id)
-        for c in dataset.campaigns
+        roi_of_micros(spend_b, value_b, Arm.TREATMENT, campaign_id)
+        - roi_of_micros(spend_a, value_a, Arm.CONTROL, campaign_id)
+        for campaign_id, (spend_a, value_a, spend_b, value_b) in totals.items()
     ]
     if aggregator == "median":
         return statistics.median(diffs)
@@ -103,7 +112,7 @@ def aa_calibrate(
     Column kernel: each call reads eligible campaigns' control spend and value
     into integer micro-unit lists once; a repeat shuffles an index list, sums
     the chosen pseudo-treatment indices, gets pseudo-control by subtraction
-    and takes the float steps of ``micro_delta`` and ``macro_delta``.
+    and passes those micro totals to ``micro_delta`` and ``macro_delta``.
     """
     if split_ratio[0] <= 0 or split_ratio[1] <= 0:
         raise ConfigError(f"split_ratio parts must be positive, got {split_ratio!r}")
@@ -128,25 +137,16 @@ def aa_calibrate(
         columns.append((campaign.campaign_id, spends, values, sum(spends), sum(values), n_b))
     per_repeat: dict[BaselineMethod, list[float]] = {m: [] for m in BaselineMethod}
     for k in range(repeats_k):
-        arms = []  # pseudo-arm micro totals (spend_a, value_a, spend_b, value_b)
+        arms: MicroTotals = {}  # the pseudo-arms' totals
         for campaign_id, spends, values, spend, value, n_b in columns:
             order = list(range(len(spends)))
             HashStream("aa-split", seed, k, campaign_id).shuffle(order)
             spend_b = sum([spends[j] for j in order[:n_b]])
             value_b = sum([values[j] for j in order[:n_b]])
-            arms.append((spend - spend_b, value - value_b, spend_b, value_b))
-        spend_a, value_a, spend_b, value_b = map(sum, zip(*arms))
-        per_repeat[BaselineMethod.MICRO].append(
-            roi_of_micros(spend_b, value_b, Arm.TREATMENT)
-            - roi_of_micros(spend_a, value_a, Arm.CONTROL)
-        )
-        diffs = [
-            roi_of_micros(sb, vb, Arm.TREATMENT, column[0])
-            - roi_of_micros(sa, va, Arm.CONTROL, column[0])
-            for column, (sa, va, sb, vb) in zip(columns, arms)
-        ]
-        per_repeat[BaselineMethod.MACRO].append(fsum(diffs) / len(diffs))
-        per_repeat[BaselineMethod.MACRO_MEDIAN].append(statistics.median(diffs))
+            arms[campaign_id] = (spend - spend_b, value - value_b, spend_b, value_b)
+        per_repeat[BaselineMethod.MICRO].append(micro_delta(arms))
+        per_repeat[BaselineMethod.MACRO].append(macro_delta(arms, "mean"))
+        per_repeat[BaselineMethod.MACRO_MEDIAN].append(macro_delta(arms, "median"))
     return {
         method: AaCalibration(
             repeats_k=repeats_k,

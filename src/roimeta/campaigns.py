@@ -33,7 +33,7 @@ def from_micros(micros: int) -> float:
     return micros / MICROS_PER_UNIT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PartMeasurement:
     """One traffic part's impressions, spend, value, and ROI for one arm of one campaign.
 
@@ -49,28 +49,36 @@ class PartMeasurement:
     value: float
     roi: float | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.campaign_id, str) or not self.campaign_id:
+    def __init__(self, campaign_id, arm, part_id, impressions, spend, value, roi=None):
+        if not isinstance(campaign_id, str) or not campaign_id:
             raise ValueError("campaign_id must be non-empty text")
-        if not isinstance(self.arm, Arm):
-            raise ValueError(f"arm must be an Arm, got {self.arm!r}")
-        if not isinstance(self.part_id, int) or isinstance(self.part_id, bool) or self.part_id < 0:
-            raise ValueError(f"part_id must be a non-negative integer, got {self.part_id!r}")
-        if not isinstance(self.impressions, int) or isinstance(self.impressions, bool) or self.impressions < 0:
-            raise ValueError(f"impressions must be a non-negative integer, got {self.impressions!r}")
-        for name in ("spend", "value"):
-            amount = getattr(self, name)
+        if not isinstance(arm, Arm):
+            raise ValueError(f"arm must be an Arm, got {arm!r}")
+        if not isinstance(part_id, int) or isinstance(part_id, bool) or part_id < 0:
+            raise ValueError(f"part_id must be a non-negative integer, got {part_id!r}")
+        if not isinstance(impressions, int) or isinstance(impressions, bool) or impressions < 0:
+            raise ValueError(f"impressions must be a non-negative integer, got {impressions!r}")
+        for name, amount in (("spend", spend), ("value", value)):
             if not isinstance(amount, (int, float)) or not math.isfinite(amount) or amount < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {amount!r}")
-        object.__setattr__(self, "spend", from_micros(to_micros(self.spend)))
-        object.__setattr__(self, "value", from_micros(to_micros(self.value)))
-        if self.spend == 0:
-            if self.roi is not None:
+        # from_micros(to_micros(x)), inlined: every part is built through here.
+        spend = round(spend * MICROS_PER_UNIT) / MICROS_PER_UNIT
+        value = round(value * MICROS_PER_UNIT) / MICROS_PER_UNIT
+        if spend == 0:
+            if roi is not None:
                 raise ValueError("roi cannot be stored for a zero-spend part")
-        elif self.roi is None:
-            object.__setattr__(self, "roi", self.value / self.spend)
-        if self.roi is not None and (not math.isfinite(self.roi) or self.roi < 0):
-            raise ValueError(f"roi must be finite and >= 0, got {self.roi!r}")
+        elif roi is None:
+            roi = value / spend
+        if roi is not None and (not math.isfinite(roi) or roi < 0):
+            raise ValueError(f"roi must be finite and >= 0, got {roi!r}")
+        setattr_ = object.__setattr__  # frozen: bypass the generated __setattr__
+        setattr_(self, "campaign_id", campaign_id)
+        setattr_(self, "arm", arm)
+        setattr_(self, "part_id", part_id)
+        setattr_(self, "impressions", impressions)
+        setattr_(self, "spend", spend)
+        setattr_(self, "value", value)
+        setattr_(self, "roi", roi)
 
 
 def micro_totals(parts: list[PartMeasurement] | tuple[PartMeasurement, ...]) -> tuple[int, int]:

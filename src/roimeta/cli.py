@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .baselines import campaign_micro_totals
 from .config import (
     EVAL_KEY_PARSERS,
     load_evaluation_config,
@@ -81,7 +82,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     qualified = qualify(dataset, config.qualification).qualified
     if isinstance(config.aa, ExplicitThetas):
         raise RoimetaError("calibrate needs aa_* settings, not explicit thetas")
-    calibrations = calibrate_baselines(qualified, config.aa)
+    calibrations = calibrate_baselines(qualified, config.aa, campaign_micro_totals(qualified))
     doc = {method.value: to_plain(calibration) for method, calibration in calibrations.items()}
     print(to_json(doc), end="")
     return 0

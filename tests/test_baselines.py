@@ -12,6 +12,7 @@ from roimeta.baselines import (
     BaselineDecision,
     BaselineMethod,
     aa_calibrate,
+    campaign_micro_totals as totals_of,
     macro_delta,
     micro_delta,
     micro_roi,
@@ -35,7 +36,8 @@ def split_once(
     campaign: CampaignExperiment, share_b: float, stream: HashStream
 ) -> CampaignExperiment:
     """Reference A/A split: one campaign's control parts rebuilt as a
-    pseudo-experiment of part objects, for ``micro_delta``/``macro_delta``."""
+    pseudo-experiment of part objects, whose totals ``micro_delta`` and
+    ``macro_delta`` then read."""
     m = campaign.m_a
     order = list(range(m))
     stream.shuffle(order)
@@ -66,10 +68,10 @@ def reference_stats(dataset, split_ratio, repeats_k, seed) -> dict[BaselineMetho
     share_b = split_ratio[1] / (split_ratio[0] + split_ratio[1])
     stats = {m: [] for m in BaselineMethod}
     for k in range(repeats_k):
-        pseudo = pseudo_experiment(dataset, share_b, seed, k)
-        stats[BaselineMethod.MICRO].append(micro_delta(pseudo))
-        stats[BaselineMethod.MACRO].append(macro_delta(pseudo, "mean"))
-        stats[BaselineMethod.MACRO_MEDIAN].append(macro_delta(pseudo, "median"))
+        totals = totals_of(pseudo_experiment(dataset, share_b, seed, k))
+        stats[BaselineMethod.MICRO].append(micro_delta(totals))
+        stats[BaselineMethod.MACRO].append(macro_delta(totals, "mean"))
+        stats[BaselineMethod.MACRO_MEDIAN].append(macro_delta(totals, "median"))
     return {m: tuple(values) for m, values in stats.items()}
 
 
@@ -120,27 +122,27 @@ class TestMicro:
     def test_spend_weighted_pooling(self):
         dataset = two_campaign_dataset()
         # control arm: (12 + 4) / 15
-        assert micro_roi(dataset, Arm.CONTROL) == pytest.approx(16 / 15, abs=1e-12)
+        assert micro_roi(totals_of(dataset), Arm.CONTROL) == pytest.approx(16 / 15, abs=1e-12)
 
     def test_single_campaign_is_its_roi(self):
         dataset = make_dataset([make_campaign("c1", [1.3, 1.3], [1.1, 1.1])])
-        assert micro_roi(dataset, Arm.CONTROL) == pytest.approx(1.3, abs=1e-12)
+        assert micro_roi(totals_of(dataset), Arm.CONTROL) == pytest.approx(1.3, abs=1e-12)
 
     def test_constant_roi_is_preserved(self):
         dataset = make_dataset([
             make_campaign("c1", [0.9, 0.9], [0.9], spend_a=3.0),
             make_campaign("c2", [0.9], [0.9, 0.9], spend_a=17.0),
         ])
-        assert micro_roi(dataset, Arm.CONTROL) == pytest.approx(0.9, abs=1e-12)
+        assert micro_roi(totals_of(dataset), Arm.CONTROL) == pytest.approx(0.9, abs=1e-12)
 
     def test_delta_continuation(self):
         dataset = two_campaign_dataset()
-        expected = micro_roi(dataset, Arm.TREATMENT) - 16 / 15
-        assert micro_delta(dataset) == pytest.approx(expected, abs=1e-15)
+        expected = micro_roi(totals_of(dataset), Arm.TREATMENT) - 16 / 15
+        assert micro_delta(totals_of(dataset)) == pytest.approx(expected, abs=1e-15)
 
     def test_identical_arms_delta_zero(self):
         dataset = make_dataset([make_campaign("c1", [1.1, 0.9], [1.1, 0.9])])
-        assert micro_delta(dataset) == 0.0
+        assert micro_delta(totals_of(dataset)) == 0.0
 
     def test_zero_spend_arm_rejected(self):
         campaign = CampaignExperiment(
@@ -149,13 +151,13 @@ class TestMicro:
             [make_part("c1", Arm.TREATMENT, 0, roi=1.0)],
         )
         with pytest.raises(UndefinedRoiError):
-            micro_roi(make_dataset([campaign]), Arm.CONTROL)
+            micro_roi(totals_of(make_dataset([campaign])), Arm.CONTROL)
 
     @settings(max_examples=50, deadline=None)
     @given(dataset_strategy())
     def test_identity_with_spend_weighted_form(self, dataset):
         for arm in (Arm.CONTROL, Arm.TREATMENT):
-            pooled = micro_roi(dataset, arm)
+            pooled = micro_roi(totals_of(dataset), arm)
             spends = []
             rois = []
             for c in dataset.campaigns:
@@ -171,7 +173,8 @@ class TestMicro:
     @settings(max_examples=30, deadline=None)
     @given(dataset_strategy())
     def test_antisymmetry_under_arm_swap(self, dataset):
-        assert micro_delta(swap_arms(dataset)) == -micro_delta(dataset)
+        swapped = totals_of(swap_arms(dataset))
+        assert micro_delta(swapped) == -micro_delta(totals_of(dataset))
 
 
 class TestMacro:
@@ -180,11 +183,11 @@ class TestMacro:
             make_campaign("c1", [1.0, 1.0], [1.2, 1.2]),
             make_campaign("c2", [1.0, 1.0], [0.8, 0.8]),
         ])
-        assert macro_delta(dataset, "mean") == pytest.approx(0.0, abs=1e-12)
+        assert macro_delta(totals_of(dataset), "mean") == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_arms(self):
         dataset = make_dataset([make_campaign("c1", [1.0, 1.3], [1.0, 1.3])])
-        assert macro_delta(dataset, "mean") == 0.0
+        assert macro_delta(totals_of(dataset), "mean") == 0.0
 
     def test_outlier_sensitivity_mean_vs_median(self):
         dataset = make_dataset([
@@ -192,8 +195,9 @@ class TestMacro:
             make_campaign("c2", [1.0, 1.0], [1.2, 1.2]),
             make_campaign("c3", [1.0, 1.0], [11.0, 11.0]),
         ])
-        assert macro_delta(dataset, "mean") == pytest.approx(3.4333333333333336, abs=1e-9)
-        assert macro_delta(dataset, "median") == pytest.approx(0.2, abs=1e-12)
+        totals = totals_of(dataset)
+        assert macro_delta(totals, "mean") == pytest.approx(3.4333333333333336, abs=1e-9)
+        assert macro_delta(totals, "median") == pytest.approx(0.2, abs=1e-12)
 
     def test_names_offending_campaign(self):
         campaign = CampaignExperiment(
@@ -202,16 +206,17 @@ class TestMacro:
             [make_part("bad_camp", Arm.TREATMENT, 0, roi=1.0)],
         )
         with pytest.raises(UndefinedRoiError, match="bad_camp"):
-            macro_delta(make_dataset([campaign]), "mean")
+            macro_delta(totals_of(make_dataset([campaign])), "mean")
 
     def test_rejects_unknown_aggregator(self):
         with pytest.raises(ConfigError):
-            macro_delta(two_campaign_dataset(), "mode")
+            macro_delta(totals_of(two_campaign_dataset()), "mode")
 
     @settings(max_examples=30, deadline=None)
     @given(dataset_strategy())
     def test_antisymmetry_under_arm_swap(self, dataset):
-        assert macro_delta(swap_arms(dataset), "mean") == -macro_delta(dataset, "mean")
+        swapped = totals_of(swap_arms(dataset))
+        assert macro_delta(swapped, "mean") == -macro_delta(totals_of(dataset), "mean")
 
 
 class TestAaCalibration:
@@ -296,11 +301,11 @@ class TestAaCalibration:
             ("aa-split", 9, k, c.campaign_id) for k in range(4) for c in dataset.campaigns
         )
         for k in range(4):
-            pseudo = pseudo_experiment(dataset, 0.5, 9, k)
+            totals = totals_of(pseudo_experiment(dataset, 0.5, 9, k))
             stats = {m: calibrations[m].per_repeat_stats[k] for m in BaselineMethod}
-            assert stats[BaselineMethod.MICRO] == micro_delta(pseudo)
-            assert stats[BaselineMethod.MACRO] == macro_delta(pseudo, "mean")
-            assert stats[BaselineMethod.MACRO_MEDIAN] == macro_delta(pseudo, "median")
+            assert stats[BaselineMethod.MICRO] == micro_delta(totals)
+            assert stats[BaselineMethod.MACRO] == macro_delta(totals, "mean")
+            assert stats[BaselineMethod.MACRO_MEDIAN] == macro_delta(totals, "median")
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -1,10 +1,25 @@
 import json
+import statistics
+from math import fsum
 
 import pytest
 
 from conftest import make_campaign, make_dataset, make_part
-from roimeta.baselines import BaselineDecision, BaselineMethod
-from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset, to_micros
+from roimeta import pipeline
+from roimeta.baselines import (
+    BaselineDecision,
+    BaselineMethod,
+    aa_calibrate,
+    campaign_micro_totals,
+)
+from roimeta.campaigns import (
+    Arm,
+    CampaignExperiment,
+    ExperimentDataset,
+    micro_totals,
+    roi_of_micros,
+    to_micros,
+)
 from roimeta.dataio import ingest, write_dataset
 from roimeta.errors import ConfigError, InsufficientDataError, NoQualifiedCampaignsError
 from roimeta.meta import SignificanceResult
@@ -242,15 +257,83 @@ class TestCalibrateBaselines:
     def test_default_share_survives_a_file_round_trip(self, tmp_path, sim, aa_seed):
         dataset = generate_experiment(sim)
         settings = AaSettings(seed=aa_seed)
-        in_memory = calibrate_baselines(dataset, settings)
+        in_memory = calibrate_baselines(dataset, settings, campaign_micro_totals(dataset))
         csv_path = tmp_path / "parts.csv"
         write_dataset(dataset, csv_path)
         jsonl_path = tmp_path / "parts.jsonl"
         jsonl_path.write_text(render_record_lines(dataset), encoding="utf-8")
-        assert calibrate_baselines(ingest(csv_path), settings) == in_memory
-        assert calibrate_baselines(ingest(jsonl_path, "record-lines"), settings) == in_memory
+        for loaded in (ingest(csv_path), ingest(jsonl_path, "record-lines")):
+            totals = campaign_micro_totals(loaded)
+            assert calibrate_baselines(loaded, settings, totals) == in_memory
 
     def test_share_needs_spend_in_both_arms(self):
         one_armed = make_dataset([make_campaign("c1", [1.0, 1.2], [])])
         with pytest.raises(InsufficientDataError, match="treatment share"):
-            calibrate_baselines(one_armed, AaSettings())
+            calibrate_baselines(one_armed, AaSettings(), campaign_micro_totals(one_armed))
+
+
+# The deltas and the default A/A share as computed before the per-campaign
+# micro totals were summed once per decision: each walks the dataset's parts.
+
+def walk_micro_roi(dataset, arm):
+    parts = [c.parts_a if arm is Arm.CONTROL else c.parts_b for c in dataset.campaigns]
+    totals = [micro_totals(p) for p in parts]
+    return roi_of_micros(sum(t[0] for t in totals), sum(t[1] for t in totals), arm)
+
+
+def walk_micro_delta(dataset):
+    return walk_micro_roi(dataset, Arm.TREATMENT) - walk_micro_roi(dataset, Arm.CONTROL)
+
+
+def walk_macro_delta(dataset, aggregator):
+    diffs = [
+        roi_of_micros(*micro_totals(c.parts_b), Arm.TREATMENT, c.campaign_id)
+        - roi_of_micros(*micro_totals(c.parts_a), Arm.CONTROL, c.campaign_id)
+        for c in dataset.campaigns
+    ]
+    if aggregator == "median":
+        return statistics.median(diffs)
+    return fsum(diffs) / len(diffs)
+
+
+def walk_share(dataset):
+    spend_b = sum(micro_totals(c.parts_b)[0] for c in dataset.campaigns)
+    spend = spend_b + sum(micro_totals(c.parts_a)[0] for c in dataset.campaigns)
+    return spend_b / spend
+
+
+class TestTotalsOnce:
+    @pytest.mark.parametrize("sim", [
+        SimConfig(n_campaigns=40, seed=3),
+        SimConfig(n_campaigns=30, m_a=4, m_b=7, treatment_share=0.3,
+                  part_noise_sd=0.2, treatment_lift=0.05, seed=8),
+        SimConfig(n_campaigns=25, m_a=2, m_b=3, treatment_share=0.05, seed=21),
+        SimConfig(n_campaigns=12, m_a=9, m_b=9, treatment_share=0.5,
+                  budget_log_sd=3.0, seed=34),
+        SimConfig(n_campaigns=40, m_a=20, m_b=20, budget_log_sd=3.5,
+                  impressions_per_part_mean=130.0, treatment_lift=-0.03, seed=55),
+    ], ids=["40-campaigns", "share-0.3", "two-control-parts", "uneven-budgets",
+            "dropped-parts"])
+    def test_statistics_and_share_match_the_dataset_walk(self, sim, monkeypatch):
+        dataset = generate_experiment(sim)
+        qualified = qualify(dataset).qualified
+        split_ratios = []
+
+        def recording(data, split_ratio, *args):
+            split_ratios.append(split_ratio)
+            return aa_calibrate(data, split_ratio, *args)
+
+        monkeypatch.setattr(pipeline, "aa_calibrate", recording)
+        report = evaluate(dataset, EvaluationConfig(aa=AaSettings(seed=sim.seed)))
+        expected = {
+            BaselineMethod.MICRO: walk_micro_delta(qualified),
+            BaselineMethod.MACRO: walk_macro_delta(qualified, "mean"),
+            BaselineMethod.MACRO_MEDIAN: walk_macro_delta(qualified, "median"),
+        }
+        assert {b.method: b.statistic.hex() for b in report.baselines} == {
+            method: statistic.hex() for method, statistic in expected.items()
+        }
+        share = walk_share(qualified)
+        assert [[r.hex() for r in ratio] for ratio in split_ratios] == [
+            [(1.0 - share).hex(), share.hex()]
+        ]
