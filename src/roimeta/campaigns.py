@@ -13,6 +13,7 @@ from enum import Enum
 from .errors import UndefinedRoiError
 
 MICROS_PER_UNIT = 1_000_000
+MAX_AMOUNT = 1.7976931348623154e302  # largest amount whose micro-unit count and ROI are finite
 
 
 class Arm(Enum):
@@ -23,9 +24,7 @@ class Arm(Enum):
 
 
 def to_micros(amount: float) -> int:
-    """Quantize a currency amount to integer micro-units."""
-    if not math.isfinite(amount):
-        raise ValueError(f"non-finite currency amount: {amount!r}")
+    """Quantize a part's spend or value (finite, at most MAX_AMOUNT) to integer micro-units."""
     return round(amount * MICROS_PER_UNIT)
 
 
@@ -37,8 +36,8 @@ def from_micros(micros: int) -> float:
 class PartMeasurement:
     """One traffic part's impressions, spend, value, and ROI for one arm of one campaign.
 
-    ``roi`` is derived as value/spend when spend > 0 and left None otherwise;
-    pre-aggregated sources may pass an explicit ``roi`` instead.
+    ``roi`` is derived, never passed: the quantized value over the quantized
+    spend when spend > 0, and None otherwise.
     """
 
     campaign_id: str
@@ -47,9 +46,9 @@ class PartMeasurement:
     impressions: int
     spend: float
     value: float
-    roi: float | None = None
+    roi: float | None = field(default=None, init=False)
 
-    def __init__(self, campaign_id, arm, part_id, impressions, spend, value, roi=None):
+    def __init__(self, campaign_id, arm, part_id, impressions, spend, value):
         if not isinstance(campaign_id, str) or not campaign_id:
             raise ValueError("campaign_id must be non-empty text")
         if not isinstance(arm, Arm):
@@ -59,18 +58,13 @@ class PartMeasurement:
         if not isinstance(impressions, int) or isinstance(impressions, bool) or impressions < 0:
             raise ValueError(f"impressions must be a non-negative integer, got {impressions!r}")
         for name, amount in (("spend", spend), ("value", value)):
-            if not isinstance(amount, (int, float)) or not math.isfinite(amount) or amount < 0:
+            if not isinstance(amount, (int, float)) or not 0 <= amount <= MAX_AMOUNT:
+                if isinstance(amount, (int, float)) and MAX_AMOUNT < amount < math.inf:
+                    raise ValueError(f"{name} is too large to quantize, got {amount!r}")
                 raise ValueError(f"{name} must be finite and >= 0, got {amount!r}")
         # from_micros(to_micros(x)), inlined: every part is built through here.
         spend = round(spend * MICROS_PER_UNIT) / MICROS_PER_UNIT
         value = round(value * MICROS_PER_UNIT) / MICROS_PER_UNIT
-        if spend == 0:
-            if roi is not None:
-                raise ValueError("roi cannot be stored for a zero-spend part")
-        elif roi is None:
-            roi = value / spend
-        if roi is not None and (not math.isfinite(roi) or roi < 0):
-            raise ValueError(f"roi must be finite and >= 0, got {roi!r}")
         setattr_ = object.__setattr__  # frozen: bypass the generated __setattr__
         setattr_(self, "campaign_id", campaign_id)
         setattr_(self, "arm", arm)
@@ -78,7 +72,7 @@ class PartMeasurement:
         setattr_(self, "impressions", impressions)
         setattr_(self, "spend", spend)
         setattr_(self, "value", value)
-        setattr_(self, "roi", roi)
+        setattr_(self, "roi", value / spend if spend else None)
 
 
 def micro_totals(parts: list[PartMeasurement] | tuple[PartMeasurement, ...]) -> tuple[int, int]:

@@ -138,13 +138,19 @@ def _str_dict(doc: dict) -> dict:
 def _dataclass_codec(tp: type) -> _Codec:
     """Write ``tp`` as an object of its fields, converting only the fields
     that need it. Read it from an object holding exactly its field names,
-    each of its field's JSON type, passing the values positionally in field
-    order and decoding only those that need it."""
+    each of its field's JSON type, decoding only those that need it. The
+    init fields are passed positionally in field order; each derived
+    (non-init) field must then equal what the constructor derived."""
     hints = typing.get_type_hints(tp)
-    names = tuple(f.name for f in dataclasses.fields(tp))
+    fields = sorted(dataclasses.fields(tp), key=lambda f: not f.init)  # init fields first
+    names = tuple(f.name for f in fields)
+    n_init = sum(f.init for f in fields)
     codecs = [_codec(hints[name]) for name in names]
     json_types = tuple(c.json_types for c in codecs)
     attrs, items = operator.attrgetter(*names), operator.itemgetter(*names)
+    if n_init < len(names):  # both give a bare value for one derived field, else a tuple
+        derived = operator.attrgetter(*names[n_init:])
+        given = operator.itemgetter(*range(n_init, len(names)))
     if len(names) == 1:  # a getter of one name returns the bare value, not a 1-tuple
         attrs = lambda obj, one=attrs: (one(obj),)
         items = lambda doc, one=items: (one(doc),)
@@ -169,7 +175,11 @@ def _dataclass_codec(tp: type) -> _Codec:
             values = list(values)
             for i, decode in decoded:
                 values[i] = decode(values[i])
-        return tp(*values)
+        obj = tp(*values[:n_init])
+        if n_init < len(names) and derived(obj) != given(values):
+            raise ValueError(f"{tp.__name__} derives {derived(obj)!r} for "
+                             f"{', '.join(names[n_init:])}, not {given(values)!r}")
+        return obj
 
     return _Codec(frozenset({dict}), to_plain, from_plain)
 

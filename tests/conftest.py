@@ -36,7 +36,11 @@ def make_part(
     value: float | None = None,
     impressions: int = 1000,
 ) -> PartMeasurement:
-    """Part with an explicitly pinned ROI unless value is given directly."""
+    """Part worth ``value``, or ``roi * spend`` when only ``roi`` is given.
+
+    ``roi`` is shorthand for the value: the stored ROI is always derived from
+    the quantized money, so it is ``roi`` only up to micro-unit rounding.
+    """
     if value is None:
         value = (roi if roi is not None else 0.0) * spend
     return PartMeasurement(
@@ -46,7 +50,6 @@ def make_part(
         impressions=impressions,
         spend=spend,
         value=value,
-        roi=roi,
     )
 
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v`` (a conftest hook prints one
 ``ACCEPTANCE ...`` line per criterion).
 """
 
+import json
 import math
 import time
 from dataclasses import replace
@@ -26,7 +27,7 @@ from roimeta.baselines import (
     micro_roi,
     threshold_decision,
 )
-from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
+from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset, micro_totals
 from roimeta.dataio import ingest, write_dataset
 from roimeta.meta import SignificanceResult, summarize_effects, z_significance
 from roimeta.pipeline import (
@@ -266,17 +267,25 @@ class TestCriterion8InvariantSuite:
     @settings(max_examples=60, deadline=None)
     @given(
         dataset_strategy(min_campaigns=2, max_campaigns=4),
-        st.floats(min_value=1e-3, max_value=1e3),
+        st.integers(1, 1000),
+        st.integers(1, 1000),
         st.integers(0, 3),
     )
-    def test_per_campaign_roi_scale_invariance(self, dataset, factor, which):
+    def test_per_campaign_roi_scale_invariance(self, dataset, num, den, which):
+        # Scales the campaign's ROIs by num/den (1e-3 to 1e3) through its
+        # money, the only way to set a ROI: both products are exact in
+        # micro-units.
         index = which % dataset.n
         target = dataset.campaigns[index]
         scaled_campaign = CampaignExperiment(
             target.campaign_id,
-            [replace(p, roi=p.roi * factor) for p in target.parts_a],
-            [replace(p, roi=p.roi * factor) for p in target.parts_b],
+            [replace(p, spend=p.spend * den, value=p.value * num) for p in target.parts_a],
+            [replace(p, spend=p.spend * den, value=p.value * num) for p in target.parts_b],
         )
+        for parts, scaled in ((target.parts_a, scaled_campaign.parts_a),
+                              (target.parts_b, scaled_campaign.parts_b)):
+            spend, value = micro_totals(parts)
+            assert micro_totals(scaled) == (spend * den, value * num)
         campaigns = list(dataset.campaigns)
         campaigns[index] = scaled_campaign
         effects, excluded, summary = engine_summary(dataset)
@@ -359,3 +368,41 @@ class TestCriterion9GoldenPipeline:
         parsed = report_from_json(golden)
         assert decide(parsed.significance) == parsed.decision
         assert report_to_json(parsed) == golden
+
+
+def render_record_lines(dataset: ExperimentDataset) -> str:
+    """The record-lines form of ``dataio.render_dataset_csv``: one JSON
+    object per part, with the same 6-decimal money."""
+    return "".join(
+        json.dumps({
+            "campaign_id": p.campaign_id, "arm": p.arm.value, "part_id": p.part_id,
+            "impressions": p.impressions,
+            "spend": float(f"{p.spend:.6f}"), "value": float(f"{p.value:.6f}"),
+        }) + "\n"
+        for c in dataset.campaigns for p in c.parts_a + c.parts_b
+    )
+
+
+class TestCriterion10EntryPointParity:
+    """The same data gives the same report bytes in memory, as CSV and as
+    record-lines."""
+
+    @pytest.mark.parametrize("sim", [
+        pytest.param(SimConfig(n_campaigns=12, m_a=2, m_b=3, seed=5), id="two-control-parts"),
+        pytest.param(SimConfig(
+            n_campaigns=203, treatment_lift=-0.03, outlier_campaigns=3, outlier_lift=0.5,
+            seed=100000,
+        ), id="study-outliers"),
+        pytest.param(SimConfig(n_campaigns=30, budget_log_sd=3.0, seed=7), id="budget-sd-3"),
+        pytest.param(SimConfig(n_campaigns=40, seed=3), id="forty-campaigns"),
+        pytest.param(SimConfig(n_campaigns=25, m_b=4, treatment_share=0.5,
+                               treatment_lift=0.05, seed=11), id="even-share"),
+    ])
+    def test_memory_csv_and_record_lines_reports_are_byte_identical(self, tmp_path, sim):
+        dataset = generate_experiment(sim)
+        expected = report_to_json(evaluate(dataset))
+        csv_path, jsonl_path = tmp_path / "parts.csv", tmp_path / "parts.jsonl"
+        write_dataset(dataset, csv_path)
+        jsonl_path.write_text(render_record_lines(dataset), encoding="utf-8")
+        assert report_to_json(evaluate(ingest(csv_path))) == expected
+        assert report_to_json(evaluate(ingest(jsonl_path, "record-lines"))) == expected

@@ -129,6 +129,17 @@ class TestEvaluate:
         ])
         assert code in (0, 1)
 
+    @pytest.mark.parametrize("input_format, text", [
+        ("delimited-text", "campaign_id,arm,part_id,impressions,spend,value\nc1,A,0,10,1e303,1\n"),
+        ("record-lines", '{"campaign_id": "c1", "arm": "A", "part_id": 0, '
+                         '"impressions": 10, "spend": 1, "value": 1e303}\n'),
+    ])
+    def test_money_too_large_to_quantize_is_exit_2(self, workdir, capsys, input_format, text):
+        data = workdir / "parts.txt"
+        data.write_text(text, encoding="utf-8")
+        assert main(["evaluate", str(data), "--input-format", input_format]) == 2
+        assert "too large to quantize" in capsys.readouterr().err
+
 
 class TestCalibrateAndSubgroup:
     def test_calibrate_emits_both_methods(self, workdir, capsys):
@@ -209,3 +220,16 @@ class TestReport:
         bad = workdir / "bad.json"
         bad.write_text("{}", encoding="utf-8")
         assert main(["report", str(bad)]) == 2
+
+    def test_report_whose_part_roi_disagrees_is_exit_2(self, workdir, capsys):
+        data = simulate(workdir)
+        out = workdir / "report.json"
+        main(["evaluate", str(data), "--config", str(workdir / "eval.cfg"),
+              "--format", "json", "--out", str(out)])
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        part = doc["qualification"]["qualified"]["campaigns"][0]["parts_b"][0]
+        part["roi"] = part["value"] / part["spend"] * 2
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert "PartMeasurement derives " in capsys.readouterr().err

@@ -188,6 +188,10 @@ ERROR_CASES = [
      dict.fromkeys(FORMATS, "spend must be finite and >= 0, got -1.0")),
     ("infinite-value", [row(value=INF)], 0,
      dict.fromkeys(FORMATS, "value must be finite and >= 0, got inf")),
+    ("spend-too-large-to-quantize", [GOOD, row(part_id=1, spend=1e303)], 1,
+     dict.fromkeys(FORMATS, "spend is too large to quantize, got 1e+303")),
+    ("value-too-large-to-quantize", [GOOD, row(part_id=1, value=1e303)], 1,
+     dict.fromkeys(FORMATS, "value is too large to quantize, got 1e+303")),
     ("text-money", [row(spend="1.0x")], 0, {
         "delimited-text": "spend must be a decimal number, got '1.0x'",
         "record-lines": "spend must be a decimal number, got '1.0x'",

@@ -153,6 +153,8 @@ class TestMachineFormat:
         pytest.param(edited(("heterogeneity", "df"), True), id="boolean-for-df"),
         pytest.param(edited(("qualification", "qualified", "metadata"), {"source": 1}),
                      id="number-in-metadata"),
+        pytest.param(edited(PART + ("roi",), 0.5), id="roi-not-value-over-spend"),
+        pytest.param(edited(PART + ("spend",), 1e303), id="spend-too-large-to-quantize"),
     ])
     def test_rejects_malformed_document(self, accept_report, malform):
         text = malform(json.loads(report_to_json(accept_report)))

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from roimeta.dataio import ingest, write_dataset
 from roimeta.errors import ConfigError
 from roimeta.pipeline import collect_effects
 from roimeta.preprocess import qualify
@@ -91,14 +92,22 @@ class TestGenerateExperiment:
         large = generate_experiment(SimConfig(n_campaigns=5, seed=11))
         assert large.campaigns[:3] == small.campaigns
 
-    def test_zero_noise_zero_lift_gives_exact_zero_effects(self):
+    def test_zero_noise_zero_lift_gives_equal_arms_in_memory_and_from_csv(self, tmp_path):
         config = SimConfig(
             n_campaigns=4, m_a=5, m_b=3, part_noise_sd=0.0, treatment_lift=0.0, seed=21,
         )
         dataset = generate_experiment(config)
-        effects, exclusions = collect_effects(dataset)
-        assert not exclusions
-        assert all(e.d == 0.0 for e in effects)
+        for campaign in dataset.campaigns:
+            (roi_a,), (roi_b,) = ({p.roi for p in campaign.parts_a},
+                                  {p.roi for p in campaign.parts_b})
+            # each ROI is the same drawn level, off by at most half a
+            # micro-unit of value and of spend
+            bound = sum(0.5e-6 * (1 + roi) / parts[0].spend for roi, parts in (
+                (roi_a, campaign.parts_a), (roi_b, campaign.parts_b)))
+            assert abs(roi_a - roi_b) <= bound * (1 + 1e-9)
+        path = tmp_path / "parts.csv"
+        write_dataset(dataset, path)
+        assert collect_effects(ingest(path)) == collect_effects(dataset)
 
     def test_outliers_are_highest_budget_campaigns(self):
         config = SimConfig(
