@@ -77,17 +77,22 @@ def micro_delta(totals: MicroTotals) -> float:
     return micro_roi(totals, Arm.TREATMENT) - micro_roi(totals, Arm.CONTROL)
 
 
-def macro_delta(totals: MicroTotals, aggregator: str = "mean") -> float:
-    """Mean (or median) of per-campaign treatment-minus-control ROI differences."""
-    if aggregator not in ("mean", "median"):
-        raise ConfigError(f"aggregator must be 'mean' or 'median', got {aggregator!r}")
+def _roi_diffs(totals: MicroTotals) -> list[float]:
+    """Per-campaign treatment-minus-control ROI differences, in totals order."""
     if not totals:
         raise InsufficientDataError("no campaigns")
-    diffs = [
+    return [
         roi_of_micros(spend_b, value_b, Arm.TREATMENT, campaign_id)
         - roi_of_micros(spend_a, value_a, Arm.CONTROL, campaign_id)
         for campaign_id, (spend_a, value_a, spend_b, value_b) in totals.items()
     ]
+
+
+def macro_delta(totals: MicroTotals, aggregator: str = "mean") -> float:
+    """Mean (or median) of per-campaign treatment-minus-control ROI differences."""
+    if aggregator not in ("mean", "median"):
+        raise ConfigError(f"aggregator must be 'mean' or 'median', got {aggregator!r}")
+    diffs = _roi_diffs(totals)
     if aggregator == "median":
         return statistics.median(diffs)
     return fsum(diffs) / len(diffs)
@@ -112,7 +117,7 @@ def aa_calibrate(
     Column kernel: each call reads eligible campaigns' control spend and value
     into integer micro-unit lists once; a repeat shuffles an index list, sums
     the chosen pseudo-treatment indices, gets pseudo-control by subtraction
-    and passes those micro totals to ``micro_delta`` and ``macro_delta``.
+    and passes those micro totals to ``micro_delta`` and ``_roi_diffs``.
     """
     if split_ratio[0] <= 0 or split_ratio[1] <= 0:
         raise ConfigError(f"split_ratio parts must be positive, got {split_ratio!r}")
@@ -145,8 +150,9 @@ def aa_calibrate(
             value_b = sum([values[j] for j in order[:n_b]])
             arms[campaign_id] = (spend - spend_b, value - value_b, spend_b, value_b)
         per_repeat[BaselineMethod.MICRO].append(micro_delta(arms))
-        per_repeat[BaselineMethod.MACRO].append(macro_delta(arms, "mean"))
-        per_repeat[BaselineMethod.MACRO_MEDIAN].append(macro_delta(arms, "median"))
+        diffs = _roi_diffs(arms)  # macro_delta's, shared by mean and median
+        per_repeat[BaselineMethod.MACRO].append(fsum(diffs) / len(diffs))
+        per_repeat[BaselineMethod.MACRO_MEDIAN].append(statistics.median(diffs))
     return {
         method: AaCalibration(
             repeats_k=repeats_k,

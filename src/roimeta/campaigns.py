@@ -49,19 +49,13 @@ class PartMeasurement:
     roi: float | None = field(default=None, init=False)
 
     def __init__(self, campaign_id, arm, part_id, impressions, spend, value):
-        if not isinstance(campaign_id, str) or not campaign_id:
-            raise ValueError("campaign_id must be non-empty text")
-        if not isinstance(arm, Arm):
-            raise ValueError(f"arm must be an Arm, got {arm!r}")
-        if not isinstance(part_id, int) or isinstance(part_id, bool) or part_id < 0:
-            raise ValueError(f"part_id must be a non-negative integer, got {part_id!r}")
-        if not isinstance(impressions, int) or isinstance(impressions, bool) or impressions < 0:
-            raise ValueError(f"impressions must be a non-negative integer, got {impressions!r}")
-        for name, amount in (("spend", spend), ("value", value)):
-            if not isinstance(amount, (int, float)) or not 0 <= amount <= MAX_AMOUNT:
-                if isinstance(amount, (int, float)) and MAX_AMOUNT < amount < math.inf:
-                    raise ValueError(f"{name} is too large to quantize, got {amount!r}")
-                raise ValueError(f"{name} must be finite and >= 0, got {amount!r}")
+        # Exact types in range pass one test; anything else gets the ordered checks.
+        if not (type(campaign_id) is str and campaign_id and type(arm) is Arm
+                and type(part_id) is int and part_id >= 0
+                and type(impressions) is int and impressions >= 0
+                and type(spend) is float and 0.0 <= spend <= MAX_AMOUNT
+                and type(value) is float and 0.0 <= value <= MAX_AMOUNT):
+            _check_part_fields(campaign_id, arm, part_id, impressions, spend, value)
         # from_micros(to_micros(x)), inlined: every part is built through here.
         spend = round(spend * MICROS_PER_UNIT) / MICROS_PER_UNIT
         value = round(value * MICROS_PER_UNIT) / MICROS_PER_UNIT
@@ -73,6 +67,23 @@ class PartMeasurement:
         setattr_(self, "spend", spend)
         setattr_(self, "value", value)
         setattr_(self, "roi", value / spend if spend else None)
+
+
+def _check_part_fields(campaign_id, arm, part_id, impressions, spend, value) -> None:
+    """``PartMeasurement``'s field checks, in order: the first failing one raises."""
+    if not isinstance(campaign_id, str) or not campaign_id:
+        raise ValueError("campaign_id must be non-empty text")
+    if not isinstance(arm, Arm):
+        raise ValueError(f"arm must be an Arm, got {arm!r}")
+    if not isinstance(part_id, int) or isinstance(part_id, bool) or part_id < 0:
+        raise ValueError(f"part_id must be a non-negative integer, got {part_id!r}")
+    if not isinstance(impressions, int) or isinstance(impressions, bool) or impressions < 0:
+        raise ValueError(f"impressions must be a non-negative integer, got {impressions!r}")
+    for name, amount in (("spend", spend), ("value", value)):
+        if not isinstance(amount, (int, float)) or not 0 <= amount <= MAX_AMOUNT:
+            if isinstance(amount, (int, float)) and MAX_AMOUNT < amount < math.inf:
+                raise ValueError(f"{name} is too large to quantize, got {amount!r}")
+            raise ValueError(f"{name} must be finite and >= 0, got {amount!r}")
 
 
 def micro_totals(parts: list[PartMeasurement] | tuple[PartMeasurement, ...]) -> tuple[int, int]:

@@ -37,15 +37,18 @@ INPUT_FORMATS = ("delimited-text", "record-lines")
 
 _ARM_BY_TAG = {"A": Arm.CONTROL, "B": Arm.TREATMENT}
 _DECODER = json.JSONDecoder()
+_WRITE_CHARS = 1 << 20
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write a file via temp-then-rename so readers never see partial content."""
+    """Write a file via temp-then-rename so readers never see partial content;
+    the text is encoded slice by slice, never as one whole-file bytes copy."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            for start in range(0, len(text), _WRITE_CHARS):
+                handle.write(text[start:start + _WRITE_CHARS].encode("utf-8"))
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -6,6 +6,11 @@ depends on global state, platform, word size, or library version, and streams
 with distinct keys are independent, so per-campaign generation can run in any
 order. Normal variates come from the inverse-CDF transform; Poisson uses exact
 inversion for small means and a rounded normal approximation for large ones.
+
+Cost model: one keyed BLAKE2b (a copy of the key-absorbed state, fed the 8-byte
+counter) per draw, with one Python frame above it. The digest maps to (0, 1) as
+``(u64 + 0.5) * 2**-64`` in ``uniform`` and, inline, in ``shuffle``'s loop; the
+draw parity test in tests/test_simulate.py pins both copies.
 """
 
 from __future__ import annotations
@@ -24,21 +29,18 @@ class HashStream:
     __slots__ = ("_prefix", "_counter")
 
     def __init__(self, *key_parts: object):
-        material = "\x1f".join(str(part) for part in key_parts).encode("utf-8")
+        material = "\x1f".join(map(str, key_parts)).encode("utf-8")
         # Each draw hashes key + counter; the key is absorbed here, once.
         key = hashlib.blake2b(material, digest_size=16).digest()
         self._prefix = hashlib.blake2b(key, digest_size=8)
         self._counter = 0
 
-    def _next_u64(self) -> int:
+    def uniform(self) -> float:
+        """Uniform draw strictly inside (0, 1)."""
         block = self._prefix.copy()
         block.update(self._counter.to_bytes(8, "big"))
         self._counter += 1
-        return int.from_bytes(block.digest(), "big")
-
-    def uniform(self) -> float:
-        """Uniform draw strictly inside (0, 1)."""
-        return (self._next_u64() + 0.5) * 2.0 ** -64
+        return (int.from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64
 
     def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
         return mean + sd * normal_quantile(self.uniform())
@@ -63,7 +65,7 @@ class HashStream:
                 if prob == 0.0:  # mass exhausted; u was in the rounding tail
                     break
             return k
-        approx = round(lam + math.sqrt(lam) * self.normal())
+        approx = round(lam + math.sqrt(lam) * normal_quantile(self.uniform()))
         return max(0, int(approx))
 
     def randbelow(self, n: int) -> int:
@@ -72,7 +74,15 @@ class HashStream:
         return min(int(self.uniform() * n), n - 1)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle: swap i with randbelow(i + 1), i = n-1 .. 1."""
+        copy, from_bytes = self._prefix.copy, int.from_bytes
+        counter = self._counter
         for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            block = copy()
+            block.update(counter.to_bytes(8, "big"))
+            counter += 1
+            j = int((from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64 * (i + 1))
+            if j > i:  # randbelow's min(..., n - 1)
+                j = i
             items[i], items[j] = items[j], items[i]
+        self._counter = counter

@@ -118,11 +118,4 @@ def _generate_part(
 ) -> PartMeasurement:
     roi = roi_level * _mean_one_lognormal(stream, config.part_noise_sd)
     impressions = stream.poisson(config.impressions_per_part_mean)
-    return PartMeasurement(
-        campaign_id=campaign_id,
-        arm=arm,
-        part_id=part_id,
-        impressions=impressions,
-        spend=spend,
-        value=roi * spend,
-    )
+    return PartMeasurement(campaign_id, arm, part_id, impressions, spend, roi * spend)

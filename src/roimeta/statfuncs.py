@@ -25,10 +25,6 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF (AS 241, PPND16 precision).
 
@@ -75,10 +71,11 @@ def normal_quantile(p: float) -> float:
         if q < 0:
             x = -x
     # One Newton step sharpens mid-range results to machine precision; skipped
-    # where the density underflows and the step would be 0/0.
-    pdf = normal_pdf(x)
+    # where the density underflows and the step would be 0/0. The density and
+    # normal_cdf are written out (x is finite here): every normal draw runs this.
+    pdf = math.exp(-0.5 * x * x) / _SQRT_TWO_PI
     if pdf > 1e-280:
-        x -= (normal_cdf(x) - p) / pdf
+        x -= (0.5 * math.erfc(-x / _SQRT2) - p) / pdf
     return x
 
 

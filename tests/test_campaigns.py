@@ -1,6 +1,7 @@
 import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,24 @@ def construction(cls, how, args, changes):
     )
 
 
+class Label(str):
+    pass
+
+
+class Count(IntEnum):
+    NEGATIVE = -1
+    ZERO = 0
+    SEVEN = 7
+
+
+class Money(float):
+    pass
+
+
+# Inputs at the edge of the constructor's exact-type fast path: subclasses,
+# signed zero, non-finite values and the quantization limit on both sides.
+EDGE_AMOUNTS = [-0.0, math.nan, math.inf, -math.inf, MAX_AMOUNT,
+                math.nextafter(MAX_AMOUNT, math.inf)]
 money = st.one_of(
     st.booleans(),
     st.integers(-3, 10**12),
@@ -160,8 +179,12 @@ money = st.one_of(
     st.floats(min_value=0.0, max_value=1e-5),
     st.floats(min_value=1e290, max_value=1.8e302),
     st.sampled_from([0.0, -0.0, 0.1 + 0.2, 5e-7, 1.5e-6, 2.5, "1.0", None]),
+    st.sampled_from(EDGE_AMOUNTS),
+    st.sampled_from([Money(2.5), Money(-0.0), Money(-1.0), Money(math.nan),
+                     Money(MAX_AMOUNT), Money(math.nextafter(MAX_AMOUNT, math.inf))]),
 )
-counts = st.one_of(st.integers(-2, 10**6), st.booleans(), st.just(1.0), st.just("3"))
+counts = st.one_of(st.integers(-2, 10**6), st.booleans(), st.just(1.0), st.just("3"),
+                   st.sampled_from(list(Count)))
 
 
 class TestConstructorParity:
@@ -170,7 +193,7 @@ class TestConstructorParity:
     @settings(max_examples=400, deadline=None)
     @given(
         st.sampled_from(["positional", "keyword", "replace"]),
-        st.sampled_from(["c1", "", 7, None]),
+        st.sampled_from(["c1", "", 7, None, Label("c1"), Label("")]),
         st.sampled_from([Arm.CONTROL, Arm.TREATMENT, "A"]),
         counts, counts, money, money, st.data(),
     )
@@ -195,6 +218,21 @@ class TestConstructorParity:
         changes = {"spend": spend, "value": value}
         assert construction(PartMeasurement, how, args, changes) == construction(
             ReferencePart, how, args, changes)
+
+    @pytest.mark.parametrize("edge", [
+        Label("c1"), Label(""), -1, 0, Count.NEGATIVE, Count.ZERO, Count.SEVEN, True, False,
+        Money(2.5), Money(-0.0), *EDGE_AMOUNTS,
+    ], ids=repr)
+    def test_fast_path_edges(self, edge):
+        """Each edge input in each field of an otherwise valid part."""
+        base = ("c1", Arm.CONTROL, 4, 100, 2.5, 1.25)
+        names = [f.name for f in fields(PartMeasurement) if f.init]
+        for index, name in enumerate(names):
+            args = base[:index] + (edge,) + base[index + 1:]
+            for how in ("positional", "keyword", "replace"):
+                changes = {name: edge}
+                assert construction(PartMeasurement, how, args, changes) == construction(
+                    ReferencePart, how, args, changes), (name, how)
 
     # ``roi`` is None for no seventh argument; otherwise both must refuse it.
     @pytest.mark.parametrize("spend, value, roi", [

@@ -3,7 +3,14 @@ import json
 import pytest
 
 from roimeta.campaigns import Arm
-from roimeta.dataio import CSV_FIELDS, ingest, render_dataset_csv, write_dataset
+from roimeta import dataio
+from roimeta.dataio import (
+    CSV_FIELDS,
+    ingest,
+    render_dataset_csv,
+    write_dataset,
+    write_text_atomic,
+)
 from roimeta.errors import IngestError
 from roimeta.simulate import SimConfig, generate_experiment
 
@@ -89,6 +96,25 @@ class TestJsonlIngest:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(IngestError, match="input_format"):
             ingest(write(tmp_path, "d.csv", HEADER + "\n"), "parquet")
+
+
+class TestWriteTextAtomic:
+    @pytest.mark.parametrize("slice_chars", [1, 3, 7, 1 << 20])
+    def test_sliced_write_gives_the_whole_text_bytes(self, tmp_path, monkeypatch, slice_chars):
+        monkeypatch.setattr(dataio, "_WRITE_CHARS", slice_chars)
+        # multi-byte characters straddle every small slice boundary
+        text = "".join(f"{i},é€😀\r\n" for i in range(500)) + "x" * 3000
+        path = tmp_path / "out.txt"
+        for body in (text, "", "a"):
+            write_text_atomic(path, body)
+            assert path.read_bytes() == body.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_unencodable_text_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(path, "ok" * 10 + "\ud800")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRoundTrip:
