@@ -9,6 +9,7 @@ recommendation.
 
 from .baselines import (
     AaCalibration,
+    AaSettings,
     BaselineDecision,
     BaselineMethod,
     BaselineResult,
@@ -55,7 +56,6 @@ from .meta import (
     z_significance,
 )
 from .pipeline import (
-    AaSettings,
     Decision,
     EffectExclusion,
     EvaluationConfig,
@@ -64,7 +64,6 @@ from .pipeline import (
     TrafficRecommendation,
     TrafficSchedule,
     Verdict,
-    calibrate_baselines,
     collect_effects,
     decide,
     evaluate,

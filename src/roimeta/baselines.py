@@ -6,6 +6,10 @@ Macro averages (or takes the median of) per-campaign ROI differences, which
 treats campaigns equally but is outlier sensitive. Both accept the treatment
 only when the delta clears a threshold estimated from A/A splits of control
 traffic: the noise floor of the whole system.
+
+``aa_calibrate`` is the one A/A entry point. It resolves the pseudo-treatment
+share itself: the configured ``AaSettings.treatment_share``, else the
+``observed_share`` of arm-B spend in the campaigns' micro totals.
 """
 
 from __future__ import annotations
@@ -49,6 +53,24 @@ class BaselineResult:
 
 
 @dataclass(frozen=True)
+class AaSettings:
+    """A/A calibration parameters; ``treatment_share`` overrides the share
+    observed in the data (see ``aa_calibrate``)."""
+
+    repeats_k: int = 5
+    seed: int = 0
+    treatment_share: float | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.repeats_k, int) or self.repeats_k < 1:
+            raise ConfigError(f"repeats_k must be an integer >= 1, got {self.repeats_k!r}")
+        if self.treatment_share is not None and not 0.0 < self.treatment_share < 1.0:
+            raise ConfigError(
+                f"treatment_share must be in (0, 1), got {self.treatment_share!r}"
+            )
+
+
+@dataclass(frozen=True)
 class AaCalibration:
     """Threshold estimate: mean statistic over seeded A/A pseudo-experiments."""
 
@@ -63,6 +85,16 @@ def campaign_micro_totals(dataset: ExperimentDataset) -> MicroTotals:
     id in dataset order: what the deltas below read."""
     return {c.campaign_id: micro_totals(c.parts_a) + micro_totals(c.parts_b)
             for c in dataset.campaigns}
+
+
+def observed_share(totals: MicroTotals) -> float:
+    """Arm-B spend over all spend, summed exactly from the micro ``totals``, so
+    the same parts give the same share however they were read."""
+    spend_b = sum(t[2] for t in totals.values())
+    spend = spend_b + sum(t[0] for t in totals.values())
+    if not 0 < spend_b < spend:
+        raise InsufficientDataError("no treatment share without spend in both arms")
+    return spend_b / spend
 
 
 def micro_roi(totals: MicroTotals, arm: Arm) -> float:
@@ -99,31 +131,25 @@ def macro_delta(totals: MicroTotals, aggregator: str = "mean") -> float:
 
 
 def aa_calibrate(
-    dataset: ExperimentDataset,
-    split_ratio: tuple[float, float] = (0.5, 0.5),
-    repeats_k: int = 5,
-    seed: int = 0,
+    dataset: ExperimentDataset, totals: MicroTotals, settings: AaSettings
 ) -> dict[BaselineMethod, AaCalibration]:
     """Estimate every baseline's decision threshold from repeated A/A splits.
 
     Each repeat splits every campaign's control parts (at least two required;
-    campaigns with fewer are skipped with a warning) into disjoint pseudo-arms
-    with part counts proportional to ``split_ratio``, computes each method's
-    statistic on that one pseudo-experiment, and each threshold is the signed
-    mean of its statistic over repeats. Splits derive deterministically from
-    (seed, repeat, campaign_id), so repeats are replayable and order
-    independent.
+    campaigns with fewer are skipped with a warning) into disjoint pseudo-arms,
+    ``settings.treatment_share`` of them (else the ``observed_share`` of
+    ``totals``) pseudo-treatment, computes each method's statistic on that one
+    pseudo-experiment, and each threshold is the signed mean of its statistic
+    over repeats. Splits derive deterministically from (seed, repeat,
+    campaign_id), so repeats are replayable and order independent.
 
     Column kernel: each call reads eligible campaigns' control spend and value
     into integer micro-unit lists once; a repeat shuffles an index list, sums
     the chosen pseudo-treatment indices, gets pseudo-control by subtraction
     and passes those micro totals to ``micro_delta`` and ``_roi_diffs``.
     """
-    if split_ratio[0] <= 0 or split_ratio[1] <= 0:
-        raise ConfigError(f"split_ratio parts must be positive, got {split_ratio!r}")
-    if not isinstance(repeats_k, int) or repeats_k < 1:
-        raise ConfigError(f"repeats_k must be an integer >= 1, got {repeats_k!r}")
-    share_b = split_ratio[1] / (split_ratio[0] + split_ratio[1])
+    share_b = settings.treatment_share or observed_share(totals)  # a share is never 0
+    repeats_k, seed = settings.repeats_k, settings.seed
     eligible = [c for c in dataset.campaigns if c.m_a >= 2]
     skipped = [c.campaign_id for c in dataset.campaigns if c.m_a < 2]
     if skipped:

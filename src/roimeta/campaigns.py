@@ -139,13 +139,6 @@ class CampaignExperiment:
     def m_b(self) -> int:
         return len(self.parts_b)
 
-    def total_spend(self) -> float:
-        """Both-arm spend of the campaign, exact under micro-unit accounting."""
-        return from_micros(
-            sum(to_micros(p.spend) for p in self.parts_a)
-            + sum(to_micros(p.spend) for p in self.parts_b)
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentDataset:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .baselines import campaign_micro_totals
+from .baselines import aa_calibrate, campaign_micro_totals
 from .config import (
     EVAL_KEY_PARSERS,
     load_evaluation_config,
@@ -27,7 +27,6 @@ from .pipeline import (
     EvaluationConfig,
     ExplicitThetas,
     Verdict,
-    calibrate_baselines,
     collect_effects,
     evaluate,
 )
@@ -82,7 +81,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     qualified = qualify(dataset, config.qualification).qualified
     if isinstance(config.aa, ExplicitThetas):
         raise RoimetaError("calibrate needs aa_* settings, not explicit thetas")
-    calibrations = calibrate_baselines(qualified, config.aa, campaign_micro_totals(qualified))
+    calibrations = aa_calibrate(qualified, campaign_micro_totals(qualified), config.aa)
     doc = {method.value: to_plain(calibration) for method, calibration in calibrations.items()}
     print(to_json(doc), end="")
     return 0
@@ -94,7 +93,7 @@ def _cmd_subgroup(args: argparse.Namespace) -> int:
     qualified = qualify(dataset, config.qualification).qualified
     effects, _ = collect_effects(qualified, config.variance_formula)
     tau2 = summarize_effects(effects, config.confidence_level).heterogeneity.tau2
-    groups = resolve_subgroups(qualified, config.subgroups)
+    groups = resolve_subgroups(campaign_micro_totals(qualified), config.subgroups)
     report = subgroup_analysis(effects, tau2, groups, config.confidence_level)
     print(to_json(to_plain(report)), end="")
     return 0

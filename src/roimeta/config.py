@@ -9,7 +9,7 @@ or from explicit ``micro_theta``/``macro_theta`` values, never both.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from .errors import ConfigError
 from .pipeline import AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule
@@ -87,20 +87,8 @@ EVAL_KEY_PARSERS: dict[str, Callable[[str], object]] = {
 }
 
 SIM_KEY_PARSERS: dict[str, Callable[[str], object]] = {
-    "n_campaigns": _parse_int,
-    "m_a": _parse_int,
-    "m_b": _parse_int,
-    "treatment_share": _parse_float,
-    "budget_log_mean": _parse_float,
-    "budget_log_sd": _parse_float,
-    "base_roi_mean": _parse_float,
-    "campaign_roi_sd": _parse_float,
-    "part_noise_sd": _parse_float,
-    "treatment_lift": _parse_float,
-    "outlier_campaigns": _parse_int,
-    "outlier_lift": _parse_float,
-    "impressions_per_part_mean": _parse_float,
-    "seed": _parse_int,
+    key: {int: _parse_int, float: _parse_float}[hint]
+    for key, hint in get_type_hints(SimConfig).items()
 }
 
 
@@ -120,17 +108,6 @@ def parse_kv_text(text: str, source: str = "config") -> dict[str, str]:
             raise ConfigError(f"{source} line {line_no}: empty key or value")
         values[key] = value
     return values
-
-
-def _typed_values(
-    raw: dict[str, str], parsers: dict[str, Callable[[str], object]], source: str
-) -> dict[str, object]:
-    typed: dict[str, object] = {}
-    for key, value in raw.items():
-        if key not in parsers:
-            raise ConfigError(f"{source}: unknown key {key!r}")
-        typed[key] = parsers[key](value)
-    return typed
 
 
 def _given(values: dict[str, object], *keys: str, **renamed: str) -> dict[str, object]:
@@ -177,28 +154,36 @@ def evaluation_config_from_values(values: dict[str, object]) -> EvaluationConfig
     )
 
 
-def load_evaluation_config(
-    path: str | Path | None = None, overrides: dict[str, str] | None = None
-) -> EvaluationConfig:
-    """Build an EvaluationConfig from an optional file plus raw-string overrides."""
+def _load_values(
+    path: str | Path | None, overrides: dict[str, str] | None,
+    parsers: dict[str, Callable[[str], object]], source: str,
+) -> dict[str, object]:
+    """Typed values of an optional file plus raw-string overrides (None skipped)."""
     raw: dict[str, str] = {}
     if path is not None:
         raw.update(parse_kv_text(Path(path).read_text(encoding="utf-8"), source=str(path)))
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value
-    return evaluation_config_from_values(_typed_values(raw, EVAL_KEY_PARSERS, "evaluation config"))
+    typed: dict[str, object] = {}
+    for key, value in raw.items():
+        if key not in parsers:
+            raise ConfigError(f"{source}: unknown key {key!r}")
+        typed[key] = parsers[key](value)
+    return typed
+
+
+def load_evaluation_config(
+    path: str | Path | None = None, overrides: dict[str, str] | None = None
+) -> EvaluationConfig:
+    """Build an EvaluationConfig from an optional file plus raw-string overrides."""
+    return evaluation_config_from_values(
+        _load_values(path, overrides, EVAL_KEY_PARSERS, "evaluation config")
+    )
 
 
 def load_sim_config(
     path: str | Path | None = None, overrides: dict[str, str] | None = None
 ) -> SimConfig:
     """Build a SimConfig from an optional file plus raw-string overrides."""
-    raw: dict[str, str] = {}
-    if path is not None:
-        raw.update(parse_kv_text(Path(path).read_text(encoding="utf-8"), source=str(path)))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            raw[key] = value
-    typed = _typed_values(raw, SIM_KEY_PARSERS, "simulation config")
-    return SimConfig(**typed)
+    return SimConfig(**_load_values(path, overrides, SIM_KEY_PARSERS, "simulation config"))

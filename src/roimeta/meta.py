@@ -6,6 +6,9 @@ campaigns by inverse-variance weighting. Between-campaign variance comes from
 the DerSimonian-Laird method of moments; the summary effect is tested with a
 Z statistic and reported with a symmetric confidence interval.
 
+The fixed model is the random model at tau2 = 0 (``1/(v + 0.0) == 1/v == w``),
+and every Q, Cochran's and the subgroups', is one ``weighted_q``.
+
 All accumulations use exactly rounded summation (``math.fsum``), so results do
 not depend on campaign iteration order.
 """
@@ -13,6 +16,7 @@ not depend on campaign iteration order.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import fsum
 
@@ -136,6 +140,14 @@ def arm_stats(parts: list[PartMeasurement] | tuple[PartMeasurement, ...]) -> Arm
     return ArmSampleStats(mean=mean, variance=variance, m=m)
 
 
+def check_variance_formula(variance_formula: str) -> None:
+    if variance_formula not in EFFECT_VARIANCE_MODES:
+        raise ConfigError(
+            f"variance_formula must be one of {EFFECT_VARIANCE_MODES}, "
+            f"got {variance_formula!r}"
+        )
+
+
 def effect_size(
     stats_a: ArmSampleStats,
     stats_b: ArmSampleStats,
@@ -150,11 +162,7 @@ def effect_size(
     the size-only variance; unequal means with zero spread have no finite
     standardized effect and raise DegenerateEffectError.
     """
-    if variance_formula not in EFFECT_VARIANCE_MODES:
-        raise ConfigError(
-            f"variance_formula must be one of {EFFECT_VARIANCE_MODES}, "
-            f"got {variance_formula!r}"
-        )
+    check_variance_formula(variance_formula)
     m_a, m_b = stats_a.m, stats_b.m
     df = m_a + m_b - 2
     pooled_var = ((m_a - 1) * stats_a.variance + (m_b - 1) * stats_b.variance) / df
@@ -191,11 +199,13 @@ def effect_size(
 
 def fixed_effect_summary(effects: list[EffectSize] | tuple[EffectSize, ...]) -> FixedEffectSummary:
     """Inverse-variance weighted mean of the effects and its variance."""
-    if not effects:
-        raise InsufficientDataError("no effects to summarize")
-    sum_w = fsum(e.w for e in effects)
-    mu = fsum(e.w * e.d for e in effects) / sum_w
-    return FixedEffectSummary(mu=mu, nu=1.0 / sum_w, n=len(effects))
+    summary = random_effect_summary(effects, 0.0)
+    return FixedEffectSummary(mu=summary.mu_star, nu=summary.nu_star, n=len(effects))
+
+
+def weighted_q(weights: Iterable[float], effects: Iterable[EffectSize], mu: float) -> float:
+    """Weighted squared deviations of the effects around ``mu``."""
+    return fsum(w * (e.d - mu) ** 2 for w, e in zip(weights, effects))
 
 
 def cochran_q(
@@ -210,7 +220,7 @@ def cochran_q(
         raise InsufficientDataError("no effects")
     if n == 1:
         return 0.0, 1.0
-    q = fsum(e.w * (e.d - mu) ** 2 for e in effects)
+    q = weighted_q((e.w for e in effects), effects, mu)
     return q, chi_square_sf(q, n - 1)
 
 
@@ -222,14 +232,11 @@ def moments_scale(weights: list[float] | tuple[float, ...]) -> float:
     return sum_w - fsum(w * w for w in weights) / sum_w
 
 
-def tau_squared(q: float, n: int, weights: list[float] | tuple[float, ...]) -> float:
-    """Method-of-moments (DerSimonian-Laird) between-study variance estimate."""
-    if n < 2 or q < n - 1:
+def tau_squared(q: float, n: int, scale: float) -> float:
+    """DerSimonian-Laird between-study variance; ``scale`` is ``moments_scale``."""
+    if n < 2 or q < n - 1 or scale <= 0.0:
         return 0.0
-    lambda_ = moments_scale(weights)
-    if lambda_ <= 0.0:
-        return 0.0
-    return (q - (n - 1)) / lambda_
+    return (q - (n - 1)) / scale
 
 
 def heterogeneity_stats(
@@ -238,11 +245,10 @@ def heterogeneity_stats(
     """Bundle Q, its p-value, and the between-study variance for ``effects``."""
     n = len(effects)
     q, p_q = cochran_q(effects, mu)
-    weights = [e.w for e in effects]
-    lambda_ = moments_scale(weights) if n >= 2 else 0.0
+    lambda_ = moments_scale([e.w for e in effects]) if n >= 2 else 0.0
     return HeterogeneityStats(
         q=q, df=max(n - 1, 0), p_q=p_q, lambda_=lambda_,
-        tau2=tau_squared(q, n, weights),
+        tau2=tau_squared(q, n, lambda_),
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .baselines import (
-    AaCalibration,
+    AaSettings,
     BaselineMethod,
     BaselineResult,
     MicroTotals,
@@ -43,6 +43,7 @@ from .meta import (
     RandomEffectSummary,
     SignificanceResult,
     arm_stats,
+    check_variance_formula,
     effect_size,
     summarize_effects,
 )
@@ -57,24 +58,6 @@ class Verdict(str, Enum):
 
 
 @dataclass(frozen=True)
-class AaSettings:
-    """A/A calibration parameters; ``treatment_share`` overrides the share
-    observed in the data (see ``calibrate_baselines``)."""
-
-    repeats_k: int = 5
-    seed: int = 0
-    treatment_share: float | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.repeats_k, int) or self.repeats_k < 1:
-            raise ConfigError(f"repeats_k must be an integer >= 1, got {self.repeats_k!r}")
-        if self.treatment_share is not None and not 0.0 < self.treatment_share < 1.0:
-            raise ConfigError(
-                f"treatment_share must be in (0, 1), got {self.treatment_share!r}"
-            )
-
-
-@dataclass(frozen=True)
 class ExplicitThetas:
     """Pre-computed baseline thresholds, bypassing A/A calibration."""
 
@@ -84,7 +67,8 @@ class ExplicitThetas:
 
 @dataclass(frozen=True)
 class TrafficSchedule:
-    """Ramp phases for the treatment share, strictly increasing in (0, 0.5]."""
+    """Ramp phases for the treatment share, strictly increasing in (0, 0.5],
+    and the current share, which must be one of them."""
 
     phases: tuple[float, ...] = (0.01, 0.10, 0.20, 0.50)
     current_share: float = 0.01
@@ -100,6 +84,16 @@ class TrafficSchedule:
                     f"phases must be strictly increasing within (0, 0.5], got {self.phases!r}"
                 )
             previous = share
+        if _phase_index(self.phases, self.current_share) is None:
+            raise ConfigError(
+                f"current_share {self.current_share!r} is not one of the "
+                f"schedule phases {self.phases!r}"
+            )
+
+
+def _phase_index(phases: tuple[float, ...], share: float) -> int | None:
+    return next((i for i, phase in enumerate(phases)
+                 if math.isclose(phase, share, rel_tol=0.0, abs_tol=1e-12)), None)
 
 
 @dataclass(frozen=True)
@@ -118,6 +112,7 @@ class EvaluationConfig:
             level = getattr(self, name)
             if not 0.0 < level < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {level!r}")
+        check_variance_formula(self.variance_formula)
 
 
 @dataclass(frozen=True)
@@ -189,41 +184,12 @@ def recommend_traffic(
     decision: Decision, schedule: TrafficSchedule
 ) -> TrafficRecommendation:
     """Next ramp move: step up on accept, promote at the final phase, halt on reject."""
-    index = None
-    for i, share in enumerate(schedule.phases):
-        if math.isclose(share, schedule.current_share, rel_tol=0.0, abs_tol=1e-12):
-            index = i
-            break
-    if index is None:
-        raise ConfigError(
-            f"current_share {schedule.current_share!r} is not one of the "
-            f"schedule phases {schedule.phases!r}"
-        )
+    index = _phase_index(schedule.phases, schedule.current_share)
     if decision.verdict is not Verdict.ACCEPT:
         return TrafficRecommendation(action="halt")
     if index == len(schedule.phases) - 1:
         return TrafficRecommendation(action="promote_to_baseline")
     return TrafficRecommendation(action="ramp_up", next_share=schedule.phases[index + 1])
-
-
-def calibrate_baselines(
-    qualified: ExperimentDataset, settings: AaSettings, totals: MicroTotals
-) -> dict[BaselineMethod, AaCalibration]:
-    """A/A-calibrate every baseline threshold on the qualified dataset.
-
-    The pseudo-treatment share is ``settings.treatment_share``, else the
-    observed treatment spend share: arm-B spend over all spend, summed from
-    the qualified campaigns' exact micro ``totals`` (``campaign_micro_totals``),
-    so the same parts give the same thresholds however they were read.
-    """
-    share = settings.treatment_share
-    if share is None:
-        spend_b = sum(t[2] for t in totals.values())
-        spend = spend_b + sum(t[0] for t in totals.values())
-        if not 0 < spend_b < spend:
-            raise InsufficientDataError("no treatment share without spend in both arms")
-        share = spend_b / spend
-    return aa_calibrate(qualified, (1.0 - share, share), settings.repeats_k, settings.seed)
 
 
 def _resolve_thetas(
@@ -235,8 +201,7 @@ def _resolve_thetas(
             BaselineMethod.MACRO: config.aa.macro_theta,
             BaselineMethod.MACRO_MEDIAN: config.aa.macro_theta,
         }
-    calibrations = calibrate_baselines(qualified, config.aa, totals)
-    return {method: calibration.theta for method, calibration in calibrations.items()}
+    return {method: c.theta for method, c in aa_calibrate(qualified, totals, config.aa).items()}
 
 
 def collect_effects(
@@ -276,7 +241,8 @@ def evaluate(
             f"all {dataset.n} campaign(s) were disqualified during preprocessing"
         )
 
-    # perfbench --trace 1 wraps micro_delta and macro_delta by their names here
+    # perfbench --trace 1 wraps qualify, aa_calibrate, the deltas, collect_effects,
+    # resolve_subgroups and subgroup_analysis by their names in this module
     totals = campaign_micro_totals(qualified)
     thetas = _resolve_thetas(qualified, totals, config)
     deltas = {
@@ -302,7 +268,7 @@ def evaluate(
     subgroup = None
     skip = config.skip_subgroup_on_strong_reject and decision.verdict is Verdict.REJECT_HARMFUL
     if not skip:
-        groups = resolve_subgroups(qualified, config.subgroups)
+        groups = resolve_subgroups(totals, config.subgroups)
         subgroup = subgroup_analysis(
             effects, summary.heterogeneity.tau2, groups, config.confidence_level
         )

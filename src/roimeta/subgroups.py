@@ -5,20 +5,22 @@ Cochran's Q is recomputed with the random-model weights: per-group Q around
 the group mean, their sum (within-group), and the remainder of the grand-mean
 Q (between-group, chi-square with K-1 degrees of freedom). A significant
 between-group component means group membership explains part of the effect
-variation. Every group shares the single global between-study variance.
+variation. Every group shares the single global between-study variance, and
+the grand and group means, CIs and Z tests are the verdict's own random model
+(``random_effect_summary``, ``z_significance``). Spend tiers read micro totals.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from math import fsum
 
-from .campaigns import ExperimentDataset
+from .baselines import MicroTotals
+from .campaigns import from_micros
 from .errors import ConfigError, InsufficientDataError, SchemaError
-from .meta import EffectSize
-from .statfuncs import chi_square_sf, normal_cdf, normal_quantile
+from .meta import EffectSize, random_effect_summary, weighted_q, z_significance
+from .statfuncs import chi_square_sf
 
 SUBGROUP_KINDS = ("by_spend_cumulative", "by_label")
 _THIRDS = (1 / 3, 1 / 3, 1 / 3)
@@ -80,11 +82,12 @@ class SubgroupReport:
 
 
 def partition_by_spend(
-    dataset: ExperimentDataset, fractions: tuple[float, ...] = _THIRDS
+    totals: MicroTotals, fractions: tuple[float, ...] = _THIRDS
 ) -> tuple[GroupAssignment, ...]:
     """Partition campaigns into cumulative-spend tiers, biggest spenders first.
 
-    Campaigns are sorted by both-arm spend descending; walking the sorted list,
+    Campaigns are sorted by both-arm spend (from their micro ``totals``)
+    descending; walking the sorted list,
     a campaign joins the current group while the cumulative spend before it is
     strictly below the group's cumulative cap. Groups left empty (fewer
     campaigns than groups, or a dominant campaign spanning several caps) are
@@ -92,10 +95,10 @@ def partition_by_spend(
     """
     fractions = tuple(fractions)
     _check_fractions(fractions)
-    if not dataset.campaigns:
+    if not totals:
         raise InsufficientDataError("no campaigns to partition")
     spends = sorted(
-        ((c.total_spend(), c.campaign_id) for c in dataset.campaigns),
+        ((from_micros(t[0] + t[2]), campaign_id) for campaign_id, t in totals.items()),
         key=lambda item: (-item[0], item[1]),
     )
     total = fsum(s for s, _ in spends)
@@ -125,26 +128,24 @@ def partition_by_spend(
 
 
 def partition_by_label(
-    dataset: ExperimentDataset, labels: dict[str, str]
+    totals: MicroTotals, labels: dict[str, str]
 ) -> tuple[GroupAssignment, ...]:
-    """Group campaigns by an explicit campaign-to-group label map."""
+    """Group the campaigns of ``totals`` by an explicit campaign-to-group label map."""
     members: dict[str, list[str]] = {}
-    for campaign in dataset.campaigns:
-        label = labels.get(campaign.campaign_id)
+    for campaign_id in totals:
+        label = labels.get(campaign_id)
         if label is None:
-            raise SchemaError(f"campaign {campaign.campaign_id!r} has no subgroup label")
-        members.setdefault(label, []).append(campaign.campaign_id)
+            raise SchemaError(f"campaign {campaign_id!r} has no subgroup label")
+        members.setdefault(label, []).append(campaign_id)
     return tuple(
         GroupAssignment(group_id, tuple(ids)) for group_id, ids in sorted(members.items())
     )
 
 
-def resolve_subgroups(
-    dataset: ExperimentDataset, spec: SubgroupSpec
-) -> tuple[GroupAssignment, ...]:
+def resolve_subgroups(totals: MicroTotals, spec: SubgroupSpec) -> tuple[GroupAssignment, ...]:
     if spec.kind == "by_label":
-        return partition_by_label(dataset, spec.labels or {})
-    return partition_by_spend(dataset, spec.spend_fractions)
+        return partition_by_label(totals, spec.labels or {})
+    return partition_by_spend(totals, spec.spend_fractions)
 
 
 def subgroup_analysis(
@@ -183,32 +184,28 @@ def subgroup_analysis(
     if missing:
         raise SchemaError(f"campaigns not assigned to any subgroup: {', '.join(missing)}")
 
-    w_star = {cid: 1.0 / (e.v + tau2) for cid, e in by_id.items()}
-    sum_w = fsum(w_star.values())
-    grand_mu = fsum(w_star[cid] * by_id[cid].d for cid in by_id) / sum_w
-    q_total = fsum(w_star[cid] * (by_id[cid].d - grand_mu) ** 2 for cid in by_id)
+    grand = random_effect_summary(effects, tau2)
+    q_total = weighted_q(grand.per_study_w_star, effects, grand.mu_star)
 
-    z_crit = normal_quantile(1.0 - (1.0 - confidence_level) / 2.0)
     summaries: list[SubgroupSummary] = []
     for group in groups:
         present = tuple(cid for cid in group.members if cid in by_id)
         if not present:
             warnings.warn(f"subgroup {group.group_id!r} has no analyzable campaigns; dropped")
             continue
-        group_sum_w = fsum(w_star[cid] for cid in present)
-        mu_k = fsum(w_star[cid] * by_id[cid].d for cid in present) / group_sum_w
-        nu_k = 1.0 / group_sum_w
-        se_k = math.sqrt(nu_k)
-        z_k = mu_k / se_k
-        q_k = fsum(w_star[cid] * (by_id[cid].d - mu_k) ** 2 for cid in present)
+        members = [by_id[cid] for cid in present]
+        model = random_effect_summary(members, tau2)
+        test = z_significance(model.mu_star, model.nu_star, confidence_level)
+        q_k = weighted_q(model.per_study_w_star, members, model.mu_star)
+        # one member: q_k may be a rounding residue, not cochran_q's exact 0
         p_q_k = chi_square_sf(q_k, len(present) - 1) if len(present) > 1 else 1.0
         summaries.append(SubgroupSummary(
             group_id=group.group_id,
             members=present,
-            mu_star_k=mu_k,
-            ci_low=mu_k - z_crit * se_k,
-            ci_high=mu_k + z_crit * se_k,
-            p_z_k=normal_cdf(-abs(z_k)),
+            mu_star_k=model.mu_star,
+            ci_low=test.ci_low,
+            ci_high=test.ci_high,
+            p_z_k=test.p_z,
             q_star_k=q_k,
             p_q_star_k=p_q_k,
         ))

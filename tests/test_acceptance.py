@@ -216,7 +216,7 @@ class TestCriterion7SubgroupDecomposition:
             effects, excluded, summary = engine_summary(dataset)
             assert not excluded
             tau2 = summary.heterogeneity.tau2
-            groups = partition_by_spend(dataset, (1 / 3, 1 / 3, 1 / 3))
+            groups = partition_by_spend(campaign_micro_totals(dataset), (1 / 3, 1 / 3, 1 / 3))
             report = subgroup_analysis(effects, tau2, groups)
             assert report.q_star_total == pytest.approx(
                 report.q_within + report.q_between, abs=1e-9

@@ -9,6 +9,7 @@ from conftest import dataset_strategy, make_campaign, make_dataset, make_part, s
 from roimeta import baselines
 from roimeta.baselines import (
     AaCalibration,
+    AaSettings,
     BaselineDecision,
     BaselineMethod,
     aa_calibrate,
@@ -225,7 +226,8 @@ class TestAaCalibration:
             make_campaign("c1", [1.4] * 6, [1.4] * 2),
             make_campaign("c2", [1.4] * 4, [1.4] * 2),
         ])
-        for calibration in aa_calibrate(dataset, (0.5, 0.5), 5, seed=3).values():
+        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(5, 3, 0.5))
+        for calibration in calibrations.values():
             assert calibration.theta == pytest.approx(0.0, abs=1e-12)
 
     def test_per_campaign_constant_roi_zeroes_macro(self):
@@ -233,7 +235,7 @@ class TestAaCalibration:
             make_campaign("c1", [1.1] * 5, [1.1] * 2),
             make_campaign("c2", [0.7] * 5, [0.7] * 2),
         ])
-        calibrations = aa_calibrate(dataset, (0.8, 0.2), 7, seed=12)
+        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(7, 12, 0.2))
         for method in (BaselineMethod.MACRO, BaselineMethod.MACRO_MEDIAN):
             assert calibrations[method].theta == pytest.approx(0.0, abs=1e-12)
 
@@ -242,10 +244,10 @@ class TestAaCalibration:
             make_campaign("c1", [1.0, 1.5, 0.8, 1.1], [1.0, 1.0]),
             make_campaign("c2", [0.9, 1.2, 1.4], [1.0, 1.0]),
         ])
-        first = aa_calibrate(dataset, (0.9, 0.1), 5, seed=77)
-        second = aa_calibrate(dataset, (0.9, 0.1), 5, seed=77)
+        first = aa_calibrate(dataset, totals_of(dataset), AaSettings(5, 77, 0.1))
+        second = aa_calibrate(dataset, totals_of(dataset), AaSettings(5, 77, 0.1))
         assert first == second
-        different = aa_calibrate(dataset, (0.9, 0.1), 5, seed=78)
+        different = aa_calibrate(dataset, totals_of(dataset), AaSettings(5, 78, 0.1))
         micro = BaselineMethod.MICRO
         assert different[micro].per_repeat_stats != first[micro].per_repeat_stats
 
@@ -253,7 +255,8 @@ class TestAaCalibration:
         # equal-spend parts with ROIs {1,1,2,2} under a 2/2 split can only
         # produce pseudo-deltas -1, 0, or +1
         dataset = make_dataset([make_campaign("c1", [1.0, 1.0, 2.0, 2.0], [1.0, 1.0])])
-        calibration = aa_calibrate(dataset, (0.5, 0.5), 40, seed=5)[BaselineMethod.MICRO]
+        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(40, 5, 0.5))
+        calibration = calibrations[BaselineMethod.MICRO]
         for stat in calibration.per_repeat_stats:
             assert min(abs(stat - t) for t in (-1.0, 0.0, 1.0)) <= 1e-12
 
@@ -263,7 +266,7 @@ class TestAaCalibration:
             make_campaign("c2", [1.0], [1.0, 1.0]),
         ])
         with pytest.warns(UserWarning, match="fewer than 2 control parts"):
-            calibrations = aa_calibrate(dataset, (0.5, 0.5), 3, seed=1)
+            calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 1, 0.5))
         assert set(calibrations) == set(BaselineMethod)
         assert all(isinstance(c, AaCalibration) for c in calibrations.values())
 
@@ -271,13 +274,14 @@ class TestAaCalibration:
         dataset = make_dataset([make_campaign("c1", [1.0], [1.0, 1.0])])
         with pytest.warns(UserWarning):
             with pytest.raises(InsufficientDataError):
-                aa_calibrate(dataset, (0.5, 0.5), 3, seed=1)
+                aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 1, 0.5))
 
     def test_theta_is_mean_of_repeats(self):
         dataset = make_dataset([
             make_campaign("c1", [1.0, 1.5, 0.8, 1.1, 0.6], [1.0, 1.0]),
         ])
-        for calibration in aa_calibrate(dataset, (0.7, 0.3), 9, seed=2).values():
+        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(9, 2, 0.3))
+        for calibration in calibrations.values():
             assert calibration.theta == pytest.approx(
                 math.fsum(calibration.per_repeat_stats) / 9, abs=1e-15
             )
@@ -296,7 +300,7 @@ class TestAaCalibration:
                 super().__init__(*key)
 
         monkeypatch.setattr(baselines, "HashStream", CountingStream)
-        calibrations = aa_calibrate(dataset, (0.5, 0.5), 4, seed=9)
+        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(4, 9, 0.5))
         assert sorted(opened) == sorted(
             ("aa-split", 9, k, c.campaign_id) for k in range(4) for c in dataset.campaigns
         )
@@ -312,10 +316,12 @@ class TestAaCalibration:
         uneven_dataset(), shares, st.integers(1, 4), st.integers(0, 10**6),
     )
     def test_column_kernel_matches_object_path(self, dataset, share, repeats_k, seed):
+        # the kernel takes the share; the reference splits by the (1 - s, s) ratio
         split_ratio = (1.0 - share, share)
 
         def kernel():
-            calibrations = aa_calibrate(dataset, split_ratio, repeats_k, seed)
+            settings = AaSettings(repeats_k, seed, share)
+            calibrations = aa_calibrate(dataset, totals_of(dataset), settings)
             return {m: c.per_repeat_stats for m, c in calibrations.items()}
 
         assert outcome(kernel) == outcome(
@@ -332,7 +338,7 @@ class TestAaCalibration:
         ])
         for seed in range(5):
             with pytest.raises(UndefinedRoiError, match="'c1'"):
-                aa_calibrate(dataset, (0.5, 0.5), 3, seed=seed)
+                aa_calibrate(dataset, totals_of(dataset), AaSettings(3, seed, 0.5))
 
 
 class TestThresholdDecision:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -162,6 +163,40 @@ class TestCalibrateAndSubgroup:
             doc["q_within"] + doc["q_between"], abs=1e-9
         )
         assert len(doc["summaries"]) >= 1
+
+
+def warning_data(workdir):
+    """The simulated data plus a top-spending campaign with one control part:
+    A/A calibration skips it, and its spend tier has no effect size, so every
+    subcommand's analysis warns."""
+    data = simulate(workdir)
+    with open(data, "a", encoding="utf-8") as out:
+        out.write("big,A,0,5000,1000000000.000000,1100000000.000000\n")
+        for part_id in range(2):
+            out.write(f"big,B,{part_id},5000,1000000000.000000,1200000000.000000\n")
+    return data
+
+
+class TestConfigErrorsBeforeAnalysis:
+    @pytest.mark.parametrize("command", ["calibrate", "subgroup", "evaluate"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--current-share", "0.3",
+         "current_share 0.3 is not one of the schedule phases (0.01, 0.1, 0.2, 0.5)"),
+        ("--variance-formula", "foo",
+         "variance_formula must be one of ('noncentral_t', 'hedges'), got 'foo'"),
+    ], ids=["current-share", "variance-formula"])
+    def test_exit_2_before_any_warning(self, workdir, capsys, command, flag, value, message):
+        data = warning_data(workdir)
+        config = ["--config", str(workdir / "eval.cfg")]
+        with pytest.warns(UserWarning):
+            assert main([command, str(data), *config]) in (0, 1)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, str(data), *config, flag, value])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [str(w.message) for w in caught] == []
 
 
 class TestSubcommandsAgreeWithEvaluate:

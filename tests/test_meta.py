@@ -16,6 +16,7 @@ from roimeta.meta import (
     cochran_q,
     effect_size,
     fixed_effect_summary,
+    moments_scale,
     random_effect_summary,
     summarize_effects,
     tau_squared,
@@ -172,16 +173,16 @@ class TestCochranQ:
 
 class TestTauSquared:
     def test_below_df_is_zero(self):
-        assert tau_squared(0.8, 2, [10.0, 10.0]) == 0.0
+        assert tau_squared(0.8, 2, moments_scale([10.0, 10.0])) == 0.0
 
     def test_hand_example(self):
-        assert tau_squared(20.0, 2, [10.0, 10.0]) == pytest.approx(1.9, abs=1e-12)
+        assert tau_squared(20.0, 2, moments_scale([10.0, 10.0])) == pytest.approx(1.9, abs=1e-12)
 
     def test_boundary_continuity(self):
-        assert tau_squared(1.0, 2, [10.0, 10.0]) == 0.0
+        assert tau_squared(1.0, 2, moments_scale([10.0, 10.0])) == 0.0
 
     def test_single_study(self):
-        assert tau_squared(5.0, 1, [10.0]) == 0.0
+        assert tau_squared(5.0, 1, moments_scale([10.0])) == 0.0
 
 
 class TestRandomEffect:

@@ -5,12 +5,13 @@ from math import fsum
 import pytest
 
 from conftest import make_campaign, make_dataset, make_part
-from roimeta import pipeline
+from roimeta import baselines
 from roimeta.baselines import (
     BaselineDecision,
     BaselineMethod,
     aa_calibrate,
     campaign_micro_totals,
+    observed_share,
 )
 from roimeta.campaigns import (
     Arm,
@@ -30,7 +31,6 @@ from roimeta.pipeline import (
     ExplicitThetas,
     TrafficSchedule,
     Verdict,
-    calibrate_baselines,
     decide,
     evaluate,
     recommend_traffic,
@@ -94,6 +94,8 @@ class TestRecommendTraffic:
             TrafficSchedule(phases=(0.1, 0.1, 0.2), current_share=0.1)
         with pytest.raises(ConfigError):
             TrafficSchedule(phases=(0.1, 0.6), current_share=0.1)
+        with pytest.raises(ConfigError, match="not one of the schedule phases"):
+            TrafficSchedule(current_share=0.33)
 
 
 def lifted_dataset(seed=101, lift=0.10, n=12):
@@ -228,6 +230,8 @@ class TestEvaluate:
             EvaluationConfig(confidence_level=1.2)
         with pytest.raises(ConfigError):
             EvaluationConfig(homogeneity_level=0.0)
+        with pytest.raises(ConfigError, match="variance_formula"):
+            EvaluationConfig(variance_formula="exotic")
         with pytest.raises(ConfigError):
             AaSettings(repeats_k=0)
         with pytest.raises(ConfigError):
@@ -257,19 +261,19 @@ class TestCalibrateBaselines:
     def test_default_share_survives_a_file_round_trip(self, tmp_path, sim, aa_seed):
         dataset = generate_experiment(sim)
         settings = AaSettings(seed=aa_seed)
-        in_memory = calibrate_baselines(dataset, settings, campaign_micro_totals(dataset))
+        in_memory = aa_calibrate(dataset, campaign_micro_totals(dataset), settings)
         csv_path = tmp_path / "parts.csv"
         write_dataset(dataset, csv_path)
         jsonl_path = tmp_path / "parts.jsonl"
         jsonl_path.write_text(render_record_lines(dataset), encoding="utf-8")
         for loaded in (ingest(csv_path), ingest(jsonl_path, "record-lines")):
             totals = campaign_micro_totals(loaded)
-            assert calibrate_baselines(loaded, settings, totals) == in_memory
+            assert aa_calibrate(loaded, totals, settings) == in_memory
 
     def test_share_needs_spend_in_both_arms(self):
         one_armed = make_dataset([make_campaign("c1", [1.0, 1.2], [])])
         with pytest.raises(InsufficientDataError, match="treatment share"):
-            calibrate_baselines(one_armed, AaSettings(), campaign_micro_totals(one_armed))
+            aa_calibrate(one_armed, campaign_micro_totals(one_armed), AaSettings())
 
 
 # The deltas and the default A/A share as computed before the per-campaign
@@ -317,13 +321,13 @@ class TestTotalsOnce:
     def test_statistics_and_share_match_the_dataset_walk(self, sim, monkeypatch):
         dataset = generate_experiment(sim)
         qualified = qualify(dataset).qualified
-        split_ratios = []
+        shares = []
 
-        def recording(data, split_ratio, *args):
-            split_ratios.append(split_ratio)
-            return aa_calibrate(data, split_ratio, *args)
+        def recording(totals):
+            shares.append(observed_share(totals))
+            return shares[-1]
 
-        monkeypatch.setattr(pipeline, "aa_calibrate", recording)
+        monkeypatch.setattr(baselines, "observed_share", recording)
         report = evaluate(dataset, EvaluationConfig(aa=AaSettings(seed=sim.seed)))
         expected = {
             BaselineMethod.MICRO: walk_micro_delta(qualified),
@@ -333,7 +337,4 @@ class TestTotalsOnce:
         assert {b.method: b.statistic.hex() for b in report.baselines} == {
             method: statistic.hex() for method, statistic in expected.items()
         }
-        share = walk_share(qualified)
-        assert [[r.hex() for r in ratio] for ratio in split_ratios] == [
-            [(1.0 - share).hex(), share.hex()]
-        ]
+        assert [share.hex() for share in shares] == [walk_share(qualified).hex()]

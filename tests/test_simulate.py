@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roimeta.baselines import aa_calibrate, campaign_micro_totals
+from roimeta.baselines import AaSettings, aa_calibrate, campaign_micro_totals
 from roimeta.dataio import ingest, render_dataset_csv, write_dataset
 from roimeta.errors import ConfigError
 from roimeta.pipeline import collect_effects
@@ -119,7 +119,7 @@ class TestGenerateExperiment:
             part_noise_sd=0.0, treatment_lift=0.0, seed=13,
         )
         dataset = generate_experiment(config)
-        spends = {c.campaign_id: c.total_spend() for c in dataset.campaigns}
+        spends = {cid: t[0] + t[2] for cid, t in campaign_micro_totals(dataset).items()}
         lifted = {
             c.campaign_id
             for c in dataset.campaigns
@@ -131,9 +131,8 @@ class TestGenerateExperiment:
     def test_treatment_share_controls_arm_spend(self):
         config = SimConfig(n_campaigns=3, treatment_share=0.2, part_noise_sd=0.0, seed=5)
         dataset = generate_experiment(config)
-        for campaign in dataset.campaigns:
-            spend_b = sum(p.spend for p in campaign.parts_b)
-            assert spend_b / campaign.total_spend() == pytest.approx(0.2, abs=1e-6)
+        for spend_a, _, spend_b, _ in campaign_micro_totals(dataset).values():
+            assert spend_b / (spend_a + spend_b) == pytest.approx(0.2, abs=1e-6)
 
     def test_null_grand_mean_effect_is_small(self):
         total = 0.0
@@ -373,6 +372,7 @@ class TestSeededOutputsPinned:
         spend_b = sum(t[2] for t in totals)
         observed = spend_b / (spend_b + sum(t[0] for t in totals))
         for share in (0.1, observed):
-            calibrations = aa_calibrate(dataset, (1.0 - share, share), 5, 0)
+            settings = AaSettings(5, 0, share)
+            calibrations = aa_calibrate(dataset, campaign_micro_totals(dataset), settings)
             stats = tuple(repr(c.per_repeat_stats) for c in calibrations.values())
             assert stats == PINNED_AA_STATS[shape], share

@@ -1,9 +1,12 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_campaign, make_dataset, random_dataset
+from roimeta.baselines import campaign_micro_totals as totals_of
 from roimeta.errors import ConfigError, SchemaError
 from roimeta.meta import (
     EffectSize,
@@ -11,7 +14,13 @@ from roimeta.meta import (
     effect_size,
     fixed_effect_summary,
     heterogeneity_stats,
+    summarize_effects,
 )
+from roimeta.pipeline import collect_effects
+from roimeta.preprocess import qualify
+from roimeta.reportio import to_json, to_plain
+from roimeta.simulate import generate_experiment
+from test_simulate import PINNED_SHAPES
 from roimeta.subgroups import (
     GroupAssignment,
     SubgroupSpec,
@@ -38,35 +47,46 @@ def dataset_with_spends(spends):
 
 class TestPartitionBySpend:
     def test_three_distinct_spends(self):
-        groups = partition_by_spend(dataset_with_spends([50.0, 30.0, 20.0]))
+        groups = partition_by_spend(totals_of(dataset_with_spends([50.0, 30.0, 20.0])))
         assert [g.members for g in groups] == [("c0",), ("c1",), ("c2",)]
 
     def test_nine_equal_spends_split_evenly(self):
-        groups = partition_by_spend(dataset_with_spends([12.0] * 9))
+        groups = partition_by_spend(totals_of(dataset_with_spends([12.0] * 9)))
         assert [len(g.members) for g in groups] == [3, 3, 3]
 
     def test_single_campaign_collapses_with_warning(self):
         with pytest.warns(UserWarning, match="non-empty"):
-            groups = partition_by_spend(dataset_with_spends([10.0]))
+            groups = partition_by_spend(totals_of(dataset_with_spends([10.0])))
         assert len(groups) == 1
         assert groups[0].members == ("c0",)
 
     def test_every_campaign_assigned_once(self):
         rng = np.random.default_rng(55)
         dataset = random_dataset(rng, n_campaigns=(6, 12))
-        groups = partition_by_spend(dataset)
+        groups = partition_by_spend(totals_of(dataset))
         assigned = [cid for g in groups for cid in g.members]
         assert sorted(assigned) == sorted(c.campaign_id for c in dataset.campaigns)
 
+    def test_tiers_count_both_arms(self):
+        # both-arm spend ranks c1 (42) > c0 (22) > c2 (20); control alone would
+        # rank c0 (20) > c2 (10) > c1 (2)
+        dataset = make_dataset([
+            make_campaign("c0", [1.0, 1.0], [1.0, 1.0], spend_a=10.0, spend_b=1.0),
+            make_campaign("c1", [1.0, 1.0], [1.0, 1.0], spend_a=1.0, spend_b=20.0),
+            make_campaign("c2", [1.0, 1.0], [1.0, 1.0], spend_a=5.0, spend_b=5.0),
+        ])
+        groups = partition_by_spend(totals_of(dataset))
+        assert [g.members for g in groups] == [("c1",), ("c0",), ("c2",)]
+
     def test_rejects_bad_fractions(self):
         with pytest.raises(ConfigError):
-            partition_by_spend(dataset_with_spends([1.0, 2.0]), (0.5, 0.6))
+            partition_by_spend(totals_of(dataset_with_spends([1.0, 2.0])), (0.5, 0.6))
 
 
 class TestPartitionByLabel:
     def test_groups_by_label(self):
         dataset = dataset_with_spends([1.0, 2.0, 3.0])
-        groups = partition_by_label(dataset, {"c0": "x", "c1": "y", "c2": "x"})
+        groups = partition_by_label(totals_of(dataset), {"c0": "x", "c1": "y", "c2": "x"})
         assert [(g.group_id, g.members) for g in groups] == [
             ("x", ("c0", "c2")), ("y", ("c1",)),
         ]
@@ -74,12 +94,12 @@ class TestPartitionByLabel:
     def test_missing_label_rejected(self):
         dataset = dataset_with_spends([1.0, 2.0])
         with pytest.raises(SchemaError):
-            partition_by_label(dataset, {"c0": "x"})
+            partition_by_label(totals_of(dataset), {"c0": "x"})
 
     def test_spec_resolution(self):
         dataset = dataset_with_spends([1.0, 2.0])
         spec = SubgroupSpec(kind="by_label", labels={"c0": "x", "c1": "x"})
-        groups = resolve_subgroups(dataset, spec)
+        groups = resolve_subgroups(totals_of(dataset), spec)
         assert groups[0].members == ("c0", "c1")
 
 
@@ -166,7 +186,7 @@ class TestSubgroupAnalysis:
             ]
             fixed = fixed_effect_summary(effects)
             tau2 = heterogeneity_stats(effects, fixed.mu).tau2
-            groups = partition_by_spend(dataset)
+            groups = partition_by_spend(totals_of(dataset))
             report = subgroup_analysis(effects, tau2, groups)
             # identity held by construction
             assert report.q_star_total == pytest.approx(
@@ -182,3 +202,60 @@ class TestSubgroupAnalysis:
                 direct += group_w * (s.mu_star_k - grand) ** 2
             assert report.q_between == pytest.approx(direct, abs=1e-9)
             assert report.q_between >= -1e-9
+
+
+# SHA-256 of to_json(to_plain(x)) for the summary and three subgroup analyses
+# (spend thirds, fractions 0.5/0.2/0.1/0.1/0.1, labels g{i % 4} plus one
+# single-campaign group), and the warnings they raise, on the smoke shapes.
+PINNED_SUBGROUP_SHA = {
+    "deep": (
+        "de61bdd3de5f5cd04ca0c16835b0dbed2307711414264f0df38eb982874959f3",
+        "4b5b34debb56d5520b6dc69ee7516737945a6f295afc16c6c516bf0415a27f72",
+        "5d0551398d09f6738bf963a1fae7c7c4e3ee0db3401e8a446571ca01b91debbc",
+        "62d69030ed16771dcafea473c63c221ad401902361bb0c306be2320fccda22ac",
+    ),
+    "study": (
+        "3f72809921c23914839879ac29d475decdcc427cc378a4cd4cc2b89a6677316c",
+        "71028953d164068f37ea93962954303f8a0033ebae074e32949647fb7afe8fd2",
+        "3fea38e9442bdc5269c0e0f26f615a6ea2b3d85050ed8a7697e36c41c7a93a6c",
+        "c7a23d3e719e20a0e56af100d1e1ef495afb256b0d32749e51aa9f053e4e351f",
+    ),
+    "wide": (
+        "402c6eebfed2f7dbaac431e6cebeaee8432a7ac031c4ed93bb8df345e3e89179",
+        "804a2d53d3bb42e66b0351996ec1c9084d1b65d8260d86c3bde749bd326b868c",
+        "550a79719dc4a417ac6699a2611b1b588c2b468c7f1680e6fc020aadbb300edd",
+        "293af2abd77ed83f5730d33b170770d640ffaf52d1fc016f64ba13cd1b2c2583",
+    ),
+}
+PINNED_SUBGROUP_WARNINGS = {
+    "deep": ["only 2 of 3 spend groups are non-empty",
+             "only 4 of 5 spend groups are non-empty"],
+    "study": [],
+    "wide": [],
+}
+
+
+class TestSubgroupOutputsPinned:
+    @pytest.mark.parametrize("shape", sorted(PINNED_SUBGROUP_SHA))
+    def test_summary_and_subgroup_bytes(self, shape):
+        qualified = qualify(generate_experiment(PINNED_SHAPES[shape][0])).qualified
+        effects, _ = collect_effects(qualified)
+        summary = summarize_effects(effects)
+        tau2 = summary.heterogeneity.tau2
+        totals = totals_of(qualified)
+        ids = list(totals)
+        labels = {cid: f"g{i % 4}" for i, cid in enumerate(ids)}
+        labels[ids[-1]] = "solo"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = [subgroup_analysis(effects, tau2, groups) for groups in (
+                partition_by_spend(totals),
+                partition_by_spend(totals, (0.5, 0.2, 0.1, 0.1, 0.1)),
+                partition_by_label(totals, labels),
+            )]
+        digests = tuple(
+            hashlib.sha256(to_json(to_plain(x)).encode("utf-8")).hexdigest()
+            for x in (summary, *reports)
+        )
+        assert digests == PINNED_SUBGROUP_SHA[shape]
+        assert [str(w.message) for w in caught] == PINNED_SUBGROUP_WARNINGS[shape]
