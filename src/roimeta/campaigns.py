@@ -32,7 +32,7 @@ def from_micros(micros: int) -> float:
     return micros / MICROS_PER_UNIT
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class PartMeasurement:
     """One traffic part's impressions, spend, value, and ROI for one arm of one campaign.
 
@@ -59,14 +59,18 @@ class PartMeasurement:
         # from_micros(to_micros(x)), inlined: every part is built through here.
         spend = round(spend * MICROS_PER_UNIT) / MICROS_PER_UNIT
         value = round(value * MICROS_PER_UNIT) / MICROS_PER_UNIT
-        setattr_ = object.__setattr__  # frozen: bypass the generated __setattr__
-        setattr_(self, "campaign_id", campaign_id)
-        setattr_(self, "arm", arm)
-        setattr_(self, "part_id", part_id)
-        setattr_(self, "impressions", impressions)
-        setattr_(self, "spend", spend)
-        setattr_(self, "value", value)
-        setattr_(self, "roi", value / spend if spend else None)
+        # Frozen: write via the slot descriptors' __set__, cheaper than object.__setattr__.
+        _set_campaign_id(self, campaign_id)
+        _set_arm(self, arm)
+        _set_part_id(self, part_id)
+        _set_impressions(self, impressions)
+        _set_spend(self, spend)
+        _set_value(self, value)
+        _set_roi(self, value / spend if spend else None)
+
+
+(_set_campaign_id, _set_arm, _set_part_id, _set_impressions, _set_spend, _set_value,
+ _set_roi) = (PartMeasurement.__dict__[name].__set__ for name in PartMeasurement.__slots__)
 
 
 def _check_part_fields(campaign_id, arm, part_id, impressions, spend, value) -> None:
@@ -112,7 +116,13 @@ class CampaignExperiment:
             raise ValueError("campaign_id must be non-empty text")
         object.__setattr__(self, "parts_a", tuple(self.parts_a))
         object.__setattr__(self, "parts_b", tuple(self.parts_b))
+        campaign_id = self.campaign_id
         for parts, arm in ((self.parts_a, Arm.CONTROL), (self.parts_b, Arm.TREATMENT)):
+            # Arms by identity, duplicates by the set's size: no lookup per
+            # part. Only on a fault does the loop below name the first bad part.
+            if len(parts) == len({part.part_id for part in parts
+                                  if part.campaign_id == campaign_id and part.arm is arm}):
+                continue
             seen: set[int] = set()
             for part in parts:
                 if part.campaign_id != self.campaign_id:

@@ -1,6 +1,7 @@
 """End-to-end evaluation: qualify, baseline checks, meta-analysis, decision, ramp.
 
-``evaluate`` runs the stages in a fixed order: qualification, micro/macro
+``evaluate`` runs the stages in a fixed order: qualification, the subgroup
+assignment (so a bad label map fails before any analysis), micro/macro
 baselines against A/A-calibrated (or explicit) thresholds, per-campaign effect
 sizes, the fixed-then-random effects combination with its Z/CI significance
 test (``meta.summarize_effects``), subgroup diagnostics (skipped on a strong
@@ -244,6 +245,7 @@ def evaluate(
     # perfbench --trace 1 wraps qualify, aa_calibrate, the deltas, collect_effects,
     # resolve_subgroups and subgroup_analysis by their names in this module
     totals = campaign_micro_totals(qualified)
+    groups = resolve_subgroups(totals, config.subgroups)
     thetas = _resolve_thetas(qualified, totals, config)
     deltas = {
         BaselineMethod.MICRO: micro_delta(totals),
@@ -268,7 +270,6 @@ def evaluate(
     subgroup = None
     skip = config.skip_subgroup_on_strong_reject and decision.verdict is Verdict.REJECT_HARMFUL
     if not skip:
-        groups = resolve_subgroups(totals, config.subgroups)
         subgroup = subgroup_analysis(
             effects, summary.heterogeneity.tau2, groups, config.confidence_level
         )

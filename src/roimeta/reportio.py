@@ -7,6 +7,12 @@ an object equal to the original. Encoding and decoding are both driven by the
 field types of the report dataclasses (``_codec``), so a report field is
 declared once, on its dataclass.
 
+A tuple of dataclasses (parts, campaigns, effects, exclusions, subgroup
+summaries) is encoded and decoded as one batch, a field column at a time,
+with no Python frame per item. The batch decoder checks all that the
+per-item decoder checks but words no error: on a fault it decodes the items
+one by one, so every message and its precedence are the per-item decoder's.
+
 The machine text is exactly ``json.dumps(doc, indent=2, sort_keys=True)``,
 but ``to_json`` does not call it that way: whenever ``indent`` is set, json
 falls back from its C encoder to a pure-Python one, which made writing a
@@ -30,6 +36,7 @@ import operator
 import types
 import typing
 from enum import Enum
+from itertools import chain, repeat
 from typing import Any, Callable
 
 from .baselines import BaselineDecision
@@ -60,6 +67,9 @@ class _Codec(typing.NamedTuple):
     json_types: frozenset  # the types json.loads may give such a value
     to_plain: Callable[[Any], Any]
     from_plain: Callable[[Any], Any]
+    # A dataclass's batch forms: objects to dicts, dicts to a tuple of objects.
+    to_plain_many: Callable[[Any], list] | None = None
+    from_plain_many: Callable[[list], tuple] | None = None
 
 
 def _json_type_error(where: str, allowed: frozenset, value: Any) -> TypeError:
@@ -86,7 +96,7 @@ def _codec(tp: Any) -> _Codec:
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = _Members(tp)
         return _Codec(
-            frozenset(map(type, members)), operator.attrgetter("value"), members.__getitem__
+            frozenset(map(type, members)), operator.attrgetter("_value_"), members.__getitem__
         )
     if dataclasses.is_dataclass(tp):
         return _dataclass_codec(tp)
@@ -122,10 +132,23 @@ def _tuple_codec(item: _Codec) -> _Codec:
         if not item.json_types.issuperset(map(type, doc)):
             bad = next(v for v in doc if type(v) not in item.json_types)
             raise _json_type_error("an array item", item.json_types, bad)
+        if item.from_plain_many is not None:
+            return _decode_items(item, doc)
         return tuple(doc) if item.from_plain is _same else tuple(map(item.from_plain, doc))
 
-    to_plain = list if item.to_plain is _same else lambda v: list(map(item.to_plain, v))
+    to_plain = item.to_plain_many or (
+        list if item.to_plain is _same else lambda v: list(map(item.to_plain, v)))
     return _Codec(frozenset({list}), to_plain, from_plain)
+
+
+def _decode_items(item: _Codec, docs: list) -> tuple:
+    """Decode dataclass items as one batch. On a fault (the errors that
+    ``report_from_dict`` reports), decode them one by one instead: that
+    raises the first bad item's error, worded as ever."""
+    try:
+        return item.from_plain_many(docs)
+    except (KeyError, TypeError, ValueError):
+        return tuple(map(item.from_plain, docs))
 
 
 def _str_dict(doc: dict) -> dict:
@@ -140,7 +163,9 @@ def _dataclass_codec(tp: type) -> _Codec:
     that need it. Read it from an object holding exactly its field names,
     each of its field's JSON type, decoding only those that need it. The
     init fields are passed positionally in field order; each derived
-    (non-init) field must then equal what the constructor derived."""
+    (non-init) field must then equal what the constructor derived. The batch
+    forms do the same with one C-level pass per field, ``map(tp, *columns)``
+    and one list comparison; only ``from_plain`` words errors."""
     hints = typing.get_type_hints(tp)
     fields = sorted(dataclasses.fields(tp), key=lambda f: not f.init)  # init fields first
     names = tuple(f.name for f in fields)
@@ -154,14 +179,28 @@ def _dataclass_codec(tp: type) -> _Codec:
     if len(names) == 1:  # a getter of one name returns the bare value, not a 1-tuple
         attrs = lambda obj, one=attrs: (one(obj),)
         items = lambda doc, one=items: (one(doc),)
-    encoded = [(name, c.to_plain) for name, c in zip(names, codecs) if c.to_plain is not _same]
+    keys = [operator.itemgetter(name) for name in names]
+    encoded = [(i, c.to_plain) for i, c in enumerate(codecs) if c.to_plain is not _same]
     decoded = [(i, c.from_plain) for i, c in enumerate(codecs) if c.from_plain is not _same]
 
-    def to_plain(obj: Any) -> dict:
-        doc = dict(zip(names, attrs(obj)))
-        for name, encode in encoded:
-            doc[name] = encode(doc[name])
-        return doc
+    def to_plain_many(objs: Any) -> list[dict]:
+        columns = list(zip(*map(attrs, objs))) or [()] * len(names)  # no objects: empty columns
+        for i, encode in encoded:
+            columns[i] = map(encode, columns[i])
+        return list(map(dict, map(zip, repeat(names), zip(*columns))))
+
+    def from_plain_many(docs: list) -> tuple:
+        # With every count right, ``keys`` raise KeyError unless the keys are exact.
+        columns = [list(map(key, docs)) for key in keys]
+        if not ({len(names)}.issuperset(map(len, docs)) and all(
+                map(frozenset.issuperset, json_types, map(map, repeat(type), columns)))):
+            raise ValueError("a key or a JSON type is wrong")
+        for i, decode in decoded:
+            columns[i] = list(map(decode, columns[i]))
+        objs = tuple(map(tp, *columns[:n_init]))
+        if n_init < len(names) and list(map(derived, objs)) != list(map(given, zip(*columns))):
+            raise ValueError("a derived field disagrees")
+        return objs
 
     def from_plain(doc: Any) -> Any:
         # With the count right, ``items`` raises KeyError unless the keys are exact.
@@ -181,7 +220,8 @@ def _dataclass_codec(tp: type) -> _Codec:
                              f"{', '.join(names[n_init:])}, not {given(values)!r}")
         return obj
 
-    return _Codec(frozenset({dict}), to_plain, from_plain)
+    return _Codec(frozenset({dict}), lambda obj: to_plain_many((obj,))[0], from_plain,
+                  to_plain_many, from_plain_many)
 
 
 def to_plain(obj: Any) -> dict:
@@ -206,10 +246,8 @@ def _write(value: Any, depth: int, out: list[str]) -> None:
     if _CONTAINERS.isdisjoint(map(type, value.values() if kind is dict else value)):
         text = _flat_encoder(depth)(value)
         out.append(f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}")
-    elif kind is list and all(
-        type(item) is dict and item and _CONTAINERS.isdisjoint(map(type, item.values()))
-        for item in value
-    ):
+    elif (kind is list and {dict}.issuperset(map(type, value)) and all(value)
+          and _CONTAINERS.isdisjoint(map(type, chain.from_iterable(map(dict.values, value))))):
         deeper = inner + "  "
         body = _flat_encoder(depth + 1)(value)[2:-2].replace(
             "},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}"

@@ -255,6 +255,15 @@ class TestConstructorParity:
             del part.roi
         assert (part.spend, part.roi) == (1.0, 2.0)
 
+    def test_slotted_with_dataclass_equality_and_hash(self):
+        part = PartMeasurement("c1", Arm.CONTROL, 0, 10, 1.0, 2.0)
+        assert not hasattr(part, "__dict__")
+        assert PartMeasurement.__slots__ == tuple(f.name for f in fields(PartMeasurement))
+        twin = PartMeasurement("c1", Arm.CONTROL, 0, 10, 1.0, 2.0)
+        assert part == twin and part is not twin
+        assert hash(part) == hash(twin) == hash(("c1", Arm.CONTROL, 0, 10, 1.0, 2.0, 2.0))
+        assert part != replace(part, impressions=11)
+
 
 class TestArmTotals:
     """One arm's exact micro totals (``micro_totals``) and ROI (``roi_of_micros``)."""
@@ -306,3 +315,28 @@ class TestContainers:
         campaign = make_campaign("c1", [1.0, 1.1], [0.9, 1.0])
         with pytest.raises(ValueError):
             ExperimentDataset((campaign, campaign))
+
+    # A 500-part arm with a bad part at 250 and another at 400 (and, for a
+    # duplicate, its first copy at 17): the error names the part at 250.
+    @pytest.mark.parametrize("arm", [Arm.CONTROL, Arm.TREATMENT])
+    @pytest.mark.parametrize("fault", ["foreign-campaign", "wrong-arm", "duplicate-part-id"])
+    def test_first_bad_part_of_a_long_arm_is_named(self, arm, fault):
+        other = Arm.TREATMENT if arm is Arm.CONTROL else Arm.CONTROL
+
+        def part(part_id, **changes):
+            return PartMeasurement(**{"campaign_id": "c1", "arm": arm, "part_id": part_id,
+                                      "impressions": 1000, "spend": 1.0, "value": 1.5, **changes})
+
+        bad, message = {
+            "foreign-campaign": (part(250, campaign_id="c9"),
+                                 "part belongs to campaign 'c9', not 'c1'"),
+            "wrong-arm": (part(250, arm=other),
+                          f"part 250 has arm {other.value}, expected {arm.value}"),
+            "duplicate-part-id": (part(17), f"duplicate part_id 17 in campaign 'c1' arm {arm.value}"),
+        }[fault]
+        parts = [part(j) for j in range(500)]
+        parts[250], parts[400] = bad, part(400, campaign_id="c8")
+        good = [part(j, arm=other) for j in range(3)]
+        with pytest.raises(ValueError) as caught:
+            CampaignExperiment("c1", *((parts, good) if arm is Arm.CONTROL else (good, parts)))
+        assert str(caught.value) == message

@@ -199,6 +199,22 @@ class TestConfigErrorsBeforeAnalysis:
         assert [str(w.message) for w in caught] == []
 
 
+class TestSubgroupLabelsCheckedBeforeAnalysis:
+    def test_incomplete_label_map_is_exit_2_when_subgroups_are_skipped(self, workdir, capsys):
+        (workdir / "harm.cfg").write_text(
+            "n_campaigns = 10\ntreatment_lift = -0.3\nseed = 4\n", encoding="utf-8")
+        data = workdir / "harm.csv"
+        assert main(["simulate", "--config", str(workdir / "harm.cfg"), "--out", str(data)]) == 0
+        share = ["--aa-treatment-share", "0.1"]
+        assert main(["evaluate", str(data), *share]) == 1
+        out = capsys.readouterr().out
+        assert "verdict: reject_harmful" in out and "skipped (strong rejection)" in out
+        for command in ("evaluate", "subgroup"):
+            code = main([command, str(data), *share, "--subgroup-labels", "camp_000:x"])
+            assert code == 2
+            assert capsys.readouterr() == ("", "error: campaign 'camp_0' has no subgroup label\n")
+
+
 class TestSubcommandsAgreeWithEvaluate:
     def test_calibrate_and_subgroup_match_the_evaluate_report(self, workdir, capsys):
         data = simulate(workdir)

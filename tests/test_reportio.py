@@ -3,12 +3,14 @@ import functools
 import json
 import operator
 from enum import Enum
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_campaign, make_dataset, make_part
+from roimeta import reportio
 from roimeta.campaigns import Arm, CampaignExperiment
 from roimeta.errors import SchemaError
 from roimeta.pipeline import EvaluationConfig, ExplicitThetas, Verdict, evaluate
@@ -195,3 +197,124 @@ class TestHumanFormat:
     def test_unknown_format_rejected(self, accept_report):
         with pytest.raises(SchemaError):
             render_report(accept_report, "xml")
+
+
+def per_item(item, docs):
+    """The batch decoder's fallback alone: each item through its own decoder."""
+    return tuple(map(item.from_plain, docs))
+
+
+def batch_only(item, docs):
+    """The batch decoder alone, with no fallback."""
+    return item.from_plain_many(docs)
+
+
+def outcome(text):
+    """The decoded report, or the SchemaError message."""
+    try:
+        return report_from_json(text)
+    except SchemaError as exc:
+        return str(exc)
+
+
+@functools.cache
+def long_report_doc(seed):
+    """A report with long tuples of parts, campaigns, exclusions and effects:
+    impressions near the qualification floor exclude parts and campaigns."""
+    dataset = generate_experiment(SimConfig(
+        n_campaigns=12, m_a=25, m_b=25, treatment_lift=0.05,
+        impressions_per_part_mean=118.0, seed=seed,
+    ))
+    return json.loads(report_to_json(evaluate(dataset, thetas_config())))
+
+
+def tuples_of_items(doc):
+    """Paths to every non-empty array of objects in a report document."""
+    paths = []
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, path + (key,))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            paths.append(path)
+            for i, item in enumerate(value):
+                walk(item, path + (i,))
+
+    walk(doc, ())
+    return paths
+
+
+def mutations(item, neighbour):
+    """Each listed fault that applies to ``item``, as (name, edit) pairs."""
+    key = sorted(item)[len(item) // 2]
+    found = [
+        ("missing-key", lambda d: d.pop(key)),
+        ("extra-key", lambda d: d.update(extra=1)),
+        ("renamed-key", lambda d: d.update({key + "_": d.pop(key)})),
+        ("array-for-value", lambda d: d.update({key: []})),
+        ("text-for-value", lambda d: d.update({key: "x"})),
+        ("object-for-value", lambda d: d.update({key: {}})),
+    ]
+    ints = sorted(k for k, v in item.items() if type(v) is int)
+    if ints:
+        found.append(("bool-for-int", lambda d: d.update({ints[0]: True})))
+    if "arm" in item:
+        found.append(("unknown-arm", lambda d: d.update(arm="C")))
+    if "roi" in item:
+        found.append(("roi-disagrees", lambda d: d.update(roi=(d["roi"] or 1.0) * 2)))
+    if "spend" in item:
+        found.append(("negative-spend", lambda d: d.update(spend=-1.0)))
+    if "part_id" in item and neighbour is not None:
+        found.append(("duplicate-part-id", lambda d: d.update(part_id=neighbour["part_id"])))
+    return found
+
+
+class TestBatchDecoder:
+    @pytest.mark.parametrize("source", [
+        "accept_report", "skipped_subgroup_report", "report_with_exclusions", 1, 2, 3,
+    ])
+    def test_batch_alone_decodes_valid_reports(self, request, source):
+        if isinstance(source, int):
+            text = json.dumps(long_report_doc(source))
+        else:
+            text = report_to_json(request.getfixturevalue(source))
+        with mock.patch.object(reportio, "_decode_items", batch_only):
+            report = report_from_json(text)
+        with mock.patch.object(reportio, "_decode_items", per_item):
+            assert report == report_from_json(text)
+        assert report_to_json(report) == indented(json.loads(text))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_report_or_same_error_as_per_item(self, data):
+        doc = json.loads(json.dumps(long_report_doc(data.draw(st.sampled_from([1, 2, 3])))))
+        path = data.draw(st.sampled_from(tuples_of_items(doc)))
+        items = functools.reduce(operator.getitem, path, doc)
+        position = data.draw(st.integers(0, len(items) - 1))
+        neighbour = items[position - 1] if position else None
+        name, mutate = data.draw(st.sampled_from(mutations(items[position], neighbour)))
+        mutate(items[position])
+        text = json.dumps(doc)
+        with mock.patch.object(reportio, "_decode_items", per_item):
+            expected = outcome(text)
+        assert outcome(text) == expected, (path, position, name)
+
+    # Messages for a bad part half-way through an arm, as the per-item
+    # decoder has always worded them.
+    @pytest.mark.parametrize("name,message", [
+        ("missing-key", "PartMeasurement must be an object with the keys "
+                        "['arm', 'campaign_id', 'impressions', 'part_id', 'roi', 'spend', 'value']"),
+        ("bool-for-int", "PartMeasurement.impressions must be an integer, not a boolean"),
+        ("text-for-value", "PartMeasurement.part_id must be an integer, not a string"),
+        ("unknown-arm", "'C' is not a valid Arm"),
+        ("negative-spend", "spend must be finite and >= 0, got -1.0"),
+        ("duplicate-part-id", "duplicate part_id 11 in campaign 'camp_00' arm B"),
+    ])
+    def test_pinned_messages(self, name, message):
+        doc = json.loads(json.dumps(long_report_doc(1)))
+        parts = doc["qualification"]["qualified"]["campaigns"][0]["parts_b"]
+        dict(mutations(parts[12], parts[11]))[name](parts[12])
+        with pytest.raises(SchemaError) as caught:
+            report_from_json(json.dumps(doc))
+        assert str(caught.value) == f"malformed report document: {message}"
