@@ -6,7 +6,10 @@ that aggregation is bit-exact and independent of summation order.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -152,10 +155,9 @@ class CampaignExperiment:
 
 @dataclass(frozen=True)
 class ExperimentDataset:
-    """All campaigns observed during one experiment, plus free-form metadata."""
+    """All campaigns observed during one experiment."""
 
     campaigns: tuple[CampaignExperiment, ...]
-    metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "campaigns", tuple(self.campaigns))
@@ -168,3 +170,20 @@ class ExperimentDataset:
     @property
     def n(self) -> int:
         return len(self.campaigns)
+
+
+def parts_sha256(dataset: ExperimentDataset) -> str:
+    """SHA-256 of the parts, exact and the same on every platform and from every
+    input format. Each campaign in order, arm A then B, adds the UTF-8 text
+    ``<campaign_id as JSON>,<arm>\\n<part_ids>\\n<impressions>\\n`` (decimal,
+    comma-separated), then the arm's spends and its values as little-endian doubles."""
+    digest = hashlib.sha256()
+    for campaign in dataset.campaigns:
+        head = json.dumps(campaign.campaign_id)
+        for arm, parts in (("A", campaign.parts_a), ("B", campaign.parts_b)):
+            ids = ",".join([str(p.part_id) for p in parts])
+            counts = ",".join([str(p.impressions) for p in parts])
+            money = struct.pack(f"<{2 * len(parts)}d", *[p.spend for p in parts],
+                                *[p.value for p in parts])
+            digest.update(f"{head},{arm}\n{ids}\n{counts}\n".encode("utf-8") + money)
+    return digest.hexdigest()

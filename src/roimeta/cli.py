@@ -68,10 +68,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate(dataset, config)
     if args.out:
         write_text_atomic(args.out, report_to_json(report))
-    rendered = render_report(
-        report, _FORMAT_BY_ALIAS[args.format], config.homogeneity_level
-    )
-    print(rendered, end="")
+    print(render_report(report, _FORMAT_BY_ALIAS[args.format]), end="")
     return 0 if report.decision.verdict is Verdict.ACCEPT else 1
 
 

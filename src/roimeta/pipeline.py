@@ -1,7 +1,7 @@
 """End-to-end evaluation: qualify, baseline checks, meta-analysis, decision, ramp.
 
-``evaluate`` runs the stages in a fixed order: qualification, the subgroup
-assignment (so a bad label map fails before any analysis), micro/macro
+``evaluate`` runs the stages in a fixed order: qualification, the label-map
+subgroup assignment (so a bad map fails before any analysis), micro/macro
 baselines against A/A-calibrated (or explicit) thresholds, per-campaign effect
 sizes, the fixed-then-random effects combination with its Z/CI significance
 test (``meta.summarize_effects``), subgroup diagnostics (skipped on a strong
@@ -30,7 +30,7 @@ from .baselines import (
     micro_delta,
     threshold_decision,
 )
-from .campaigns import ExperimentDataset
+from .campaigns import ExperimentDataset, parts_sha256
 from .errors import (
     ConfigError,
     DegenerateEffectError,
@@ -48,7 +48,9 @@ from .meta import (
     effect_size,
     summarize_effects,
 )
-from .preprocess import QualificationConfig, QualificationReport, qualify
+from .preprocess import (
+    KeptCampaign, QualificationConfig, QualificationRecord, QualifiedParts, qualify,
+)
 from .subgroups import SubgroupReport, SubgroupSpec, resolve_subgroups, subgroup_analysis
 
 
@@ -137,12 +139,13 @@ class EffectExclusion:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    qualification: QualificationReport
+    qualification: QualificationRecord
     baselines: tuple[BaselineResult, ...]
     effects: tuple[EffectSize, ...]
     effect_exclusions: tuple[EffectExclusion, ...]
     fixed: FixedEffectSummary
     heterogeneity: HeterogeneityStats
+    homogeneity_level: float  # the level the renderer marks p_Q and p_between against
     random: RandomEffectSummary
     significance: SignificanceResult
     subgroup: SubgroupReport | None
@@ -245,7 +248,9 @@ def evaluate(
     # perfbench --trace 1 wraps qualify, aa_calibrate, the deltas, collect_effects,
     # resolve_subgroups and subgroup_analysis by their names in this module
     totals = campaign_micro_totals(qualified)
-    groups = resolve_subgroups(totals, config.subgroups)
+    # A bad label map fails here; spend tiers are drawn only if the subgroups run.
+    groups = (resolve_subgroups(totals, config.subgroups)
+              if config.subgroups.kind == "by_label" else None)
     thetas = _resolve_thetas(qualified, totals, config)
     deltas = {
         BaselineMethod.MICRO: micro_delta(totals),
@@ -270,18 +275,25 @@ def evaluate(
     subgroup = None
     skip = config.skip_subgroup_on_strong_reject and decision.verdict is Verdict.REJECT_HARMFUL
     if not skip:
+        if groups is None:
+            groups = resolve_subgroups(totals, config.subgroups)
         subgroup = subgroup_analysis(
             effects, summary.heterogeneity.tau2, groups, config.confidence_level
         )
 
     recommendation = recommend_traffic(decision, config.schedule)
+    kept = tuple(KeptCampaign(c.campaign_id, c.m_a, c.m_b) for c in qualified.campaigns)
     return EvaluationReport(
-        qualification=qreport,
+        qualification=QualificationRecord(
+            QualifiedParts(kept, parts_sha256(qualified)), qreport.excluded_parts,
+            qreport.disqualified_campaigns, qreport.disqualified_fraction,
+        ),
         baselines=baselines,
         effects=effects,
         effect_exclusions=exclusions,
         fixed=summary.fixed,
         heterogeneity=summary.heterogeneity,
+        homogeneity_level=config.homogeneity_level,
         random=summary.random,
         significance=summary.significance,
         subgroup=subgroup,

@@ -46,6 +46,35 @@ class DisqualifiedCampaign:
 
 
 @dataclass(frozen=True)
+class KeptCampaign:
+    campaign_id: str
+    m_a: int
+    m_b: int
+
+
+@dataclass(frozen=True)
+class QualifiedParts:
+    """The qualified set as a report keeps it: part counts and ``parts_sha256``."""
+
+    campaigns: tuple[KeptCampaign, ...]
+    sha256: str
+
+    @property
+    def n(self) -> int:
+        return len(self.campaigns)
+
+
+@dataclass(frozen=True)
+class QualificationRecord:
+    """A ``QualificationReport`` as ``evaluate`` records it: parts as counts and a digest."""
+
+    qualified: QualifiedParts
+    excluded_parts: tuple[ExcludedPart, ...]
+    disqualified_campaigns: tuple[DisqualifiedCampaign, ...]
+    disqualified_fraction: float
+
+
+@dataclass(frozen=True)
 class QualificationReport:
     """Outcome of qualification: the surviving dataset plus full exclusion accounting.
 
@@ -116,7 +145,7 @@ def qualify(
                 ))
     fraction = len(disqualified) / dataset.n if dataset.n else 0.0
     return QualificationReport(
-        qualified=ExperimentDataset(tuple(retained), metadata=dict(dataset.metadata)),
+        qualified=ExperimentDataset(tuple(retained)),
         excluded_parts=tuple(excluded),
         disqualified_campaigns=tuple(disqualified),
         disqualified_fraction=fraction,

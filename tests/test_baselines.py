@@ -30,7 +30,7 @@ def swap_arms(dataset: ExperimentDataset) -> ExperimentDataset:
         new_a = [replace(p, arm=Arm.CONTROL) for p in c.parts_b]
         new_b = [replace(p, arm=Arm.TREATMENT) for p in c.parts_a]
         campaigns.append(CampaignExperiment(c.campaign_id, new_a, new_b))
-    return ExperimentDataset(tuple(campaigns), metadata=dict(dataset.metadata))
+    return ExperimentDataset(tuple(campaigns))
 
 
 def split_once(

@@ -96,7 +96,7 @@ class TestEvaluate:
         ])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
 
     def test_flag_overrides_config_file(self, workdir, capsys):
         data = simulate(workdir)
@@ -272,15 +272,25 @@ class TestReport:
         bad.write_text("{}", encoding="utf-8")
         assert main(["report", str(bad)]) == 2
 
-    def test_report_whose_part_roi_disagrees_is_exit_2(self, workdir, capsys):
+    def test_rerender_uses_the_recorded_homogeneity_level(self, workdir, capsys):
+        data = simulate(workdir)
+        report_path = workdir / "report.json"
+        capsys.readouterr()
+        main(["evaluate", str(data), "--config", str(workdir / "eval.cfg"),
+              "--out", str(report_path), "--homogeneity-level", "0.05"])
+        from_evaluate = capsys.readouterr().out
+        assert "at the 5% level" in from_evaluate
+        main(["report", str(report_path)])
+        assert capsys.readouterr().out == from_evaluate
+
+    def test_schema_version_1_report_is_exit_2(self, workdir, capsys):
         data = simulate(workdir)
         out = workdir / "report.json"
         main(["evaluate", str(data), "--config", str(workdir / "eval.cfg"),
               "--format", "json", "--out", str(out)])
         doc = json.loads(out.read_text(encoding="utf-8"))
-        part = doc["qualification"]["qualified"]["campaigns"][0]["parts_b"][0]
-        part["roi"] = part["value"] / part["spend"] * 2
+        doc["schema_version"] = "1"
         out.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["report", str(out)]) == 2
-        assert "PartMeasurement derives " in capsys.readouterr().err
+        assert "schema_version '1'" in capsys.readouterr().err

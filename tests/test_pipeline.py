@@ -1,5 +1,6 @@
 import json
 import statistics
+import warnings
 from math import fsum
 
 import pytest
@@ -142,6 +143,20 @@ class TestEvaluate:
         assert keeping.subgroup is not None
         assert keeping.decision == skipping.decision
 
+    def test_spend_tiers_warn_only_when_the_subgroups_run(self):
+        # two campaigns leave one of the three spend tiers empty
+        harmful = make_dataset([
+            make_campaign(f"c{i}", [1.0, 1.1, 0.9, 1.05], [0.5, 0.55, 0.45, 0.52])
+            for i in range(2)
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            skipped = evaluate(harmful, config_with_thetas())
+        assert skipped.decision.verdict is Verdict.REJECT_HARMFUL
+        assert skipped.subgroup is None
+        with pytest.warns(UserWarning, match="only 2 of 3 spend groups are non-empty"):
+            evaluate(harmful, config_with_thetas(skip_subgroup_on_strong_reject=False))
+
     def test_explicit_thetas_drive_baselines(self):
         report = evaluate(lifted_dataset(), EvaluationConfig(
             aa=ExplicitThetas(micro_theta=99.0, macro_theta=-99.0),
@@ -186,8 +201,11 @@ class TestEvaluate:
             [make_part("thin", Arm.CONTROL, 0, roi=1.0)],
             [make_part("thin", Arm.TREATMENT, 0, roi=1.0)],
         )
-        with pytest.raises(NoQualifiedCampaignsError, match="effect-size"):
-            evaluate(make_dataset([thin]), config_with_thetas())
+        # no warning about spend tiers that are never analysed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoQualifiedCampaignsError, match="effect-size"):
+                evaluate(make_dataset([thin]), config_with_thetas())
 
     def test_observed_share_feeds_calibration(self):
         dataset = lifted_dataset()
@@ -203,12 +221,6 @@ class TestEvaluate:
         assert observed.baselines == explicit.baselines
         even = evaluate(dataset, EvaluationConfig(aa=AaSettings(seed=5, treatment_share=0.5)))
         assert observed.baselines != even.baselines
-        # dataset metadata plays no part in the share
-        for raw in ("0.5", "n/a"):
-            with_meta = ExperimentDataset(dataset.campaigns, metadata={"treatment_share": raw})
-            assert evaluate(
-                with_meta, EvaluationConfig(aa=AaSettings(seed=5))
-            ).baselines == observed.baselines
 
     def test_verdict_reproducible_from_significance(self):
         report = evaluate(lifted_dataset(), config_with_thetas())

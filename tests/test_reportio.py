@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import operator
 from enum import Enum
@@ -11,9 +12,17 @@ from hypothesis import strategies as st
 
 from conftest import make_campaign, make_dataset, make_part
 from roimeta import reportio
-from roimeta.campaigns import Arm, CampaignExperiment
+from roimeta.campaigns import (
+    Arm,
+    CampaignExperiment,
+    ExperimentDataset,
+    PartMeasurement,
+    parts_sha256,
+    to_micros,
+)
 from roimeta.errors import SchemaError
 from roimeta.pipeline import EvaluationConfig, ExplicitThetas, Verdict, evaluate
+from roimeta.preprocess import qualify
 from roimeta.reportio import (
     _codec,
     render_report,
@@ -24,7 +33,8 @@ from roimeta.reportio import (
 from roimeta.simulate import SimConfig, generate_experiment
 
 
-PART = ("qualification", "qualified", "campaigns", 0, "parts_a", 0)
+PART = ("qualification", "excluded_parts", 0)
+KEPT = ("qualification", "qualified", "campaigns", 0)
 SUMMARY = ("subgroup", "summaries", 0)
 DELETE = object()
 
@@ -119,7 +129,7 @@ class TestMachineFormat:
     ])
     def test_report_matches_json_indent(self, request, name):
         report = request.getfixturevalue(name)
-        assert report_to_json(report) == indented({**plain(report), "schema_version": "1"})
+        assert report_to_json(report) == indented({**plain(report), "schema_version": "2"})
 
     def test_roundtrip_equality(self, accept_report, skipped_subgroup_report,
                                 report_with_exclusions):
@@ -131,20 +141,21 @@ class TestMachineFormat:
 
     def test_carries_schema_version(self, accept_report):
         doc = json.loads(report_to_json(accept_report))
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
 
     def test_rejects_wrong_schema_version(self, accept_report):
         doc = json.loads(report_to_json(accept_report))
-        doc["schema_version"] = "99"
-        with pytest.raises(SchemaError, match="schema_version"):
-            report_from_json(json.dumps(doc))
+        for version in ("1", "99"):  # no schema-1 reader
+            doc["schema_version"] = version
+            with pytest.raises(SchemaError, match=f"schema_version '{version}', expected '2'"):
+                report_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("malform", [
-        pytest.param(lambda doc: '{"schema_version": "1"}', id="truncated"),
+        pytest.param(lambda doc: '{"schema_version": "2"}', id="truncated"),
         pytest.param(lambda doc: "not json at all", id="not-json"),
         pytest.param(edited(PART + ("extra",), 1), id="unknown-key-in-part"),
         pytest.param(edited(("fixed", "extra"), 1), id="unknown-key-in-fixed"),
-        pytest.param(edited(PART + ("spend",), DELETE), id="missing-nested-key"),
+        pytest.param(edited(PART + ("part_id",), DELETE), id="missing-nested-key"),
         pytest.param(edited(PART + ("arm",), "C"), id="unknown-arm"),
         pytest.param(edited(("decision", "verdict"), "maybe"), id="unknown-verdict"),
         pytest.param(edited(("fixed",), None), id="null-fixed"),
@@ -153,13 +164,14 @@ class TestMachineFormat:
         pytest.param(edited(SUMMARY + ("members",), [1, 2]), id="numbers-in-members"),
         pytest.param(edited(("fixed", "mu"), "abc"), id="string-for-mu"),
         pytest.param(edited(("heterogeneity", "df"), True), id="boolean-for-df"),
-        pytest.param(edited(("qualification", "qualified", "metadata"), {"source": 1}),
-                     id="number-in-metadata"),
-        pytest.param(edited(PART + ("roi",), 0.5), id="roi-not-value-over-spend"),
-        pytest.param(edited(PART + ("spend",), 1e303), id="spend-too-large-to-quantize"),
+        pytest.param(edited(KEPT + ("parts_a",), []), id="parts-in-kept-campaign"),
+        pytest.param(edited(KEPT + ("m_b",), 2.0), id="number-for-kept-count"),
+        pytest.param(edited(("qualification", "qualified", "sha256"), None), id="null-digest"),
+        pytest.param(edited(("homogeneity_level",), DELETE), id="missing-homogeneity-level"),
     ])
-    def test_rejects_malformed_document(self, accept_report, malform):
-        text = malform(json.loads(report_to_json(accept_report)))
+    def test_rejects_malformed_document(self, malform):
+        # a report with parts excluded, campaigns kept and subgroups analysed
+        text = malform(json.loads(json.dumps(long_report_doc(1))))
         with pytest.raises(SchemaError):
             report_from_json(text)
 
@@ -170,6 +182,84 @@ class TestMachineFormat:
     def test_decoder_rejects_unsupported_annotation(self):
         with pytest.raises(TypeError, match="cannot encode or decode"):
             _codec(set[str])
+        with pytest.raises(TypeError, match="cannot encode or decode"):
+            _codec(dict[str, str])
+        # a derived (non-init) field, such as a part's roi, could not be checked
+        with pytest.raises(TypeError, match="cannot encode or decode"):
+            _codec(PartMeasurement)
+
+
+def keys_of(value):
+    """Every object key anywhere in a plain document."""
+    if isinstance(value, dict):
+        return set(value).union(*map(keys_of, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(keys_of, value))
+    return set()
+
+
+class TestQualificationBlock:
+    @pytest.mark.parametrize("source", [
+        "accept_report", "skipped_subgroup_report", "report_with_exclusions", 1,
+    ])
+    def test_no_part_table(self, request, source):
+        if isinstance(source, int):
+            doc = long_report_doc(source)
+        else:
+            doc = json.loads(report_to_json(request.getfixturevalue(source)))
+        assert not keys_of(doc) & {"parts_a", "parts_b", "roi"}
+
+    def test_counts_and_digest_of_the_qualified_parts(self):
+        dataset = generate_experiment(SimConfig(
+            n_campaigns=12, m_a=25, m_b=25, impressions_per_part_mean=118.0, seed=1,
+        ))
+        qualified = qualify(dataset).qualified
+        record = evaluate(dataset, thetas_config()).qualification.qualified
+        assert [(c.campaign_id, c.m_a, c.m_b) for c in record.campaigns] == [
+            (c.campaign_id, c.m_a, c.m_b) for c in qualified.campaigns]
+        assert record.n == qualified.n
+        assert record.sha256 == parts_sha256(qualified)
+
+    def test_report_size_does_not_grow_with_parts(self):
+        size = {
+            m: len(report_to_json(evaluate(
+                generate_experiment(SimConfig(n_campaigns=20, m_a=m, m_b=m, seed=3)),
+                thetas_config(),
+            )))
+            for m in (10, 200)
+        }
+        assert size[200] <= 1.1 * size[10]
+
+    def test_digest_pins_the_canonical_encoding(self):
+        odd = 'a,"b"%s\u00e9\n'
+        dataset = ExperimentDataset((
+            CampaignExperiment(
+                odd,
+                [make_part(odd, Arm.CONTROL, 3, spend=1.5, value=2.25, impressions=700),
+                 make_part(odd, Arm.CONTROL, 1, spend=0.5, value=0.75, impressions=10)],
+                [make_part(odd, Arm.TREATMENT, 0, spend=0.000001, value=0.0)],
+            ),
+        ))
+        head = b'"a,\\"b\\"%s\\u00e9\\n"'
+        encoded = (
+            head + b",A\n3,1\n700,10\n" + bytes.fromhex(
+                "000000000000f83f" "000000000000e03f"  # spends 1.5, 0.5
+                "0000000000000240" "000000000000e83f")  # values 2.25, 0.75
+            + head + b",B\n0\n1000\n" + bytes.fromhex("8dedb5a0f7c6b03e" "0000000000000000")
+        )
+        assert parts_sha256(dataset) == hashlib.sha256(encoded).hexdigest()
+
+    def test_digest_moves_with_one_micro_unit_of_spend(self):
+        dataset = generate_experiment(SimConfig(n_campaigns=5, seed=9))
+        campaign = dataset.campaigns[2]
+        part = campaign.parts_b[4]
+        moved = dataclasses.replace(part, spend=part.spend + 1e-6)
+        assert to_micros(moved.spend) == to_micros(part.spend) + 1
+        parts_b = campaign.parts_b[:4] + (moved,) + campaign.parts_b[5:]
+        nudged = ExperimentDataset(dataset.campaigns[:2] + (
+            CampaignExperiment(campaign.campaign_id, campaign.parts_a, parts_b),
+        ) + dataset.campaigns[3:])
+        assert parts_sha256(nudged) != parts_sha256(dataset)
 
 
 class TestHumanFormat:
@@ -188,9 +278,10 @@ class TestHumanFormat:
 
     def test_homogeneity_annotation_follows_level(self, accept_report):
         p_q = accept_report.heterogeneity.p_q
-        tight = render_report(accept_report, "human-table", homogeneity_level=min(p_q / 2, 0.5))
-        loose = render_report(accept_report, "human-table",
-                              homogeneity_level=min(p_q * 1.5, 0.99))
+        tight = render_report(dataclasses.replace(
+            accept_report, homogeneity_level=min(p_q / 2, 0.5)), "human-table")
+        loose = render_report(dataclasses.replace(
+            accept_report, homogeneity_level=min(p_q * 1.5, 0.99)), "human-table")
         assert "not significant at the" in tight
         assert tight != loose
 
@@ -245,7 +336,7 @@ def tuples_of_items(doc):
     return paths
 
 
-def mutations(item, neighbour):
+def mutations(item):
     """Each listed fault that applies to ``item``, as (name, edit) pairs."""
     key = sorted(item)[len(item) // 2]
     found = [
@@ -261,12 +352,6 @@ def mutations(item, neighbour):
         found.append(("bool-for-int", lambda d: d.update({ints[0]: True})))
     if "arm" in item:
         found.append(("unknown-arm", lambda d: d.update(arm="C")))
-    if "roi" in item:
-        found.append(("roi-disagrees", lambda d: d.update(roi=(d["roi"] or 1.0) * 2)))
-    if "spend" in item:
-        found.append(("negative-spend", lambda d: d.update(spend=-1.0)))
-    if "part_id" in item and neighbour is not None:
-        found.append(("duplicate-part-id", lambda d: d.update(part_id=neighbour["part_id"])))
     return found
 
 
@@ -292,29 +377,26 @@ class TestBatchDecoder:
         path = data.draw(st.sampled_from(tuples_of_items(doc)))
         items = functools.reduce(operator.getitem, path, doc)
         position = data.draw(st.integers(0, len(items) - 1))
-        neighbour = items[position - 1] if position else None
-        name, mutate = data.draw(st.sampled_from(mutations(items[position], neighbour)))
+        name, mutate = data.draw(st.sampled_from(mutations(items[position])))
         mutate(items[position])
         text = json.dumps(doc)
         with mock.patch.object(reportio, "_decode_items", per_item):
             expected = outcome(text)
         assert outcome(text) == expected, (path, position, name)
 
-    # Messages for a bad part half-way through an arm, as the per-item
-    # decoder has always worded them.
+    # Messages for a bad excluded part half-way through its list, as the
+    # per-item decoder has always worded them.
     @pytest.mark.parametrize("name,message", [
-        ("missing-key", "PartMeasurement must be an object with the keys "
-                        "['arm', 'campaign_id', 'impressions', 'part_id', 'roi', 'spend', 'value']"),
-        ("bool-for-int", "PartMeasurement.impressions must be an integer, not a boolean"),
-        ("text-for-value", "PartMeasurement.part_id must be an integer, not a string"),
+        ("missing-key", "ExcludedPart must be an object with the keys "
+                        "['arm', 'campaign_id', 'part_id', 'reason']"),
+        ("bool-for-int", "ExcludedPart.part_id must be an integer, not a boolean"),
+        ("text-for-value", "ExcludedPart.part_id must be an integer, not a string"),
         ("unknown-arm", "'C' is not a valid Arm"),
-        ("negative-spend", "spend must be finite and >= 0, got -1.0"),
-        ("duplicate-part-id", "duplicate part_id 11 in campaign 'camp_00' arm B"),
     ])
     def test_pinned_messages(self, name, message):
         doc = json.loads(json.dumps(long_report_doc(1)))
-        parts = doc["qualification"]["qualified"]["campaigns"][0]["parts_b"]
-        dict(mutations(parts[12], parts[11]))[name](parts[12])
+        parts = doc["qualification"]["excluded_parts"]
+        dict(mutations(parts[12]))[name](parts[12])
         with pytest.raises(SchemaError) as caught:
             report_from_json(json.dumps(doc))
         assert str(caught.value) == f"malformed report document: {message}"
