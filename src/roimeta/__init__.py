@@ -22,6 +22,7 @@ from .baselines import (
 )
 from .campaigns import (
     Arm,
+    ArmColumns,
     CampaignExperiment,
     ExperimentDataset,
     PartMeasurement,

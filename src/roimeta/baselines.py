@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import fsum
 
-from .campaigns import (
-    Arm,
-    ExperimentDataset,
-    micro_totals,
-    roi_of_micros,
-    to_micros,
-)
+from .campaigns import Arm, ExperimentDataset, roi_of_micros
 from .errors import ConfigError, InsufficientDataError
 from .randomness import HashStream
 
@@ -83,7 +77,8 @@ class AaCalibration:
 def campaign_micro_totals(dataset: ExperimentDataset) -> MicroTotals:
     """Exact (spend_a, value_a, spend_b, value_b) micro-units of each campaign, by
     id in dataset order: what the deltas below read."""
-    return {c.campaign_id: micro_totals(c.parts_a) + micro_totals(c.parts_b)
+    return {c.campaign_id: (sum(c.a.spend_micros), sum(c.a.value_micros),
+                            sum(c.b.spend_micros), sum(c.b.value_micros))
             for c in dataset.campaigns}
 
 
@@ -144,7 +139,7 @@ def aa_calibrate(
     campaign_id), so repeats are replayable and order independent.
 
     Column kernel: each call reads eligible campaigns' control spend and value
-    into integer micro-unit lists once; a repeat shuffles an index list, sums
+    micro columns as they are; a repeat shuffles an index list, sums
     the chosen pseudo-treatment indices, gets pseudo-control by subtraction
     and passes those micro totals to ``micro_delta`` and ``_roi_diffs``.
     """
@@ -162,8 +157,7 @@ def aa_calibrate(
         raise InsufficientDataError("no campaign has >= 2 control parts to split")
     columns = []
     for campaign in eligible:
-        spends = [to_micros(p.spend) for p in campaign.parts_a]
-        values = [to_micros(p.value) for p in campaign.parts_a]
+        spends, values = campaign.a.spend_micros, campaign.a.value_micros
         n_b = min(max(round(len(spends) * share_b), 1), len(spends) - 1)
         columns.append((campaign.campaign_id, spends, values, sum(spends), sum(values), n_b))
     per_repeat: dict[BaselineMethod, list[float]] = {m: [] for m in BaselineMethod}

@@ -8,14 +8,15 @@ Two interchangeable formats carry the same six fields per part:
 * ``record-lines`` -- one JSON object per line with the same keys, each value
   read through its text as a CSV field is; ``null`` counts as missing.
 
-Both feed one row path that turns each non-blank line's six raw fields into a
-``PartMeasurement`` and groups parts by campaign (first-seen order) and arm.
-The first fault raises ``IngestError`` with its file line (blank lines count;
-the CSV header is line 1); within a line the first failing check wins: the
-line itself (JSON syntax, an object, CSV column count), missing or empty
-fields (all listed), ``campaign_id``, arm, ``part_id``, ``impressions``,
-``spend``, ``value``, then a duplicate (campaign, arm, part_id) key. Part ROI
-is value/spend wherever spend is positive. Writes are temp file + rename.
+Both feed one row path that appends each non-blank line's six raw fields to
+its campaign's arm columns (campaigns in first-seen order), money in integer
+micro-units. The first fault raises ``IngestError`` with its file line (blank
+lines count; the CSV header is line 1); within a line the first failing check
+wins: the line itself (JSON syntax, an object, CSV column count), missing or
+empty fields (all listed), ``campaign_id``, arm, ``part_id``, ``impressions``,
+``spend``, ``value`` (a finite amount >= 0), either amount too large to
+quantize, then a duplicate (campaign, arm, part_id) key. Ids and arm tags are
+stripped. Writes are temp file + rename.
 """
 
 from __future__ import annotations
@@ -23,19 +24,22 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import tempfile
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .campaigns import Arm, CampaignExperiment, ExperimentDataset, PartMeasurement
+from .campaigns import (
+    MAX_AMOUNT, MICROS_PER_UNIT, CampaignExperiment, ExperimentDataset, arm_columns, check_amount,
+    from_micros,
+)
 from .errors import IngestError
 
 CSV_FIELDS = ("campaign_id", "arm", "part_id", "impressions", "spend", "value")
 INPUT_FORMATS = ("delimited-text", "record-lines")
 
-_ARM_BY_TAG = {"A": Arm.CONTROL, "B": Arm.TREATMENT}
+_ARM_TAGS = ("A", "B")
 _DECODER = json.JSONDecoder()
 _WRITE_CHARS = 1 << 20
 
@@ -56,26 +60,6 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def _parse_int(raw: object, field: str, line: int) -> int:
-    try:
-        value = int(str(raw).strip())
-    except (TypeError, ValueError):
-        raise IngestError(f"{field} must be an integer, got {raw!r}", line) from None
-    if value < 0:
-        raise IngestError(f"{field} must be >= 0, got {value}", line)
-    return value
-
-
-def _parse_money(raw: object, field: str, line: int) -> float:
-    try:
-        value = float(str(raw).strip())
-    except (TypeError, ValueError):
-        raise IngestError(f"{field} must be a decimal number, got {raw!r}", line) from None
-    if not math.isfinite(value) or value < 0:
-        raise IngestError(f"{field} must be finite and >= 0, got {value}", line)
-    return value
 
 
 def _rows_from_csv(path: Path) -> Iterator[tuple[int, list[str]]]:
@@ -119,42 +103,80 @@ def _rows_from_jsonl(path: Path) -> Iterator[tuple[int, tuple[object, ...]]]:
             yield line, tuple(map(record.get, CSV_FIELDS))
 
 
-def _dataset_from_rows(rows: Iterable[tuple[int, Sequence[object]]]) -> ExperimentDataset:
-    """Validate (line, six raw fields) rows into parts grouped by campaign and arm."""
-    by_campaign: dict[str, dict[str, dict[int, PartMeasurement]]] = {}
+def _checked_row(line: int, fields: Sequence[object]) -> tuple:
+    """One row's checks in the module docstring's order: the first failing one
+    raises; a row that passes them all gives its clean six values."""
+    if None in fields or "" in fields:
+        missing = [name for name, raw in zip(CSV_FIELDS, fields) if raw in (None, "")]
+        raise IngestError(f"missing field(s): {', '.join(missing)}", line)
+    campaign_id = str(fields[0]).strip()
+    if not campaign_id:
+        raise IngestError("campaign_id must be non-empty", line)
+    arm_tag = str(fields[1]).strip()
+    if arm_tag not in _ARM_TAGS:
+        raise IngestError(f"arm must be 'A' or 'B', got {arm_tag!r}", line)
+    numbers = []
+    try:
+        for name, raw in zip(CSV_FIELDS[2:], fields[2:]):
+            money = name in ("spend", "value")
+            try:
+                number = (float if money else int)(str(raw).strip())
+            except (TypeError, ValueError):
+                kind = "a decimal number" if money else "an integer"
+                raise IngestError(f"{name} must be {kind}, got {raw!r}", line) from None
+            if money:  # too large is checked once both amounts parse
+                check_amount(name, number, quantizable=False)
+            elif number < 0:
+                raise IngestError(f"{name} must be >= 0, got {number}", line)
+            numbers.append(number)
+        check_amount("spend", numbers[2])
+        check_amount("value", numbers[3])
+    except ValueError as exc:
+        raise IngestError(str(exc), line) from None
+    return campaign_id, arm_tag, *numbers
+
+
+def _dataset_from_rows(
+    rows: Iterable[tuple[int, Sequence[object]]], typed: bool
+) -> ExperimentDataset:
+    """Append (line, six raw fields) rows to their campaign's arm columns.
+
+    A row passes one test when its values have their exact types (``typed``:
+    JSON gave them) or ``int``/``float`` parse them (text), and all are in
+    range; any other row goes to ``_checked_row``, which alone words the error.
+    """
+    by_campaign: dict[str, dict[str, dict[int, tuple[int, int, int]]]] = {}
     for line, fields in rows:
-        if None in fields or "" in fields:
-            missing = [name for name, raw in zip(CSV_FIELDS, fields) if raw in (None, "")]
-            raise IngestError(f"missing field(s): {', '.join(missing)}", line)
         campaign_id, arm_tag, part_id, impressions, spend, value = fields
-        campaign_id = str(campaign_id).strip()
-        if not campaign_id:
-            raise IngestError("campaign_id must be non-empty", line)
-        arm_tag = str(arm_tag).strip()
-        if arm_tag not in _ARM_BY_TAG:
-            raise IngestError(f"arm must be 'A' or 'B', got {arm_tag!r}", line)
-        try:
-            part = PartMeasurement(
-                campaign_id, _ARM_BY_TAG[arm_tag],
-                _parse_int(part_id, "part_id", line),
-                _parse_int(impressions, "impressions", line),
-                _parse_money(spend, "spend", line),
-                _parse_money(value, "value", line),
-            )
-        except ValueError as exc:
-            raise IngestError(str(exc), line) from None
+        if typed:
+            fast = (type(campaign_id) is str and type(arm_tag) is str and type(part_id) is int
+                    and type(impressions) is int and type(spend) is float
+                    and type(value) is float)
+        else:
+            try:
+                part_id, impressions, spend, value = (
+                    int(part_id), int(impressions), float(spend), float(value))
+                fast = True
+            except ValueError:
+                fast = False
+        if not (fast and arm_tag in _ARM_TAGS and (campaign_id := campaign_id.strip())
+                and part_id >= 0 and impressions >= 0
+                and 0.0 <= spend <= MAX_AMOUNT and 0.0 <= value <= MAX_AMOUNT):
+            campaign_id, arm_tag, part_id, impressions, spend, value = _checked_row(line, fields)
         arms = by_campaign.get(campaign_id)
         if arms is None:
             arms = by_campaign[campaign_id] = {"A": {}, "B": {}}
         parts = arms[arm_tag]
-        if part.part_id in parts:
+        if part_id in parts:
             raise IngestError(
                 f"duplicate part: campaign {campaign_id!r} arm {arm_tag} "
-                f"part_id {part.part_id}", line,
+                f"part_id {part_id}", line,
             )
-        parts[part.part_id] = part
+        # to_micros, inlined
+        parts[part_id] = (impressions, round(spend * MICROS_PER_UNIT),
+                          round(value * MICROS_PER_UNIT))
     return ExperimentDataset(tuple(
-        CampaignExperiment(campaign_id, tuple(arms["A"].values()), tuple(arms["B"].values()))
+        CampaignExperiment.from_columns(campaign_id, *map(arm_columns, arms.values()))
         for campaign_id, arms in by_campaign.items()
     ))
 
@@ -169,8 +191,8 @@ def ingest(path: str | Path, input_format: str = "delimited-text") -> Experiment
     if not path.is_file():
         raise IngestError(f"no such file: {path}")
     if input_format == "record-lines":
-        return _dataset_from_rows(_rows_from_jsonl(path))
-    return _dataset_from_rows(_rows_from_csv(path))
+        return _dataset_from_rows(_rows_from_jsonl(path), typed=True)
+    return _dataset_from_rows(_rows_from_csv(path), typed=False)
 
 
 def render_dataset_csv(dataset: ExperimentDataset) -> str:
@@ -179,10 +201,11 @@ def render_dataset_csv(dataset: ExperimentDataset) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     for campaign in dataset.campaigns:
-        for part in campaign.parts_a + campaign.parts_b:
-            writer.writerow((
-                part.campaign_id, part.arm.value, part.part_id,
-                part.impressions, f"{part.spend:.6f}", f"{part.value:.6f}",
+        for arm, columns in (("A", campaign.a), ("B", campaign.b)):
+            writer.writerows(zip(
+                repeat(campaign.campaign_id), repeat(arm), columns.part_ids, columns.impressions,
+                [f"{from_micros(m):.6f}" for m in columns.spend_micros],
+                [f"{from_micros(m):.6f}" for m in columns.value_micros],
             ))
     return out.getvalue()
 

@@ -16,11 +16,10 @@ not depend on campaign iteration order.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import fsum
 
-from .campaigns import PartMeasurement
 from .errors import (
     ConfigError,
     DegenerateEffectError,
@@ -116,20 +115,20 @@ class MetaSummary:
     significance: SignificanceResult
 
 
-def arm_stats(parts: list[PartMeasurement] | tuple[PartMeasurement, ...]) -> ArmSampleStats:
-    """Mean and unbiased sample variance of the part ROIs of one arm."""
-    if len(parts) < 2:
+def arm_stats(rois: Sequence[float | None], campaign_id: str | None = None,
+              part_ids: Sequence[int] | None = None) -> ArmSampleStats:
+    """Mean and unbiased sample variance of one arm's part ROIs (``ArmColumns.rois``).
+    ``campaign_id`` and ``part_ids``, when given, name a part that has no ROI."""
+    if len(rois) < 2:
         raise InsufficientDataError(
-            f"need >= 2 parts to estimate a variance, got {len(parts)}"
+            f"need >= 2 parts to estimate a variance, got {len(rois)}"
         )
-    rois = []
-    for part in parts:
-        if part.roi is None:
-            raise UndefinedRoiError(
-                f"campaign {part.campaign_id!r} part {part.part_id} has no ROI "
-                "(zero spend); qualify the dataset first"
-            )
-        rois.append(part.roi)
+    if None in rois:
+        index = rois.index(None)
+        where = "" if campaign_id is None else f"campaign {campaign_id!r} "
+        part = f"part at index {index}" if part_ids is None else f"part {part_ids[index]}"
+        raise UndefinedRoiError(
+            f"{where}{part} has no ROI (zero spend); qualify the dataset first")
     m = len(rois)
     first = rois[0]
     if all(r == first for r in rois):

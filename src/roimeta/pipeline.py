@@ -215,16 +215,15 @@ def collect_effects(
     effects: list[EffectSize] = []
     exclusions: list[EffectExclusion] = []
     for campaign in dataset.campaigns:
+        campaign_id, a, b = campaign.campaign_id, campaign.a, campaign.b
         try:
-            stats_a = arm_stats(campaign.parts_a)
-            stats_b = arm_stats(campaign.parts_b)
             effects.append(effect_size(
-                stats_a, stats_b,
-                campaign_id=campaign.campaign_id,
-                variance_formula=variance_formula,
+                arm_stats(a.rois, campaign_id, a.part_ids),
+                arm_stats(b.rois, campaign_id, b.part_ids),
+                campaign_id=campaign_id, variance_formula=variance_formula,
             ))
         except (InsufficientDataError, DegenerateEffectError) as exc:
-            exclusions.append(EffectExclusion(campaign.campaign_id, str(exc)))
+            exclusions.append(EffectExclusion(campaign_id, str(exc)))
     return tuple(effects), tuple(exclusions)
 
 

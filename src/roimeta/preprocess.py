@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .campaigns import Arm, CampaignExperiment, ExperimentDataset, PartMeasurement
+from .campaigns import Arm, ArmColumns, CampaignExperiment, ExperimentDataset
 from .errors import ConfigError
 
 
@@ -89,24 +89,27 @@ class QualificationReport:
 
 
 def _screen_parts(
-    parts: tuple[PartMeasurement, ...], config: QualificationConfig
-) -> tuple[list[PartMeasurement], list[ExcludedPart]]:
-    kept: list[PartMeasurement] = []
+    campaign_id: str, arm: Arm, columns: ArmColumns, config: QualificationConfig
+) -> tuple[list[int], list[ExcludedPart]]:
+    """Indices of the arm's parts that qualify, and the dropped parts."""
+    minimum = config.min_impressions_per_part
+    kept: list[int] = []
     dropped: list[ExcludedPart] = []
-    for part in parts:
-        if part.impressions < config.min_impressions_per_part:
-            dropped.append(ExcludedPart(
-                part.campaign_id, part.arm, part.part_id,
-                f"impressions {part.impressions} below minimum "
-                f"{config.min_impressions_per_part}",
-            ))
-        elif part.spend == 0:
-            dropped.append(ExcludedPart(
-                part.campaign_id, part.arm, part.part_id, "zero spend, ROI undefined",
-            ))
+    for index, (part_id, impressions, spend) in enumerate(
+            zip(columns.part_ids, columns.impressions, columns.spend_micros)):
+        if impressions < minimum:
+            reason = f"impressions {impressions} below minimum {minimum}"
+        elif spend == 0:
+            reason = "zero spend, ROI undefined"
         else:
-            kept.append(part)
+            kept.append(index)
+            continue
+        dropped.append(ExcludedPart(campaign_id, arm, part_id, reason))
     return kept, dropped
+
+
+def _take(columns: ArmColumns, indices: list[int]) -> ArmColumns:
+    return ArmColumns._make(tuple([column[i] for i in indices]) for column in columns)
 
 
 def qualify(
@@ -123,26 +126,27 @@ def qualify(
     excluded: list[ExcludedPart] = []
     disqualified: list[DisqualifiedCampaign] = []
     for campaign in dataset.campaigns:
-        keep_a, drop_a = _screen_parts(campaign.parts_a, config)
-        keep_b, drop_b = _screen_parts(campaign.parts_b, config)
+        campaign_id, a, b = campaign.campaign_id, campaign.a, campaign.b
+        keep_a, drop_a = _screen_parts(campaign_id, Arm.CONTROL, a, config)
+        keep_b, drop_b = _screen_parts(campaign_id, Arm.TREATMENT, b, config)
         excluded.extend(drop_a)
         excluded.extend(drop_b)
         frac = config.min_qualified_fraction
         ok_a = len(keep_a) > frac * campaign.m_a
         ok_b = len(keep_b) > frac * campaign.m_b
         if ok_a and ok_b:
-            retained.append(campaign if not (drop_a or drop_b) else CampaignExperiment(
-                campaign.campaign_id, keep_a, keep_b))
+            retained.append(campaign if not (drop_a or drop_b) else
+                            CampaignExperiment.from_columns(
+                                campaign_id, _take(a, keep_a), _take(b, keep_b)))
         else:
             disqualified.append(DisqualifiedCampaign(
-                campaign.campaign_id,
+                campaign_id,
                 f"qualified parts {len(keep_a)}/{campaign.m_a} (A) and "
                 f"{len(keep_b)}/{campaign.m_b} (B) not above fraction {frac:g}",
             ))
-            for part in keep_a + keep_b:
-                excluded.append(ExcludedPart(
-                    part.campaign_id, part.arm, part.part_id, "campaign disqualified",
-                ))
+            for arm, columns, kept in ((Arm.CONTROL, a, keep_a), (Arm.TREATMENT, b, keep_b)):
+                excluded.extend(ExcludedPart(campaign_id, arm, columns.part_ids[i],
+                                             "campaign disqualified") for i in kept)
     fraction = len(disqualified) / dataset.n if dataset.n else 0.0
     return QualificationReport(
         qualified=ExperimentDataset(tuple(retained)),

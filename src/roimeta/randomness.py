@@ -10,7 +10,8 @@ inversion for small means and a rounded normal approximation for large ones.
 Cost model: one keyed BLAKE2b (a copy of the key-absorbed state, fed the 8-byte
 counter) per draw, with one Python frame above it. The digest maps to (0, 1) as
 ``(u64 + 0.5) * 2**-64`` in ``uniform`` and, inline, in ``shuffle``'s loop; the
-draw parity test in tests/test_simulate.py pins both copies.
+draw parity test in tests/test_simulate.py pins both copies. For the top
+2**10 u64 values the product rounds to 1.0, which only ``uniform`` replaces.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class HashStream:
         block = self._prefix.copy()
         block.update(self._counter.to_bytes(8, "big"))
         self._counter += 1
-        return (int.from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64
+        u = (int.from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64
+        return u if u < 1.0 else 1.0 - 2.0 ** -53  # u64 >= 2**64 - 2**10 rounds to 1.0
 
     def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
         return mean + sd * normal_quantile(self.uniform())

@@ -14,19 +14,6 @@ per campaign (kept part counts, effects) or per excluded part. The batch
 decoder checks all that the per-item decoder checks but words no error: on
 a fault it decodes the items one by one, so every message and its
 precedence are the per-item decoder's.
-
-The machine text is exactly ``json.dumps(doc, indent=2, sort_keys=True)``,
-but ``to_json`` does not call it that way: whenever ``indent`` is set, json
-falls back from its C encoder to a pure-Python one, which made writing a
-report slower than computing it. ``to_json`` writes the indentation itself
-only for containers that hold containers. Every flat block (a dict or list
-of scalars) goes to a ``JSONEncoder`` whose item separator carries the
-newline and the indentation, so the C encoder writes it in one call. A list
-of flat dicts (kept counts, effects, exclusions) is also one call, and its
-``},\n<pad>{`` item boundaries are then re-indented with one ``str.replace``.
-That is safe because encoded JSON never holds a raw newline inside a string,
-so every newline in the encoder's output is a separator, and inside a flat
-dict the next item after a separator starts with a key's quote, not ``{``.
 """
 
 from __future__ import annotations
@@ -38,7 +25,7 @@ import operator
 import types
 import typing
 from enum import Enum
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Any, Callable
 
 from .baselines import BaselineDecision
@@ -48,8 +35,6 @@ from .pipeline import EvaluationReport, Verdict
 SCHEMA_VERSION = "2"
 
 REPORT_FORMATS = ("human-table", "machine-json")
-
-_CONTAINERS = frozenset((dict, list))
 
 # The types ``json.loads`` gives a value of each scalar annotation. A float
 # field also takes an int: ``ExplicitThetas(micro_theta=0)`` writes one.
@@ -195,54 +180,9 @@ def to_plain(obj: Any) -> dict:
     return _codec(type(obj)).to_plain(obj)
 
 
-@functools.cache
-def _flat_encoder(depth: int) -> Callable[[Any], str]:
-    """Encode a value whose items sit one level below ``depth``, one per line."""
-    separators = (",\n" + "  " * (depth + 1), ": ")
-    return json.JSONEncoder(sort_keys=True, separators=separators).encode
-
-
-def _write(value: Any, depth: int, out: list[str]) -> None:
-    kind = type(value)
-    if kind not in _CONTAINERS or not value:
-        out.append(_flat_encoder(depth)(value))
-        return
-    pad, inner = "  " * depth, "  " * (depth + 1)
-    if _CONTAINERS.isdisjoint(map(type, value.values() if kind is dict else value)):
-        text = _flat_encoder(depth)(value)
-        out.append(f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}")
-    elif (kind is list and {dict}.issuperset(map(type, value)) and all(value)
-          and _CONTAINERS.isdisjoint(map(type, chain.from_iterable(map(dict.values, value))))):
-        deeper = inner + "  "
-        body = _flat_encoder(depth + 1)(value)[2:-2].replace(
-            "},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}"
-        )
-        out.append(f"[\n{inner}{{\n{deeper}{body}\n{inner}}}\n{pad}]")
-    elif kind is dict:
-        key_encoder, separator = _flat_encoder(depth), "{\n"
-        for key, item in sorted(value.items()):
-            out.append(f"{separator}{inner}{key_encoder(key)}: ")
-            _write(item, depth + 1, out)
-            separator = ",\n"
-        out.append(f"\n{pad}}}")
-    else:
-        separator = "[\n"
-        for item in value:
-            out.append(separator + inner)
-            _write(item, depth + 1, out)
-            separator = ",\n"
-        out.append(f"\n{pad}]")
-
-
 def to_json(doc: Any) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for a plain
-    document (dicts with string keys, lists and JSON scalars, as ``to_plain``
-    and ``json.loads`` make them), written mostly by json's C encoder (see
-    the module docstring)."""
-    out: list[str] = []
-    _write(doc, 0, out)
-    out.append("\n")
-    return "".join(out)
+    """The machine text of a plain document: sorted keys, two-space indent."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def report_to_json(report: EvaluationReport) -> str:

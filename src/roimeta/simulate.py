@@ -11,8 +11,9 @@ hash-keyed substream, so generation is independent of execution order and
 stable across platforms. Parameter defaults are chosen for test coverage, not
 for fidelity to any production traffic.
 
-Parts keep only the quantized money and derive their ROIs from it, so a dataset
-gives the same report bytes in memory as after a 6-decimal file round trip.
+Each arm is built as integer micro columns, quantized and with ROIs derived as
+ingest does, so a dataset gives the same report bytes in memory as after a
+6-decimal file round trip.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .campaigns import Arm, CampaignExperiment, ExperimentDataset, PartMeasurement
+from .campaigns import (
+    ArmColumns, CampaignExperiment, ExperimentDataset, arm_columns, check_amount, to_micros,
+)
 from .errors import ConfigError
 from .randomness import HashStream
 
@@ -93,29 +96,24 @@ def generate_experiment(config: SimConfig) -> ExperimentDataset:
         lift = config.outlier_lift if i in outliers else config.treatment_lift
         spend_a = budgets[i] * (1.0 - config.treatment_share) / config.m_a
         spend_b = budgets[i] * config.treatment_share / config.m_b
-        parts_a = [
-            _generate_part(stream, campaign_id, Arm.CONTROL, j, spend_a, level, config)
-            for j in range(config.m_a)
-        ]
-        parts_b = [
-            _generate_part(
-                stream, campaign_id, Arm.TREATMENT, j, spend_b, level * (1.0 + lift), config
-            )
-            for j in range(config.m_b)
-        ]
-        campaigns.append(CampaignExperiment(campaign_id, parts_a, parts_b))
+        arm_a = _generate_arm(stream, config.m_a, spend_a, level, config)
+        arm_b = _generate_arm(stream, config.m_b, spend_b, level * (1.0 + lift), config)
+        campaigns.append(CampaignExperiment.from_columns(campaign_id, arm_a, arm_b))
     return ExperimentDataset(tuple(campaigns))
 
 
-def _generate_part(
-    stream: HashStream,
-    campaign_id: str,
-    arm: Arm,
-    part_id: int,
-    spend: float,
-    roi_level: float,
-    config: SimConfig,
-) -> PartMeasurement:
-    roi = roi_level * _mean_one_lognormal(stream, config.part_noise_sd)
-    impressions = stream.poisson(config.impressions_per_part_mean)
-    return PartMeasurement(campaign_id, arm, part_id, impressions, spend, roi * spend)
+def _generate_arm(stream: HashStream, m: int, spend: float, roi_level: float,
+                  config: SimConfig) -> ArmColumns:
+    """Parts 0..m-1 of one arm; each draws its ROI noise, then its impressions."""
+    rows = {}
+    for part_id in range(m):
+        roi = roi_level * _mean_one_lognormal(stream, config.part_noise_sd)
+        impressions = stream.poisson(config.impressions_per_part_mean)
+        value = roi * spend
+        try:
+            check_amount("spend", spend)
+            check_amount("value", value)
+        except ValueError as exc:
+            raise ConfigError(f"simulated {exc}") from None
+        rows[part_id] = (impressions, to_micros(spend), to_micros(value))
+    return arm_columns(rows)

@@ -27,7 +27,7 @@ from roimeta.baselines import (
     micro_roi,
     threshold_decision,
 )
-from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset, micro_totals
+from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
 from roimeta.dataio import ingest, write_dataset
 from roimeta.meta import SignificanceResult, summarize_effects, z_significance
 from roimeta.pipeline import (
@@ -282,10 +282,10 @@ class TestCriterion8InvariantSuite:
             [replace(p, spend=p.spend * den, value=p.value * num) for p in target.parts_a],
             [replace(p, spend=p.spend * den, value=p.value * num) for p in target.parts_b],
         )
-        for parts, scaled in ((target.parts_a, scaled_campaign.parts_a),
-                              (target.parts_b, scaled_campaign.parts_b)):
-            spend, value = micro_totals(parts)
-            assert micro_totals(scaled) == (spend * den, value * num)
+        (spend_a, value_a, spend_b, value_b), scaled_totals = (
+            campaign_micro_totals(ExperimentDataset((c,)))[c.campaign_id]
+            for c in (target, scaled_campaign))
+        assert scaled_totals == (spend_a * den, value_a * num, spend_b * den, value_b * num)
         campaigns = list(dataset.campaigns)
         campaigns[index] = scaled_campaign
         effects, excluded, summary = engine_summary(dataset)

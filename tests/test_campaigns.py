@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_campaign, make_part
+from roimeta.baselines import campaign_micro_totals
 from roimeta.campaigns import (
     MAX_AMOUNT,
     MICROS_PER_UNIT,
@@ -14,7 +15,6 @@ from roimeta.campaigns import (
     CampaignExperiment,
     ExperimentDataset,
     PartMeasurement,
-    micro_totals,
     roi_of_micros,
 )
 from roimeta.errors import UndefinedRoiError
@@ -265,8 +265,14 @@ class TestConstructorParity:
         assert part != replace(part, impressions=11)
 
 
+def micro_totals(parts):
+    """Control-arm spend and value totals of a campaign holding ``parts``."""
+    campaign = CampaignExperiment("c1", parts, ())
+    return campaign_micro_totals(ExperimentDataset((campaign,)))["c1"][:2]
+
+
 class TestArmTotals:
-    """One arm's exact micro totals (``micro_totals``) and ROI (``roi_of_micros``)."""
+    """One arm's exact micro totals (``campaign_micro_totals``) and ROI (``roi_of_micros``)."""
 
     def test_two_parts(self):
         parts = [

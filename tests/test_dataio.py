@@ -1,8 +1,16 @@
+import csv
+import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from roimeta.campaigns import Arm
+from roimeta.baselines import AaSettings
+from roimeta.campaigns import (
+    MAX_AMOUNT, MICROS_PER_UNIT, Arm, CampaignExperiment, ExperimentDataset, PartMeasurement,
+    from_micros,
+)
 from roimeta import dataio
 from roimeta.dataio import (
     CSV_FIELDS,
@@ -12,6 +20,8 @@ from roimeta.dataio import (
     write_text_atomic,
 )
 from roimeta.errors import IngestError
+from roimeta.pipeline import EvaluationConfig, evaluate
+from roimeta.reportio import report_to_json
 from roimeta.simulate import SimConfig, generate_experiment
 
 HEADER = "campaign_id,arm,part_id,impressions,spend,value"
@@ -237,7 +247,7 @@ ERROR_CASES = [
      {"record-lines": "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"}),
     # When a row has several faults, the first check in this order wins:
     # missing fields, campaign_id, arm, part_id, impressions, spend, value,
-    # duplicate key.
+    # either amount too large to quantize, duplicate key.
     ("missing-before-arm", [row(arm="C", value="")], 0,
      dict.fromkeys(FORMATS, "missing field(s): value")),
     ("campaign-before-arm", [row(campaign_id=" ", arm="C")], 0,
@@ -252,6 +262,12 @@ ERROR_CASES = [
      dict.fromkeys(FORMATS, "spend must be finite and >= 0, got -1.0")),
     ("value-before-duplicate", [GOOD, row(value=-2)], 1,
      dict.fromkeys(FORMATS, "value must be finite and >= 0, got -2.0")),
+    ("value-text-before-spend-too-large", [row(spend=1e303, value="abc")], 0,
+     dict.fromkeys(FORMATS, "value must be a decimal number, got 'abc'")),
+    ("value-range-before-spend-too-large", [row(spend=1e303, value=NAN)], 0,
+     dict.fromkeys(FORMATS, "value must be finite and >= 0, got nan")),
+    ("spend-too-large-before-value-too-large", [row(spend=1e303, value=1e303)], 0,
+     dict.fromkeys(FORMATS, "spend is too large to quantize, got 1e+303")),
     ("first-faulty-row-wins", [GOOD, row(part_id=1, impressions=-3), row(arm="C")], 1,
      dict.fromkeys(FORMATS, "impressions must be >= 0, got -3")),
     ("blank-lines-count", [GOOD, "", "   ", row(part_id=1, arm="C")], 3,
@@ -304,3 +320,196 @@ class TestIngestErrorContract:
         assert (part.campaign_id, part.part_id, part.impressions, part.spend, part.value) == (
             "7", 3, 100, 2.5, 5.0,
         )
+
+
+class TestPaddedCampaignId:
+    """An id with leading or trailing whitespace is refused in memory and
+    stripped by ingest, so every input form of a dataset gives one id."""
+
+    def test_memory_refuses_and_files_strip(self, tmp_path):
+        dataset = generate_experiment(SimConfig(n_campaigns=3, seed=5))
+        first = dataset.campaigns[0]
+        message = "campaign_id ' padded ' has leading or trailing whitespace"
+        for build in (
+            lambda: PartMeasurement(" padded ", Arm.CONTROL, 0, 1000, 1.0, 1.0),
+            lambda: CampaignExperiment(" padded ", (), ()),
+            lambda: CampaignExperiment.from_columns(" padded ", first.a, first.b),
+        ):
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert str(caught.value) == message
+
+        config = EvaluationConfig(aa=AaSettings(seed=1))
+        renamed = ExperimentDataset(
+            (CampaignExperiment.from_columns("padded", first.a, first.b),)
+            + dataset.campaigns[1:])
+        expected = report_to_json(evaluate(renamed, config))
+        text = render_dataset_csv(dataset).replace("\ncamp_0,", '\n" padded ",')
+        assert text.count('" padded "') == first.m_a + first.m_b
+        records = [
+            json.dumps({"campaign_id": row[0], "arm": row[1], "part_id": int(row[2]),
+                        "impressions": int(row[3]), "spend": float(row[4]),
+                        "value": float(row[5])})
+            for row in list(csv.reader(io.StringIO(text)))[1:]
+        ]
+        for input_format, body in (("delimited-text", text),
+                                   ("record-lines", "\n".join(records) + "\n")):
+            loaded = ingest(write(tmp_path, "d.txt", body), input_format)
+            assert [c.campaign_id for c in loaded.campaigns] == ["padded", "camp_1", "camp_2"]
+            assert report_to_json(evaluate(loaded, config)) == expected
+
+
+# --- the row path against the object path it replaced -------------------------
+
+def reference_dataset(rows):
+    """The row path that built a ``PartMeasurement`` per row: its checks in
+    their order, money quantised and ROI derived as the part did, grouped by
+    campaign (first seen) and arm; each part as ids and float bits."""
+
+    def parse_int(raw, name, line):
+        try:
+            number = int(str(raw).strip())
+        except (TypeError, ValueError):
+            raise IngestError(f"{name} must be an integer, got {raw!r}", line) from None
+        if number < 0:
+            raise IngestError(f"{name} must be >= 0, got {number}", line)
+        return number
+
+    def parse_money(raw, name, line):
+        try:
+            amount = float(str(raw).strip())
+        except (TypeError, ValueError):
+            raise IngestError(f"{name} must be a decimal number, got {raw!r}", line) from None
+        if not math.isfinite(amount) or amount < 0:
+            raise IngestError(f"{name} must be finite and >= 0, got {amount}", line)
+        return amount
+
+    by_campaign = {}
+    for line, fields in rows:
+        if None in fields or "" in fields:
+            missing = [name for name, raw in zip(CSV_FIELDS, fields) if raw in (None, "")]
+            raise IngestError(f"missing field(s): {', '.join(missing)}", line)
+        campaign_id, arm_tag, part_id, impressions, spend, value = fields
+        campaign_id = str(campaign_id).strip()
+        if not campaign_id:
+            raise IngestError("campaign_id must be non-empty", line)
+        arm_tag = str(arm_tag).strip()
+        if arm_tag not in ("A", "B"):
+            raise IngestError(f"arm must be 'A' or 'B', got {arm_tag!r}", line)
+        part_id = parse_int(part_id, "part_id", line)
+        impressions = parse_int(impressions, "impressions", line)
+        spend = parse_money(spend, "spend", line)
+        value = parse_money(value, "value", line)
+        for name, amount in (("spend", spend), ("value", value)):
+            if MAX_AMOUNT < amount < math.inf:
+                raise IngestError(f"{name} is too large to quantize, got {amount!r}", line)
+        spend = round(spend * MICROS_PER_UNIT) / MICROS_PER_UNIT
+        value = round(value * MICROS_PER_UNIT) / MICROS_PER_UNIT
+        parts = by_campaign.setdefault(campaign_id, {"A": {}, "B": {}})[arm_tag]
+        if part_id in parts:
+            raise IngestError(
+                f"duplicate part: campaign {campaign_id!r} arm {arm_tag} part_id {part_id}", line)
+        parts[part_id] = (part_id, impressions, spend.hex(), value.hex(),
+                          (value / spend).hex() if spend else None)
+    return [(campaign_id, [(tag, list(arms[tag].values())) for tag in "AB"])
+            for campaign_id, arms in by_campaign.items()]
+
+
+def column_rows(dataset):
+    """``reference_dataset``'s shape, read from the columns."""
+    return [(c.campaign_id, [
+        (tag, [(part_id, impressions, from_micros(spend).hex(), from_micros(value).hex(),
+                None if roi is None else roi.hex())
+               for part_id, impressions, spend, value, roi in zip(*columns)])
+        for tag, columns in (("A", c.a), ("B", c.b))]) for c in dataset.campaigns]
+
+
+def view_rows(dataset):
+    """``reference_dataset``'s shape, read from the part views."""
+    return [(c.campaign_id, [
+        (tag, [(p.part_id, p.impressions, p.spend.hex(), p.value.hex(),
+                None if p.roi is None else p.roi.hex()) for p in parts])
+        for tag, parts in (("A", c.parts_a), ("B", c.parts_b))]) for c in dataset.campaigns]
+
+
+def outcome(read):
+    try:
+        return read()
+    except IngestError as exc:
+        return "IngestError", exc.line, str(exc)
+
+
+VALID_FIELDS = (
+    st.sampled_from(["c1", "c2", "c3"]),
+    st.sampled_from(["A", "B"]),
+    st.sampled_from([0, 100]),
+    st.integers(0, 5000),
+    st.one_of(st.floats(0.0, 1e6), st.just(0.0)),
+    st.one_of(st.floats(0.0, 1e6), st.just(0.0)),
+)
+ODD_ID = st.sampled_from([" c1 ", "c2\t", " c3", "", "  ", "c,4", 'c"5', 7, True, 1.5, None])
+ODD_ARM = st.sampled_from([" B ", "A\t", "C", "a", "", None, 1, True, ["A"]])
+ODD_COUNT = st.one_of(
+    st.integers(-3, -1),
+    st.sampled_from([True, False, 1.0, 2.5, "3", " 2 ", "1_0", "+1", "٣", "x", "1e3",
+                     "", None, 10**20, -(10**20)]),
+)
+ODD_MONEY = st.one_of(
+    st.floats(),  # NaN, infinities and negatives included
+    st.floats(1e290, 1.8e302),
+    st.sampled_from([
+        -0.0, -1.0, NAN, INF, -INF, MAX_AMOUNT, math.nextafter(MAX_AMOUNT, INF), 1e303,
+        5e-7, 1.5e-6, 5, 0, True, False, 10**303, 10**400, -(10**400),
+        "2.5", " 1.5 ", "nan", "NaN", "Infinity", "-inf", "1e400", "1_000.5", "abc", "",
+        None,
+    ]),
+)
+ODD_FIELDS = (ODD_ID, ODD_ARM, ODD_COUNT, ODD_COUNT, ODD_MONEY, ODD_MONEY)
+
+
+@st.composite
+def raw_rows(draw):
+    """Valid rows with distinct part ids, some repeating the key before them;
+    at most two rows have one to three odd fields."""
+    count = draw(st.integers(1, 8))
+    odd_rows = draw(st.sets(st.integers(0, count - 1), max_size=2))
+    rows = []
+    for index in range(count):
+        row = [draw(strategy) for strategy in VALID_FIELDS]
+        row[2] += index
+        if rows and draw(st.integers(0, 19)) == 0:
+            row[:3] = rows[-1][:3]
+        if index in odd_rows:
+            fields = st.sampled_from([0, 1, 2, 3, 4, 4, 5, 5])  # money twice as often
+            for field in draw(st.sets(fields, min_size=1, max_size=3)):
+                row[field] = draw(ODD_FIELDS[field])
+        rows.append(row)
+    return rows
+
+
+def render_raw(input_format, rows):
+    out = io.StringIO()
+    if input_format == "delimited-text":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
+        writer.writerows(rows)
+    else:
+        for row in rows:
+            out.write(json.dumps(dict(zip(CSV_FIELDS, row))) + "\n")
+    return out.getvalue()
+
+
+class TestRowPathParity:
+    """Ingest gives the columns, part views and first error of the object path."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(FORMATS), raw_rows())
+    def test_same_columns_or_error(self, tmp_path, input_format, rows):
+        path = write(tmp_path, "rows.txt", render_raw(input_format, rows))
+        reader = (dataio._rows_from_jsonl if input_format == "record-lines"
+                  else dataio._rows_from_csv)
+        expected = outcome(lambda: reference_dataset(reader(path)))
+        assert outcome(lambda: column_rows(ingest(path, input_format))) == expected
+        if expected[0] != "IngestError":
+            assert view_rows(ingest(path, input_format)) == expected

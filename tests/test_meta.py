@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_part, random_dataset
 from oracle import oracle_meta
-from roimeta.campaigns import Arm
+from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset, PartMeasurement
 from roimeta.errors import (
     ConfigError,
     DegenerateEffectError,
     InsufficientDataError,
+    UndefinedRoiError,
 )
 from roimeta.meta import (
     ArmSampleStats,
@@ -22,6 +23,11 @@ from roimeta.meta import (
     tau_squared,
     z_significance,
 )
+from roimeta.pipeline import collect_effects
+
+
+def rois_of(parts):
+    return [part.roi for part in parts]
 
 
 def effects_from_dv(pairs):
@@ -41,28 +47,47 @@ class TestArmStats:
     def test_hand_example(self):
         parts = [make_part("c1", Arm.CONTROL, 0, roi=0.8),
                  make_part("c1", Arm.CONTROL, 1, roi=1.2)]
-        stats = arm_stats(parts)
+        stats = arm_stats(rois_of(parts))
         assert stats.mean == pytest.approx(1.0, abs=1e-12)
         assert stats.variance == pytest.approx(0.08, abs=1e-12)
         assert stats.m == 2
 
     def test_constant_rois_have_zero_variance(self):
         parts = [make_part("c1", Arm.CONTROL, j, roi=0.1) for j in range(3)]
-        stats = arm_stats(parts)
+        stats = arm_stats(rois_of(parts))
         assert stats.mean == 0.1
         assert stats.variance == 0.0
 
     def test_single_part_rejected(self):
         with pytest.raises(InsufficientDataError):
-            arm_stats([make_part("c1", Arm.CONTROL, 0, roi=1.0)])
+            arm_stats(rois_of([make_part("c1", Arm.CONTROL, 0, roi=1.0)]))
+
+    def test_zero_spend_part_is_named(self):
+        rois = [0.8, None, 1.2]
+        with pytest.raises(UndefinedRoiError) as caught:
+            arm_stats(rois)
+        assert str(caught.value) == (
+            "part at index 1 has no ROI (zero spend); qualify the dataset first")
+        with pytest.raises(UndefinedRoiError) as caught:
+            arm_stats(rois, "c1", (0, 3, 5))
+        assert str(caught.value) == (
+            "campaign 'c1' part 3 has no ROI (zero spend); qualify the dataset first")
+
+    def test_collect_effects_names_the_unqualified_part(self):
+        parts_a = [PartMeasurement("x", Arm.CONTROL, j, 500, 0.0 if j == 3 else 10.0, 12.0)
+                   for j in range(5)]
+        parts_b = [PartMeasurement("x", Arm.TREATMENT, j, 500, 10.0, 11.0) for j in range(5)]
+        unqualified = ExperimentDataset((CampaignExperiment("x", parts_a, parts_b),))
+        with pytest.raises(UndefinedRoiError, match=r"^campaign 'x' part 3 has no ROI"):
+            collect_effects(unqualified)
 
 
 class TestEffectSize:
     def test_hand_example(self):
-        stats_a = arm_stats([make_part("c", Arm.CONTROL, 0, roi=0.8),
-                             make_part("c", Arm.CONTROL, 1, roi=1.2)])
-        stats_b = arm_stats([make_part("c", Arm.TREATMENT, 0, roi=1.1),
-                             make_part("c", Arm.TREATMENT, 1, roi=1.5)])
+        stats_a = arm_stats(rois_of([make_part("c", Arm.CONTROL, 0, roi=0.8),
+                                     make_part("c", Arm.CONTROL, 1, roi=1.2)]))
+        stats_b = arm_stats(rois_of([make_part("c", Arm.TREATMENT, 0, roi=1.1),
+                                     make_part("c", Arm.TREATMENT, 1, roi=1.5)]))
         effect = effect_size(stats_a, stats_b, campaign_id="c")
         assert effect.pooled_sd == pytest.approx(0.28284271247461895, abs=1e-12)
         assert effect.delta == pytest.approx(1.0606601717798216, abs=1e-12)
@@ -73,8 +98,8 @@ class TestEffectSize:
         assert effect.w * effect.v == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_arms_give_zero(self):
-        stats = arm_stats([make_part("c", Arm.CONTROL, 0, roi=0.8),
-                           make_part("c", Arm.CONTROL, 1, roi=1.2)])
+        stats = arm_stats(rois_of([make_part("c", Arm.CONTROL, 0, roi=0.8),
+                                   make_part("c", Arm.CONTROL, 1, roi=1.2)]))
         effect = effect_size(stats, stats)
         assert effect.delta == 0.0
         assert effect.d == 0.0
@@ -254,7 +279,7 @@ class TestWholeChain:
             effects = []
             for campaign in dataset.campaigns:
                 effects.append(effect_size(
-                    arm_stats(campaign.parts_a), arm_stats(campaign.parts_b),
+                    arm_stats(campaign.a.rois), arm_stats(campaign.b.rois),
                     campaign_id=campaign.campaign_id,
                 ))
             summary = summarize_effects(effects)
@@ -272,7 +297,7 @@ class TestWholeChain:
         for _ in range(20):
             dataset = random_dataset(rng)
             effects = [
-                effect_size(arm_stats(c.parts_a), arm_stats(c.parts_b),
+                effect_size(arm_stats(c.a.rois), arm_stats(c.b.rois),
                             campaign_id=c.campaign_id)
                 for c in dataset.campaigns
             ]
@@ -288,7 +313,7 @@ class TestWholeChain:
         rng = np.random.default_rng(1213)
         dataset = random_dataset(rng, n_campaigns=(8, 8))
         effects = [
-            effect_size(arm_stats(c.parts_a), arm_stats(c.parts_b),
+            effect_size(arm_stats(c.a.rois), arm_stats(c.b.rois),
                         campaign_id=c.campaign_id)
             for c in dataset.campaigns
         ]

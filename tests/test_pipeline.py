@@ -18,7 +18,7 @@ from roimeta.campaigns import (
     Arm,
     CampaignExperiment,
     ExperimentDataset,
-    micro_totals,
+    PartMeasurement,
     roi_of_micros,
     to_micros,
 )
@@ -37,6 +37,7 @@ from roimeta.pipeline import (
     recommend_traffic,
 )
 from roimeta.preprocess import qualify
+from roimeta.reportio import report_to_json
 from roimeta.simulate import SimConfig, generate_experiment
 
 
@@ -291,6 +292,10 @@ class TestCalibrateBaselines:
 # The deltas and the default A/A share as computed before the per-campaign
 # micro totals were summed once per decision: each walks the dataset's parts.
 
+def micro_totals(parts):
+    return sum(to_micros(p.spend) for p in parts), sum(to_micros(p.value) for p in parts)
+
+
 def walk_micro_roi(dataset, arm):
     parts = [c.parts_a if arm is Arm.CONTROL else c.parts_b for c in dataset.campaigns]
     totals = [micro_totals(p) for p in parts]
@@ -350,3 +355,34 @@ class TestTotalsOnce:
             method: statistic.hex() for method, statistic in expected.items()
         }
         assert [share.hex() for share in shares] == [walk_share(qualified).hex()]
+
+
+class TestNoPartObjectsOnTheDecisionPath:
+    """Generating, ingesting, qualifying (with dropped parts) and evaluating
+    build no ``PartMeasurement`` and read no part view: all of it runs on the
+    arm columns."""
+
+    def test_evaluate_runs_on_columns(self, tmp_path, monkeypatch):
+        sim = SimConfig(n_campaigns=12, m_a=30, m_b=30, impressions_per_part_mean=118.0,
+                        treatment_lift=0.1, seed=7)
+        config = EvaluationConfig(aa=AaSettings(seed=3))
+        dataset = generate_experiment(sim)
+        paths = {"delimited-text": tmp_path / "d.csv", "record-lines": tmp_path / "d.jsonl"}
+        write_dataset(dataset, paths["delimited-text"])
+        paths["record-lines"].write_text(render_record_lines(dataset), encoding="utf-8")
+        expected = report_to_json(evaluate(dataset, config))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a part object was built on the decision path")
+
+        monkeypatch.setattr(PartMeasurement, "__init__", refuse)
+        monkeypatch.setattr(CampaignExperiment, "parts_a", property(refuse))
+        monkeypatch.setattr(CampaignExperiment, "parts_b", property(refuse))
+        with pytest.raises(AssertionError):
+            dataset.campaigns[0].parts_a
+        reports = [evaluate(generate_experiment(sim), config)]
+        reports += [evaluate(ingest(path, fmt), config) for fmt, path in paths.items()]
+        kept = reports[0].qualification.qualified.campaigns
+        assert any(c.m_a < sim.m_a or c.m_b < sim.m_b for c in kept)
+        assert 0 < len(kept) < sim.n_campaigns
+        assert [report_to_json(report) for report in reports] == [expected] * 3

@@ -231,7 +231,7 @@ class TestQualificationBlock:
         assert size[200] <= 1.1 * size[10]
 
     def test_digest_pins_the_canonical_encoding(self):
-        odd = 'a,"b"%s\u00e9\n'
+        odd = 'a,"b"%s\u00e9\n!'  # an id may hold a newline, but not end with one
         dataset = ExperimentDataset((
             CampaignExperiment(
                 odd,
@@ -240,7 +240,7 @@ class TestQualificationBlock:
                 [make_part(odd, Arm.TREATMENT, 0, spend=0.000001, value=0.0)],
             ),
         ))
-        head = b'"a,\\"b\\"%s\\u00e9\\n"'
+        head = b'"a,\\"b\\"%s\\u00e9\\n!"'
         encoded = (
             head + b",A\n3,1\n700,10\n" + bytes.fromhex(
                 "000000000000f83f" "000000000000e03f"  # spends 1.5, 0.5

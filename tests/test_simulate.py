@@ -31,6 +31,33 @@ class TestHashStream:
             u = stream.uniform()
             assert 0.0 < u < 1.0
 
+    @pytest.mark.parametrize("u64", [2**64 - 1, 2**64 - 2**10, 2**64 - 2**10 - 1, 2**53])
+    def test_top_digests_stay_below_one(self, u64):
+        """``(u64 + 0.5) * 2**-64`` rounds to 1.0 for the top 2**10 digests;
+        only those map elsewhere, to the largest double below 1."""
+
+        class FixedBlock:
+            def copy(self):
+                return self
+
+            def update(self, data):
+                pass
+
+            def digest(self):
+                return u64.to_bytes(8, "big")
+
+        stream = HashStream("u")
+        stream._prefix = FixedBlock()
+        u = stream.uniform()
+        rounds_up = (u64 + 0.5) * 2.0 ** -64 == 1.0
+        assert rounds_up == (u64 >= 2**64 - 2**10)
+        assert u == (1.0 - 2.0 ** -53 if rounds_up else (u64 + 0.5) * 2.0 ** -64)
+        assert 0.0 < u < 1.0
+        assert math.isfinite(stream.normal()) and math.isfinite(stream.lognormal(0.0, 1.0))
+        items = list(range(6))
+        stream.shuffle(items)
+        assert sorted(items) == list(range(6))
+
     def test_poisson_small_mean_matches_inversion(self):
         stream = HashStream("p")
         draws = [stream.poisson(3.0) for _ in range(2000)]
@@ -154,6 +181,17 @@ class TestGenerateExperiment:
             SimConfig(treatment_share=1.2)
         with pytest.raises(ConfigError):
             SimConfig(outlier_campaigns=5, n_campaigns=3)
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(base_roi_mean=1e300), "simulated value is too large to quantize, got "),
+        (dict(base_roi_mean=1e306), "simulated value must be finite and >= 0, got inf"),
+        (dict(base_roi_mean=math.nan), "simulated value must be finite and >= 0, got nan"),
+        (dict(budget_log_mean=700.0), "simulated spend is too large to quantize, got "),
+    ], ids=["value-above-limit", "value-infinite", "value-nan", "spend-above-limit"])
+    def test_money_outside_the_money_rule_is_a_config_error(self, changes, message):
+        with pytest.raises(ConfigError) as caught:
+            generate_experiment(SimConfig(n_campaigns=2, budget_log_sd=0.0, **changes))
+        assert str(caught.value).startswith(message)
 
 
 _SQRT2 = math.sqrt(2.0)

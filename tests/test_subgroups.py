@@ -180,7 +180,7 @@ class TestSubgroupAnalysis:
         for _ in range(20):
             dataset = random_dataset(rng, n_campaigns=(4, 12))
             effects = [
-                effect_size(arm_stats(c.parts_a), arm_stats(c.parts_b),
+                effect_size(arm_stats(c.a.rois), arm_stats(c.b.rois),
                             campaign_id=c.campaign_id)
                 for c in dataset.campaigns
             ]
