@@ -139,9 +139,10 @@ def aa_calibrate(
     campaign_id), so repeats are replayable and order independent.
 
     Column kernel: each call reads eligible campaigns' control spend and value
-    micro columns as they are; a repeat shuffles an index list, sums
-    the chosen pseudo-treatment indices, gets pseudo-control by subtraction
-    and passes those micro totals to ``micro_delta`` and ``_roi_diffs``.
+    micro columns as they are. A repeat draws each campaign's n_b
+    pseudo-treatment indices with a partial shuffle (n_b draws, not m_a - 1),
+    sums them, gets pseudo-control by subtraction and passes those micro
+    totals to ``micro_delta`` and ``_roi_diffs``.
     """
     share_b = settings.treatment_share or observed_share(totals)  # a share is never 0
     repeats_k, seed = settings.repeats_k, settings.seed
@@ -165,7 +166,7 @@ def aa_calibrate(
         arms: MicroTotals = {}  # the pseudo-arms' totals
         for campaign_id, spends, values, spend, value, n_b in columns:
             order = list(range(len(spends)))
-            HashStream("aa-split", seed, k, campaign_id).shuffle(order)
+            HashStream("aa-split", seed, k, campaign_id).shuffle(order, n_b)
             spend_b = sum([spends[j] for j in order[:n_b]])
             value_b = sum([values[j] for j in order[:n_b]])
             arms[campaign_id] = (spend - spend_b, value - value_b, spend_b, value_b)

@@ -8,10 +8,13 @@ order. Normal variates come from the inverse-CDF transform; Poisson uses exact
 inversion for small means and a rounded normal approximation for large ones.
 
 Cost model: one keyed BLAKE2b (a copy of the key-absorbed state, fed the 8-byte
-counter) per draw, with one Python frame above it. The digest maps to (0, 1) as
-``(u64 + 0.5) * 2**-64`` in ``uniform`` and, inline, in ``shuffle``'s loop; the
-draw parity test in tests/test_simulate.py pins both copies. For the top
-2**10 u64 values the product rounds to 1.0, which only ``uniform`` replaces.
+counter) per draw, with one Python frame above it, plus two BLAKE2b calls to
+absorb each new key. ``shuffle(items, k)`` is a partial Fisher-Yates that pays
+k draws, not n - 1, so an A/A split that keeps k of n parts costs k draws. The
+digest maps to (0, 1) as ``(u64 + 0.5) * 2**-64`` in ``uniform`` and, inline,
+in ``shuffle``'s loop, which also inlines ``randbelow``'s clamp; the draw parity
+test in tests/test_simulate.py pins both copies. For the top 2**10 u64 values
+the product rounds to 1.0, which ``uniform`` replaces and ``shuffle`` clamps.
 """
 
 from __future__ import annotations
@@ -75,16 +78,19 @@ class HashStream:
             raise ValueError(f"n must be >= 1, got {n!r}")
         return min(int(self.uniform() * n), n - 1)
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle: swap i with randbelow(i + 1), i = n-1 .. 1."""
+    def shuffle(self, items: list, k: int) -> None:
+        """Partial Fisher-Yates: swap i with i + randbelow(n - i), i = 0 .. k-1, so
+        ``items[:k]`` is a uniform random k-sample for k draws (k = n - 1: all)."""
+        n = len(items)
+        if not 0 <= k <= n:
+            raise ValueError(f"k must be in [0, {n}], got {k!r}")
         copy, from_bytes = self._prefix.copy, int.from_bytes
         counter = self._counter
-        for i in range(len(items) - 1, 0, -1):
+        for i in range(k):
             block = copy()
             block.update(counter.to_bytes(8, "big"))
             counter += 1
-            j = int((from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64 * (i + 1))
-            if j > i:  # randbelow's min(..., n - 1)
-                j = i
+            j = int((from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64 * (n - i))
+            j = i + j if j < n - i else n - 1  # randbelow's min(..., n - 1)
             items[i], items[j] = items[j], items[i]
         self._counter = counter

@@ -30,7 +30,12 @@ from .randomness import HashStream
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Knobs for one synthetic experiment; ``seed`` pins everything."""
+    """Knobs for one synthetic experiment; ``seed`` pins everything.
+
+    ``part_noise_sd = 0`` gives every part of an arm one ROI, so no campaign
+    has a pooled spread: effect-size screening excludes them all and
+    ``evaluate`` raises ``NoQualifiedCampaignsError``.
+    """
 
     n_campaigns: int = 20
     m_a: int = 10

@@ -41,8 +41,8 @@ def split_once(
     ``macro_delta`` then read."""
     m = campaign.m_a
     order = list(range(m))
-    stream.shuffle(order)
     n_b = min(max(round(m * share_b), 1), m - 1)
+    stream.shuffle(order, n_b)
     chosen = set(order[:n_b])
     pseudo_a = [p for j, p in enumerate(campaign.parts_a) if j not in chosen]
     pseudo_b = [
@@ -310,6 +310,26 @@ class TestAaCalibration:
             assert stats[BaselineMethod.MICRO] == micro_delta(totals)
             assert stats[BaselineMethod.MACRO] == macro_delta(totals, "mean")
             assert stats[BaselineMethod.MACRO_MEDIAN] == macro_delta(totals, "median")
+
+    def test_each_split_draws_only_its_pseudo_treatment_parts(self, monkeypatch):
+        # 500 control parts at share 0.1: 50 draws per split, not 499
+        dataset = make_dataset([
+            make_campaign(f"c{i}", [1.0 + 0.001 * j for j in range(500)], [1.0])
+            for i in range(2)
+        ])
+        streams = []
+
+        class KeptStream(baselines.HashStream):
+            __slots__ = ()
+
+            def __init__(self, *key):
+                super().__init__(*key)
+                streams.append(self)
+
+        monkeypatch.setattr(baselines, "HashStream", KeptStream)
+        aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 4, 0.1))
+        assert len(streams) == 6
+        assert [s._counter for s in streams] == [50] * 6
 
     @settings(max_examples=150, deadline=None)
     @given(

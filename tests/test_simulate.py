@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from roimeta.baselines import AaSettings, aa_calibrate, campaign_micro_totals
 from roimeta.dataio import ingest, render_dataset_csv, write_dataset
-from roimeta.errors import ConfigError
-from roimeta.pipeline import collect_effects
+from roimeta.errors import ConfigError, NoQualifiedCampaignsError
+from roimeta.pipeline import collect_effects, evaluate
 from roimeta.preprocess import qualify
 from roimeta.randomness import HashStream
 from roimeta.simulate import SimConfig, generate_experiment
@@ -54,9 +54,16 @@ class TestHashStream:
         assert u == (1.0 - 2.0 ** -53 if rounds_up else (u64 + 0.5) * 2.0 ** -64)
         assert 0.0 < u < 1.0
         assert math.isfinite(stream.normal()) and math.isfinite(stream.lognormal(0.0, 1.0))
+        # the partial shuffle clamps like randbelow: position i swaps with
+        # i + min(int(u * (n - i)), n - i - 1), never past n - 1
+        unclamped = (u64 + 0.5) * 2.0 ** -64
+        expected = list(range(6))
+        for i in range(6):
+            j = i + min(int(unclamped * (6 - i)), 6 - i - 1)
+            expected[i], expected[j] = expected[j], expected[i]
         items = list(range(6))
-        stream.shuffle(items)
-        assert sorted(items) == list(range(6))
+        stream.shuffle(items, 6)
+        assert items == expected
 
     def test_poisson_small_mean_matches_inversion(self):
         stream = HashStream("p")
@@ -85,16 +92,51 @@ class TestHashStream:
     ], ids=["x", "aa-split"])
     def test_stream_values_are_pinned(self, key, expected):
         # values of the roimeta-hash-stream/1 generator; any change to them
-        # must come with a new generator tag
+        # must come with a new generator tag. How a caller consumes them (for
+        # example how many draws an A/A split takes) is not part of the tag.
         stream = HashStream(*key)
         assert [stream.uniform() for _ in range(8)] == expected
 
     def test_shuffle_is_a_permutation(self):
         stream = HashStream("s")
         items = list(range(10))
-        shuffled = items[:]
-        stream.shuffle(shuffled)
-        assert sorted(shuffled) == items
+        for k in (0, 1, 5, 9, 10):
+            shuffled = items[:]
+            stream.shuffle(shuffled, k)
+            assert sorted(shuffled) == items, k
+
+    @pytest.mark.parametrize("k", [-1, 11])
+    def test_shuffle_rejects_k_outside_the_list(self, k):
+        with pytest.raises(ValueError, match="k must be in"):
+            HashStream("s").shuffle(list(range(10)), k)
+
+    def test_shuffle_prefix_is_a_uniform_subset(self):
+        # all 10 two-subsets of 5 items, 4,000 fixed keys: chi-square with
+        # 9 degrees of freedom, 27.88 is its 0.999 quantile
+        counts = {}
+        for key in range(4000):
+            items = list(range(5))
+            HashStream("subset", key).shuffle(items, 2)
+            pair = frozenset(items[:2])
+            counts[pair] = counts.get(pair, 0) + 1
+        assert len(counts) == 10
+        chi2 = sum((c - 400) ** 2 / 400 for c in counts.values())
+        assert chi2 < 27.88
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (10, 1), (10, 3), (10, 9), (500, 50)])
+    def test_shuffle_consumes_exactly_k_draws(self, n, k):
+        stream, reference = HashStream("draws", n, k), ReferenceStream("draws", n, k)
+        stream.shuffle(list(range(n)), k)
+        for i in range(k):
+            reference.randbelow(n - i)
+        assert stream.uniform().hex() == reference.uniform().hex()
+
+    def test_shuffle_with_k_zero_touches_nothing(self):
+        stream = HashStream("none")
+        items = [3, 1, 2]
+        stream.shuffle(items, 0)
+        assert items == [3, 1, 2]
+        assert stream.uniform() == HashStream("none").uniform()
 
 
 class TestGenerateExperiment:
@@ -139,6 +181,23 @@ class TestGenerateExperiment:
         path = tmp_path / "parts.csv"
         write_dataset(dataset, path)
         assert collect_effects(ingest(path)) == collect_effects(dataset)
+
+    def test_noise_free_dataset_cannot_be_evaluated(self):
+        # documented on SimConfig: one ROI per arm leaves no pooled spread,
+        # so effect-size screening excludes every campaign
+        dataset = generate_experiment(SimConfig(
+            n_campaigns=6, m_a=5, m_b=3, treatment_lift=0.1, part_noise_sd=0.0, seed=21,
+        ))
+        effects, excluded = collect_effects(qualify(dataset).qualified)
+        assert effects == ()
+        assert [e.reason for e in excluded] == [
+            f"campaign {c.campaign_id!r}: zero pooled spread with unequal means"
+            for c in dataset.campaigns
+        ]
+        with pytest.raises(NoQualifiedCampaignsError, match=(
+            r"^no qualified campaign is eligible for effect-size analysis \(6 excluded\)$"
+        )):
+            evaluate(dataset)
 
     def test_outliers_are_highest_budget_campaigns(self):
         config = SimConfig(
@@ -258,7 +317,8 @@ def reference_normal_quantile(p):
 
 class ReferenceStream:
     """The chained form of ``HashStream``: every variate goes through
-    ``_next_u64`` -> ``uniform``, and ``shuffle`` through ``randbelow``."""
+    ``_next_u64`` -> ``uniform``, and ``shuffle`` through ``randbelow``
+    in the forward partial form."""
 
     def __init__(self, *key_parts):
         material = "\x1f".join(str(part) for part in key_parts).encode("utf-8")
@@ -305,9 +365,9 @@ class ReferenceStream:
             raise ValueError(f"n must be >= 1, got {n!r}")
         return min(int(self.uniform() * n), n - 1)
 
-    def shuffle(self, items):
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+    def shuffle(self, items, k):
+        for i in range(k):
+            j = i + self.randbelow(len(items) - i)
             items[i], items[j] = items[j], items[i]
 
 
@@ -316,7 +376,7 @@ def draw(stream, op):
     name, args = op[0], op[1:]
     if name == "shuffle":
         items = list(range(args[0]))
-        stream.shuffle(items)
+        stream.shuffle(items, args[1])
         return repr(items)
     if name == "normal" and args[0] is None:
         args = ()
@@ -331,7 +391,8 @@ draw_ops = st.one_of(
     st.tuples(st.just("lognormal"), st.floats(-5.0, 5.0), st.floats(0.0, 2.0)),
     st.tuples(st.just("poisson"), st.sampled_from([0.0, 3.5, 50.0, 50.000001, 2000.0])),
     st.tuples(st.just("randbelow"), st.integers(1, 10**6)),
-    st.tuples(st.just("shuffle"), st.integers(0, 600)),
+    st.integers(0, 600).flatmap(
+        lambda n: st.tuples(st.just("shuffle"), st.just(n), st.integers(0, n))),
 )
 key_parts = st.lists(st.one_of(st.text(max_size=8), st.integers(-10**6, 10**6)), max_size=4)
 
@@ -358,7 +419,9 @@ class TestDrawParity:
 
 
 # Recorded with the chained generator that ReferenceStream copies; like
-# test_stream_values_are_pinned, a change here needs a new generator tag.
+# test_stream_values_are_pinned, a change to the dataset bytes needs a new
+# generator tag. The A/A statistics also pin how a split consumes its stream
+# (a partial shuffle of n_b draws), which can move them under the same tag.
 PINNED_SHAPES = {
     "wide": (SimConfig(n_campaigns=200, m_a=10, m_b=10, treatment_lift=0.02),
              "218d9b582cd17ff88f4b00635834ec17b38eeaf8d4894683256357ec90b84246"),
@@ -370,28 +433,28 @@ PINNED_SHAPES = {
 }
 PINNED_AA_STATS = {  # per_repeat_stats of micro, macro, macro_median (5 repeats, seed 0)
     "wide": (
-        "(0.003033547345493992, -0.024155240317674687, 0.01570244699651646, "
-        "0.060609816954996565, 0.0032490163804939076)",
-        "(0.010993303083145136, -0.006386264797973928, 0.000428380759581537, "
-        "0.0013765442235000968, 0.005490415554487102)",
-        "(-0.0005968531616309392, -0.017357000536397105, -0.0034176138965813507, "
-        "0.004700400304550323, -0.014986467498129097)",
+        "(0.020625503048037674, -0.006381907033049972, 0.010358763045937414, "
+        "0.02176100753055754, -0.0004172786921162741)",
+        "(0.015504497655222493, 0.010201444055272586, 0.000982260278190758, "
+        "-0.005450810517360069, -0.001524490089328104)",
+        "(0.006711492606116476, 0.012290215653229908, -0.009475412864904331, "
+        "-0.015996109096364786, -0.008346615108698774)",
     ),
     "deep": (
-        "(-0.004833757641189429, 0.019081041198679483, 0.009214780926660282, "
-        "-0.02147436350206089, -0.0063458967260107135)",
-        "(-0.005772879373406248, 0.00261023869296263, 0.005430630063776687, "
-        "-0.005209403577647265, 0.0017787329375319905)",
-        "(-0.0046914211444475384, -0.005403247335484973, 0.002511905064747466, "
-        "-0.004779375666352781, 0.0030323215130665937)",
+        "(0.0005176061468519233, -0.017283248390230876, -0.0047093137754709025, "
+        "-0.02251607958114621, 0.024529255784939363)",
+        "(0.003495827018376629, -0.00925041875966789, 0.004806970690545897, "
+        "-0.00655732601640493, 0.0006570285304875134)",
+        "(-0.0030250588876273854, -0.013028789548342967, -0.010612934246061467, "
+        "-0.001258340100188382, -0.0033095849828487234)",
     ),
     "study": (
-        "(0.002610204802702243, -0.02339540086138514, 0.01515735277520125, "
-        "0.059149352698675384, 0.0035192165442897716)",
-        "(0.009547788811697804, -0.004595776670316557, -0.00035601702324965993, "
-        "-0.0008691437119208315, 0.005391898200719214)",
-        "(-0.0013616616907623502, -0.01605958883103553, -0.00344507796017246, "
-        "0.0032395956543709303, -0.015037020525235256)",
+        "(0.019782921337860082, -0.006545517207721008, 0.011228399788426269, "
+        "0.022391061626404474, -0.0008966468541173889)",
+        "(0.014277665452037689, 0.009282586195097349, 0.002686612608248011, "
+        "-0.004159991653617406, -0.0022517260011575882)",
+        "(0.006728742216359773, 0.012068151386585124, -0.008646415501413984, "
+        "-0.015037020525235256, -0.008560116600889622)",
     ),
 }
 
