@@ -11,13 +11,12 @@ rate, which should sit near the nominal two-sided level.
 import argparse
 import sys
 import time
+import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from roimeta.meta import summarize_effects
-from roimeta.pipeline import collect_effects
-from roimeta.preprocess import qualify
+from roimeta.pipeline import EvaluationConfig, ExplicitThetas, evaluate
 from roimeta.simulate import SimConfig, generate_experiment
 
 
@@ -31,6 +30,11 @@ def main() -> int:
     parser.add_argument("--seed-base", type=int, default=0)
     args = parser.parse_args()
 
+    # with few campaigns a spend tier can be empty, and evaluate warns about it
+    warnings.simplefilter("ignore")
+    evaluation = EvaluationConfig(
+        confidence_level=args.confidence_level, aa=ExplicitThetas(0.0, 0.0),
+    )
     started = time.perf_counter()
     significant = 0
     positive = 0
@@ -40,11 +44,9 @@ def main() -> int:
             treatment_share=0.1, part_noise_sd=args.noise,
             treatment_lift=0.0, seed=args.seed_base + i,
         )
-        dataset = generate_experiment(config)
-        effects, _ = collect_effects(qualify(dataset).qualified)
-        summary = summarize_effects(effects, args.confidence_level)
-        significant += summary.significance.significant
-        positive += summary.random.mu_star > 0
+        report = evaluate(generate_experiment(config), evaluation)
+        significant += report.significance.significant
+        positive += report.random.mu_star > 0
     elapsed = time.perf_counter() - started
 
     nominal = 1.0 - args.confidence_level

@@ -1,12 +1,11 @@
 """Command-line interface.
 
-Subcommands: ``evaluate`` (full pipeline), ``calibrate`` (A/A thresholds only),
-``subgroup`` (diagnostic decomposition only), ``simulate`` (synthetic data),
-``report`` (re-render a saved machine report).
+Subcommands: ``evaluate`` (full pipeline), ``simulate`` (synthetic data),
+``report`` (re-render a saved machine report). The report carries each A/A
+threshold (``baselines[*].threshold_theta``) and the ``subgroup`` block.
 
 Exit codes: 0 = ran and accepted, 1 = ran and rejected, 2 = input or
-configuration error. ``calibrate``, ``subgroup`` and ``simulate`` exit 0 on
-success.
+configuration error. ``simulate`` exits 0 on success.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .baselines import aa_calibrate, campaign_micro_totals
 from .config import (
     EVAL_KEY_PARSERS,
     load_evaluation_config,
@@ -22,24 +20,9 @@ from .config import (
 )
 from .dataio import INPUT_FORMATS, ingest, write_dataset, write_text_atomic
 from .errors import RoimetaError
-from .meta import summarize_effects
-from .pipeline import (
-    EvaluationConfig,
-    ExplicitThetas,
-    Verdict,
-    collect_effects,
-    evaluate,
-)
-from .preprocess import qualify
-from .reportio import (
-    render_report,
-    report_from_json,
-    report_to_json,
-    to_json,
-    to_plain,
-)
+from .pipeline import EvaluationConfig, Verdict, evaluate
+from .reportio import render_report, report_from_json, report_to_json
 from .simulate import generate_experiment
-from .subgroups import resolve_subgroups, subgroup_analysis
 
 _FORMAT_BY_ALIAS = {"human": "human-table", "json": "machine-json"}
 
@@ -70,30 +53,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         write_text_atomic(args.out, report_to_json(report))
     print(render_report(report, _FORMAT_BY_ALIAS[args.format]), end="")
     return 0 if report.decision.verdict is Verdict.ACCEPT else 1
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    dataset = ingest(args.data, args.input_format)
-    config = _config_from_args(args)
-    qualified = qualify(dataset, config.qualification).qualified
-    if isinstance(config.aa, ExplicitThetas):
-        raise RoimetaError("calibrate needs aa_* settings, not explicit thetas")
-    calibrations = aa_calibrate(qualified, campaign_micro_totals(qualified), config.aa)
-    doc = {method.value: to_plain(calibration) for method, calibration in calibrations.items()}
-    print(to_json(doc), end="")
-    return 0
-
-
-def _cmd_subgroup(args: argparse.Namespace) -> int:
-    dataset = ingest(args.data, args.input_format)
-    config = _config_from_args(args)
-    qualified = qualify(dataset, config.qualification).qualified
-    effects, _ = collect_effects(qualified, config.variance_formula)
-    tau2 = summarize_effects(effects, config.confidence_level).heterogeneity.tau2
-    groups = resolve_subgroups(campaign_micro_totals(qualified), config.subgroups)
-    report = subgroup_analysis(effects, tau2, groups, config.confidence_level)
-    print(to_json(to_plain(report)), end="")
-    return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -131,20 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_p.add_argument("--out", help="also write the machine JSON report here")
     _add_eval_config_flags(evaluate_p)
     evaluate_p.set_defaults(func=_cmd_evaluate)
-
-    calibrate_p = sub.add_parser("calibrate", help="A/A-calibrate baseline thresholds")
-    calibrate_p.add_argument("data", help="part-level input file")
-    calibrate_p.add_argument("--config", help="evaluation config file")
-    calibrate_p.add_argument("--input-format", choices=INPUT_FORMATS, default="delimited-text")
-    _add_eval_config_flags(calibrate_p)
-    calibrate_p.set_defaults(func=_cmd_calibrate)
-
-    subgroup_p = sub.add_parser("subgroup", help="run only the subgroup decomposition")
-    subgroup_p.add_argument("data", help="part-level input file")
-    subgroup_p.add_argument("--config", help="evaluation config file")
-    subgroup_p.add_argument("--input-format", choices=INPUT_FORMATS, default="delimited-text")
-    _add_eval_config_flags(subgroup_p)
-    subgroup_p.set_defaults(func=_cmd_subgroup)
 
     simulate_p = sub.add_parser("simulate", help="generate a synthetic experiment")
     simulate_p.add_argument("--config", help="simulation config file")

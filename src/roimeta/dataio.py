@@ -46,13 +46,17 @@ _WRITE_CHARS = 1 << 20
 
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write a file via temp-then-rename so readers never see partial content;
-    the text is encoded slice by slice, never as one whole-file bytes copy."""
+    the text is encoded slice by slice, never as one whole-file bytes copy.
+    The file gets ``open(path, "w")``'s mode (0o666 less the umask), not 0o600."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             for start in range(0, len(text), _WRITE_CHARS):
                 handle.write(text[start:start + _WRITE_CHARS].encode("utf-8"))
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         try:

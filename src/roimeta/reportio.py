@@ -7,13 +7,8 @@ an object equal to the original. Encoding and decoding are both driven by the
 field types of the report dataclasses (``_codec``), so a report field is
 declared once, on its dataclass.
 
-A tuple of dataclasses is encoded and decoded as one batch, a field column at
-a time, with no Python frame per item: written for schema 1's 20,000 parts
-per 1,000 campaigns, it saves little on schema 2, whose longest tuples are
-per campaign (kept part counts, effects) or per excluded part. The batch
-decoder checks all that the per-item decoder checks but words no error: on
-a fault it decodes the items one by one, so every message and its
-precedence are the per-item decoder's.
+Each dataclass has one encoder and one decoder, applied item by item to a
+tuple of dataclasses; the decoder is the only place that words an error.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ import operator
 import types
 import typing
 from enum import Enum
-from itertools import repeat
 from typing import Any, Callable
 
 from .baselines import BaselineDecision
@@ -54,9 +48,6 @@ class _Codec(typing.NamedTuple):
     json_types: frozenset  # the types json.loads may give such a value
     to_plain: Callable[[Any], Any]
     from_plain: Callable[[Any], Any]
-    # A dataclass's batch forms: objects to dicts, dicts to a tuple of objects.
-    to_plain_many: Callable[[Any], list] | None = None
-    from_plain_many: Callable[[list], tuple] | None = None
 
 
 def _json_type_error(where: str, allowed: frozenset, value: Any) -> TypeError:
@@ -102,32 +93,17 @@ def _tuple_codec(item: _Codec) -> _Codec:
         if not item.json_types.issuperset(map(type, doc)):
             bad = next(v for v in doc if type(v) not in item.json_types)
             raise _json_type_error("an array item", item.json_types, bad)
-        if item.from_plain_many is not None:
-            return _decode_items(item, doc)
         return tuple(doc) if item.from_plain is _same else tuple(map(item.from_plain, doc))
 
-    to_plain = item.to_plain_many or (
-        list if item.to_plain is _same else lambda v: list(map(item.to_plain, v)))
+    to_plain = list if item.to_plain is _same else lambda v: list(map(item.to_plain, v))
     return _Codec(frozenset({list}), to_plain, from_plain)
-
-
-def _decode_items(item: _Codec, docs: list) -> tuple:
-    """Decode dataclass items as one batch. On a fault (the errors that
-    ``report_from_dict`` reports), decode them one by one instead: that
-    raises the first bad item's error, worded as ever."""
-    try:
-        return item.from_plain_many(docs)
-    except (KeyError, TypeError, ValueError):
-        return tuple(map(item.from_plain, docs))
 
 
 def _dataclass_codec(tp: type) -> _Codec:
     """Write ``tp`` as an object of its fields, converting only the fields
     that need it. Read it from an object holding exactly its field names,
     each of its field's JSON type, decoding only those that need it, and pass
-    the fields positionally in field order. The batch forms do the same with
-    one C-level pass per field and ``map(tp, *columns)``; only ``from_plain``
-    words errors."""
+    the fields positionally in field order."""
     hints = typing.get_type_hints(tp)
     names = tuple(f.name for f in dataclasses.fields(tp))
     codecs = [_codec(hints[name]) for name in names]
@@ -136,25 +112,16 @@ def _dataclass_codec(tp: type) -> _Codec:
     if len(names) == 1:  # a getter of one name returns the bare value, not a 1-tuple
         attrs = lambda obj, one=attrs: (one(obj),)
         items = lambda doc, one=items: (one(doc),)
-    keys = [operator.itemgetter(name) for name in names]
     encoded = [(i, c.to_plain) for i, c in enumerate(codecs) if c.to_plain is not _same]
     decoded = [(i, c.from_plain) for i, c in enumerate(codecs) if c.from_plain is not _same]
 
-    def to_plain_many(objs: Any) -> list[dict]:
-        columns = list(zip(*map(attrs, objs))) or [()] * len(names)  # no objects: empty columns
-        for i, encode in encoded:
-            columns[i] = map(encode, columns[i])
-        return list(map(dict, map(zip, repeat(names), zip(*columns))))
-
-    def from_plain_many(docs: list) -> tuple:
-        # With every count right, ``keys`` raise KeyError unless the keys are exact.
-        columns = [list(map(key, docs)) for key in keys]
-        if not ({len(names)}.issuperset(map(len, docs)) and all(
-                map(frozenset.issuperset, json_types, map(map, repeat(type), columns)))):
-            raise ValueError("a key or a JSON type is wrong")
-        for i, decode in decoded:
-            columns[i] = list(map(decode, columns[i]))
-        return tuple(map(tp, *columns))
+    def to_plain(obj: Any) -> dict:
+        values = attrs(obj)
+        if encoded:
+            values = list(values)
+            for i, encode in encoded:
+                values[i] = encode(values[i])
+        return dict(zip(names, values))
 
     def from_plain(doc: Any) -> Any:
         # With the count right, ``items`` raises KeyError unless the keys are exact.
@@ -170,8 +137,7 @@ def _dataclass_codec(tp: type) -> _Codec:
                 values[i] = decode(values[i])
         return tp(*values)
 
-    return _Codec(frozenset({dict}), lambda obj: to_plain_many((obj,))[0], from_plain,
-                  to_plain_many, from_plain_many)
+    return _Codec(frozenset({dict}), to_plain, from_plain)
 
 
 def to_plain(obj: Any) -> dict:

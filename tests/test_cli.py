@@ -143,32 +143,22 @@ class TestEvaluate:
 
 
 class TestCalibrateAndSubgroup:
-    def test_calibrate_emits_both_methods(self, workdir, capsys):
-        data = simulate(workdir)
-        capsys.readouterr()
-        code = main(["calibrate", str(data), "--config", str(workdir / "eval.cfg")])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"micro", "macro", "macro_median"}
-        assert doc["micro"]["repeats_k"] == 5
-        assert len(doc["micro"]["per_repeat_stats"]) == 5
+    """The subcommands are gone: every report carries the thresholds as
+    ``baselines[*].threshold_theta`` and prints the ``subgroup`` block."""
 
-    def test_subgroup_reports_decomposition(self, workdir, capsys):
+    @pytest.mark.parametrize("command", ["calibrate", "subgroup"])
+    def test_removed_subcommand_exits_2(self, workdir, capsys, command):
         data = simulate(workdir)
-        capsys.readouterr()
-        code = main(["subgroup", str(data), "--config", str(workdir / "eval.cfg")])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["q_star_total"] == pytest.approx(
-            doc["q_within"] + doc["q_between"], abs=1e-9
-        )
-        assert len(doc["summaries"]) >= 1
+        with pytest.raises(SystemExit) as caught:
+            main([command, str(data), "--config", str(workdir / "eval.cfg")])
+        assert caught.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def warning_data(workdir):
     """The simulated data plus a top-spending campaign with one control part:
-    A/A calibration skips it, and its spend tier has no effect size, so every
-    subcommand's analysis warns."""
+    A/A calibration skips it, and its spend tier has no effect size, so the
+    analysis warns."""
     data = simulate(workdir)
     with open(data, "a", encoding="utf-8") as out:
         out.write("big,A,0,5000,1000000000.000000,1100000000.000000\n")
@@ -178,22 +168,21 @@ def warning_data(workdir):
 
 
 class TestConfigErrorsBeforeAnalysis:
-    @pytest.mark.parametrize("command", ["calibrate", "subgroup", "evaluate"])
     @pytest.mark.parametrize("flag,value,message", [
         ("--current-share", "0.3",
          "current_share 0.3 is not one of the schedule phases (0.01, 0.1, 0.2, 0.5)"),
         ("--variance-formula", "foo",
          "variance_formula must be one of ('noncentral_t', 'hedges'), got 'foo'"),
     ], ids=["current-share", "variance-formula"])
-    def test_exit_2_before_any_warning(self, workdir, capsys, command, flag, value, message):
+    def test_exit_2_before_any_warning(self, workdir, capsys, flag, value, message):
         data = warning_data(workdir)
         config = ["--config", str(workdir / "eval.cfg")]
         with pytest.warns(UserWarning):
-            assert main([command, str(data), *config]) in (0, 1)
+            assert main(["evaluate", str(data), *config]) in (0, 1)
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([command, str(data), *config, flag, value])
+            code = main(["evaluate", str(data), *config, flag, value])
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert [str(w.message) for w in caught] == []
@@ -209,32 +198,29 @@ class TestSubgroupLabelsCheckedBeforeAnalysis:
         assert main(["evaluate", str(data), *share]) == 1
         out = capsys.readouterr().out
         assert "verdict: reject_harmful" in out and "skipped (strong rejection)" in out
-        for command in ("evaluate", "subgroup"):
-            code = main([command, str(data), *share, "--subgroup-labels", "camp_000:x"])
-            assert code == 2
-            assert capsys.readouterr() == ("", "error: campaign 'camp_0' has no subgroup label\n")
+        code = main(["evaluate", str(data), *share, "--subgroup-labels", "camp_000:x"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: campaign 'camp_0' has no subgroup label\n")
 
 
 class TestSubcommandsAgreeWithEvaluate:
-    def test_calibrate_and_subgroup_match_the_evaluate_report(self, workdir, capsys):
-        data = simulate(workdir)
-        config = ["--config", str(workdir / "eval.cfg")]
-        report_path = workdir / "report.json"
-        assert main(["evaluate", str(data), *config, "--out", str(report_path)]) == 0
-        report = json.loads(report_path.read_text(encoding="utf-8"))
+    def test_evaluate_prints_the_subgroup_block_after_a_harmful_rejection(
+            self, workdir, capsys):
+        (workdir / "harm.cfg").write_text(
+            "n_campaigns = 10\ntreatment_lift = -0.3\nseed = 4\n", encoding="utf-8")
+        data = workdir / "harm.csv"
+        assert main(["simulate", "--config", str(workdir / "harm.cfg"), "--out", str(data)]) == 0
         capsys.readouterr()
-
-        assert main(["calibrate", str(data), *config]) == 0
-        out = capsys.readouterr().out
-        calibrations = json.loads(out)
-        assert out == json.dumps(calibrations, indent=2, sort_keys=True) + "\n"
-        thetas = {b["method"]: b["threshold_theta"] for b in report["baselines"]}
-        assert {method: c["theta"] for method, c in calibrations.items()} == thetas
-
-        assert main(["subgroup", str(data), *config]) == 0
-        assert report["subgroup"] is not None
-        out = capsys.readouterr().out
-        assert out == json.dumps(report["subgroup"], indent=2, sort_keys=True) + "\n"
+        code = main(["evaluate", str(data), "--aa-treatment-share", "0.1", "--format", "json",
+                     "--skip-subgroup-on-strong-reject", "false"])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["decision"]["verdict"] == "reject_harmful"
+        block = report["subgroup"]
+        assert block is not None and len(block["summaries"]) >= 1
+        assert block["q_star_total"] == pytest.approx(
+            block["q_within"] + block["q_between"], abs=1e-9
+        )
 
 
 class TestReport:

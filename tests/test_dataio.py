@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -119,6 +121,19 @@ class TestWriteTextAtomic:
             write_text_atomic(path, body)
             assert path.read_bytes() == body.encode("utf-8")
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_file_mode_is_open_default_under_the_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            write_text_atomic(tmp_path / "out.txt", "x")
+            with open(tmp_path / "plain.txt", "w", encoding="utf-8") as handle:
+                handle.write("x")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
+        assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == mode
 
     def test_unencodable_text_leaves_no_file(self, tmp_path):
         path = tmp_path / "out.txt"
