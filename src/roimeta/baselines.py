@@ -17,33 +17,14 @@ from __future__ import annotations
 import statistics
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from math import fsum
 
 from .campaigns import Arm, ExperimentDataset, roi_of_micros
 from .errors import ConfigError, InsufficientDataError
 from .randomness import HashStream
+from .records import BaselineDecision, BaselineMethod, BaselineResult  # noqa: F401  re-exported
 
 MicroTotals = dict[str, tuple[int, int, int, int]]  # see campaign_micro_totals
-
-
-class BaselineMethod(str, Enum):
-    MICRO = "micro"
-    MACRO = "macro"
-    MACRO_MEDIAN = "macro_median"
-
-
-class BaselineDecision(str, Enum):
-    ACCEPT = "accept"
-    REJECT = "reject"
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    method: BaselineMethod
-    statistic: float
-    threshold_theta: float
-    decision: BaselineDecision
 
 
 @dataclass(frozen=True)

@@ -13,21 +13,14 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
 
 from .errors import UndefinedRoiError
+from .records import Arm
 
 MICROS_PER_UNIT = 1_000_000
 MAX_AMOUNT = 1.7976931348623154e302  # largest amount whose micro-unit count and ROI are finite
-
-
-class Arm(Enum):
-    """Experiment arm: control runs the incumbent model, treatment the candidate."""
-
-    CONTROL = "A"
-    TREATMENT = "B"
 
 
 def to_micros(amount: float) -> int:

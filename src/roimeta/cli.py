@@ -3,6 +3,8 @@
 Subcommands: ``evaluate`` (full pipeline), ``simulate`` (synthetic data),
 ``report`` (re-render a saved machine report). The report carries each A/A
 threshold (``baselines[*].threshold_theta``) and the ``subgroup`` block.
+Each subcommand imports only the layers it runs, so ``report`` loads
+``config``, ``errors``, ``records`` and ``reportio`` and none of the analysis.
 
 Exit codes: 0 = ran and accepted, 1 = ran and rejected, 2 = input or
 configuration error. ``simulate`` exits 0 on success.
@@ -12,17 +14,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from .config import (
-    EVAL_KEY_PARSERS,
-    load_evaluation_config,
-    load_sim_config,
-)
-from .dataio import INPUT_FORMATS, ingest, write_dataset, write_text_atomic
+from .config import EVAL_KEY_PARSERS, INPUT_FORMATS, load_evaluation_config, load_sim_config
 from .errors import RoimetaError
-from .pipeline import EvaluationConfig, Verdict, evaluate
-from .reportio import render_report, report_from_json, report_to_json
-from .simulate import generate_experiment
+
+if TYPE_CHECKING:
+    from .pipeline import EvaluationConfig
 
 _FORMAT_BY_ALIAS = {"human": "human-table", "json": "machine-json"}
 
@@ -46,6 +44,10 @@ def _config_from_args(args: argparse.Namespace) -> EvaluationConfig:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .dataio import ingest, write_text_atomic
+    from .pipeline import Verdict, evaluate
+    from .reportio import render_report, report_to_json
+
     dataset = ingest(args.data, args.input_format)
     config = _config_from_args(args)
     report = evaluate(dataset, config)
@@ -56,6 +58,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .dataio import write_dataset
+    from .simulate import generate_experiment
+
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
@@ -68,6 +73,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .records import Verdict
+    from .reportio import render_report, report_from_json
+
     with open(args.saved_report, encoding="utf-8") as handle:
         report = report_from_json(handle.read())
     print(render_report(report, _FORMAT_BY_ALIAS[args.format]), end="")

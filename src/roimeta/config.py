@@ -9,13 +9,13 @@ or from explicit ``micro_theta``/``macro_theta`` values, never both.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import TYPE_CHECKING, Callable, get_type_hints
 
 from .errors import ConfigError
-from .pipeline import AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule
-from .preprocess import QualificationConfig
-from .simulate import SimConfig
-from .subgroups import SubgroupSpec
+
+if TYPE_CHECKING:
+    from .pipeline import EvaluationConfig
+    from .simulate import SimConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -67,6 +67,8 @@ def _parse_str(raw: str) -> str:
     return raw.strip()
 
 
+INPUT_FORMATS = ("delimited-text", "record-lines")  # dataio.ingest's; the parser loads no dataio
+
 EVAL_KEY_PARSERS: dict[str, Callable[[str], object]] = {
     "confidence_level": _parse_float,
     "homogeneity_level": _parse_float,
@@ -84,11 +86,6 @@ EVAL_KEY_PARSERS: dict[str, Callable[[str], object]] = {
     "skip_subgroup_on_strong_reject": _parse_bool,
     "phases": _parse_float_list,
     "current_share": _parse_float,
-}
-
-SIM_KEY_PARSERS: dict[str, Callable[[str], object]] = {
-    key: {int: _parse_int, float: _parse_float}[hint]
-    for key, hint in get_type_hints(SimConfig).items()
 }
 
 
@@ -119,6 +116,10 @@ def _given(values: dict[str, object], *keys: str, **renamed: str) -> dict[str, o
 
 
 def evaluation_config_from_values(values: dict[str, object]) -> EvaluationConfig:
+    from .pipeline import AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule
+    from .preprocess import QualificationConfig
+    from .subgroups import SubgroupSpec
+
     has_thetas = "micro_theta" in values or "macro_theta" in values
     has_aa = any(k in values for k in ("aa_repeats_k", "aa_seed", "aa_treatment_share"))
     if has_thetas and has_aa:
@@ -186,4 +187,10 @@ def load_sim_config(
     path: str | Path | None = None, overrides: dict[str, str] | None = None
 ) -> SimConfig:
     """Build a SimConfig from an optional file plus raw-string overrides."""
-    return SimConfig(**_load_values(path, overrides, SIM_KEY_PARSERS, "simulation config"))
+    from .simulate import SimConfig
+
+    parsers = {
+        key: {int: _parse_int, float: _parse_float}[hint]
+        for key, hint in get_type_hints(SimConfig).items()
+    }
+    return SimConfig(**_load_values(path, overrides, parsers, "simulation config"))

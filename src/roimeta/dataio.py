@@ -34,10 +34,10 @@ from .campaigns import (
     MAX_AMOUNT, MICROS_PER_UNIT, CampaignExperiment, ExperimentDataset, arm_columns, check_amount,
     from_micros,
 )
+from .config import INPUT_FORMATS
 from .errors import IngestError
 
 CSV_FIELDS = ("campaign_id", "arm", "part_id", "impressions", "spend", "value")
-INPUT_FORMATS = ("delimited-text", "record-lines")
 
 _ARM_TAGS = ("A", "B")
 _DECODER = json.JSONDecoder()

@@ -26,6 +26,9 @@ from .errors import (
     InsufficientDataError,
     UndefinedRoiError,
 )
+from .records import (
+    EffectSize, FixedEffectSummary, HeterogeneityStats, RandomEffectSummary, SignificanceResult,
+)
 from .statfuncs import chi_square_sf, normal_cdf, normal_quantile
 
 # Effect-variance formulas: "noncentral_t" divides the quadratic term by the
@@ -46,65 +49,6 @@ class ArmSampleStats:
             raise InsufficientDataError(f"need >= 2 parts per arm, got {self.m}")
         if not math.isfinite(self.mean) or not math.isfinite(self.variance) or self.variance < 0:
             raise ValueError("mean must be finite and variance finite and >= 0")
-
-
-@dataclass(frozen=True)
-class EffectSize:
-    """Standardized, small-sample-corrected treatment effect for one campaign.
-
-    ``d = correction * delta`` and ``w = 1/v``, with ``delta`` the raw
-    standardized mean difference and ``v`` its approximate sampling variance.
-    """
-
-    campaign_id: str
-    delta: float
-    pooled_sd: float
-    df: int
-    correction: float
-    d: float
-    v: float
-    w: float
-
-
-@dataclass(frozen=True)
-class FixedEffectSummary:
-    """Inverse-variance weighted mean effect and its variance."""
-
-    mu: float
-    nu: float
-    n: int
-
-
-@dataclass(frozen=True)
-class HeterogeneityStats:
-    """Cochran's Q homogeneity test and the method-of-moments between-study variance."""
-
-    q: float
-    df: int
-    p_q: float
-    lambda_: float
-    tau2: float
-
-
-@dataclass(frozen=True)
-class RandomEffectSummary:
-    """Summary effect under the random-effects model, weights 1/(v + tau2)."""
-
-    per_study_w_star: tuple[float, ...]
-    mu_star: float
-    nu_star: float
-
-
-@dataclass(frozen=True)
-class SignificanceResult:
-    """Z test of the summary effect plus its confidence interval."""
-
-    z: float
-    p_z: float
-    confidence_level: float
-    ci_low: float
-    ci_high: float
-    significant: bool
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .baselines import (
     AaSettings,
-    BaselineMethod,
-    BaselineResult,
     MicroTotals,
     aa_calibrate,
     campaign_micro_totals,
@@ -37,27 +34,14 @@ from .errors import (
     InsufficientDataError,
     NoQualifiedCampaignsError,
 )
-from .meta import (
-    EffectSize,
-    FixedEffectSummary,
-    HeterogeneityStats,
-    RandomEffectSummary,
-    SignificanceResult,
-    arm_stats,
-    check_variance_formula,
-    effect_size,
-    summarize_effects,
+from .meta import arm_stats, check_variance_formula, effect_size, summarize_effects
+from .preprocess import QualificationConfig, qualify
+from .records import (  # noqa: F401  re-exported
+    BaselineMethod, BaselineResult, Decision, EffectExclusion, EffectSize, EvaluationReport,
+    FixedEffectSummary, HeterogeneityStats, KeptCampaign, QualificationRecord, QualifiedParts,
+    RandomEffectSummary, SignificanceResult, SubgroupReport, TrafficRecommendation, Verdict,
 )
-from .preprocess import (
-    KeptCampaign, QualificationConfig, QualificationRecord, QualifiedParts, qualify,
-)
-from .subgroups import SubgroupReport, SubgroupSpec, resolve_subgroups, subgroup_analysis
-
-
-class Verdict(str, Enum):
-    ACCEPT = "accept"
-    REJECT_INEFFECTIVE = "reject_ineffective"
-    REJECT_HARMFUL = "reject_harmful"
+from .subgroups import SubgroupSpec, resolve_subgroups, subgroup_analysis
 
 
 @dataclass(frozen=True)
@@ -116,41 +100,6 @@ class EvaluationConfig:
             if not 0.0 < level < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {level!r}")
         check_variance_formula(self.variance_formula)
-
-
-@dataclass(frozen=True)
-class Decision:
-    verdict: Verdict
-    basis: str
-    requires_approval: bool
-
-
-@dataclass(frozen=True)
-class TrafficRecommendation:
-    action: str  # "ramp_up" | "halt" | "promote_to_baseline"
-    next_share: float | None = None
-
-
-@dataclass(frozen=True)
-class EffectExclusion:
-    campaign_id: str
-    reason: str
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    qualification: QualificationRecord
-    baselines: tuple[BaselineResult, ...]
-    effects: tuple[EffectSize, ...]
-    effect_exclusions: tuple[EffectExclusion, ...]
-    fixed: FixedEffectSummary
-    heterogeneity: HeterogeneityStats
-    homogeneity_level: float  # the level the renderer marks p_Q and p_between against
-    random: RandomEffectSummary
-    significance: SignificanceResult
-    subgroup: SubgroupReport | None
-    decision: Decision
-    recommendation: TrafficRecommendation
 
 
 def decide(significance: SignificanceResult) -> Decision:

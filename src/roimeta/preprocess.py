@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 from .campaigns import Arm, ArmColumns, CampaignExperiment, ExperimentDataset
 from .errors import ConfigError
+from .records import (  # noqa: F401  re-exported
+    DisqualifiedCampaign, ExcludedPart, KeptCampaign, QualificationRecord, QualifiedParts,
+)
 
 
 @dataclass(frozen=True)
@@ -29,49 +32,6 @@ class QualificationConfig:
             raise ConfigError(
                 f"min_qualified_fraction must be in (0, 1], got {self.min_qualified_fraction!r}"
             )
-
-
-@dataclass(frozen=True)
-class ExcludedPart:
-    campaign_id: str
-    arm: Arm
-    part_id: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class DisqualifiedCampaign:
-    campaign_id: str
-    reason: str
-
-
-@dataclass(frozen=True)
-class KeptCampaign:
-    campaign_id: str
-    m_a: int
-    m_b: int
-
-
-@dataclass(frozen=True)
-class QualifiedParts:
-    """The qualified set as a report keeps it: part counts and ``parts_sha256``."""
-
-    campaigns: tuple[KeptCampaign, ...]
-    sha256: str
-
-    @property
-    def n(self) -> int:
-        return len(self.campaigns)
-
-
-@dataclass(frozen=True)
-class QualificationRecord:
-    """A ``QualificationReport`` as ``evaluate`` records it: parts as counts and a digest."""
-
-    qualified: QualifiedParts
-    excluded_parts: tuple[ExcludedPart, ...]
-    disqualified_campaigns: tuple[DisqualifiedCampaign, ...]
-    disqualified_fraction: float
 
 
 @dataclass(frozen=True)

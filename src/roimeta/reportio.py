@@ -5,7 +5,7 @@ The machine format is deterministic (sorted keys, repr-exact floats), so the
 same report always serializes to identical bytes, and parsing it back yields
 an object equal to the original. Encoding and decoding are both driven by the
 field types of the report dataclasses (``_codec``), so a report field is
-declared once, on its dataclass.
+declared once, on its dataclass in ``records``.
 
 Each dataclass has one encoder and one decoder, applied item by item to a
 tuple of dataclasses; the decoder is the only place that words an error.
@@ -22,9 +22,8 @@ import typing
 from enum import Enum
 from typing import Any, Callable
 
-from .baselines import BaselineDecision
 from .errors import SchemaError
-from .pipeline import EvaluationReport, Verdict
+from .records import BaselineDecision, EvaluationReport, Verdict
 
 SCHEMA_VERSION = "2"
 

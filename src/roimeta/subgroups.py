@@ -20,6 +20,7 @@ from .baselines import MicroTotals
 from .campaigns import from_micros
 from .errors import ConfigError, InsufficientDataError, SchemaError
 from .meta import EffectSize, random_effect_summary, weighted_q, z_significance
+from .records import SubgroupReport, SubgroupSummary
 from .statfuncs import chi_square_sf
 
 SUBGROUP_KINDS = ("by_spend_cumulative", "by_label")
@@ -55,30 +56,6 @@ class SubgroupSpec:
 class GroupAssignment:
     group_id: str
     members: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SubgroupSummary:
-    """Random-model summary of one group: its mean effect, CI, and homogeneity."""
-
-    group_id: str
-    members: tuple[str, ...]
-    mu_star_k: float
-    ci_low: float
-    ci_high: float
-    p_z_k: float
-    q_star_k: float
-    p_q_star_k: float
-
-
-@dataclass(frozen=True)
-class SubgroupReport:
-    summaries: tuple[SubgroupSummary, ...]
-    q_star_total: float
-    q_within: float
-    q_between: float
-    df_between: int
-    p_between: float
 
 
 def partition_by_spend(

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import roimeta
 from roimeta.cli import main
 from roimeta.reportio import report_from_json
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_report.json"
 
 
 SIM_CFG = """\
@@ -252,6 +259,19 @@ class TestReport:
         code = main(["report", str(report_path), "--format", "json"])
         assert code == 0
         assert capsys.readouterr().out == from_evaluate
+
+    def test_module_entry_point_reprints_the_golden_report(self):
+        # `python -m roimeta.cli` is how the benchmark launches the command line
+        src = Path(roimeta.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "roimeta.cli", "report", str(GOLDEN_PATH), "--format", "json"],
+            capture_output=True, env=env, timeout=120,
+        )
+        golden = GOLDEN_PATH.read_bytes()
+        accepted = json.loads(golden)["decision"]["verdict"] == "accept"
+        assert (done.returncode, done.stderr) == (0 if accepted else 1, b"")
+        assert done.stdout == golden
 
     def test_malformed_report_is_exit_2(self, workdir, capsys):
         bad = workdir / "bad.json"

@@ -1,0 +1,172 @@
+"""What each entry point imports, and the package namespace it resolves lazily.
+
+The import sets are read in a fresh interpreter, because this test process
+has loaded every module already.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import roimeta
+from roimeta import records
+from roimeta.dataio import write_dataset
+from roimeta.simulate import SimConfig, generate_experiment
+
+SRC = Path(roimeta.__file__).resolve().parents[1]
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_report.json"
+
+# The package's public names, by the module that defined each before the
+# report types moved to ``records``.
+EXPORTS = {
+    "baselines": (
+        "AaCalibration", "AaSettings", "BaselineDecision", "BaselineMethod", "BaselineResult",
+        "aa_calibrate", "campaign_micro_totals", "macro_delta", "micro_delta", "micro_roi",
+        "threshold_decision",
+    ),
+    "campaigns": ("Arm", "ArmColumns", "CampaignExperiment", "ExperimentDataset",
+                  "PartMeasurement"),
+    "dataio": ("ingest", "render_dataset_csv", "write_dataset"),
+    "errors": (
+        "ConfigError", "DegenerateEffectError", "IngestError", "InsufficientDataError",
+        "NoQualifiedCampaignsError", "RoimetaError", "SchemaError", "UndefinedRoiError",
+    ),
+    "meta": (
+        "ArmSampleStats", "EffectSize", "FixedEffectSummary", "HeterogeneityStats",
+        "MetaSummary", "RandomEffectSummary", "SignificanceResult", "arm_stats", "cochran_q",
+        "effect_size", "fixed_effect_summary", "heterogeneity_stats", "random_effect_summary",
+        "summarize_effects", "tau_squared", "z_significance",
+    ),
+    "pipeline": (
+        "Decision", "EffectExclusion", "EvaluationConfig", "EvaluationReport", "ExplicitThetas",
+        "TrafficRecommendation", "TrafficSchedule", "Verdict", "collect_effects", "decide",
+        "evaluate", "recommend_traffic",
+    ),
+    "preprocess": ("DisqualifiedCampaign", "ExcludedPart", "QualificationConfig",
+                   "QualificationReport", "qualify"),
+    "reportio": ("render_report", "report_from_json", "report_to_json"),
+    "simulate": ("SimConfig", "generate_experiment"),
+    "statfuncs": ("chi_square_sf", "normal_cdf", "normal_quantile"),
+    "subgroups": (
+        "GroupAssignment", "SubgroupReport", "SubgroupSpec", "SubgroupSummary",
+        "partition_by_label", "partition_by_spend", "resolve_subgroups", "subgroup_analysis",
+    ),
+}
+
+# The report types, by the module that defined each before they moved.
+MOVED = {
+    "campaigns": ("Arm",),
+    "baselines": ("BaselineMethod", "BaselineDecision", "BaselineResult"),
+    "preprocess": ("ExcludedPart", "DisqualifiedCampaign", "KeptCampaign", "QualifiedParts",
+                   "QualificationRecord"),
+    "meta": ("EffectSize", "FixedEffectSummary", "HeterogeneityStats", "RandomEffectSummary",
+             "SignificanceResult"),
+    "subgroups": ("SubgroupSummary", "SubgroupReport"),
+    "pipeline": ("Verdict", "Decision", "TrafficRecommendation", "EffectExclusion",
+                 "EvaluationReport"),
+}
+
+# Runs the CLI with the given arguments, then prints every loaded module.
+CLI_PROBE = """
+import sys
+from roimeta.cli import main
+code = main(sys.argv[1:])
+print()
+print(" ".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def cli_modules(*argv: str) -> tuple[int, set[str]]:
+    done = run_fresh("-c", CLI_PROBE, *argv)
+    assert done.returncode in (0, 1), done.stderr
+    return done.returncode, set(done.stdout.splitlines()[-1].split())
+
+
+def package_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "roimeta" or m.startswith("roimeta.")}
+
+
+class TestImportSets:
+    def test_report_loads_only_the_report_layers(self):
+        code, modules = cli_modules("report", str(GOLDEN_PATH))
+        assert code == 0
+        assert package_modules(modules) == {
+            "roimeta", "roimeta.cli", "roimeta.config", "roimeta.errors", "roimeta.records",
+            "roimeta.reportio",
+        }
+        assert not modules & {"statistics", "hashlib", "csv"}
+
+    def test_evaluate_does_not_load_the_simulator(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_dataset(generate_experiment(SimConfig(n_campaigns=6, seed=1)), data)
+        _, modules = cli_modules("evaluate", str(data), "--aa-treatment-share", "0.1")
+        assert "roimeta.pipeline" in modules
+        assert "roimeta.simulate" not in modules
+
+    def test_simulate_does_not_load_the_analysis(self, tmp_path):
+        code, modules = cli_modules("simulate", "--seed", "1", "--out", str(tmp_path / "d.csv"))
+        assert code == 0
+        assert "roimeta.simulate" in modules
+        assert not modules & {"roimeta.pipeline", "roimeta.meta", "roimeta.reportio"}
+
+    def test_bare_import_loads_no_submodule_and_a_name_loads_its_module(self):
+        done = run_fresh("-c", (
+            "import sys, roimeta\n"
+            "loaded = lambda: ' '.join(sorted(m for m in sys.modules if 'roimeta' in m))\n"
+            "print(loaded())\n"
+            "roimeta.Verdict\n"
+            "print(loaded())\n"
+            "print(roimeta.meta.EffectSize is roimeta.records.EffectSize is roimeta.EffectSize)\n"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["roimeta", "roimeta roimeta.records", "True"]
+
+
+class TestNamespaceParity:
+    def test_all_is_the_pinned_names(self):
+        pinned = [name for names in EXPORTS.values() for name in names]
+        assert len(pinned) == len(set(pinned)) == 76
+        assert sorted(roimeta.__all__) == sorted(pinned)
+
+    def test_every_name_resolves_to_its_module_object_every_way(self):
+        star: dict = {}
+        exec("from roimeta import *", star)
+        for module, names in EXPORTS.items():
+            home = importlib.import_module(f"roimeta.{module}")
+            for name in names:
+                obj = getattr(home, name)
+                one: dict = {}
+                exec(f"from roimeta import {name}", one)
+                assert all(x is obj for x in (getattr(roimeta, name), one[name], star[name])), name
+        assert set(star) - {"__builtins__"} == set(roimeta.__all__)
+
+    def test_moved_types_are_the_records_objects(self):
+        moved = {name for names in MOVED.values() for name in names}
+        defined = {name for name, obj in vars(records).items()
+                   if isinstance(obj, type) and obj.__module__ == records.__name__}
+        assert defined == moved and len(moved) == 21
+        for module, names in MOVED.items():
+            home = importlib.import_module(f"roimeta.{module}")
+            for name in names:
+                assert getattr(home, name) is getattr(records, name), (module, name)
+
+    def test_dir_lists_the_names(self):
+        assert set(roimeta.__all__) <= set(dir(roimeta))
+        assert "__version__" in dir(roimeta)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            roimeta.no_such_name
+        with pytest.raises(ImportError):
+            exec("from roimeta import no_such_name", {})
