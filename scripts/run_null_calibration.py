@@ -11,7 +11,6 @@ rate, which should sit near the nominal two-sided level.
 import argparse
 import sys
 import time
-import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -30,8 +29,6 @@ def main() -> int:
     parser.add_argument("--seed-base", type=int, default=0)
     args = parser.parse_args()
 
-    # with few campaigns a spend tier can be empty, and evaluate warns about it
-    warnings.simplefilter("ignore")
     evaluation = EvaluationConfig(
         confidence_level=args.confidence_level, aa=ExplicitThetas(0.0, 0.0),
     )

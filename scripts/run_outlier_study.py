@@ -8,7 +8,6 @@ treatment; the random-effects evaluation rejects it.
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -30,7 +29,6 @@ def main() -> int:
     parser.add_argument("--show-sample-report", action="store_true")
     args = parser.parse_args()
 
-    warnings.simplefilter("ignore")
     micro_accepts = 0
     meta_rejects = 0
     disagreements = 0

@@ -39,7 +39,7 @@ _EXPORTS = {
     "records": (
         "Arm", "BaselineDecision", "BaselineMethod", "BaselineResult", "Decision",
         "DisqualifiedCampaign", "EffectExclusion", "EffectSize", "EvaluationReport",
-        "ExcludedPart", "FixedEffectSummary", "HeterogeneityStats", "RandomEffectSummary",
+        "FixedEffectSummary", "HeterogeneityStats", "PartExclusions", "RandomEffectSummary",
         "SignificanceResult", "SubgroupReport", "SubgroupSummary", "TrafficRecommendation",
         "Verdict",
     ),

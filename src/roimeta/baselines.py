@@ -14,8 +14,6 @@ share itself: the configured ``AaSettings.treatment_share``, else the
 
 from __future__ import annotations
 
-import statistics
-import warnings
 from dataclasses import dataclass
 from math import fsum
 
@@ -51,6 +49,7 @@ class AaCalibration:
 
     repeats_k: int
     split_seed: int
+    treatment_share: float  # the pseudo-treatment share the splits used
     per_repeat_stats: tuple[float, ...]
     theta: float
 
@@ -85,6 +84,15 @@ def micro_delta(totals: MicroTotals) -> float:
     return micro_roi(totals, Arm.TREATMENT) - micro_roi(totals, Arm.CONTROL)
 
 
+def _median(values: list[float]) -> float:
+    """``statistics.median``'s value, by its own steps, without loading ``statistics``."""
+    values = sorted(values)
+    half = len(values) // 2
+    if len(values) % 2:
+        return values[half]
+    return (values[half - 1] + values[half]) / 2
+
+
 def _roi_diffs(totals: MicroTotals) -> list[float]:
     """Per-campaign treatment-minus-control ROI differences, in totals order."""
     if not totals:
@@ -102,8 +110,13 @@ def macro_delta(totals: MicroTotals, aggregator: str = "mean") -> float:
         raise ConfigError(f"aggregator must be 'mean' or 'median', got {aggregator!r}")
     diffs = _roi_diffs(totals)
     if aggregator == "median":
-        return statistics.median(diffs)
+        return _median(diffs)
     return fsum(diffs) / len(diffs)
+
+
+def aa_skipped(dataset: ExperimentDataset) -> list[str]:
+    """Ids of the campaigns ``aa_calibrate`` leaves out: fewer than 2 control parts."""
+    return [c.campaign_id for c in dataset.campaigns if c.m_a < 2]
 
 
 def aa_calibrate(
@@ -112,7 +125,7 @@ def aa_calibrate(
     """Estimate every baseline's decision threshold from repeated A/A splits.
 
     Each repeat splits every campaign's control parts (at least two required;
-    campaigns with fewer are skipped with a warning) into disjoint pseudo-arms,
+    campaigns with fewer are skipped, see ``aa_skipped``) into disjoint pseudo-arms,
     ``settings.treatment_share`` of them (else the ``observed_share`` of
     ``totals``) pseudo-treatment, computes each method's statistic on that one
     pseudo-experiment, and each threshold is the signed mean of its statistic
@@ -128,13 +141,6 @@ def aa_calibrate(
     share_b = settings.treatment_share or observed_share(totals)  # a share is never 0
     repeats_k, seed = settings.repeats_k, settings.seed
     eligible = [c for c in dataset.campaigns if c.m_a >= 2]
-    skipped = [c.campaign_id for c in dataset.campaigns if c.m_a < 2]
-    if skipped:
-        warnings.warn(
-            f"excluded {len(skipped)} campaign(s) with fewer than 2 control parts "
-            f"from A/A calibration: {', '.join(skipped[:5])}"
-            + ("..." if len(skipped) > 5 else "")
-        )
     if not eligible:
         raise InsufficientDataError("no campaign has >= 2 control parts to split")
     columns = []
@@ -154,11 +160,12 @@ def aa_calibrate(
         per_repeat[BaselineMethod.MICRO].append(micro_delta(arms))
         diffs = _roi_diffs(arms)  # macro_delta's, shared by mean and median
         per_repeat[BaselineMethod.MACRO].append(fsum(diffs) / len(diffs))
-        per_repeat[BaselineMethod.MACRO_MEDIAN].append(statistics.median(diffs))
+        per_repeat[BaselineMethod.MACRO_MEDIAN].append(_median(diffs))
     return {
         method: AaCalibration(
             repeats_k=repeats_k,
             split_seed=seed,
+            treatment_share=share_b,
             per_repeat_stats=tuple(stats),
             theta=fsum(stats) / repeats_k,
         )

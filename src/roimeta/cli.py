@@ -2,7 +2,9 @@
 
 Subcommands: ``evaluate`` (full pipeline), ``simulate`` (synthetic data),
 ``report`` (re-render a saved machine report). The report carries each A/A
-threshold (``baselines[*].threshold_theta``) and the ``subgroup`` block.
+threshold (``baselines[*].threshold_theta``), the ``subgroup`` block and an
+``audit`` block whose config lines name each value's source: a ``--config``
+file or a flag.
 Each subcommand imports only the layers it runs, so ``report`` loads
 ``config``, ``errors``, ``records`` and ``reportio`` and none of the analysis.
 

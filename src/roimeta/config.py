@@ -4,10 +4,15 @@ Config files hold one ``key = value`` pair per line (``#`` comments allowed).
 Every evaluation key has a CLI flag of the same name, and flags override file
 values. Baseline thresholds come either from A/A calibration (``aa_*`` keys)
 or from explicit ``micro_theta``/``macro_theta`` values, never both.
+
+``EVAL_KEYS`` places each key in an ``EvaluationConfig``; the loader builds
+the config through it and ``config_record`` reads it back as config lines,
+each with the source of its value, for a report's audit block.
 """
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, get_type_hints
 
@@ -15,6 +20,7 @@ from .errors import ConfigError
 
 if TYPE_CHECKING:
     from .pipeline import EvaluationConfig
+    from .records import ConfigRecord
     from .simulate import SimConfig
 
 
@@ -69,24 +75,28 @@ def _parse_str(raw: str) -> str:
 
 INPUT_FORMATS = ("delimited-text", "record-lines")  # dataio.ingest's; the parser loads no dataio
 
-EVAL_KEY_PARSERS: dict[str, Callable[[str], object]] = {
-    "confidence_level": _parse_float,
-    "homogeneity_level": _parse_float,
-    "min_impressions_per_part": _parse_int,
-    "min_qualified_fraction": _parse_float,
-    "aa_repeats_k": _parse_int,
-    "aa_seed": _parse_int,
-    "aa_treatment_share": _parse_float,
-    "micro_theta": _parse_float,
-    "macro_theta": _parse_float,
-    "subgroup_kind": _parse_str,
-    "spend_fractions": _parse_float_list,
-    "subgroup_labels": _parse_labels,
-    "variance_formula": _parse_str,
-    "skip_subgroup_on_strong_reject": _parse_bool,
-    "phases": _parse_float_list,
-    "current_share": _parse_float,
+# Each evaluation key's parser and the place of its value in an EvaluationConfig:
+# (field,) or (section, field). The ``aa`` section is an AaSettings or, with the
+# theta keys, an ExplicitThetas.
+EVAL_KEYS: dict[str, tuple[Callable[[str], object], tuple[str, ...]]] = {
+    "confidence_level": (_parse_float, ("confidence_level",)),
+    "homogeneity_level": (_parse_float, ("homogeneity_level",)),
+    "min_impressions_per_part": (_parse_int, ("qualification", "min_impressions_per_part")),
+    "min_qualified_fraction": (_parse_float, ("qualification", "min_qualified_fraction")),
+    "aa_repeats_k": (_parse_int, ("aa", "repeats_k")),
+    "aa_seed": (_parse_int, ("aa", "seed")),
+    "aa_treatment_share": (_parse_float, ("aa", "treatment_share")),
+    "micro_theta": (_parse_float, ("aa", "micro_theta")),
+    "macro_theta": (_parse_float, ("aa", "macro_theta")),
+    "subgroup_kind": (_parse_str, ("subgroups", "kind")),
+    "spend_fractions": (_parse_float_list, ("subgroups", "spend_fractions")),
+    "subgroup_labels": (_parse_labels, ("subgroups", "labels")),
+    "variance_formula": (_parse_str, ("variance_formula",)),
+    "skip_subgroup_on_strong_reject": (_parse_bool, ("skip_subgroup_on_strong_reject",)),
+    "phases": (_parse_float_list, ("schedule", "phases")),
+    "current_share": (_parse_float, ("schedule", "current_share")),
 }
+EVAL_KEY_PARSERS = {key: parser for key, (parser, _) in EVAL_KEYS.items()}
 
 
 def parse_kv_text(text: str, source: str = "config") -> dict[str, str]:
@@ -107,15 +117,10 @@ def parse_kv_text(text: str, source: str = "config") -> dict[str, str]:
     return values
 
 
-def _given(values: dict[str, object], *keys: str, **renamed: str) -> dict[str, object]:
-    """Keyword arguments for the config keys present in ``values``; absent keys
-    are left out so that the dataclass defaults apply. ``renamed`` maps a
-    field name to its config key."""
-    fields = {key: key for key in keys} | renamed
-    return {field: values[key] for field, key in fields.items() if key in values}
-
-
-def evaluation_config_from_values(values: dict[str, object]) -> EvaluationConfig:
+def evaluation_config_from_values(
+    values: dict[str, object], sources: dict[str, str] | None = None
+) -> EvaluationConfig:
+    """The config of typed ``values``; ``sources`` names where each was given."""
     from .pipeline import AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule
     from .preprocess import QualificationConfig
     from .subgroups import SubgroupSpec
@@ -126,33 +131,78 @@ def evaluation_config_from_values(values: dict[str, object]) -> EvaluationConfig
         raise ConfigError(
             "give either explicit micro_theta/macro_theta or aa_* calibration keys, not both"
         )
-    if has_thetas:
-        if "micro_theta" not in values or "macro_theta" not in values:
-            raise ConfigError("explicit thresholds need both micro_theta and macro_theta")
-        aa: AaSettings | ExplicitThetas = ExplicitThetas(
-            micro_theta=values["micro_theta"], macro_theta=values["macro_theta"]
-        )
-    else:
-        aa = AaSettings(**_given(
-            values, repeats_k="aa_repeats_k", seed="aa_seed", treatment_share="aa_treatment_share"
-        ))
-    subgroup_args = _given(
-        values, "spend_fractions", kind="subgroup_kind", labels="subgroup_labels"
-    )
-    if "subgroup_labels" in values:
-        subgroup_args.setdefault("kind", "by_label")
+    if has_thetas and ("micro_theta" not in values or "macro_theta" not in values):
+        raise ConfigError("explicit thresholds need both micro_theta and macro_theta")
+    sources = dict(sources or {})
+    top: dict[str, object] = {}
+    sections: dict[str, dict[str, object]] = {
+        "qualification": {}, "aa": {}, "subgroups": {}, "schedule": {}}
+    for key, value in values.items():
+        *section, name = EVAL_KEYS[key][1]
+        (sections[section[0]] if section else top)[name] = value
+    aa = (ExplicitThetas if has_thetas else AaSettings)(**sections["aa"])
+    if "subgroup_labels" in values and "subgroup_kind" not in values:
+        sections["subgroups"]["kind"] = "by_label"
+        if "subgroup_labels" in sources:
+            sources["subgroup_kind"] = sources["subgroup_labels"]
     return EvaluationConfig(
-        qualification=QualificationConfig(
-            **_given(values, "min_impressions_per_part", "min_qualified_fraction")
-        ),
+        qualification=QualificationConfig(**sections["qualification"]),
         aa=aa,
-        subgroups=SubgroupSpec(**subgroup_args),
-        schedule=TrafficSchedule(**_given(values, "phases", "current_share")),
-        **_given(
-            values, "confidence_level", "homogeneity_level", "variance_formula",
-            "skip_subgroup_on_strong_reject",
-        ),
+        subgroups=SubgroupSpec(**sections["subgroups"]),
+        schedule=TrafficSchedule(**sections["schedule"]),
+        sources=sources,
+        **top,
     )
+
+
+def _format_float(value: object) -> str:
+    return repr(float(value))
+
+
+# The config-file text of a value, by the parser that reads it back.
+_FORMATTERS: dict[Callable[[str], object], Callable] = {
+    _parse_bool: lambda value: "true" if value else "false",
+    _parse_float: _format_float,
+    _parse_int: str,
+    _parse_float_list: lambda values: ",".join(map(_format_float, values)),
+    _parse_labels: lambda labels: ",".join(f"{c}:{g}" for c, g in labels.items()),
+    _parse_str: str,
+}
+
+
+def _config_lines(config: EvaluationConfig) -> dict[str, str]:
+    """``key = value`` lines of every key ``config`` holds a value for."""
+    lines = {}
+    for key, (parser, path) in EVAL_KEYS.items():
+        value = functools.reduce(lambda obj, name: getattr(obj, name, None), path, config)
+        if value is not None:
+            lines[key] = f"{key} = {_FORMATTERS[parser](value)}"
+    return lines
+
+
+@functools.cache
+def _default_lines() -> dict[str, str]:
+    from .pipeline import EvaluationConfig
+
+    return _config_lines(EvaluationConfig())
+
+
+def config_record(config: EvaluationConfig, aa_share: float | None) -> ConfigRecord:
+    """The effective ``config`` as config lines grouped by source: where the loader
+    found the key, else ``default`` when the value equals the default, else
+    ``caller``. ``aa_share`` is the share A/A calibration used; when ``config``
+    sets none, it is the one observed in the data."""
+    from .records import ConfigRecord
+
+    groups: dict[str, list[str]] = {s: [] for s in ("caller", "data", "default", "file", "flag")}
+    default = _default_lines()
+    lines = _config_lines(config)
+    for key, line in lines.items():
+        source = config.sources.get(key) or ("default" if default.get(key) == line else "caller")
+        groups[source].append(line)
+    if aa_share is not None and "aa_treatment_share" not in lines:
+        groups["data"].append(f"aa_treatment_share = {_format_float(aa_share)}")
+    return ConfigRecord(**{source: tuple(lines) for source, lines in groups.items()})
 
 
 def _load_values(
@@ -177,9 +227,12 @@ def _load_values(
 def load_evaluation_config(
     path: str | Path | None = None, overrides: dict[str, str] | None = None
 ) -> EvaluationConfig:
-    """Build an EvaluationConfig from an optional file plus raw-string overrides."""
+    """Build an EvaluationConfig from an optional file plus raw-string overrides,
+    the command-line flags, which the config records as each key's source."""
+    values = _load_values(path, overrides, EVAL_KEY_PARSERS, "evaluation config")
+    flags = {key for key, value in (overrides or {}).items() if value is not None}
     return evaluation_config_from_values(
-        _load_values(path, overrides, EVAL_KEY_PARSERS, "evaluation config")
+        values, {key: "flag" if key in flags else "file" for key in values}
     )
 
 

@@ -7,7 +7,9 @@ the DerSimonian-Laird method of moments; the summary effect is tested with a
 Z statistic and reported with a symmetric confidence interval.
 
 The fixed model is the random model at tau2 = 0 (``1/(v + 0.0) == 1/v == w``),
-and every Q, Cochran's and the subgroups', is one ``weighted_q``.
+and every Q, Cochran's and the subgroups', is one ``weighted_q``. The weights
+and the small-sample correction are the ``EffectSize`` record's own
+expressions, so a decoded report recomputes the same floats.
 
 All accumulations use exactly rounded summation (``math.fsum``), so results do
 not depend on campaign iteration order.
@@ -28,6 +30,7 @@ from .errors import (
 )
 from .records import (
     EffectSize, FixedEffectSummary, HeterogeneityStats, RandomEffectSummary, SignificanceResult,
+    small_sample_correction,
 )
 from .statfuncs import chi_square_sf, normal_cdf, normal_quantile
 
@@ -111,7 +114,7 @@ def effect_size(
     pooled_var = ((m_a - 1) * stats_a.variance + (m_b - 1) * stats_b.variance) / df
     pooled_sd = math.sqrt(pooled_var)
     diff = stats_b.mean - stats_a.mean
-    correction = 1.0 - 3.0 / (4.0 * df - 1.0)
+    correction = small_sample_correction(df)
     if pooled_sd == 0.0:
         if diff != 0.0:
             raise DegenerateEffectError(
@@ -129,14 +132,7 @@ def effect_size(
         quad_term = d * d / (2 * (m_a + m_b))
     v = correction * correction * (size_term + quad_term)
     return EffectSize(
-        campaign_id=campaign_id,
-        delta=delta,
-        pooled_sd=pooled_sd,
-        df=df,
-        correction=correction,
-        d=d,
-        v=v,
-        w=1.0 / v,
+        campaign_id=campaign_id, delta=delta, pooled_sd=pooled_sd, df=df, d=d, v=v,
     )
 
 
@@ -146,9 +142,9 @@ def fixed_effect_summary(effects: list[EffectSize] | tuple[EffectSize, ...]) -> 
     return FixedEffectSummary(mu=summary.mu_star, nu=summary.nu_star, n=len(effects))
 
 
-def weighted_q(weights: Iterable[float], effects: Iterable[EffectSize], mu: float) -> float:
-    """Weighted squared deviations of the effects around ``mu``."""
-    return fsum(w * (e.d - mu) ** 2 for w, e in zip(weights, effects))
+def weighted_q(effects: Iterable[EffectSize], tau2: float, mu: float) -> float:
+    """Squared deviations of the effects around ``mu``, weighted ``w_star(tau2)``."""
+    return fsum(e.w_star(tau2) * (e.d - mu) ** 2 for e in effects)
 
 
 def cochran_q(
@@ -163,7 +159,7 @@ def cochran_q(
         raise InsufficientDataError("no effects")
     if n == 1:
         return 0.0, 1.0
-    q = weighted_q((e.w for e in effects), effects, mu)
+    q = weighted_q(effects, 0.0, mu)
     return q, chi_square_sf(q, n - 1)
 
 
@@ -198,17 +194,15 @@ def heterogeneity_stats(
 def random_effect_summary(
     effects: list[EffectSize] | tuple[EffectSize, ...], tau2: float
 ) -> RandomEffectSummary:
-    """Summary effect with per-study weights 1/(v + tau2)."""
+    """Summary effect with per-study weights ``w_star(tau2)`` = 1/(v + tau2)."""
     if not effects:
         raise InsufficientDataError("no effects to summarize")
     if tau2 < 0:
         raise ValueError(f"tau2 must be >= 0, got {tau2!r}")
-    w_star = tuple(1.0 / (e.v + tau2) for e in effects)
+    w_star = [e.w_star(tau2) for e in effects]
     sum_w = fsum(w_star)
     mu_star = fsum(w * e.d for w, e in zip(w_star, effects)) / sum_w
-    return RandomEffectSummary(
-        per_study_w_star=w_star, mu_star=mu_star, nu_star=1.0 / sum_w,
-    )
+    return RandomEffectSummary(mu_star=mu_star, nu_star=1.0 / sum_w)
 
 
 def z_significance(

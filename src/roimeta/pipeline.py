@@ -11,23 +11,32 @@ significant effect with a confidence interval entirely above zero; a
 significant interval entirely below zero is a harmful (strong) rejection;
 anything else rejects for ineffectiveness.
 Baseline verdicts are reported alongside but never drive the decision.
+
+The report's ``audit`` block records what a later check of the decision needs:
+the effective config with the source of each value, each baseline's A/A
+statistic per repeat, the observed and configured arm-B spend share (data
+only), the warnings of the stages that ran, and the package version.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from . import __version__
 from .baselines import (
     AaSettings,
     MicroTotals,
     aa_calibrate,
+    aa_skipped,
     campaign_micro_totals,
     macro_delta,
     micro_delta,
+    observed_share,
     threshold_decision,
 )
 from .campaigns import ExperimentDataset, parts_sha256
+from .config import config_record
 from .errors import (
     ConfigError,
     DegenerateEffectError,
@@ -37,9 +46,10 @@ from .errors import (
 from .meta import arm_stats, check_variance_formula, effect_size, summarize_effects
 from .preprocess import QualificationConfig, qualify
 from .records import (  # noqa: F401  re-exported
-    BaselineMethod, BaselineResult, Decision, EffectExclusion, EffectSize, EvaluationReport,
-    FixedEffectSummary, HeterogeneityStats, KeptCampaign, QualificationRecord, QualifiedParts,
-    RandomEffectSummary, SignificanceResult, SubgroupReport, TrafficRecommendation, Verdict,
+    AaRecord, Audit, BaselineMethod, BaselineResult, Decision, EffectExclusion, EffectSize,
+    EvaluationReport, FixedEffectSummary, HeterogeneityStats, KeptCampaign, QualificationRecord,
+    QualifiedParts, RandomEffectSummary, SignificanceResult, SubgroupReport,
+    TrafficRecommendation, Verdict,
 )
 from .subgroups import SubgroupSpec, resolve_subgroups, subgroup_analysis
 
@@ -93,6 +103,8 @@ class EvaluationConfig:
     variance_formula: str = "noncentral_t"
     skip_subgroup_on_strong_reject: bool = True
     schedule: TrafficSchedule = TrafficSchedule()
+    # Where the config loader found each key it was given: "file" or "flag".
+    sources: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("confidence_level", "homogeneity_level"):
@@ -147,14 +159,28 @@ def recommend_traffic(
 
 def _resolve_thetas(
     qualified: ExperimentDataset, totals: MicroTotals, config: EvaluationConfig
-) -> dict[BaselineMethod, float]:
+) -> tuple[dict[BaselineMethod, float], AaRecord | None]:
+    """Each baseline's threshold, and how A/A calibration derived them (None
+    for explicit thresholds)."""
     if isinstance(config.aa, ExplicitThetas):
         return {
             BaselineMethod.MICRO: config.aa.micro_theta,
             BaselineMethod.MACRO: config.aa.macro_theta,
             BaselineMethod.MACRO_MEDIAN: config.aa.macro_theta,
-        }
-    return {method: c.theta for method, c in aa_calibrate(qualified, totals, config.aa).items()}
+        }, None
+    calibrations = aa_calibrate(qualified, totals, config.aa)
+    first = calibrations[BaselineMethod.MICRO]
+    record = AaRecord(first.split_seed, first.treatment_share, **{
+        method.value: c.per_repeat_stats for method, c in calibrations.items()})
+    return {method: c.theta for method, c in calibrations.items()}, record
+
+
+def _observed_share(totals: MicroTotals) -> float | None:
+    """The arm-B share of the spend, or None where ``observed_share`` finds none."""
+    try:
+        return observed_share(totals)
+    except InsufficientDataError:
+        return None
 
 
 def collect_effects(
@@ -199,7 +225,15 @@ def evaluate(
     # A bad label map fails here; spend tiers are drawn only if the subgroups run.
     groups = (resolve_subgroups(totals, config.subgroups)
               if config.subgroups.kind == "by_label" else None)
-    thetas = _resolve_thetas(qualified, totals, config)
+    notes: list[str] = []  # the report's warnings, in stage order
+    thetas, aa = _resolve_thetas(qualified, totals, config)
+    skipped = aa_skipped(qualified) if aa is not None else []
+    if skipped:
+        notes.append(
+            f"excluded {len(skipped)} campaign(s) with fewer than 2 control parts "
+            f"from A/A calibration: {', '.join(skipped[:5])}"
+            + ("..." if len(skipped) > 5 else "")
+        )
     deltas = {
         BaselineMethod.MICRO: micro_delta(totals),
         BaselineMethod.MACRO: macro_delta(totals, "mean"),
@@ -225,15 +259,21 @@ def evaluate(
     if not skip:
         if groups is None:
             groups = resolve_subgroups(totals, config.subgroups)
+            tiers = len(config.subgroups.spend_fractions)
+            if len(groups) < tiers:
+                notes.append(f"only {len(groups)} of {tiers} spend groups are non-empty")
         subgroup = subgroup_analysis(
             effects, summary.heterogeneity.tau2, groups, config.confidence_level
         )
+        analysed = {s.group_id for s in subgroup.summaries}
+        notes.extend(f"subgroup {g.group_id!r} has no analyzable campaigns; dropped"
+                     for g in groups if g.group_id not in analysed)
 
     recommendation = recommend_traffic(decision, config.schedule)
     kept = tuple(KeptCampaign(c.campaign_id, c.m_a, c.m_b) for c in qualified.campaigns)
     return EvaluationReport(
         qualification=QualificationRecord(
-            QualifiedParts(kept, parts_sha256(qualified)), qreport.excluded_parts,
+            QualifiedParts(kept, parts_sha256(qualified)), qreport.part_exclusions,
             qreport.disqualified_campaigns, qreport.disqualified_fraction,
         ),
         baselines=baselines,
@@ -247,4 +287,13 @@ def evaluate(
         subgroup=subgroup,
         decision=decision,
         recommendation=recommendation,
+        audit=Audit(
+            version=__version__,
+            config=config_record(config, aa.treatment_share if aa is not None else None),
+            aa=aa,
+            spend_share_observed=_observed_share(totals),
+            spend_share_configured=(
+                config.aa.treatment_share if isinstance(config.aa, AaSettings) else None),
+            warnings=tuple(notes),
+        ),
     )

@@ -3,7 +3,9 @@
 A part is dropped when it has too few impressions or zero spend. A campaign
 stays in the analysis only if, in each arm, strictly more than
 ``min_qualified_fraction`` of its original parts survive; ties disqualify.
-Every analysis method downstream consumes the same qualified set.
+Every analysis method downstream consumes the same qualified set. Dropped parts
+are counted per campaign arm and reason: too few impressions, zero spend, or a
+qualified part of a disqualified campaign.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from .campaigns import Arm, ArmColumns, CampaignExperiment, ExperimentDataset
 from .errors import ConfigError
 from .records import (  # noqa: F401  re-exported
-    DisqualifiedCampaign, ExcludedPart, KeptCampaign, QualificationRecord, QualifiedParts,
+    DisqualifiedCampaign, KeptCampaign, PartExclusions, QualificationRecord, QualifiedParts,
 )
 
 
@@ -38,34 +40,33 @@ class QualificationConfig:
 class QualificationReport:
     """Outcome of qualification: the surviving dataset plus full exclusion accounting.
 
-    Every input part appears exactly once, either inside ``qualified`` or in
-    ``excluded_parts``.
+    Every input part is counted exactly once, either inside ``qualified`` or in
+    ``part_exclusions``.
     """
 
     qualified: ExperimentDataset
-    excluded_parts: tuple[ExcludedPart, ...]
+    part_exclusions: tuple[PartExclusions, ...]
     disqualified_campaigns: tuple[DisqualifiedCampaign, ...]
     disqualified_fraction: float
 
 
 def _screen_parts(
-    campaign_id: str, arm: Arm, columns: ArmColumns, config: QualificationConfig
-) -> tuple[list[int], list[ExcludedPart]]:
-    """Indices of the arm's parts that qualify, and the dropped parts."""
+    columns: ArmColumns, config: QualificationConfig
+) -> tuple[list[int], int, int]:
+    """Indices of the arm's parts that qualify, and how many it drops for too
+    few impressions and for zero spend."""
     minimum = config.min_impressions_per_part
     kept: list[int] = []
-    dropped: list[ExcludedPart] = []
-    for index, (part_id, impressions, spend) in enumerate(
-            zip(columns.part_ids, columns.impressions, columns.spend_micros)):
+    low = zero = 0
+    for index, (impressions, spend) in enumerate(
+            zip(columns.impressions, columns.spend_micros)):
         if impressions < minimum:
-            reason = f"impressions {impressions} below minimum {minimum}"
+            low += 1
         elif spend == 0:
-            reason = "zero spend, ROI undefined"
+            zero += 1
         else:
             kept.append(index)
-            continue
-        dropped.append(ExcludedPart(campaign_id, arm, part_id, reason))
-    return kept, dropped
+    return kept, low, zero
 
 
 def _take(columns: ArmColumns, indices: list[int]) -> ArmColumns:
@@ -83,34 +84,33 @@ def qualify(
     qualified set is a valid, reportable outcome.
     """
     retained: list[CampaignExperiment] = []
-    excluded: list[ExcludedPart] = []
+    excluded: list[PartExclusions] = []
     disqualified: list[DisqualifiedCampaign] = []
+    frac = config.min_qualified_fraction
     for campaign in dataset.campaigns:
         campaign_id, a, b = campaign.campaign_id, campaign.a, campaign.b
-        keep_a, drop_a = _screen_parts(campaign_id, Arm.CONTROL, a, config)
-        keep_b, drop_b = _screen_parts(campaign_id, Arm.TREATMENT, b, config)
-        excluded.extend(drop_a)
-        excluded.extend(drop_b)
-        frac = config.min_qualified_fraction
-        ok_a = len(keep_a) > frac * campaign.m_a
-        ok_b = len(keep_b) > frac * campaign.m_b
-        if ok_a and ok_b:
-            retained.append(campaign if not (drop_a or drop_b) else
+        keep_a, low_a, zero_a = _screen_parts(a, config)
+        keep_b, low_b, zero_b = _screen_parts(b, config)
+        if len(keep_a) > frac * campaign.m_a and len(keep_b) > frac * campaign.m_b:
+            lost_a = lost_b = 0
+            retained.append(campaign if not (low_a or zero_a or low_b or zero_b) else
                             CampaignExperiment.from_columns(
                                 campaign_id, _take(a, keep_a), _take(b, keep_b)))
         else:
+            lost_a, lost_b = len(keep_a), len(keep_b)
             disqualified.append(DisqualifiedCampaign(
                 campaign_id,
                 f"qualified parts {len(keep_a)}/{campaign.m_a} (A) and "
                 f"{len(keep_b)}/{campaign.m_b} (B) not above fraction {frac:g}",
             ))
-            for arm, columns, kept in ((Arm.CONTROL, a, keep_a), (Arm.TREATMENT, b, keep_b)):
-                excluded.extend(ExcludedPart(campaign_id, arm, columns.part_ids[i],
-                                             "campaign disqualified") for i in kept)
+        if low_a or zero_a or lost_a:
+            excluded.append(PartExclusions(campaign_id, Arm.CONTROL, low_a, zero_a, lost_a))
+        if low_b or zero_b or lost_b:
+            excluded.append(PartExclusions(campaign_id, Arm.TREATMENT, low_b, zero_b, lost_b))
     fraction = len(disqualified) / dataset.n if dataset.n else 0.0
     return QualificationReport(
         qualified=ExperimentDataset(tuple(retained)),
-        excluded_parts=tuple(excluded),
+        part_exclusions=tuple(excluded),
         disqualified_campaigns=tuple(disqualified),
         disqualified_fraction=fraction,
     )

@@ -1,8 +1,13 @@
 """The types a saved report is made of: its enums and frozen dataclasses.
 
 ``reportio`` encodes and decodes a report from these annotations alone, so a report
-field is declared once, here. The computing modules also hold each type by name. This
-module imports nothing from the package, so a report decodes without the analysis.
+field is declared once, here. A report stores each value once: a value that follows
+from stored fields (an effect's weight ``w`` and ``correction``, its random-model
+weight ``w_star``) is a property or method computed on access, never a field, so it
+is neither written nor read. The computing modules use the same expressions, so a
+decoded report gives the floats ``evaluate`` computed, bit for bit. The computing
+modules also hold each type by name. This module imports nothing from the package, so
+a report decodes without the analysis.
 """
 
 from __future__ import annotations
@@ -36,21 +41,32 @@ class Verdict(str, Enum):
 
 
 @dataclass(frozen=True)
-class ExcludedPart:
+class PartExclusions:
+    """How many of one campaign arm's parts qualification dropped, by reason."""
+
     campaign_id: str
     arm: Arm
-    part_id: int
-    reason: str
+    low_impressions: int
+    zero_spend: int
+    campaign_disqualified: int  # parts that qualified in a campaign that did not
+
+    @property
+    def n(self) -> int:
+        return self.low_impressions + self.zero_spend + self.campaign_disqualified
 
 
 @dataclass(frozen=True)
 class DisqualifiedCampaign:
+    """A campaign that kept too few parts in an arm, and why."""
+
     campaign_id: str
     reason: str
 
 
 @dataclass(frozen=True)
 class KeptCampaign:
+    """A qualified campaign and the parts it kept in each arm."""
+
     campaign_id: str
     m_a: int
     m_b: int
@@ -73,17 +89,24 @@ class QualificationRecord:
     """A ``QualificationReport`` as ``evaluate`` records it: parts as counts and a digest."""
 
     qualified: QualifiedParts
-    excluded_parts: tuple[ExcludedPart, ...]
+    part_exclusions: tuple[PartExclusions, ...]  # one per campaign arm that dropped a part
     disqualified_campaigns: tuple[DisqualifiedCampaign, ...]
     disqualified_fraction: float
 
 
 @dataclass(frozen=True)
 class BaselineResult:
+    """One baseline's delta, its threshold, and whether the delta clears it."""
+
     method: BaselineMethod
     statistic: float
     threshold_theta: float
     decision: BaselineDecision
+
+
+def small_sample_correction(df: int) -> float:
+    """The factor ``1 - 3/(4*df - 1)`` that debiases a standardized difference."""
+    return 1.0 - 3.0 / (4.0 * df - 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,21 +114,35 @@ class EffectSize:
     """Standardized, small-sample-corrected treatment effect for one campaign.
 
     ``d = correction * delta`` and ``w = 1/v``, with ``delta`` the raw
-    standardized mean difference and ``v`` its approximate sampling variance.
+    standardized mean difference, ``df = m_a + m_b - 2`` and ``v`` the
+    approximate sampling variance of ``d``.
     """
 
     campaign_id: str
     delta: float
     pooled_sd: float
     df: int
-    correction: float
     d: float
     v: float
-    w: float
+
+    @property
+    def correction(self) -> float:
+        return small_sample_correction(self.df)
+
+    @property
+    def w(self) -> float:
+        """Fixed-model weight."""
+        return 1.0 / self.v
+
+    def w_star(self, tau2: float) -> float:
+        """Random-model weight at between-study variance ``tau2``; ``w_star(0.0) == w``."""
+        return 1.0 / (self.v + tau2)
 
 
 @dataclass(frozen=True)
 class EffectExclusion:
+    """A qualified campaign that has no effect size, and why."""
+
     campaign_id: str
     reason: str
 
@@ -132,9 +169,8 @@ class HeterogeneityStats:
 
 @dataclass(frozen=True)
 class RandomEffectSummary:
-    """Summary effect under the random-effects model, weights 1/(v + tau2)."""
+    """Summary effect under the random-effects model, weights ``EffectSize.w_star(tau2)``."""
 
-    per_study_w_star: tuple[float, ...]
     mu_star: float
     nu_star: float
 
@@ -167,6 +203,8 @@ class SubgroupSummary:
 
 @dataclass(frozen=True)
 class SubgroupReport:
+    """The subgroup summaries and the within/between split of the grand-mean Q*."""
+
     summaries: tuple[SubgroupSummary, ...]
     q_star_total: float
     q_within: float
@@ -177,6 +215,8 @@ class SubgroupReport:
 
 @dataclass(frozen=True)
 class Decision:
+    """The verdict, the rule that gave it, and whether a manager must approve it."""
+
     verdict: Verdict
     basis: str
     requires_approval: bool
@@ -184,12 +224,66 @@ class Decision:
 
 @dataclass(frozen=True)
 class TrafficRecommendation:
+    """The next ramp move; ``next_share`` is set for ``ramp_up`` only."""
+
     action: str  # "ramp_up" | "halt" | "promote_to_baseline"
     next_share: float | None = None
 
 
 @dataclass(frozen=True)
+class ConfigRecord:
+    """The effective evaluation config as ``key = value`` config-file lines, one
+    tuple per source: a config ``file``, a command-line ``flag``, the ``data``
+    (an A/A share observed in it), the ``default``, or the ``caller`` (a program
+    that set the value on the config it passed to ``evaluate``). A key is listed
+    when the config holds a value for it: the ``aa_*`` keys or the explicit
+    thresholds, and the label map only when set. Joined, the lines are a config
+    file that reproduces the decision."""
+
+    caller: tuple[str, ...]
+    data: tuple[str, ...]
+    default: tuple[str, ...]
+    file: tuple[str, ...]
+    flag: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class AaRecord:
+    """How the A/A thresholds were calibrated: the split seed, the share used,
+    and each baseline's statistic per repeat, whose mean is its threshold."""
+
+    split_seed: int
+    treatment_share: float  # the configured share, else the observed one
+    micro: tuple[float, ...]  # one field per BaselineMethod value
+    macro: tuple[float, ...]
+    macro_median: tuple[float, ...]
+
+    @property
+    def repeats_k(self) -> int:
+        return len(self.micro)
+
+
+@dataclass(frozen=True)
+class Audit:
+    """What an auditor needs to check a decision later.
+
+    The spend shares are arm B's share of the qualified spend as observed
+    (None when it cannot be computed: no spend in one arm) and as configured
+    for A/A (None when unset). They are data only and never drive the verdict.
+    """
+
+    version: str  # roimeta.__version__ of the program that decided
+    config: ConfigRecord
+    aa: AaRecord | None  # None with explicit thresholds
+    spend_share_observed: float | None
+    spend_share_configured: float | None
+    warnings: tuple[str, ...]  # conditions of the stages that ran, in stage order
+
+
+@dataclass(frozen=True)
 class EvaluationReport:
+    """Everything ``evaluate`` decided, as a saved report holds it."""
+
     qualification: QualificationRecord
     baselines: tuple[BaselineResult, ...]
     effects: tuple[EffectSize, ...]
@@ -202,3 +296,4 @@ class EvaluationReport:
     subgroup: SubgroupReport | None
     decision: Decision
     recommendation: TrafficRecommendation
+    audit: Audit

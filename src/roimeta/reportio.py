@@ -5,7 +5,10 @@ The machine format is deterministic (sorted keys, repr-exact floats), so the
 same report always serializes to identical bytes, and parsing it back yields
 an object equal to the original. Encoding and decoding are both driven by the
 field types of the report dataclasses (``_codec``), so a report field is
-declared once, on its dataclass in ``records``.
+declared once, on its dataclass in ``records``. The codec has one rule for
+computed values: only dataclass fields are stored, so a value that ``records``
+computes from them (a property such as ``EffectSize.w``) is never written, and
+a decoded report computes it again from the same fields.
 
 Each dataclass has one encoder and one decoder, applied item by item to a
 tuple of dataclasses; the decoder is the only place that words an error.
@@ -25,7 +28,7 @@ from typing import Any, Callable
 from .errors import SchemaError
 from .records import BaselineDecision, EvaluationReport, Verdict
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 REPORT_FORMATS = ("human-table", "machine-json")
 
@@ -72,8 +75,10 @@ def _codec(tp: Any) -> _Codec:
         return _Codec(frozenset(_SCALAR_JSON_TYPES[tp]), _same, _same)
     if isinstance(tp, type) and issubclass(tp, Enum):
         return _Codec(frozenset(type(m.value) for m in tp), operator.attrgetter("_value_"), tp)
+    # A computed value is a property, not a field, so it is never written and a
+    # decoded report computes it again; a derived (non-init) field is refused.
     if dataclasses.is_dataclass(tp) and all(f.init for f in dataclasses.fields(tp)):
-        return _dataclass_codec(tp)  # a derived (non-init) field could not be checked
+        return _dataclass_codec(tp)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple and args[1:] == (Ellipsis,):
         return _tuple_codec(_codec(args[0]))
@@ -197,7 +202,7 @@ def render_human(report: EvaluationReport) -> str:
         f"{len(q.disqualified_campaigns)} disqualified "
         f"(fraction {_fmt(q.disqualified_fraction)})"
     )
-    lines.append(f"  parts excluded: {len(q.excluded_parts)}")
+    lines.append(f"  parts excluded: {sum(x.n for x in q.part_exclusions)}")
     lines.append("")
     lines.append("baseline methods")
     lines.append(f"  {'method':<14}{'statistic':>14}{'theta':>14}  decision")
@@ -274,6 +279,9 @@ def render_human(report: EvaluationReport) -> str:
         lines.append(f"  traffic recommendation: ramp_up to share {r.next_share:g}")
     else:
         lines.append(f"  traffic recommendation: {r.action}")
+    if report.audit.warnings:
+        lines.extend(["", "warnings"])
+        lines.extend(f"  {warning}" for warning in report.audit.warnings)
     return "\n".join(lines) + "\n"
 
 

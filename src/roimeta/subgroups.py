@@ -12,7 +12,6 @@ the grand and group means, CIs and Z tests are the verdict's own random model
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import fsum
 
@@ -68,7 +67,7 @@ def partition_by_spend(
     a campaign joins the current group while the cumulative spend before it is
     strictly below the group's cumulative cap. Groups left empty (fewer
     campaigns than groups, or a dominant campaign spanning several caps) are
-    dropped with a warning.
+    dropped; ``evaluate`` records a warning when it drops one.
     """
     fractions = tuple(fractions)
     _check_fractions(fractions)
@@ -92,16 +91,11 @@ def partition_by_spend(
             group += 1
         members[group].append(campaign_id)
         cumulative += spend
-    assignments = tuple(
+    return tuple(
         GroupAssignment(f"group_{i + 1}", tuple(ids))
         for i, ids in enumerate(members)
         if ids
     )
-    if len(assignments) < len(fractions):
-        warnings.warn(
-            f"only {len(assignments)} of {len(fractions)} spend groups are non-empty"
-        )
-    return assignments
 
 
 def partition_by_label(
@@ -136,7 +130,8 @@ def subgroup_analysis(
     All decomposition statistics share the random-model weights 1/(v + tau2)
     with the global ``tau2``, which makes the identity exact: the grand-mean Q
     equals the sum of per-group Qs plus the between-group component. Groups
-    left empty after matching against ``effects`` are dropped.
+    left empty after matching against ``effects`` are dropped; ``evaluate``
+    records a warning when it drops one.
     """
     if not effects:
         raise InsufficientDataError("no effects to analyze")
@@ -162,18 +157,17 @@ def subgroup_analysis(
         raise SchemaError(f"campaigns not assigned to any subgroup: {', '.join(missing)}")
 
     grand = random_effect_summary(effects, tau2)
-    q_total = weighted_q(grand.per_study_w_star, effects, grand.mu_star)
+    q_total = weighted_q(effects, tau2, grand.mu_star)
 
     summaries: list[SubgroupSummary] = []
     for group in groups:
         present = tuple(cid for cid in group.members if cid in by_id)
         if not present:
-            warnings.warn(f"subgroup {group.group_id!r} has no analyzable campaigns; dropped")
             continue
         members = [by_id[cid] for cid in present]
         model = random_effect_summary(members, tau2)
         test = z_significance(model.mu_star, model.nu_star, confidence_level)
-        q_k = weighted_q(model.per_study_w_star, members, model.mu_star)
+        q_k = weighted_q(members, tau2, model.mu_star)
         # one member: q_k may be a rounding residue, not cochran_q's exact 0
         p_q_k = chi_square_sf(q_k, len(present) - 1) if len(present) > 1 else 1.0
         summaries.append(SubgroupSummary(

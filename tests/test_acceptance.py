@@ -338,7 +338,7 @@ class TestCriterion8InvariantSuite:
         report = qualify(dataset)
         total_in = sum(c.m_a + c.m_b for c in dataset.campaigns)
         total_kept = sum(c.m_a + c.m_b for c in report.qualified.campaigns)
-        assert total_kept + len(report.excluded_parts) == total_in
+        assert total_kept + sum(e.n for e in report.part_exclusions) == total_in
         assert qualify(report.qualified).qualified == report.qualified
 
 

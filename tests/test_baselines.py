@@ -1,4 +1,5 @@
 import math
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -13,10 +14,12 @@ from roimeta.baselines import (
     BaselineDecision,
     BaselineMethod,
     aa_calibrate,
+    aa_skipped,
     campaign_micro_totals as totals_of,
     macro_delta,
     micro_delta,
     micro_roi,
+    observed_share,
     threshold_decision,
 )
 from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset, PartMeasurement
@@ -190,6 +193,11 @@ class TestMacro:
         dataset = make_dataset([make_campaign("c1", [1.0, 1.3], [1.0, 1.3])])
         assert macro_delta(totals_of(dataset), "mean") == 0.0
 
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    def test_median_is_the_statistics_median(self, values):
+        # written out so that a decision loads no `statistics`
+        assert baselines._median(values).hex() == statistics.median(values).hex()
+
     def test_outlier_sensitivity_mean_vs_median(self):
         dataset = make_dataset([
             make_campaign("c1", [1.0, 1.0], [1.1, 1.1]),
@@ -260,21 +268,32 @@ class TestAaCalibration:
         for stat in calibration.per_repeat_stats:
             assert min(abs(stat - t) for t in (-1.0, 0.0, 1.0)) <= 1e-12
 
-    def test_short_campaigns_skipped_with_warning(self):
+    def test_short_campaigns_skipped(self):
+        # evaluate's report warns about them (test_pipeline)
         dataset = make_dataset([
             make_campaign("c1", [1.0, 1.2, 0.9], [1.0, 1.0]),
             make_campaign("c2", [1.0], [1.0, 1.0]),
         ])
-        with pytest.warns(UserWarning, match="fewer than 2 control parts"):
-            calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 1, 0.5))
+        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 1, 0.5))
+        assert aa_skipped(dataset) == ["c2"]
         assert set(calibrations) == set(BaselineMethod)
         assert all(isinstance(c, AaCalibration) for c in calibrations.values())
+        only_c1 = make_dataset(dataset.campaigns[:1])
+        assert calibrations == aa_calibrate(only_c1, totals_of(only_c1), AaSettings(3, 1, 0.5))
 
     def test_no_splittable_campaign_rejected(self):
         dataset = make_dataset([make_campaign("c1", [1.0], [1.0, 1.0])])
-        with pytest.warns(UserWarning):
-            with pytest.raises(InsufficientDataError):
-                aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 1, 0.5))
+        with pytest.raises(InsufficientDataError):
+            aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 1, 0.5))
+
+    def test_calibration_records_the_share_it_used(self):
+        dataset = make_dataset([make_campaign("c1", [1.0, 1.5, 0.8, 1.1], [1.0, 1.0],
+                                              spend_b=3.0)])
+        totals = totals_of(dataset)
+        for share, used in ((0.3, 0.3), (None, observed_share(totals))):
+            calibrations = aa_calibrate(dataset, totals, AaSettings(2, 1, share))
+            assert {c.treatment_share for c in calibrations.values()} == {used}
+        assert observed_share(totals) == 6 / 10
 
     def test_theta_is_mean_of_repeats(self):
         dataset = make_dataset([

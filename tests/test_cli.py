@@ -12,6 +12,7 @@ from roimeta.cli import main
 from roimeta.reportio import report_from_json
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_report.json"
+GOLDEN_TEXT = GOLDEN_PATH.with_suffix(".txt")
 
 
 SIM_CFG = """\
@@ -103,7 +104,12 @@ class TestEvaluate:
         ])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == "2"
+        assert doc["schema_version"] == "3"
+        # the audit block names where each config value came from
+        config = doc["audit"]["config"]
+        assert config["file"] == ["confidence_level = 0.95", "aa_seed = 11",
+                                  "aa_treatment_share = 0.1"]
+        assert config["flag"] == config["data"] == config["caller"] == []
 
     def test_flag_overrides_config_file(self, workdir, capsys):
         data = simulate(workdir)
@@ -165,7 +171,7 @@ class TestCalibrateAndSubgroup:
 def warning_data(workdir):
     """The simulated data plus a top-spending campaign with one control part:
     A/A calibration skips it, and its spend tier has no effect size, so the
-    analysis warns."""
+    report carries warnings."""
     data = simulate(workdir)
     with open(data, "a", encoding="utf-8") as out:
         out.write("big,A,0,5000,1000000000.000000,1100000000.000000\n")
@@ -184,9 +190,13 @@ class TestConfigErrorsBeforeAnalysis:
     def test_exit_2_before_any_warning(self, workdir, capsys, flag, value, message):
         data = warning_data(workdir)
         config = ["--config", str(workdir / "eval.cfg")]
-        with pytest.warns(UserWarning):
-            assert main(["evaluate", str(data), *config]) in (0, 1)
         capsys.readouterr()
+        assert main(["evaluate", str(data), *config, "--format", "json"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["audit"]["warnings"] == [
+            "excluded 1 campaign(s) with fewer than 2 control parts from A/A calibration: big",
+            "only 2 of 3 spend groups are non-empty",
+            "subgroup 'group_1' has no analyzable campaigns; dropped",
+        ]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["evaluate", str(data), *config, flag, value])
@@ -273,6 +283,12 @@ class TestReport:
         assert (done.returncode, done.stderr) == (0 if accepted else 1, b"")
         assert done.stdout == golden
 
+    def test_golden_report_prints_the_pinned_human_table(self, capsys):
+        # the table as the schema-2 golden report printed it, before the
+        # computed fields and the part list left the report
+        assert main(["report", str(GOLDEN_PATH)]) == 0
+        assert capsys.readouterr().out == GOLDEN_TEXT.read_text(encoding="utf-8")
+
     def test_malformed_report_is_exit_2(self, workdir, capsys):
         bad = workdir / "bad.json"
         bad.write_text("{}", encoding="utf-8")
@@ -289,14 +305,15 @@ class TestReport:
         main(["report", str(report_path)])
         assert capsys.readouterr().out == from_evaluate
 
-    def test_schema_version_1_report_is_exit_2(self, workdir, capsys):
+    @pytest.mark.parametrize("version", ["1", "2"])
+    def test_earlier_schema_version_report_is_exit_2(self, workdir, capsys, version):
         data = simulate(workdir)
         out = workdir / "report.json"
         main(["evaluate", str(data), "--config", str(workdir / "eval.cfg"),
               "--format", "json", "--out", str(out)])
         doc = json.loads(out.read_text(encoding="utf-8"))
-        doc["schema_version"] = "1"
+        doc["schema_version"] = version
         out.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["report", str(out)]) == 2
-        assert "schema_version '1'" in capsys.readouterr().err
+        assert f"schema_version '{version}'" in capsys.readouterr().err

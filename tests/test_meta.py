@@ -36,8 +36,7 @@ def effects_from_dv(pairs):
 
     return [
         EffectSize(
-            campaign_id=f"c{i}", delta=d, pooled_sd=1.0, df=2,
-            correction=1.0, d=d, v=v, w=1.0 / v,
+            campaign_id=f"c{i}", delta=d, pooled_sd=1.0, df=2, d=d, v=v,
         )
         for i, (d, v) in enumerate(pairs)
     ]
@@ -214,7 +213,7 @@ class TestRandomEffect:
     def test_hand_example(self):
         effects = effects_from_dv([(1.0, 0.1), (-1.0, 0.1)])
         summary = random_effect_summary(effects, 1.9)
-        assert summary.per_study_w_star == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert [e.w_star(1.9) for e in effects] == pytest.approx([0.5, 0.5], abs=1e-12)
         assert summary.mu_star == pytest.approx(0.0, abs=1e-12)
         assert summary.nu_star == pytest.approx(1.0, abs=1e-12)
 

@@ -1,6 +1,5 @@
 import json
 import statistics
-import warnings
 from math import fsum
 
 import pytest
@@ -150,13 +149,12 @@ class TestEvaluate:
             make_campaign(f"c{i}", [1.0, 1.1, 0.9, 1.05], [0.5, 0.55, 0.45, 0.52])
             for i in range(2)
         ])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            skipped = evaluate(harmful, config_with_thetas())
+        skipped = evaluate(harmful, config_with_thetas())
         assert skipped.decision.verdict is Verdict.REJECT_HARMFUL
         assert skipped.subgroup is None
-        with pytest.warns(UserWarning, match="only 2 of 3 spend groups are non-empty"):
-            evaluate(harmful, config_with_thetas(skip_subgroup_on_strong_reject=False))
+        assert skipped.audit.warnings == ()
+        ran = evaluate(harmful, config_with_thetas(skip_subgroup_on_strong_reject=False))
+        assert ran.audit.warnings == ("only 2 of 3 spend groups are non-empty",)
 
     def test_explicit_thetas_drive_baselines(self):
         report = evaluate(lifted_dataset(), EvaluationConfig(
@@ -202,11 +200,8 @@ class TestEvaluate:
             [make_part("thin", Arm.CONTROL, 0, roi=1.0)],
             [make_part("thin", Arm.TREATMENT, 0, roi=1.0)],
         )
-        # no warning about spend tiers that are never analysed
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NoQualifiedCampaignsError, match="effect-size"):
-                evaluate(make_dataset([thin]), config_with_thetas())
+        with pytest.raises(NoQualifiedCampaignsError, match="effect-size"):
+            evaluate(make_dataset([thin]), config_with_thetas())
 
     def test_observed_share_feeds_calibration(self):
         dataset = lifted_dataset()

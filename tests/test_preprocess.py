@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from conftest import make_campaign, make_dataset, make_part, mixed_quality_dataset_strategy
 from roimeta.campaigns import Arm, CampaignExperiment
 from roimeta.errors import ConfigError
-from roimeta.preprocess import QualificationConfig, qualify
+from roimeta.preprocess import PartExclusions, QualificationConfig, qualify
 
 
 def campaign_with_impressions(campaign_id, impressions_a, impressions_b):
@@ -25,9 +25,9 @@ class TestPartScreening:
             campaign_with_impressions("c1", [99] + [500] * 19, [500] * 20),
         ])
         report = qualify(dataset, QualificationConfig(min_impressions_per_part=100))
-        excluded = [(e.arm, e.part_id) for e in report.excluded_parts]
-        assert excluded == [(Arm.CONTROL, 0)]
+        assert report.part_exclusions == (PartExclusions("c1", Arm.CONTROL, 1, 0, 0),)
         assert report.qualified.campaigns[0].m_a == 19
+        assert 0 not in report.qualified.campaigns[0].a.part_ids
 
     def test_zero_spend_part_excluded(self):
         campaign = CampaignExperiment(
@@ -37,14 +37,14 @@ class TestPartScreening:
             [make_part("c1", Arm.TREATMENT, j, roi=1.0) for j in range(20)],
         )
         report = qualify(make_dataset([campaign]))
-        assert [e.part_id for e in report.excluded_parts] == [0]
-        assert "zero spend" in report.excluded_parts[0].reason
+        assert report.part_exclusions == (PartExclusions("c1", Arm.CONTROL, 0, 1, 0),)
+        assert report.qualified.campaigns[0].a.part_ids == tuple(range(1, 20))
 
     def test_clean_campaign_retained_unchanged(self):
         dataset = make_dataset([make_campaign("c1", [1.0, 1.2, 0.9], [1.1, 1.3, 0.8])])
         report = qualify(dataset)
         assert report.qualified.campaigns == dataset.campaigns
-        assert report.excluded_parts == ()
+        assert report.part_exclusions == ()
         assert report.disqualified_fraction == 0.0
 
 
@@ -93,10 +93,11 @@ class TestCampaignRule:
             campaign_with_impressions("c1", impressions_a, [500] * 20),
         ])
         report = qualify(dataset)
-        assert len(report.excluded_parts) == 40
-        reasons = {e.reason for e in report.excluded_parts}
-        assert any("below minimum" in r for r in reasons)
-        assert any("disqualified" in r for r in reasons)
+        assert report.part_exclusions == (
+            PartExclusions("c1", Arm.CONTROL, 3, 0, 17),
+            PartExclusions("c1", Arm.TREATMENT, 0, 0, 20),
+        )
+        assert sum(e.n for e in report.part_exclusions) == 40
 
 
 class TestProperties:
@@ -106,7 +107,23 @@ class TestProperties:
         report = qualify(dataset)
         total_in = sum(c.m_a + c.m_b for c in dataset.campaigns)
         total_kept = sum(c.m_a + c.m_b for c in report.qualified.campaigns)
-        assert total_kept + len(report.excluded_parts) == total_in
+        assert total_kept + sum(e.n for e in report.part_exclusions) == total_in
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_quality_dataset_strategy())
+    def test_counts_by_reason_match_a_part_walk(self, dataset):
+        minimum = QualificationConfig().min_impressions_per_part
+        report = qualify(dataset)
+        kept = {c.campaign_id for c in report.qualified.campaigns}
+        expected = []
+        for c in dataset.campaigns:
+            for arm, parts in ((Arm.CONTROL, c.parts_a), (Arm.TREATMENT, c.parts_b)):
+                low = sum(p.impressions < minimum for p in parts)
+                zero = sum(p.impressions >= minimum and p.spend == 0 for p in parts)
+                lost = 0 if c.campaign_id in kept else len(parts) - low - zero
+                if low or zero or lost:
+                    expected.append(PartExclusions(c.campaign_id, arm, low, zero, lost))
+        assert report.part_exclusions == tuple(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_quality_dataset_strategy())

@@ -4,6 +4,7 @@ import hashlib
 import json
 import operator
 from enum import Enum
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +29,13 @@ from roimeta.reportio import (
     report_to_json,
     to_json,
 )
+from roimeta.meta import random_effect_summary
 from roimeta.simulate import SimConfig, generate_experiment
+from roimeta.subgroups import GroupAssignment, subgroup_analysis
+from test_simulate import PINNED_SHAPES
 
 
-PART = ("qualification", "excluded_parts", 0)
+PART = ("qualification", "part_exclusions", 0)
 KEPT = ("qualification", "qualified", "campaigns", 0)
 SUMMARY = ("subgroup", "summaries", 0)
 DELETE = object()
@@ -127,7 +131,7 @@ class TestMachineFormat:
     ])
     def test_report_matches_json_indent(self, request, name):
         report = request.getfixturevalue(name)
-        assert report_to_json(report) == indented({**plain(report), "schema_version": "2"})
+        assert report_to_json(report) == indented({**plain(report), "schema_version": "3"})
 
     def test_roundtrip_equality(self, accept_report, skipped_subgroup_report,
                                 report_with_exclusions):
@@ -139,21 +143,21 @@ class TestMachineFormat:
 
     def test_carries_schema_version(self, accept_report):
         doc = json.loads(report_to_json(accept_report))
-        assert doc["schema_version"] == "2"
+        assert doc["schema_version"] == "3"
 
     def test_rejects_wrong_schema_version(self, accept_report):
         doc = json.loads(report_to_json(accept_report))
-        for version in ("1", "99"):  # no schema-1 reader
+        for version in ("1", "2", "99"):  # one reader, for the current schema
             doc["schema_version"] = version
-            with pytest.raises(SchemaError, match=f"schema_version '{version}', expected '2'"):
+            with pytest.raises(SchemaError, match=f"schema_version '{version}', expected '3'"):
                 report_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("malform", [
-        pytest.param(lambda doc: '{"schema_version": "2"}', id="truncated"),
+        pytest.param(lambda doc: '{"schema_version": "3"}', id="truncated"),
         pytest.param(lambda doc: "not json at all", id="not-json"),
         pytest.param(edited(PART + ("extra",), 1), id="unknown-key-in-part"),
         pytest.param(edited(("fixed", "extra"), 1), id="unknown-key-in-fixed"),
-        pytest.param(edited(PART + ("part_id",), DELETE), id="missing-nested-key"),
+        pytest.param(edited(PART + ("zero_spend",), DELETE), id="missing-nested-key"),
         pytest.param(edited(PART + ("arm",), "C"), id="unknown-arm"),
         pytest.param(edited(("decision", "verdict"), "maybe"), id="unknown-verdict"),
         pytest.param(edited(("fixed",), None), id="null-fixed"),
@@ -205,7 +209,7 @@ class TestQualificationBlock:
             doc = long_report_doc(source)
         else:
             doc = json.loads(report_to_json(request.getfixturevalue(source)))
-        assert not keys_of(doc) & {"parts_a", "parts_b", "roi"}
+        assert not keys_of(doc) & {"parts_a", "parts_b", "roi", "part_id"}
 
     def test_counts_and_digest_of_the_qualified_parts(self):
         dataset = generate_experiment(SimConfig(
@@ -283,9 +287,77 @@ class TestHumanFormat:
         assert "not significant at the" in tight
         assert tight != loose
 
+    @pytest.mark.parametrize("seed,parts", [(1, 20), (2, 260), (3, 115)])
+    def test_counts_the_excluded_parts(self, seed, parts):
+        # the counts the schema-2 reports listed one object per part for
+        text = render_report(report_from_json(json.dumps(long_report_doc(seed))))
+        assert f"\n  parts excluded: {parts}\n" in text
+
     def test_unknown_format_rejected(self, accept_report):
         with pytest.raises(SchemaError):
             render_report(accept_report, "xml")
+
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_report.json"
+
+# SHA-256 of ``computed_lines`` as the reports stored these values before they
+# were computed on access: the golden report, and the smoke shapes evaluated
+# with zero thresholds and the subgroups always run.
+COMPUTED_SHA = {
+    "golden": "2392066137ce84802ecfcae94a0a73a848b314489dad677011afef7e5d54d092",
+    "deep": "40975662c8de32ce147c5dc9aef97325178ea09bb14a64906941cdc84e345dd1",
+    "study": "7793f30c854d0341483ded87bb1687887379d9548423e8b44bdcb4acbfbf3307",
+    "wide": "8083892b8d2c9d9ac6ce3618178772a0532d53fa7b47e1c0fe80ac24e61564f0",
+}
+
+
+def computed_lines(report):
+    """Each effect's df and its computed correction, w and w_star, as float.hex."""
+    tau2 = report.heterogeneity.tau2
+    return "\n".join(
+        " ".join([e.campaign_id, str(e.df), e.correction.hex(), e.w.hex(), e.w_star(tau2).hex()])
+        for e in report.effects)
+
+
+class TestComputedFields:
+    """A decoded report gives back, bit for bit, the values it no longer stores."""
+
+    @staticmethod
+    def decoded(request, source):
+        if source == "golden":
+            return report_from_json(GOLDEN_PATH.read_text(encoding="utf-8"))
+        if source in PINNED_SHAPES:
+            report = evaluate(generate_experiment(PINNED_SHAPES[source][0]),
+                              thetas_config(skip_subgroup_on_strong_reject=False))
+        else:
+            report = request.getfixturevalue(source)
+        return report_from_json(report_to_json(report))
+
+    @pytest.mark.parametrize("source", [
+        "accept_report", "skipped_subgroup_report", "report_with_exclusions", "golden",
+        *sorted(PINNED_SHAPES),
+    ])
+    def test_the_expressions_meta_uses(self, request, source):
+        report = self.decoded(request, source)
+        kept = {c.campaign_id: c for c in report.qualification.qualified.campaigns}
+        tau2 = report.heterogeneity.tau2
+        for e in report.effects:
+            counts = kept[e.campaign_id]
+            assert e.df == counts.m_a + counts.m_b - 2
+            assert e.correction.hex() == (1.0 - 3.0 / (4.0 * e.df - 1.0)).hex()
+            assert e.d.hex() == (e.correction * e.delta).hex()
+            assert e.w.hex() == (1.0 / e.v).hex()
+            assert e.w_star(tau2).hex() == (1.0 / (e.v + tau2)).hex()
+        assert random_effect_summary(report.effects, tau2) == report.random
+        if report.subgroup is not None:
+            groups = [GroupAssignment(s.group_id, s.members) for s in report.subgroup.summaries]
+            assert subgroup_analysis(report.effects, tau2, groups,
+                                     report.significance.confidence_level) == report.subgroup
+
+    @pytest.mark.parametrize("source", sorted(COMPUTED_SHA))
+    def test_the_values_reports_stored_before(self, request, source):
+        text = computed_lines(self.decoded(request, source))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == COMPUTED_SHA[source]
 
 
 def outcome(text):
@@ -369,18 +441,20 @@ class TestOneDecoder:
         else:
             assert report_to_json(result) == indented(doc), (path, position, name)
 
-    # Messages for a bad excluded part half-way through its list, as the
+    # Messages for a bad exclusion count half-way through its list, as the
     # per-item decoder has always worded them.
     @pytest.mark.parametrize("name,message", [
-        ("missing-key", "ExcludedPart must be an object with the keys "
-                        "['arm', 'campaign_id', 'part_id', 'reason']"),
-        ("bool-for-int", "ExcludedPart.part_id must be an integer, not a boolean"),
-        ("text-for-value", "ExcludedPart.part_id must be an integer, not a string"),
+        ("missing-key", "PartExclusions must be an object with the keys "
+                        "['arm', 'campaign_disqualified', 'campaign_id', 'low_impressions', "
+                        "'zero_spend']"),
+        ("bool-for-int", "PartExclusions.campaign_disqualified must be an integer, "
+                         "not a boolean"),
+        ("array-for-value", "PartExclusions.campaign_id must be a string, not an array"),
         ("unknown-arm", "'C' is not a valid Arm"),
     ])
     def test_pinned_messages(self, name, message):
         doc = json.loads(json.dumps(long_report_doc(1)))
-        parts = doc["qualification"]["excluded_parts"]
+        parts = doc["qualification"]["part_exclusions"]
         dict(mutations(parts[12]))[name](parts[12])
         with pytest.raises(SchemaError) as caught:
             report_from_json(json.dumps(doc))
