@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
+from typing import NamedTuple
 
 from .campaigns import Arm, ExperimentDataset, roi_of_micros
 from .errors import ConfigError, InsufficientDataError
@@ -43,8 +44,7 @@ class AaSettings:
             )
 
 
-@dataclass(frozen=True)
-class AaCalibration:
+class AaCalibration(NamedTuple):
     """Threshold estimate: mean statistic over seeded A/A pseudo-experiments."""
 
     repeats_k: int

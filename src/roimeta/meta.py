@@ -21,6 +21,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import fsum
+from typing import NamedTuple
 
 from .errors import (
     ConfigError,
@@ -54,8 +55,7 @@ class ArmSampleStats:
             raise ValueError("mean must be finite and variance finite and >= 0")
 
 
-@dataclass(frozen=True)
-class MetaSummary:
+class MetaSummary(NamedTuple):
     fixed: FixedEffectSummary
     heterogeneity: HeterogeneityStats
     random: RandomEffectSummary

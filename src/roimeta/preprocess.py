@@ -11,6 +11,7 @@ qualified part of a disqualified campaign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .campaigns import Arm, ArmColumns, CampaignExperiment, ExperimentDataset
 from .errors import ConfigError
@@ -36,8 +37,7 @@ class QualificationConfig:
             )
 
 
-@dataclass(frozen=True)
-class QualificationReport:
+class QualificationReport(NamedTuple):
     """Outcome of qualification: the surviving dataset plus full exclusion accounting.
 
     Every input part is counted exactly once, either inside ``qualified`` or in

@@ -1,19 +1,22 @@
-"""The types a saved report is made of: its enums and frozen dataclasses.
+"""The types a saved report is made of: its enums and named tuples.
 
-``reportio`` encodes and decodes a report from these annotations alone, so a report
-field is declared once, here. A report stores each value once: a value that follows
-from stored fields (an effect's weight ``w`` and ``correction``, its random-model
-weight ``w_star``) is a property or method computed on access, never a field, so it
-is neither written nor read. The computing modules use the same expressions, so a
-decoded report gives the floats ``evaluate`` computed, bit for bit. The computing
-modules also hold each type by name. This module imports nothing from the package, so
-a report decodes without the analysis.
+``reportio`` encodes and decodes a report from these annotations alone, reading each
+type's named-tuple fields, so a report field is declared once, here. A report stores
+each value once: a value that follows from stored fields (an effect's weight ``w`` and
+``correction``, its random-model weight ``w_star``) is a property or method computed on
+access, never a field, so it is neither written nor read. The computing modules use the
+same expressions, so a decoded report gives the floats ``evaluate`` computed, bit for
+bit. The computing modules also hold each type by name. This module imports nothing
+from the package, so a report decodes without the analysis.
+
+A record compares by value, as a tuple does, so it also equals a record of another
+type with the same values; ``_replace`` gives a changed copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Arm(Enum):
@@ -40,8 +43,7 @@ class Verdict(str, Enum):
     REJECT_HARMFUL = "reject_harmful"
 
 
-@dataclass(frozen=True)
-class PartExclusions:
+class PartExclusions(NamedTuple):
     """How many of one campaign arm's parts qualification dropped, by reason."""
 
     campaign_id: str
@@ -55,16 +57,14 @@ class PartExclusions:
         return self.low_impressions + self.zero_spend + self.campaign_disqualified
 
 
-@dataclass(frozen=True)
-class DisqualifiedCampaign:
+class DisqualifiedCampaign(NamedTuple):
     """A campaign that kept too few parts in an arm, and why."""
 
     campaign_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class KeptCampaign:
+class KeptCampaign(NamedTuple):
     """A qualified campaign and the parts it kept in each arm."""
 
     campaign_id: str
@@ -72,8 +72,7 @@ class KeptCampaign:
     m_b: int
 
 
-@dataclass(frozen=True)
-class QualifiedParts:
+class QualifiedParts(NamedTuple):
     """The qualified set as a report keeps it: part counts and ``parts_sha256``."""
 
     campaigns: tuple[KeptCampaign, ...]
@@ -84,8 +83,7 @@ class QualifiedParts:
         return len(self.campaigns)
 
 
-@dataclass(frozen=True)
-class QualificationRecord:
+class QualificationRecord(NamedTuple):
     """A ``QualificationReport`` as ``evaluate`` records it: parts as counts and a digest."""
 
     qualified: QualifiedParts
@@ -94,8 +92,7 @@ class QualificationRecord:
     disqualified_fraction: float
 
 
-@dataclass(frozen=True)
-class BaselineResult:
+class BaselineResult(NamedTuple):
     """One baseline's delta, its threshold, and whether the delta clears it."""
 
     method: BaselineMethod
@@ -109,8 +106,7 @@ def small_sample_correction(df: int) -> float:
     return 1.0 - 3.0 / (4.0 * df - 1.0)
 
 
-@dataclass(frozen=True)
-class EffectSize:
+class EffectSize(NamedTuple):
     """Standardized, small-sample-corrected treatment effect for one campaign.
 
     ``d = correction * delta`` and ``w = 1/v``, with ``delta`` the raw
@@ -139,16 +135,14 @@ class EffectSize:
         return 1.0 / (self.v + tau2)
 
 
-@dataclass(frozen=True)
-class EffectExclusion:
+class EffectExclusion(NamedTuple):
     """A qualified campaign that has no effect size, and why."""
 
     campaign_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class FixedEffectSummary:
+class FixedEffectSummary(NamedTuple):
     """Inverse-variance weighted mean effect and its variance."""
 
     mu: float
@@ -156,8 +150,7 @@ class FixedEffectSummary:
     n: int
 
 
-@dataclass(frozen=True)
-class HeterogeneityStats:
+class HeterogeneityStats(NamedTuple):
     """Cochran's Q homogeneity test and the method-of-moments between-study variance."""
 
     q: float
@@ -167,16 +160,14 @@ class HeterogeneityStats:
     tau2: float
 
 
-@dataclass(frozen=True)
-class RandomEffectSummary:
+class RandomEffectSummary(NamedTuple):
     """Summary effect under the random-effects model, weights ``EffectSize.w_star(tau2)``."""
 
     mu_star: float
     nu_star: float
 
 
-@dataclass(frozen=True)
-class SignificanceResult:
+class SignificanceResult(NamedTuple):
     """Z test of the summary effect plus its confidence interval."""
 
     z: float
@@ -187,8 +178,7 @@ class SignificanceResult:
     significant: bool
 
 
-@dataclass(frozen=True)
-class SubgroupSummary:
+class SubgroupSummary(NamedTuple):
     """Random-model summary of one group: its mean effect, CI, and homogeneity."""
 
     group_id: str
@@ -201,8 +191,7 @@ class SubgroupSummary:
     p_q_star_k: float
 
 
-@dataclass(frozen=True)
-class SubgroupReport:
+class SubgroupReport(NamedTuple):
     """The subgroup summaries and the within/between split of the grand-mean Q*."""
 
     summaries: tuple[SubgroupSummary, ...]
@@ -213,8 +202,7 @@ class SubgroupReport:
     p_between: float
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """The verdict, the rule that gave it, and whether a manager must approve it."""
 
     verdict: Verdict
@@ -222,16 +210,14 @@ class Decision:
     requires_approval: bool
 
 
-@dataclass(frozen=True)
-class TrafficRecommendation:
+class TrafficRecommendation(NamedTuple):
     """The next ramp move; ``next_share`` is set for ``ramp_up`` only."""
 
     action: str  # "ramp_up" | "halt" | "promote_to_baseline"
     next_share: float | None = None
 
 
-@dataclass(frozen=True)
-class ConfigRecord:
+class ConfigRecord(NamedTuple):
     """The effective evaluation config as ``key = value`` config-file lines, one
     tuple per source: a config ``file``, a command-line ``flag``, the ``data``
     (an A/A share observed in it), the ``default``, or the ``caller`` (a program
@@ -247,8 +233,7 @@ class ConfigRecord:
     flag: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AaRecord:
+class AaRecord(NamedTuple):
     """How the A/A thresholds were calibrated: the split seed, the share used,
     and each baseline's statistic per repeat, whose mean is its threshold."""
 
@@ -263,8 +248,7 @@ class AaRecord:
         return len(self.micro)
 
 
-@dataclass(frozen=True)
-class Audit:
+class Audit(NamedTuple):
     """What an auditor needs to check a decision later.
 
     The spend shares are arm B's share of the qualified spend as observed
@@ -280,8 +264,7 @@ class Audit:
     warnings: tuple[str, ...]  # conditions of the stages that ran, in stage order
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """Everything ``evaluate`` decided, as a saved report holds it."""
 
     qualification: QualificationRecord

@@ -4,19 +4,18 @@ human tables.
 The machine format is deterministic (sorted keys, repr-exact floats), so the
 same report always serializes to identical bytes, and parsing it back yields
 an object equal to the original. Encoding and decoding are both driven by the
-field types of the report dataclasses (``_codec``), so a report field is
-declared once, on its dataclass in ``records``. The codec has one rule for
-computed values: only dataclass fields are stored, so a value that ``records``
-computes from them (a property such as ``EffectSize.w``) is never written, and
-a decoded report computes it again from the same fields.
+field types of the report's named tuples (``_codec``), so a report field is
+declared once, on its named tuple in ``records``. The codec has one rule for
+computed values: only named-tuple fields are stored, so a value that
+``records`` computes from them (a property such as ``EffectSize.w``) is never
+written, and a decoded report computes it again from the same fields.
 
-Each dataclass has one encoder and one decoder, applied item by item to a
-tuple of dataclasses; the decoder is the only place that words an error.
+Each named tuple has one encoder and one decoder, applied item by item to a
+tuple of them; the decoder is the only place that words an error.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import operator
@@ -76,9 +75,9 @@ def _codec(tp: Any) -> _Codec:
     if isinstance(tp, type) and issubclass(tp, Enum):
         return _Codec(frozenset(type(m.value) for m in tp), operator.attrgetter("_value_"), tp)
     # A computed value is a property, not a field, so it is never written and a
-    # decoded report computes it again; a derived (non-init) field is refused.
-    if dataclasses.is_dataclass(tp) and all(f.init for f in dataclasses.fields(tp)):
-        return _dataclass_codec(tp)
+    # decoded report computes it again.
+    if isinstance(tp, type) and issubclass(tp, tuple) and hasattr(tp, "_fields"):
+        return _record_codec(tp)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple and args[1:] == (Ellipsis,):
         return _tuple_codec(_codec(args[0]))
@@ -92,7 +91,7 @@ def _codec(tp: Any) -> _Codec:
 
 def _tuple_codec(item: _Codec) -> _Codec:
     """A tuple is written as a JSON array and read only from one (the
-    enclosing dataclass checks that), with every item of the item's type."""
+    enclosing record checks that), with every item of the item's type."""
     def from_plain(doc: list) -> tuple:
         if not item.json_types.issuperset(map(type, doc)):
             bad = next(v for v in doc if type(v) not in item.json_types)
@@ -103,26 +102,25 @@ def _tuple_codec(item: _Codec) -> _Codec:
     return _Codec(frozenset({list}), to_plain, from_plain)
 
 
-def _dataclass_codec(tp: type) -> _Codec:
-    """Write ``tp`` as an object of its fields, converting only the fields
-    that need it. Read it from an object holding exactly its field names,
-    each of its field's JSON type, decoding only those that need it, and pass
-    the fields positionally in field order."""
+def _record_codec(tp: type) -> _Codec:
+    """Write the named tuple ``tp`` as an object of its fields, converting only
+    the fields that need it. Read it from an object holding exactly its field
+    names, each of its field's JSON type, decoding only those that need it, and
+    pass the fields positionally in field order."""
     hints = typing.get_type_hints(tp)
-    names = tuple(f.name for f in dataclasses.fields(tp))
+    names = tp._fields
     codecs = [_codec(hints[name]) for name in names]
     json_types = tuple(c.json_types for c in codecs)
-    attrs, items = operator.attrgetter(*names), operator.itemgetter(*names)
+    items = operator.itemgetter(*names)
     if len(names) == 1:  # a getter of one name returns the bare value, not a 1-tuple
-        attrs = lambda obj, one=attrs: (one(obj),)
         items = lambda doc, one=items: (one(doc),)
     encoded = [(i, c.to_plain) for i, c in enumerate(codecs) if c.to_plain is not _same]
     decoded = [(i, c.from_plain) for i, c in enumerate(codecs) if c.from_plain is not _same]
 
     def to_plain(obj: Any) -> dict:
-        values = attrs(obj)
+        values = obj
         if encoded:
-            values = list(values)
+            values = list(obj)
             for i, encode in encoded:
                 values[i] = encode(values[i])
         return dict(zip(names, values))
@@ -145,8 +143,8 @@ def _dataclass_codec(tp: type) -> _Codec:
 
 
 def to_plain(obj: Any) -> dict:
-    """A report dataclass as a plain document: enums as their values, tuples
-    as lists, nested dataclasses as objects."""
+    """A report record as a plain document: enums as their values, tuples
+    as lists, nested records as objects."""
     return _codec(type(obj)).to_plain(obj)
 
 

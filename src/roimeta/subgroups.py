@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
+from typing import NamedTuple
 
 from .baselines import MicroTotals
 from .campaigns import from_micros
@@ -51,8 +52,7 @@ class SubgroupSpec:
             raise ConfigError("by_label partitioning requires a labels map")
 
 
-@dataclass(frozen=True)
-class GroupAssignment:
+class GroupAssignment(NamedTuple):
     group_id: str
     members: tuple[str, ...]
 

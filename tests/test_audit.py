@@ -2,7 +2,6 @@
 value, the A/A statistics per repeat, the arm-B spend share, the warnings of
 the stages that ran, and the package version."""
 
-import dataclasses
 import re
 import warnings
 from math import fsum
@@ -52,7 +51,7 @@ def with_thin(dataset):
 
 
 def all_lines(record):
-    return [line for field in dataclasses.fields(record) for line in getattr(record, field.name)]
+    return [line for name in record._fields for line in getattr(record, name)]
 
 
 class TestVersion:
@@ -76,7 +75,7 @@ class TestAaRecord:
             assert baseline.threshold_theta == fsum(stats) / 7
 
     def test_one_field_per_baseline_method(self):
-        names = [f.name for f in dataclasses.fields(AaRecord)]
+        names = list(AaRecord._fields)
         assert names[2:] == [m.value for m in BaselineMethod]
 
     def test_a_configured_share_is_the_one_used(self, dataset):
@@ -160,7 +159,7 @@ class TestConfigRecord:
         path = tmp_path / "replay.cfg"
         path.write_text("\n".join(all_lines(report.audit.config)) + "\n", encoding="utf-8")
         replay = evaluate(dataset, load_evaluation_config(path))
-        assert dataclasses.replace(replay, audit=None) == dataclasses.replace(report, audit=None)
+        assert replay._replace(audit=None) == report._replace(audit=None)
         assert sorted(replay.audit.config.file) == sorted(all_lines(report.audit.config))
 
 

@@ -4,10 +4,14 @@ The import sets are read in a fresh interpreter, because this test process
 has loaded every module already.
 """
 
+import dataclasses
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -74,6 +78,19 @@ MOVED = {
 # and the audit block.
 NEW = ("PartExclusions", "ConfigRecord", "AaRecord", "Audit")
 
+# The package's dataclasses: the configs that check themselves in
+# ``__post_init__`` and the campaign types. Every report type and result
+# holder is a named tuple.
+DATACLASSES = {
+    "baselines": ("AaSettings",),
+    "campaigns": ("CampaignExperiment", "ExperimentDataset", "PartMeasurement"),
+    "meta": ("ArmSampleStats",),
+    "pipeline": ("EvaluationConfig", "ExplicitThetas", "TrafficSchedule"),
+    "preprocess": ("QualificationConfig",),
+    "simulate": ("SimConfig",),
+    "subgroups": ("SubgroupSpec",),
+}
+
 # Runs the CLI with the given arguments, then prints every loaded module.
 CLI_PROBE = """
 import sys
@@ -109,7 +126,8 @@ class TestImportSets:
             "roimeta", "roimeta.cli", "roimeta.config", "roimeta.errors", "roimeta.records",
             "roimeta.reportio",
         }
-        assert not modules & {"statistics", "hashlib", "csv"}
+        # the report types are named tuples: no class is built by ``dataclasses``
+        assert not modules & {"statistics", "hashlib", "csv", "dataclasses", "inspect"}
 
     def test_evaluate_does_not_load_the_simulator(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -166,6 +184,32 @@ class TestNamespaceParity:
             home = importlib.import_module(f"roimeta.{module}")
             for name in names:
                 assert getattr(home, name) is getattr(records, name), (module, name)
+
+    def test_report_types_are_named_tuples(self):
+        found, todo = set(), [records.EvaluationReport]
+        while todo:  # through the annotations, and the tuples and unions in them
+            tp = todo.pop()
+            todo.extend(typing.get_args(tp))
+            if (isinstance(tp, type) and tp.__module__ == records.__name__
+                    and not issubclass(tp, Enum) and tp not in found):
+                found.add(tp)
+                todo.extend(typing.get_type_hints(tp).values())
+        assert {tp.__name__ for tp in found} == {
+            name for name, obj in vars(records).items() if isinstance(obj, type)
+            and obj.__module__ == records.__name__ and not issubclass(obj, Enum)}
+        for tp in found:
+            assert issubclass(tp, tuple) and tp._fields == tuple(tp.__annotations__), tp
+
+    def test_only_the_checked_configs_and_campaign_types_are_dataclasses(self):
+        defined = {}
+        for module in pkgutil.iter_modules(roimeta.__path__):
+            home = importlib.import_module(f"roimeta.{module.name}")
+            names = tuple(sorted(
+                name for name, obj in vars(home).items() if isinstance(obj, type)
+                and obj.__module__ == home.__name__ and dataclasses.is_dataclass(obj)))
+            if names:
+                defined[module.name] = names
+        assert defined == DATACLASSES
 
     def test_dir_lists_the_names(self):
         assert set(roimeta.__all__) <= set(dir(roimeta))
