@@ -8,19 +8,25 @@ order. Normal variates come from the inverse-CDF transform; Poisson uses exact
 inversion for small means and a rounded normal approximation for large ones.
 
 Cost model: one keyed BLAKE2b (a copy of the key-absorbed state, fed the 8-byte
-counter) per draw, with one Python frame above it, plus two BLAKE2b calls to
-absorb each new key. ``shuffle(items, k)`` is a partial Fisher-Yates that pays
-k draws, not n - 1, so an A/A split that keeps k of n parts costs k draws. The
-digest maps to (0, 1) as ``(u64 + 0.5) * 2**-64`` in ``uniform`` and, inline,
-in ``shuffle``'s loop, which also inlines ``randbelow``'s clamp; the draw parity
-test in tests/test_simulate.py pins both copies. For the top 2**10 u64 values
-the product rounds to 1.0, which ``uniform`` replaces and ``shuffle`` clamps.
+counter) per draw, plus two BLAKE2b calls to absorb each new key. A single
+variate (``uniform``, ``normal``, ``poisson``) adds a Python frame or two per
+draw; ``uniforms(n)`` draws a block in one loop, about a fifth cheaper per draw,
+and the simulator takes each arm's draws that way. ``shuffle(items, k)`` is a
+partial Fisher-Yates that pays k draws, not n - 1, so an A/A split that keeps k
+of n parts costs k draws. The digest maps to (0, 1) as ``(u64 + 0.5) * 2**-64``
+in ``uniform``, in ``uniforms`` and, inline, in ``shuffle``'s loop, which also
+inlines ``randbelow``'s clamp; the draw parity test in tests/test_simulate.py
+pins all three copies. For the top 2**10 u64 values the product rounds to 1.0,
+which ``uniform`` and ``uniforms`` replace and ``shuffle`` clamps. Poisson
+counts come from ``poisson_quantiles``, one uniform each, for single draws and
+blocks alike.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterable
 
 from .statfuncs import normal_quantile
 
@@ -47,6 +53,21 @@ class HashStream:
         u = (int.from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64
         return u if u < 1.0 else 1.0 - 2.0 ** -53  # u64 >= 2**64 - 2**10 rounds to 1.0
 
+    def uniforms(self, n: int) -> list[float]:
+        """The next ``n`` values of ``uniform()``, drawn in one loop."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n!r}")
+        copy, from_bytes = self._prefix.copy, int.from_bytes
+        start = self._counter
+        draws = []
+        for counter in range(start, start + n):
+            block = copy()
+            block.update(counter.to_bytes(8, "big"))
+            u = (from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64
+            draws.append(u if u < 1.0 else 1.0 - 2.0 ** -53)
+        self._counter = start + n
+        return draws
+
     def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
         return mean + sd * normal_quantile(self.uniform())
 
@@ -58,20 +79,7 @@ class HashStream:
             raise ValueError(f"poisson mean must be >= 0, got {lam!r}")
         if lam == 0:
             return 0
-        if lam <= _POISSON_EXACT_LIMIT:
-            u = self.uniform()
-            k = 0
-            prob = math.exp(-lam)
-            cumulative = prob
-            while u > cumulative:
-                k += 1
-                prob *= lam / k
-                cumulative += prob
-                if prob == 0.0:  # mass exhausted; u was in the rounding tail
-                    break
-            return k
-        approx = round(lam + math.sqrt(lam) * normal_quantile(self.uniform()))
-        return max(0, int(approx))
+        return poisson_quantiles(lam, (self.uniform(),))[0]
 
     def randbelow(self, n: int) -> int:
         if n <= 0:
@@ -94,3 +102,23 @@ class HashStream:
             j = i + j if j < n - i else n - 1  # randbelow's min(..., n - 1)
             items[i], items[j] = items[j], items[i]
         self._counter = counter
+
+
+def poisson_quantiles(lam: float, draws: Iterable[float]) -> list[int]:
+    """One Poisson(``lam``) count per uniform in ``draws``, ``lam`` > 0: exact
+    inversion up to a mean of 50, a rounded normal approximation above it."""
+    if lam > _POISSON_EXACT_LIMIT:
+        root = math.sqrt(lam)
+        return [max(0, round(lam + root * normal_quantile(u))) for u in draws]
+    start = math.exp(-lam)
+    counts = []
+    for u in draws:
+        k, prob, cumulative = 0, start, start
+        while u > cumulative:
+            k += 1
+            prob *= lam / k
+            cumulative += prob
+            if prob == 0.0:  # mass exhausted; u was in the rounding tail
+                break
+        counts.append(k)
+    return counts

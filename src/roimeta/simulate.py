@@ -13,19 +13,24 @@ for fidelity to any production traffic.
 
 Each arm is built as integer micro columns, quantized and with ROIs derived as
 ingest does, so a dataset gives the same report bytes in memory as after a
-6-decimal file round trip.
+6-decimal file round trip. An arm takes all its draws as one block, in the
+order a part-by-part loop would take them: each part's ROI noise, then its
+impressions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .campaigns import (
-    ArmColumns, CampaignExperiment, ExperimentDataset, arm_columns, check_amount, to_micros,
+    MAX_AMOUNT, MICROS_PER_UNIT, ArmColumns, CampaignExperiment, ExperimentDataset, arm_columns,
+    check_amount,
 )
 from .errors import ConfigError
-from .randomness import HashStream
+from .randomness import HashStream, poisson_quantiles
+from .statfuncs import normal_quantile
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.n_campaigns < 1:
             raise ConfigError(f"n_campaigns must be >= 1, got {self.n_campaigns!r}")
         if self.m_a < 2 or self.m_b < 2:
@@ -86,9 +94,12 @@ def _campaign_stream(seed: int, index: int) -> HashStream:
 def generate_experiment(config: SimConfig) -> ExperimentDataset:
     """Generate one experiment dataset, byte-stable for a given config."""
     streams = [_campaign_stream(config.seed, i) for i in range(config.n_campaigns)]
-    budgets = [
-        s.lognormal(config.budget_log_mean, config.budget_log_sd) for s in streams
-    ]
+    try:
+        budgets = [s.lognormal(config.budget_log_mean, config.budget_log_sd) for s in streams]
+    except OverflowError:
+        raise ConfigError(
+            f"simulated budget is too large for a float (budget_log_mean = "
+            f"{config.budget_log_mean!r}, budget_log_sd = {config.budget_log_sd!r})") from None
     by_budget = sorted(range(config.n_campaigns), key=lambda i: (-budgets[i], i))
     outliers = set(by_budget[: config.outlier_campaigns])
 
@@ -109,16 +120,27 @@ def generate_experiment(config: SimConfig) -> ExperimentDataset:
 
 def _generate_arm(stream: HashStream, m: int, spend: float, roi_level: float,
                   config: SimConfig) -> ArmColumns:
-    """Parts 0..m-1 of one arm; each draws its ROI noise, then its impressions."""
-    rows = {}
-    for part_id in range(m):
-        roi = roi_level * _mean_one_lognormal(stream, config.part_noise_sd)
-        impressions = stream.poisson(config.impressions_per_part_mean)
-        value = roi * spend
-        try:
-            check_amount("spend", spend)
-            check_amount("value", value)
-        except ValueError as exc:
-            raise ConfigError(f"simulated {exc}") from None
-        rows[part_id] = (impressions, to_micros(spend), to_micros(value))
-    return arm_columns(rows)
+    """Parts 0..m-1 of one arm from one block of draws: part i takes draw 2i for
+    its ROI noise and draw 2i + 1 for its impressions (draw i alone at mean 0)."""
+    lam, sd = config.impressions_per_part_mean, config.part_noise_sd
+    draws = stream.uniforms(2 * m if lam > 0 else m)
+    if sd == 0.0:  # every factor is 1, but each part still spends its draw
+        values = [roi_level * spend] * m
+    else:  # mean-one lognormal noise: sd * z - sd * sd / 2 <= z * z / 2 cannot overflow
+        half_var = 0.5 * sd * sd
+        values = [roi_level * math.exp(sd * normal_quantile(u) - half_var) * spend
+                  for u in (draws[::2] if lam > 0 else draws)]
+    try:
+        check_amount("spend", spend)
+        # a column that passes this one test passes check_amount value by value;
+        # any other is checked value by value, so the first failure words the error
+        if not (0.0 <= min(values) and sum(values) <= MAX_AMOUNT):
+            for value in values:
+                check_amount("value", value)
+    except ValueError as exc:
+        raise ConfigError(f"simulated {exc}") from None
+    impressions = poisson_quantiles(lam, draws[1::2]) if lam > 0 else [0] * m
+    # to_micros, inlined
+    spend_micros = round(spend * MICROS_PER_UNIT)
+    return arm_columns(dict(zip(range(m), zip(
+        impressions, repeat(spend_micros), [round(v * MICROS_PER_UNIT) for v in values]))))

@@ -68,6 +68,19 @@ class TestSimulate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("impressions_per_part_mean = inf", "impressions_per_part_mean must be finite, got inf"),
+        ("impressions_per_part_mean = nan", "impressions_per_part_mean must be finite, got nan"),
+        ("budget_log_mean = 1000", "simulated budget is too large for a float "
+                                   "(budget_log_mean = 1000.0, budget_log_sd = 2.0)"),
+    ], ids=["mean-inf", "mean-nan", "budget-overflow"])
+    def test_unusable_simulation_is_exit_2(self, workdir, capsys, line, message):
+        (workdir / "bad.cfg").write_text(line + "\n", encoding="utf-8")
+        out = workdir / "bad.csv"
+        assert main(["simulate", "--config", str(workdir / "bad.cfg"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_accept_exit_zero_and_report(self, workdir, capsys):

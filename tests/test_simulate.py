@@ -1,10 +1,12 @@
 import hashlib
 import math
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from roimeta.baselines import AaSettings, aa_calibrate, campaign_micro_totals
+from roimeta.campaigns import ArmColumns
 from roimeta.dataio import ingest, render_dataset_csv, write_dataset
 from roimeta.errors import ConfigError, NoQualifiedCampaignsError
 from roimeta.pipeline import collect_effects, evaluate
@@ -53,6 +55,7 @@ class TestHashStream:
         assert rounds_up == (u64 >= 2**64 - 2**10)
         assert u == (1.0 - 2.0 ** -53 if rounds_up else (u64 + 0.5) * 2.0 ** -64)
         assert 0.0 < u < 1.0
+        assert stream.uniforms(3) == [u, u, u]
         assert math.isfinite(stream.normal()) and math.isfinite(stream.lognormal(0.0, 1.0))
         # the partial shuffle clamps like randbelow: position i swaps with
         # i + min(int(u * (n - i)), n - i - 1), never past n - 1
@@ -64,6 +67,12 @@ class TestHashStream:
         items = list(range(6))
         stream.shuffle(items, 6)
         assert items == expected
+
+    def test_uniforms_rejects_a_negative_count(self):
+        stream = HashStream("u")
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            stream.uniforms(-1)
+        assert stream.uniform() == HashStream("u").uniform()
 
     def test_poisson_small_mean_matches_inversion(self):
         stream = HashStream("p")
@@ -241,10 +250,31 @@ class TestGenerateExperiment:
         with pytest.raises(ConfigError):
             SimConfig(outlier_campaigns=5, n_campaigns=3)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize("key", [
+        key for key, hint in get_type_hints(SimConfig).items() if hint is float])
+    def test_non_finite_float_keys_are_config_errors(self, key, bad):
+        with pytest.raises(ConfigError) as caught:
+            SimConfig(**{key: bad})
+        assert str(caught.value) == f"{key} must be finite, got {bad!r}"
+
+    @pytest.mark.parametrize("changes", [dict(budget_log_mean=1000.0),
+                                         dict(budget_log_sd=1000.0)], ids=["mean", "sd"])
+    def test_budget_overflow_is_a_config_error(self, changes):
+        config = SimConfig(**changes)
+        with pytest.raises(ConfigError) as caught:
+            generate_experiment(config)
+        assert str(caught.value) == (
+            f"simulated budget is too large for a float (budget_log_mean = "
+            f"{config.budget_log_mean!r}, budget_log_sd = {config.budget_log_sd!r})")
+
     @pytest.mark.parametrize("changes, message", [
         (dict(base_roi_mean=1e300), "simulated value is too large to quantize, got "),
         (dict(base_roi_mean=1e306), "simulated value must be finite and >= 0, got inf"),
-        (dict(base_roi_mean=math.nan), "simulated value must be finite and >= 0, got nan"),
+        # arm B: an infinite ROI level (1.7e308 * 2) times a zero spend
+        (dict(base_roi_mean=1.7e308, campaign_roi_sd=0.0, part_noise_sd=0.0,
+              treatment_lift=1.0, treatment_share=0.0, budget_log_mean=-700.0),
+         "simulated value must be finite and >= 0, got nan"),
         (dict(budget_log_mean=700.0), "simulated spend is too large to quantize, got "),
     ], ids=["value-above-limit", "value-infinite", "value-nan", "spend-above-limit"])
     def test_money_outside_the_money_rule_is_a_config_error(self, changes, message):
@@ -338,6 +368,9 @@ class ReferenceStream:
     def normal(self, mean=0.0, sd=1.0):
         return mean + sd * reference_normal_quantile(self.uniform())
 
+    def uniforms(self, n):
+        return [self.uniform() for _ in range(n)]
+
     def lognormal(self, log_mean, log_sd):
         return math.exp(self.normal(log_mean, log_sd))
 
@@ -386,6 +419,7 @@ def draw(stream, op):
 
 draw_ops = st.one_of(
     st.tuples(st.just("uniform")),
+    st.tuples(st.just("uniforms"), st.integers(0, 40)),
     st.tuples(st.just("normal"), st.none()),
     st.tuples(st.just("normal"), st.floats(-1e6, 1e6), st.floats(0.0, 1e3)),
     st.tuples(st.just("lognormal"), st.floats(-5.0, 5.0), st.floats(0.0, 2.0)),
@@ -416,6 +450,72 @@ class TestDrawParity:
     ))
     def test_normal_quantile_matches(self, p):
         assert normal_quantile(p).hex() == reference_normal_quantile(p).hex()
+
+
+def reference_factor(stream, sd):
+    """Mean-one lognormal noise; at sd 0 the draw is still taken."""
+    if sd == 0.0:
+        stream.uniform()
+        return 1.0
+    return math.exp(sd * stream.normal() - 0.5 * sd * sd)
+
+
+def reference_arms(config):
+    """``generate_experiment`` part by part from ``ReferenceStream``: each part
+    draws its ROI factor, then its impressions, and is quantised on its own."""
+    n = config.n_campaigns
+    streams = [ReferenceStream("sim", config.seed, "campaign", i) for i in range(n)]
+    budgets = [s.lognormal(config.budget_log_mean, config.budget_log_sd) for s in streams]
+    outliers = sorted(range(n), key=lambda i: (-budgets[i], i))[:config.outlier_campaigns]
+    campaigns = []
+    for i, stream in enumerate(streams):
+        level = config.base_roi_mean * reference_factor(stream, config.campaign_roi_sd)
+        lift = config.outlier_lift if i in outliers else config.treatment_lift
+        arms = []
+        for m, share, roi_level in ((config.m_a, 1.0 - config.treatment_share, level),
+                                    (config.m_b, config.treatment_share, level * (1.0 + lift))):
+            spend = budgets[i] * share / m
+            parts = []
+            for part_id in range(m):
+                roi = roi_level * reference_factor(stream, config.part_noise_sd)
+                impressions = stream.poisson(config.impressions_per_part_mean)
+                spend_micros, value_micros = round(spend * 1e6), round(roi * spend * 1e6)
+                parts.append((part_id, impressions, spend_micros, value_micros,
+                              value_micros / 1_000_000 / (spend_micros / 1_000_000)
+                              if spend_micros else None))
+            arms.append(ArmColumns(*map(tuple, zip(*parts))))
+        campaigns.append((f"camp_{i:0{len(str(n - 1))}d}", *arms))
+    return campaigns
+
+
+@st.composite
+def sim_configs(pick):
+    n = pick(st.integers(1, 5))
+    return SimConfig(
+        n_campaigns=n,
+        m_a=pick(st.integers(2, 30)),
+        m_b=pick(st.integers(2, 30)),
+        treatment_share=pick(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+        budget_log_sd=pick(st.sampled_from([0.0, 2.0])),
+        campaign_roi_sd=pick(st.sampled_from([0.0, 0.25])),
+        part_noise_sd=pick(st.sampled_from([0.0, 0.1, 1.5])),
+        treatment_lift=pick(st.floats(-0.5, 1.0)),
+        outlier_campaigns=pick(st.integers(0, n)),
+        outlier_lift=pick(st.floats(-0.5, 5.0)),
+        impressions_per_part_mean=pick(st.sampled_from([0.0, 3.5, 50.0, 50.000001, 2000.0])),
+        seed=pick(st.integers(0, 10**6)),
+    )
+
+
+class TestGeneratorParity:
+    """Each arm's block of draws against the part-by-part reference above,
+    including the branches the pinned shapes never reach."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sim_configs())
+    def test_arm_columns_match(self, config):
+        dataset = generate_experiment(config)
+        assert [(c.campaign_id, c.a, c.b) for c in dataset.campaigns] == reference_arms(config)
 
 
 # Recorded with the chained generator that ReferenceStream copies; like
