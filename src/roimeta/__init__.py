@@ -20,7 +20,7 @@ _EXPORTS = {
         "micro_delta", "micro_roi", "threshold_decision",
     ),
     "campaigns": ("ArmColumns", "CampaignExperiment", "ExperimentDataset", "PartMeasurement"),
-    "dataio": ("ingest", "render_dataset_csv", "write_dataset"),
+    "dataio": ("dataset_from_rows", "ingest", "render_dataset_csv", "write_dataset"),
     "errors": (
         "ConfigError", "DegenerateEffectError", "IngestError", "InsufficientDataError",
         "NoQualifiedCampaignsError", "RoimetaError", "SchemaError", "UndefinedRoiError",

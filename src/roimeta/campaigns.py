@@ -1,9 +1,11 @@
 """Campaign domain model: arms, traffic parts, campaigns, and ROI.
 
-Monetary amounts are quantized to integer micro-units at construction time so
-that aggregation is bit-exact and independent of summation order. A campaign
-holds each arm as parallel integer micro columns (``ArmColumns``);
-``PartMeasurement`` is the per-part value type its part views are built from.
+A campaign holds each arm as parallel columns (``ArmColumns``) with money in
+integer micro-units, so aggregation is bit-exact and independent of summation
+order. Parts are checked and quantized once, where they enter: by ``dataio``
+(files, or rows in memory through ``dataset_from_rows``) or by the simulator.
+A campaign takes its columns as given and checks only its id;
+``PartMeasurement`` is a plain view of one part, read from the columns.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import UndefinedRoiError
 from .records import Arm
@@ -32,57 +34,12 @@ def from_micros(micros: int) -> float:
     return micros / MICROS_PER_UNIT
 
 
-@dataclass(frozen=True, slots=True)
-class PartMeasurement:
-    """One traffic part's impressions, spend, value, and ROI for one arm of one campaign.
-
-    ``roi`` is derived, never passed: the quantized value over the quantized
-    spend when spend > 0, and None otherwise. The fields are checked in order;
-    the first failing check raises.
-    """
-
-    campaign_id: str
-    arm: Arm
-    part_id: int
-    impressions: int
-    spend: float
-    value: float
-    roi: float | None = field(default=None, init=False)
-
-    def __post_init__(self):
-        _check_campaign_id(self.campaign_id)
-        if not isinstance(self.arm, Arm):
-            raise ValueError(f"arm must be an Arm, got {self.arm!r}")
-        for name in ("part_id", "impressions"):
-            count = getattr(self, name)
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {count!r}")
-        check_amount("spend", self.spend)
-        check_amount("value", self.value)
-        spend, value = from_micros(to_micros(self.spend)), from_micros(to_micros(self.value))
-        object.__setattr__(self, "spend", spend)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "roi", value / spend if spend else None)
-
-
-# Part views skip __post_init__, whose checks and re-quantizing cost 3x as much:
-# their columns hold checked, quantized values.
-_SET_FIELDS = tuple(PartMeasurement.__dict__[name].__set__ for name in PartMeasurement.__slots__)
-
-
 def check_amount(name: str, amount, quantizable: bool = True) -> None:
     """The rule for money: a finite number >= 0 and, if ``quantizable``, at most MAX_AMOUNT."""
     if not isinstance(amount, (int, float)) or not 0 <= amount < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {amount!r}")
     if quantizable and amount > MAX_AMOUNT:
         raise ValueError(f"{name} is too large to quantize, got {amount!r}")
-
-
-def _check_campaign_id(campaign_id) -> None:
-    if not isinstance(campaign_id, str) or not campaign_id:
-        raise ValueError("campaign_id must be non-empty text")
-    if campaign_id != campaign_id.strip():  # ingest strips ids, so memory must not hold one
-        raise ValueError(f"campaign_id {campaign_id!r} has leading or trailing whitespace")
 
 
 def roi_of_micros(spend: int, value: int, arm: Arm, campaign_id: str | None = None) -> float:
@@ -104,55 +61,48 @@ class ArmColumns(NamedTuple):
     rois: tuple[float | None, ...]
 
 
-def arm_columns(rows: dict[int, tuple[int, int, int]]) -> ArmColumns:
-    """An arm's columns from ``{part_id: (impressions, spend_micros, value_micros)}``."""
-    impressions, spends, values = zip(*rows.values()) if rows else ((), (), ())
+def arm_columns(part_ids: Iterable[int], impressions: Iterable[int],
+                spend_micros: Iterable[int], value_micros: Iterable[int]) -> ArmColumns:
+    """An arm's columns from its part ids, impressions and micro-unit money, ROIs derived."""
     rois = [v / MICROS_PER_UNIT / (s / MICROS_PER_UNIT) if s else None
-            for s, v in zip(spends, values)]
-    return ArmColumns(tuple(rows), impressions, spends, values, tuple(rois))
+            for s, v in zip(spend_micros, value_micros)]
+    return ArmColumns(tuple(part_ids), tuple(impressions), tuple(spend_micros),
+                      tuple(value_micros), tuple(rois))
 
 
-@dataclass(frozen=True, init=False)
+class PartMeasurement(NamedTuple):
+    """A view of one part of one arm, read from the columns: money in currency
+    units, ``roi`` the value over the spend (None at zero spend)."""
+
+    campaign_id: str
+    arm: Arm
+    part_id: int
+    impressions: int
+    spend: float
+    value: float
+    roi: float | None
+
+
+@dataclass(frozen=True)
 class CampaignExperiment:
     """One campaign's control (``a``) and treatment (``b``) parts as columns.
 
-    ``CampaignExperiment(campaign_id, parts_a, parts_b)`` checks the parts;
-    ``from_columns`` checks only the id, for columns whose rows ingest or the
-    simulator already checked and grouped. ``parts_a``/``parts_b`` are views,
-    built from the columns on each access.
+    The columns are taken as given, so they come from a checker: ingest or
+    ``dataio.dataset_from_rows`` for rows, the simulator, or ``qualify``.
+    The id is checked. ``parts_a``/``parts_b`` are views, built from the
+    columns on each access.
     """
 
     campaign_id: str
     a: ArmColumns
     b: ArmColumns
 
-    # Frozen: both constructors fill the instance dict, not __setattr__.
-    def __init__(self, campaign_id, parts_a, parts_b):
-        _check_campaign_id(campaign_id)
-        columns = []
-        for parts, arm in ((parts_a, Arm.CONTROL), (parts_b, Arm.TREATMENT)):
-            rows: dict[int, tuple[int, int, int]] = {}
-            for part in parts:
-                if part.campaign_id != campaign_id:
-                    raise ValueError(
-                        f"part belongs to campaign {part.campaign_id!r}, not {campaign_id!r}")
-                if part.arm is not arm:
-                    raise ValueError(
-                        f"part {part.part_id} has arm {part.arm.value}, expected {arm.value}")
-                if part.part_id in rows:
-                    raise ValueError(f"duplicate part_id {part.part_id} in campaign "
-                                     f"{campaign_id!r} arm {arm.value}")
-                rows[part.part_id] = (
-                    part.impressions, to_micros(part.spend), to_micros(part.value))
-            columns.append(arm_columns(rows))
-        vars(self).update(campaign_id=campaign_id, a=columns[0], b=columns[1])
-
-    @classmethod
-    def from_columns(cls, campaign_id: str, a: ArmColumns, b: ArmColumns) -> CampaignExperiment:
-        _check_campaign_id(campaign_id)
-        campaign = object.__new__(cls)
-        vars(campaign).update(campaign_id=campaign_id, a=a, b=b)
-        return campaign
+    def __post_init__(self):
+        campaign_id = self.campaign_id
+        if not isinstance(campaign_id, str) or not campaign_id:
+            raise ValueError("campaign_id must be non-empty text")
+        if campaign_id != campaign_id.strip():  # rows have their ids stripped, so none holds one
+            raise ValueError(f"campaign_id {campaign_id!r} has leading or trailing whitespace")
 
     @property
     def parts_a(self) -> tuple[PartMeasurement, ...]:
@@ -172,13 +122,10 @@ class CampaignExperiment:
 
 
 def _arm_parts(campaign_id: str, arm: Arm, columns: ArmColumns) -> tuple[PartMeasurement, ...]:
-    parts = [object.__new__(PartMeasurement) for _ in columns.part_ids]
-    for set_field, column in zip(_SET_FIELDS, (
-            repeat(campaign_id), repeat(arm), columns.part_ids, columns.impressions,
-            map(from_micros, columns.spend_micros), map(from_micros, columns.value_micros),
-            columns.rois)):
-        list(map(set_field, parts, column))  # one field of every part per pass
-    return tuple(parts)
+    return tuple(map(PartMeasurement._make, zip(
+        repeat(campaign_id), repeat(arm), columns.part_ids, columns.impressions,
+        map(from_micros, columns.spend_micros), map(from_micros, columns.value_micros),
+        columns.rois)))
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,15 @@ Two interchangeable formats carry the same six fields per part:
 
 Both feed one row path that appends each non-blank line's six raw fields to
 its campaign's arm columns (campaigns in first-seen order), money in integer
-micro-units. The first fault raises ``IngestError`` with its file line (blank
-lines count; the CSV header is line 1); within a line the first failing check
-wins: the line itself (JSON syntax, an object, CSV column count), missing or
-empty fields (all listed), ``campaign_id``, arm, ``part_id``, ``impressions``,
-``spend``, ``value`` (a finite amount >= 0), either amount too large to
-quantize, then a duplicate (campaign, arm, part_id) key. Ids and arm tags are
-stripped. Writes are temp file + rename.
+micro-units; ``dataset_from_rows`` feeds it rows held in memory, checked as
+record-lines are. The first fault raises ``IngestError`` with its file line
+(blank lines count; the CSV header is line 1) or its row number; within a line
+the first failing check wins: the line itself (JSON syntax, an object, CSV
+column count, six fields in a row in memory), missing or empty fields (all
+listed), ``campaign_id``, arm, ``part_id``, ``impressions``, ``spend``,
+``value`` (a finite amount >= 0), either amount too large to quantize, then a
+duplicate (campaign, arm, part_id) key. Ids and arm tags are stripped. Writes
+are temp file + rename.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .campaigns import (
-    MAX_AMOUNT, MICROS_PER_UNIT, CampaignExperiment, ExperimentDataset, arm_columns, check_amount,
-    from_micros,
+    MAX_AMOUNT, MICROS_PER_UNIT, ArmColumns, CampaignExperiment, ExperimentDataset, arm_columns,
+    check_amount, from_micros,
 )
 from .config import INPUT_FORMATS
 from .errors import IngestError
@@ -146,12 +148,17 @@ def _dataset_from_rows(
     """Append (line, six raw fields) rows to their campaign's arm columns.
 
     A row passes one test when its values have their exact types (``typed``:
-    JSON gave them) or ``int``/``float`` parse them (text), and all are in
-    range; any other row goes to ``_checked_row``, which alone words the error.
+    JSON or a caller gave them) or ``int``/``float`` parse them (text), and all
+    are in range; any other row goes to ``_checked_row``, which alone words the
+    error.
     """
     by_campaign: dict[str, dict[str, dict[int, tuple[int, int, int]]]] = {}
     for line, fields in rows:
-        campaign_id, arm_tag, part_id, impressions, spend, value = fields
+        try:
+            campaign_id, arm_tag, part_id, impressions, spend, value = fields
+        except (TypeError, ValueError):  # only an in-memory row can have another shape
+            raise IngestError(f"expected a row of {len(CSV_FIELDS)} fields, got {fields!r}",
+                              line) from None
         if typed:
             fast = (type(campaign_id) is str and type(arm_tag) is str and type(part_id) is int
                     and type(impressions) is int and type(spend) is float
@@ -180,9 +187,20 @@ def _dataset_from_rows(
         parts[part_id] = (impressions, round(spend * MICROS_PER_UNIT),
                           round(value * MICROS_PER_UNIT))
     return ExperimentDataset(tuple(
-        CampaignExperiment.from_columns(campaign_id, *map(arm_columns, arms.values()))
+        CampaignExperiment(campaign_id, *map(_unzipped, arms.values()))
         for campaign_id, arms in by_campaign.items()
     ))
+
+
+def _unzipped(parts: dict[int, tuple[int, int, int]]) -> ArmColumns:
+    return arm_columns(tuple(parts), *(zip(*parts.values()) if parts else ((), (), ())))
+
+
+def dataset_from_rows(rows: Iterable[Sequence[object]]) -> ExperimentDataset:
+    """Load an experiment dataset from in-memory rows ``(campaign_id, arm,
+    part_id, impressions, spend, value)``, arm ``"A"`` or ``"B"``. The rows are
+    checked as record-lines are; an ``IngestError``'s "line n" is row n."""
+    return _dataset_from_rows(enumerate(rows, 1), typed=True)
 
 
 def ingest(path: str | Path, input_format: str = "delimited-text") -> ExperimentDataset:

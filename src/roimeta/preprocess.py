@@ -94,8 +94,7 @@ def qualify(
         if len(keep_a) > frac * campaign.m_a and len(keep_b) > frac * campaign.m_b:
             lost_a = lost_b = 0
             retained.append(campaign if not (low_a or zero_a or low_b or zero_b) else
-                            CampaignExperiment.from_columns(
-                                campaign_id, _take(a, keep_a), _take(b, keep_b)))
+                            CampaignExperiment(campaign_id, _take(a, keep_a), _take(b, keep_b)))
         else:
             lost_a, lost_b = len(keep_a), len(keep_b)
             disqualified.append(DisqualifiedCampaign(

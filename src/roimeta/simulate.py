@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 from .campaigns import (
     MAX_AMOUNT, MICROS_PER_UNIT, ArmColumns, CampaignExperiment, ExperimentDataset, arm_columns,
@@ -114,7 +113,7 @@ def generate_experiment(config: SimConfig) -> ExperimentDataset:
         spend_b = budgets[i] * config.treatment_share / config.m_b
         arm_a = _generate_arm(stream, config.m_a, spend_a, level, config)
         arm_b = _generate_arm(stream, config.m_b, spend_b, level * (1.0 + lift), config)
-        campaigns.append(CampaignExperiment.from_columns(campaign_id, arm_a, arm_b))
+        campaigns.append(CampaignExperiment(campaign_id, arm_a, arm_b))
     return ExperimentDataset(tuple(campaigns))
 
 
@@ -142,5 +141,5 @@ def _generate_arm(stream: HashStream, m: int, spend: float, roi_level: float,
     impressions = poisson_quantiles(lam, draws[1::2]) if lam > 0 else [0] * m
     # to_micros, inlined
     spend_micros = round(spend * MICROS_PER_UNIT)
-    return arm_columns(dict(zip(range(m), zip(
-        impressions, repeat(spend_micros), [round(v * MICROS_PER_UNIT) for v in values]))))
+    return arm_columns(range(m), impressions, (spend_micros,) * m,
+                       [round(v * MICROS_PER_UNIT) for v in values])

@@ -7,12 +7,8 @@ import re
 import numpy as np
 from hypothesis import strategies as st
 
-from roimeta.campaigns import (
-    Arm,
-    CampaignExperiment,
-    ExperimentDataset,
-    PartMeasurement,
-)
+from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
+from roimeta.dataio import dataset_from_rows
 
 
 def pytest_runtest_logreport(report):
@@ -35,22 +31,27 @@ def make_part(
     spend: float = 1.0,
     value: float | None = None,
     impressions: int = 1000,
-) -> PartMeasurement:
-    """Part worth ``value``, or ``roi * spend`` when only ``roi`` is given.
+) -> tuple:
+    """A part's row ``(campaign_id, arm tag, part_id, impressions, spend,
+    value)``, worth ``value``, or ``roi * spend`` when only ``roi`` is given.
 
     ``roi`` is shorthand for the value: the stored ROI is always derived from
     the quantized money, so it is ``roi`` only up to micro-unit rounding.
     """
     if value is None:
         value = (roi if roi is not None else 0.0) * spend
-    return PartMeasurement(
-        campaign_id=campaign_id,
-        arm=arm,
-        part_id=part_id,
-        impressions=impressions,
-        spend=spend,
-        value=value,
-    )
+    return campaign_id, arm.value, part_id, impressions, spend, value
+
+
+def campaign_from_rows(rows) -> CampaignExperiment:
+    """The one campaign that ``rows`` hold, read through ``dataset_from_rows``."""
+    (campaign,) = dataset_from_rows(rows).campaigns
+    return campaign
+
+
+def rows_of(campaign: CampaignExperiment) -> list[tuple]:
+    """``campaign``'s parts as rows, arm A first, read from its part views."""
+    return [(p.campaign_id, p.arm.value, *p[2:6]) for p in campaign.parts_a + campaign.parts_b]
 
 
 def make_campaign(
@@ -61,15 +62,11 @@ def make_campaign(
     spend_b: float = 1.0,
     impressions: int = 1000,
 ) -> CampaignExperiment:
-    parts_a = [
-        make_part(campaign_id, Arm.CONTROL, j, roi=r, spend=spend_a, impressions=impressions)
-        for j, r in enumerate(rois_a)
-    ]
-    parts_b = [
-        make_part(campaign_id, Arm.TREATMENT, j, roi=r, spend=spend_b, impressions=impressions)
-        for j, r in enumerate(rois_b)
-    ]
-    return CampaignExperiment(campaign_id, parts_a, parts_b)
+    return campaign_from_rows([
+        make_part(campaign_id, arm, j, roi=r, spend=spend, impressions=impressions)
+        for arm, rois, spend in ((Arm.CONTROL, rois_a, spend_a), (Arm.TREATMENT, rois_b, spend_b))
+        for j, r in enumerate(rois)
+    ])
 
 
 def make_dataset(campaigns: list[CampaignExperiment]) -> ExperimentDataset:
@@ -131,7 +128,7 @@ def mixed_quality_dataset_strategy(draw, min_campaigns: int = 1, max_campaigns: 
     campaigns = []
     for i in range(n):
         campaign_id = f"c{i:02d}"
-        parts = {Arm.CONTROL: [], Arm.TREATMENT: []}
+        rows = []
         for arm in (Arm.CONTROL, Arm.TREATMENT):
             count = draw(st.integers(1, 6))
             for j in range(count):
@@ -139,8 +136,8 @@ def mixed_quality_dataset_strategy(draw, min_campaigns: int = 1, max_campaigns: 
                 zero_spend = draw(st.booleans())
                 spend = 0.0 if zero_spend else draw(sane_spends)
                 roi = None if zero_spend else draw(sane_rois)
-                parts[arm].append(make_part(
+                rows.append(make_part(
                     campaign_id, arm, j, roi=roi, spend=spend, impressions=impressions,
                 ))
-        campaigns.append(CampaignExperiment(campaign_id, parts[Arm.CONTROL], parts[Arm.TREATMENT]))
+        campaigns.append(campaign_from_rows(rows))
     return make_dataset(campaigns)

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    campaign_from_rows,
     dataset_strategy,
     mixed_quality_dataset_strategy,
     random_dataset,
+    rows_of,
 )
 from oracle import oracle_meta
 from roimeta.baselines import (
@@ -28,7 +30,7 @@ from roimeta.baselines import (
     threshold_decision,
 )
 from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
-from roimeta.dataio import ingest, write_dataset
+from roimeta.dataio import dataset_from_rows, ingest, write_dataset
 from roimeta.meta import SignificanceResult, summarize_effects, z_significance
 from roimeta.pipeline import (
     AaSettings,
@@ -48,12 +50,8 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_report.json"
 
 
 def swap_arms(dataset: ExperimentDataset) -> ExperimentDataset:
-    campaigns = []
-    for c in dataset.campaigns:
-        new_a = [replace(p, arm=Arm.CONTROL) for p in c.parts_b]
-        new_b = [replace(p, arm=Arm.TREATMENT) for p in c.parts_a]
-        campaigns.append(CampaignExperiment(c.campaign_id, new_a, new_b))
-    return ExperimentDataset(tuple(campaigns))
+    return ExperimentDataset(tuple(
+        CampaignExperiment(c.campaign_id, c.b, c.a) for c in dataset.campaigns))
 
 
 def engine_summary(dataset):
@@ -277,11 +275,8 @@ class TestCriterion8InvariantSuite:
         # micro-units.
         index = which % dataset.n
         target = dataset.campaigns[index]
-        scaled_campaign = CampaignExperiment(
-            target.campaign_id,
-            [replace(p, spend=p.spend * den, value=p.value * num) for p in target.parts_a],
-            [replace(p, spend=p.spend * den, value=p.value * num) for p in target.parts_b],
-        )
+        scaled_campaign = campaign_from_rows([
+            (*row[:4], row[4] * den, row[5] * num) for row in rows_of(target)])
         (spend_a, value_a, spend_b, value_b), scaled_totals = (
             campaign_micro_totals(ExperimentDataset((c,)))[c.campaign_id]
             for c in (target, scaled_campaign))
@@ -384,8 +379,8 @@ def render_record_lines(dataset: ExperimentDataset) -> str:
 
 
 class TestCriterion10EntryPointParity:
-    """The same data gives the same report bytes in memory, as CSV and as
-    record-lines."""
+    """The same data gives the same report bytes in memory (as generated, or as
+    rows), as CSV and as record-lines."""
 
     @pytest.mark.parametrize("sim", [
         pytest.param(SimConfig(n_campaigns=12, m_a=2, m_b=3, seed=5), id="two-control-parts"),
@@ -406,3 +401,5 @@ class TestCriterion10EntryPointParity:
         jsonl_path.write_text(render_record_lines(dataset), encoding="utf-8")
         assert report_to_json(evaluate(ingest(csv_path))) == expected
         assert report_to_json(evaluate(ingest(jsonl_path, "record-lines"))) == expected
+        rows = [row for campaign in dataset.campaigns for row in rows_of(campaign)]
+        assert report_to_json(evaluate(dataset_from_rows(rows))) == expected

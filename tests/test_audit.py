@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import roimeta
-from conftest import make_part
+from conftest import campaign_from_rows, make_part
 from roimeta.baselines import campaign_micro_totals, observed_share
-from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
+from roimeta.campaigns import Arm, ExperimentDataset
 from roimeta.config import load_evaluation_config
 from roimeta.pipeline import (
     AaSettings, EvaluationConfig, ExplicitThetas, _observed_share, evaluate,
@@ -42,11 +42,10 @@ def share(dataset):
 def with_thin(dataset):
     """``dataset`` plus a campaign of one part per arm: A/A calibration skips
     it and it has no effect size."""
-    thin = CampaignExperiment(
-        "thin",
-        [make_part("thin", Arm.CONTROL, 0, roi=1.0)],
-        [make_part("thin", Arm.TREATMENT, 0, roi=1.1)],
-    )
+    thin = campaign_from_rows([
+        make_part("thin", Arm.CONTROL, 0, roi=1.0),
+        make_part("thin", Arm.TREATMENT, 0, roi=1.1),
+    ])
     return ExperimentDataset(dataset.campaigns + (thin,))
 
 

@@ -1,12 +1,13 @@
 import math
 import statistics
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_strategy, make_campaign, make_dataset, make_part, sane_rois
+from conftest import (
+    campaign_from_rows, dataset_strategy, make_campaign, make_dataset, make_part, sane_rois,
+)
 from roimeta import baselines
 from roimeta.baselines import (
     AaCalibration,
@@ -22,38 +23,31 @@ from roimeta.baselines import (
     observed_share,
     threshold_decision,
 )
-from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset, PartMeasurement
+from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
 from roimeta.errors import ConfigError, InsufficientDataError, UndefinedRoiError
 from roimeta.randomness import HashStream
 
 
 def swap_arms(dataset: ExperimentDataset) -> ExperimentDataset:
-    campaigns = []
-    for c in dataset.campaigns:
-        new_a = [replace(p, arm=Arm.CONTROL) for p in c.parts_b]
-        new_b = [replace(p, arm=Arm.TREATMENT) for p in c.parts_a]
-        campaigns.append(CampaignExperiment(c.campaign_id, new_a, new_b))
-    return ExperimentDataset(tuple(campaigns))
+    return ExperimentDataset(tuple(
+        CampaignExperiment(c.campaign_id, c.b, c.a) for c in dataset.campaigns))
 
 
 def split_once(
     campaign: CampaignExperiment, share_b: float, stream: HashStream
 ) -> CampaignExperiment:
-    """Reference A/A split: one campaign's control parts rebuilt as a
-    pseudo-experiment of part objects, whose totals ``micro_delta`` and
-    ``macro_delta`` then read."""
+    """Reference A/A split: one campaign's control parts rebuilt, as rows, into
+    a pseudo-experiment whose totals ``micro_delta`` and ``macro_delta`` then
+    read."""
     m = campaign.m_a
     order = list(range(m))
     n_b = min(max(round(m * share_b), 1), m - 1)
     stream.shuffle(order, n_b)
     chosen = set(order[:n_b])
-    pseudo_a = [p for j, p in enumerate(campaign.parts_a) if j not in chosen]
-    pseudo_b = [
-        replace(p, arm=Arm.TREATMENT)
+    return campaign_from_rows([
+        (p.campaign_id, "B" if j in chosen else "A", *p[2:6])
         for j, p in enumerate(campaign.parts_a)
-        if j in chosen
-    ]
-    return CampaignExperiment(campaign.campaign_id, pseudo_a, pseudo_b)
+    ])
 
 
 def pseudo_experiment(
@@ -99,13 +93,13 @@ shares = st.one_of(
 @st.composite
 def uneven_campaign(draw, campaign_id: str) -> CampaignExperiment:
     """Control parts with independent, possibly zero spends, unqualified."""
-    parts_a = []
+    rows = []
     for j in range(draw(st.integers(2, 7))):
         spend = 0.0 if draw(st.integers(0, 9)) == 0 else draw(money)
         value = spend * draw(sane_rois) if spend else 0.0
-        parts_a.append(PartMeasurement(campaign_id, Arm.CONTROL, j, 1000, spend, value))
-    parts_b = [make_part(campaign_id, Arm.TREATMENT, 0, roi=1.0)]
-    return CampaignExperiment(campaign_id, parts_a, parts_b)
+        rows.append((campaign_id, "A", j, 1000, spend, value))
+    rows.append(make_part(campaign_id, Arm.TREATMENT, 0, roi=1.0))
+    return campaign_from_rows(rows)
 
 
 @st.composite
@@ -149,11 +143,10 @@ class TestMicro:
         assert micro_delta(totals_of(dataset)) == 0.0
 
     def test_zero_spend_arm_rejected(self):
-        campaign = CampaignExperiment(
-            "c1",
-            [make_part("c1", Arm.CONTROL, 0, spend=0.0)],
-            [make_part("c1", Arm.TREATMENT, 0, roi=1.0)],
-        )
+        campaign = campaign_from_rows([
+            make_part("c1", Arm.CONTROL, 0, spend=0.0),
+            make_part("c1", Arm.TREATMENT, 0, roi=1.0),
+        ])
         with pytest.raises(UndefinedRoiError):
             micro_roi(totals_of(make_dataset([campaign])), Arm.CONTROL)
 
@@ -209,11 +202,10 @@ class TestMacro:
         assert macro_delta(totals, "median") == pytest.approx(0.2, abs=1e-12)
 
     def test_names_offending_campaign(self):
-        campaign = CampaignExperiment(
-            "bad_camp",
-            [make_part("bad_camp", Arm.CONTROL, 0, spend=0.0)],
-            [make_part("bad_camp", Arm.TREATMENT, 0, roi=1.0)],
-        )
+        campaign = campaign_from_rows([
+            make_part("bad_camp", Arm.CONTROL, 0, spend=0.0),
+            make_part("bad_camp", Arm.TREATMENT, 0, roi=1.0),
+        ])
         with pytest.raises(UndefinedRoiError, match="bad_camp"):
             macro_delta(totals_of(make_dataset([campaign])), "mean")
 
@@ -369,10 +361,10 @@ class TestAaCalibration:
 
     def test_zero_spend_control_part_is_undefined(self):
         # with two control parts every split isolates the zero-spend one
-        zero = PartMeasurement("c1", Arm.CONTROL, 0, 1000, 0.0, 0.0)
-        paid = PartMeasurement("c1", Arm.CONTROL, 1, 1000, 2.0, 2.4)
+        zero = ("c1", "A", 0, 1000, 0.0, 0.0)
+        paid = ("c1", "A", 1, 1000, 2.0, 2.4)
         dataset = make_dataset([
-            CampaignExperiment("c1", [zero, paid], [make_part("c1", Arm.TREATMENT, 0, roi=1.0)]),
+            campaign_from_rows([zero, paid, make_part("c1", Arm.TREATMENT, 0, roi=1.0)]),
             make_campaign("c2", [1.0, 1.5, 0.8], [1.0]),
         ])
         for seed in range(5):

@@ -10,12 +10,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from roimeta.baselines import AaSettings
 from roimeta.campaigns import (
-    MAX_AMOUNT, MICROS_PER_UNIT, Arm, CampaignExperiment, ExperimentDataset, PartMeasurement,
-    from_micros,
+    MAX_AMOUNT, MICROS_PER_UNIT, Arm, CampaignExperiment, ExperimentDataset, from_micros,
 )
 from roimeta import dataio
 from roimeta.dataio import (
     CSV_FIELDS,
+    dataset_from_rows,
     ingest,
     render_dataset_csv,
     write_dataset,
@@ -307,6 +307,19 @@ class TestIngestErrorContract:
         assert caught.value.line == line
         assert str(caught.value) == f"line {line}: {message}"
 
+    @pytest.mark.parametrize("rows, bad, message", [
+        pytest.param(rows, bad, messages["record-lines"], id=case)
+        for case, rows, bad, messages in ERROR_CASES
+        if "record-lines" in messages
+        and all(isinstance(r, tuple) and ABSENT not in r for r in rows)
+    ])
+    def test_exact_error_in_memory(self, rows, bad, message):
+        """Rows in memory are checked as record-lines are, and row n is line n."""
+        with pytest.raises(IngestError) as caught:
+            dataset_from_rows(rows)
+        assert caught.value.line == bad + 1
+        assert str(caught.value) == f"line {bad + 1}: {message}"
+
     @pytest.mark.parametrize("input_format, message", [
         ("delimited-text", f"header must be {HEADER}, got \ufeff{HEADER}"),
         ("record-lines", "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
@@ -338,38 +351,29 @@ class TestIngestErrorContract:
 
 
 class TestPaddedCampaignId:
-    """An id with leading or trailing whitespace is refused in memory and
-    stripped by ingest, so every input form of a dataset gives one id."""
+    """An id with leading or trailing whitespace is refused by the campaign
+    constructor and stripped by ingest and by ``dataset_from_rows``, so every
+    input form of a dataset gives one id."""
 
-    def test_memory_refuses_and_files_strip(self, tmp_path):
+    def test_constructor_refuses_and_rows_and_files_strip(self, tmp_path):
         dataset = generate_experiment(SimConfig(n_campaigns=3, seed=5))
         first = dataset.campaigns[0]
-        message = "campaign_id ' padded ' has leading or trailing whitespace"
-        for build in (
-            lambda: PartMeasurement(" padded ", Arm.CONTROL, 0, 1000, 1.0, 1.0),
-            lambda: CampaignExperiment(" padded ", (), ()),
-            lambda: CampaignExperiment.from_columns(" padded ", first.a, first.b),
-        ):
-            with pytest.raises(ValueError) as caught:
-                build()
-            assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
+            CampaignExperiment(" padded ", first.a, first.b)
+        assert str(caught.value) == "campaign_id ' padded ' has leading or trailing whitespace"
 
         config = EvaluationConfig(aa=AaSettings(seed=1))
         renamed = ExperimentDataset(
-            (CampaignExperiment.from_columns("padded", first.a, first.b),)
-            + dataset.campaigns[1:])
+            (CampaignExperiment("padded", first.a, first.b),) + dataset.campaigns[1:])
         expected = report_to_json(evaluate(renamed, config))
         text = render_dataset_csv(dataset).replace("\ncamp_0,", '\n" padded ",')
         assert text.count('" padded "') == first.m_a + first.m_b
-        records = [
-            json.dumps({"campaign_id": row[0], "arm": row[1], "part_id": int(row[2]),
-                        "impressions": int(row[3]), "spend": float(row[4]),
-                        "value": float(row[5])})
-            for row in list(csv.reader(io.StringIO(text)))[1:]
-        ]
-        for input_format, body in (("delimited-text", text),
-                                   ("record-lines", "\n".join(records) + "\n")):
-            loaded = ingest(write(tmp_path, "d.txt", body), input_format)
+        rows = [(row[0], row[1], int(row[2]), int(row[3]), float(row[4]), float(row[5]))
+                for row in list(csv.reader(io.StringIO(text)))[1:]]
+        records = "".join(json.dumps(dict(zip(CSV_FIELDS, row))) + "\n" for row in rows)
+        for loaded in (ingest(write(tmp_path, "d.csv", text)),
+                       ingest(write(tmp_path, "d.jsonl", records), "record-lines"),
+                       dataset_from_rows(rows)):
             assert [c.campaign_id for c in loaded.campaigns] == ["padded", "camp_1", "camp_2"]
             assert report_to_json(evaluate(loaded, config)) == expected
 
@@ -447,6 +451,11 @@ def view_rows(dataset):
         for tag, parts in (("A", c.parts_a), ("B", c.parts_b))]) for c in dataset.campaigns]
 
 
+def check_of(message):
+    """An error message without its line prefix and the value it shows."""
+    return message.split(": ", 1)[1].split(", got ")[0]
+
+
 def outcome(read):
     try:
         return read()
@@ -462,12 +471,28 @@ VALID_FIELDS = (
     st.one_of(st.floats(0.0, 1e6), st.just(0.0)),
     st.one_of(st.floats(0.0, 1e6), st.just(0.0)),
 )
-ODD_ID = st.sampled_from([" c1 ", "c2\t", " c3", "", "  ", "c,4", 'c"5', 7, True, 1.5, None])
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Money(float):
+    pass
+
+
+# Subclasses of the exact types fail the one-test fast path of a typed row.
+ODD_ID = st.sampled_from([" c1 ", "c2\t", " c3", "", "  ", "c,4", 'c"5', 7, True, 1.5,
+                          None, Label("c1"), Label(" c2 ")])
 ODD_ARM = st.sampled_from([" B ", "A\t", "C", "a", "", None, 1, True, ["A"]])
 ODD_COUNT = st.one_of(
     st.integers(-3, -1),
     st.sampled_from([True, False, 1.0, 2.5, "3", " 2 ", "1_0", "+1", "٣", "x", "1e3",
-                     "", None, 10**20, -(10**20)]),
+                     "", None, 10**20, -(10**20), Count(4), Count(-1)]),
 )
 ODD_MONEY = st.one_of(
     st.floats(),  # NaN, infinities and negatives included
@@ -476,7 +501,7 @@ ODD_MONEY = st.one_of(
         -0.0, -1.0, NAN, INF, -INF, MAX_AMOUNT, math.nextafter(MAX_AMOUNT, INF), 1e303,
         5e-7, 1.5e-6, 5, 0, True, False, 10**303, 10**400, -(10**400),
         "2.5", " 1.5 ", "nan", "NaN", "Infinity", "-inf", "1e400", "1_000.5", "abc", "",
-        None,
+        None, Money(2.5), Money(-0.0), Money(NAN), Money(MAX_AMOUNT),
     ]),
 )
 ODD_FIELDS = (ODD_ID, ODD_ARM, ODD_COUNT, ODD_COUNT, ODD_MONEY, ODD_MONEY)
@@ -515,7 +540,8 @@ def render_raw(input_format, rows):
 
 
 class TestRowPathParity:
-    """Ingest gives the columns, part views and first error of the object path."""
+    """Ingest, and ``dataset_from_rows`` given the same raw rows, give the
+    columns, part views and first error of the object path."""
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -528,3 +554,12 @@ class TestRowPathParity:
         assert outcome(lambda: column_rows(ingest(path, input_format))) == expected
         if expected[0] != "IngestError":
             assert view_rows(ingest(path, input_format)) == expected
+        # Memory gives record-lines' outcome, since JSON gives back the values;
+        # "line n" is row n, one less than the CSV line.
+        memory = outcome(lambda: column_rows(dataset_from_rows(rows)))
+        assert memory == outcome(lambda: reference_dataset(enumerate(rows, 1)))
+        if expected[0] != "IngestError" or input_format == "record-lines":
+            assert memory == expected
+        else:  # CSV holds a value as text: it shows 'True' where memory shows True
+            assert memory[:2] == ("IngestError", expected[1] - 1)
+            assert check_of(memory[2]) == check_of(expected[2])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_part, random_dataset
+from conftest import campaign_from_rows, make_part, random_dataset
 from oracle import oracle_meta
-from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset, PartMeasurement
+from roimeta.campaigns import Arm
+from roimeta.dataio import dataset_from_rows
 from roimeta.errors import (
     ConfigError,
     DegenerateEffectError,
@@ -26,8 +27,10 @@ from roimeta.meta import (
 from roimeta.pipeline import collect_effects
 
 
-def rois_of(parts):
-    return [part.roi for part in parts]
+def rois_of(rows):
+    """The ROIs of one arm's rows, as ingest derives them."""
+    campaign = campaign_from_rows(rows)
+    return list(campaign.a.rois + campaign.b.rois)
 
 
 def effects_from_dv(pairs):
@@ -73,10 +76,9 @@ class TestArmStats:
             "campaign 'c1' part 3 has no ROI (zero spend); qualify the dataset first")
 
     def test_collect_effects_names_the_unqualified_part(self):
-        parts_a = [PartMeasurement("x", Arm.CONTROL, j, 500, 0.0 if j == 3 else 10.0, 12.0)
-                   for j in range(5)]
-        parts_b = [PartMeasurement("x", Arm.TREATMENT, j, 500, 10.0, 11.0) for j in range(5)]
-        unqualified = ExperimentDataset((CampaignExperiment("x", parts_a, parts_b),))
+        rows = [("x", "A", j, 500, 0.0 if j == 3 else 10.0, 12.0) for j in range(5)]
+        rows += [("x", "B", j, 500, 10.0, 11.0) for j in range(5)]
+        unqualified = dataset_from_rows(rows)
         with pytest.raises(UndefinedRoiError, match=r"^campaign 'x' part 3 has no ROI"):
             collect_effects(unqualified)
 

@@ -4,7 +4,7 @@ from math import fsum
 
 import pytest
 
-from conftest import make_campaign, make_dataset, make_part
+from conftest import campaign_from_rows, make_campaign, make_dataset, make_part, rows_of
 from roimeta import baselines
 from roimeta.baselines import (
     BaselineDecision,
@@ -21,7 +21,7 @@ from roimeta.campaigns import (
     roi_of_micros,
     to_micros,
 )
-from roimeta.dataio import ingest, write_dataset
+from roimeta.dataio import dataset_from_rows, ingest, write_dataset
 from roimeta.errors import ConfigError, InsufficientDataError, NoQualifiedCampaignsError
 from roimeta.meta import SignificanceResult
 from roimeta.pipeline import (
@@ -175,11 +175,10 @@ class TestEvaluate:
 
     def test_effects_exclusions_are_reported(self):
         fine = make_campaign("fine", [1.0, 1.4, 0.9], [1.2, 1.5, 1.0])
-        single_part = CampaignExperiment(
-            "thin",
-            [make_part("thin", Arm.CONTROL, 0, roi=1.0)],
-            [make_part("thin", Arm.TREATMENT, 0, roi=1.0)],
-        )
+        single_part = campaign_from_rows([
+            make_part("thin", Arm.CONTROL, 0, roi=1.0),
+            make_part("thin", Arm.TREATMENT, 0, roi=1.0),
+        ])
         report = evaluate(make_dataset([fine, single_part]), config_with_thetas())
         assert [e.campaign_id for e in report.effects] == ["fine"]
         assert [x.campaign_id for x in report.effect_exclusions] == ["thin"]
@@ -195,11 +194,10 @@ class TestEvaluate:
         )
 
     def test_only_degenerate_campaigns_is_an_error(self):
-        thin = CampaignExperiment(
-            "thin",
-            [make_part("thin", Arm.CONTROL, 0, roi=1.0)],
-            [make_part("thin", Arm.TREATMENT, 0, roi=1.0)],
-        )
+        thin = campaign_from_rows([
+            make_part("thin", Arm.CONTROL, 0, roi=1.0),
+            make_part("thin", Arm.TREATMENT, 0, roi=1.0),
+        ])
         with pytest.raises(NoQualifiedCampaignsError, match="effect-size"):
             evaluate(make_dataset([thin]), config_with_thetas())
 
@@ -353,9 +351,9 @@ class TestTotalsOnce:
 
 
 class TestNoPartObjectsOnTheDecisionPath:
-    """Generating, ingesting, qualifying (with dropped parts) and evaluating
-    build no ``PartMeasurement`` and read no part view: all of it runs on the
-    arm columns."""
+    """Generating, ingesting files or rows, qualifying (with dropped parts) and
+    evaluating build no ``PartMeasurement`` (by its constructor or ``_make``) and read no
+    part view: all of it runs on the arm columns."""
 
     def test_evaluate_runs_on_columns(self, tmp_path, monkeypatch):
         sim = SimConfig(n_campaigns=12, m_a=30, m_b=30, impressions_per_part_mean=118.0,
@@ -365,19 +363,27 @@ class TestNoPartObjectsOnTheDecisionPath:
         paths = {"delimited-text": tmp_path / "d.csv", "record-lines": tmp_path / "d.jsonl"}
         write_dataset(dataset, paths["delimited-text"])
         paths["record-lines"].write_text(render_record_lines(dataset), encoding="utf-8")
+        rows = [row for campaign in dataset.campaigns for row in rows_of(campaign)]
         expected = report_to_json(evaluate(dataset, config))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a part object was built on the decision path")
 
-        monkeypatch.setattr(PartMeasurement, "__init__", refuse)
+        monkeypatch.setattr(PartMeasurement, "__new__", refuse)
+        monkeypatch.setattr(PartMeasurement, "_make", refuse)
         monkeypatch.setattr(CampaignExperiment, "parts_a", property(refuse))
         monkeypatch.setattr(CampaignExperiment, "parts_b", property(refuse))
-        with pytest.raises(AssertionError):
-            dataset.campaigns[0].parts_a
+        fields = ("c1", Arm.CONTROL, 0, 10, 1.0, 1.0, 1.0)
+        for build in (lambda: PartMeasurement.__new__(PartMeasurement, *fields),
+                      lambda: PartMeasurement._make(fields),
+                      lambda: dataset.campaigns[0].parts_a,
+                      lambda: dataset.campaigns[0].parts_b):
+            with pytest.raises(AssertionError, match="a part object was built"):
+                build()
         reports = [evaluate(generate_experiment(sim), config)]
         reports += [evaluate(ingest(path, fmt), config) for fmt, path in paths.items()]
+        reports.append(evaluate(dataset_from_rows(rows), config))
         kept = reports[0].qualification.qualified.campaigns
         assert any(c.m_a < sim.m_a or c.m_b < sim.m_b for c in kept)
         assert 0 < len(kept) < sim.n_campaigns
-        assert [report_to_json(report) for report in reports] == [expected] * 3
+        assert [report_to_json(report) for report in reports] == [expected] * 4

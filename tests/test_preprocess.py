@@ -1,22 +1,20 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import make_campaign, make_dataset, make_part, mixed_quality_dataset_strategy
-from roimeta.campaigns import Arm, CampaignExperiment
+from conftest import (
+    campaign_from_rows, make_campaign, make_dataset, make_part, mixed_quality_dataset_strategy,
+)
+from roimeta.campaigns import Arm
 from roimeta.errors import ConfigError
 from roimeta.preprocess import PartExclusions, QualificationConfig, qualify
 
 
 def campaign_with_impressions(campaign_id, impressions_a, impressions_b):
-    parts_a = [
-        make_part(campaign_id, Arm.CONTROL, j, roi=1.0, impressions=imp)
-        for j, imp in enumerate(impressions_a)
-    ]
-    parts_b = [
-        make_part(campaign_id, Arm.TREATMENT, j, roi=1.0, impressions=imp)
-        for j, imp in enumerate(impressions_b)
-    ]
-    return CampaignExperiment(campaign_id, parts_a, parts_b)
+    return campaign_from_rows([
+        make_part(campaign_id, arm, j, roi=1.0, impressions=imp)
+        for arm, impressions in ((Arm.CONTROL, impressions_a), (Arm.TREATMENT, impressions_b))
+        for j, imp in enumerate(impressions)
+    ])
 
 
 class TestPartScreening:
@@ -30,12 +28,11 @@ class TestPartScreening:
         assert 0 not in report.qualified.campaigns[0].a.part_ids
 
     def test_zero_spend_part_excluded(self):
-        campaign = CampaignExperiment(
-            "c1",
-            [make_part("c1", Arm.CONTROL, 0, spend=0.0),
-             *(make_part("c1", Arm.CONTROL, j, roi=1.0) for j in range(1, 20))],
-            [make_part("c1", Arm.TREATMENT, j, roi=1.0) for j in range(20)],
-        )
+        campaign = campaign_from_rows([
+            make_part("c1", Arm.CONTROL, 0, spend=0.0),
+            *(make_part("c1", Arm.CONTROL, j, roi=1.0) for j in range(1, 20)),
+            *(make_part("c1", Arm.TREATMENT, j, roi=1.0) for j in range(20)),
+        ])
         report = qualify(make_dataset([campaign]))
         assert report.part_exclusions == (PartExclusions("c1", Arm.CONTROL, 0, 1, 0),)
         assert report.qualified.campaigns[0].a.part_ids == tuple(range(1, 20))

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_campaign, make_dataset, make_part
+from conftest import campaign_from_rows, make_campaign, make_dataset, make_part, rows_of
 from roimeta.campaigns import (
     Arm,
     CampaignExperiment,
     ExperimentDataset,
-    PartMeasurement,
     parts_sha256,
     to_micros,
 )
@@ -125,11 +124,10 @@ def skipped_subgroup_report():
 @pytest.fixture(scope="module")
 def report_with_exclusions():
     fine = make_campaign("fine", [1.0, 1.4, 0.9], [1.2, 1.5, 1.0])
-    thin = CampaignExperiment(
-        "thin",
-        [make_part("thin", Arm.CONTROL, 0, roi=1.0)],
-        [make_part("thin", Arm.TREATMENT, 0, roi=1.0)],
-    )
+    thin = campaign_from_rows([
+        make_part("thin", Arm.CONTROL, 0, roi=1.0),
+        make_part("thin", Arm.TREATMENT, 0, roi=1.0),
+    ])
     return evaluate(make_dataset([fine, thin]), thetas_config())
 
 
@@ -214,10 +212,10 @@ class TestMachineFormat:
             _codec(set[str])
         with pytest.raises(TypeError, match="cannot encode or decode"):
             _codec(dict[str, str])
-        # a report type is a named tuple, so a dataclass is refused: a part, whose
-        # derived roi could not be checked, and a plain one of init fields alike
+        # a report type is a named tuple, so a dataclass is refused: a campaign,
+        # whose columns the report does not hold, and a plain one alike
         with pytest.raises(TypeError, match="cannot encode or decode"):
-            _codec(PartMeasurement)
+            _codec(CampaignExperiment)
 
         @dataclasses.dataclass(frozen=True)
         class Plain:
@@ -270,14 +268,11 @@ class TestQualificationBlock:
 
     def test_digest_pins_the_canonical_encoding(self):
         odd = 'a,"b"%s\u00e9\n!'  # an id may hold a newline, but not end with one
-        dataset = ExperimentDataset((
-            CampaignExperiment(
-                odd,
-                [make_part(odd, Arm.CONTROL, 3, spend=1.5, value=2.25, impressions=700),
-                 make_part(odd, Arm.CONTROL, 1, spend=0.5, value=0.75, impressions=10)],
-                [make_part(odd, Arm.TREATMENT, 0, spend=0.000001, value=0.0)],
-            ),
-        ))
+        dataset = make_dataset([campaign_from_rows([
+            make_part(odd, Arm.CONTROL, 3, spend=1.5, value=2.25, impressions=700),
+            make_part(odd, Arm.CONTROL, 1, spend=0.5, value=0.75, impressions=10),
+            make_part(odd, Arm.TREATMENT, 0, spend=0.000001, value=0.0),
+        ])])
         head = b'"a,\\"b\\"%s\\u00e9\\n!"'
         encoded = (
             head + b",A\n3,1\n700,10\n" + bytes.fromhex(
@@ -290,13 +285,14 @@ class TestQualificationBlock:
     def test_digest_moves_with_one_micro_unit_of_spend(self):
         dataset = generate_experiment(SimConfig(n_campaigns=5, seed=9))
         campaign = dataset.campaigns[2]
-        part = campaign.parts_b[4]
-        moved = dataclasses.replace(part, spend=part.spend + 1e-6)
-        assert to_micros(moved.spend) == to_micros(part.spend) + 1
-        parts_b = campaign.parts_b[:4] + (moved,) + campaign.parts_b[5:]
-        nudged = ExperimentDataset(dataset.campaigns[:2] + (
-            CampaignExperiment(campaign.campaign_id, campaign.parts_a, parts_b),
-        ) + dataset.campaigns[3:])
+        rows = rows_of(campaign)
+        row = rows[campaign.m_a + 4]
+        rows[campaign.m_a + 4] = (*row[:4], row[4] + 1e-6, row[5])
+        moved = campaign_from_rows(rows)
+        assert moved.b.spend_micros[4] == to_micros(row[4]) + 1
+        assert moved.b.spend_micros[:4] + moved.b.spend_micros[5:] == (
+            campaign.b.spend_micros[:4] + campaign.b.spend_micros[5:])
+        nudged = ExperimentDataset(dataset.campaigns[:2] + (moved,) + dataset.campaigns[3:])
         assert parts_sha256(nudged) != parts_sha256(dataset)
 
 
