@@ -14,7 +14,6 @@ share itself: the configured ``AaSettings.treatment_share``, else the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum
 from typing import NamedTuple
 
@@ -22,12 +21,13 @@ from .campaigns import Arm, ExperimentDataset, roi_of_micros
 from .errors import ConfigError, InsufficientDataError
 from .randomness import HashStream
 from .records import BaselineDecision, BaselineMethod, BaselineResult  # noqa: F401  re-exported
+from .records import checked
 
 MicroTotals = dict[str, tuple[int, int, int, int]]  # see campaign_micro_totals
 
 
-@dataclass(frozen=True)
-class AaSettings:
+@checked
+class AaSettings(NamedTuple):
     """A/A calibration parameters; ``treatment_share`` overrides the share
     observed in the data (see ``aa_calibrate``)."""
 
@@ -35,7 +35,7 @@ class AaSettings:
     seed: int = 0
     treatment_share: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.repeats_k, int) or self.repeats_k < 1:
             raise ConfigError(f"repeats_k must be an integer >= 1, got {self.repeats_k!r}")
         if self.treatment_share is not None and not 0.0 < self.treatment_share < 1.0:

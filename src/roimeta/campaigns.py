@@ -14,12 +14,11 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import UndefinedRoiError
-from .records import Arm
+from .records import Arm, checked
 
 MICROS_PER_UNIT = 1_000_000
 MAX_AMOUNT = 1.7976931348623154e302  # largest amount whose micro-unit count and ROI are finite
@@ -83,8 +82,8 @@ class PartMeasurement(NamedTuple):
     roi: float | None
 
 
-@dataclass(frozen=True)
-class CampaignExperiment:
+@checked
+class CampaignExperiment(NamedTuple):
     """One campaign's control (``a``) and treatment (``b``) parts as columns.
 
     The columns are taken as given, so they come from a checker: ingest or
@@ -97,7 +96,7 @@ class CampaignExperiment:
     a: ArmColumns
     b: ArmColumns
 
-    def __post_init__(self):
+    def _check(self):
         campaign_id = self.campaign_id
         if not isinstance(campaign_id, str) or not campaign_id:
             raise ValueError("campaign_id must be non-empty text")
@@ -128,14 +127,15 @@ def _arm_parts(campaign_id: str, arm: Arm, columns: ArmColumns) -> tuple[PartMea
         columns.rois)))
 
 
-@dataclass(frozen=True)
-class ExperimentDataset:
+@checked
+class ExperimentDataset(NamedTuple):
     """All campaigns observed during one experiment."""
 
     campaigns: tuple[CampaignExperiment, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "campaigns", tuple(self.campaigns))
+    def _check(self):
+        if type(self.campaigns) is not tuple:
+            return self._replace(campaigns=tuple(self.campaigns))
         seen: set[str] = set()
         for campaign in self.campaigns:
             if campaign.campaign_id in seen:

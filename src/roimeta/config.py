@@ -150,7 +150,7 @@ def evaluation_config_from_values(
         aa=aa,
         subgroups=SubgroupSpec(**sections["subgroups"]),
         schedule=TrafficSchedule(**sections["schedule"]),
-        sources=sources,
+        sources=sources or None,
         **top,
     )
 
@@ -195,10 +195,10 @@ def config_record(config: EvaluationConfig, aa_share: float | None) -> ConfigRec
     from .records import ConfigRecord
 
     groups: dict[str, list[str]] = {s: [] for s in ("caller", "data", "default", "file", "flag")}
-    default = _default_lines()
+    default, sources = _default_lines(), config.sources or {}
     lines = _config_lines(config)
     for key, line in lines.items():
-        source = config.sources.get(key) or ("default" if default.get(key) == line else "caller")
+        source = sources.get(key) or ("default" if default.get(key) == line else "caller")
         groups[source].append(line)
     if aa_share is not None and "aa_treatment_share" not in lines:
         groups["data"].append(f"aa_treatment_share = {_format_float(aa_share)}")

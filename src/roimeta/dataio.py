@@ -42,6 +42,7 @@ from .errors import IngestError
 CSV_FIELDS = ("campaign_id", "arm", "part_id", "impressions", "spend", "value")
 
 _ARM_TAGS = ("A", "B")
+_BASE_TEXT = {bool: str, str: str.__str__, int: int.__repr__, float: float.__repr__, object: str}
 _DECODER = json.JSONDecoder()
 _WRITE_CHARS = 1 << 20
 
@@ -109,16 +110,21 @@ def _rows_from_jsonl(path: Path) -> Iterator[tuple[int, tuple[object, ...]]]:
             yield line, tuple(map(record.get, CSV_FIELDS))
 
 
+def _text(raw: object) -> str:
+    """A field's text; a ``str``, ``int`` or ``float`` subclass reads as JSON writes it."""
+    return next(text for base, text in _BASE_TEXT.items() if isinstance(raw, base))(raw)
+
+
 def _checked_row(line: int, fields: Sequence[object]) -> tuple:
     """One row's checks in the module docstring's order: the first failing one
     raises; a row that passes them all gives its clean six values."""
     if None in fields or "" in fields:
         missing = [name for name, raw in zip(CSV_FIELDS, fields) if raw in (None, "")]
         raise IngestError(f"missing field(s): {', '.join(missing)}", line)
-    campaign_id = str(fields[0]).strip()
+    campaign_id = _text(fields[0]).strip()
     if not campaign_id:
         raise IngestError("campaign_id must be non-empty", line)
-    arm_tag = str(fields[1]).strip()
+    arm_tag = _text(fields[1]).strip()
     if arm_tag not in _ARM_TAGS:
         raise IngestError(f"arm must be 'A' or 'B', got {arm_tag!r}", line)
     numbers = []
@@ -126,7 +132,7 @@ def _checked_row(line: int, fields: Sequence[object]) -> tuple:
         for name, raw in zip(CSV_FIELDS[2:], fields[2:]):
             money = name in ("spend", "value")
             try:
-                number = (float if money else int)(str(raw).strip())
+                number = (float if money else int)(_text(raw).strip())
             except (TypeError, ValueError):
                 kind = "a decimal number" if money else "an integer"
                 raise IngestError(f"{name} must be {kind}, got {raw!r}", line) from None

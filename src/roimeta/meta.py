@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from math import fsum
 from typing import NamedTuple
 
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .records import (
     EffectSize, FixedEffectSummary, HeterogeneityStats, RandomEffectSummary, SignificanceResult,
-    small_sample_correction,
+    checked, small_sample_correction,
 )
 from .statfuncs import chi_square_sf, normal_cdf, normal_quantile
 
@@ -40,15 +39,15 @@ from .statfuncs import chi_square_sf, normal_cdf, normal_quantile
 EFFECT_VARIANCE_MODES = ("noncentral_t", "hedges")
 
 
-@dataclass(frozen=True)
-class ArmSampleStats:
+@checked
+class ArmSampleStats(NamedTuple):
     """Sample mean and unbiased variance of one arm's part ROIs."""
 
     mean: float
     variance: float
     m: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.m < 2:
             raise InsufficientDataError(f"need >= 2 parts per arm, got {self.m}")
         if not math.isfinite(self.mean) or not math.isfinite(self.variance) or self.variance < 0:
@@ -80,10 +79,10 @@ def arm_stats(rois: Sequence[float | None], campaign_id: str | None = None,
     first = rois[0]
     if all(r == first for r in rois):
         # Exact path: rounded two-pass variance of constant data need not be 0.
-        return ArmSampleStats(mean=first, variance=0.0, m=m)
+        return ArmSampleStats(first, 0.0, m)
     mean = fsum(rois) / m
     variance = fsum((r - mean) ** 2 for r in rois) / (m - 1)
-    return ArmSampleStats(mean=mean, variance=variance, m=m)
+    return ArmSampleStats(mean, variance, m)
 
 
 def check_variance_formula(variance_formula: str) -> None:

@@ -21,7 +21,7 @@ only), the warnings of the stages that ran, and the package version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 from .baselines import (
@@ -49,29 +49,29 @@ from .records import (  # noqa: F401  re-exported
     AaRecord, Audit, BaselineMethod, BaselineResult, Decision, EffectExclusion, EffectSize,
     EvaluationReport, FixedEffectSummary, HeterogeneityStats, KeptCampaign, QualificationRecord,
     QualifiedParts, RandomEffectSummary, SignificanceResult, SubgroupReport,
-    TrafficRecommendation, Verdict,
+    TrafficRecommendation, Verdict, checked,
 )
 from .subgroups import SubgroupSpec, resolve_subgroups, subgroup_analysis
 
 
-@dataclass(frozen=True)
-class ExplicitThetas:
+class ExplicitThetas(NamedTuple):
     """Pre-computed baseline thresholds, bypassing A/A calibration."""
 
     micro_theta: float
     macro_theta: float
 
 
-@dataclass(frozen=True)
-class TrafficSchedule:
+@checked
+class TrafficSchedule(NamedTuple):
     """Ramp phases for the treatment share, strictly increasing in (0, 0.5],
     and the current share, which must be one of them."""
 
     phases: tuple[float, ...] = (0.01, 0.10, 0.20, 0.50)
     current_share: float = 0.01
 
-    def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(self.phases))
+    def _check(self):
+        if type(self.phases) is not tuple:
+            return self._replace(phases=tuple(self.phases))
         if not self.phases:
             raise ConfigError("phases must be non-empty")
         previous = 0.0
@@ -93,8 +93,8 @@ def _phase_index(phases: tuple[float, ...], share: float) -> int | None:
                  if math.isclose(phase, share, rel_tol=0.0, abs_tol=1e-12)), None)
 
 
-@dataclass(frozen=True)
-class EvaluationConfig:
+@checked
+class EvaluationConfig(NamedTuple):
     confidence_level: float = 0.95
     homogeneity_level: float = 0.10
     qualification: QualificationConfig = QualificationConfig()
@@ -103,10 +103,10 @@ class EvaluationConfig:
     variance_formula: str = "noncentral_t"
     skip_subgroup_on_strong_reject: bool = True
     schedule: TrafficSchedule = TrafficSchedule()
-    # Where the config loader found each key it was given: "file" or "flag".
-    sources: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
+    # Where the loader found each key ("file" or "flag"); compared, as the audit shows it.
+    sources: dict[str, str] | None = None
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("confidence_level", "homogeneity_level"):
             level = getattr(self, name)
             if not 0.0 < level < 1.0:

@@ -10,22 +10,22 @@ qualified part of a disqualified campaign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .campaigns import Arm, ArmColumns, CampaignExperiment, ExperimentDataset
 from .errors import ConfigError
 from .records import (  # noqa: F401  re-exported
     DisqualifiedCampaign, KeptCampaign, PartExclusions, QualificationRecord, QualifiedParts,
+    checked,
 )
 
 
-@dataclass(frozen=True)
-class QualificationConfig:
+@checked
+class QualificationConfig(NamedTuple):
     min_impressions_per_part: int = 100
     min_qualified_fraction: float = 0.9
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.min_impressions_per_part, int) or self.min_impressions_per_part < 1:
             raise ConfigError(
                 f"min_impressions_per_part must be an integer >= 1, "

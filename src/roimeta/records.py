@@ -19,6 +19,16 @@ from enum import Enum
 from typing import NamedTuple
 
 
+def checked(cls):
+    """Class decorator: the named tuple ``cls`` runs ``_check`` however it is built, by
+    ``__new__``, ``_make`` or ``_replace``; ``_check`` raises on a bad value or returns a
+    copy to keep instead. A named tuple's body may define neither ``__new__`` nor ``_make``."""
+    new, make = cls.__new__, cls._make.__func__
+    cls.__new__ = staticmethod(lambda tp, *a, **k: (r := new(tp, *a, **k))._check() or r)
+    cls._make = classmethod(lambda tp, iterable: (r := make(tp, iterable))._check() or r)
+    return cls
+
+
 class Arm(Enum):
     """Experiment arm: control runs the incumbent model, treatment the candidate."""
 

@@ -12,7 +12,6 @@ the grand and group means, CIs and Z tests are the verdict's own random model
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum
 from typing import NamedTuple
 
@@ -20,7 +19,7 @@ from .baselines import MicroTotals
 from .campaigns import from_micros
 from .errors import ConfigError, InsufficientDataError, SchemaError
 from .meta import EffectSize, random_effect_summary, weighted_q, z_significance
-from .records import SubgroupReport, SubgroupSummary
+from .records import SubgroupReport, SubgroupSummary, checked
 from .statfuncs import chi_square_sf
 
 SUBGROUP_KINDS = ("by_spend_cumulative", "by_label")
@@ -34,18 +33,19 @@ def _check_fractions(fractions: tuple[float, ...]) -> None:
         raise ConfigError(f"spend fractions must sum to 1, got {fsum(fractions)!r}")
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+@checked
+class SubgroupSpec(NamedTuple):
     """How to partition campaigns: cumulative spend tiers or an explicit label map."""
 
     kind: str = "by_spend_cumulative"
     spend_fractions: tuple[float, ...] = _THIRDS
     labels: dict[str, str] | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in SUBGROUP_KINDS:
             raise ConfigError(f"kind must be one of {SUBGROUP_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "spend_fractions", tuple(self.spend_fractions))
+        if type(self.spend_fractions) is not tuple:
+            return self._replace(spend_fractions=tuple(self.spend_fractions))
         if self.kind == "by_spend_cumulative":
             _check_fractions(self.spend_fractions)
         if self.kind == "by_label" and not self.labels:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+from enum import IntEnum
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -380,14 +381,25 @@ class TestPaddedCampaignId:
 
 # --- the row path against the object path it replaced -------------------------
 
+def base_text(raw):
+    """A value's text: a ``str`` subclass reads as its characters, an ``int`` or
+    ``float`` subclass as its base type's value, and a ``bool`` as ``True``/``False``."""
+    if isinstance(raw, str):
+        return "".join(raw)
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        return str((int if isinstance(raw, int) else float)(raw))
+    return str(raw)
+
+
 def reference_dataset(rows):
     """The row path that built a ``PartMeasurement`` per row: its checks in
     their order, money quantised and ROI derived as the part did, grouped by
-    campaign (first seen) and arm; each part as ids and float bits."""
+    campaign (first seen) and arm; each part as ids and float bits. A field is
+    read through ``base_text``."""
 
     def parse_int(raw, name, line):
         try:
-            number = int(str(raw).strip())
+            number = int(base_text(raw).strip())
         except (TypeError, ValueError):
             raise IngestError(f"{name} must be an integer, got {raw!r}", line) from None
         if number < 0:
@@ -396,7 +408,7 @@ def reference_dataset(rows):
 
     def parse_money(raw, name, line):
         try:
-            amount = float(str(raw).strip())
+            amount = float(base_text(raw).strip())
         except (TypeError, ValueError):
             raise IngestError(f"{name} must be a decimal number, got {raw!r}", line) from None
         if not math.isfinite(amount) or amount < 0:
@@ -409,10 +421,10 @@ def reference_dataset(rows):
             missing = [name for name, raw in zip(CSV_FIELDS, fields) if raw in (None, "")]
             raise IngestError(f"missing field(s): {', '.join(missing)}", line)
         campaign_id, arm_tag, part_id, impressions, spend, value = fields
-        campaign_id = str(campaign_id).strip()
+        campaign_id = base_text(campaign_id).strip()
         if not campaign_id:
             raise IngestError("campaign_id must be non-empty", line)
-        arm_tag = str(arm_tag).strip()
+        arm_tag = base_text(arm_tag).strip()
         if arm_tag not in ("A", "B"):
             raise IngestError(f"arm must be 'A' or 'B', got {arm_tag!r}", line)
         part_id = parse_int(part_id, "part_id", line)
@@ -483,6 +495,25 @@ class Count(int):
 
 class Money(float):
     pass
+
+
+class Seven(IntEnum):  # its str() is "Seven.SEVEN" before Python 3.11, "7" from 3.11
+    SEVEN = 7
+
+
+class LoudCount(int):
+    def __str__(self):
+        return "loud"
+
+
+class LoudLabel(str):
+    def __str__(self):
+        return "loud"
+
+
+class LoudMoney(float):
+    def __str__(self):
+        return "loud"
 
 
 # Subclasses of the exact types fail the one-test fast path of a typed row.
@@ -563,3 +594,21 @@ class TestRowPathParity:
         else:  # CSV holds a value as text: it shows 'True' where memory shows True
             assert memory[:2] == ("IngestError", expected[1] - 1)
             assert check_of(memory[2]) == check_of(expected[2])
+
+    @pytest.mark.parametrize("row, plain", [
+        (("c1", "A", Seven.SEVEN, 10, 1.0, 1.0), ("c1", "A", 7, 10, 1.0, 1.0)),
+        (("c1", "A", 7, LoudCount(10), 1.0, 1.0), ("c1", "A", 7, 10, 1.0, 1.0)),
+        ((LoudLabel(" c1"), LoudLabel("B"), 7, 10, LoudMoney(2.5), 1.0),
+         ("c1", "B", 7, 10, 2.5, 1.0)),
+        (("c1", "A", True, 10, 1.0, 1.0), "line 1: part_id must be an integer, got True"),
+        (("c1", "A", 7, 10, False, 1.0), "line 1: spend must be a decimal number, got False"),
+    ], ids=["int-enum", "int-str", "str-and-float-str", "bool-count", "bool-money"])
+    def test_a_subclass_reads_as_its_base_value(self, tmp_path, row, plain):
+        """A subclass of ``str``, ``int`` or ``float`` in memory reads as its base
+        type's value, whatever its ``__str__``, as JSON writes it; a ``bool`` does not."""
+        expected = (("IngestError", 1, plain) if isinstance(plain, str)
+                    else column_rows(dataset_from_rows([plain])))
+        assert outcome(lambda: column_rows(dataset_from_rows([row]))) == expected
+        assert outcome(lambda: reference_dataset(enumerate([row], 1))) == expected
+        path = write(tmp_path, "d.jsonl", json.dumps(dict(zip(CSV_FIELDS, row))) + "\n")
+        assert outcome(lambda: column_rows(ingest(path, "record-lines"))) == expected

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import campaign_from_rows, make_campaign, make_dataset, make_part, rows_of
 from roimeta.campaigns import (
     Arm,
-    CampaignExperiment,
     ExperimentDataset,
     parts_sha256,
     to_micros,
@@ -212,10 +211,10 @@ class TestMachineFormat:
             _codec(set[str])
         with pytest.raises(TypeError, match="cannot encode or decode"):
             _codec(dict[str, str])
-        # a report type is a named tuple, so a dataclass is refused: a campaign,
-        # whose columns the report does not hold, and a plain one alike
+        # a report type is a named tuple, so a dataclass is refused: the simulator's
+        # config, which no report holds, and a plain one alike
         with pytest.raises(TypeError, match="cannot encode or decode"):
-            _codec(CampaignExperiment)
+            _codec(SimConfig)
 
         @dataclasses.dataclass(frozen=True)
         class Plain:
