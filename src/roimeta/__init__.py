@@ -6,50 +6,35 @@ micro/macro-averaged baselines with A/A-calibrated thresholds, decomposed into
 spend subgroups, and turned into an accept/reject verdict plus a traffic-ramp
 recommendation.
 
-The public names resolve on first use (PEP 562), each by importing only the
-module that defines it, so ``import roimeta`` loads no submodule.
-``roimeta.<module>.<Name>`` reaches the same objects.
+The package exports what README's "Library use" section calls, plus the
+exception classes. Those names resolve on first use (PEP 562), each by
+importing only the module that defines it, so ``import roimeta`` loads no
+submodule. ``roimeta.<module>.<Name>`` reaches the same objects, and every
+other name.
 """
 
 import importlib
 
-# Each submodule the package namespace reaches, with the public names it defines.
+# Every submodule, reached as ``roimeta.<module>``, with the names it exports.
 _EXPORTS = {
-    "baselines": (
-        "AaCalibration", "AaSettings", "aa_calibrate", "campaign_micro_totals", "macro_delta",
-        "micro_delta", "micro_roi", "threshold_decision",
-    ),
-    "campaigns": ("ArmColumns", "CampaignExperiment", "ExperimentDataset", "PartMeasurement"),
-    "dataio": ("dataset_from_rows", "ingest", "render_dataset_csv", "write_dataset"),
+    "baselines": ("AaSettings", "aa_calibrate", "campaign_micro_totals"),
+    "campaigns": (),
+    "cli": (),
+    "config": (),
+    "dataio": ("dataset_from_rows",),
     "errors": (
         "ConfigError", "DegenerateEffectError", "IngestError", "InsufficientDataError",
         "NoQualifiedCampaignsError", "RoimetaError", "SchemaError", "UndefinedRoiError",
     ),
-    "meta": (
-        "ArmSampleStats", "MetaSummary", "arm_stats", "cochran_q", "effect_size",
-        "fixed_effect_summary", "heterogeneity_stats", "random_effect_summary",
-        "summarize_effects", "tau_squared", "z_significance",
-    ),
-    "pipeline": (
-        "EvaluationConfig", "ExplicitThetas", "TrafficSchedule", "collect_effects", "decide",
-        "evaluate", "recommend_traffic",
-    ),
-    "preprocess": ("QualificationConfig", "QualificationReport", "qualify"),
+    "meta": (),
+    "pipeline": ("EvaluationConfig", "evaluate"),
+    "preprocess": ("qualify",),
     "randomness": (),
-    "records": (
-        "Arm", "BaselineDecision", "BaselineMethod", "BaselineResult", "Decision",
-        "DisqualifiedCampaign", "EffectExclusion", "EffectSize", "EvaluationReport",
-        "FixedEffectSummary", "HeterogeneityStats", "PartExclusions", "RandomEffectSummary",
-        "SignificanceResult", "SubgroupReport", "SubgroupSummary", "TrafficRecommendation",
-        "Verdict",
-    ),
-    "reportio": ("render_report", "report_from_json", "report_to_json"),
+    "records": (),
+    "reportio": ("render_report", "report_to_json"),
     "simulate": ("SimConfig", "generate_experiment"),
-    "statfuncs": ("chi_square_sf", "normal_cdf", "normal_quantile"),
-    "subgroups": (
-        "GroupAssignment", "SubgroupSpec", "partition_by_label", "partition_by_spend",
-        "resolve_subgroups", "subgroup_analysis",
-    ),
+    "statfuncs": (),
+    "subgroups": ("SubgroupSpec", "resolve_subgroups"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

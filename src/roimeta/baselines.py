@@ -21,7 +21,7 @@ from .campaigns import Arm, ExperimentDataset, roi_of_micros
 from .errors import ConfigError, InsufficientDataError
 from .randomness import HashStream
 from .records import BaselineDecision, BaselineMethod, BaselineResult  # noqa: F401  re-exported
-from .records import checked
+from .records import AaRecord, checked
 
 MicroTotals = dict[str, tuple[int, int, int, int]]  # see campaign_micro_totals
 
@@ -42,16 +42,6 @@ class AaSettings(NamedTuple):
             raise ConfigError(
                 f"treatment_share must be in (0, 1), got {self.treatment_share!r}"
             )
-
-
-class AaCalibration(NamedTuple):
-    """Threshold estimate: mean statistic over seeded A/A pseudo-experiments."""
-
-    repeats_k: int
-    split_seed: int
-    treatment_share: float  # the pseudo-treatment share the splits used
-    per_repeat_stats: tuple[float, ...]
-    theta: float
 
 
 def campaign_micro_totals(dataset: ExperimentDataset) -> MicroTotals:
@@ -121,16 +111,17 @@ def aa_skipped(dataset: ExperimentDataset) -> list[str]:
 
 def aa_calibrate(
     dataset: ExperimentDataset, totals: MicroTotals, settings: AaSettings
-) -> dict[BaselineMethod, AaCalibration]:
+) -> AaRecord:
     """Estimate every baseline's decision threshold from repeated A/A splits.
 
     Each repeat splits every campaign's control parts (at least two required;
     campaigns with fewer are skipped, see ``aa_skipped``) into disjoint pseudo-arms,
     ``settings.treatment_share`` of them (else the ``observed_share`` of
     ``totals``) pseudo-treatment, computes each method's statistic on that one
-    pseudo-experiment, and each threshold is the signed mean of its statistic
-    over repeats. Splits derive deterministically from (seed, repeat,
-    campaign_id), so repeats are replayable and order independent.
+    pseudo-experiment, and each threshold, ``AaRecord.theta(method)``, is the
+    signed mean of its statistic over repeats. Splits derive deterministically
+    from (seed, repeat, campaign_id), so repeats are replayable and order
+    independent.
 
     Column kernel: each call reads eligible campaigns' control spend and value
     micro columns as they are. A repeat draws each campaign's n_b
@@ -161,16 +152,8 @@ def aa_calibrate(
         diffs = _roi_diffs(arms)  # macro_delta's, shared by mean and median
         per_repeat[BaselineMethod.MACRO].append(fsum(diffs) / len(diffs))
         per_repeat[BaselineMethod.MACRO_MEDIAN].append(_median(diffs))
-    return {
-        method: AaCalibration(
-            repeats_k=repeats_k,
-            split_seed=seed,
-            treatment_share=share_b,
-            per_repeat_stats=tuple(stats),
-            theta=fsum(stats) / repeats_k,
-        )
-        for method, stats in per_repeat.items()
-    }
+    return AaRecord(seed, share_b, **{
+        method.value: tuple(stats) for method, stats in per_repeat.items()})
 
 
 def threshold_decision(statistic: float, theta: float) -> BaselineDecision:

@@ -91,7 +91,6 @@ EVAL_KEYS: dict[str, tuple[Callable[[str], object], tuple[str, ...]]] = {
     "subgroup_kind": (_parse_str, ("subgroups", "kind")),
     "spend_fractions": (_parse_float_list, ("subgroups", "spend_fractions")),
     "subgroup_labels": (_parse_labels, ("subgroups", "labels")),
-    "variance_formula": (_parse_str, ("variance_formula",)),
     "skip_subgroup_on_strong_reject": (_parse_bool, ("skip_subgroup_on_strong_reject",)),
     "phases": (_parse_float_list, ("schedule", "phases")),
     "current_share": (_parse_float, ("schedule", "current_share")),

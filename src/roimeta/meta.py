@@ -1,10 +1,12 @@
 """Per-campaign effect sizes and their random-effects combination.
 
 Each campaign is one study: the standardized difference of treatment-vs-control
-part ROIs (pooled-variance scaling, small-sample correction) is combined across
-campaigns by inverse-variance weighting. Between-campaign variance comes from
-the DerSimonian-Laird method of moments; the summary effect is tested with a
-Z statistic and reported with a symmetric confidence interval.
+part ROIs (pooled-variance scaling, small-sample correction, noncentral-t
+variance) is combined across campaigns by inverse-variance weighting.
+Between-campaign variance comes from the DerSimonian-Laird method of moments;
+the summary effect is tested with a Z statistic and reported with a symmetric
+confidence interval. ``summarize_effects`` runs that whole chain; ``subgroups``
+reuses its ``random_effect_summary``, ``weighted_q`` and ``z_significance``.
 
 The fixed model is the random model at tau2 = 0 (``1/(v + 0.0) == 1/v == w``),
 and every Q, Cochran's and the subgroups', is one ``weighted_q``. The weights
@@ -33,10 +35,6 @@ from .records import (
     checked, small_sample_correction,
 )
 from .statfuncs import chi_square_sf, normal_cdf, normal_quantile
-
-# Effect-variance formulas: "noncentral_t" divides the quadratic term by the
-# total part count, "hedges" by twice the total part count.
-EFFECT_VARIANCE_MODES = ("noncentral_t", "hedges")
 
 
 @checked
@@ -85,29 +83,19 @@ def arm_stats(rois: Sequence[float | None], campaign_id: str | None = None,
     return ArmSampleStats(mean, variance, m)
 
 
-def check_variance_formula(variance_formula: str) -> None:
-    if variance_formula not in EFFECT_VARIANCE_MODES:
-        raise ConfigError(
-            f"variance_formula must be one of {EFFECT_VARIANCE_MODES}, "
-            f"got {variance_formula!r}"
-        )
-
-
 def effect_size(
-    stats_a: ArmSampleStats,
-    stats_b: ArmSampleStats,
-    campaign_id: str = "",
-    variance_formula: str = "noncentral_t",
+    stats_a: ArmSampleStats, stats_b: ArmSampleStats, campaign_id: str = ""
 ) -> EffectSize:
     """Standardized treatment-minus-control effect for one campaign.
 
     The raw effect is the difference of arm means over the pooled standard
     deviation; the small-sample correction ``1 - 3/(4*df - 1)`` debiases it.
-    When the pooled spread is zero with equal means the effect is zero with
-    the size-only variance; unequal means with zero spread have no finite
-    standardized effect and raise DegenerateEffectError.
+    Its variance is the noncentral-t approximation
+    ``c^2 * ((m_a + m_b)/(m_a*m_b) + d^2/(m_a + m_b))``. When the pooled spread
+    is zero with equal means the effect is zero with the size-only variance;
+    unequal means with zero spread have no finite standardized effect and raise
+    DegenerateEffectError.
     """
-    check_variance_formula(variance_formula)
     m_a, m_b = stats_a.m, stats_b.m
     df = m_a + m_b - 2
     pooled_var = ((m_a - 1) * stats_a.variance + (m_b - 1) * stats_b.variance) / df
@@ -125,69 +113,15 @@ def effect_size(
         delta = diff / pooled_sd
         d = correction * delta
     size_term = (m_a + m_b) / (m_a * m_b)
-    if variance_formula == "noncentral_t":
-        quad_term = d * d / (m_a + m_b)
-    else:
-        quad_term = d * d / (2 * (m_a + m_b))
-    v = correction * correction * (size_term + quad_term)
+    v = correction * correction * (size_term + d * d / (m_a + m_b))
     return EffectSize(
         campaign_id=campaign_id, delta=delta, pooled_sd=pooled_sd, df=df, d=d, v=v,
     )
 
 
-def fixed_effect_summary(effects: list[EffectSize] | tuple[EffectSize, ...]) -> FixedEffectSummary:
-    """Inverse-variance weighted mean of the effects and its variance."""
-    summary = random_effect_summary(effects, 0.0)
-    return FixedEffectSummary(mu=summary.mu_star, nu=summary.nu_star, n=len(effects))
-
-
 def weighted_q(effects: Iterable[EffectSize], tau2: float, mu: float) -> float:
     """Squared deviations of the effects around ``mu``, weighted ``w_star(tau2)``."""
     return fsum(e.w_star(tau2) * (e.d - mu) ** 2 for e in effects)
-
-
-def cochran_q(
-    effects: list[EffectSize] | tuple[EffectSize, ...], mu: float
-) -> tuple[float, float]:
-    """Cochran's Q around ``mu`` and its chi-square p-value with n-1 df.
-
-    A single study is homogeneous by convention: (0, 1).
-    """
-    n = len(effects)
-    if n == 0:
-        raise InsufficientDataError("no effects")
-    if n == 1:
-        return 0.0, 1.0
-    q = weighted_q(effects, 0.0, mu)
-    return q, chi_square_sf(q, n - 1)
-
-
-def moments_scale(weights: list[float] | tuple[float, ...]) -> float:
-    """The weight functional that scales excess Q into the between-study variance."""
-    sum_w = fsum(weights)
-    if sum_w == 0.0:
-        return 0.0
-    return sum_w - fsum(w * w for w in weights) / sum_w
-
-
-def tau_squared(q: float, n: int, scale: float) -> float:
-    """DerSimonian-Laird between-study variance; ``scale`` is ``moments_scale``."""
-    if n < 2 or q < n - 1 or scale <= 0.0:
-        return 0.0
-    return (q - (n - 1)) / scale
-
-
-def heterogeneity_stats(
-    effects: list[EffectSize] | tuple[EffectSize, ...], mu: float
-) -> HeterogeneityStats:
-    """Bundle Q, its p-value, and the between-study variance for ``effects``."""
-    n = len(effects)
-    q, p_q = cochran_q(effects, mu)
-    lambda_ = moments_scale([e.w for e in effects]) if n >= 2 else 0.0
-    return HeterogeneityStats(
-        q=q, df=max(n - 1, 0), p_q=p_q, lambda_=lambda_,
-        tau2=tau_squared(q, n, lambda_),
-    )
 
 
 def random_effect_summary(
@@ -235,9 +169,28 @@ def z_significance(
 def summarize_effects(
     effects: list[EffectSize] | tuple[EffectSize, ...], confidence_level: float = 0.95
 ) -> MetaSummary:
-    """Run the whole combination: fixed model, heterogeneity, random model, Z test."""
-    fixed = fixed_effect_summary(effects)
-    heterogeneity = heterogeneity_stats(effects, fixed.mu)
-    random = random_effect_summary(effects, heterogeneity.tau2)
-    significance = z_significance(random.mu_star, random.nu_star, confidence_level)
-    return MetaSummary(fixed, heterogeneity, random, significance)
+    """Run the whole combination: fixed model, heterogeneity, random model, Z test.
+
+    Cochran's Q is taken around the fixed mean with n - 1 degrees of freedom; a
+    single study is homogeneous by convention (Q = 0, p = 1, lambda = 0). The
+    DerSimonian-Laird tau2 is (Q - (n - 1)) / lambda, with the weight functional
+    lambda = sum(w) - sum(w^2) / sum(w), and 0 when Q < n - 1 or lambda <= 0.
+    """
+    fixed_model = random_effect_summary(effects, 0.0)
+    n = len(effects)
+    q, p_q, lambda_ = 0.0, 1.0, 0.0
+    if n >= 2:
+        q = weighted_q(effects, 0.0, fixed_model.mu_star)
+        p_q = chi_square_sf(q, n - 1)
+        weights = [e.w for e in effects]
+        sum_w = fsum(weights)
+        if sum_w != 0.0:
+            lambda_ = sum_w - fsum(w * w for w in weights) / sum_w
+    tau2 = 0.0 if q < n - 1 or lambda_ <= 0.0 else (q - (n - 1)) / lambda_
+    random = random_effect_summary(effects, tau2)
+    return MetaSummary(
+        FixedEffectSummary(mu=fixed_model.mu_star, nu=fixed_model.nu_star, n=n),
+        HeterogeneityStats(q=q, df=n - 1, p_q=p_q, lambda_=lambda_, tau2=tau2),
+        random,
+        z_significance(random.mu_star, random.nu_star, confidence_level),
+    )

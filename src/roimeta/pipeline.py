@@ -43,7 +43,7 @@ from .errors import (
     InsufficientDataError,
     NoQualifiedCampaignsError,
 )
-from .meta import arm_stats, check_variance_formula, effect_size, summarize_effects
+from .meta import arm_stats, effect_size, summarize_effects
 from .preprocess import QualificationConfig, qualify
 from .records import (  # noqa: F401  re-exported
     AaRecord, Audit, BaselineMethod, BaselineResult, Decision, EffectExclusion, EffectSize,
@@ -100,7 +100,6 @@ class EvaluationConfig(NamedTuple):
     qualification: QualificationConfig = QualificationConfig()
     aa: AaSettings | ExplicitThetas = AaSettings()
     subgroups: SubgroupSpec = SubgroupSpec()
-    variance_formula: str = "noncentral_t"
     skip_subgroup_on_strong_reject: bool = True
     schedule: TrafficSchedule = TrafficSchedule()
     # Where the loader found each key ("file" or "flag"); compared, as the audit shows it.
@@ -111,7 +110,6 @@ class EvaluationConfig(NamedTuple):
             level = getattr(self, name)
             if not 0.0 < level < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {level!r}")
-        check_variance_formula(self.variance_formula)
 
 
 def decide(significance: SignificanceResult) -> Decision:
@@ -168,11 +166,8 @@ def _resolve_thetas(
             BaselineMethod.MACRO: config.aa.macro_theta,
             BaselineMethod.MACRO_MEDIAN: config.aa.macro_theta,
         }, None
-    calibrations = aa_calibrate(qualified, totals, config.aa)
-    first = calibrations[BaselineMethod.MICRO]
-    record = AaRecord(first.split_seed, first.treatment_share, **{
-        method.value: c.per_repeat_stats for method, c in calibrations.items()})
-    return {method: c.theta for method, c in calibrations.items()}, record
+    record = aa_calibrate(qualified, totals, config.aa)
+    return {method: record.theta(method) for method in BaselineMethod}, record
 
 
 def _observed_share(totals: MicroTotals) -> float | None:
@@ -184,7 +179,7 @@ def _observed_share(totals: MicroTotals) -> float | None:
 
 
 def collect_effects(
-    dataset: ExperimentDataset, variance_formula: str = "noncentral_t"
+    dataset: ExperimentDataset
 ) -> tuple[tuple[EffectSize, ...], tuple[EffectExclusion, ...]]:
     """Effect size per campaign; campaigns that cannot produce one are reported."""
     effects: list[EffectSize] = []
@@ -192,11 +187,8 @@ def collect_effects(
     for campaign in dataset.campaigns:
         campaign_id, a, b = campaign.campaign_id, campaign.a, campaign.b
         try:
-            effects.append(effect_size(
-                arm_stats(a.rois, campaign_id, a.part_ids),
-                arm_stats(b.rois, campaign_id, b.part_ids),
-                campaign_id=campaign_id, variance_formula=variance_formula,
-            ))
+            effects.append(effect_size(arm_stats(a.rois, campaign_id, a.part_ids),
+                                       arm_stats(b.rois, campaign_id, b.part_ids), campaign_id))
         except (InsufficientDataError, DegenerateEffectError) as exc:
             exclusions.append(EffectExclusion(campaign_id, str(exc)))
     return tuple(effects), tuple(exclusions)
@@ -245,7 +237,7 @@ def evaluate(
         for method, statistic in deltas.items()
     )
 
-    effects, exclusions = collect_effects(qualified, config.variance_formula)
+    effects, exclusions = collect_effects(qualified)
     if not effects:
         raise NoQualifiedCampaignsError(
             "no qualified campaign is eligible for effect-size analysis "

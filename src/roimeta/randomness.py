@@ -4,22 +4,21 @@ Every stream is keyed by an explicit tuple (seed, purpose, index, ...), and
 each draw hashes the key with an incrementing counter. Output therefore never
 depends on global state, platform, word size, or library version, and streams
 with distinct keys are independent, so per-campaign generation can run in any
-order. Normal variates come from the inverse-CDF transform; Poisson uses exact
-inversion for small means and a rounded normal approximation for large ones.
+order. Normal variates come from the inverse-CDF transform; Poisson counts
+(``poisson_quantiles``, one uniform each) use exact inversion for small means
+and a rounded normal approximation for large ones.
 
 Cost model: one keyed BLAKE2b (a copy of the key-absorbed state, fed the 8-byte
 counter) per draw, plus two BLAKE2b calls to absorb each new key. A single
-variate (``uniform``, ``normal``, ``poisson``) adds a Python frame or two per
-draw; ``uniforms(n)`` draws a block in one loop, about a fifth cheaper per draw,
-and the simulator takes each arm's draws that way. ``shuffle(items, k)`` is a
+variate (``uniform``, ``normal``) adds a Python frame or two per draw;
+``uniforms(n)`` draws a block in one loop, about a fifth cheaper per draw, and
+the simulator takes each arm's draws that way. ``shuffle(items, k)`` is a
 partial Fisher-Yates that pays k draws, not n - 1, so an A/A split that keeps k
 of n parts costs k draws. The digest maps to (0, 1) as ``(u64 + 0.5) * 2**-64``
-in ``uniform``, in ``uniforms`` and, inline, in ``shuffle``'s loop, which also
-inlines ``randbelow``'s clamp; the draw parity test in tests/test_simulate.py
-pins all three copies. For the top 2**10 u64 values the product rounds to 1.0,
-which ``uniform`` and ``uniforms`` replace and ``shuffle`` clamps. Poisson
-counts come from ``poisson_quantiles``, one uniform each, for single draws and
-blocks alike.
+in ``uniform``, in ``uniforms`` and, inline, in ``shuffle``'s loop; the draw
+parity test in tests/test_simulate.py pins all three copies. For the top 2**10
+u64 values the product rounds to 1.0, which ``uniform`` and ``uniforms``
+replace and ``shuffle`` clamps to the last position.
 """
 
 from __future__ import annotations
@@ -74,21 +73,10 @@ class HashStream:
     def lognormal(self, log_mean: float, log_sd: float) -> float:
         return math.exp(self.normal(log_mean, log_sd))
 
-    def poisson(self, lam: float) -> int:
-        if lam < 0:
-            raise ValueError(f"poisson mean must be >= 0, got {lam!r}")
-        if lam == 0:
-            return 0
-        return poisson_quantiles(lam, (self.uniform(),))[0]
-
-    def randbelow(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError(f"n must be >= 1, got {n!r}")
-        return min(int(self.uniform() * n), n - 1)
-
     def shuffle(self, items: list, k: int) -> None:
-        """Partial Fisher-Yates: swap i with i + randbelow(n - i), i = 0 .. k-1, so
-        ``items[:k]`` is a uniform random k-sample for k draws (k = n - 1: all)."""
+        """Partial Fisher-Yates: swap i with i + min(int(u * (n - i)), n - i - 1),
+        i = 0 .. k-1, so ``items[:k]`` is a uniform random k-sample for k draws
+        (k = n - 1: all)."""
         n = len(items)
         if not 0 <= k <= n:
             raise ValueError(f"k must be in [0, {n}], got {k!r}")
@@ -99,7 +87,7 @@ class HashStream:
             block.update(counter.to_bytes(8, "big"))
             counter += 1
             j = int((from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64 * (n - i))
-            j = i + j if j < n - i else n - 1  # randbelow's min(..., n - 1)
+            j = i + j if j < n - i else n - 1  # i + min(j, n - i - 1)
             items[i], items[j] = items[j], items[i]
         self._counter = counter
 

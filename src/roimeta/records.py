@@ -16,6 +16,7 @@ type with the same values; ``_replace`` gives a changed copy.
 from __future__ import annotations
 
 from enum import Enum
+from math import fsum
 from typing import NamedTuple
 
 
@@ -256,6 +257,10 @@ class AaRecord(NamedTuple):
     @property
     def repeats_k(self) -> int:
         return len(self.micro)
+
+    def theta(self, method: BaselineMethod) -> float:
+        """The threshold of ``method``: its statistic's mean over the repeats."""
+        return fsum(getattr(self, method.value)) / self.repeats_k
 
 
 class Audit(NamedTuple):

@@ -131,12 +131,11 @@ def subgroup_analysis(
     with the global ``tau2``, which makes the identity exact: the grand-mean Q
     equals the sum of per-group Qs plus the between-group component. Groups
     left empty after matching against ``effects`` are dropped; ``evaluate``
-    records a warning when it drops one.
+    records a warning when it drops one. A negative ``tau2`` raises
+    ``random_effect_summary``'s ValueError.
     """
     if not effects:
         raise InsufficientDataError("no effects to analyze")
-    if tau2 < 0:
-        raise ValueError(f"tau2 must be >= 0, got {tau2!r}")
     if not 0.0 < confidence_level < 1.0:
         raise ConfigError(f"confidence_level must be in (0, 1), got {confidence_level!r}")
     by_id: dict[str, EffectSize] = {}
@@ -168,7 +167,7 @@ def subgroup_analysis(
         model = random_effect_summary(members, tau2)
         test = z_significance(model.mu_star, model.nu_star, confidence_level)
         q_k = weighted_q(members, tau2, model.mu_star)
-        # one member: q_k may be a rounding residue, not cochran_q's exact 0
+        # one member: q_k may be a rounding residue, not summarize_effects' exact 0
         p_q_k = chi_square_sf(q_k, len(present) - 1) if len(present) > 1 else 1.0
         summaries.append(SubgroupSummary(
             group_id=group.group_id,

@@ -15,7 +15,7 @@ from scipy import stats as sps
 from roimeta.campaigns import ExperimentDataset
 
 
-def oracle_effects(dataset: ExperimentDataset, variance_formula: str = "noncentral_t"):
+def oracle_effects(dataset: ExperimentDataset):
     """Per-campaign (d, v) pairs by direct application of the formulas."""
     out = []
     for campaign in dataset.campaigns:
@@ -30,18 +30,14 @@ def oracle_effects(dataset: ExperimentDataset, variance_formula: str = "noncentr
             d = 0.0
         else:
             d = c * (rb.mean() - ra.mean()) / sp
-        if variance_formula == "noncentral_t":
-            quad = d * d / (m_a + m_b)
-        else:
-            quad = d * d / (2 * (m_a + m_b))
-        v = c * c * ((m_a + m_b) / (m_a * m_b) + quad)
+        v = c * c * ((m_a + m_b) / (m_a * m_b) + d * d / (m_a + m_b))
         out.append((d, v))
     return out
 
 
-def oracle_meta(dataset: ExperimentDataset, variance_formula: str = "noncentral_t") -> dict:
+def oracle_meta(dataset: ExperimentDataset) -> dict:
     """Summary statistics of the whole chain, computed the straightforward way."""
-    pairs = oracle_effects(dataset, variance_formula)
+    pairs = oracle_effects(dataset)
     d = np.array([p[0] for p in pairs])
     v = np.array([p[1] for p in pairs])
     n = len(d)

@@ -15,7 +15,7 @@ from roimeta.baselines import campaign_micro_totals, observed_share
 from roimeta.campaigns import Arm, ExperimentDataset
 from roimeta.config import load_evaluation_config
 from roimeta.pipeline import (
-    AaSettings, EvaluationConfig, ExplicitThetas, _observed_share, evaluate,
+    AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule, _observed_share, evaluate,
 )
 from roimeta.preprocess import qualify
 from roimeta.records import AaRecord, BaselineMethod
@@ -114,7 +114,7 @@ class TestConfigRecord:
             "min_impressions_per_part = 100", "min_qualified_fraction = 0.9",
             "aa_repeats_k = 5", "aa_seed = 0", "subgroup_kind = by_spend_cumulative",
             f"spend_fractions = {1 / 3!r},{1 / 3!r},{1 / 3!r}",
-            "variance_formula = noncentral_t", "skip_subgroup_on_strong_reject = true",
+            "skip_subgroup_on_strong_reject = true",
             "phases = 0.01,0.1,0.2,0.5", "current_share = 0.01",
         )
 
@@ -149,7 +149,7 @@ class TestConfigRecord:
     @pytest.mark.parametrize("config", [
         EvaluationConfig(),
         EvaluationConfig(aa=AaSettings(repeats_k=3, seed=9, treatment_share=0.3),
-                         confidence_level=0.9, variance_formula="hedges"),
+                         confidence_level=0.9, schedule=TrafficSchedule(current_share=0.2)),
         EvaluationConfig(aa=THETAS, subgroups=SubgroupSpec(spend_fractions=(0.5, 0.25, 0.25)),
                          skip_subgroup_on_strong_reject=False, homogeneity_level=0.05),
     ], ids=["defaults", "aa-settings", "thresholds"])

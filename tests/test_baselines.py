@@ -10,7 +10,6 @@ from conftest import (
 )
 from roimeta import baselines
 from roimeta.baselines import (
-    AaCalibration,
     AaSettings,
     BaselineDecision,
     BaselineMethod,
@@ -26,6 +25,7 @@ from roimeta.baselines import (
 from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
 from roimeta.errors import ConfigError, InsufficientDataError, UndefinedRoiError
 from roimeta.randomness import HashStream
+from roimeta.records import AaRecord
 
 
 def swap_arms(dataset: ExperimentDataset) -> ExperimentDataset:
@@ -226,18 +226,18 @@ class TestAaCalibration:
             make_campaign("c1", [1.4] * 6, [1.4] * 2),
             make_campaign("c2", [1.4] * 4, [1.4] * 2),
         ])
-        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(5, 3, 0.5))
-        for calibration in calibrations.values():
-            assert calibration.theta == pytest.approx(0.0, abs=1e-12)
+        record = aa_calibrate(dataset, totals_of(dataset), AaSettings(5, 3, 0.5))
+        for method in BaselineMethod:
+            assert record.theta(method) == pytest.approx(0.0, abs=1e-12)
 
     def test_per_campaign_constant_roi_zeroes_macro(self):
         dataset = make_dataset([
             make_campaign("c1", [1.1] * 5, [1.1] * 2),
             make_campaign("c2", [0.7] * 5, [0.7] * 2),
         ])
-        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(7, 12, 0.2))
+        record = aa_calibrate(dataset, totals_of(dataset), AaSettings(7, 12, 0.2))
         for method in (BaselineMethod.MACRO, BaselineMethod.MACRO_MEDIAN):
-            assert calibrations[method].theta == pytest.approx(0.0, abs=1e-12)
+            assert record.theta(method) == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
         dataset = make_dataset([
@@ -248,16 +248,14 @@ class TestAaCalibration:
         second = aa_calibrate(dataset, totals_of(dataset), AaSettings(5, 77, 0.1))
         assert first == second
         different = aa_calibrate(dataset, totals_of(dataset), AaSettings(5, 78, 0.1))
-        micro = BaselineMethod.MICRO
-        assert different[micro].per_repeat_stats != first[micro].per_repeat_stats
+        assert different.micro != first.micro
 
     def test_even_split_statistic_support(self):
         # equal-spend parts with ROIs {1,1,2,2} under a 2/2 split can only
         # produce pseudo-deltas -1, 0, or +1
         dataset = make_dataset([make_campaign("c1", [1.0, 1.0, 2.0, 2.0], [1.0, 1.0])])
-        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(40, 5, 0.5))
-        calibration = calibrations[BaselineMethod.MICRO]
-        for stat in calibration.per_repeat_stats:
+        record = aa_calibrate(dataset, totals_of(dataset), AaSettings(40, 5, 0.5))
+        for stat in record.micro:
             assert min(abs(stat - t) for t in (-1.0, 0.0, 1.0)) <= 1e-12
 
     def test_short_campaigns_skipped(self):
@@ -266,12 +264,12 @@ class TestAaCalibration:
             make_campaign("c1", [1.0, 1.2, 0.9], [1.0, 1.0]),
             make_campaign("c2", [1.0], [1.0, 1.0]),
         ])
-        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 1, 0.5))
+        record = aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 1, 0.5))
         assert aa_skipped(dataset) == ["c2"]
-        assert set(calibrations) == set(BaselineMethod)
-        assert all(isinstance(c, AaCalibration) for c in calibrations.values())
+        assert type(record) is AaRecord
+        assert (record.split_seed, record.repeats_k) == (1, 3)
         only_c1 = make_dataset(dataset.campaigns[:1])
-        assert calibrations == aa_calibrate(only_c1, totals_of(only_c1), AaSettings(3, 1, 0.5))
+        assert record == aa_calibrate(only_c1, totals_of(only_c1), AaSettings(3, 1, 0.5))
 
     def test_no_splittable_campaign_rejected(self):
         dataset = make_dataset([make_campaign("c1", [1.0], [1.0, 1.0])])
@@ -283,18 +281,17 @@ class TestAaCalibration:
                                               spend_b=3.0)])
         totals = totals_of(dataset)
         for share, used in ((0.3, 0.3), (None, observed_share(totals))):
-            calibrations = aa_calibrate(dataset, totals, AaSettings(2, 1, share))
-            assert {c.treatment_share for c in calibrations.values()} == {used}
+            assert aa_calibrate(dataset, totals, AaSettings(2, 1, share)).treatment_share == used
         assert observed_share(totals) == 6 / 10
 
     def test_theta_is_mean_of_repeats(self):
         dataset = make_dataset([
             make_campaign("c1", [1.0, 1.5, 0.8, 1.1, 0.6], [1.0, 1.0]),
         ])
-        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(9, 2, 0.3))
-        for calibration in calibrations.values():
-            assert calibration.theta == pytest.approx(
-                math.fsum(calibration.per_repeat_stats) / 9, abs=1e-15
+        record = aa_calibrate(dataset, totals_of(dataset), AaSettings(9, 2, 0.3))
+        for method in BaselineMethod:
+            assert record.theta(method) == pytest.approx(
+                math.fsum(getattr(record, method.value)) / 9, abs=1e-15
             )
 
     def test_every_statistic_comes_from_one_split_per_repeat(self, monkeypatch):
@@ -311,13 +308,13 @@ class TestAaCalibration:
                 super().__init__(*key)
 
         monkeypatch.setattr(baselines, "HashStream", CountingStream)
-        calibrations = aa_calibrate(dataset, totals_of(dataset), AaSettings(4, 9, 0.5))
+        record = aa_calibrate(dataset, totals_of(dataset), AaSettings(4, 9, 0.5))
         assert sorted(opened) == sorted(
             ("aa-split", 9, k, c.campaign_id) for k in range(4) for c in dataset.campaigns
         )
         for k in range(4):
             totals = totals_of(pseudo_experiment(dataset, 0.5, 9, k))
-            stats = {m: calibrations[m].per_repeat_stats[k] for m in BaselineMethod}
+            stats = {m: getattr(record, m.value)[k] for m in BaselineMethod}
             assert stats[BaselineMethod.MICRO] == micro_delta(totals)
             assert stats[BaselineMethod.MACRO] == macro_delta(totals, "mean")
             assert stats[BaselineMethod.MACRO_MEDIAN] == macro_delta(totals, "median")
@@ -352,8 +349,8 @@ class TestAaCalibration:
 
         def kernel():
             settings = AaSettings(repeats_k, seed, share)
-            calibrations = aa_calibrate(dataset, totals_of(dataset), settings)
-            return {m: c.per_repeat_stats for m, c in calibrations.items()}
+            record = aa_calibrate(dataset, totals_of(dataset), settings)
+            return {m: getattr(record, m.value) for m in BaselineMethod}
 
         assert outcome(kernel) == outcome(
             lambda: reference_stats(dataset, split_ratio, repeats_k, seed)

@@ -140,6 +140,20 @@ class TestEvaluate:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_removed_variance_formula_key_is_exit_2(self, workdir, capsys):
+        # the effect variance has one formula; the audit line of an older
+        # report names a key that no longer exists
+        (workdir / "old.cfg").write_text("variance_formula = noncentral_t\n", encoding="utf-8")
+        data = simulate(workdir)
+        capsys.readouterr()
+        assert main(["evaluate", str(data), "--config", str(workdir / "old.cfg")]) == 2
+        assert capsys.readouterr().err == (
+            "error: evaluation config: unknown key 'variance_formula'\n")
+        with pytest.raises(SystemExit) as caught:
+            main(["evaluate", str(data), "--variance-formula", "x"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --variance-formula x" in capsys.readouterr().err
+
     def test_conflicting_threshold_sources_rejected(self, workdir, capsys):
         data = simulate(workdir)
         code = main([
@@ -197,9 +211,8 @@ class TestConfigErrorsBeforeAnalysis:
     @pytest.mark.parametrize("flag,value,message", [
         ("--current-share", "0.3",
          "current_share 0.3 is not one of the schedule phases (0.01, 0.1, 0.2, 0.5)"),
-        ("--variance-formula", "foo",
-         "variance_formula must be one of ('noncentral_t', 'hedges'), got 'foo'"),
-    ], ids=["current-share", "variance-formula"])
+        ("--confidence-level", "1.5", "confidence_level must be in (0, 1), got 1.5"),
+    ], ids=["current-share", "confidence-level"])
     def test_exit_2_before_any_warning(self, workdir, capsys, flag, value, message):
         data = warning_data(workdir)
         config = ["--config", str(workdir / "eval.cfg")]

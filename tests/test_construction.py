@@ -73,8 +73,8 @@ REFUSED = [
      "confidence_level must be in (0, 1), got 1.2"),
     (EvaluationConfig, dict(homogeneity_level=0.0), ConfigError,
      "homogeneity_level must be in (0, 1), got 0.0"),
-    (EvaluationConfig, dict(variance_formula="exotic"), ConfigError,
-     "variance_formula must be one of ('noncentral_t', 'hedges'), got 'exotic'"),
+    (EvaluationConfig, dict(homogeneity_level=1.0), ConfigError,
+     "homogeneity_level must be in (0, 1), got 1.0"),
     (CampaignExperiment, dict(campaign_id=""), ValueError, "campaign_id must be non-empty text"),
     (CampaignExperiment, dict(campaign_id=7), ValueError, "campaign_id must be non-empty text"),
     (CampaignExperiment, dict(campaign_id=" c1"), ValueError,

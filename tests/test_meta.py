@@ -15,13 +15,9 @@ from roimeta.errors import (
 from roimeta.meta import (
     ArmSampleStats,
     arm_stats,
-    cochran_q,
     effect_size,
-    fixed_effect_summary,
-    moments_scale,
     random_effect_summary,
     summarize_effects,
-    tau_squared,
     z_significance,
 )
 from roimeta.pipeline import collect_effects
@@ -124,20 +120,10 @@ class TestEffectSize:
         with pytest.raises(DegenerateEffectError):
             effect_size(ArmSampleStats(1.0, 0.0, 3), ArmSampleStats(1.5, 0.0, 3))
 
-    def test_hedges_variance_mode(self):
-        stats_a = ArmSampleStats(1.0, 0.08, 4)
-        stats_b = ArmSampleStats(1.3, 0.05, 4)
-        default = effect_size(stats_a, stats_b)
-        hedges = effect_size(stats_a, stats_b, variance_formula="hedges")
+    def test_noncentral_t_variance(self):
+        default = effect_size(ArmSampleStats(1.0, 0.08, 4), ArmSampleStats(1.3, 0.05, 4))
         c, d = default.correction, default.d
         assert default.v == pytest.approx(c * c * (8 / 16 + d * d / 8), abs=1e-15)
-        assert hedges.v == pytest.approx(c * c * (8 / 16 + d * d / 16), abs=1e-15)
-        assert hedges.v < default.v
-
-    def test_unknown_variance_mode(self):
-        with pytest.raises(ConfigError):
-            effect_size(ArmSampleStats(1.0, 0.1, 3), ArmSampleStats(1.0, 0.1, 3),
-                        variance_formula="exotic")
 
     def test_variance_minimized_at_equal_split(self):
         # fixed total parts and fixed d: the size term is smallest at m_a == m_b
@@ -152,63 +138,72 @@ class TestEffectSize:
 
 
 class TestFixedEffect:
+    """``summarize_effects``'s fixed model: the random model at tau2 = 0."""
+
     def test_hand_example(self):
-        effects = effects_from_dv([(0.5, 0.1), (0.1, 0.1)])
-        summary = fixed_effect_summary(effects)
+        summary = summarize_effects(effects_from_dv([(0.5, 0.1), (0.1, 0.1)])).fixed
         assert summary.mu == pytest.approx(0.3, abs=1e-12)
         assert summary.nu == pytest.approx(0.05, abs=1e-12)
         assert summary.n == 2
 
     def test_single_study(self):
-        summary = fixed_effect_summary(effects_from_dv([(0.42, 0.2)]))
+        summary = summarize_effects(effects_from_dv([(0.42, 0.2)])).fixed
         assert summary.mu == pytest.approx(0.42, abs=1e-15)
         assert summary.nu == pytest.approx(0.2, abs=1e-15)
 
     def test_constant_effects(self):
         effects = effects_from_dv([(0.7, 0.1), (0.7, 0.2), (0.7, 0.4)])
-        summary = fixed_effect_summary(effects)
+        summary = summarize_effects(effects).fixed
         assert summary.mu == pytest.approx(0.7, abs=1e-12)
         assert summary.nu == pytest.approx(1.0 / (10 + 5 + 2.5), abs=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            fixed_effect_summary([])
+        with pytest.raises(InsufficientDataError, match="no effects to summarize"):
+            summarize_effects([])
 
 
 class TestCochranQ:
+    """``summarize_effects``'s Q, around the fixed mean with n - 1 df."""
+
     def test_hand_example(self):
-        effects = effects_from_dv([(0.5, 0.1), (0.1, 0.1)])
-        q, p_q = cochran_q(effects, 0.3)
-        assert q == pytest.approx(0.8, abs=1e-12)
-        assert p_q == pytest.approx(0.37109336952269756, abs=1e-10)
+        stats = summarize_effects(effects_from_dv([(0.5, 0.1), (0.1, 0.1)])).heterogeneity
+        assert stats.q == pytest.approx(0.8, abs=1e-12)
+        assert stats.p_q == pytest.approx(0.37109336952269756, abs=1e-10)
+        assert stats.df == 1
 
     def test_homogeneous(self):
-        effects = effects_from_dv([(0.7, 0.1), (0.7, 0.2)])
-        q, p_q = cochran_q(effects, 0.7)
-        assert q == 0.0
-        assert p_q == 1.0
+        stats = summarize_effects(effects_from_dv([(0.7, 0.1), (0.7, 0.2)])).heterogeneity
+        assert stats.q == 0.0
+        assert stats.p_q == 1.0
 
     def test_opposed_effects(self):
-        effects = effects_from_dv([(1.0, 0.1), (-1.0, 0.1)])
-        q, _ = cochran_q(effects, 0.0)
-        assert q == pytest.approx(20.0, abs=1e-12)
+        stats = summarize_effects(effects_from_dv([(1.0, 0.1), (-1.0, 0.1)])).heterogeneity
+        assert stats.q == pytest.approx(20.0, abs=1e-12)
 
     def test_single_study_convention(self):
-        assert cochran_q(effects_from_dv([(0.3, 0.1)]), 0.3) == (0.0, 1.0)
+        stats = summarize_effects(effects_from_dv([(0.3, 0.1)])).heterogeneity
+        assert (stats.q, stats.df, stats.p_q, stats.lambda_, stats.tau2) == (0.0, 0, 1.0, 0.0, 0.0)
 
 
 class TestTauSquared:
+    """DerSimonian-Laird: (Q - (n - 1)) / lambda, and 0 when Q < n - 1."""
+
     def test_below_df_is_zero(self):
-        assert tau_squared(0.8, 2, moments_scale([10.0, 10.0])) == 0.0
+        stats = summarize_effects(effects_from_dv([(0.5, 0.1), (0.1, 0.1)])).heterogeneity
+        assert stats.q < 1
+        assert stats.tau2 == 0.0
 
     def test_hand_example(self):
-        assert tau_squared(20.0, 2, moments_scale([10.0, 10.0])) == pytest.approx(1.9, abs=1e-12)
+        # weights 10 and 10: lambda = 20 - 200 / 20 = 10, Q = 20
+        stats = summarize_effects(effects_from_dv([(1.0, 0.1), (-1.0, 0.1)])).heterogeneity
+        assert stats.lambda_ == pytest.approx(10.0, abs=1e-12)
+        assert stats.tau2 == pytest.approx(1.9, abs=1e-12)
 
     def test_boundary_continuity(self):
-        assert tau_squared(1.0, 2, moments_scale([10.0, 10.0])) == 0.0
-
-    def test_single_study(self):
-        assert tau_squared(5.0, 1, moments_scale([10.0])) == 0.0
+        # weights 2 and 2 around a mean of 0: Q = 1 = n - 1 exactly
+        stats = summarize_effects(effects_from_dv([(0.5, 0.5), (-0.5, 0.5)])).heterogeneity
+        assert (stats.q, stats.lambda_) == (1.0, 2.0)
+        assert stats.tau2 == 0.0
 
 
 class TestRandomEffect:
@@ -221,7 +216,7 @@ class TestRandomEffect:
 
     def test_zero_tau_reduces_to_fixed(self):
         effects = effects_from_dv([(0.5, 0.1), (0.1, 0.3)])
-        fixed = fixed_effect_summary(effects)
+        fixed = summarize_effects(effects).fixed
         random = random_effect_summary(effects, 0.0)
         assert random.mu_star == fixed.mu
         assert random.nu_star == fixed.nu

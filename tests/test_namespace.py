@@ -4,10 +4,12 @@ The import sets are read in a fresh interpreter, because this test process
 has loaded every module already.
 """
 
+import ast
 import dataclasses
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import typing
@@ -23,42 +25,24 @@ from roimeta.simulate import SimConfig, generate_experiment
 
 SRC = Path(roimeta.__file__).resolve().parents[1]
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_report.json"
+README_PATH = SRC.parent / "README.md"
+CI_PATH = SRC.parent / ".github" / "workflows" / "tier1.yml"
 
-# The package's public names, by the module that defined each before the
-# report types moved to ``records``.
+# The package's public names, by the module that defines each: what README's
+# "Library use" section imports, what CI's in-memory one-liner imports, and the
+# exception classes. Every other name is reached as ``roimeta.<module>.<Name>``.
 EXPORTS = {
-    "baselines": (
-        "AaCalibration", "AaSettings", "BaselineDecision", "BaselineMethod", "BaselineResult",
-        "aa_calibrate", "campaign_micro_totals", "macro_delta", "micro_delta", "micro_roi",
-        "threshold_decision",
-    ),
-    "campaigns": ("Arm", "ArmColumns", "CampaignExperiment", "ExperimentDataset",
-                  "PartMeasurement"),
-    "dataio": ("dataset_from_rows", "ingest", "render_dataset_csv", "write_dataset"),
+    "baselines": ("AaSettings", "aa_calibrate", "campaign_micro_totals"),
+    "dataio": ("dataset_from_rows",),
     "errors": (
         "ConfigError", "DegenerateEffectError", "IngestError", "InsufficientDataError",
         "NoQualifiedCampaignsError", "RoimetaError", "SchemaError", "UndefinedRoiError",
     ),
-    "meta": (
-        "ArmSampleStats", "EffectSize", "FixedEffectSummary", "HeterogeneityStats",
-        "MetaSummary", "RandomEffectSummary", "SignificanceResult", "arm_stats", "cochran_q",
-        "effect_size", "fixed_effect_summary", "heterogeneity_stats", "random_effect_summary",
-        "summarize_effects", "tau_squared", "z_significance",
-    ),
-    "pipeline": (
-        "Decision", "EffectExclusion", "EvaluationConfig", "EvaluationReport", "ExplicitThetas",
-        "TrafficRecommendation", "TrafficSchedule", "Verdict", "collect_effects", "decide",
-        "evaluate", "recommend_traffic",
-    ),
-    "preprocess": ("DisqualifiedCampaign", "PartExclusions", "QualificationConfig",
-                   "QualificationReport", "qualify"),
-    "reportio": ("render_report", "report_from_json", "report_to_json"),
+    "pipeline": ("EvaluationConfig", "evaluate"),
+    "preprocess": ("qualify",),
+    "reportio": ("render_report", "report_to_json"),
     "simulate": ("SimConfig", "generate_experiment"),
-    "statfuncs": ("chi_square_sf", "normal_cdf", "normal_quantile"),
-    "subgroups": (
-        "GroupAssignment", "SubgroupReport", "SubgroupSpec", "SubgroupSummary",
-        "partition_by_label", "partition_by_spend", "resolve_subgroups", "subgroup_analysis",
-    ),
+    "subgroups": ("SubgroupSpec", "resolve_subgroups"),
 }
 
 # The report types, by the module that defined each before they moved.
@@ -144,19 +128,41 @@ class TestImportSets:
             "import sys, roimeta\n"
             "loaded = lambda: ' '.join(sorted(m for m in sys.modules if 'roimeta' in m))\n"
             "print(loaded())\n"
-            "roimeta.Verdict\n"
+            "roimeta.ConfigError\n"
             "print(loaded())\n"
-            "print(roimeta.meta.EffectSize is roimeta.records.EffectSize is roimeta.EffectSize)\n"
+            "print(roimeta.meta.EffectSize is roimeta.records.EffectSize)\n"
         ))
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["roimeta", "roimeta roimeta.records", "True"]
+        assert done.stdout.splitlines() == ["roimeta", "roimeta roimeta.errors", "True"]
 
 
 class TestNamespaceParity:
     def test_all_is_the_pinned_names(self):
         pinned = [name for names in EXPORTS.values() for name in names]
-        assert len(pinned) == len(set(pinned)) == 77
+        assert len(pinned) == len(set(pinned)) == 21
         assert sorted(roimeta.__all__) == sorted(pinned)
+
+    def test_the_names_are_the_documented_imports_and_the_errors(self):
+        readme = README_PATH.read_text(encoding="utf-8")
+        library_use = readme.split("## Library use")[1].split("\n## ")[0]
+        documented = {
+            alias.name
+            for block in re.findall(r"```python\n(.*?)```", library_use, re.S)
+            for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.ImportFrom) and node.module == "roimeta"
+            for alias in node.names
+        }
+        ci = re.findall(r"from roimeta import ([\w, ]+);", CI_PATH.read_text(encoding="utf-8"))
+        assert ci == ["dataset_from_rows, evaluate, report_to_json"]
+        errors = {name for name, obj in vars(roimeta.errors).items()
+                  if isinstance(obj, type) and issubclass(obj, Exception)}
+        assert set(roimeta.__all__) == documented | set(ci[0].split(", ")) | errors
+
+    def test_every_module_is_an_attribute(self):
+        # through the module __getattr__: an imported submodule is an attribute anyway
+        for module in pkgutil.iter_modules(roimeta.__path__):
+            home = importlib.import_module(f"roimeta.{module.name}")
+            assert roimeta.__getattr__(module.name) is home, module.name
 
     def test_every_name_resolves_to_its_module_object_every_way(self):
         star: dict = {}

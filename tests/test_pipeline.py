@@ -236,8 +236,8 @@ class TestEvaluate:
             EvaluationConfig(confidence_level=1.2)
         with pytest.raises(ConfigError):
             EvaluationConfig(homogeneity_level=0.0)
-        with pytest.raises(ConfigError, match="variance_formula"):
-            EvaluationConfig(variance_formula="exotic")
+        with pytest.raises(TypeError, match="variance_formula"):
+            EvaluationConfig(variance_formula="noncentral_t")
         with pytest.raises(ConfigError):
             AaSettings(repeats_k=0)
         with pytest.raises(ConfigError):

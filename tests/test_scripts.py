@@ -52,3 +52,37 @@ def test_script_runs_and_prints_its_rates(script, args, rate_lines):
     assert lines[0].split() == ["runs:", args[1]]
     for pattern in rate_lines:
         assert any(re.fullmatch(pattern, line) for line in lines), (pattern, done.stdout)
+
+
+SOURCE_FIXTURE = '''"""Module docstring,
+two lines."""
+
+# a comment
+import os  # an inline comment is code
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Method
+
+        docstring."""
+        "a later string is code"
+        return os.sep
+'''
+
+
+def test_src_lines_counts_each_kind(tmp_path):
+    (tmp_path / "a.py").write_text(SOURCE_FIXTURE, encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_text("x = 1\n", encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("not python\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "src_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert [line.split() for line in done.stdout.splitlines()] == [
+        ["total", "17"], ["code", "6"], ["docstring", "6"], ["comment", "1"], ["blank", "4"],
+    ]

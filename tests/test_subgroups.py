@@ -11,8 +11,6 @@ from roimeta.meta import (
     EffectSize,
     arm_stats,
     effect_size,
-    fixed_effect_summary,
-    heterogeneity_stats,
     summarize_effects,
 )
 from roimeta.pipeline import collect_effects
@@ -163,6 +161,17 @@ class TestSubgroupAnalysis:
         with pytest.raises(SchemaError, match="more than one"):
             subgroup_analysis(effects, 0.0, groups)
 
+    def test_negative_tau2_rejected(self):
+        effects = [pinned_effect("c0", 0.1, 0.1)]
+        with pytest.raises(ValueError, match=r"^tau2 must be >= 0, got -0\.1$"):
+            subgroup_analysis(effects, -0.1, (GroupAssignment("g1", ("c0",)),))
+
+    def test_bad_confidence_level_is_checked_first(self):
+        # before the assignment checks, so it does not wait for z_significance
+        effects = [pinned_effect("c0", 0.1, 0.1)]
+        with pytest.raises(ConfigError, match="confidence_level must be in"):
+            subgroup_analysis(effects, 0.0, (), confidence_level=1.5)
+
     def test_empty_group_dropped(self):
         # evaluate's report warns about the dropped group (test_pipeline)
         effects = [pinned_effect("c0", 0.1, 0.1), pinned_effect("c1", 0.2, 0.1)]
@@ -182,8 +191,7 @@ class TestSubgroupAnalysis:
                             campaign_id=c.campaign_id)
                 for c in dataset.campaigns
             ]
-            fixed = fixed_effect_summary(effects)
-            tau2 = heterogeneity_stats(effects, fixed.mu).tau2
+            tau2 = summarize_effects(effects).heterogeneity.tau2
             groups = partition_by_spend(totals_of(dataset))
             report = subgroup_analysis(effects, tau2, groups)
             # identity held by construction
