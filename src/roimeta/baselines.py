@@ -14,10 +14,12 @@ share itself: the configured ``AaSettings.treatment_share``, else the
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import fsum
+from operator import sub, truediv
 from typing import NamedTuple
 
-from .campaigns import Arm, ExperimentDataset, roi_of_micros
+from .campaigns import MICROS_PER_UNIT, Arm, ExperimentDataset, roi_of_micros
 from .errors import ConfigError, InsufficientDataError
 from .randomness import HashStream
 from .records import BaselineDecision, BaselineMethod, BaselineResult  # noqa: F401  re-exported
@@ -83,22 +85,26 @@ def _median(values: list[float]) -> float:
     return (values[half - 1] + values[half]) / 2
 
 
-def _roi_diffs(totals: MicroTotals) -> list[float]:
-    """Per-campaign treatment-minus-control ROI differences, in totals order."""
-    if not totals:
-        raise InsufficientDataError("no campaigns")
-    return [
-        roi_of_micros(spend_b, value_b, Arm.TREATMENT, campaign_id)
-        - roi_of_micros(spend_a, value_a, Arm.CONTROL, campaign_id)
-        for campaign_id, (spend_a, value_a, spend_b, value_b) in totals.items()
-    ]
+def _roi_diffs(ids, spend_a, value_a, spend_b, value_b) -> list[float]:
+    """Per-campaign treatment-minus-control ``roi_of_micros`` differences, by C-level
+    maps over the columns; at a zero spend, its error for the first such id."""
+    unit = repeat(MICROS_PER_UNIT)
+    try:
+        return list(map(sub, map(truediv, map(truediv, value_b, unit), map(truediv, spend_b, unit)),
+                        map(truediv, map(truediv, value_a, unit), map(truediv, spend_a, unit))))
+    except ZeroDivisionError:
+        return [roi_of_micros(s_b, v_b, Arm.TREATMENT, campaign_id)
+                - roi_of_micros(s_a, v_a, Arm.CONTROL, campaign_id)
+                for campaign_id, s_a, v_a, s_b, v_b in zip(ids, spend_a, value_a, spend_b, value_b)]
 
 
 def macro_delta(totals: MicroTotals, aggregator: str = "mean") -> float:
     """Mean (or median) of per-campaign treatment-minus-control ROI differences."""
     if aggregator not in ("mean", "median"):
         raise ConfigError(f"aggregator must be 'mean' or 'median', got {aggregator!r}")
-    diffs = _roi_diffs(totals)
+    if not totals:
+        raise InsufficientDataError("no campaigns")
+    diffs = _roi_diffs(totals, *zip(*totals.values()))
     if aggregator == "median":
         return _median(diffs)
     return fsum(diffs) / len(diffs)
@@ -123,37 +129,32 @@ def aa_calibrate(
     from (seed, repeat, campaign_id), so repeats are replayable and order
     independent.
 
-    Column kernel: each call reads eligible campaigns' control spend and value
-    micro columns as they are. A repeat draws each campaign's n_b
-    pseudo-treatment indices with a partial shuffle (n_b draws, not m_a - 1),
-    sums them, gets pseudo-control by subtraction and passes those micro
-    totals to ``micro_delta`` and ``_roi_diffs``.
+    Column kernel: each call encodes each id once. A repeat is one
+    ``HashStream.sample_sums`` call, which absorbs ``("aa-split", seed, k)`` once
+    and sums the micros of each campaign's n_b pseudo-treatment parts (n_b
+    draws, not m_a - 1); pseudo-control is the difference. The micro delta takes
+    ``micro_delta``'s float steps, and the macro statistics ``_roi_diffs``.
     """
     share_b = settings.treatment_share or observed_share(totals)  # a share is never 0
     repeats_k, seed = settings.repeats_k, settings.seed
     eligible = [c for c in dataset.campaigns if c.m_a >= 2]
     if not eligible:
         raise InsufficientDataError("no campaign has >= 2 control parts to split")
-    columns = []
-    for campaign in eligible:
-        spends, values = campaign.a.spend_micros, campaign.a.value_micros
-        n_b = min(max(round(len(spends) * share_b), 1), len(spends) - 1)
-        columns.append((campaign.campaign_id, spends, values, sum(spends), sum(values), n_b))
-    per_repeat: dict[BaselineMethod, list[float]] = {m: [] for m in BaselineMethod}
+    ids = [c.campaign_id for c in eligible]
+    columns = [(c.campaign_id.encode("utf-8"), c.a.spend_micros, c.a.value_micros,
+                min(max(round(c.m_a * share_b), 1), c.m_a - 1)) for c in eligible]
+    spends = [sum(c.a.spend_micros) for c in eligible]
+    values = [sum(c.a.value_micros) for c in eligible]
+    micro, macro, median = [], [], []
     for k in range(repeats_k):
-        arms: MicroTotals = {}  # the pseudo-arms' totals
-        for campaign_id, spends, values, spend, value, n_b in columns:
-            order = list(range(len(spends)))
-            HashStream("aa-split", seed, k, campaign_id).shuffle(order, n_b)
-            spend_b = sum([spends[j] for j in order[:n_b]])
-            value_b = sum([values[j] for j in order[:n_b]])
-            arms[campaign_id] = (spend - spend_b, value - value_b, spend_b, value_b)
-        per_repeat[BaselineMethod.MICRO].append(micro_delta(arms))
-        diffs = _roi_diffs(arms)  # macro_delta's, shared by mean and median
-        per_repeat[BaselineMethod.MACRO].append(fsum(diffs) / len(diffs))
-        per_repeat[BaselineMethod.MACRO_MEDIAN].append(_median(diffs))
-    return AaRecord(seed, share_b, **{
-        method.value: tuple(stats) for method, stats in per_repeat.items()})
+        spend_b, value_b = HashStream.sample_sums(("aa-split", seed, k), columns)
+        spend_a, value_a = list(map(sub, spends, spend_b)), list(map(sub, values, value_b))
+        micro.append(roi_of_micros(sum(spend_b), sum(value_b), Arm.TREATMENT)
+                     - roi_of_micros(sum(spend_a), sum(value_a), Arm.CONTROL))
+        diffs = _roi_diffs(ids, spend_a, value_a, spend_b, value_b)  # shared by mean and median
+        macro.append(fsum(diffs) / len(diffs))
+        median.append(_median(diffs))
+    return AaRecord(seed, share_b, tuple(micro), tuple(macro), tuple(median))
 
 
 def threshold_decision(statistic: float, theta: float) -> BaselineDecision:

@@ -11,10 +11,11 @@ A campaign takes its columns as given and checks only its id;
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import struct
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import truediv
 from typing import Iterable, NamedTuple
 
 from .errors import UndefinedRoiError
@@ -152,14 +153,14 @@ def parts_sha256(dataset: ExperimentDataset) -> str:
     input format. Each campaign in order, arm A then B, adds the UTF-8 text
     ``<campaign_id as JSON>,<arm>\\n<part_ids>\\n<impressions>\\n`` (decimal,
     comma-separated), then the arm's spends and its values as little-endian doubles."""
-    digest = hashlib.sha256()
+    digest, unit = hashlib.sha256(), repeat(MICROS_PER_UNIT)
     for campaign in dataset.campaigns:
-        head = json.dumps(campaign.campaign_id)
+        head = encode_basestring_ascii(campaign.campaign_id)  # json.dumps' text
         for arm, columns in (("A", campaign.a), ("B", campaign.b)):
             ids = ",".join(map(str, columns.part_ids))
             counts = ",".join(map(str, columns.impressions))
-            money = struct.pack(f"<{2 * len(columns.part_ids)}d",
-                                *map(from_micros, columns.spend_micros),
-                                *map(from_micros, columns.value_micros))
+            money = struct.pack(f"<{2 * len(columns.part_ids)}d",  # from_micros' doubles
+                                *map(truediv, columns.spend_micros, unit),
+                                *map(truediv, columns.value_micros, unit))
             digest.update(f"{head},{arm}\n{ids}\n{counts}\n".encode("utf-8") + money)
     return digest.hexdigest()

@@ -12,13 +12,13 @@ Cost model: one keyed BLAKE2b (a copy of the key-absorbed state, fed the 8-byte
 counter) per draw, plus two BLAKE2b calls to absorb each new key. A single
 variate (``uniform``, ``normal``) adds a Python frame or two per draw;
 ``uniforms(n)`` draws a block in one loop, about a fifth cheaper per draw, and
-the simulator takes each arm's draws that way. ``shuffle(items, k)`` is a
-partial Fisher-Yates that pays k draws, not n - 1, so an A/A split that keeps k
-of n parts costs k draws. The digest maps to (0, 1) as ``(u64 + 0.5) * 2**-64``
-in ``uniform``, in ``uniforms`` and, inline, in ``shuffle``'s loop; the draw
-parity test in tests/test_simulate.py pins all three copies. For the top 2**10
-u64 values the product rounds to 1.0, which ``uniform`` and ``uniforms``
-replace and ``shuffle`` clamps to the last position.
+the simulator takes each arm's draws that way. ``sample_sums`` absorbs its
+streams' shared key parts once, and its partial Fisher-Yates pays k draws, not
+n - 1. The digest maps to (0, 1) as ``(u64 + 0.5) * 2**-64`` in ``uniform``, in
+``uniforms`` and in ``sample_sums``' loop; the draw parity test in
+tests/test_simulate.py pins all three copies. For the top 2**10 u64 values the
+product rounds to 1.0, which ``uniform`` and ``uniforms`` replace and
+``sample_sums`` clamps to the last position.
 """
 
 from __future__ import annotations
@@ -73,23 +73,31 @@ class HashStream:
     def lognormal(self, log_mean: float, log_sd: float) -> float:
         return math.exp(self.normal(log_mean, log_sd))
 
-    def shuffle(self, items: list, k: int) -> None:
-        """Partial Fisher-Yates: swap i with i + min(int(u * (n - i)), n - i - 1),
-        i = 0 .. k-1, so ``items[:k]`` is a uniform random k-sample for k draws
-        (k = n - 1: all)."""
-        n = len(items)
-        if not 0 <= k <= n:
-            raise ValueError(f"k must be in [0, {n}], got {k!r}")
-        copy, from_bytes = self._prefix.copy, int.from_bytes
-        counter = self._counter
-        for i in range(k):
-            block = copy()
-            block.update(counter.to_bytes(8, "big"))
-            counter += 1
-            j = int((from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64 * (n - i))
-            j = i + j if j < n - i else n - 1  # i + min(j, n - i - 1)
-            items[i], items[j] = items[j], items[i]
-        self._counter = counter
+    @staticmethod
+    def sample_sums(key_parts: tuple, columns: Iterable[tuple]) -> tuple[list[int], list[int]]:
+        """Per ``(name, xs, ys, k)`` in ``columns``, the sums of ``xs`` and ``ys`` over k of
+        their n positions, drawn from ``HashStream(*key_parts, name)`` (name in UTF-8) by a
+        partial Fisher-Yates: draw i < k swaps i and i + min(int(u * (n - i)), n - i - 1)."""
+        blake2b, from_bytes = hashlib.blake2b, int.from_bytes
+        stem = blake2b("\x1f".join(map(str, (*key_parts, ""))).encode("utf-8"), digest_size=16)
+        sums_x, sums_y = [], []
+        for name, xs, ys, k in columns:
+            if not (n := len(xs)) >= k >= 0:
+                raise ValueError(f"k must be in [0, {n}], got {k!r}")
+            keyed = stem.copy()
+            keyed.update(name)
+            copy = blake2b(keyed.digest(), digest_size=8).copy
+            moved, sum_x, sum_y = {}, 0, 0  # moved: position -> what it holds now
+            for i in range(k):
+                block = copy()
+                block.update(i.to_bytes(8, "big"))
+                j = int((from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64 * (n - i))
+                j = i + j if j < n - i else n - 1  # i + min(j, n - i - 1)
+                pick, moved[j] = moved.get(j, j), moved.get(i, i)
+                sum_x, sum_y = sum_x + xs[pick], sum_y + ys[pick]
+            sums_x.append(sum_x)
+            sums_y.append(sum_y)
+        return sums_x, sums_y
 
 
 def poisson_quantiles(lam: float, draws: Iterable[float]) -> list[int]:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
@@ -21,6 +24,55 @@ def pytest_runtest_logreport(report):
     number, name, test = match.groups()
     status = "PASS" if report.passed else "FAIL"
     print(f"\nACCEPTANCE criterion {number} ({name}/{test}): {status}")
+
+
+_BLAKE2B = hashlib.blake2b
+
+
+class _LoggedBlake2b:
+    """A BLAKE2b state that remembers the bytes fed to it since its first
+    ancestor was made, and logs each digest as (digest_size, bytes fed, digest)."""
+
+    def __init__(self, log: list, state, fed: bytes, size: int):
+        self._log, self._state, self._fed, self._size = log, state, fed, size
+
+    def copy(self):
+        return _LoggedBlake2b(self._log, self._state.copy(), self._fed, self._size)
+
+    def update(self, data):
+        self._state.update(data)
+        self._fed += bytes(data)
+
+    def digest(self):
+        out = self._state.digest()
+        self._log.append((self._size, self._fed, out))
+        return out
+
+
+@contextmanager
+def blake2b_log():
+    """While open, ``hashlib.blake2b`` builds logged states; yields the digest log."""
+    log: list[tuple[int, bytes, bytes]] = []
+
+    def blake2b(data=b"", *, digest_size=64):
+        return _LoggedBlake2b(log, _BLAKE2B(data, digest_size=digest_size), bytes(data),
+                              digest_size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hashlib, "blake2b", blake2b)
+        yield log
+
+
+def stream_draws(log: list[tuple[int, bytes, bytes]]) -> list[tuple[str, int]]:
+    """Each hash stream keyed in ``log``, as its key text, with the number of
+    draws taken from it, sorted: a stream's 16-byte key digest is what its
+    8-byte draw states absorb first."""
+    draws: dict[bytes, int] = {}
+    for size, fed, _ in log:
+        if size == 8:
+            draws[fed[:16]] = draws.get(fed[:16], 0) + 1
+    return sorted((fed.decode("utf-8"), draws.get(out, 0)) for size, fed, out in log
+                  if size == 16)
 
 
 def make_part(

@@ -2,11 +2,12 @@ import math
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    campaign_from_rows, dataset_strategy, make_campaign, make_dataset, make_part, sane_rois,
+    blake2b_log, campaign_from_rows, dataset_strategy, make_campaign, make_dataset, make_part,
+    sane_rois, stream_draws,
 )
 from roimeta import baselines
 from roimeta.baselines import (
@@ -24,8 +25,8 @@ from roimeta.baselines import (
 )
 from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
 from roimeta.errors import ConfigError, InsufficientDataError, UndefinedRoiError
-from roimeta.randomness import HashStream
 from roimeta.records import AaRecord
+from test_simulate import ReferenceStream
 
 
 def swap_arms(dataset: ExperimentDataset) -> ExperimentDataset:
@@ -34,11 +35,11 @@ def swap_arms(dataset: ExperimentDataset) -> ExperimentDataset:
 
 
 def split_once(
-    campaign: CampaignExperiment, share_b: float, stream: HashStream
+    campaign: CampaignExperiment, share_b: float, stream: ReferenceStream
 ) -> CampaignExperiment:
-    """Reference A/A split: one campaign's control parts rebuilt, as rows, into
-    a pseudo-experiment whose totals ``micro_delta`` and ``macro_delta`` then
-    read."""
+    """Reference A/A split: one campaign's control parts, shuffled by the chained
+    stream and rebuilt, as rows, into a pseudo-experiment whose totals
+    ``micro_delta`` and ``macro_delta`` then read."""
     m = campaign.m_a
     order = list(range(m))
     n_b = min(max(round(m * share_b), 1), m - 1)
@@ -54,16 +55,17 @@ def pseudo_experiment(
     dataset: ExperimentDataset, share_b: float, seed: int, k: int
 ) -> ExperimentDataset:
     return make_dataset([
-        split_once(c, share_b, HashStream("aa-split", seed, k, c.campaign_id))
+        split_once(c, share_b, ReferenceStream("aa-split", seed, k, c.campaign_id))
         for c in dataset.campaigns
         if c.m_a >= 2
     ])
 
 
-def reference_stats(dataset, split_ratio, repeats_k, seed) -> dict[BaselineMethod, tuple]:
+def reference_stats(dataset, share_b, repeats_k, seed) -> dict[BaselineMethod, tuple]:
     """Per-repeat statistics of the object path, computed one pseudo-experiment
-    at a time."""
-    share_b = split_ratio[1] / (split_ratio[0] + split_ratio[1])
+    at a time; a ``share_b`` of None is the observed share."""
+    if share_b is None:
+        share_b = observed_share(totals_of(dataset))
     stats = {m: [] for m in BaselineMethod}
     for k in range(repeats_k):
         totals = totals_of(pseudo_experiment(dataset, share_b, seed, k))
@@ -74,11 +76,11 @@ def reference_stats(dataset, split_ratio, repeats_k, seed) -> dict[BaselineMetho
 
 
 def outcome(compute):
-    """Float bits of every statistic, or the UndefinedRoiError message."""
+    """Float bits of every statistic, or the error's type and message."""
     try:
         stats = compute()
-    except UndefinedRoiError as exc:
-        return "UndefinedRoiError", str(exc)
+    except (InsufficientDataError, UndefinedRoiError) as exc:
+        return type(exc).__name__, str(exc)
     return {m: [s.hex() for s in values] for m, values in stats.items()}
 
 
@@ -88,6 +90,11 @@ shares = st.one_of(
     st.floats(min_value=0.05, max_value=0.95),
     st.floats(min_value=0.95, max_value=1.0 - 1e-4),
 )
+
+
+def split_key(seed: int, k: int, campaign_id: str) -> str:
+    """The text an A/A split stream's key hashes: ``HashStream``'s joined parts."""
+    return "\x1f".join(map(str, ("aa-split", seed, k, campaign_id)))
 
 
 @st.composite
@@ -102,10 +109,25 @@ def uneven_campaign(draw, campaign_id: str) -> CampaignExperiment:
     return campaign_from_rows(rows)
 
 
+# ids that need more than ASCII, or hold the key separator \x1f inside
+campaign_ids = st.one_of(
+    st.sampled_from(["c", "kampagne-ü", "广告系列", "a\x1fb", "1\x1f2"]),
+    st.text(min_size=1, max_size=6).filter(lambda t: t == t.strip()),
+)
+
+
 @st.composite
 def uneven_dataset(draw) -> ExperimentDataset:
-    n = draw(st.integers(1, 5))
-    return make_dataset([draw(uneven_campaign(f"c{i}")) for i in range(n)])
+    ids = draw(st.lists(campaign_ids, min_size=1, max_size=5, unique=True))
+    return make_dataset([draw(uneven_campaign(campaign_id)) for campaign_id in ids])
+
+
+# a dataset that splits every way the parity test must cover: a non-ASCII id, an
+# id holding \x1f, and 4 control parts, so share 0.8 gives n_b = m_a - 1
+edge_dataset = make_dataset([
+    make_campaign(campaign_id, [1.0, 1.5, 0.8, 1.1], [1.0])
+    for campaign_id in ("广告系列", "a\x1fb", "kampagne-ü")
+])
 
 
 def two_campaign_dataset():
@@ -294,23 +316,17 @@ class TestAaCalibration:
                 math.fsum(getattr(record, method.value)) / 9, abs=1e-15
             )
 
-    def test_every_statistic_comes_from_one_split_per_repeat(self, monkeypatch):
+    def test_every_statistic_comes_from_one_split_per_repeat(self):
         dataset = make_dataset([
             make_campaign("c1", [1.0, 1.5, 0.8, 1.1], [1.0, 1.0]),
             make_campaign("c2", [0.9, 1.2, 1.4, 2.0], [1.0, 1.0]),
             make_campaign("c3", [3.0, 0.2, 1.3, 0.7], [1.0, 1.0]),
         ])
-        opened = []
-
-        class CountingStream(baselines.HashStream):
-            def __init__(self, *key):
-                opened.append(key)
-                super().__init__(*key)
-
-        monkeypatch.setattr(baselines, "HashStream", CountingStream)
-        record = aa_calibrate(dataset, totals_of(dataset), AaSettings(4, 9, 0.5))
-        assert sorted(opened) == sorted(
-            ("aa-split", 9, k, c.campaign_id) for k in range(4) for c in dataset.campaigns
+        with blake2b_log() as log:
+            record = aa_calibrate(dataset, totals_of(dataset), AaSettings(4, 9, 0.5))
+        # one stream per (repeat, campaign), each drawing its n_b = 2 parts
+        assert stream_draws(log) == sorted(
+            (split_key(9, k, c.campaign_id), 2) for k in range(4) for c in dataset.campaigns
         )
         for k in range(4):
             totals = totals_of(pseudo_experiment(dataset, 0.5, 9, k))
@@ -319,41 +335,37 @@ class TestAaCalibration:
             assert stats[BaselineMethod.MACRO] == macro_delta(totals, "mean")
             assert stats[BaselineMethod.MACRO_MEDIAN] == macro_delta(totals, "median")
 
-    def test_each_split_draws_only_its_pseudo_treatment_parts(self, monkeypatch):
+    def test_each_split_draws_only_its_pseudo_treatment_parts(self):
         # 500 control parts at share 0.1: 50 draws per split, not 499
         dataset = make_dataset([
             make_campaign(f"c{i}", [1.0 + 0.001 * j for j in range(500)], [1.0])
             for i in range(2)
         ])
-        streams = []
-
-        class KeptStream(baselines.HashStream):
-            __slots__ = ()
-
-            def __init__(self, *key):
-                super().__init__(*key)
-                streams.append(self)
-
-        monkeypatch.setattr(baselines, "HashStream", KeptStream)
-        aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 4, 0.1))
-        assert len(streams) == 6
-        assert [s._counter for s in streams] == [50] * 6
+        with blake2b_log() as log:
+            aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 4, 0.1))
+        assert stream_draws(log) == sorted(
+            (split_key(4, k, f"c{i}"), 50) for k in range(3) for i in range(2))
 
     @settings(max_examples=150, deadline=None)
     @given(
-        uneven_dataset(), shares, st.integers(1, 4), st.integers(0, 10**6),
+        uneven_dataset(),
+        st.one_of(shares, st.none()),
+        st.integers(1, 4),
+        st.one_of(st.integers(0, 10**6), st.integers(-2**70, -1), st.integers(2**64, 2**70)),
     )
+    # keys "aa-split\x1f1\x1f23\x1f…" and "aa-split\x1f12\x1f3\x1f…" collide without separators
+    @example(edge_dataset, 0.8, 24, 1)
+    @example(edge_dataset, None, 4, 12)
+    @example(edge_dataset, 0.5, 2, -1)
+    @example(edge_dataset, 0.2, 2, 2**64 + 1)
     def test_column_kernel_matches_object_path(self, dataset, share, repeats_k, seed):
-        # the kernel takes the share; the reference splits by the (1 - s, s) ratio
-        split_ratio = (1.0 - share, share)
-
         def kernel():
             settings = AaSettings(repeats_k, seed, share)
             record = aa_calibrate(dataset, totals_of(dataset), settings)
             return {m: getattr(record, m.value) for m in BaselineMethod}
 
         assert outcome(kernel) == outcome(
-            lambda: reference_stats(dataset, split_ratio, repeats_k, seed)
+            lambda: reference_stats(dataset, share, repeats_k, seed)
         )
 
     def test_zero_spend_control_part_is_undefined(self):

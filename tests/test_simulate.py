@@ -5,6 +5,7 @@ from typing import get_type_hints
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import blake2b_log
 from roimeta.baselines import AaSettings, aa_calibrate, campaign_micro_totals
 from roimeta.campaigns import ArmColumns
 from roimeta.dataio import ingest, render_dataset_csv, write_dataset
@@ -14,6 +15,10 @@ from roimeta.preprocess import qualify
 from roimeta.randomness import HashStream, poisson_quantiles
 from roimeta.simulate import SimConfig, generate_experiment
 from roimeta.statfuncs import normal_quantile
+
+
+# column values whose sums name the positions picked
+BITS = [1 << p for p in range(600)]
 
 
 class TestHashStream:
@@ -34,7 +39,7 @@ class TestHashStream:
             assert 0.0 < u < 1.0
 
     @pytest.mark.parametrize("u64", [2**64 - 1, 2**64 - 2**10, 2**64 - 2**10 - 1, 2**53])
-    def test_top_digests_stay_below_one(self, u64):
+    def test_top_digests_stay_below_one(self, u64, monkeypatch):
         """``(u64 + 0.5) * 2**-64`` rounds to 1.0 for the top 2**10 digests;
         only those map elsewhere, to the largest double below 1."""
 
@@ -57,16 +62,16 @@ class TestHashStream:
         assert 0.0 < u < 1.0
         assert stream.uniforms(3) == [u, u, u]
         assert math.isfinite(stream.normal()) and math.isfinite(stream.lognormal(0.0, 1.0))
-        # the partial shuffle clamps: position i swaps with
+        # the partial Fisher-Yates clamps: position i swaps with
         # i + min(int(u * (n - i)), n - i - 1), never past n - 1
         unclamped = (u64 + 0.5) * 2.0 ** -64
         expected = list(range(6))
-        for i in range(6):
+        for i in range(3):
             j = i + min(int(unclamped * (6 - i)), 6 - i - 1)
             expected[i], expected[j] = expected[j], expected[i]
-        items = list(range(6))
-        stream.shuffle(items, 6)
-        assert items == expected
+        monkeypatch.setattr(hashlib, "blake2b", lambda *args, **kwargs: FixedBlock())
+        assert HashStream.sample_sums(("u",), [(b"c", BITS[:6], range(6), 3)]) == (
+            [sum(BITS[p] for p in expected[:3])], [sum(expected[:3])])
 
     def test_uniforms_rejects_a_negative_count(self):
         stream = HashStream("u")
@@ -104,46 +109,37 @@ class TestHashStream:
         stream = HashStream(*key)
         assert [stream.uniform() for _ in range(8)] == expected
 
-    def test_shuffle_is_a_permutation(self):
-        stream = HashStream("s")
-        items = list(range(10))
-        for k in (0, 1, 5, 9, 10):
-            shuffled = items[:]
-            stream.shuffle(shuffled, k)
-            assert sorted(shuffled) == items, k
+    def test_sample_sums_pick_k_distinct_positions(self):
+        # the sum of k powers of two has k bits set only if the k picks differ
+        columns = [(str(k).encode(), BITS[:10], range(10), k) for k in (0, 1, 5, 9, 10)]
+        sums_x, sums_y = HashStream.sample_sums(("s",), columns)
+        for (_, _, _, k), sum_x, sum_y in zip(columns, sums_x, sums_y):
+            picks = [p for p in range(10) if sum_x >> p & 1]
+            assert len(picks) == k and sum_x < 2**10 and sum_y == sum(picks), k
 
     @pytest.mark.parametrize("k", [-1, 11])
-    def test_shuffle_rejects_k_outside_the_list(self, k):
+    def test_sample_sums_rejects_k_outside_the_column(self, k):
         with pytest.raises(ValueError, match="k must be in"):
-            HashStream("s").shuffle(list(range(10)), k)
+            HashStream.sample_sums(("s",), [(b"c", range(10), range(10), k)])
 
-    def test_shuffle_prefix_is_a_uniform_subset(self):
+    def test_sample_sums_pick_a_uniform_subset(self):
         # all 10 two-subsets of 5 items, 4,000 fixed keys: chi-square with
         # 9 degrees of freedom, 27.88 is its 0.999 quantile
+        columns = [(str(key).encode(), BITS[:5], BITS[:5], 2) for key in range(4000)]
         counts = {}
-        for key in range(4000):
-            items = list(range(5))
-            HashStream("subset", key).shuffle(items, 2)
-            pair = frozenset(items[:2])
+        for pair in HashStream.sample_sums(("subset",), columns)[0]:
             counts[pair] = counts.get(pair, 0) + 1
         assert len(counts) == 10
         chi2 = sum((c - 400) ** 2 / 400 for c in counts.values())
         assert chi2 < 27.88
 
-    @pytest.mark.parametrize("n,k", [(1, 1), (10, 1), (10, 3), (10, 9), (500, 50)])
-    def test_shuffle_consumes_exactly_k_draws(self, n, k):
-        stream, reference = HashStream("draws", n, k), ReferenceStream("draws", n, k)
-        stream.shuffle(list(range(n)), k)
-        for i in range(k):
-            reference.randbelow(n - i)
-        assert stream.uniform().hex() == reference.uniform().hex()
-
-    def test_shuffle_with_k_zero_touches_nothing(self):
-        stream = HashStream("none")
-        items = [3, 1, 2]
-        stream.shuffle(items, 0)
-        assert items == [3, 1, 2]
-        assert stream.uniform() == HashStream("none").uniform()
+    @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (10, 1), (10, 3), (10, 9), (500, 50)])
+    def test_sample_sums_take_exactly_k_draws(self, n, k):
+        with blake2b_log() as log:
+            HashStream.sample_sums(("draws", n), [(b"c", range(n), range(n), k)])
+        key = hashlib.blake2b(f"draws\x1f{n}\x1fc".encode(), digest_size=16).digest()
+        assert [fed for size, fed, _ in log if size == 8] == [
+            key + i.to_bytes(8, "big") for i in range(k)]
 
 
 class TestGenerateExperiment:
@@ -402,18 +398,22 @@ class ReferenceStream:
             items[i], items[j] = items[j], items[i]
 
 
-def draw(stream, op):
-    """One operation on a stream, as comparable text (floats by ``float.hex``)."""
+def draw(stream, op, key):
+    """One operation on the stream keyed ``key``, as comparable text (floats by
+    ``float.hex``); ``sample_sums`` reads the stream of ``key`` + its name."""
     name, args = op[0], op[1:]
     if name == "poisson":  # HashStream's counts come from a block of uniforms
         lam, n = args
         if isinstance(stream, HashStream):
             return repr(poisson_quantiles(lam, stream.uniforms(n)))
         return repr([stream.poisson(lam) for _ in range(n)])
-    if name == "shuffle":
-        items = list(range(args[0]))
-        stream.shuffle(items, args[1])
-        return repr(items)
+    if name == "sample_sums":
+        split, n, k = args
+        if isinstance(stream, HashStream):
+            return repr(HashStream.sample_sums(key, [(split.encode(), BITS[:n], range(n), k)]))
+        items = list(range(n))
+        ReferenceStream(*key, split).shuffle(items, k)
+        return repr(([sum(BITS[p] for p in items[:k])], [sum(items[:k])]))
     if name == "normal" and args[0] is None:
         args = ()
     result = getattr(stream, name)(*args)
@@ -428,8 +428,8 @@ draw_ops = st.one_of(
     st.tuples(st.just("lognormal"), st.floats(-5.0, 5.0), st.floats(0.0, 2.0)),
     st.tuples(st.just("poisson"), st.sampled_from([3.5, 50.0, 50.000001, 2000.0]),
               st.integers(0, 20)),
-    st.integers(0, 600).flatmap(
-        lambda n: st.tuples(st.just("shuffle"), st.just(n), st.integers(0, n))),
+    st.integers(0, 600).flatmap(lambda n: st.tuples(
+        st.just("sample_sums"), st.text(max_size=4), st.just(n), st.integers(0, n))),
 )
 key_parts = st.lists(st.one_of(st.text(max_size=8), st.integers(-10**6, 10**6)), max_size=4)
 
@@ -442,7 +442,7 @@ class TestDrawParity:
     def test_interleaved_draws_match(self, key, ops):
         stream, reference = HashStream(*key), ReferenceStream(*key)
         for op in ops:
-            assert draw(stream, op) == draw(reference, op), op
+            assert draw(stream, op, key) == draw(reference, op, key), op
         # the next uniform agrees only if every call advanced both counters alike
         assert stream.uniform().hex() == reference.uniform().hex()
 
