@@ -5,7 +5,9 @@ the spend-weighted average of per-campaign ROIs and so favors big spenders.
 Macro averages (or takes the median of) per-campaign ROI differences, which
 treats campaigns equally but is outlier sensitive. Both accept the treatment
 only when the delta clears a threshold estimated from A/A splits of control
-traffic: the noise floor of the whole system.
+traffic: the noise floor of the whole system. ``baseline_statistics`` is the
+one copy of the three statistics: ``evaluate`` calls it on the experiment's
+arms, and ``aa_calibrate`` on each repeat's pseudo-arms.
 
 ``aa_calibrate`` is the one A/A entry point. It resolves the pseudo-treatment
 share itself: the configured ``AaSettings.treatment_share``, else the
@@ -48,7 +50,7 @@ class AaSettings(NamedTuple):
 
 def campaign_micro_totals(dataset: ExperimentDataset) -> MicroTotals:
     """Exact (spend_a, value_a, spend_b, value_b) micro-units of each campaign, by
-    id in dataset order: what the deltas below read."""
+    id in dataset order: the columns ``evaluate`` passes to ``baseline_statistics``."""
     return {c.campaign_id: (sum(c.a.spend_micros), sum(c.a.value_micros),
                             sum(c.b.spend_micros), sum(c.b.value_micros))
             for c in dataset.campaigns}
@@ -62,18 +64,6 @@ def observed_share(totals: MicroTotals) -> float:
     if not 0 < spend_b < spend:
         raise InsufficientDataError("no treatment share without spend in both arms")
     return spend_b / spend
-
-
-def micro_roi(totals: MicroTotals, arm: Arm) -> float:
-    """Pooled ROI of one arm: total value over total spend across campaigns."""
-    i = 0 if arm is Arm.CONTROL else 2
-    spend = sum(t[i] for t in totals.values())
-    return roi_of_micros(spend, sum(t[i + 1] for t in totals.values()), arm)
-
-
-def micro_delta(totals: MicroTotals) -> float:
-    """Treatment-minus-control difference of pooled ROIs."""
-    return micro_roi(totals, Arm.TREATMENT) - micro_roi(totals, Arm.CONTROL)
 
 
 def _median(values: list[float]) -> float:
@@ -98,16 +88,16 @@ def _roi_diffs(ids, spend_a, value_a, spend_b, value_b) -> list[float]:
                 for campaign_id, s_a, v_a, s_b, v_b in zip(ids, spend_a, value_a, spend_b, value_b)]
 
 
-def macro_delta(totals: MicroTotals, aggregator: str = "mean") -> float:
-    """Mean (or median) of per-campaign treatment-minus-control ROI differences."""
-    if aggregator not in ("mean", "median"):
-        raise ConfigError(f"aggregator must be 'mean' or 'median', got {aggregator!r}")
-    if not totals:
-        raise InsufficientDataError("no campaigns")
-    diffs = _roi_diffs(totals, *zip(*totals.values()))
-    if aggregator == "median":
-        return _median(diffs)
-    return fsum(diffs) / len(diffs)
+def baseline_statistics(ids, spend_a, value_a, spend_b, value_b) -> tuple[float, float, float]:
+    """Each baseline's treatment-minus-control statistic, in ``BaselineMethod`` order,
+    from per-campaign micro columns: the difference of the pooled ROIs (total value
+    over total spend), and the mean and median of the per-campaign ROI differences.
+    A zero pooled spend raises first, treatment before control; then the first
+    campaign with a zero spend."""
+    micro = (roi_of_micros(sum(spend_b), sum(value_b), Arm.TREATMENT)
+             - roi_of_micros(sum(spend_a), sum(value_a), Arm.CONTROL))
+    diffs = _roi_diffs(ids, spend_a, value_a, spend_b, value_b)
+    return micro, fsum(diffs) / len(diffs), _median(diffs)
 
 
 def aa_skipped(dataset: ExperimentDataset) -> list[str]:
@@ -132,8 +122,8 @@ def aa_calibrate(
     Column kernel: each call encodes each id once. A repeat is one
     ``HashStream.sample_sums`` call, which absorbs ``("aa-split", seed, k)`` once
     and sums the micros of each campaign's n_b pseudo-treatment parts (n_b
-    draws, not m_a - 1); pseudo-control is the difference. The micro delta takes
-    ``micro_delta``'s float steps, and the macro statistics ``_roi_diffs``.
+    draws, not m_a - 1); pseudo-control is the difference. ``baseline_statistics``
+    then computes the repeat's three statistics, as it does for the real arms.
     """
     share_b = settings.treatment_share or observed_share(totals)  # a share is never 0
     repeats_k, seed = settings.repeats_k, settings.seed
@@ -145,16 +135,12 @@ def aa_calibrate(
                 min(max(round(c.m_a * share_b), 1), c.m_a - 1)) for c in eligible]
     spends = [sum(c.a.spend_micros) for c in eligible]
     values = [sum(c.a.value_micros) for c in eligible]
-    micro, macro, median = [], [], []
+    stats = []
     for k in range(repeats_k):
         spend_b, value_b = HashStream.sample_sums(("aa-split", seed, k), columns)
-        spend_a, value_a = list(map(sub, spends, spend_b)), list(map(sub, values, value_b))
-        micro.append(roi_of_micros(sum(spend_b), sum(value_b), Arm.TREATMENT)
-                     - roi_of_micros(sum(spend_a), sum(value_a), Arm.CONTROL))
-        diffs = _roi_diffs(ids, spend_a, value_a, spend_b, value_b)  # shared by mean and median
-        macro.append(fsum(diffs) / len(diffs))
-        median.append(_median(diffs))
-    return AaRecord(seed, share_b, tuple(micro), tuple(macro), tuple(median))
+        stats.append(baseline_statistics(ids, list(map(sub, spends, spend_b)),
+                                         list(map(sub, values, value_b)), spend_b, value_b))
+    return AaRecord(seed, share_b, *map(tuple, zip(*stats)))
 
 
 def threshold_decision(statistic: float, theta: float) -> BaselineDecision:

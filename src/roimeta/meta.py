@@ -17,8 +17,6 @@ All accumulations use exactly rounded summation (``math.fsum``), so results do
 not depend on campaign iteration order.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Sequence
 from math import fsum

@@ -29,9 +29,8 @@ from .baselines import (
     MicroTotals,
     aa_calibrate,
     aa_skipped,
+    baseline_statistics,
     campaign_micro_totals,
-    macro_delta,
-    micro_delta,
     observed_share,
     threshold_decision,
 )
@@ -54,11 +53,18 @@ from .records import (  # noqa: F401  re-exported
 from .subgroups import SubgroupSpec, resolve_subgroups, subgroup_analysis
 
 
+@checked
 class ExplicitThetas(NamedTuple):
-    """Pre-computed baseline thresholds, bypassing A/A calibration."""
+    """Pre-computed baseline thresholds, bypassing A/A calibration; each finite,
+    so the report stays JSON."""
 
     micro_theta: float
     macro_theta: float
+
+    def _check(self):
+        for name, theta in zip(self._fields, self):
+            if not math.isfinite(theta):
+                raise ConfigError(f"{name} must be finite, got {theta!r}")
 
 
 @checked
@@ -157,17 +163,13 @@ def recommend_traffic(
 
 def _resolve_thetas(
     qualified: ExperimentDataset, totals: MicroTotals, config: EvaluationConfig
-) -> tuple[dict[BaselineMethod, float], AaRecord | None]:
-    """Each baseline's threshold, and how A/A calibration derived them (None
-    for explicit thresholds)."""
+) -> tuple[tuple[float, float, float], AaRecord | None]:
+    """Each baseline's threshold, in ``BaselineMethod`` order, and how A/A
+    calibration derived them (None for explicit thresholds)."""
     if isinstance(config.aa, ExplicitThetas):
-        return {
-            BaselineMethod.MICRO: config.aa.micro_theta,
-            BaselineMethod.MACRO: config.aa.macro_theta,
-            BaselineMethod.MACRO_MEDIAN: config.aa.macro_theta,
-        }, None
+        return (config.aa.micro_theta, config.aa.macro_theta, config.aa.macro_theta), None
     record = aa_calibrate(qualified, totals, config.aa)
-    return {method: record.theta(method) for method in BaselineMethod}, record
+    return tuple(map(record.theta, BaselineMethod)), record
 
 
 def _observed_share(totals: MicroTotals) -> float | None:
@@ -211,7 +213,7 @@ def evaluate(
             f"all {dataset.n} campaign(s) were disqualified during preprocessing"
         )
 
-    # perfbench --trace 1 wraps qualify, aa_calibrate, the deltas, collect_effects,
+    # perfbench --trace 1 wraps qualify, aa_calibrate, collect_effects,
     # resolve_subgroups and subgroup_analysis by their names in this module
     totals = campaign_micro_totals(qualified)
     # A bad label map fails here; spend tiers are drawn only if the subgroups run.
@@ -226,15 +228,10 @@ def evaluate(
             f"from A/A calibration: {', '.join(skipped[:5])}"
             + ("..." if len(skipped) > 5 else "")
         )
-    deltas = {
-        BaselineMethod.MICRO: micro_delta(totals),
-        BaselineMethod.MACRO: macro_delta(totals, "mean"),
-        BaselineMethod.MACRO_MEDIAN: macro_delta(totals, "median"),
-    }
+    stats = baseline_statistics(totals, *zip(*totals.values()))
     baselines = tuple(
-        BaselineResult(method, statistic, thetas[method],
-                       threshold_decision(statistic, thetas[method]))
-        for method, statistic in deltas.items()
+        BaselineResult(method, statistic, theta, threshold_decision(statistic, theta))
+        for method, statistic, theta in zip(BaselineMethod, stats, thetas)
     )
 
     effects, exclusions = collect_effects(qualified)

@@ -12,7 +12,7 @@ Cost model: one keyed BLAKE2b (a copy of the key-absorbed state, fed the 8-byte
 counter) per draw, plus two BLAKE2b calls to absorb each new key. A single
 variate (``uniform``, ``normal``) adds a Python frame or two per draw;
 ``uniforms(n)`` draws a block in one loop, about a fifth cheaper per draw, and
-the simulator takes each arm's draws that way. ``sample_sums`` absorbs its
+the simulator takes all its draws that way. ``sample_sums`` absorbs its
 streams' shared key parts once, and its partial Fisher-Yates pays k draws, not
 n - 1. The digest maps to (0, 1) as ``(u64 + 0.5) * 2**-64`` in ``uniform``, in
 ``uniforms`` and in ``sample_sums``' loop; the draw parity test in
@@ -69,9 +69,6 @@ class HashStream:
 
     def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
         return mean + sd * normal_quantile(self.uniform())
-
-    def lognormal(self, log_mean: float, log_sd: float) -> float:
-        return math.exp(self.normal(log_mean, log_sd))
 
     @staticmethod
     def sample_sums(key_parts: tuple, columns: Iterable[tuple]) -> tuple[list[int], list[int]]:

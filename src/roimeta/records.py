@@ -1,7 +1,9 @@
 """The types a saved report is made of: its enums and named tuples.
 
 ``reportio`` encodes and decodes a report from these annotations alone, reading each
-type's named-tuple fields, so a report field is declared once, here. A report stores
+type's named-tuple fields, so a report field is declared once, here. It reads them from
+``__annotations__``, so this module must not postpone them (no ``from __future__
+import annotations``): each class holds its field types evaluated. A report stores
 each value once: a value that follows from stored fields (an effect's weight ``w`` and
 ``correction``, its random-model weight ``w_star``) is a property or method computed on
 access, never a field, so it is neither written nor read. The computing modules use the
@@ -12,8 +14,6 @@ from the package, so a report decodes without the analysis.
 A record compares by value, as a tuple does, so it also equals a record of another
 type with the same values; ``_replace`` gives a changed copy.
 """
-
-from __future__ import annotations
 
 from enum import Enum
 from math import fsum

@@ -106,10 +106,10 @@ def _record_codec(tp: type) -> _Codec:
     """Write the named tuple ``tp`` as an object of its fields, converting only
     the fields that need it. Read it from an object holding exactly its field
     names, each of its field's JSON type, decoding only those that need it, and
-    pass the fields positionally in field order."""
-    hints = typing.get_type_hints(tp)
+    pass the fields positionally in field order. The field types are the class's
+    own evaluated annotations: ``records`` postpones none."""
     names = tp._fields
-    codecs = [_codec(hints[name]) for name in names]
+    codecs = [_codec(tp.__annotations__[name]) for name in names]
     json_types = tuple(c.json_types for c in codecs)
     items = operator.itemgetter(*names)
     if len(names) == 1:  # a getter of one name returns the bare value, not a 1-tuple

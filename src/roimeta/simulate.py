@@ -13,9 +13,9 @@ for fidelity to any production traffic.
 
 Each arm is built as integer micro columns, quantized and with ROIs derived as
 ingest does, so a dataset gives the same report bytes in memory as after a
-6-decimal file round trip. An arm takes all its draws as one block, in the
-order a part-by-part loop would take them: each part's ROI noise, then its
-impressions.
+6-decimal file round trip. Each campaign's stream gives its budget and ROI
+level as one block of two draws, then each arm as one block, in the order a
+part-by-part loop would take them: each part's ROI noise, then its impressions.
 """
 
 from __future__ import annotations
@@ -78,12 +78,13 @@ class SimConfig:
             raise ConfigError("impressions_per_part_mean must be >= 0")
 
 
-def _mean_one_lognormal(stream: HashStream, sd: float) -> float:
-    """Multiplicative noise factor with unit mean; exactly 1 when sd == 0."""
+def _noise_factors(sd: float, draws: list[float]) -> list[float]:
+    """Mean-one lognormal factors, one per uniform in ``draws``; exactly 1 when sd == 0,
+    though the caller has still spent the draws, so stream positions do not depend on sd."""
     if sd == 0.0:
-        stream.uniform()  # keep stream positions independent of sd
-        return 1.0
-    return math.exp(sd * stream.normal() - 0.5 * sd * sd)
+        return [1.0] * len(draws)
+    half_var = 0.5 * sd * sd  # sd * z - sd * sd / 2 <= z * z / 2 cannot overflow
+    return [math.exp(sd * normal_quantile(u) - half_var) for u in draws]
 
 
 def _campaign_stream(seed: int, index: int) -> HashStream:
@@ -93,21 +94,24 @@ def _campaign_stream(seed: int, index: int) -> HashStream:
 def generate_experiment(config: SimConfig) -> ExperimentDataset:
     """Generate one experiment dataset, byte-stable for a given config."""
     streams = [_campaign_stream(config.seed, i) for i in range(config.n_campaigns)]
+    draws = [s.uniforms(2) for s in streams]  # each campaign's budget, then its level
     try:
-        budgets = [s.lognormal(config.budget_log_mean, config.budget_log_sd) for s in streams]
+        budgets = [math.exp(config.budget_log_mean + config.budget_log_sd * normal_quantile(u))
+                   for u, _ in draws]
     except OverflowError:
         raise ConfigError(
             f"simulated budget is too large for a float (budget_log_mean = "
             f"{config.budget_log_mean!r}, budget_log_sd = {config.budget_log_sd!r})") from None
     by_budget = sorted(range(config.n_campaigns), key=lambda i: (-budgets[i], i))
     outliers = set(by_budget[: config.outlier_campaigns])
+    level_factors = _noise_factors(config.campaign_roi_sd, [u for _, u in draws])
 
     width = len(str(config.n_campaigns - 1))
     campaigns = []
     for i in range(config.n_campaigns):
         stream = streams[i]
         campaign_id = f"camp_{i:0{width}d}"
-        level = config.base_roi_mean * _mean_one_lognormal(stream, config.campaign_roi_sd)
+        level = config.base_roi_mean * level_factors[i]
         lift = config.outlier_lift if i in outliers else config.treatment_lift
         spend_a = budgets[i] * (1.0 - config.treatment_share) / config.m_a
         spend_b = budgets[i] * config.treatment_share / config.m_b
@@ -123,12 +127,7 @@ def _generate_arm(stream: HashStream, m: int, spend: float, roi_level: float,
     its ROI noise and draw 2i + 1 for its impressions (draw i alone at mean 0)."""
     lam, sd = config.impressions_per_part_mean, config.part_noise_sd
     draws = stream.uniforms(2 * m if lam > 0 else m)
-    if sd == 0.0:  # every factor is 1, but each part still spends its draw
-        values = [roi_level * spend] * m
-    else:  # mean-one lognormal noise: sd * z - sd * sd / 2 <= z * z / 2 cannot overflow
-        half_var = 0.5 * sd * sd
-        values = [roi_level * math.exp(sd * normal_quantile(u) - half_var) * spend
-                  for u in (draws[::2] if lam > 0 else draws)]
+    values = [roi_level * f * spend for f in _noise_factors(sd, draws[::2] if lam > 0 else draws)]
     try:
         check_amount("spend", spend)
         # a column that passes this one test passes check_amount value by value;

@@ -27,7 +27,7 @@ _THIRDS = (1 / 3, 1 / 3, 1 / 3)
 
 
 def _check_fractions(fractions: tuple[float, ...]) -> None:
-    if not fractions or any(f <= 0 for f in fractions):
+    if not fractions or any(not f > 0 for f in fractions):
         raise ConfigError("spend fractions must be positive")
     if abs(fsum(fractions) - 1.0) > 1e-12:
         raise ConfigError(f"spend fractions must sum to 1, got {fsum(fractions)!r}")

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import re
+import statistics
 from contextlib import contextmanager
+from math import fsum
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
+from roimeta.baselines import baseline_statistics, campaign_micro_totals
+from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset, roi_of_micros, to_micros
 from roimeta.dataio import dataset_from_rows
 
 
@@ -123,6 +126,47 @@ def make_campaign(
 
 def make_dataset(campaigns: list[CampaignExperiment]) -> ExperimentDataset:
     return ExperimentDataset(tuple(campaigns))
+
+
+# The baseline statistics as computed before the per-campaign micro totals were
+# summed once per decision: each walks the dataset's part views, so a check
+# against them does not compare ``baselines.baseline_statistics`` with itself.
+
+def micro_totals(parts):
+    return sum(to_micros(p.spend) for p in parts), sum(to_micros(p.value) for p in parts)
+
+
+def walk_micro_roi(dataset, arm):
+    parts = [c.parts_a if arm is Arm.CONTROL else c.parts_b for c in dataset.campaigns]
+    totals = [micro_totals(p) for p in parts]
+    return roi_of_micros(sum(t[0] for t in totals), sum(t[1] for t in totals), arm)
+
+
+def walk_micro_delta(dataset):
+    return walk_micro_roi(dataset, Arm.TREATMENT) - walk_micro_roi(dataset, Arm.CONTROL)
+
+
+def walk_macro_delta(dataset, aggregator):
+    diffs = [
+        roi_of_micros(*micro_totals(c.parts_b), Arm.TREATMENT, c.campaign_id)
+        - roi_of_micros(*micro_totals(c.parts_a), Arm.CONTROL, c.campaign_id)
+        for c in dataset.campaigns
+    ]
+    if aggregator == "median":
+        return statistics.median(diffs)
+    return fsum(diffs) / len(diffs)
+
+
+def pooled_roi(dataset, arm):
+    """One arm's pooled ROI as ``baseline_statistics`` computes it: its micro statistic
+    against an opposite arm of ROI 0 (1 micro spent, nothing earned, per campaign),
+    which is exact, since ``x - 0.0`` and ``0.0 - x`` round nothing."""
+    totals = campaign_micro_totals(dataset)
+    spend_a, value_a, spend_b, value_b = zip(*totals.values())
+    ones, zeros = (1,) * len(totals), (0,) * len(totals)
+    if arm is Arm.TREATMENT:
+        return baseline_statistics(totals, ones, zeros, spend_b, value_b)[0]
+    return -baseline_statistics(totals, spend_a, value_a, ones, zeros)[0]
 
 
 def random_dataset(

@@ -18,6 +18,7 @@ from conftest import (
     campaign_from_rows,
     dataset_strategy,
     mixed_quality_dataset_strategy,
+    pooled_roi,
     random_dataset,
     rows_of,
 )
@@ -26,7 +27,6 @@ from roimeta.baselines import (
     BaselineDecision,
     BaselineMethod,
     campaign_micro_totals,
-    micro_roi,
     threshold_decision,
 )
 from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
@@ -128,9 +128,8 @@ class TestCriterion3MicroIdentity:
         rng = np.random.default_rng(31337)
         for _ in range(1000):
             dataset = random_dataset(rng, n_campaigns=(2, 8), parts_per_arm=(1, 4))
-            totals = campaign_micro_totals(dataset)
             for arm in (Arm.CONTROL, Arm.TREATMENT):
-                pooled = micro_roi(totals, arm)
+                pooled = pooled_roi(dataset, arm)
                 spends, rois = [], []
                 for c in dataset.campaigns:
                     parts = c.parts_a if arm is Arm.CONTROL else c.parts_b

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     blake2b_log, campaign_from_rows, dataset_strategy, make_campaign, make_dataset, make_part,
-    sane_rois, stream_draws,
+    pooled_roi, sane_rois, stream_draws, walk_macro_delta, walk_micro_delta,
 )
 from roimeta import baselines
 from roimeta.baselines import (
@@ -16,15 +16,13 @@ from roimeta.baselines import (
     BaselineMethod,
     aa_calibrate,
     aa_skipped,
+    baseline_statistics,
     campaign_micro_totals as totals_of,
-    macro_delta,
-    micro_delta,
-    micro_roi,
     observed_share,
     threshold_decision,
 )
 from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
-from roimeta.errors import ConfigError, InsufficientDataError, UndefinedRoiError
+from roimeta.errors import InsufficientDataError, UndefinedRoiError
 from roimeta.records import AaRecord
 from test_simulate import ReferenceStream
 
@@ -38,8 +36,8 @@ def split_once(
     campaign: CampaignExperiment, share_b: float, stream: ReferenceStream
 ) -> CampaignExperiment:
     """Reference A/A split: one campaign's control parts, shuffled by the chained
-    stream and rebuilt, as rows, into a pseudo-experiment whose totals
-    ``micro_delta`` and ``macro_delta`` then read."""
+    stream and rebuilt, as rows, into a pseudo-experiment whose statistics the
+    part walks (``walk_micro_delta``, ``walk_macro_delta``) then compute."""
     m = campaign.m_a
     order = list(range(m))
     n_b = min(max(round(m * share_b), 1), m - 1)
@@ -62,17 +60,24 @@ def pseudo_experiment(
 
 
 def reference_stats(dataset, share_b, repeats_k, seed) -> dict[BaselineMethod, tuple]:
-    """Per-repeat statistics of the object path, computed one pseudo-experiment
-    at a time; a ``share_b`` of None is the observed share."""
+    """Per-repeat statistics of the object path, walked one pseudo-experiment at
+    a time, never through ``baseline_statistics``; a ``share_b`` of None is the
+    observed share."""
     if share_b is None:
         share_b = observed_share(totals_of(dataset))
     stats = {m: [] for m in BaselineMethod}
     for k in range(repeats_k):
-        totals = totals_of(pseudo_experiment(dataset, share_b, seed, k))
-        stats[BaselineMethod.MICRO].append(micro_delta(totals))
-        stats[BaselineMethod.MACRO].append(macro_delta(totals, "mean"))
-        stats[BaselineMethod.MACRO_MEDIAN].append(macro_delta(totals, "median"))
+        pseudo = pseudo_experiment(dataset, share_b, seed, k)
+        stats[BaselineMethod.MICRO].append(walk_micro_delta(pseudo))
+        stats[BaselineMethod.MACRO].append(walk_macro_delta(pseudo, "mean"))
+        stats[BaselineMethod.MACRO_MEDIAN].append(walk_macro_delta(pseudo, "median"))
     return {m: tuple(values) for m, values in stats.items()}
+
+
+def stats_of(dataset) -> tuple[float, float, float]:
+    """``evaluate``'s call: the micro, macro and macro-median statistics of the arms."""
+    totals = totals_of(dataset)
+    return baseline_statistics(totals, *zip(*totals.values()))
 
 
 def outcome(compute):
@@ -142,41 +147,41 @@ class TestMicro:
     def test_spend_weighted_pooling(self):
         dataset = two_campaign_dataset()
         # control arm: (12 + 4) / 15
-        assert micro_roi(totals_of(dataset), Arm.CONTROL) == pytest.approx(16 / 15, abs=1e-12)
+        assert pooled_roi(dataset, Arm.CONTROL) == pytest.approx(16 / 15, abs=1e-12)
 
     def test_single_campaign_is_its_roi(self):
         dataset = make_dataset([make_campaign("c1", [1.3, 1.3], [1.1, 1.1])])
-        assert micro_roi(totals_of(dataset), Arm.CONTROL) == pytest.approx(1.3, abs=1e-12)
+        assert pooled_roi(dataset, Arm.CONTROL) == pytest.approx(1.3, abs=1e-12)
 
     def test_constant_roi_is_preserved(self):
         dataset = make_dataset([
             make_campaign("c1", [0.9, 0.9], [0.9], spend_a=3.0),
             make_campaign("c2", [0.9], [0.9, 0.9], spend_a=17.0),
         ])
-        assert micro_roi(totals_of(dataset), Arm.CONTROL) == pytest.approx(0.9, abs=1e-12)
+        assert pooled_roi(dataset, Arm.CONTROL) == pytest.approx(0.9, abs=1e-12)
 
     def test_delta_continuation(self):
         dataset = two_campaign_dataset()
-        expected = micro_roi(totals_of(dataset), Arm.TREATMENT) - 16 / 15
-        assert micro_delta(totals_of(dataset)) == pytest.approx(expected, abs=1e-15)
+        expected = pooled_roi(dataset, Arm.TREATMENT) - 16 / 15
+        assert stats_of(dataset)[0] == pytest.approx(expected, abs=1e-15)
 
     def test_identical_arms_delta_zero(self):
         dataset = make_dataset([make_campaign("c1", [1.1, 0.9], [1.1, 0.9])])
-        assert micro_delta(totals_of(dataset)) == 0.0
+        assert stats_of(dataset)[0] == 0.0
 
     def test_zero_spend_arm_rejected(self):
         campaign = campaign_from_rows([
             make_part("c1", Arm.CONTROL, 0, spend=0.0),
             make_part("c1", Arm.TREATMENT, 0, roi=1.0),
         ])
-        with pytest.raises(UndefinedRoiError):
-            micro_roi(totals_of(make_dataset([campaign])), Arm.CONTROL)
+        with pytest.raises(UndefinedRoiError, match="arm A: total spend over all campaigns"):
+            stats_of(make_dataset([campaign]))
 
     @settings(max_examples=50, deadline=None)
     @given(dataset_strategy())
     def test_identity_with_spend_weighted_form(self, dataset):
         for arm in (Arm.CONTROL, Arm.TREATMENT):
-            pooled = micro_roi(totals_of(dataset), arm)
+            pooled = pooled_roi(dataset, arm)
             spends = []
             rois = []
             for c in dataset.campaigns:
@@ -192,8 +197,7 @@ class TestMicro:
     @settings(max_examples=30, deadline=None)
     @given(dataset_strategy())
     def test_antisymmetry_under_arm_swap(self, dataset):
-        swapped = totals_of(swap_arms(dataset))
-        assert micro_delta(swapped) == -micro_delta(totals_of(dataset))
+        assert stats_of(swap_arms(dataset))[0] == -stats_of(dataset)[0]
 
 
 class TestMacro:
@@ -202,11 +206,11 @@ class TestMacro:
             make_campaign("c1", [1.0, 1.0], [1.2, 1.2]),
             make_campaign("c2", [1.0, 1.0], [0.8, 0.8]),
         ])
-        assert macro_delta(totals_of(dataset), "mean") == pytest.approx(0.0, abs=1e-12)
+        assert stats_of(dataset)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_arms(self):
         dataset = make_dataset([make_campaign("c1", [1.0, 1.3], [1.0, 1.3])])
-        assert macro_delta(totals_of(dataset), "mean") == 0.0
+        assert stats_of(dataset)[1] == 0.0
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
     def test_median_is_the_statistics_median(self, values):
@@ -219,27 +223,25 @@ class TestMacro:
             make_campaign("c2", [1.0, 1.0], [1.2, 1.2]),
             make_campaign("c3", [1.0, 1.0], [11.0, 11.0]),
         ])
-        totals = totals_of(dataset)
-        assert macro_delta(totals, "mean") == pytest.approx(3.4333333333333336, abs=1e-9)
-        assert macro_delta(totals, "median") == pytest.approx(0.2, abs=1e-12)
+        _, mean, median = stats_of(dataset)
+        assert mean == pytest.approx(3.4333333333333336, abs=1e-9)
+        assert median == pytest.approx(0.2, abs=1e-12)
 
     def test_names_offending_campaign(self):
+        # the pooled control spend is not zero, so the micro statistic passes
         campaign = campaign_from_rows([
             make_part("bad_camp", Arm.CONTROL, 0, spend=0.0),
             make_part("bad_camp", Arm.TREATMENT, 0, roi=1.0),
         ])
-        with pytest.raises(UndefinedRoiError, match="bad_camp"):
-            macro_delta(totals_of(make_dataset([campaign])), "mean")
-
-    def test_rejects_unknown_aggregator(self):
-        with pytest.raises(ConfigError):
-            macro_delta(totals_of(two_campaign_dataset()), "mode")
+        dataset = make_dataset([make_campaign("good", [1.0], [1.0]), campaign])
+        with pytest.raises(UndefinedRoiError, match="arm A: total spend of campaign 'bad_camp'"):
+            stats_of(dataset)
 
     @settings(max_examples=30, deadline=None)
     @given(dataset_strategy())
     def test_antisymmetry_under_arm_swap(self, dataset):
-        swapped = totals_of(swap_arms(dataset))
-        assert macro_delta(swapped, "mean") == -macro_delta(totals_of(dataset), "mean")
+        _, mean, median = stats_of(dataset)
+        assert stats_of(swap_arms(dataset))[1:] == (-mean, -median)
 
 
 class TestAaCalibration:
@@ -329,11 +331,11 @@ class TestAaCalibration:
             (split_key(9, k, c.campaign_id), 2) for k in range(4) for c in dataset.campaigns
         )
         for k in range(4):
-            totals = totals_of(pseudo_experiment(dataset, 0.5, 9, k))
+            pseudo = pseudo_experiment(dataset, 0.5, 9, k)
             stats = {m: getattr(record, m.value)[k] for m in BaselineMethod}
-            assert stats[BaselineMethod.MICRO] == micro_delta(totals)
-            assert stats[BaselineMethod.MACRO] == macro_delta(totals, "mean")
-            assert stats[BaselineMethod.MACRO_MEDIAN] == macro_delta(totals, "median")
+            assert stats[BaselineMethod.MICRO] == walk_micro_delta(pseudo)
+            assert stats[BaselineMethod.MACRO] == walk_macro_delta(pseudo, "mean")
+            assert stats[BaselineMethod.MACRO_MEDIAN] == walk_macro_delta(pseudo, "median")
 
     def test_each_split_draws_only_its_pseudo_treatment_parts(self):
         # 500 control parts at share 0.1: 50 draws per split, not 499

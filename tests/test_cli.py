@@ -208,14 +208,21 @@ def warning_data(workdir):
 
 
 class TestConfigErrorsBeforeAnalysis:
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--current-share", "0.3",
+    @pytest.mark.parametrize("flags,message", [
+        (("--current-share", "0.3"),
          "current_share 0.3 is not one of the schedule phases (0.01, 0.1, 0.2, 0.5)"),
-        ("--confidence-level", "1.5", "confidence_level must be in (0, 1), got 1.5"),
-    ], ids=["current-share", "confidence-level"])
-    def test_exit_2_before_any_warning(self, workdir, capsys, flag, value, message):
+        (("--confidence-level", "1.5"), "confidence_level must be in (0, 1), got 1.5"),
+        # a non-finite threshold would be written as NaN or Infinity, which is not JSON
+        (("--micro-theta", "nan", "--macro-theta", "0"), "micro_theta must be finite, got nan"),
+        (("--micro-theta", "inf", "--macro-theta=-inf"), "micro_theta must be finite, got inf"),
+        (("--micro-theta", "0", "--macro-theta=-inf"), "macro_theta must be finite, got -inf"),
+        (("--spend-fractions", "nan,1"), "spend fractions must be positive"),
+    ], ids=["current-share", "confidence-level", "micro-theta-nan", "thetas-inf",
+            "macro-theta-inf", "spend-fractions-nan"])
+    def test_exit_2_before_any_warning(self, workdir, capsys, flags, message):
         data = warning_data(workdir)
-        config = ["--config", str(workdir / "eval.cfg")]
+        # explicit thresholds replace the A/A keys of the config file
+        config = [] if "--micro-theta" in flags else ["--config", str(workdir / "eval.cfg")]
         capsys.readouterr()
         assert main(["evaluate", str(data), *config, "--format", "json"]) in (0, 1)
         assert json.loads(capsys.readouterr().out)["audit"]["warnings"] == [
@@ -223,12 +230,14 @@ class TestConfigErrorsBeforeAnalysis:
             "only 2 of 3 spend groups are non-empty",
             "subgroup 'group_1' has no analyzable campaigns; dropped",
         ]
+        out = workdir / "r.json"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["evaluate", str(data), *config, flag, value])
+            code = main(["evaluate", str(data), *config, *flags, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert [str(w.message) for w in caught] == []
+        assert not out.exists()
 
 
 class TestSubgroupLabelsCheckedBeforeAnalysis:

@@ -16,7 +16,7 @@ from roimeta.campaigns import CampaignExperiment, ExperimentDataset
 from roimeta.config import load_evaluation_config
 from roimeta.errors import ConfigError, InsufficientDataError
 from roimeta.meta import ArmSampleStats
-from roimeta.pipeline import EvaluationConfig, TrafficSchedule
+from roimeta.pipeline import EvaluationConfig, ExplicitThetas, TrafficSchedule
 from roimeta.preprocess import QualificationConfig
 from roimeta.subgroups import SubgroupSpec
 
@@ -32,6 +32,7 @@ GOOD = {
     CampaignExperiment: C1._asdict(),
     ExperimentDataset: dict(campaigns=(C1,)),
     ArmSampleStats: dict(mean=1.0, variance=0.5, m=3),
+    ExplicitThetas: dict(micro_theta=0.01, macro_theta=0),
 }
 
 FINITE = "mean must be finite and variance finite and >= 0"
@@ -58,6 +59,8 @@ REFUSED = [
     (SubgroupSpec, dict(spend_fractions=(0.5, 0.0, 0.5)), ConfigError,
      "spend fractions must be positive"),
     (SubgroupSpec, dict(spend_fractions=()), ConfigError, "spend fractions must be positive"),
+    (SubgroupSpec, dict(spend_fractions=(math.nan, 1.0)), ConfigError,
+     "spend fractions must be positive"),
     (SubgroupSpec, dict(spend_fractions=[0.5, 0.4]), ConfigError,
      "spend fractions must sum to 1, got 0.9"),
     (SubgroupSpec, dict(kind="by_label"), ConfigError,
@@ -85,6 +88,10 @@ REFUSED = [
     (ArmSampleStats, dict(mean=math.nan), ValueError, FINITE),
     (ArmSampleStats, dict(variance=-1.0), ValueError, FINITE),
     (ArmSampleStats, dict(variance=math.inf), ValueError, FINITE),
+    (ExplicitThetas, dict(micro_theta=math.nan), ConfigError, "micro_theta must be finite, got nan"),
+    (ExplicitThetas, dict(micro_theta=math.inf), ConfigError, "micro_theta must be finite, got inf"),
+    (ExplicitThetas, dict(macro_theta=-math.inf), ConfigError,
+     "macro_theta must be finite, got -inf"),
 ]
 
 WAYS = ("positional", "keyword", "_make", "_replace")

@@ -1,10 +1,11 @@
 import json
-import statistics
-from math import fsum
 
 import pytest
 
-from conftest import campaign_from_rows, make_campaign, make_dataset, make_part, rows_of
+from conftest import (
+    campaign_from_rows, make_campaign, make_dataset, make_part, micro_totals, rows_of,
+    walk_macro_delta, walk_micro_delta,
+)
 from roimeta import baselines
 from roimeta.baselines import (
     BaselineDecision,
@@ -18,7 +19,6 @@ from roimeta.campaigns import (
     CampaignExperiment,
     ExperimentDataset,
     PartMeasurement,
-    roi_of_micros,
     to_micros,
 )
 from roimeta.dataio import dataset_from_rows, ingest, write_dataset
@@ -282,33 +282,8 @@ class TestCalibrateBaselines:
             aa_calibrate(one_armed, campaign_micro_totals(one_armed), AaSettings())
 
 
-# The deltas and the default A/A share as computed before the per-campaign
-# micro totals were summed once per decision: each walks the dataset's parts.
-
-def micro_totals(parts):
-    return sum(to_micros(p.spend) for p in parts), sum(to_micros(p.value) for p in parts)
-
-
-def walk_micro_roi(dataset, arm):
-    parts = [c.parts_a if arm is Arm.CONTROL else c.parts_b for c in dataset.campaigns]
-    totals = [micro_totals(p) for p in parts]
-    return roi_of_micros(sum(t[0] for t in totals), sum(t[1] for t in totals), arm)
-
-
-def walk_micro_delta(dataset):
-    return walk_micro_roi(dataset, Arm.TREATMENT) - walk_micro_roi(dataset, Arm.CONTROL)
-
-
-def walk_macro_delta(dataset, aggregator):
-    diffs = [
-        roi_of_micros(*micro_totals(c.parts_b), Arm.TREATMENT, c.campaign_id)
-        - roi_of_micros(*micro_totals(c.parts_a), Arm.CONTROL, c.campaign_id)
-        for c in dataset.campaigns
-    ]
-    if aggregator == "median":
-        return statistics.median(diffs)
-    return fsum(diffs) / len(diffs)
-
+# The default A/A share as computed before the per-campaign micro totals were
+# summed once per decision (the statistics' walks are in conftest).
 
 def walk_share(dataset):
     spend_b = sum(micro_totals(c.parts_b)[0] for c in dataset.campaigns)
