@@ -27,7 +27,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -50,16 +49,15 @@ _WRITE_CHARS = 1 << 20
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write a file via temp-then-rename so readers never see partial content;
     the text is encoded slice by slice, never as one whole-file bytes copy.
-    The file gets ``open(path, "w")``'s mode (0o666 less the umask), not 0o600."""
+    The temp file is new (a random name, ``O_EXCL``) and created with mode 0o666,
+    so the kernel applies the umask and the file gets ``open(path, "w")``'s mode."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp_name = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             for start in range(0, len(text), _WRITE_CHARS):
                 handle.write(text[start:start + _WRITE_CHARS].encode("utf-8"))
-        umask = os.umask(0)  # the umask can only be read by setting it
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -7,11 +7,13 @@ Between-campaign variance comes from the DerSimonian-Laird method of moments;
 the summary effect is tested with a Z statistic and reported with a symmetric
 confidence interval. ``summarize_effects`` runs that whole chain; ``subgroups``
 reuses its ``random_effect_summary``, ``weighted_q`` and ``z_significance``.
+The chain takes each study as an (estimate, variance) pair, ``(d, v)`` for an
+``EffectSize``, so it serves any estimate that comes with its variance.
 
 The fixed model is the random model at tau2 = 0 (``1/(v + 0.0) == 1/v == w``),
 and every Q, Cochran's and the subgroups', is one ``weighted_q``. The weights
-and the small-sample correction are the ``EffectSize`` record's own
-expressions, so a decoded report recomputes the same floats.
+and the corrected ``d`` are the ``EffectSize`` record's own expressions, so a
+decoded report recomputes the same floats.
 
 All accumulations use exactly rounded summation (``math.fsum``), so results do
 not depend on campaign iteration order.
@@ -19,7 +21,9 @@ not depend on campaign iteration order.
 
 import math
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 from math import fsum
+from operator import sub
 from typing import NamedTuple
 
 from .errors import (
@@ -73,11 +77,11 @@ def arm_stats(rois: Sequence[float | None], campaign_id: str | None = None,
             f"{where}{part} has no ROI (zero spend); qualify the dataset first")
     m = len(rois)
     first = rois[0]
-    if all(r == first for r in rois):
+    if rois.count(first) == m:
         # Exact path: rounded two-pass variance of constant data need not be 0.
         return ArmSampleStats(first, 0.0, m)
     mean = fsum(rois) / m
-    variance = fsum((r - mean) ** 2 for r in rois) / (m - 1)
+    variance = fsum(map(pow, map(sub, rois, repeat(mean)), repeat(2))) / (m - 1)
     return ArmSampleStats(mean, variance, m)
 
 
@@ -100,39 +104,36 @@ def effect_size(
     pooled_sd = math.sqrt(pooled_var)
     diff = stats_b.mean - stats_a.mean
     correction = small_sample_correction(df)
-    if pooled_sd == 0.0:
-        if diff != 0.0:
-            raise DegenerateEffectError(
-                f"campaign {campaign_id!r}: zero pooled spread with unequal means"
-            )
-        delta = 0.0
-        d = 0.0
-    else:
-        delta = diff / pooled_sd
-        d = correction * delta
+    if pooled_sd == 0.0 and diff != 0.0:
+        raise DegenerateEffectError(
+            f"campaign {campaign_id!r}: zero pooled spread with unequal means"
+        )
+    delta = 0.0 if pooled_sd == 0.0 else diff / pooled_sd
+    d = correction * delta  # EffectSize.d
     size_term = (m_a + m_b) / (m_a * m_b)
     v = correction * correction * (size_term + d * d / (m_a + m_b))
     return EffectSize(
-        campaign_id=campaign_id, delta=delta, pooled_sd=pooled_sd, df=df, d=d, v=v,
+        campaign_id=campaign_id, delta=delta, pooled_sd=pooled_sd, df=df, v=v,
     )
 
 
-def weighted_q(effects: Iterable[EffectSize], tau2: float, mu: float) -> float:
-    """Squared deviations of the effects around ``mu``, weighted ``w_star(tau2)``."""
-    return fsum(e.w_star(tau2) * (e.d - mu) ** 2 for e in effects)
+Pairs = Sequence[tuple[float, float]]  # one (estimate, variance) pair per study
 
 
-def random_effect_summary(
-    effects: list[EffectSize] | tuple[EffectSize, ...], tau2: float
-) -> RandomEffectSummary:
+def weighted_q(pairs: Iterable[tuple[float, float]], tau2: float, mu: float) -> float:
+    """Squared deviations of the estimates around ``mu``, weighted 1/(v + tau2)."""
+    return fsum(1.0 / (v + tau2) * (d - mu) ** 2 for d, v in pairs)
+
+
+def random_effect_summary(pairs: Pairs, tau2: float) -> RandomEffectSummary:
     """Summary effect with per-study weights ``w_star(tau2)`` = 1/(v + tau2)."""
-    if not effects:
+    if not pairs:
         raise InsufficientDataError("no effects to summarize")
     if tau2 < 0:
         raise ValueError(f"tau2 must be >= 0, got {tau2!r}")
-    w_star = [e.w_star(tau2) for e in effects]
+    w_star = [1.0 / (v + tau2) for _, v in pairs]
     sum_w = fsum(w_star)
-    mu_star = fsum(w * e.d for w, e in zip(w_star, effects)) / sum_w
+    mu_star = fsum(w * d for w, (d, _) in zip(w_star, pairs)) / sum_w
     return RandomEffectSummary(mu_star=mu_star, nu_star=1.0 / sum_w)
 
 
@@ -164,28 +165,27 @@ def z_significance(
     )
 
 
-def summarize_effects(
-    effects: list[EffectSize] | tuple[EffectSize, ...], confidence_level: float = 0.95
-) -> MetaSummary:
-    """Run the whole combination: fixed model, heterogeneity, random model, Z test.
+def summarize_effects(pairs: Pairs, confidence_level: float = 0.95) -> MetaSummary:
+    """Run the whole combination over (estimate, variance) ``pairs``: fixed model,
+    heterogeneity, random model, Z test.
 
     Cochran's Q is taken around the fixed mean with n - 1 degrees of freedom; a
     single study is homogeneous by convention (Q = 0, p = 1, lambda = 0). The
     DerSimonian-Laird tau2 is (Q - (n - 1)) / lambda, with the weight functional
     lambda = sum(w) - sum(w^2) / sum(w), and 0 when Q < n - 1 or lambda <= 0.
     """
-    fixed_model = random_effect_summary(effects, 0.0)
-    n = len(effects)
+    fixed_model = random_effect_summary(pairs, 0.0)
+    n = len(pairs)
     q, p_q, lambda_ = 0.0, 1.0, 0.0
     if n >= 2:
-        q = weighted_q(effects, 0.0, fixed_model.mu_star)
+        q = weighted_q(pairs, 0.0, fixed_model.mu_star)
         p_q = chi_square_sf(q, n - 1)
-        weights = [e.w for e in effects]
+        weights = [1.0 / v for _, v in pairs]
         sum_w = fsum(weights)
         if sum_w != 0.0:
             lambda_ = sum_w - fsum(w * w for w in weights) / sum_w
     tau2 = 0.0 if q < n - 1 or lambda_ <= 0.0 else (q - (n - 1)) / lambda_
-    random = random_effect_summary(effects, tau2)
+    random = random_effect_summary(pairs, tau2)
     return MetaSummary(
         FixedEffectSummary(mu=fixed_model.mu_star, nu=fixed_model.nu_star, n=n),
         HeterogeneityStats(q=q, df=n - 1, p_q=p_q, lambda_=lambda_, tau2=tau2),

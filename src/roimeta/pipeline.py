@@ -240,7 +240,8 @@ def evaluate(
             "no qualified campaign is eligible for effect-size analysis "
             f"({len(exclusions)} excluded)"
         )
-    summary = summarize_effects(effects, config.confidence_level)
+    pairs = {e.campaign_id: (e.d, e.v) for e in effects}  # the chain's (d, v) pairs
+    summary = summarize_effects(tuple(pairs.values()), config.confidence_level)
     decision = decide(summary.significance)
 
     subgroup = None
@@ -252,7 +253,7 @@ def evaluate(
             if len(groups) < tiers:
                 notes.append(f"only {len(groups)} of {tiers} spend groups are non-empty")
         subgroup = subgroup_analysis(
-            effects, summary.heterogeneity.tau2, groups, config.confidence_level
+            pairs, summary.heterogeneity.tau2, groups, config.confidence_level
         )
         analysed = {s.group_id for s in subgroup.summaries}
         notes.extend(f"subgroup {g.group_id!r} has no analyzable campaigns; dropped"

@@ -4,8 +4,9 @@
 type's named-tuple fields, so a report field is declared once, here. It reads them from
 ``__annotations__``, so this module must not postpone them (no ``from __future__
 import annotations``): each class holds its field types evaluated. A report stores
-each value once: a value that follows from stored fields (an effect's weight ``w`` and
-``correction``, its random-model weight ``w_star``) is a property or method computed on
+each value once: a value that follows from stored fields (an effect's ``d``,
+``correction`` and weight ``w``, its random-model weight ``w_star``, the subgroup split
+``q_within``, ``q_between`` and ``df_between``) is a property or method computed on
 access, never a field, so it is neither written nor read. The computing modules use the
 same expressions, so a decoded report gives the floats ``evaluate`` computed, bit for
 bit. The computing modules also hold each type by name. This module imports nothing
@@ -129,12 +130,16 @@ class EffectSize(NamedTuple):
     delta: float
     pooled_sd: float
     df: int
-    d: float
     v: float
 
     @property
     def correction(self) -> float:
         return small_sample_correction(self.df)
+
+    @property
+    def d(self) -> float:
+        """The corrected effect, ``meta``'s estimate for this campaign."""
+        return small_sample_correction(self.df) * self.delta
 
     @property
     def w(self) -> float:
@@ -207,10 +212,20 @@ class SubgroupReport(NamedTuple):
 
     summaries: tuple[SubgroupSummary, ...]
     q_star_total: float
-    q_within: float
-    q_between: float
-    df_between: int
-    p_between: float
+    p_between: float  # chi-square tail of max(q_between, 0) on df_between, 1 if that is 0
+
+    @property
+    def q_within(self) -> float:
+        """The groups' own Q*s; the rest of ``q_star_total`` is ``q_between``."""
+        return fsum(s.q_star_k for s in self.summaries)
+
+    @property
+    def q_between(self) -> float:
+        return self.q_star_total - self.q_within
+
+    @property
+    def df_between(self) -> int:
+        return len(self.summaries) - 1
 
 
 class Decision(NamedTuple):

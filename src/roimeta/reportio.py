@@ -3,12 +3,14 @@ human tables.
 
 The machine format is deterministic (sorted keys, repr-exact floats), so the
 same report always serializes to identical bytes, and parsing it back yields
-an object equal to the original. Encoding and decoding are both driven by the
-field types of the report's named tuples (``_codec``), so a report field is
-declared once, on its named tuple in ``records``. The codec has one rule for
-computed values: only named-tuple fields are stored, so a value that
-``records`` computes from them (a property such as ``EffectSize.w``) is never
-written, and a decoded report computes it again from the same fields.
+an object equal to the original. It is strict JSON: the writer refuses a
+non-finite float and the reader the ``NaN`` and ``Infinity`` constants.
+Encoding and decoding are both driven by the field types of the report's named
+tuples (``_codec``), so a report field is declared once, on its named tuple in
+``records``. The codec has one rule for computed values: only named-tuple
+fields are stored, so a value that ``records`` computes from them (a property
+such as ``EffectSize.d`` or ``SubgroupReport.q_within``) is never written, and
+a decoded report computes it again from the same fields.
 
 Each named tuple has one encoder and one decoder, applied item by item to a
 tuple of them; the decoder is the only place that words an error.
@@ -27,7 +29,7 @@ from typing import Any, Callable
 from .errors import SchemaError
 from .records import BaselineDecision, EvaluationReport, Verdict
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 REPORT_FORMATS = ("human-table", "machine-json")
 
@@ -149,8 +151,9 @@ def to_plain(obj: Any) -> dict:
 
 
 def to_json(doc: Any) -> str:
-    """The machine text of a plain document: sorted keys, two-space indent."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The machine text of a plain document: sorted keys, two-space indent. A
+    non-finite float raises ValueError, as JSON has no such number."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def report_to_json(report: EvaluationReport) -> str:
@@ -173,9 +176,13 @@ def report_from_dict(doc: dict) -> EvaluationReport:
         raise SchemaError(f"malformed report document: {exc}") from None
 
 
+def _refuse_constant(name: str) -> float:
+    raise SchemaError(f"invalid report JSON: {name} is not a JSON number")
+
+
 def report_from_json(text: str) -> EvaluationReport:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid report JSON: {exc.msg}") from None
     if not isinstance(doc, dict):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .baselines import MicroTotals
 from .campaigns import from_micros
 from .errors import ConfigError, InsufficientDataError, SchemaError
-from .meta import EffectSize, random_effect_summary, weighted_q, z_significance
+from .meta import random_effect_summary, weighted_q, z_significance
 from .records import SubgroupReport, SubgroupSummary, checked
 from .statfuncs import chi_square_sf
 
@@ -120,29 +120,25 @@ def resolve_subgroups(totals: MicroTotals, spec: SubgroupSpec) -> tuple[GroupAss
 
 
 def subgroup_analysis(
-    effects: list[EffectSize] | tuple[EffectSize, ...],
+    pairs: dict[str, tuple[float, float]],
     tau2: float,
     groups: tuple[GroupAssignment, ...] | list[GroupAssignment],
     confidence_level: float = 0.95,
 ) -> SubgroupReport:
-    """Decompose grand-mean heterogeneity into within- and between-group parts.
+    """Decompose grand-mean heterogeneity into within- and between-group parts,
+    from each campaign's (estimate, variance) pair in ``pairs``.
 
     All decomposition statistics share the random-model weights 1/(v + tau2)
     with the global ``tau2``, which makes the identity exact: the grand-mean Q
     equals the sum of per-group Qs plus the between-group component. Groups
-    left empty after matching against ``effects`` are dropped; ``evaluate``
+    left empty after matching against ``pairs`` are dropped; ``evaluate``
     records a warning when it drops one. A negative ``tau2`` raises
     ``random_effect_summary``'s ValueError.
     """
-    if not effects:
+    if not pairs:
         raise InsufficientDataError("no effects to analyze")
     if not 0.0 < confidence_level < 1.0:
         raise ConfigError(f"confidence_level must be in (0, 1), got {confidence_level!r}")
-    by_id: dict[str, EffectSize] = {}
-    for effect in effects:
-        if effect.campaign_id in by_id:
-            raise SchemaError(f"duplicate effect for campaign {effect.campaign_id!r}")
-        by_id[effect.campaign_id] = effect
     assigned: set[str] = set()
     for group in groups:
         for campaign_id in group.members:
@@ -151,19 +147,19 @@ def subgroup_analysis(
                     f"campaign {campaign_id!r} appears in more than one subgroup"
                 )
             assigned.add(campaign_id)
-    missing = sorted(set(by_id) - assigned)
+    missing = sorted(set(pairs) - assigned)
     if missing:
         raise SchemaError(f"campaigns not assigned to any subgroup: {', '.join(missing)}")
 
-    grand = random_effect_summary(effects, tau2)
-    q_total = weighted_q(effects, tau2, grand.mu_star)
+    grand = random_effect_summary(tuple(pairs.values()), tau2)
+    q_total = weighted_q(pairs.values(), tau2, grand.mu_star)
 
     summaries: list[SubgroupSummary] = []
     for group in groups:
-        present = tuple(cid for cid in group.members if cid in by_id)
+        present = tuple(cid for cid in group.members if cid in pairs)
         if not present:
             continue
-        members = [by_id[cid] for cid in present]
+        members = [pairs[cid] for cid in present]
         model = random_effect_summary(members, tau2)
         test = z_significance(model.mu_star, model.nu_star, confidence_level)
         q_k = weighted_q(members, tau2, model.mu_star)
@@ -181,17 +177,7 @@ def subgroup_analysis(
         ))
     if not summaries:
         raise InsufficientDataError("no subgroup has analyzable campaigns")
-    q_within = fsum(s.q_star_k for s in summaries)
-    q_between = q_total - q_within
-    df_between = len(summaries) - 1
-    p_between = (
-        chi_square_sf(max(q_between, 0.0), df_between) if df_between >= 1 else 1.0
-    )
-    return SubgroupReport(
-        summaries=tuple(summaries),
-        q_star_total=q_total,
-        q_within=q_within,
-        q_between=q_between,
-        df_between=df_between,
-        p_between=p_between,
-    )
+    report = SubgroupReport(tuple(summaries), q_total, p_between=1.0)
+    if report.df_between < 1:
+        return report
+    return report._replace(p_between=chi_square_sf(max(report.q_between, 0.0), report.df_between))

@@ -128,6 +128,16 @@ def make_dataset(campaigns: list[CampaignExperiment]) -> ExperimentDataset:
     return ExperimentDataset(tuple(campaigns))
 
 
+def dv_pairs(effects):
+    """Each effect's (d, v) pair, in order: the input of ``meta``'s chain."""
+    return [(e.d, e.v) for e in effects]
+
+
+def dv_by_id(effects):
+    """Each effect's (d, v) pair by campaign: the input of ``subgroup_analysis``."""
+    return {e.campaign_id: (e.d, e.v) for e in effects}
+
+
 # The baseline statistics as computed before the per-campaign micro totals were
 # summed once per decision: each walks the dataset's part views, so a check
 # against them does not compare ``baselines.baseline_statistics`` with itself.

@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     campaign_from_rows,
+    dv_by_id,
+    dv_pairs,
     dataset_strategy,
     mixed_quality_dataset_strategy,
     pooled_roi,
@@ -59,7 +61,7 @@ def engine_summary(dataset):
     them; the summary is None when every campaign is excluded."""
     effects, exclusions = collect_effects(dataset)
     excluded = {x.campaign_id for x in exclusions}
-    return effects, excluded, summarize_effects(effects) if effects else None
+    return effects, excluded, summarize_effects(dv_pairs(effects)) if effects else None
 
 
 class TestCriterion1DecisionFixtures:
@@ -160,7 +162,7 @@ class TestCriterion4NullCalibration:
         for seed in range(NULL_RUNS):
             dataset = generate_experiment(null_config(seed))
             effects, _ = collect_effects(qualify(dataset).qualified)
-            if summarize_effects(effects, 0.95).significance.significant:
+            if summarize_effects(dv_pairs(effects), 0.95).significance.significant:
                 significant += 1
         rate = significant / NULL_RUNS
         elapsed = time.perf_counter() - start
@@ -175,7 +177,7 @@ class TestCriterion5SignRecovery:
             config = replace(null_config(seed), treatment_lift=0.10)
             dataset = generate_experiment(config)
             effects, _ = collect_effects(qualify(dataset).qualified)
-            if summarize_effects(effects).random.mu_star > 0:
+            if summarize_effects(dv_pairs(effects)).random.mu_star > 0:
                 positive += 1
         assert positive >= 0.95 * MC_RUNS, f"mu* > 0 in only {positive}/{MC_RUNS} runs"
 
@@ -214,7 +216,7 @@ class TestCriterion7SubgroupDecomposition:
             assert not excluded
             tau2 = summary.heterogeneity.tau2
             groups = partition_by_spend(campaign_micro_totals(dataset), (1 / 3, 1 / 3, 1 / 3))
-            report = subgroup_analysis(effects, tau2, groups)
+            report = subgroup_analysis(dv_by_id(effects), tau2, groups)
             assert report.q_star_total == pytest.approx(
                 report.q_within + report.q_between, abs=1e-9
             )

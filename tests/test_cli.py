@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -117,7 +118,7 @@ class TestEvaluate:
         ])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == "3"
+        assert doc["schema_version"] == "4"
         # the audit block names where each config value came from
         config = doc["audit"]["config"]
         assert config["file"] == ["confidence_level = 0.95", "aa_seed = 11",
@@ -266,12 +267,17 @@ class TestSubcommandsAgreeWithEvaluate:
         code = main(["evaluate", str(data), "--aa-treatment-share", "0.1", "--format", "json",
                      "--skip-subgroup-on-strong-reject", "false"])
         assert code == 1
-        report = json.loads(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        report = json.loads(text)
         assert report["decision"]["verdict"] == "reject_harmful"
         block = report["subgroup"]
         assert block is not None and len(block["summaries"]) >= 1
+        # the block stores the total; the decoded report computes its split
+        assert sorted(block) == ["p_between", "q_star_total", "summaries"]
+        split = report_from_json(text).subgroup
+        assert split.q_within == math.fsum(s["q_star_k"] for s in block["summaries"])
         assert block["q_star_total"] == pytest.approx(
-            block["q_within"] + block["q_between"], abs=1e-9
+            split.q_within + split.q_between, abs=1e-9
         )
 
 

@@ -136,6 +136,17 @@ class TestWriteTextAtomic:
         assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
         assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == mode
 
+    def test_does_not_touch_the_process_umask(self, tmp_path, monkeypatch):
+        # setting the umask to read it would leave other threads' files
+        # without it for a moment
+        def umask(mask):
+            raise AssertionError("write_text_atomic changed the process umask")
+
+        monkeypatch.setattr(os, "umask", umask)
+        write_text_atomic(tmp_path / "out.txt", "ok")
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "ok"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
     def test_unencodable_text_leaves_no_file(self, tmp_path):
         path = tmp_path / "out.txt"
         with pytest.raises(UnicodeEncodeError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import campaign_from_rows, make_part, random_dataset
+from conftest import campaign_from_rows, dv_pairs, make_part, random_dataset
 from oracle import oracle_meta
 from roimeta.campaigns import Arm
 from roimeta.dataio import dataset_from_rows
@@ -14,6 +14,7 @@ from roimeta.errors import (
 )
 from roimeta.meta import (
     ArmSampleStats,
+    EffectSize,
     arm_stats,
     effect_size,
     random_effect_summary,
@@ -27,18 +28,6 @@ def rois_of(rows):
     """The ROIs of one arm's rows, as ingest derives them."""
     campaign = campaign_from_rows(rows)
     return list(campaign.a.rois + campaign.b.rois)
-
-
-def effects_from_dv(pairs):
-    """EffectSize list with pinned d and v, via the zero-spread constructor path."""
-    from roimeta.meta import EffectSize
-
-    return [
-        EffectSize(
-            campaign_id=f"c{i}", delta=d, pooled_sd=1.0, df=2, d=d, v=v,
-        )
-        for i, (d, v) in enumerate(pairs)
-    ]
 
 
 class TestArmStats:
@@ -141,19 +130,19 @@ class TestFixedEffect:
     """``summarize_effects``'s fixed model: the random model at tau2 = 0."""
 
     def test_hand_example(self):
-        summary = summarize_effects(effects_from_dv([(0.5, 0.1), (0.1, 0.1)])).fixed
+        summary = summarize_effects([(0.5, 0.1), (0.1, 0.1)]).fixed
         assert summary.mu == pytest.approx(0.3, abs=1e-12)
         assert summary.nu == pytest.approx(0.05, abs=1e-12)
         assert summary.n == 2
 
     def test_single_study(self):
-        summary = summarize_effects(effects_from_dv([(0.42, 0.2)])).fixed
+        summary = summarize_effects([(0.42, 0.2)]).fixed
         assert summary.mu == pytest.approx(0.42, abs=1e-15)
         assert summary.nu == pytest.approx(0.2, abs=1e-15)
 
     def test_constant_effects(self):
-        effects = effects_from_dv([(0.7, 0.1), (0.7, 0.2), (0.7, 0.4)])
-        summary = summarize_effects(effects).fixed
+        pairs = [(0.7, 0.1), (0.7, 0.2), (0.7, 0.4)]
+        summary = summarize_effects(pairs).fixed
         assert summary.mu == pytest.approx(0.7, abs=1e-12)
         assert summary.nu == pytest.approx(1.0 / (10 + 5 + 2.5), abs=1e-15)
 
@@ -166,22 +155,22 @@ class TestCochranQ:
     """``summarize_effects``'s Q, around the fixed mean with n - 1 df."""
 
     def test_hand_example(self):
-        stats = summarize_effects(effects_from_dv([(0.5, 0.1), (0.1, 0.1)])).heterogeneity
+        stats = summarize_effects([(0.5, 0.1), (0.1, 0.1)]).heterogeneity
         assert stats.q == pytest.approx(0.8, abs=1e-12)
         assert stats.p_q == pytest.approx(0.37109336952269756, abs=1e-10)
         assert stats.df == 1
 
     def test_homogeneous(self):
-        stats = summarize_effects(effects_from_dv([(0.7, 0.1), (0.7, 0.2)])).heterogeneity
+        stats = summarize_effects([(0.7, 0.1), (0.7, 0.2)]).heterogeneity
         assert stats.q == 0.0
         assert stats.p_q == 1.0
 
     def test_opposed_effects(self):
-        stats = summarize_effects(effects_from_dv([(1.0, 0.1), (-1.0, 0.1)])).heterogeneity
+        stats = summarize_effects([(1.0, 0.1), (-1.0, 0.1)]).heterogeneity
         assert stats.q == pytest.approx(20.0, abs=1e-12)
 
     def test_single_study_convention(self):
-        stats = summarize_effects(effects_from_dv([(0.3, 0.1)])).heterogeneity
+        stats = summarize_effects([(0.3, 0.1)]).heterogeneity
         assert (stats.q, stats.df, stats.p_q, stats.lambda_, stats.tau2) == (0.0, 0, 1.0, 0.0, 0.0)
 
 
@@ -189,46 +178,47 @@ class TestTauSquared:
     """DerSimonian-Laird: (Q - (n - 1)) / lambda, and 0 when Q < n - 1."""
 
     def test_below_df_is_zero(self):
-        stats = summarize_effects(effects_from_dv([(0.5, 0.1), (0.1, 0.1)])).heterogeneity
+        stats = summarize_effects([(0.5, 0.1), (0.1, 0.1)]).heterogeneity
         assert stats.q < 1
         assert stats.tau2 == 0.0
 
     def test_hand_example(self):
         # weights 10 and 10: lambda = 20 - 200 / 20 = 10, Q = 20
-        stats = summarize_effects(effects_from_dv([(1.0, 0.1), (-1.0, 0.1)])).heterogeneity
+        stats = summarize_effects([(1.0, 0.1), (-1.0, 0.1)]).heterogeneity
         assert stats.lambda_ == pytest.approx(10.0, abs=1e-12)
         assert stats.tau2 == pytest.approx(1.9, abs=1e-12)
 
     def test_boundary_continuity(self):
         # weights 2 and 2 around a mean of 0: Q = 1 = n - 1 exactly
-        stats = summarize_effects(effects_from_dv([(0.5, 0.5), (-0.5, 0.5)])).heterogeneity
+        stats = summarize_effects([(0.5, 0.5), (-0.5, 0.5)]).heterogeneity
         assert (stats.q, stats.lambda_) == (1.0, 2.0)
         assert stats.tau2 == 0.0
 
 
 class TestRandomEffect:
     def test_hand_example(self):
-        effects = effects_from_dv([(1.0, 0.1), (-1.0, 0.1)])
-        summary = random_effect_summary(effects, 1.9)
-        assert [e.w_star(1.9) for e in effects] == pytest.approx([0.5, 0.5], abs=1e-12)
+        pairs = [(1.0, 0.1), (-1.0, 0.1)]
+        summary = random_effect_summary(pairs, 1.9)
+        weights = [EffectSize(f"c{i}", d, 1.0, 2, v).w_star(1.9) for i, (d, v) in enumerate(pairs)]
+        assert weights == pytest.approx([0.5, 0.5], abs=1e-12)
         assert summary.mu_star == pytest.approx(0.0, abs=1e-12)
         assert summary.nu_star == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_tau_reduces_to_fixed(self):
-        effects = effects_from_dv([(0.5, 0.1), (0.1, 0.3)])
-        fixed = summarize_effects(effects).fixed
-        random = random_effect_summary(effects, 0.0)
+        pairs = [(0.5, 0.1), (0.1, 0.3)]
+        fixed = summarize_effects(pairs).fixed
+        random = random_effect_summary(pairs, 0.0)
         assert random.mu_star == fixed.mu
         assert random.nu_star == fixed.nu
 
     def test_huge_tau_approaches_unweighted_mean(self):
-        effects = effects_from_dv([(0.9, 0.1), (0.1, 0.4)])
-        summary = random_effect_summary(effects, 1e9)
+        pairs = [(0.9, 0.1), (0.1, 0.4)]
+        summary = random_effect_summary(pairs, 1e9)
         assert summary.mu_star == pytest.approx(0.5, abs=1e-6)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            random_effect_summary(effects_from_dv([(0.5, 0.1)]), -0.1)
+            random_effect_summary([(0.5, 0.1)], -0.1)
 
 
 class TestSignificance:
@@ -278,7 +268,7 @@ class TestWholeChain:
                     arm_stats(campaign.a.rois), arm_stats(campaign.b.rois),
                     campaign_id=campaign.campaign_id,
                 ))
-            summary = summarize_effects(effects)
+            summary = summarize_effects(dv_pairs(effects))
             expected = oracle_meta(dataset)
             assert summary.fixed.mu == pytest.approx(expected["mu"], abs=1e-9)
             assert summary.fixed.nu == pytest.approx(expected["nu"], abs=1e-9)
@@ -297,7 +287,7 @@ class TestWholeChain:
                             campaign_id=c.campaign_id)
                 for c in dataset.campaigns
             ]
-            summary = summarize_effects(effects)
+            summary = summarize_effects(dv_pairs(effects))
             d_values = [e.d for e in effects]
             assert min(d_values) - 1e-12 <= summary.fixed.mu <= max(d_values) + 1e-12
             assert min(d_values) - 1e-12 <= summary.random.mu_star <= max(d_values) + 1e-12
@@ -313,8 +303,8 @@ class TestWholeChain:
                         campaign_id=c.campaign_id)
             for c in dataset.campaigns
         ]
-        forward = summarize_effects(effects)
-        reversed_ = summarize_effects(list(reversed(effects)))
+        forward = summarize_effects(dv_pairs(effects))
+        reversed_ = summarize_effects(dv_pairs(reversed(effects)))
         assert abs(forward.fixed.mu - reversed_.fixed.mu) <= 1e-12
         assert abs(forward.heterogeneity.q - reversed_.heterogeneity.q) <= 1e-12
         assert abs(forward.random.mu_star - reversed_.random.mu_star) <= 1e-12

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import campaign_from_rows, make_campaign, make_dataset, make_part, rows_of
+from conftest import (
+    campaign_from_rows, dv_by_id, dv_pairs, make_campaign, make_dataset, make_part, rows_of,
+)
 from roimeta.campaigns import (
     Arm,
     ExperimentDataset,
@@ -27,9 +29,9 @@ from roimeta.reportio import (
     report_to_json,
     to_json,
 )
-from roimeta.meta import random_effect_summary
+from roimeta.meta import random_effect_summary, summarize_effects
 from roimeta.simulate import SimConfig, generate_experiment
-from roimeta.subgroups import GroupAssignment, subgroup_analysis
+from roimeta.subgroups import GroupAssignment, SubgroupSpec, subgroup_analysis
 from test_acceptance import GOLDEN_EVAL, GOLDEN_SIM
 from test_simulate import PINNED_SHAPES
 
@@ -134,6 +136,12 @@ class TestMachineFormat:
     @settings(max_examples=400, deadline=None)
     @given(DOCUMENTS)
     def test_writer_matches_json_indent(self, doc):
+        try:
+            json.dumps(doc, allow_nan=False)
+        except ValueError:  # NaN or an infinity, which no JSON text holds
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                to_json(doc)
+            return
         assert to_json(doc) == indented(doc)
 
     @pytest.mark.parametrize("name", [
@@ -141,7 +149,7 @@ class TestMachineFormat:
     ])
     def test_report_matches_json_indent(self, request, name):
         report = request.getfixturevalue(name)
-        assert report_to_json(report) == indented({**plain(report), "schema_version": "3"})
+        assert report_to_json(report) == indented({**plain(report), "schema_version": "4"})
 
     def test_roundtrip_equality(self, accept_report, skipped_subgroup_report,
                                 report_with_exclusions):
@@ -168,17 +176,17 @@ class TestMachineFormat:
 
     def test_carries_schema_version(self, accept_report):
         doc = json.loads(report_to_json(accept_report))
-        assert doc["schema_version"] == "3"
+        assert doc["schema_version"] == "4"
 
     def test_rejects_wrong_schema_version(self, accept_report):
         doc = json.loads(report_to_json(accept_report))
-        for version in ("1", "2", "99"):  # one reader, for the current schema
+        for version in ("1", "2", "3", "99"):  # one reader, for the current schema
             doc["schema_version"] = version
-            with pytest.raises(SchemaError, match=f"schema_version '{version}', expected '3'"):
+            with pytest.raises(SchemaError, match=f"schema_version '{version}', expected '4'"):
                 report_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("malform", [
-        pytest.param(lambda doc: '{"schema_version": "3"}', id="truncated"),
+        pytest.param(lambda doc: '{"schema_version": "4"}', id="truncated"),
         pytest.param(lambda doc: "not json at all", id="not-json"),
         pytest.param(edited(PART + ("extra",), 1), id="unknown-key-in-part"),
         pytest.param(edited(("fixed", "extra"), 1), id="unknown-key-in-fixed"),
@@ -195,6 +203,10 @@ class TestMachineFormat:
         pytest.param(edited(KEPT + ("m_b",), 2.0), id="number-for-kept-count"),
         pytest.param(edited(("qualification", "qualified", "sha256"), None), id="null-digest"),
         pytest.param(edited(("homogeneity_level",), DELETE), id="missing-homogeneity-level"),
+        # json.dumps writes these floats as the constants NaN, Infinity and -Infinity
+        pytest.param(edited(("heterogeneity", "tau2"), float("nan")), id="NaN"),
+        pytest.param(edited(("fixed", "mu"), float("inf")), id="Infinity"),
+        pytest.param(edited(SUMMARY + ("ci_low",), float("-inf")), id="-Infinity"),
     ])
     def test_rejects_malformed_document(self, malform):
         # a report with parts excluded, campaigns kept and subgroups analysed
@@ -379,16 +391,83 @@ class TestComputedFields:
             assert e.d.hex() == (e.correction * e.delta).hex()
             assert e.w.hex() == (1.0 / e.v).hex()
             assert e.w_star(tau2).hex() == (1.0 / (e.v + tau2)).hex()
-        assert random_effect_summary(report.effects, tau2) == report.random
+        assert random_effect_summary(dv_pairs(report.effects), tau2) == report.random
         if report.subgroup is not None:
             groups = [GroupAssignment(s.group_id, s.members) for s in report.subgroup.summaries]
-            assert subgroup_analysis(report.effects, tau2, groups,
+            assert subgroup_analysis(dv_by_id(report.effects), tau2, groups,
                                      report.significance.confidence_level) == report.subgroup
 
     @pytest.mark.parametrize("source", sorted(COMPUTED_SHA))
     def test_the_values_reports_stored_before(self, request, source):
         text = computed_lines(self.decoded(request, source))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == COMPUTED_SHA[source]
+
+
+def with_flat_campaign(dataset):
+    """``dataset`` plus one campaign whose arms hold one and the same ROI: zero
+    pooled spread with equal means, so its ``d`` is 0.0."""
+    return ExperimentDataset(dataset.campaigns + (make_campaign("flat", [1.25] * 4, [1.25] * 5),))
+
+
+def by_label(dataset):
+    labels = {c.campaign_id: f"g{i % 3}" for i, c in enumerate(dataset.campaigns)}
+    return SubgroupSpec(kind="by_label", labels=labels)
+
+
+# (simulator config, change to its dataset or None, subgroup spec of the dataset)
+RECOMPUTED_CASES = {
+    "accept": (SimConfig(n_campaigns=9, m_a=5, m_b=5, treatment_lift=0.12,
+                         part_noise_sd=0.08, seed=31), None, None),
+    "zero-spread-equal-means": (SimConfig(n_campaigns=8, m_a=4, m_b=4, seed=7),
+                                with_flat_campaign, None),
+    "one-spend-group": (SimConfig(n_campaigns=1, m_a=6, m_b=6, seed=3), None, None),
+    "by-label": (SimConfig(n_campaigns=12, seed=5), None, by_label),
+    "harmful": (SimConfig(n_campaigns=15, m_a=6, m_b=6, treatment_lift=-0.2,
+                          part_noise_sd=0.08, seed=32), None, None),
+    "heterogeneous": (SimConfig(n_campaigns=40, m_a=3, m_b=4, campaign_roi_sd=0.5,
+                                part_noise_sd=0.3, treatment_lift=0.05, seed=8), None, None),
+}
+
+
+class TestDecodedReportRecomputes:
+    """A decoded report computes every value it does not store, bit for bit as
+    the report in memory, and the chain over its (d, v) pairs gives the
+    report's own summaries."""
+
+    @pytest.mark.parametrize("case", sorted(RECOMPUTED_CASES))
+    def test_every_computed_value(self, case):
+        sim, change, spec_of = RECOMPUTED_CASES[case]
+        dataset = generate_experiment(sim)
+        if change is not None:
+            dataset = change(dataset)
+        config = thetas_config(skip_subgroup_on_strong_reject=False)
+        if spec_of is not None:
+            config = config._replace(subgroups=spec_of(dataset))
+        report = evaluate(dataset, config)
+        decoded = report_from_json(report_to_json(report))
+        tau2 = report.heterogeneity.tau2
+        assert [e.campaign_id for e in decoded.effects] == [e.campaign_id for e in report.effects]
+        for got, want in zip(decoded.effects, report.effects):
+            for value in ("d", "correction", "w"):
+                assert getattr(got, value).hex() == getattr(want, value).hex(), (got, value)
+            assert got.w_star(tau2).hex() == want.w_star(tau2).hex()
+        got, want = decoded.subgroup, report.subgroup
+        assert got is not None and want is not None
+        assert got.q_within.hex() == want.q_within.hex()
+        assert got.q_between.hex() == want.q_between.hex()
+        assert got.df_between == want.df_between == len(want.summaries) - 1
+        pairs = dv_pairs(decoded.effects)
+        random = random_effect_summary(pairs, tau2)
+        assert random.mu_star.hex() == report.random.mu_star.hex()
+        summary = summarize_effects(pairs, report.significance.confidence_level)
+        assert summary == (report.fixed, report.heterogeneity, report.random, report.significance)
+        if case == "zero-spread-equal-means":
+            flat = next(e for e in decoded.effects if e.campaign_id == "flat")
+            assert (flat.delta, flat.pooled_sd, flat.d) == (0.0, 0.0, 0.0)
+        if case == "one-spend-group":
+            assert got.df_between == 0 and got.p_between == 1.0
+        if case == "by-label":
+            assert [s.group_id for s in got.summaries] == ["g0", "g1", "g2"]
 
 
 def outcome(text):

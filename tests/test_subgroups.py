@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_campaign, make_dataset, random_dataset
+from conftest import dv_by_id, dv_pairs, make_campaign, make_dataset, random_dataset
 from roimeta.baselines import campaign_micro_totals as totals_of
 from roimeta.errors import ConfigError, SchemaError
 from roimeta.meta import (
-    EffectSize,
     arm_stats,
     effect_size,
     summarize_effects,
@@ -26,12 +25,6 @@ from roimeta.subgroups import (
     resolve_subgroups,
     subgroup_analysis,
 )
-
-
-def pinned_effect(campaign_id, d, v):
-    return EffectSize(
-        campaign_id=campaign_id, delta=d, pooled_sd=1.0, df=2, d=d, v=v,
-    )
 
 
 def dataset_with_spends(spends):
@@ -101,21 +94,21 @@ class TestPartitionByLabel:
 
 class TestSubgroupAnalysis:
     def test_identical_effects_are_fully_homogeneous(self):
-        effects = [pinned_effect(f"c{i}", 0.4, 0.1) for i in range(6)]
+        pairs = {f"c{i}": (0.4, 0.1) for i in range(6)}
         groups = (
             GroupAssignment("g1", ("c0", "c1")),
             GroupAssignment("g2", ("c2", "c3", "c4", "c5")),
         )
-        report = subgroup_analysis(effects, 0.0, groups)
+        report = subgroup_analysis(pairs, 0.0, groups)
         assert report.q_star_total == 0.0
         assert report.q_within == 0.0
         assert report.q_between == 0.0
         assert report.p_between == 1.0
 
     def test_two_singleton_groups(self):
-        effects = [pinned_effect("c0", 1.0, 0.1), pinned_effect("c1", -1.0, 0.1)]
+        pairs = {"c0": (1.0, 0.1), "c1": (-1.0, 0.1)}
         groups = (GroupAssignment("g1", ("c0",)), GroupAssignment("g2", ("c1",)))
-        report = subgroup_analysis(effects, 1.9, groups)  # w* = 0.5 each
+        report = subgroup_analysis(pairs, 1.9, groups)  # w* = 0.5 each
         assert report.q_star_total == pytest.approx(1.0, abs=1e-12)
         assert report.q_within == 0.0
         assert report.q_between == pytest.approx(1.0, abs=1e-12)
@@ -123,20 +116,20 @@ class TestSubgroupAnalysis:
         assert report.p_between == pytest.approx(0.31731050786291415, abs=1e-10)
 
     def test_merging_all_groups_moves_q_within(self):
-        effects = [pinned_effect(f"c{i}", d, 0.2) for i, d in enumerate([0.1, 0.5, -0.2, 0.9])]
+        pairs = {f"c{i}": (d, 0.2) for i, d in enumerate([0.1, 0.5, -0.2, 0.9])}
         split = (
             GroupAssignment("g1", ("c0", "c1")),
             GroupAssignment("g2", ("c2", "c3")),
         )
         merged = (GroupAssignment("all", ("c0", "c1", "c2", "c3")),)
-        split_report = subgroup_analysis(effects, 0.05, split)
-        merged_report = subgroup_analysis(effects, 0.05, merged)
+        split_report = subgroup_analysis(pairs, 0.05, split)
+        merged_report = subgroup_analysis(pairs, 0.05, merged)
         assert merged_report.q_within == pytest.approx(merged_report.q_star_total, abs=1e-12)
         assert merged_report.q_between == pytest.approx(0.0, abs=1e-12)
         assert merged_report.q_star_total == pytest.approx(split_report.q_star_total, abs=1e-12)
 
     def test_group_relabeling_invariance(self):
-        effects = [pinned_effect(f"c{i}", d, 0.2) for i, d in enumerate([0.1, 0.5, -0.2, 0.9])]
+        pairs = {f"c{i}": (d, 0.2) for i, d in enumerate([0.1, 0.5, -0.2, 0.9])}
         groups = (
             GroupAssignment("g1", ("c0", "c1")),
             GroupAssignment("g2", ("c2", "c3")),
@@ -145,41 +138,41 @@ class TestSubgroupAnalysis:
             GroupAssignment("zz", ("c2", "c3")),
             GroupAssignment("aa", ("c0", "c1")),
         )
-        first = subgroup_analysis(effects, 0.05, groups)
-        second = subgroup_analysis(effects, 0.05, renamed)
+        first = subgroup_analysis(pairs, 0.05, groups)
+        second = subgroup_analysis(pairs, 0.05, renamed)
         assert second.q_within == pytest.approx(first.q_within, abs=1e-12)
         assert second.q_between == pytest.approx(first.q_between, abs=1e-12)
 
     def test_unassigned_effect_rejected(self):
-        effects = [pinned_effect("c0", 0.1, 0.1), pinned_effect("c1", 0.2, 0.1)]
+        pairs = {"c0": (0.1, 0.1), "c1": (0.2, 0.1)}
         with pytest.raises(SchemaError, match="not assigned"):
-            subgroup_analysis(effects, 0.0, (GroupAssignment("g1", ("c0",)),))
+            subgroup_analysis(pairs, 0.0, (GroupAssignment("g1", ("c0",)),))
 
     def test_double_assignment_rejected(self):
-        effects = [pinned_effect("c0", 0.1, 0.1)]
+        pairs = {"c0": (0.1, 0.1)}
         groups = (GroupAssignment("g1", ("c0",)), GroupAssignment("g2", ("c0",)))
         with pytest.raises(SchemaError, match="more than one"):
-            subgroup_analysis(effects, 0.0, groups)
+            subgroup_analysis(pairs, 0.0, groups)
 
     def test_negative_tau2_rejected(self):
-        effects = [pinned_effect("c0", 0.1, 0.1)]
+        pairs = {"c0": (0.1, 0.1)}
         with pytest.raises(ValueError, match=r"^tau2 must be >= 0, got -0\.1$"):
-            subgroup_analysis(effects, -0.1, (GroupAssignment("g1", ("c0",)),))
+            subgroup_analysis(pairs, -0.1, (GroupAssignment("g1", ("c0",)),))
 
     def test_bad_confidence_level_is_checked_first(self):
         # before the assignment checks, so it does not wait for z_significance
-        effects = [pinned_effect("c0", 0.1, 0.1)]
+        pairs = {"c0": (0.1, 0.1)}
         with pytest.raises(ConfigError, match="confidence_level must be in"):
-            subgroup_analysis(effects, 0.0, (), confidence_level=1.5)
+            subgroup_analysis(pairs, 0.0, (), confidence_level=1.5)
 
     def test_empty_group_dropped(self):
         # evaluate's report warns about the dropped group (test_pipeline)
-        effects = [pinned_effect("c0", 0.1, 0.1), pinned_effect("c1", 0.2, 0.1)]
+        pairs = {"c0": (0.1, 0.1), "c1": (0.2, 0.1)}
         groups = (
             GroupAssignment("g1", ("c0", "c1")),
             GroupAssignment("ghost", ("c9",)),
         )
-        report = subgroup_analysis(effects, 0.0, groups)
+        report = subgroup_analysis(pairs, 0.0, groups)
         assert [s.group_id for s in report.summaries] == ["g1"]
 
     def test_decomposition_against_direct_between_formula(self):
@@ -191,9 +184,9 @@ class TestSubgroupAnalysis:
                             campaign_id=c.campaign_id)
                 for c in dataset.campaigns
             ]
-            tau2 = summarize_effects(effects).heterogeneity.tau2
+            tau2 = summarize_effects(dv_pairs(effects)).heterogeneity.tau2
             groups = partition_by_spend(totals_of(dataset))
-            report = subgroup_analysis(effects, tau2, groups)
+            report = subgroup_analysis(dv_by_id(effects), tau2, groups)
             # identity held by construction
             assert report.q_star_total == pytest.approx(
                 report.q_within + report.q_between, abs=1e-12
@@ -214,7 +207,9 @@ class TestSubgroupAnalysis:
 # (spend thirds, fractions 0.5/0.2/0.1/0.1/0.1, labels g{i % 4} plus one
 # single-campaign group), and the number of groups each partition makes, on
 # the smoke shapes. The summary pins are the earlier ones with the random
-# model's per-study weights removed, which the summary no longer stores.
+# model's per-study weights removed, which the summary no longer stores. The
+# subgroup documents carry the split the reports stored until it was computed
+# on access (``stored_split``), so these pins also pin the computed values.
 PINNED_SUBGROUP_SHA = {
     "deep": (
         "4338c8025d8a4e3e35789ba2735d76b83b2f1a27c5bf5fbd94542d5ba880553c",
@@ -239,12 +234,19 @@ PINNED_SUBGROUP_SHA = {
 PINNED_SUBGROUP_COUNTS = {"deep": [2, 4, 5], "study": [3, 5, 5], "wide": [3, 5, 5]}
 
 
+def stored_split(report):
+    """The plain subgroup document with the computed split written in, as the
+    reports stored it before schema 4."""
+    return {**to_plain(report), "q_within": report.q_within, "q_between": report.q_between,
+            "df_between": report.df_between}
+
+
 class TestSubgroupOutputsPinned:
     @pytest.mark.parametrize("shape", sorted(PINNED_SUBGROUP_SHA))
     def test_summary_and_subgroup_bytes(self, shape):
         qualified = qualify(generate_experiment(PINNED_SHAPES[shape][0])).qualified
         effects, _ = collect_effects(qualified)
-        summary = summarize_effects(effects)
+        summary = summarize_effects(dv_pairs(effects))
         tau2 = summary.heterogeneity.tau2
         totals = totals_of(qualified)
         ids = list(totals)
@@ -255,10 +257,10 @@ class TestSubgroupOutputsPinned:
             partition_by_spend(totals, (0.5, 0.2, 0.1, 0.1, 0.1)),
             partition_by_label(totals, labels),
         )
-        reports = [subgroup_analysis(effects, tau2, groups) for groups in partitions]
+        reports = [subgroup_analysis(dv_by_id(effects), tau2, groups) for groups in partitions]
         digests = tuple(
-            hashlib.sha256(to_json(to_plain(x)).encode("utf-8")).hexdigest()
-            for x in (summary, *reports)
+            hashlib.sha256(to_json(x).encode("utf-8")).hexdigest()
+            for x in (to_plain(summary), *map(stored_split, reports))
         )
         assert digests == PINNED_SUBGROUP_SHA[shape]
         assert [len(groups) for groups in partitions] == PINNED_SUBGROUP_COUNTS[shape]
