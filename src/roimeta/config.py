@@ -3,7 +3,9 @@
 Config files hold one ``key = value`` pair per line (``#`` comments allowed).
 Every evaluation key has a CLI flag of the same name, and flags override file
 values. Baseline thresholds come either from A/A calibration (``aa_*`` keys)
-or from explicit ``micro_theta``/``macro_theta`` values, never both.
+or from explicit ``micro_theta``/``macro_theta`` values, never both. Subgroups
+are spend tiers (``spend_fractions``) unless ``subgroup_labels`` gives each
+campaign a group; the labels alone choose that partition.
 
 ``EVAL_KEYS`` places each key in an ``EvaluationConfig``; the loader builds
 the config through it and ``config_record`` reads it back as config lines,
@@ -60,17 +62,15 @@ def _parse_labels(raw: str) -> dict[str, str]:
         item = item.strip()
         if not item:
             continue
-        if ":" not in item:
+        campaign_id, colon, group = (part.strip() for part in item.partition(":"))
+        if not (campaign_id and colon and group):
             raise ConfigError(f"labels must be campaign:group pairs, got {item!r}")
-        campaign_id, group = item.split(":", 1)
-        labels[campaign_id.strip()] = group.strip()
+        if campaign_id in labels:
+            raise ConfigError(f"campaign {campaign_id!r} is labelled twice, got {item!r}")
+        labels[campaign_id] = group
     if not labels:
         raise ConfigError(f"expected campaign:group pairs, got {raw!r}")
     return labels
-
-
-def _parse_str(raw: str) -> str:
-    return raw.strip()
 
 
 INPUT_FORMATS = ("delimited-text", "record-lines")  # dataio.ingest's; the parser loads no dataio
@@ -88,7 +88,6 @@ EVAL_KEYS: dict[str, tuple[Callable[[str], object], tuple[str, ...]]] = {
     "aa_treatment_share": (_parse_float, ("aa", "treatment_share")),
     "micro_theta": (_parse_float, ("aa", "micro_theta")),
     "macro_theta": (_parse_float, ("aa", "macro_theta")),
-    "subgroup_kind": (_parse_str, ("subgroups", "kind")),
     "spend_fractions": (_parse_float_list, ("subgroups", "spend_fractions")),
     "subgroup_labels": (_parse_labels, ("subgroups", "labels")),
     "skip_subgroup_on_strong_reject": (_parse_bool, ("skip_subgroup_on_strong_reject",)),
@@ -132,7 +131,6 @@ def evaluation_config_from_values(
         )
     if has_thetas and ("micro_theta" not in values or "macro_theta" not in values):
         raise ConfigError("explicit thresholds need both micro_theta and macro_theta")
-    sources = dict(sources or {})
     top: dict[str, object] = {}
     sections: dict[str, dict[str, object]] = {
         "qualification": {}, "aa": {}, "subgroups": {}, "schedule": {}}
@@ -140,10 +138,6 @@ def evaluation_config_from_values(
         *section, name = EVAL_KEYS[key][1]
         (sections[section[0]] if section else top)[name] = value
     aa = (ExplicitThetas if has_thetas else AaSettings)(**sections["aa"])
-    if "subgroup_labels" in values and "subgroup_kind" not in values:
-        sections["subgroups"]["kind"] = "by_label"
-        if "subgroup_labels" in sources:
-            sources["subgroup_kind"] = sources["subgroup_labels"]
     return EvaluationConfig(
         qualification=QualificationConfig(**sections["qualification"]),
         aa=aa,
@@ -165,7 +159,6 @@ _FORMATTERS: dict[Callable[[str], object], Callable] = {
     _parse_int: str,
     _parse_float_list: lambda values: ",".join(map(_format_float, values)),
     _parse_labels: lambda labels: ",".join(f"{c}:{g}" for c, g in labels.items()),
-    _parse_str: str,
 }
 
 

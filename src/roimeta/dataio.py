@@ -71,21 +71,23 @@ def _rows_from_csv(path: Path) -> Iterator[tuple[int, list[str]]]:
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("empty file, expected a header row", 1) from None
-        if tuple(h.strip() for h in header) != CSV_FIELDS:
-            raise IngestError(
-                f"header must be {','.join(CSV_FIELDS)}, got {','.join(header)}", 1
-            )
-        for line, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(CSV_FIELDS):
+            header = next(reader, None)
+            if header is None:
+                raise IngestError("empty file, expected a header row", 1)
+            if tuple(h.strip() for h in header) != CSV_FIELDS:
                 raise IngestError(
-                    f"expected {len(CSV_FIELDS)} columns, got {len(row)}", line
+                    f"header must be {','.join(CSV_FIELDS)}, got {','.join(header)}", 1
                 )
-            yield line, row
+            for line, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(CSV_FIELDS):
+                    raise IngestError(
+                        f"expected {len(CSV_FIELDS)} columns, got {len(row)}", line
+                    )
+                yield line, row
+        except csv.Error as exc:  # a field over the csv module's size limit, say
+            raise IngestError(f"invalid CSV: {exc}", reader.line_num) from None
 
 
 def _rows_from_jsonl(path: Path) -> Iterator[tuple[int, tuple[object, ...]]]:
@@ -101,6 +103,8 @@ def _rows_from_jsonl(path: Path) -> Iterator[tuple[int, tuple[object, ...]]]:
                 bom = raw[0] == "\ufeff"
                 message = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if bom else exc.msg
                 raise IngestError(f"invalid JSON: {message}", line) from None
+            except RecursionError:
+                raise IngestError("invalid JSON: nested too deeply", line) from None
             if end != len(raw):
                 raise IngestError("invalid JSON: Extra data", line)
             if not isinstance(record, dict):

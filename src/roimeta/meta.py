@@ -137,9 +137,7 @@ def random_effect_summary(pairs: Pairs, tau2: float) -> RandomEffectSummary:
     return RandomEffectSummary(mu_star=mu_star, nu_star=1.0 / sum_w)
 
 
-def z_significance(
-    mu_star: float, nu_star: float, confidence_level: float = 0.95
-) -> SignificanceResult:
+def z_significance(mu_star: float, nu_star: float, confidence_level: float) -> SignificanceResult:
     """Z test of a zero summary effect plus the matching confidence interval.
 
     The effect is significant when the one-sided tail probability of |Z| is
@@ -165,7 +163,7 @@ def z_significance(
     )
 
 
-def summarize_effects(pairs: Pairs, confidence_level: float = 0.95) -> MetaSummary:
+def summarize_effects(pairs: Pairs, confidence_level: float) -> MetaSummary:
     """Run the whole combination over (estimate, variance) ``pairs``: fixed model,
     heterogeneity, random model, Z test.
 

@@ -1,7 +1,7 @@
 """End-to-end evaluation: qualify, baseline checks, meta-analysis, decision, ramp.
 
-``evaluate`` runs the stages in a fixed order: qualification, the label-map
-subgroup assignment (so a bad map fails before any analysis), micro/macro
+``evaluate`` runs the stages in a fixed order: qualification, the subgroup
+partition (so a bad label map fails before any analysis), micro/macro
 baselines against A/A-calibrated (or explicit) thresholds, per-campaign effect
 sizes, the fixed-then-random effects combination with its Z/CI significance
 test (``meta.summarize_effects``), subgroup diagnostics (skipped on a strong
@@ -216,9 +216,7 @@ def evaluate(
     # perfbench --trace 1 wraps qualify, aa_calibrate, collect_effects,
     # resolve_subgroups and subgroup_analysis by their names in this module
     totals = campaign_micro_totals(qualified)
-    # A bad label map fails here; spend tiers are drawn only if the subgroups run.
-    groups = (resolve_subgroups(totals, config.subgroups)
-              if config.subgroups.kind == "by_label" else None)
+    groups = resolve_subgroups(totals, config.subgroups)  # a bad label map fails here
     notes: list[str] = []  # the report's warnings, in stage order
     thetas, aa = _resolve_thetas(qualified, totals, config)
     skipped = aa_skipped(qualified) if aa is not None else []
@@ -247,11 +245,9 @@ def evaluate(
     subgroup = None
     skip = config.skip_subgroup_on_strong_reject and decision.verdict is Verdict.REJECT_HARMFUL
     if not skip:
-        if groups is None:
-            groups = resolve_subgroups(totals, config.subgroups)
-            tiers = len(config.subgroups.spend_fractions)
-            if len(groups) < tiers:
-                notes.append(f"only {len(groups)} of {tiers} spend groups are non-empty")
+        tiers = len(config.subgroups.spend_fractions)
+        if config.subgroups.labels is None and len(groups) < tiers:
+            notes.append(f"only {len(groups)} of {tiers} spend groups are non-empty")
         subgroup = subgroup_analysis(
             pairs, summary.heterogeneity.tau2, groups, config.confidence_level
         )

@@ -4,7 +4,8 @@ human tables.
 The machine format is deterministic (sorted keys, repr-exact floats), so the
 same report always serializes to identical bytes, and parsing it back yields
 an object equal to the original. It is strict JSON: the writer refuses a
-non-finite float and the reader the ``NaN`` and ``Infinity`` constants.
+non-finite float and the reader the ``NaN`` and ``Infinity`` constants and a
+number too large for a float, such as ``1e999``.
 Encoding and decoding are both driven by the field types of the report's named
 tuples (``_codec``), so a report field is declared once, on its named tuple in
 ``records``. The codec has one rule for computed values: only named-tuple
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 import types
 import typing
@@ -180,11 +182,20 @@ def _refuse_constant(name: str) -> float:
     raise SchemaError(f"invalid report JSON: {name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise SchemaError(f"invalid report JSON: {text} is outside the range of a float")
+    return value
+
+
 def report_from_json(text: str) -> EvaluationReport:
     try:
-        doc = json.loads(text, parse_constant=_refuse_constant)
+        doc = json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid report JSON: {exc.msg}") from None
+    except RecursionError:
+        raise SchemaError("invalid report JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("report document must be a JSON object")
     return report_from_dict(doc)

@@ -1,13 +1,15 @@
 """Subgroup construction and the within/between heterogeneity decomposition.
 
-Campaigns are partitioned (by cumulative-spend tiers or explicit labels) and
-Cochran's Q is recomputed with the random-model weights: per-group Q around
-the group mean, their sum (within-group), and the remainder of the grand-mean
-Q (between-group, chi-square with K-1 degrees of freedom). A significant
-between-group component means group membership explains part of the effect
-variation. Every group shares the single global between-study variance, and
-the grand and group means, CIs and Z tests are the verdict's own random model
-(``random_effect_summary``, ``z_significance``). Spend tiers read micro totals.
+A ``SubgroupSpec`` names one partition of the campaigns: by an explicit label
+map when it sets ``labels``, otherwise by cumulative-spend tiers, which read
+micro totals. ``resolve_subgroups`` is its one entry. Cochran's Q is then
+recomputed with the random-model weights: per-group Q around the group mean,
+their sum (within-group), and the remainder of the grand-mean Q (between-group,
+chi-square with K-1 degrees of freedom). A significant between-group component
+means group membership explains part of the effect variation. Every group
+shares the single global between-study variance, and the grand and group means,
+CIs and Z tests are the verdict's own random model (``random_effect_summary``,
+``z_significance``).
 """
 
 from __future__ import annotations
@@ -22,34 +24,26 @@ from .meta import random_effect_summary, weighted_q, z_significance
 from .records import SubgroupReport, SubgroupSummary, checked
 from .statfuncs import chi_square_sf
 
-SUBGROUP_KINDS = ("by_spend_cumulative", "by_label")
-_THIRDS = (1 / 3, 1 / 3, 1 / 3)
-
-
-def _check_fractions(fractions: tuple[float, ...]) -> None:
-    if not fractions or any(not f > 0 for f in fractions):
-        raise ConfigError("spend fractions must be positive")
-    if abs(fsum(fractions) - 1.0) > 1e-12:
-        raise ConfigError(f"spend fractions must sum to 1, got {fsum(fractions)!r}")
-
 
 @checked
 class SubgroupSpec(NamedTuple):
-    """How to partition campaigns: cumulative spend tiers or an explicit label map."""
+    """How to partition campaigns: by ``labels``, a campaign-to-group map, when
+    it is set, else by cumulative-spend tiers of ``spend_fractions``. The
+    fractions are checked either way."""
 
-    kind: str = "by_spend_cumulative"
-    spend_fractions: tuple[float, ...] = _THIRDS
+    spend_fractions: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
     labels: dict[str, str] | None = None
 
     def _check(self):
-        if self.kind not in SUBGROUP_KINDS:
-            raise ConfigError(f"kind must be one of {SUBGROUP_KINDS}, got {self.kind!r}")
-        if type(self.spend_fractions) is not tuple:
-            return self._replace(spend_fractions=tuple(self.spend_fractions))
-        if self.kind == "by_spend_cumulative":
-            _check_fractions(self.spend_fractions)
-        if self.kind == "by_label" and not self.labels:
-            raise ConfigError("by_label partitioning requires a labels map")
+        fractions = self.spend_fractions
+        if type(fractions) is not tuple:
+            return self._replace(spend_fractions=tuple(fractions))
+        if not fractions or any(not f > 0 for f in fractions):
+            raise ConfigError("spend fractions must be positive")
+        if abs(fsum(fractions) - 1.0) > 1e-12:
+            raise ConfigError(f"spend fractions must sum to 1, got {fsum(fractions)!r}")
+        if self.labels is not None and not self.labels:
+            raise ConfigError("a labels map must label at least one campaign")
 
 
 class GroupAssignment(NamedTuple):
@@ -57,8 +51,16 @@ class GroupAssignment(NamedTuple):
     members: tuple[str, ...]
 
 
-def partition_by_spend(
-    totals: MicroTotals, fractions: tuple[float, ...] = _THIRDS
+def resolve_subgroups(totals: MicroTotals, spec: SubgroupSpec) -> tuple[GroupAssignment, ...]:
+    """The groups ``spec`` makes of the campaigns of ``totals``: by label when
+    it sets ``labels``, else by spend tier."""
+    if spec.labels is not None:
+        return _partition_by_label(totals, spec.labels)
+    return _partition_by_spend(totals, spec.spend_fractions)
+
+
+def _partition_by_spend(
+    totals: MicroTotals, fractions: tuple[float, ...]
 ) -> tuple[GroupAssignment, ...]:
     """Partition campaigns into cumulative-spend tiers, biggest spenders first.
 
@@ -69,8 +71,6 @@ def partition_by_spend(
     campaigns than groups, or a dominant campaign spanning several caps) are
     dropped; ``evaluate`` records a warning when it drops one.
     """
-    fractions = tuple(fractions)
-    _check_fractions(fractions)
     if not totals:
         raise InsufficientDataError("no campaigns to partition")
     spends = sorted(
@@ -98,7 +98,7 @@ def partition_by_spend(
     )
 
 
-def partition_by_label(
+def _partition_by_label(
     totals: MicroTotals, labels: dict[str, str]
 ) -> tuple[GroupAssignment, ...]:
     """Group the campaigns of ``totals`` by an explicit campaign-to-group label map."""
@@ -113,17 +113,11 @@ def partition_by_label(
     )
 
 
-def resolve_subgroups(totals: MicroTotals, spec: SubgroupSpec) -> tuple[GroupAssignment, ...]:
-    if spec.kind == "by_label":
-        return partition_by_label(totals, spec.labels or {})
-    return partition_by_spend(totals, spec.spend_fractions)
-
-
 def subgroup_analysis(
     pairs: dict[str, tuple[float, float]],
     tau2: float,
     groups: tuple[GroupAssignment, ...] | list[GroupAssignment],
-    confidence_level: float = 0.95,
+    confidence_level: float,
 ) -> SubgroupReport:
     """Decompose grand-mean heterogeneity into within- and between-group parts,
     from each campaign's (estimate, variance) pair in ``pairs``.

@@ -46,7 +46,7 @@ from roimeta.preprocess import qualify
 from roimeta.reportio import render_report, report_from_json, report_to_json
 from roimeta.simulate import SimConfig, generate_experiment
 from roimeta.statfuncs import normal_quantile
-from roimeta.subgroups import partition_by_spend, subgroup_analysis
+from roimeta.subgroups import SubgroupSpec, resolve_subgroups, subgroup_analysis
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_report.json"
 
@@ -61,7 +61,7 @@ def engine_summary(dataset):
     them; the summary is None when every campaign is excluded."""
     effects, exclusions = collect_effects(dataset)
     excluded = {x.campaign_id for x in exclusions}
-    return effects, excluded, summarize_effects(dv_pairs(effects)) if effects else None
+    return effects, excluded, summarize_effects(dv_pairs(effects), 0.95) if effects else None
 
 
 class TestCriterion1DecisionFixtures:
@@ -177,7 +177,7 @@ class TestCriterion5SignRecovery:
             config = replace(null_config(seed), treatment_lift=0.10)
             dataset = generate_experiment(config)
             effects, _ = collect_effects(qualify(dataset).qualified)
-            if summarize_effects(dv_pairs(effects)).random.mu_star > 0:
+            if summarize_effects(dv_pairs(effects), 0.95).random.mu_star > 0:
                 positive += 1
         assert positive >= 0.95 * MC_RUNS, f"mu* > 0 in only {positive}/{MC_RUNS} runs"
 
@@ -215,8 +215,9 @@ class TestCriterion7SubgroupDecomposition:
             effects, excluded, summary = engine_summary(dataset)
             assert not excluded
             tau2 = summary.heterogeneity.tau2
-            groups = partition_by_spend(campaign_micro_totals(dataset), (1 / 3, 1 / 3, 1 / 3))
-            report = subgroup_analysis(dv_by_id(effects), tau2, groups)
+            groups = resolve_subgroups(campaign_micro_totals(dataset),
+                                       SubgroupSpec((1 / 3, 1 / 3, 1 / 3)))
+            report = subgroup_analysis(dv_by_id(effects), tau2, groups, 0.95)
             assert report.q_star_total == pytest.approx(
                 report.q_within + report.q_between, abs=1e-9
             )

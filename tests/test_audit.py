@@ -112,7 +112,7 @@ class TestConfigRecord:
         assert record.default == (
             "confidence_level = 0.95", "homogeneity_level = 0.1",
             "min_impressions_per_part = 100", "min_qualified_fraction = 0.9",
-            "aa_repeats_k = 5", "aa_seed = 0", "subgroup_kind = by_spend_cumulative",
+            "aa_repeats_k = 5", "aa_seed = 0",
             f"spend_fractions = {1 / 3!r},{1 / 3!r},{1 / 3!r}",
             "skip_subgroup_on_strong_reject = true",
             "phases = 0.01,0.1,0.2,0.5", "current_share = 0.01",
@@ -139,12 +139,12 @@ class TestConfigRecord:
         lines = all_lines(evaluate(dataset, EvaluationConfig(aa=THETAS)).audit.config)
         assert not [line for line in lines if line.startswith("aa_")]
 
-    def test_a_label_map_lists_its_kind_with_it(self, tmp_path, dataset):
+    def test_a_label_map_is_one_line(self, tmp_path, dataset):
         ids = [c.campaign_id for c in dataset.campaigns]
         labels = ",".join(f"{cid}:g{i % 2}" for i, cid in enumerate(ids))
         config = load_evaluation_config(None, {"subgroup_labels": labels})
         record = evaluate(dataset, config).audit.config
-        assert record.flag == ("subgroup_kind = by_label", f"subgroup_labels = {labels}")
+        assert record.flag == (f"subgroup_labels = {labels}",)
 
     @pytest.mark.parametrize("config", [
         EvaluationConfig(),
@@ -167,7 +167,7 @@ class TestWarnings:
         ids = [c.campaign_id for c in dataset.campaigns]
         labels = {**{cid: "real" for cid in ids}, "thin": "ghost"}
         report = evaluate(with_thin(dataset), EvaluationConfig(
-            subgroups=SubgroupSpec(kind="by_label", labels=labels)))
+            subgroups=SubgroupSpec(labels=labels)))
         assert report.audit.warnings == (
             "excluded 1 campaign(s) with fewer than 2 control parts from A/A calibration: thin",
             "subgroup 'ghost' has no analyzable campaigns; dropped",

@@ -141,19 +141,23 @@ class TestEvaluate:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
-    def test_removed_variance_formula_key_is_exit_2(self, workdir, capsys):
-        # the effect variance has one formula; the audit line of an older
-        # report names a key that no longer exists
-        (workdir / "old.cfg").write_text("variance_formula = noncentral_t\n", encoding="utf-8")
+    @pytest.mark.parametrize("key, value, flag", [
+        # the effect variance has one formula
+        ("variance_formula", "noncentral_t", "--variance-formula"),
+        # a label map alone chooses the subgroup partition
+        ("subgroup_kind", "by_spend_cumulative", "--subgroup-kind"),
+    ], ids=["variance_formula", "subgroup_kind"])
+    def test_removed_key_is_exit_2(self, workdir, capsys, key, value, flag):
+        # the audit line of an older report names a key that no longer exists
+        (workdir / "old.cfg").write_text(f"{key} = {value}\n", encoding="utf-8")
         data = simulate(workdir)
         capsys.readouterr()
         assert main(["evaluate", str(data), "--config", str(workdir / "old.cfg")]) == 2
-        assert capsys.readouterr().err == (
-            "error: evaluation config: unknown key 'variance_formula'\n")
+        assert capsys.readouterr().err == f"error: evaluation config: unknown key {key!r}\n"
         with pytest.raises(SystemExit) as caught:
-            main(["evaluate", str(data), "--variance-formula", "x"])
+            main(["evaluate", str(data), flag, "x"])
         assert caught.value.code == 2
-        assert "unrecognized arguments: --variance-formula x" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
     def test_conflicting_threshold_sources_rejected(self, workdir, capsys):
         data = simulate(workdir)
@@ -218,8 +222,12 @@ class TestConfigErrorsBeforeAnalysis:
         (("--micro-theta", "inf", "--macro-theta=-inf"), "micro_theta must be finite, got inf"),
         (("--micro-theta", "0", "--macro-theta=-inf"), "macro_theta must be finite, got -inf"),
         (("--spend-fractions", "nan,1"), "spend fractions must be positive"),
+        (("--subgroup-labels", "c1:x, c1:y"), "campaign 'c1' is labelled twice, got 'c1:y'"),
+        (("--subgroup-labels", "c1:, :y"), "labels must be campaign:group pairs, got 'c1:'"),
+        (("--subgroup-labels", ":y"), "labels must be campaign:group pairs, got ':y'"),
     ], ids=["current-share", "confidence-level", "micro-theta-nan", "thetas-inf",
-            "macro-theta-inf", "spend-fractions-nan"])
+            "macro-theta-inf", "spend-fractions-nan", "labels-twice", "labels-empty-group",
+            "labels-empty-campaign"])
     def test_exit_2_before_any_warning(self, workdir, capsys, flags, message):
         data = warning_data(workdir)
         # explicit thresholds replace the A/A keys of the config file
@@ -358,3 +366,24 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(out)]) == 2
         assert f"schema_version '{version}'" in capsys.readouterr().err
+
+
+class TestMalformedInputIsExit2:
+    """Input nested too deeply for the JSON parser, or a CSV field over the csv
+    module's limit, is an input error: exit 2 with one ``error:`` line."""
+
+    NESTED = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("text, argv, message", [
+        (NESTED, ["report"], "invalid report JSON: nested too deeply"),
+        (NESTED + "\n", ["evaluate", "--input-format", "record-lines"],
+         "line 1: invalid JSON: nested too deeply"),
+        ("campaign_id,arm,part_id,impressions,spend,value\n" + "c" * 131_073 + ",A,0,10,1,1\n",
+         ["evaluate"], "line 2: invalid CSV: field larger than field limit (131072)"),
+    ], ids=["nested-report", "nested-record-line", "long-csv-field"])
+    def test_no_traceback(self, workdir, capsys, text, argv, message):
+        bad = workdir / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main([argv[0], str(bad), *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

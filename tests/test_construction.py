@@ -26,7 +26,7 @@ C1 = make_campaign("c1", [1.0, 1.1], [0.9, 1.0])
 GOOD = {
     AaSettings: dict(repeats_k=5, seed=0, treatment_share=0.5),
     QualificationConfig: dict(min_impressions_per_part=100, min_qualified_fraction=0.9),
-    SubgroupSpec: dict(kind="by_spend_cumulative", spend_fractions=(0.5, 0.5), labels=None),
+    SubgroupSpec: dict(spend_fractions=(0.5, 0.5), labels=None),
     TrafficSchedule: dict(phases=(0.1, 0.5), current_share=0.1),
     EvaluationConfig: EvaluationConfig()._asdict(),
     CampaignExperiment: C1._asdict(),
@@ -54,8 +54,6 @@ REFUSED = [
      "min_qualified_fraction must be in (0, 1], got 0.0"),
     (QualificationConfig, dict(min_qualified_fraction=1.5), ConfigError,
      "min_qualified_fraction must be in (0, 1], got 1.5"),
-    (SubgroupSpec, dict(kind="by_region"), ConfigError,
-     "kind must be one of ('by_spend_cumulative', 'by_label'), got 'by_region'"),
     (SubgroupSpec, dict(spend_fractions=(0.5, 0.0, 0.5)), ConfigError,
      "spend fractions must be positive"),
     (SubgroupSpec, dict(spend_fractions=()), ConfigError, "spend fractions must be positive"),
@@ -63,10 +61,10 @@ REFUSED = [
      "spend fractions must be positive"),
     (SubgroupSpec, dict(spend_fractions=[0.5, 0.4]), ConfigError,
      "spend fractions must sum to 1, got 0.9"),
-    (SubgroupSpec, dict(kind="by_label"), ConfigError,
-     "by_label partitioning requires a labels map"),
-    (SubgroupSpec, dict(kind="by_label", labels={}), ConfigError,
-     "by_label partitioning requires a labels map"),
+    # labels choose the partition, and the fractions are still checked
+    (SubgroupSpec, dict(spend_fractions=(0.5, 0.6), labels={"c1": "x"}), ConfigError,
+     "spend fractions must sum to 1, got 1.1"),
+    (SubgroupSpec, dict(labels={}), ConfigError, "a labels map must label at least one campaign"),
     (TrafficSchedule, dict(phases=()), ConfigError, "phases must be non-empty"),
     (TrafficSchedule, dict(phases=(0.1, 0.1, 0.5)), ConfigError, INCREASING + "(0.1, 0.1, 0.5)"),
     (TrafficSchedule, dict(phases=[0.1, 0.6]), ConfigError, INCREASING + "(0.1, 0.6)"),

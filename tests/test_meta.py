@@ -130,47 +130,47 @@ class TestFixedEffect:
     """``summarize_effects``'s fixed model: the random model at tau2 = 0."""
 
     def test_hand_example(self):
-        summary = summarize_effects([(0.5, 0.1), (0.1, 0.1)]).fixed
+        summary = summarize_effects([(0.5, 0.1), (0.1, 0.1)], 0.95).fixed
         assert summary.mu == pytest.approx(0.3, abs=1e-12)
         assert summary.nu == pytest.approx(0.05, abs=1e-12)
         assert summary.n == 2
 
     def test_single_study(self):
-        summary = summarize_effects([(0.42, 0.2)]).fixed
+        summary = summarize_effects([(0.42, 0.2)], 0.95).fixed
         assert summary.mu == pytest.approx(0.42, abs=1e-15)
         assert summary.nu == pytest.approx(0.2, abs=1e-15)
 
     def test_constant_effects(self):
         pairs = [(0.7, 0.1), (0.7, 0.2), (0.7, 0.4)]
-        summary = summarize_effects(pairs).fixed
+        summary = summarize_effects(pairs, 0.95).fixed
         assert summary.mu == pytest.approx(0.7, abs=1e-12)
         assert summary.nu == pytest.approx(1.0 / (10 + 5 + 2.5), abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError, match="no effects to summarize"):
-            summarize_effects([])
+            summarize_effects([], 0.95)
 
 
 class TestCochranQ:
     """``summarize_effects``'s Q, around the fixed mean with n - 1 df."""
 
     def test_hand_example(self):
-        stats = summarize_effects([(0.5, 0.1), (0.1, 0.1)]).heterogeneity
+        stats = summarize_effects([(0.5, 0.1), (0.1, 0.1)], 0.95).heterogeneity
         assert stats.q == pytest.approx(0.8, abs=1e-12)
         assert stats.p_q == pytest.approx(0.37109336952269756, abs=1e-10)
         assert stats.df == 1
 
     def test_homogeneous(self):
-        stats = summarize_effects([(0.7, 0.1), (0.7, 0.2)]).heterogeneity
+        stats = summarize_effects([(0.7, 0.1), (0.7, 0.2)], 0.95).heterogeneity
         assert stats.q == 0.0
         assert stats.p_q == 1.0
 
     def test_opposed_effects(self):
-        stats = summarize_effects([(1.0, 0.1), (-1.0, 0.1)]).heterogeneity
+        stats = summarize_effects([(1.0, 0.1), (-1.0, 0.1)], 0.95).heterogeneity
         assert stats.q == pytest.approx(20.0, abs=1e-12)
 
     def test_single_study_convention(self):
-        stats = summarize_effects([(0.3, 0.1)]).heterogeneity
+        stats = summarize_effects([(0.3, 0.1)], 0.95).heterogeneity
         assert (stats.q, stats.df, stats.p_q, stats.lambda_, stats.tau2) == (0.0, 0, 1.0, 0.0, 0.0)
 
 
@@ -178,19 +178,19 @@ class TestTauSquared:
     """DerSimonian-Laird: (Q - (n - 1)) / lambda, and 0 when Q < n - 1."""
 
     def test_below_df_is_zero(self):
-        stats = summarize_effects([(0.5, 0.1), (0.1, 0.1)]).heterogeneity
+        stats = summarize_effects([(0.5, 0.1), (0.1, 0.1)], 0.95).heterogeneity
         assert stats.q < 1
         assert stats.tau2 == 0.0
 
     def test_hand_example(self):
         # weights 10 and 10: lambda = 20 - 200 / 20 = 10, Q = 20
-        stats = summarize_effects([(1.0, 0.1), (-1.0, 0.1)]).heterogeneity
+        stats = summarize_effects([(1.0, 0.1), (-1.0, 0.1)], 0.95).heterogeneity
         assert stats.lambda_ == pytest.approx(10.0, abs=1e-12)
         assert stats.tau2 == pytest.approx(1.9, abs=1e-12)
 
     def test_boundary_continuity(self):
         # weights 2 and 2 around a mean of 0: Q = 1 = n - 1 exactly
-        stats = summarize_effects([(0.5, 0.5), (-0.5, 0.5)]).heterogeneity
+        stats = summarize_effects([(0.5, 0.5), (-0.5, 0.5)], 0.95).heterogeneity
         assert (stats.q, stats.lambda_) == (1.0, 2.0)
         assert stats.tau2 == 0.0
 
@@ -206,7 +206,7 @@ class TestRandomEffect:
 
     def test_zero_tau_reduces_to_fixed(self):
         pairs = [(0.5, 0.1), (0.1, 0.3)]
-        fixed = summarize_effects(pairs).fixed
+        fixed = summarize_effects(pairs, 0.95).fixed
         random = random_effect_summary(pairs, 0.0)
         assert random.mu_star == fixed.mu
         assert random.nu_star == fixed.nu
@@ -240,7 +240,7 @@ class TestSignificance:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            z_significance(0.0, 0.0)
+            z_significance(0.0, 0.0, 0.95)
         with pytest.raises(ConfigError):
             z_significance(0.0, 1.0, confidence_level=1.0)
 
@@ -268,7 +268,7 @@ class TestWholeChain:
                     arm_stats(campaign.a.rois), arm_stats(campaign.b.rois),
                     campaign_id=campaign.campaign_id,
                 ))
-            summary = summarize_effects(dv_pairs(effects))
+            summary = summarize_effects(dv_pairs(effects), 0.95)
             expected = oracle_meta(dataset)
             assert summary.fixed.mu == pytest.approx(expected["mu"], abs=1e-9)
             assert summary.fixed.nu == pytest.approx(expected["nu"], abs=1e-9)
@@ -287,7 +287,7 @@ class TestWholeChain:
                             campaign_id=c.campaign_id)
                 for c in dataset.campaigns
             ]
-            summary = summarize_effects(dv_pairs(effects))
+            summary = summarize_effects(dv_pairs(effects), 0.95)
             d_values = [e.d for e in effects]
             assert min(d_values) - 1e-12 <= summary.fixed.mu <= max(d_values) + 1e-12
             assert min(d_values) - 1e-12 <= summary.random.mu_star <= max(d_values) + 1e-12
@@ -303,8 +303,8 @@ class TestWholeChain:
                         campaign_id=c.campaign_id)
             for c in dataset.campaigns
         ]
-        forward = summarize_effects(dv_pairs(effects))
-        reversed_ = summarize_effects(dv_pairs(reversed(effects)))
+        forward = summarize_effects(dv_pairs(effects), 0.95)
+        reversed_ = summarize_effects(dv_pairs(reversed(effects)), 0.95)
         assert abs(forward.fixed.mu - reversed_.fixed.mu) <= 1e-12
         assert abs(forward.heterogeneity.q - reversed_.heterogeneity.q) <= 1e-12
         assert abs(forward.random.mu_star - reversed_.random.mu_star) <= 1e-12

@@ -42,6 +42,13 @@ SUMMARY = ("subgroup", "summaries", 0)
 DELETE = object()
 
 
+def spliced(path, number):
+    """Report text with the value at ``path`` replaced by the JSON text ``number``."""
+    def edit(doc):
+        return edited(path, "@number@")(doc).replace('"@number@"', number)
+    return edit
+
+
 def edited(path, value):
     """Report text with the value at ``path`` replaced, or removed by DELETE."""
     def edit(doc):
@@ -207,6 +214,9 @@ class TestMachineFormat:
         pytest.param(edited(("heterogeneity", "tau2"), float("nan")), id="NaN"),
         pytest.param(edited(("fixed", "mu"), float("inf")), id="Infinity"),
         pytest.param(edited(SUMMARY + ("ci_low",), float("-inf")), id="-Infinity"),
+        # numbers that overflow a float, which json.loads would read as infinities
+        pytest.param(spliced(("heterogeneity", "tau2"), "1e999"), id="1e999"),
+        pytest.param(spliced(SUMMARY + ("ci_low",), "-1e999"), id="-1e999"),
     ])
     def test_rejects_malformed_document(self, malform):
         # a report with parts excluded, campaigns kept and subgroups analysed
@@ -411,7 +421,7 @@ def with_flat_campaign(dataset):
 
 def by_label(dataset):
     labels = {c.campaign_id: f"g{i % 3}" for i, c in enumerate(dataset.campaigns)}
-    return SubgroupSpec(kind="by_label", labels=labels)
+    return SubgroupSpec(labels=labels)
 
 
 # (simulator config, change to its dataset or None, subgroup spec of the dataset)

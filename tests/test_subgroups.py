@@ -20,11 +20,14 @@ from test_simulate import PINNED_SHAPES
 from roimeta.subgroups import (
     GroupAssignment,
     SubgroupSpec,
-    partition_by_label,
-    partition_by_spend,
     resolve_subgroups,
     subgroup_analysis,
 )
+
+
+def by_spend(totals, **spec):
+    """The spend tiers of ``totals``, thirds unless ``spec`` gives fractions."""
+    return resolve_subgroups(totals, SubgroupSpec(**spec))
 
 
 def dataset_with_spends(spends):
@@ -36,23 +39,23 @@ def dataset_with_spends(spends):
 
 class TestPartitionBySpend:
     def test_three_distinct_spends(self):
-        groups = partition_by_spend(totals_of(dataset_with_spends([50.0, 30.0, 20.0])))
+        groups = by_spend(totals_of(dataset_with_spends([50.0, 30.0, 20.0])))
         assert [g.members for g in groups] == [("c0",), ("c1",), ("c2",)]
 
     def test_nine_equal_spends_split_evenly(self):
-        groups = partition_by_spend(totals_of(dataset_with_spends([12.0] * 9)))
+        groups = by_spend(totals_of(dataset_with_spends([12.0] * 9)))
         assert [len(g.members) for g in groups] == [3, 3, 3]
 
     def test_single_campaign_collapses_to_one_group(self):
         # evaluate's report warns about the empty tiers (test_pipeline)
-        groups = partition_by_spend(totals_of(dataset_with_spends([10.0])))
+        groups = by_spend(totals_of(dataset_with_spends([10.0])))
         assert len(groups) == 1
         assert groups[0].members == ("c0",)
 
     def test_every_campaign_assigned_once(self):
         rng = np.random.default_rng(55)
         dataset = random_dataset(rng, n_campaigns=(6, 12))
-        groups = partition_by_spend(totals_of(dataset))
+        groups = by_spend(totals_of(dataset))
         assigned = [cid for g in groups for cid in g.members]
         assert sorted(assigned) == sorted(c.campaign_id for c in dataset.campaigns)
 
@@ -64,18 +67,15 @@ class TestPartitionBySpend:
             make_campaign("c1", [1.0, 1.0], [1.0, 1.0], spend_a=1.0, spend_b=20.0),
             make_campaign("c2", [1.0, 1.0], [1.0, 1.0], spend_a=5.0, spend_b=5.0),
         ])
-        groups = partition_by_spend(totals_of(dataset))
+        groups = by_spend(totals_of(dataset))
         assert [g.members for g in groups] == [("c1",), ("c0",), ("c2",)]
-
-    def test_rejects_bad_fractions(self):
-        with pytest.raises(ConfigError):
-            partition_by_spend(totals_of(dataset_with_spends([1.0, 2.0])), (0.5, 0.6))
 
 
 class TestPartitionByLabel:
     def test_groups_by_label(self):
         dataset = dataset_with_spends([1.0, 2.0, 3.0])
-        groups = partition_by_label(totals_of(dataset), {"c0": "x", "c1": "y", "c2": "x"})
+        groups = resolve_subgroups(totals_of(dataset), SubgroupSpec(
+            labels={"c0": "x", "c1": "y", "c2": "x"}))
         assert [(g.group_id, g.members) for g in groups] == [
             ("x", ("c0", "c2")), ("y", ("c1",)),
         ]
@@ -83,11 +83,11 @@ class TestPartitionByLabel:
     def test_missing_label_rejected(self):
         dataset = dataset_with_spends([1.0, 2.0])
         with pytest.raises(SchemaError):
-            partition_by_label(totals_of(dataset), {"c0": "x"})
+            resolve_subgroups(totals_of(dataset), SubgroupSpec(labels={"c0": "x"}))
 
     def test_spec_resolution(self):
         dataset = dataset_with_spends([1.0, 2.0])
-        spec = SubgroupSpec(kind="by_label", labels={"c0": "x", "c1": "x"})
+        spec = SubgroupSpec(labels={"c0": "x", "c1": "x"})
         groups = resolve_subgroups(totals_of(dataset), spec)
         assert groups[0].members == ("c0", "c1")
 
@@ -99,7 +99,7 @@ class TestSubgroupAnalysis:
             GroupAssignment("g1", ("c0", "c1")),
             GroupAssignment("g2", ("c2", "c3", "c4", "c5")),
         )
-        report = subgroup_analysis(pairs, 0.0, groups)
+        report = subgroup_analysis(pairs, 0.0, groups, 0.95)
         assert report.q_star_total == 0.0
         assert report.q_within == 0.0
         assert report.q_between == 0.0
@@ -108,7 +108,7 @@ class TestSubgroupAnalysis:
     def test_two_singleton_groups(self):
         pairs = {"c0": (1.0, 0.1), "c1": (-1.0, 0.1)}
         groups = (GroupAssignment("g1", ("c0",)), GroupAssignment("g2", ("c1",)))
-        report = subgroup_analysis(pairs, 1.9, groups)  # w* = 0.5 each
+        report = subgroup_analysis(pairs, 1.9, groups, 0.95)  # w* = 0.5 each
         assert report.q_star_total == pytest.approx(1.0, abs=1e-12)
         assert report.q_within == 0.0
         assert report.q_between == pytest.approx(1.0, abs=1e-12)
@@ -122,8 +122,8 @@ class TestSubgroupAnalysis:
             GroupAssignment("g2", ("c2", "c3")),
         )
         merged = (GroupAssignment("all", ("c0", "c1", "c2", "c3")),)
-        split_report = subgroup_analysis(pairs, 0.05, split)
-        merged_report = subgroup_analysis(pairs, 0.05, merged)
+        split_report = subgroup_analysis(pairs, 0.05, split, 0.95)
+        merged_report = subgroup_analysis(pairs, 0.05, merged, 0.95)
         assert merged_report.q_within == pytest.approx(merged_report.q_star_total, abs=1e-12)
         assert merged_report.q_between == pytest.approx(0.0, abs=1e-12)
         assert merged_report.q_star_total == pytest.approx(split_report.q_star_total, abs=1e-12)
@@ -138,26 +138,26 @@ class TestSubgroupAnalysis:
             GroupAssignment("zz", ("c2", "c3")),
             GroupAssignment("aa", ("c0", "c1")),
         )
-        first = subgroup_analysis(pairs, 0.05, groups)
-        second = subgroup_analysis(pairs, 0.05, renamed)
+        first = subgroup_analysis(pairs, 0.05, groups, 0.95)
+        second = subgroup_analysis(pairs, 0.05, renamed, 0.95)
         assert second.q_within == pytest.approx(first.q_within, abs=1e-12)
         assert second.q_between == pytest.approx(first.q_between, abs=1e-12)
 
     def test_unassigned_effect_rejected(self):
         pairs = {"c0": (0.1, 0.1), "c1": (0.2, 0.1)}
         with pytest.raises(SchemaError, match="not assigned"):
-            subgroup_analysis(pairs, 0.0, (GroupAssignment("g1", ("c0",)),))
+            subgroup_analysis(pairs, 0.0, (GroupAssignment("g1", ("c0",)),), 0.95)
 
     def test_double_assignment_rejected(self):
         pairs = {"c0": (0.1, 0.1)}
         groups = (GroupAssignment("g1", ("c0",)), GroupAssignment("g2", ("c0",)))
         with pytest.raises(SchemaError, match="more than one"):
-            subgroup_analysis(pairs, 0.0, groups)
+            subgroup_analysis(pairs, 0.0, groups, 0.95)
 
     def test_negative_tau2_rejected(self):
         pairs = {"c0": (0.1, 0.1)}
         with pytest.raises(ValueError, match=r"^tau2 must be >= 0, got -0\.1$"):
-            subgroup_analysis(pairs, -0.1, (GroupAssignment("g1", ("c0",)),))
+            subgroup_analysis(pairs, -0.1, (GroupAssignment("g1", ("c0",)),), 0.95)
 
     def test_bad_confidence_level_is_checked_first(self):
         # before the assignment checks, so it does not wait for z_significance
@@ -172,7 +172,7 @@ class TestSubgroupAnalysis:
             GroupAssignment("g1", ("c0", "c1")),
             GroupAssignment("ghost", ("c9",)),
         )
-        report = subgroup_analysis(pairs, 0.0, groups)
+        report = subgroup_analysis(pairs, 0.0, groups, 0.95)
         assert [s.group_id for s in report.summaries] == ["g1"]
 
     def test_decomposition_against_direct_between_formula(self):
@@ -184,9 +184,9 @@ class TestSubgroupAnalysis:
                             campaign_id=c.campaign_id)
                 for c in dataset.campaigns
             ]
-            tau2 = summarize_effects(dv_pairs(effects)).heterogeneity.tau2
-            groups = partition_by_spend(totals_of(dataset))
-            report = subgroup_analysis(dv_by_id(effects), tau2, groups)
+            tau2 = summarize_effects(dv_pairs(effects), 0.95).heterogeneity.tau2
+            groups = by_spend(totals_of(dataset))
+            report = subgroup_analysis(dv_by_id(effects), tau2, groups, 0.95)
             # identity held by construction
             assert report.q_star_total == pytest.approx(
                 report.q_within + report.q_between, abs=1e-12
@@ -246,18 +246,19 @@ class TestSubgroupOutputsPinned:
     def test_summary_and_subgroup_bytes(self, shape):
         qualified = qualify(generate_experiment(PINNED_SHAPES[shape][0])).qualified
         effects, _ = collect_effects(qualified)
-        summary = summarize_effects(dv_pairs(effects))
+        summary = summarize_effects(dv_pairs(effects), 0.95)
         tau2 = summary.heterogeneity.tau2
         totals = totals_of(qualified)
         ids = list(totals)
         labels = {cid: f"g{i % 4}" for i, cid in enumerate(ids)}
         labels[ids[-1]] = "solo"
         partitions = (
-            partition_by_spend(totals),
-            partition_by_spend(totals, (0.5, 0.2, 0.1, 0.1, 0.1)),
-            partition_by_label(totals, labels),
+            by_spend(totals),
+            by_spend(totals, spend_fractions=(0.5, 0.2, 0.1, 0.1, 0.1)),
+            resolve_subgroups(totals, SubgroupSpec(labels=labels)),
         )
-        reports = [subgroup_analysis(dv_by_id(effects), tau2, groups) for groups in partitions]
+        reports = [subgroup_analysis(dv_by_id(effects), tau2, groups, 0.95)
+                   for groups in partitions]
         digests = tuple(
             hashlib.sha256(to_json(x).encode("utf-8")).hexdigest()
             for x in (to_plain(summary), *map(stored_split, reports))
