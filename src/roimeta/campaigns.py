@@ -157,10 +157,11 @@ def parts_sha256(dataset: ExperimentDataset) -> str:
     for campaign in dataset.campaigns:
         head = encode_basestring_ascii(campaign.campaign_id)  # json.dumps' text
         for arm, columns in (("A", campaign.a), ("B", campaign.b)):
-            ids = ",".join(map(str, columns.part_ids))
-            counts = ",".join(map(str, columns.impressions))
-            money = struct.pack(f"<{2 * len(columns.part_ids)}d",  # from_micros' doubles
+            n = len(columns.part_ids)
+            ints = ",".join(["%d"] * n)  # str's text of an int, in one format call
+            money = struct.pack(f"<{2 * n}d",  # from_micros' doubles
                                 *map(truediv, columns.spend_micros, unit),
                                 *map(truediv, columns.value_micros, unit))
-            digest.update(f"{head},{arm}\n{ids}\n{counts}\n".encode("utf-8") + money)
+            digest.update(f"{head},{arm}\n{ints % columns.part_ids}\n"
+                          f"{ints % columns.impressions}\n".encode("utf-8") + money)
     return digest.hexdigest()

@@ -5,7 +5,8 @@ Every evaluation key has a CLI flag of the same name, and flags override file
 values. Baseline thresholds come either from A/A calibration (``aa_*`` keys)
 or from explicit ``micro_theta``/``macro_theta`` values, never both. Subgroups
 are spend tiers (``spend_fractions``) unless ``subgroup_labels`` gives each
-campaign a group; the labels alone choose that partition.
+campaign a group; the labels alone choose that partition. No campaign or group
+of a label map holds ``#``, so its config line reads back as it was written.
 
 ``EVAL_KEYS`` places each key in an ``EvaluationConfig``; the loader builds
 the config through it and ``config_record`` reads it back as config lines,

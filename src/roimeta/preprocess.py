@@ -50,12 +50,9 @@ class QualificationReport(NamedTuple):
     disqualified_fraction: float
 
 
-def _screen_parts(
-    columns: ArmColumns, config: QualificationConfig
-) -> tuple[list[int], int, int]:
+def _screen_parts(columns: ArmColumns, minimum: int) -> tuple[list[int], int, int]:
     """Indices of the arm's parts that qualify, and how many it drops for too
     few impressions and for zero spend."""
-    minimum = config.min_impressions_per_part
     kept: list[int] = []
     low = zero = 0
     for index, (impressions, spend) in enumerate(
@@ -86,12 +83,19 @@ def qualify(
     retained: list[CampaignExperiment] = []
     excluded: list[PartExclusions] = []
     disqualified: list[DisqualifiedCampaign] = []
-    frac = config.min_qualified_fraction
+    minimum, frac = config.min_impressions_per_part, config.min_qualified_fraction
     for campaign in dataset.campaigns:
-        campaign_id, a, b = campaign.campaign_id, campaign.a, campaign.b
-        keep_a, low_a, zero_a = _screen_parts(a, config)
-        keep_b, low_b, zero_b = _screen_parts(b, config)
-        if len(keep_a) > frac * campaign.m_a and len(keep_b) > frac * campaign.m_b:
+        campaign_id, a, b = campaign
+        m_a, m_b = len(a.part_ids), len(b.part_ids)
+        # The columns at C speed first: the parts are walked only if one drops.
+        if (m_a and m_b and min(a.impressions) >= minimum and min(b.impressions) >= minimum
+                and all(a.spend_micros) and all(b.spend_micros)):
+            keep_a, keep_b = range(m_a), range(m_b)
+            low_a = zero_a = low_b = zero_b = 0
+        else:
+            keep_a, low_a, zero_a = _screen_parts(a, minimum)
+            keep_b, low_b, zero_b = _screen_parts(b, minimum)
+        if len(keep_a) > frac * m_a and len(keep_b) > frac * m_b:
             lost_a = lost_b = 0
             retained.append(campaign if not (low_a or zero_a or low_b or zero_b) else
                             CampaignExperiment(campaign_id, _take(a, keep_a), _take(b, keep_b)))
@@ -99,8 +103,8 @@ def qualify(
             lost_a, lost_b = len(keep_a), len(keep_b)
             disqualified.append(DisqualifiedCampaign(
                 campaign_id,
-                f"qualified parts {len(keep_a)}/{campaign.m_a} (A) and "
-                f"{len(keep_b)}/{campaign.m_b} (B) not above fraction {frac:g}",
+                f"qualified parts {len(keep_a)}/{m_a} (A) and "
+                f"{len(keep_b)}/{m_b} (B) not above fraction {frac:g}",
             ))
         if low_a or zero_a or lost_a:
             excluded.append(PartExclusions(campaign_id, Arm.CONTROL, low_a, zero_a, lost_a))

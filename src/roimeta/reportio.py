@@ -4,8 +4,9 @@ human tables.
 The machine format is deterministic (sorted keys, repr-exact floats), so the
 same report always serializes to identical bytes, and parsing it back yields
 an object equal to the original. It is strict JSON: the writer refuses a
-non-finite float and the reader the ``NaN`` and ``Infinity`` constants and a
-number too large for a float, such as ``1e999``.
+non-finite float and the reader the ``NaN`` and ``Infinity`` constants, a
+number too large for a float, such as ``1e999``, and in a float field an
+integer too large for one.
 Encoding and decoding are both driven by the field types of the report's named
 tuples (``_codec``), so a report field is declared once, on its named tuple in
 ``records``. The codec has one rule for computed values: only named-tuple
@@ -15,6 +16,20 @@ a decoded report computes it again from the same fields.
 
 Each named tuple has one encoder and one decoder, applied item by item to a
 tuple of them; the decoder is the only place that words an error.
+
+The machine text is exactly ``json.dumps(doc, indent=2, sort_keys=True)``,
+but ``to_json`` does not call it that way: up to Python 3.12, json falls back
+from its C encoder to a pure-Python one whenever ``indent`` is set, one Python
+step per value, and a report of 1,000 campaigns holds about 10,000 values.
+``to_json`` writes the indentation itself only for containers that hold
+containers. Every flat block (a dict or list of scalars) goes to a
+``JSONEncoder`` whose item separator carries the newline and the indentation,
+so the C encoder writes it in one call. A list of flat dicts (the kept counts,
+the effects, the exclusions) is also one call, and its ``},\n<pad>{`` item
+boundaries are then re-indented with one ``str.replace``. That is safe because
+encoded JSON never holds a raw newline inside a string, so every newline in
+the encoder's output is a separator, and inside a flat dict the item after a
+separator starts with a key's quote, not ``{``.
 """
 
 from __future__ import annotations
@@ -26,6 +41,8 @@ import operator
 import types
 import typing
 from enum import Enum
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .errors import SchemaError
@@ -35,8 +52,11 @@ SCHEMA_VERSION = "4"
 
 REPORT_FORMATS = ("human-table", "machine-json")
 
+_CONTAINERS = frozenset((dict, list))
+
 # The types ``json.loads`` gives a value of each scalar annotation. A float
-# field also takes an int: ``ExplicitThetas(micro_theta=0)`` writes one.
+# field also takes an int that a float can hold: ``ExplicitThetas(micro_theta=0)``
+# writes one.
 _SCALAR_JSON_TYPES = {str: (str,), bool: (bool,), int: (int,), float: (float, int)}
 
 _JSON_NAMES = {
@@ -55,12 +75,26 @@ class _Codec(typing.NamedTuple):
     from_plain: Callable[[Any], Any]
 
 
-def _json_type_error(where: str, allowed: frozenset, value: Any) -> TypeError:
-    kinds = {_JSON_NAMES[t] for t in allowed}
-    if float in allowed:
-        kinds.discard("an integer")
-    got = _JSON_NAMES.get(type(value), type(value).__name__)
-    return TypeError(f"{where} must be {' or '.join(sorted(kinds))}, not {got}")
+def _check_value(where: str, allowed: frozenset, value: Any) -> None:
+    """Refuse a value of a type ``allowed`` does not hold, and in a float field
+    an int that no float can hold: every reader computes with it as a float."""
+    if type(value) not in allowed:
+        kinds = {_JSON_NAMES[t] for t in allowed}
+        if float in allowed:
+            kinds.discard("an integer")
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise TypeError(f"{where} must be {' or '.join(sorted(kinds))}, not {got}")
+    if type(value) is int and float in allowed:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{where} is outside the range of a float") from None
+
+
+def _floats_only(allowed: frozenset) -> frozenset:
+    """``allowed`` without the ints a float field takes: the types for which
+    ``_check_value`` has nothing to refuse."""
+    return allowed - {int} if float in allowed else allowed
 
 
 def _or_none(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
@@ -96,10 +130,12 @@ def _codec(tp: Any) -> _Codec:
 def _tuple_codec(item: _Codec) -> _Codec:
     """A tuple is written as a JSON array and read only from one (the
     enclosing record checks that), with every item of the item's type."""
+    plain_types = _floats_only(item.json_types)
+
     def from_plain(doc: list) -> tuple:
-        if not item.json_types.issuperset(map(type, doc)):
-            bad = next(v for v in doc if type(v) not in item.json_types)
-            raise _json_type_error("an array item", item.json_types, bad)
+        if not plain_types.issuperset(map(type, doc)):
+            for value in doc:
+                _check_value("an array item", item.json_types, value)
         return tuple(doc) if item.from_plain is _same else tuple(map(item.from_plain, doc))
 
     to_plain = list if item.to_plain is _same else lambda v: list(map(item.to_plain, v))
@@ -115,6 +151,7 @@ def _record_codec(tp: type) -> _Codec:
     names = tp._fields
     codecs = [_codec(tp.__annotations__[name]) for name in names]
     json_types = tuple(c.json_types for c in codecs)
+    plain_types = tuple(map(_floats_only, json_types))
     items = operator.itemgetter(*names)
     if len(names) == 1:  # a getter of one name returns the bare value, not a 1-tuple
         items = lambda doc, one=items: (one(doc),)
@@ -134,9 +171,9 @@ def _record_codec(tp: type) -> _Codec:
         if type(doc) is not dict or len(doc) != len(names):
             raise ValueError(f"{tp.__name__} must be an object with the keys {sorted(names)}")
         values = items(doc)
-        if not all(map(operator.contains, json_types, map(type, values))):
-            i = next(i for i, v in enumerate(values) if type(v) not in json_types[i])
-            raise _json_type_error(f"{tp.__name__}.{names[i]}", json_types[i], values[i])
+        if not all(map(operator.contains, plain_types, map(type, values))):
+            for name, allowed, value in zip(names, json_types, values):
+                _check_value(f"{tp.__name__}.{name}", allowed, value)
         if decoded:
             values = list(values)
             for i, decode in decoded:
@@ -152,10 +189,56 @@ def to_plain(obj: Any) -> dict:
     return _codec(type(obj)).to_plain(obj)
 
 
+@functools.cache
+def _flat_encoder(depth: int) -> Callable[[Any], str]:
+    """Encode a value whose items sit one level below ``depth``, one per line."""
+    separators = (",\n" + "  " * (depth + 1), ": ")
+    return json.JSONEncoder(sort_keys=True, separators=separators, allow_nan=False).encode
+
+
+def _write(value: Any, depth: int, out: list[str]) -> None:
+    """Append the text of ``value``, nested ``depth`` levels deep, to ``out``."""
+    kind = type(value)
+    if kind not in _CONTAINERS or not value:
+        out.append(_flat_encoder(depth)(value))
+        return
+    pad, inner = "  " * depth, "  " * (depth + 1)
+    if _CONTAINERS.isdisjoint(map(type, value.values() if kind is dict else value)):
+        text = _flat_encoder(depth)(value)
+        out.append(f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}")
+    elif (kind is list and {dict}.issuperset(map(type, value)) and all(value)
+          and _CONTAINERS.isdisjoint(map(type, chain.from_iterable(map(dict.values, value))))):
+        deeper = inner + "  "
+        body = _flat_encoder(depth + 1)(value)[2:-2].replace(
+            "},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}"
+        )
+        out.append(f"[\n{inner}{{\n{deeper}{body}\n{inner}}}\n{pad}]")
+    elif kind is dict:
+        separator = "{\n"
+        for key, item in sorted(value.items()):
+            out.append(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
+            _write(item, depth + 1, out)
+            separator = ",\n"
+        out.append(f"\n{pad}}}")
+    else:
+        separator = "[\n"
+        for item in value:
+            out.append(separator + inner)
+            _write(item, depth + 1, out)
+            separator = ",\n"
+        out.append(f"\n{pad}]")
+
+
 def to_json(doc: Any) -> str:
-    """The machine text of a plain document: sorted keys, two-space indent. A
-    non-finite float raises ValueError, as JSON has no such number."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"`` for
+    a plain document (dicts with string keys, lists and JSON scalars, as
+    ``to_plain`` and ``json.loads`` make them), written mostly by json's C
+    encoder (see the module docstring). A non-finite float raises ValueError,
+    as JSON has no such number."""
+    out: list[str] = []
+    _write(doc, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def report_to_json(report: EvaluationReport) -> str:

@@ -44,6 +44,10 @@ class SubgroupSpec(NamedTuple):
             raise ConfigError(f"spend fractions must sum to 1, got {fsum(fractions)!r}")
         if self.labels is not None and not self.labels:
             raise ConfigError("a labels map must label at least one campaign")
+        # The audit line replays the map from a config file, where '#' starts a comment.
+        for campaign_id, group in (self.labels or {}).items():
+            if "#" in f"{campaign_id}:{group}":
+                raise ConfigError(f"subgroup labels cannot hold '#', got '{campaign_id}:{group}'")
 
 
 class GroupAssignment(NamedTuple):

@@ -14,6 +14,7 @@ from conftest import campaign_from_rows, make_part
 from roimeta.baselines import campaign_micro_totals, observed_share
 from roimeta.campaigns import Arm, ExperimentDataset
 from roimeta.config import load_evaluation_config
+from roimeta.errors import ConfigError
 from roimeta.pipeline import (
     AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule, _observed_share, evaluate,
 )
@@ -146,13 +147,29 @@ class TestConfigRecord:
         record = evaluate(dataset, config).audit.config
         assert record.flag == (f"subgroup_labels = {labels}",)
 
+    def test_a_label_holding_a_hash_is_refused(self, tmp_path):
+        # A config file reads '#' as the start of a comment, so the audit line
+        # of such a map would replay as another map.
+        path = tmp_path / "labels.cfg"
+        path.write_text("subgroup_labels = c1:a, c2:x#y\n", encoding="utf-8")
+        assert load_evaluation_config(path).subgroups.labels == {"c1": "a", "c2": "x"}
+        message = re.escape("subgroup labels cannot hold '#', got 'c2:x#y'")
+        with pytest.raises(ConfigError, match=message):  # a flag over the file
+            load_evaluation_config(path, {"subgroup_labels": "c1:a, c2:x#y"})
+        with pytest.raises(ConfigError, match=message):  # a library caller
+            SubgroupSpec(labels={"c1": "a", "c2": "x#y"})
+        with pytest.raises(ConfigError, match=re.escape("got 'c#2:x'")):
+            SubgroupSpec(labels={"c1": "a", "c#2": "x"})
+
     @pytest.mark.parametrize("config", [
         EvaluationConfig(),
         EvaluationConfig(aa=AaSettings(repeats_k=3, seed=9, treatment_share=0.3),
                          confidence_level=0.9, schedule=TrafficSchedule(current_share=0.2)),
         EvaluationConfig(aa=THETAS, subgroups=SubgroupSpec(spend_fractions=(0.5, 0.25, 0.25)),
                          skip_subgroup_on_strong_reject=False, homogeneity_level=0.05),
-    ], ids=["defaults", "aa-settings", "thresholds"])
+        EvaluationConfig(subgroups=SubgroupSpec(
+            labels={f"camp_{i}": f"g {i % 2}" for i in range(9)})),
+    ], ids=["defaults", "aa-settings", "thresholds", "labels"])
     def test_the_lines_replay_the_decision(self, tmp_path, dataset, config):
         report = evaluate(dataset, config)
         path = tmp_path / "replay.cfg"

@@ -225,9 +225,10 @@ class TestConfigErrorsBeforeAnalysis:
         (("--subgroup-labels", "c1:x, c1:y"), "campaign 'c1' is labelled twice, got 'c1:y'"),
         (("--subgroup-labels", "c1:, :y"), "labels must be campaign:group pairs, got 'c1:'"),
         (("--subgroup-labels", ":y"), "labels must be campaign:group pairs, got ':y'"),
+        (("--subgroup-labels", "c1:a#b, c2:x"), "subgroup labels cannot hold '#', got 'c1:a#b'"),
     ], ids=["current-share", "confidence-level", "micro-theta-nan", "thetas-inf",
             "macro-theta-inf", "spend-fractions-nan", "labels-twice", "labels-empty-group",
-            "labels-empty-campaign"])
+            "labels-empty-campaign", "labels-hash"])
     def test_exit_2_before_any_warning(self, workdir, capsys, flags, message):
         data = warning_data(workdir)
         # explicit thresholds replace the A/A keys of the config file
@@ -369,18 +370,24 @@ class TestReport:
 
 
 class TestMalformedInputIsExit2:
-    """Input nested too deeply for the JSON parser, or a CSV field over the csv
-    module's limit, is an input error: exit 2 with one ``error:`` line."""
+    """Input nested too deeply for the JSON parser, a report integer too large
+    for a float, or a CSV field over the csv module's limit, is an input error:
+    exit 2 with one ``error:`` line."""
 
     NESTED = "[" * 100_000 + "]" * 100_000
+    BIG_TAU2 = GOLDEN_PATH.read_text(encoding="utf-8").replace(
+        f'"tau2": {json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["heterogeneity"]["tau2"]!r}',
+        '"tau2": 1' + "0" * 400)
 
     @pytest.mark.parametrize("text, argv, message", [
         (NESTED, ["report"], "invalid report JSON: nested too deeply"),
+        (BIG_TAU2, ["report"], "malformed report document: "
+                               "HeterogeneityStats.tau2 is outside the range of a float"),
         (NESTED + "\n", ["evaluate", "--input-format", "record-lines"],
          "line 1: invalid JSON: nested too deeply"),
         ("campaign_id,arm,part_id,impressions,spend,value\n" + "c" * 131_073 + ",A,0,10,1,1\n",
          ["evaluate"], "line 2: invalid CSV: field larger than field limit (131072)"),
-    ], ids=["nested-report", "nested-record-line", "long-csv-field"])
+    ], ids=["nested-report", "int-tau2-1e400", "nested-record-line", "long-csv-field"])
     def test_no_traceback(self, workdir, capsys, text, argv, message):
         bad = workdir / "bad.txt"
         bad.write_text(text, encoding="utf-8")

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import operator
+import struct
 from enum import Enum
 from pathlib import Path
 
@@ -139,7 +140,67 @@ def report_with_exclusions():
     return evaluate(make_dataset([fine, thin]), thetas_config())
 
 
+def report_doc(dataset, config=None):
+    """The plain document of ``dataset``'s report, made without ``to_json``."""
+    report = evaluate(dataset, config or thetas_config())
+    return {**plain(report), "schema_version": "4"}
+
+
+def odd_ids_dataset():
+    """Campaign ids that the JSON text must escape."""
+    return make_dataset([
+        make_campaign(campaign_id, [1.0, 1.2, 0.9], [1.1, 1.3, 1.0 + i / 10])
+        for i, campaign_id in enumerate(['say "hi"', "two\nlines", "caf\u00e9 \U0001f4a1",
+                                         "back\\slash", "},\n  {"])
+    ])
+
+
+# Documents for the writer: each is built on use, by name.
+WRITER_CASES = {
+    "one-campaign": lambda: report_doc(make_dataset([
+        make_campaign("only", [1.0, 1.2, 0.9], [1.1, 1.3, 1.0])])),
+    "200-campaigns": lambda: report_doc(generate_experiment(SimConfig(
+        n_campaigns=200, m_a=10, m_b=10, treatment_lift=0.02, seed=5)), EvaluationConfig()),
+    "disqualified-and-excluded-parts": lambda: report_doc(generate_experiment(SimConfig(
+        n_campaigns=12, m_a=25, m_b=25, treatment_lift=0.05,
+        impressions_per_part_mean=118.0, seed=2))),
+    "effect-exclusions": lambda: report_doc(make_dataset([
+        make_campaign("fine", [1.0, 1.4, 0.9], [1.2, 1.5, 1.0]),
+        make_campaign("flat", [1.0, 1.0], [1.0, 1.0]),
+        campaign_from_rows([make_part("thin", Arm.CONTROL, 0, roi=1.0),
+                            make_part("thin", Arm.TREATMENT, 0, roi=1.0)])])),
+    "skipped-subgroups": lambda: report_doc(generate_experiment(SimConfig(
+        n_campaigns=15, m_a=6, m_b=6, treatment_lift=-0.2, part_noise_sd=0.08, seed=32))),
+    "explicit-theta-ints": lambda: report_doc(
+        generate_experiment(SimConfig(n_campaigns=9, m_a=5, m_b=5, seed=31)),
+        EvaluationConfig(aa=ExplicitThetas(micro_theta=0, macro_theta=0))),
+    "odd-ids": lambda: report_doc(odd_ids_dataset()),
+    "empty-dict": lambda: {},
+    "empty-list": lambda: [],
+    "empties-inside": lambda: {"a": {}, "b": [], "c": [{}], "d": [[]]},
+    "list-of-empty-dicts": lambda: [{}, {}],
+    "flat-and-empty-dicts": lambda: [{"a": 1}, {}, {"b": [2]}],
+    "nested-lists": lambda: [[1, [2, [3, []]]], [[]], [[{"x": None}]]],
+    "dicts-holding-lists": lambda: {"k": [1, "two", 3.5], "l": [{"m": [True]}], "z": {"y": []}},
+    "nan-in-flat-dict": lambda: {"x": {"a": float("nan")}},
+    "inf-in-list-of-flat-dicts": lambda: {"e": [{"v": 1.0}, {"v": float("inf")}]},
+    "-inf-in-nested-list": lambda: [[float("-inf")]],
+}
+
+
 class TestMachineFormat:
+    @pytest.mark.parametrize("name", sorted(WRITER_CASES))
+    def test_writer_is_json_dumps_indent(self, name):
+        doc = WRITER_CASES[name]()
+        try:
+            expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:  # a NaN or an infinity, which no JSON text holds
+            with pytest.raises(ValueError):
+                to_json(doc)
+            assert "nan" in name or "inf" in name
+            return
+        assert to_json(doc) == expected
+
     @settings(max_examples=400, deadline=None)
     @given(DOCUMENTS)
     def test_writer_matches_json_indent(self, doc):
@@ -217,6 +278,9 @@ class TestMachineFormat:
         # numbers that overflow a float, which json.loads would read as infinities
         pytest.param(spliced(("heterogeneity", "tau2"), "1e999"), id="1e999"),
         pytest.param(spliced(SUMMARY + ("ci_low",), "-1e999"), id="-1e999"),
+        # integers that no float can hold, which a float field would otherwise take
+        pytest.param(spliced(("heterogeneity", "tau2"), "1" + "0" * 400), id="int-1e400"),
+        pytest.param(spliced(SUMMARY + ("ci_low",), "-" + "9" * 400), id="-int-9e399"),
     ])
     def test_rejects_malformed_document(self, malform):
         # a report with parts excluded, campaigns kept and subgroups analysed
@@ -227,6 +291,29 @@ class TestMachineFormat:
     def test_float_field_accepts_an_integer(self, accept_report):
         text = edited(("fixed", "mu"), 0)(json.loads(report_to_json(accept_report)))
         assert report_from_json(text).fixed.mu == 0
+
+    def test_integer_thresholds_round_trip(self, accept_report):
+        dataset = generate_experiment(SimConfig(n_campaigns=9, m_a=5, m_b=5, seed=31))
+        text = report_to_json(evaluate(dataset, EvaluationConfig(
+            aa=ExplicitThetas(micro_theta=0, macro_theta=0))))
+        assert '"threshold_theta": 0\n' in text
+        assert report_to_json(report_from_json(text)) == text
+
+    @pytest.mark.parametrize("path,number,message", [
+        (("heterogeneity", "tau2"), "1" + "0" * 400,
+         "HeterogeneityStats.tau2 is outside the range of a float"),
+        (("audit", "aa", "macro", 0), "-" + "9" * 400,
+         "an array item is outside the range of a float"),
+        (("audit", "spend_share_observed"), str(2 ** 1024),
+         "Audit.spend_share_observed is outside the range of a float"),
+    ], ids=["float-field", "tuple-of-floats", "optional-float"])
+    def test_integer_too_large_for_a_float(self, path, number, message):
+        text = spliced(path, number)(json.loads(GOLDEN_PATH.read_text(encoding="utf-8")))
+        with pytest.raises(SchemaError) as caught:
+            report_from_json(text)
+        assert str(caught.value) == f"malformed report document: {message}"
+        largest = str(int(1.7976931348623157e308))  # the largest float, as an integer
+        assert report_from_json(spliced(path, largest)(json.loads(text.replace(number, "0"))))
 
     def test_decoder_rejects_unsupported_annotation(self):
         with pytest.raises(TypeError, match="cannot encode or decode"):
@@ -302,6 +389,24 @@ class TestQualificationBlock:
             + head + b",B\n0\n1000\n" + bytes.fromhex("8dedb5a0f7c6b03e" "0000000000000000")
         )
         assert parts_sha256(dataset) == hashlib.sha256(encoded).hexdigest()
+
+    def test_digest_writes_large_integers_as_str_does(self):
+        big = 2 ** 63
+        dataset = make_dataset([campaign_from_rows([
+            make_part("c", Arm.CONTROL, big, spend=1.5, value=2.25, impressions=2 ** 64 + 1),
+            make_part("c", Arm.CONTROL, 10 ** 40, spend=0.5, value=0.75, impressions=big - 1),
+            make_part("c", Arm.TREATMENT, big + 1, spend=2.0, value=1.0, impressions=10 ** 30),
+        ])])
+        digest = hashlib.sha256()
+        for campaign in dataset.campaigns:
+            for arm, columns in (("A", campaign.a), ("B", campaign.b)):
+                money = [m / 1_000_000 for m in columns.spend_micros + columns.value_micros]
+                digest.update(
+                    f'"c",{arm}\n{",".join(map(str, columns.part_ids))}\n'
+                    f'{",".join(map(str, columns.impressions))}\n'.encode("utf-8")
+                    + struct.pack(f"<{len(money)}d", *money))
+        assert dataset.campaigns[0].a.part_ids == (big, 10 ** 40)
+        assert parts_sha256(dataset) == digest.hexdigest()
 
     def test_digest_moves_with_one_micro_unit_of_spend(self):
         dataset = generate_experiment(SimConfig(n_campaigns=5, seed=9))
