@@ -3,7 +3,9 @@
 effect when the treatment is identical to control?
 
 Runs seeded A/A-style simulations (zero lift) and reports the significant-call
-rate, which should sit near the nominal two-sided level.
+rate, which should sit near the nominal two-sided level. A call is significant
+when the summary effect's confidence interval excludes zero, the criterion the
+verdict reads.
 
     python scripts/run_null_calibration.py --runs 1000 --campaigns 50
 """
@@ -42,7 +44,7 @@ def main() -> int:
             treatment_lift=0.0, seed=args.seed_base + i,
         )
         report = evaluate(generate_experiment(config), evaluation)
-        significant += report.significance.significant
+        significant += report.significance.ci_low > 0 or report.significance.ci_high < 0
         positive += report.random.mu_star > 0
     elapsed = time.perf_counter() - started
 

@@ -5,8 +5,9 @@ Every evaluation key has a CLI flag of the same name, and flags override file
 values. Baseline thresholds come either from A/A calibration (``aa_*`` keys)
 or from explicit ``micro_theta``/``macro_theta`` values, never both. Subgroups
 are spend tiers (``spend_fractions``) unless ``subgroup_labels`` gives each
-campaign a group; the labels alone choose that partition. No campaign or group
-of a label map holds ``#``, so its config line reads back as it was written.
+campaign a group; the labels alone choose that partition. A label map holds
+no ``#`` or ``,``, no ``:`` in a campaign id and no padded part (``SubgroupSpec``
+refuses them), so its config line reads back as it was written.
 
 ``EVAL_KEYS`` places each key in an ``EvaluationConfig``; the loader builds
 the config through it and ``config_record`` reads it back as config lines,
@@ -25,15 +26,6 @@ if TYPE_CHECKING:
     from .pipeline import EvaluationConfig
     from .records import ConfigRecord
     from .simulate import SimConfig
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
 def _parse_float(raw: str) -> float:
@@ -91,7 +83,6 @@ EVAL_KEYS: dict[str, tuple[Callable[[str], object], tuple[str, ...]]] = {
     "macro_theta": (_parse_float, ("aa", "macro_theta")),
     "spend_fractions": (_parse_float_list, ("subgroups", "spend_fractions")),
     "subgroup_labels": (_parse_labels, ("subgroups", "labels")),
-    "skip_subgroup_on_strong_reject": (_parse_bool, ("skip_subgroup_on_strong_reject",)),
     "phases": (_parse_float_list, ("schedule", "phases")),
     "current_share": (_parse_float, ("schedule", "current_share")),
 }
@@ -155,7 +146,6 @@ def _format_float(value: object) -> str:
 
 # The config-file text of a value, by the parser that reads it back.
 _FORMATTERS: dict[Callable[[str], object], Callable] = {
-    _parse_bool: lambda value: "true" if value else "false",
     _parse_float: _format_float,
     _parse_int: str,
     _parse_float_list: lambda values: ",".join(map(_format_float, values)),

@@ -105,6 +105,8 @@ def _rows_from_jsonl(path: Path) -> Iterator[tuple[int, tuple[object, ...]]]:
                 raise IngestError(f"invalid JSON: {message}", line) from None
             except RecursionError:
                 raise IngestError("invalid JSON: nested too deeply", line) from None
+            except ValueError as exc:  # an integer literal longer than int() converts
+                raise IngestError(f"invalid JSON: {exc}", line) from None
             if end != len(raw):
                 raise IngestError("invalid JSON: Extra data", line)
             if not isinstance(record, dict):

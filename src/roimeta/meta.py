@@ -140,9 +140,10 @@ def random_effect_summary(pairs: Pairs, tau2: float) -> RandomEffectSummary:
 def z_significance(mu_star: float, nu_star: float, confidence_level: float) -> SignificanceResult:
     """Z test of a zero summary effect plus the matching confidence interval.
 
-    The effect is significant when the one-sided tail probability of |Z| is
-    below half the complement of the confidence level, which is exactly the
-    condition for zero to fall outside the interval.
+    In exact arithmetic, ``p_z`` (the one-sided tail probability of |Z|) is below
+    half the complement of the confidence level just when zero falls outside the
+    interval. The two are computed by different float paths, though, and can
+    disagree at that edge, so the verdict reads the interval alone.
     """
     if nu_star <= 0 or not math.isfinite(nu_star):
         raise ValueError(f"nu_star must be finite and > 0, got {nu_star!r}")
@@ -159,7 +160,6 @@ def z_significance(mu_star: float, nu_star: float, confidence_level: float) -> S
         confidence_level=confidence_level,
         ci_low=mu_star - half_width,
         ci_high=mu_star + half_width,
-        significant=p_z < alpha / 2.0,
     )
 
 

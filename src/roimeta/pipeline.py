@@ -3,14 +3,13 @@
 ``evaluate`` runs the stages in a fixed order: qualification, the subgroup
 partition (so a bad label map fails before any analysis), micro/macro
 baselines against A/A-calibrated (or explicit) thresholds, per-campaign effect
-sizes, the fixed-then-random effects combination with its Z/CI significance
-test (``meta.summarize_effects``), subgroup diagnostics (skipped on a strong
-rejection when configured), the verdict, and a traffic-ramp recommendation.
-The verdict is a pure function of the significance result: accept needs a
-significant effect with a confidence interval entirely above zero; a
-significant interval entirely below zero is a harmful (strong) rejection;
-anything else rejects for ineffectiveness.
-Baseline verdicts are reported alongside but never drive the decision.
+sizes, the fixed-then-random effects combination with its Z test and
+confidence interval (``meta.summarize_effects``), the verdict, subgroup
+diagnostics (skipped after a harmful rejection), and a traffic-ramp
+recommendation. The verdict reads the summary effect's confidence interval
+alone: accept when it lies entirely above zero, a harmful (strong) rejection
+when it lies entirely below, and a rejection for ineffectiveness otherwise.
+``p_z`` and the baseline verdicts are reported alongside but never drive it.
 
 The report's ``audit`` block records what a later check of the decision needs:
 the effective config with the source of each value, each baseline's A/A
@@ -106,7 +105,6 @@ class EvaluationConfig(NamedTuple):
     qualification: QualificationConfig = QualificationConfig()
     aa: AaSettings | ExplicitThetas = AaSettings()
     subgroups: SubgroupSpec = SubgroupSpec()
-    skip_subgroup_on_strong_reject: bool = True
     schedule: TrafficSchedule = TrafficSchedule()
     # Where the loader found each key ("file" or "flag"); compared, as the audit shows it.
     sources: dict[str, str] | None = None
@@ -119,34 +117,14 @@ class EvaluationConfig(NamedTuple):
 
 
 def decide(significance: SignificanceResult) -> Decision:
-    """Map the significance result to a verdict; pure and replayable."""
-    alpha_half = (1.0 - significance.confidence_level) / 2.0
-    if significance.significant and significance.ci_low > 0:
-        verdict = Verdict.ACCEPT
-        basis = (
-            f"significant positive effect: P_z={significance.p_z:.6f} < "
-            f"{alpha_half:.6f} and CI low {significance.ci_low:.6f} > 0"
-        )
-    elif significance.significant and significance.ci_high < 0:
-        verdict = Verdict.REJECT_HARMFUL
-        basis = (
-            f"significant negative effect: P_z={significance.p_z:.6f} < "
-            f"{alpha_half:.6f} and CI high {significance.ci_high:.6f} < 0"
-        )
-    elif significance.significant:
-        verdict = Verdict.REJECT_INEFFECTIVE
-        basis = (
-            f"significant but the confidence interval "
-            f"[{significance.ci_low:.6f}, {significance.ci_high:.6f}] touches zero"
-        )
-    else:
-        verdict = Verdict.REJECT_INEFFECTIVE
-        basis = (
-            f"effect not significant: P_z={significance.p_z:.6f} >= {alpha_half:.6f}"
-        )
-    return Decision(
-        verdict=verdict, basis=basis, requires_approval=verdict is Verdict.ACCEPT
-    )
+    """The verdict of the summary effect's confidence interval: accept when it
+    lies above zero, a harmful rejection when it lies below, otherwise an
+    ineffective one. Pure and replayable."""
+    if significance.ci_low > 0:
+        return Decision(Verdict.ACCEPT)
+    if significance.ci_high < 0:
+        return Decision(Verdict.REJECT_HARMFUL)
+    return Decision(Verdict.REJECT_INEFFECTIVE)
 
 
 def recommend_traffic(
@@ -243,8 +221,7 @@ def evaluate(
     decision = decide(summary.significance)
 
     subgroup = None
-    skip = config.skip_subgroup_on_strong_reject and decision.verdict is Verdict.REJECT_HARMFUL
-    if not skip:
+    if decision.verdict is not Verdict.REJECT_HARMFUL:
         tiers = len(config.subgroups.spend_fractions)
         if config.subgroups.labels is None and len(groups) < tiers:
             notes.append(f"only {len(groups)} of {tiers} spend groups are non-empty")

@@ -6,11 +6,11 @@ type's named-tuple fields, so a report field is declared once, here. It reads th
 import annotations``): each class holds its field types evaluated. A report stores
 each value once: a value that follows from stored fields (an effect's ``d``,
 ``correction`` and weight ``w``, its random-model weight ``w_star``, the subgroup split
-``q_within``, ``q_between`` and ``df_between``) is a property or method computed on
-access, never a field, so it is neither written nor read. The computing modules use the
-same expressions, so a decoded report gives the floats ``evaluate`` computed, bit for
-bit. The computing modules also hold each type by name. This module imports nothing
-from the package, so a report decodes without the analysis.
+``q_within``, ``q_between`` and ``df_between``, a decision's ``requires_approval``) is a
+property or method computed on access, never a field, so it is neither written nor read.
+The computing modules use the same expressions, so a decoded report gives the floats
+``evaluate`` computed, bit for bit. The computing modules also hold each type by name.
+This module imports nothing from the package, so a report decodes without the analysis.
 
 A record compares by value, as a tuple does, so it also equals a record of another
 type with the same values; ``_replace`` gives a changed copy.
@@ -184,14 +184,14 @@ class RandomEffectSummary(NamedTuple):
 
 
 class SignificanceResult(NamedTuple):
-    """Z test of the summary effect plus its confidence interval."""
+    """Z test of the summary effect plus its confidence interval. The verdict reads
+    the interval alone; ``p_z`` is data."""
 
     z: float
     p_z: float
     confidence_level: float
     ci_low: float
     ci_high: float
-    significant: bool
 
 
 class SubgroupSummary(NamedTuple):
@@ -229,11 +229,13 @@ class SubgroupReport(NamedTuple):
 
 
 class Decision(NamedTuple):
-    """The verdict, the rule that gave it, and whether a manager must approve it."""
+    """The verdict; an accepted model needs a manager's approval to ramp."""
 
     verdict: Verdict
-    basis: str
-    requires_approval: bool
+
+    @property
+    def requires_approval(self) -> bool:
+        return self.verdict is Verdict.ACCEPT
 
 
 class TrafficRecommendation(NamedTuple):

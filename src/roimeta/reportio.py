@@ -48,7 +48,7 @@ from typing import Any, Callable
 from .errors import SchemaError
 from .records import BaselineDecision, EvaluationReport, Verdict
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 REPORT_FORMATS = ("human-table", "machine-json")
 
@@ -279,6 +279,8 @@ def report_from_json(text: str) -> EvaluationReport:
         raise SchemaError(f"invalid report JSON: {exc.msg}") from None
     except RecursionError:
         raise SchemaError("invalid report JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise SchemaError(f"invalid report JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("report document must be a JSON object")
     return report_from_dict(doc)
@@ -291,6 +293,14 @@ def _fmt(x: float) -> str:
 def _homogeneity_note(p_value: float, level: float) -> str:
     verdict = "significant" if p_value < level else "not significant"
     return f"({verdict} at the {level * 100:g}% level)"
+
+
+# Where each verdict's interval lies (``pipeline.decide``)
+_BASIS = {
+    Verdict.ACCEPT: "lies entirely above zero",
+    Verdict.REJECT_HARMFUL: "lies entirely below zero",
+    Verdict.REJECT_INEFFECTIVE: "includes zero",
+}
 
 
 def render_human(report: EvaluationReport) -> str:
@@ -336,12 +346,8 @@ def render_human(report: EvaluationReport) -> str:
     lines.append(
         f"  random effect: mu*={_fmt(report.random.mu_star)}  nu*={_fmt(report.random.nu_star)}"
     )
-    level_pct = f"{s.confidence_level * 100:g}%"
-    lines.append(
-        f"  significance:  Z={_fmt(s.z)}  P_z={_fmt(s.p_z)}  "
-        f"CI {level_pct} = [{_fmt(s.ci_low)}, {_fmt(s.ci_high)}]  "
-        f"significant={'yes' if s.significant else 'no'}"
-    )
+    interval = f"CI {s.confidence_level * 100:g}% = [{_fmt(s.ci_low)}, {_fmt(s.ci_high)}]"
+    lines.append(f"  significance:  Z={_fmt(s.z)}  P_z={_fmt(s.p_z)}  {interval}")
     lines.append("")
     if report.subgroup is not None:
         g = report.subgroup
@@ -369,7 +375,7 @@ def render_human(report: EvaluationReport) -> str:
     lines.append("")
     lines.append("decision")
     lines.append(f"  verdict: {report.decision.verdict.value}")
-    lines.append(f"  basis: {report.decision.basis}")
+    lines.append(f"  basis: {interval} {_BASIS[report.decision.verdict]}")
     lines.append(
         f"  requires manager approval: {'yes' if report.decision.requires_approval else 'no'}"
     )

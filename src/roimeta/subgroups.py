@@ -44,10 +44,15 @@ class SubgroupSpec(NamedTuple):
             raise ConfigError(f"spend fractions must sum to 1, got {fsum(fractions)!r}")
         if self.labels is not None and not self.labels:
             raise ConfigError("a labels map must label at least one campaign")
-        # The audit line replays the map from a config file, where '#' starts a comment.
+        # The audit line replays the map from a config file, where '#' starts a
+        # comment, ',' and the first ':' split the pairs and each part is stripped.
         for campaign_id, group in (self.labels or {}).items():
-            if "#" in f"{campaign_id}:{group}":
-                raise ConfigError(f"subgroup labels cannot hold '#', got '{campaign_id}:{group}'")
+            label = f"{campaign_id}:{group}"
+            if ("#" in label or "," in label or ":" in campaign_id
+                    or campaign_id != campaign_id.strip() or group != group.strip()):
+                raise ConfigError(
+                    "subgroup labels cannot hold '#' or ',', a ':' in a campaign id, or "
+                    f"spaces around a campaign or group, got {label!r}")
 
 
 class GroupAssignment(NamedTuple):

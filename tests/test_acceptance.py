@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     campaign_from_rows,
@@ -93,7 +93,7 @@ class TestCriterion1DecisionFixtures:
             z = math.copysign(normal_quantile(1.0 - p_z), mid)
             significance = SignificanceResult(
                 z=z, p_z=p_z, confidence_level=0.95,
-                ci_low=ci_low, ci_high=ci_high, significant=p_z < 0.025,
+                ci_low=ci_low, ci_high=ci_high,
             )
             decision = decide(significance)
             assert decision.verdict in (
@@ -162,8 +162,8 @@ class TestCriterion4NullCalibration:
         for seed in range(NULL_RUNS):
             dataset = generate_experiment(null_config(seed))
             effects, _ = collect_effects(qualify(dataset).qualified)
-            if summarize_effects(dv_pairs(effects), 0.95).significance.significant:
-                significant += 1
+            result = summarize_effects(dv_pairs(effects), 0.95).significance
+            significant += result.ci_low > 0 or result.ci_high < 0
         rate = significant / NULL_RUNS
         elapsed = time.perf_counter() - start
         assert 0.025 <= rate <= 0.075, f"null significant-call rate {rate:.3f}"
@@ -233,6 +233,10 @@ class TestCriterion7SubgroupDecomposition:
             assert report.q_within >= 0.0
             assert all(s.q_star_k >= 0.0 for s in report.summaries)
             assert report.q_between >= -1e-9
+
+
+# A summary effect whose Z tail probability sits at alpha/2 = 0.025 in floats
+KNIFE_EDGE_MU, KNIFE_EDGE_NU = -0.5409540857551924, 0.07617713388435066
 
 
 class TestCriterion8InvariantSuite:
@@ -324,10 +328,23 @@ class TestCriterion8InvariantSuite:
         st.floats(min_value=1e-4, max_value=10),
         st.floats(min_value=0.5, max_value=0.999),
     )
+    # there p_z = 0.02500000000000004 is not below alpha/2, while the interval
+    # lies wholly below zero: the verdict follows the interval
+    @example(mu=KNIFE_EDGE_MU, nu=KNIFE_EDGE_NU, level=0.95)
     def test_ci_significance_consistency(self, mu, nu, level):
         result = z_significance(mu, nu, level)
-        if abs(result.p_z - (1 - level) / 2) > 1e-12:
-            assert result.significant == (result.ci_low > 0 or result.ci_high < 0)
+        verdict = decide(result).verdict
+        assert (verdict is Verdict.ACCEPT) == (result.ci_low > 0)
+        assert (verdict is Verdict.REJECT_HARMFUL) == (result.ci_high < 0)
+
+    def test_knife_edge_verdict_and_basis_follow_the_interval(self):
+        result = z_significance(KNIFE_EDGE_MU, KNIFE_EDGE_NU, 0.95)
+        assert result.p_z >= 0.025 and result.ci_high < 0
+        decision = decide(result)
+        assert decision.verdict is Verdict.REJECT_HARMFUL
+        golden = report_from_json(GOLDEN_PATH.read_text(encoding="utf-8"))
+        text = render_report(golden._replace(significance=result, decision=decision))
+        assert "\n  basis: CI 95% = [-1.081908, -0.000000] lies entirely below zero\n" in text
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_quality_dataset_strategy())

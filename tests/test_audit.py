@@ -16,7 +16,8 @@ from roimeta.campaigns import Arm, ExperimentDataset
 from roimeta.config import load_evaluation_config
 from roimeta.errors import ConfigError
 from roimeta.pipeline import (
-    AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule, _observed_share, evaluate,
+    AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule, Verdict, _observed_share,
+    evaluate,
 )
 from roimeta.preprocess import qualify
 from roimeta.records import AaRecord, BaselineMethod
@@ -115,7 +116,6 @@ class TestConfigRecord:
             "min_impressions_per_part = 100", "min_qualified_fraction = 0.9",
             "aa_repeats_k = 5", "aa_seed = 0",
             f"spend_fractions = {1 / 3!r},{1 / 3!r},{1 / 3!r}",
-            "skip_subgroup_on_strong_reject = true",
             "phases = 0.01,0.1,0.2,0.5", "current_share = 0.01",
         )
 
@@ -147,31 +147,49 @@ class TestConfigRecord:
         record = evaluate(dataset, config).audit.config
         assert record.flag == (f"subgroup_labels = {labels}",)
 
-    def test_a_label_holding_a_hash_is_refused(self, tmp_path):
-        # A config file reads '#' as the start of a comment, so the audit line
-        # of such a map would replay as another map.
+    def test_a_label_that_would_not_replay_is_refused(self, tmp_path):
+        # A config file reads '#' as the start of a comment, and the label parser
+        # splits pairs at ',' and the first ':' and strips each part, so the audit
+        # line of such a map would replay as another map, or not load.
         path = tmp_path / "labels.cfg"
         path.write_text("subgroup_labels = c1:a, c2:x#y\n", encoding="utf-8")
         assert load_evaluation_config(path).subgroups.labels == {"c1": "a", "c2": "x"}
-        message = re.escape("subgroup labels cannot hold '#', got 'c2:x#y'")
+        message = re.escape(
+            "subgroup labels cannot hold '#' or ',', a ':' in a campaign id, or spaces "
+            "around a campaign or group, got 'c2:x#y'")
         with pytest.raises(ConfigError, match=message):  # a flag over the file
             load_evaluation_config(path, {"subgroup_labels": "c1:a, c2:x#y"})
         with pytest.raises(ConfigError, match=message):  # a library caller
             SubgroupSpec(labels={"c1": "a", "c2": "x#y"})
-        with pytest.raises(ConfigError, match=re.escape("got 'c#2:x'")):
-            SubgroupSpec(labels={"c1": "a", "c#2": "x"})
+        for campaign_id, group, shown in [
+            ("c#2", "x", "'c#2:x'"), ("c:1", "g", "'c:1:g'"), ("c", " g ", "'c: g '"),
+            ("c", "g ", "'c:g '"), (" c", "g", "' c:g'"), ("c", "a,b", "'c:a,b'"),
+            ("c,1", "g", "'c,1:g'"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(f"got {shown}")):
+                SubgroupSpec(labels={"c1": "a", campaign_id: group})
 
     @pytest.mark.parametrize("config", [
         EvaluationConfig(),
         EvaluationConfig(aa=AaSettings(repeats_k=3, seed=9, treatment_share=0.3),
                          confidence_level=0.9, schedule=TrafficSchedule(current_share=0.2)),
         EvaluationConfig(aa=THETAS, subgroups=SubgroupSpec(spend_fractions=(0.5, 0.25, 0.25)),
-                         skip_subgroup_on_strong_reject=False, homogeneity_level=0.05),
+                         homogeneity_level=0.05),
         EvaluationConfig(subgroups=SubgroupSpec(
             labels={f"camp_{i}": f"g {i % 2}" for i in range(9)})),
-    ], ids=["defaults", "aa-settings", "thresholds", "labels"])
-    def test_the_lines_replay_the_decision(self, tmp_path, dataset, config):
+        # '=', a ':' in a group and non-ASCII text are kept
+        EvaluationConfig(subgroups=SubgroupSpec(
+            labels={f"camp_{i}": ("a=b:c", "caf\u00e9 \u2014 x")[i % 2] for i in range(9)})),
+    ], ids=["defaults", "aa-settings", "thresholds", "labels", "labels-odd-text"])
+    @pytest.mark.parametrize("lift", [0.1, -0.3], ids=["accept", "harmful"])
+    def test_the_lines_replay_the_decision(self, tmp_path, config, lift):
+        dataset = generate_experiment(SimConfig(
+            n_campaigns=9, m_a=6, m_b=6, treatment_share=0.2, treatment_lift=lift, seed=17,
+        ))
         report = evaluate(dataset, config)
+        assert report.decision.verdict is (Verdict.ACCEPT if lift > 0 else Verdict.REJECT_HARMFUL)
+        # the subgroups always run, except after a harmful rejection
+        assert (report.subgroup is None) == (lift < 0)
         path = tmp_path / "replay.cfg"
         path.write_text("\n".join(all_lines(report.audit.config)) + "\n", encoding="utf-8")
         replay = evaluate(dataset, load_evaluation_config(path))

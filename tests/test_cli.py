@@ -118,7 +118,7 @@ class TestEvaluate:
         ])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == "4"
+        assert doc["schema_version"] == "5"
         # the audit block names where each config value came from
         config = doc["audit"]["config"]
         assert config["file"] == ["confidence_level = 0.95", "aa_seed = 11",
@@ -146,7 +146,9 @@ class TestEvaluate:
         ("variance_formula", "noncentral_t", "--variance-formula"),
         # a label map alone chooses the subgroup partition
         ("subgroup_kind", "by_spend_cumulative", "--subgroup-kind"),
-    ], ids=["variance_formula", "subgroup_kind"])
+        # the subgroups are always skipped after a harmful rejection
+        ("skip_subgroup_on_strong_reject", "true", "--skip-subgroup-on-strong-reject"),
+    ], ids=["variance_formula", "subgroup_kind", "skip_subgroup_on_strong_reject"])
     def test_removed_key_is_exit_2(self, workdir, capsys, key, value, flag):
         # the audit line of an older report names a key that no longer exists
         (workdir / "old.cfg").write_text(f"{key} = {value}\n", encoding="utf-8")
@@ -225,7 +227,9 @@ class TestConfigErrorsBeforeAnalysis:
         (("--subgroup-labels", "c1:x, c1:y"), "campaign 'c1' is labelled twice, got 'c1:y'"),
         (("--subgroup-labels", "c1:, :y"), "labels must be campaign:group pairs, got 'c1:'"),
         (("--subgroup-labels", ":y"), "labels must be campaign:group pairs, got ':y'"),
-        (("--subgroup-labels", "c1:a#b, c2:x"), "subgroup labels cannot hold '#', got 'c1:a#b'"),
+        (("--subgroup-labels", "c1:a#b, c2:x"),
+         "subgroup labels cannot hold '#' or ',', a ':' in a campaign id, or spaces around "
+         "a campaign or group, got 'c1:a#b'"),
     ], ids=["current-share", "confidence-level", "micro-theta-nan", "thetas-inf",
             "macro-theta-inf", "spend-fractions-nan", "labels-twice", "labels-empty-group",
             "labels-empty-campaign", "labels-hash"])
@@ -266,19 +270,24 @@ class TestSubgroupLabelsCheckedBeforeAnalysis:
 
 
 class TestSubcommandsAgreeWithEvaluate:
-    def test_evaluate_prints_the_subgroup_block_after_a_harmful_rejection(
+    def test_evaluate_prints_the_subgroup_block_unless_the_rejection_is_harmful(
             self, workdir, capsys):
         (workdir / "harm.cfg").write_text(
             "n_campaigns = 10\ntreatment_lift = -0.3\nseed = 4\n", encoding="utf-8")
-        data = workdir / "harm.csv"
-        assert main(["simulate", "--config", str(workdir / "harm.cfg"), "--out", str(data)]) == 0
+        harm = workdir / "harm.csv"
+        assert main(["simulate", "--config", str(workdir / "harm.cfg"), "--out", str(harm)]) == 0
         capsys.readouterr()
-        code = main(["evaluate", str(data), "--aa-treatment-share", "0.1", "--format", "json",
-                     "--skip-subgroup-on-strong-reject", "false"])
-        assert code == 1
+        share = ["--aa-treatment-share", "0.1", "--format", "json"]
+        assert main(["evaluate", str(harm), *share]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["decision"] == {"verdict": "reject_harmful"}
+        assert report["subgroup"] is None
+        data = simulate(workdir)
+        capsys.readouterr()
+        assert main(["evaluate", str(data), *share]) == 0
         text = capsys.readouterr().out
         report = json.loads(text)
-        assert report["decision"]["verdict"] == "reject_harmful"
+        assert report["decision"] == {"verdict": "accept"}
         block = report["subgroup"]
         assert block is not None and len(block["summaries"]) >= 1
         # the block stores the total; the decoded report computes its split
@@ -335,7 +344,8 @@ class TestReport:
 
     def test_golden_report_prints_the_pinned_human_table(self, capsys):
         # the table as the schema-2 golden report printed it, before the
-        # computed fields and the part list left the report
+        # computed fields and the part list left the report, with schema 5's
+        # basis line, which names the interval, and no significant= flag
         assert main(["report", str(GOLDEN_PATH)]) == 0
         assert capsys.readouterr().out == GOLDEN_TEXT.read_text(encoding="utf-8")
 
@@ -355,7 +365,7 @@ class TestReport:
         main(["report", str(report_path)])
         assert capsys.readouterr().out == from_evaluate
 
-    @pytest.mark.parametrize("version", ["1", "2"])
+    @pytest.mark.parametrize("version", ["1", "2", "3", "4"])
     def test_earlier_schema_version_report_is_exit_2(self, workdir, capsys, version):
         data = simulate(workdir)
         out = workdir / "report.json"
@@ -371,13 +381,18 @@ class TestReport:
 
 class TestMalformedInputIsExit2:
     """Input nested too deeply for the JSON parser, a report integer too large
-    for a float, or a CSV field over the csv module's limit, is an input error:
-    exit 2 with one ``error:`` line."""
+    for a float, an integer literal longer than int() converts, or a CSV field
+    over the csv module's limit, is an input error: exit 2 with one ``error:``
+    line."""
 
     NESTED = "[" * 100_000 + "]" * 100_000
-    BIG_TAU2 = GOLDEN_PATH.read_text(encoding="utf-8").replace(
-        f'"tau2": {json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["heterogeneity"]["tau2"]!r}',
-        '"tau2": 1' + "0" * 400)
+    GOLDEN = GOLDEN_PATH.read_text(encoding="utf-8")
+    BIG_TAU2 = GOLDEN.replace(
+        f'"tau2": {json.loads(GOLDEN)["heterogeneity"]["tau2"]!r}', '"tau2": 1' + "0" * 400)
+    LONG_INT = "1" * 5000
+    LONG_DF = GOLDEN.replace(f'"df": {json.loads(GOLDEN)["heterogeneity"]["df"]},',
+                             f'"df": {LONG_INT},')
+    LONG_INT_ERROR = str(pytest.raises(ValueError, int, LONG_INT).value)
 
     @pytest.mark.parametrize("text, argv, message", [
         (NESTED, ["report"], "invalid report JSON: nested too deeply"),
@@ -385,9 +400,14 @@ class TestMalformedInputIsExit2:
                                "HeterogeneityStats.tau2 is outside the range of a float"),
         (NESTED + "\n", ["evaluate", "--input-format", "record-lines"],
          "line 1: invalid JSON: nested too deeply"),
+        (LONG_DF, ["report"], f"invalid report JSON: {LONG_INT_ERROR}"),
+        ('{"campaign_id": "c", "arm": "A", "part_id": %s, "impressions": 10, "spend": 1, '
+         '"value": 1}\n' % LONG_INT, ["evaluate", "--input-format", "record-lines"],
+         f"line 1: invalid JSON: {LONG_INT_ERROR}"),
         ("campaign_id,arm,part_id,impressions,spend,value\n" + "c" * 131_073 + ",A,0,10,1,1\n",
          ["evaluate"], "line 2: invalid CSV: field larger than field limit (131072)"),
-    ], ids=["nested-report", "int-tau2-1e400", "nested-record-line", "long-csv-field"])
+    ], ids=["nested-report", "int-tau2-1e400", "int-df-5000-digits", "nested-record-line",
+            "int-part-id-5000-digits", "long-csv-field"])
     def test_no_traceback(self, workdir, capsys, text, argv, message):
         bad = workdir / "bad.txt"
         bad.write_text(text, encoding="utf-8")

@@ -332,6 +332,17 @@ class TestIngestErrorContract:
         assert caught.value.line == bad + 1
         assert str(caught.value) == f"line {bad + 1}: {message}"
 
+    def test_integer_literal_too_long_to_convert(self, tmp_path):
+        # json.loads converts an integer literal with int(), which refuses one of
+        # more than sys.get_int_max_str_digits() digits with a bare ValueError
+        digits = "1" * 5000
+        refusal = str(pytest.raises(ValueError, int, digits).value)
+        text = render_rows("record-lines", [GOOD, row(part_id=1)])
+        path = write(tmp_path, "d.jsonl", text.replace('"part_id": 1,', f'"part_id": {digits},'))
+        with pytest.raises(IngestError) as caught:
+            ingest(path, "record-lines")
+        assert (caught.value.line, str(caught.value)) == (2, f"line 2: invalid JSON: {refusal}")
+
     @pytest.mark.parametrize("input_format, message", [
         ("delimited-text", f"header must be {HEADER}, got \ufeff{HEADER}"),
         ("record-lines", "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),

@@ -42,36 +42,46 @@ from roimeta.simulate import SimConfig, generate_experiment
 
 def significance(p_z, ci_low, ci_high, level=0.95, z=0.0):
     return SignificanceResult(
-        z=z, p_z=p_z, confidence_level=level,
-        ci_low=ci_low, ci_high=ci_high,
-        significant=p_z < (1 - level) / 2,
+        z=z, p_z=p_z, confidence_level=level, ci_low=ci_low, ci_high=ci_high,
     )
 
 
 class TestDecide:
-    def test_significant_positive_accepts(self):
+    def test_interval_above_zero_accepts(self):
         decision = decide(significance(0.001, 0.02, 0.30, z=3.1))
         assert decision.verdict is Verdict.ACCEPT
         assert decision.requires_approval
 
-    def test_significant_negative_is_harmful(self):
+    def test_interval_below_zero_is_harmful(self):
         decision = decide(significance(0.001, -0.30, -0.02, z=-3.1))
         assert decision.verdict is Verdict.REJECT_HARMFUL
         assert not decision.requires_approval
 
-    def test_not_significant_is_ineffective(self):
+    def test_interval_across_zero_is_ineffective(self):
         decision = decide(significance(0.257, -0.02, 0.01))
         assert decision.verdict is Verdict.REJECT_INEFFECTIVE
-        assert "not significant" in decision.basis
+        assert not decision.requires_approval
 
-    def test_basis_is_deterministic(self):
+    @pytest.mark.parametrize("ci_low, ci_high", [(0.0, 0.3), (-0.3, 0.0)])
+    def test_interval_touching_zero_is_ineffective(self, ci_low, ci_high):
+        assert decide(significance(0.01, ci_low, ci_high)).verdict is Verdict.REJECT_INEFFECTIVE
+
+    def test_p_z_does_not_drive_the_verdict(self):
+        # p_z is data: the interval alone decides, whichever side of alpha/2 it is
+        for p_z in (0.0, 0.025, 0.5):
+            assert decide(significance(p_z, 0.02, 0.30)).verdict is Verdict.ACCEPT
+            assert decide(significance(p_z, -0.02, 0.30)).verdict is Verdict.REJECT_INEFFECTIVE
+
+    def test_decision_stores_the_verdict_alone(self):
+        assert Decision._fields == ("verdict",)
+        assert SignificanceResult._fields == ("z", "p_z", "confidence_level", "ci_low", "ci_high")
         sig = significance(0.157, -0.028, 0.009)
         assert decide(sig) == decide(sig)
 
 
 class TestRecommendTraffic:
     def accept(self):
-        return Decision(Verdict.ACCEPT, "basis", True)
+        return Decision(Verdict.ACCEPT)
 
     def test_ramp_from_first_phase(self):
         rec = recommend_traffic(self.accept(), TrafficSchedule(current_share=0.01))
@@ -82,7 +92,7 @@ class TestRecommendTraffic:
         assert rec.action == "promote_to_baseline"
 
     def test_reject_halts(self):
-        decision = Decision(Verdict.REJECT_INEFFECTIVE, "basis", False)
+        decision = Decision(Verdict.REJECT_INEFFECTIVE)
         rec = recommend_traffic(decision, TrafficSchedule(current_share=0.20))
         assert rec.action == "halt"
 
@@ -136,12 +146,10 @@ class TestEvaluate:
         assert report.decision.verdict is Verdict.REJECT_HARMFUL
         assert report.subgroup is None
 
-    def test_skip_flag_off_keeps_subgroup_and_verdict(self):
-        dataset = lifted_dataset(seed=7, lift=-0.15, n=20)
-        skipping = evaluate(dataset, config_with_thetas())
-        keeping = evaluate(dataset, config_with_thetas(skip_subgroup_on_strong_reject=False))
-        assert keeping.subgroup is not None
-        assert keeping.decision == skipping.decision
+    def test_removed_skip_knob_is_refused(self):
+        # subgroups are always skipped after a harmful rejection
+        with pytest.raises(TypeError):
+            config_with_thetas(skip_subgroup_on_strong_reject=False)
 
     def test_spend_tiers_warn_only_when_the_subgroups_run(self):
         # two campaigns leave one of the three spend tiers empty
@@ -153,7 +161,13 @@ class TestEvaluate:
         assert skipped.decision.verdict is Verdict.REJECT_HARMFUL
         assert skipped.subgroup is None
         assert skipped.audit.warnings == ()
-        ran = evaluate(harmful, config_with_thetas(skip_subgroup_on_strong_reject=False))
+        flat = make_dataset([
+            make_campaign(f"c{i}", [1.0, 1.1, 0.9, 1.05], [1.0, 1.1, 0.9, 1.05])
+            for i in range(2)
+        ])
+        ran = evaluate(flat, config_with_thetas())
+        assert ran.decision.verdict is Verdict.REJECT_INEFFECTIVE
+        assert ran.subgroup is not None
         assert ran.audit.warnings == ("only 2 of 3 spend groups are non-empty",)
 
     def test_explicit_thetas_drive_baselines(self):
@@ -227,7 +241,7 @@ class TestEvaluate:
             aa=ExplicitThetas(micro_theta=-1.0, macro_theta=-1.0),
         ))
         assert all(b.decision is BaselineDecision.ACCEPT for b in report.baselines)
-        assert not report.significance.significant
+        assert report.significance.ci_low <= 0 <= report.significance.ci_high
         assert report.decision.verdict is Verdict.REJECT_INEFFECTIVE
         assert report.recommendation.action == "halt"
 

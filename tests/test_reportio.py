@@ -21,7 +21,7 @@ from roimeta.campaigns import (
     to_micros,
 )
 from roimeta.errors import SchemaError
-from roimeta.pipeline import EvaluationConfig, ExplicitThetas, Verdict, evaluate
+from roimeta.pipeline import Decision, EvaluationConfig, ExplicitThetas, Verdict, evaluate
 from roimeta.preprocess import qualify
 from roimeta.reportio import (
     _codec,
@@ -143,7 +143,7 @@ def report_with_exclusions():
 def report_doc(dataset, config=None):
     """The plain document of ``dataset``'s report, made without ``to_json``."""
     report = evaluate(dataset, config or thetas_config())
-    return {**plain(report), "schema_version": "4"}
+    return {**plain(report), "schema_version": "5"}
 
 
 def odd_ids_dataset():
@@ -217,7 +217,7 @@ class TestMachineFormat:
     ])
     def test_report_matches_json_indent(self, request, name):
         report = request.getfixturevalue(name)
-        assert report_to_json(report) == indented({**plain(report), "schema_version": "4"})
+        assert report_to_json(report) == indented({**plain(report), "schema_version": "5"})
 
     def test_roundtrip_equality(self, accept_report, skipped_subgroup_report,
                                 report_with_exclusions):
@@ -244,17 +244,17 @@ class TestMachineFormat:
 
     def test_carries_schema_version(self, accept_report):
         doc = json.loads(report_to_json(accept_report))
-        assert doc["schema_version"] == "4"
+        assert doc["schema_version"] == "5"
 
     def test_rejects_wrong_schema_version(self, accept_report):
         doc = json.loads(report_to_json(accept_report))
-        for version in ("1", "2", "3", "99"):  # one reader, for the current schema
+        for version in ("1", "2", "3", "4", "99"):  # one reader, for the current schema
             doc["schema_version"] = version
-            with pytest.raises(SchemaError, match=f"schema_version '{version}', expected '4'"):
+            with pytest.raises(SchemaError, match=f"schema_version '{version}', expected '5'"):
                 report_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("malform", [
-        pytest.param(lambda doc: '{"schema_version": "4"}', id="truncated"),
+        pytest.param(lambda doc: '{"schema_version": "5"}', id="truncated"),
         pytest.param(lambda doc: "not json at all", id="not-json"),
         pytest.param(edited(PART + ("extra",), 1), id="unknown-key-in-part"),
         pytest.param(edited(("fixed", "extra"), 1), id="unknown-key-in-fixed"),
@@ -281,6 +281,8 @@ class TestMachineFormat:
         # integers that no float can hold, which a float field would otherwise take
         pytest.param(spliced(("heterogeneity", "tau2"), "1" + "0" * 400), id="int-1e400"),
         pytest.param(spliced(SUMMARY + ("ci_low",), "-" + "9" * 400), id="-int-9e399"),
+        # an integer literal longer than int() converts from text
+        pytest.param(spliced(("heterogeneity", "df"), "1" * 5000), id="int-5000-digits"),
     ])
     def test_rejects_malformed_document(self, malform):
         # a report with parts excluded, campaigns kept and subgroups analysed
@@ -436,6 +438,18 @@ class TestHumanFormat:
         text = render_report(skipped_subgroup_report)
         assert "skipped (strong rejection)" in text
 
+    def test_basis_line_is_the_interval_of_the_verdict(self, accept_report,
+                                                        skipped_subgroup_report):
+        across = accept_report._replace(
+            significance=accept_report.significance._replace(ci_low=-0.25, ci_high=0.5),
+            decision=Decision(Verdict.REJECT_INEFFECTIVE))
+        for report, where in [(accept_report, "lies entirely above zero"),
+                              (skipped_subgroup_report, "lies entirely below zero"),
+                              (across, "includes zero")]:
+            s = report.significance
+            basis = f"CI 95% = [{s.ci_low:.6f}, {s.ci_high:.6f}] {where}"
+            assert f"\n  basis: {basis}\n" in render_report(report)
+
     def test_homogeneity_annotation_follows_level(self, accept_report):
         p_q = accept_report.heterogeneity.p_q
         tight = render_report(accept_report._replace(
@@ -460,7 +474,7 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_report.json"
 
 # SHA-256 of ``computed_lines`` as the reports stored these values before they
 # were computed on access: the golden report, and the smoke shapes evaluated
-# with zero thresholds and the subgroups always run.
+# with zero thresholds.
 COMPUTED_SHA = {
     "golden": "2392066137ce84802ecfcae94a0a73a848b314489dad677011afef7e5d54d092",
     "deep": "40975662c8de32ce147c5dc9aef97325178ea09bb14a64906941cdc84e345dd1",
@@ -485,8 +499,7 @@ class TestComputedFields:
         if source == "golden":
             return report_from_json(GOLDEN_PATH.read_text(encoding="utf-8"))
         if source in PINNED_SHAPES:
-            report = evaluate(generate_experiment(PINNED_SHAPES[source][0]),
-                              thetas_config(skip_subgroup_on_strong_reject=False))
+            report = evaluate(generate_experiment(PINNED_SHAPES[source][0]), thetas_config())
         else:
             report = request.getfixturevalue(source)
         return report_from_json(report_to_json(report))
@@ -507,6 +520,8 @@ class TestComputedFields:
             assert e.w.hex() == (1.0 / e.v).hex()
             assert e.w_star(tau2).hex() == (1.0 / (e.v + tau2)).hex()
         assert random_effect_summary(dv_pairs(report.effects), tau2) == report.random
+        # the subgroups run unless the rejection is harmful
+        assert (report.subgroup is None) == (report.decision.verdict is Verdict.REJECT_HARMFUL)
         if report.subgroup is not None:
             groups = [GroupAssignment(s.group_id, s.members) for s in report.subgroup.summaries]
             assert subgroup_analysis(dv_by_id(report.effects), tau2, groups,
@@ -555,7 +570,7 @@ class TestDecodedReportRecomputes:
         dataset = generate_experiment(sim)
         if change is not None:
             dataset = change(dataset)
-        config = thetas_config(skip_subgroup_on_strong_reject=False)
+        config = thetas_config()
         if spec_of is not None:
             config = config._replace(subgroups=spec_of(dataset))
         report = evaluate(dataset, config)
@@ -567,10 +582,13 @@ class TestDecodedReportRecomputes:
                 assert getattr(got, value).hex() == getattr(want, value).hex(), (got, value)
             assert got.w_star(tau2).hex() == want.w_star(tau2).hex()
         got, want = decoded.subgroup, report.subgroup
-        assert got is not None and want is not None
-        assert got.q_within.hex() == want.q_within.hex()
-        assert got.q_between.hex() == want.q_between.hex()
-        assert got.df_between == want.df_between == len(want.summaries) - 1
+        # the subgroups run unless the rejection is harmful
+        harmful = report.decision.verdict is Verdict.REJECT_HARMFUL
+        assert (got is None) == (want is None) == harmful
+        if want is not None:
+            assert got.q_within.hex() == want.q_within.hex()
+            assert got.q_between.hex() == want.q_between.hex()
+            assert got.df_between == want.df_between == len(want.summaries) - 1
         pairs = dv_pairs(decoded.effects)
         random = random_effect_summary(pairs, tau2)
         assert random.mu_star.hex() == report.random.mu_star.hex()

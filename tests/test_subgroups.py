@@ -207,24 +207,25 @@ class TestSubgroupAnalysis:
 # (spend thirds, fractions 0.5/0.2/0.1/0.1/0.1, labels g{i % 4} plus one
 # single-campaign group), and the number of groups each partition makes, on
 # the smoke shapes. The summary pins are the earlier ones with the random
-# model's per-study weights removed, which the summary no longer stores. The
+# model's per-study weights and the significance block's ``significant`` flag
+# removed, which the summary no longer stores. The
 # subgroup documents carry the split the reports stored until it was computed
 # on access (``stored_split``), so these pins also pin the computed values.
 PINNED_SUBGROUP_SHA = {
     "deep": (
-        "4338c8025d8a4e3e35789ba2735d76b83b2f1a27c5bf5fbd94542d5ba880553c",
+        "d4387c25448bb9d7ca90b4e180122d8c7cceb77193c36548f0d73aad9c77f605",
         "4b5b34debb56d5520b6dc69ee7516737945a6f295afc16c6c516bf0415a27f72",
         "5d0551398d09f6738bf963a1fae7c7c4e3ee0db3401e8a446571ca01b91debbc",
         "62d69030ed16771dcafea473c63c221ad401902361bb0c306be2320fccda22ac",
     ),
     "study": (
-        "f0d17e9af193a03aad8b01344d6edd00ebfde72f3426f1ea9692157fa345e18f",
+        "ac0495c3ac7df2c2dc2811105d6f0b1b76a454565cfa9723ae1de78489bfb5fd",
         "71028953d164068f37ea93962954303f8a0033ebae074e32949647fb7afe8fd2",
         "3fea38e9442bdc5269c0e0f26f615a6ea2b3d85050ed8a7697e36c41c7a93a6c",
         "c7a23d3e719e20a0e56af100d1e1ef495afb256b0d32749e51aa9f053e4e351f",
     ),
     "wide": (
-        "1c4f66922fddf1bdfed540b14f8267bb4a7cbf98f64bca8bc7d9767bd5c87e78",
+        "d33ce2a0fa10cdff35395464f3371d6256f53af2923d908e7539dc1ae9896eac",
         "804a2d53d3bb42e66b0351996ec1c9084d1b65d8260d86c3bde749bd326b868c",
         "550a79719dc4a417ac6699a2611b1b588c2b468c7f1680e6fc020aadbb300edd",
         "293af2abd77ed83f5730d33b170770d640ffaf52d1fc016f64ba13cd1b2c2583",
