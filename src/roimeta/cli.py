@@ -10,13 +10,21 @@ Each subcommand imports only the layers it runs, so ``report`` loads
 
 Exit codes: 0 = ran and accepted, 1 = ran and rejected, 2 = input or
 configuration error. ``simulate`` exits 0 on success.
+
+A command runs as a one-shot process (``run``): cyclic garbage collection is
+off, and once stdout and stderr are flushed the process ends without the
+interpreter's teardown. An output that cannot be written or flushed, such as
+a full disk or a pipe with no reader, gives one ``error:`` line and exit 2.
+Library callers, and ``main`` called in process, are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .config import EVAL_KEY_PARSERS, INPUT_FORMATS, load_evaluation_config, load_sim_config
 from .errors import RoimetaError
@@ -124,5 +132,26 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The ``roimeta`` command: ``main`` as a one-shot process.
+
+    A command keeps what it builds until it exits, so GC is off before the
+    subcommand imports its layers, and ``os._exit`` skips the interpreter's
+    teardown once stdout and then stderr are flushed. A failed stdout flush is
+    reported as ``main`` reports a failed write. An uncaught exception or
+    argparse's ``SystemExit`` leaves through the normal exit."""
+    gc.disable()
+    code = main()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,8 +6,9 @@ values. Baseline thresholds come either from A/A calibration (``aa_*`` keys)
 or from explicit ``micro_theta``/``macro_theta`` values, never both. Subgroups
 are spend tiers (``spend_fractions``) unless ``subgroup_labels`` gives each
 campaign a group; the labels alone choose that partition. A label map holds
-no ``#`` or ``,``, no ``:`` in a campaign id and no padded part (``SubgroupSpec``
-refuses them), so its config line reads back as it was written.
+no ``#``, ``,`` or line break, no ``:`` in a campaign id and no empty or padded
+part (``SubgroupSpec`` refuses them), so its config line reads back as it was
+written.
 
 ``EVAL_KEYS`` places each key in an ``EvaluationConfig``; the loader builds
 the config through it and ``config_record`` reads it back as config lines,

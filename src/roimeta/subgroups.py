@@ -44,15 +44,18 @@ class SubgroupSpec(NamedTuple):
             raise ConfigError(f"spend fractions must sum to 1, got {fsum(fractions)!r}")
         if self.labels is not None and not self.labels:
             raise ConfigError("a labels map must label at least one campaign")
-        # The audit line replays the map from a config file, where '#' starts a
-        # comment, ',' and the first ':' split the pairs and each part is stripped.
+        # The audit line replays the map from a config file, which is read as
+        # lines (str.splitlines), where '#' starts a comment, ',' and the first
+        # ':' split the pairs and each part is stripped and must not be empty.
         for campaign_id, group in (self.labels or {}).items():
             label = f"{campaign_id}:{group}"
-            if ("#" in label or "," in label or ":" in campaign_id
+            if ("#" in label or "," in label or label.splitlines() != [label]
+                    or ":" in campaign_id or not campaign_id or not group
                     or campaign_id != campaign_id.strip() or group != group.strip()):
                 raise ConfigError(
-                    "subgroup labels cannot hold '#' or ',', a ':' in a campaign id, or "
-                    f"spaces around a campaign or group, got {label!r}")
+                    "subgroup labels cannot hold '#', ',' or a line break, a ':' in a "
+                    "campaign id, an empty campaign or group, or spaces around one, "
+                    f"got {label!r}")
 
 
 class GroupAssignment(NamedTuple):

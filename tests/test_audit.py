@@ -8,12 +8,13 @@ from math import fsum
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import roimeta
 from conftest import campaign_from_rows, make_part
 from roimeta.baselines import campaign_micro_totals, observed_share
 from roimeta.campaigns import Arm, ExperimentDataset
-from roimeta.config import load_evaluation_config
+from roimeta.config import config_record, load_evaluation_config, parse_kv_text
 from roimeta.errors import ConfigError
 from roimeta.pipeline import (
     AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule, Verdict, _observed_share,
@@ -27,6 +28,12 @@ from roimeta.subgroups import SubgroupSpec
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 THETAS = ExplicitThetas(micro_theta=0.0, macro_theta=0.0)
+# every character str.splitlines splits a line at
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# a campaign or group: any short text, or text made of the characters that a
+# config file, the label parser or str.strip treat specially
+LABEL_PART = st.one_of(st.text(min_size=1, max_size=4),
+                       st.text("ab:= \t\xa0\x1f#," + LINE_BREAKS, min_size=1, max_size=4))
 
 
 @pytest.fixture(scope="module")
@@ -148,15 +155,16 @@ class TestConfigRecord:
         assert record.flag == (f"subgroup_labels = {labels}",)
 
     def test_a_label_that_would_not_replay_is_refused(self, tmp_path):
-        # A config file reads '#' as the start of a comment, and the label parser
-        # splits pairs at ',' and the first ':' and strips each part, so the audit
-        # line of such a map would replay as another map, or not load.
+        # A config file is read as lines and reads '#' as the start of a comment,
+        # and the label parser splits pairs at ',' and the first ':', strips each
+        # part and needs both, so the audit line of such a map would replay as
+        # another map, or not load.
         path = tmp_path / "labels.cfg"
         path.write_text("subgroup_labels = c1:a, c2:x#y\n", encoding="utf-8")
         assert load_evaluation_config(path).subgroups.labels == {"c1": "a", "c2": "x"}
         message = re.escape(
-            "subgroup labels cannot hold '#' or ',', a ':' in a campaign id, or spaces "
-            "around a campaign or group, got 'c2:x#y'")
+            "subgroup labels cannot hold '#', ',' or a line break, a ':' in a campaign id, "
+            "an empty campaign or group, or spaces around one, got 'c2:x#y'")
         with pytest.raises(ConfigError, match=message):  # a flag over the file
             load_evaluation_config(path, {"subgroup_labels": "c1:a, c2:x#y"})
         with pytest.raises(ConfigError, match=message):  # a library caller
@@ -164,10 +172,30 @@ class TestConfigRecord:
         for campaign_id, group, shown in [
             ("c#2", "x", "'c#2:x'"), ("c:1", "g", "'c:1:g'"), ("c", " g ", "'c: g '"),
             ("c", "g ", "'c:g '"), (" c", "g", "' c:g'"), ("c", "a,b", "'c:a,b'"),
-            ("c,1", "g", "'c,1:g'"),
+            ("c,1", "g", "'c,1:g'"), ("", "g", "':g'"), ("c", "", "'c:'"),
+            *((f"c{brk}1", "g", repr(f"c{brk}1:g")) for brk in LINE_BREAKS),
+            *(("c", f"a{brk}b", repr(f"c:a{brk}b")) for brk in LINE_BREAKS),
         ]:
             with pytest.raises(ConfigError, match=re.escape(f"got {shown}")):
                 SubgroupSpec(labels={"c1": "a", campaign_id: group})
+        for brk in LINE_BREAKS:  # the file cannot hold them; a flag can
+            with pytest.raises(ConfigError, match=re.escape(f"got {repr(f'c2:x{brk}y')}")):
+                load_evaluation_config(None, {"subgroup_labels": f"c1:a, c2:x{brk}y"})
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(labels={"": "g"})
+    @example(labels={"c1": "a\nb", "c2": "x"})
+    @given(st.dictionaries(LABEL_PART, LABEL_PART, min_size=1, max_size=2))
+    def test_an_accepted_label_map_replays(self, labels):
+        # the audit line of every map SubgroupSpec accepts loads back as that map
+        try:
+            config = EvaluationConfig(subgroups=SubgroupSpec(labels=labels))
+        except ConfigError:
+            return
+        line, = (line for line in all_lines(config_record(config, None))
+                 if line.startswith("subgroup_labels = "))
+        replay = load_evaluation_config(None, parse_kv_text(line + "\n"))
+        assert replay.subgroups.labels == labels
 
     @pytest.mark.parametrize("config", [
         EvaluationConfig(),

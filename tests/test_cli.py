@@ -14,6 +14,8 @@ from roimeta.reportio import report_from_json
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_report.json"
 GOLDEN_TEXT = GOLDEN_PATH.with_suffix(".txt")
+LABEL = ("subgroup labels cannot hold '#', ',' or a line break, a ':' in a campaign id, "
+         "an empty campaign or group, or spaces around one, got ")
 
 
 SIM_CFG = """\
@@ -38,6 +40,21 @@ def workdir(tmp_path):
     (tmp_path / "sim.cfg").write_text(SIM_CFG, encoding="utf-8")
     (tmp_path / "eval.cfg").write_text(EVAL_CFG, encoding="utf-8")
     return tmp_path
+
+
+def run_module(*argv, stdout=subprocess.PIPE, buffered=True, shell=""):
+    """Run ``python -m roimeta.cli *argv`` in a child, its stdout block-buffered
+    (as in a plain shell) or, with ``buffered=False``, unbuffered; ``shell`` is
+    a redirection the child's shell applies before it starts Python."""
+    src = Path(roimeta.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "roimeta.cli", *argv]
+    if shell:
+        command = ["sh", "-c", f'exec "$@" {shell}', "sh", *command]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
 
 
 def simulate(workdir, seed=42, name="data.csv"):
@@ -227,12 +244,14 @@ class TestConfigErrorsBeforeAnalysis:
         (("--subgroup-labels", "c1:x, c1:y"), "campaign 'c1' is labelled twice, got 'c1:y'"),
         (("--subgroup-labels", "c1:, :y"), "labels must be campaign:group pairs, got 'c1:'"),
         (("--subgroup-labels", ":y"), "labels must be campaign:group pairs, got ':y'"),
-        (("--subgroup-labels", "c1:a#b, c2:x"),
-         "subgroup labels cannot hold '#' or ',', a ':' in a campaign id, or spaces around "
-         "a campaign or group, got 'c1:a#b'"),
+        (("--subgroup-labels", "c1:a#b, c2:x"), LABEL + "'c1:a#b'"),
+        (("--subgroup-labels", "c1:a\nb, c2:x"), LABEL + "'c1:a\\nb'"),
+        (("--subgroup-labels", "c1:x, c\x1c2:y"), LABEL + "'c\\x1c2:y'"),
+        (("--subgroup-labels", "c1:a\u2029b"), LABEL + "'c1:a\\u2029b'"),
     ], ids=["current-share", "confidence-level", "micro-theta-nan", "thetas-inf",
             "macro-theta-inf", "spend-fractions-nan", "labels-twice", "labels-empty-group",
-            "labels-empty-campaign", "labels-hash"])
+            "labels-empty-campaign", "labels-hash", "labels-newline", "labels-file-separator",
+            "labels-paragraph-separator"])
     def test_exit_2_before_any_warning(self, workdir, capsys, flags, message):
         data = warning_data(workdir)
         # explicit thresholds replace the A/A keys of the config file
@@ -331,12 +350,7 @@ class TestReport:
 
     def test_module_entry_point_reprints_the_golden_report(self):
         # `python -m roimeta.cli` is how the benchmark launches the command line
-        src = Path(roimeta.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-        done = subprocess.run(
-            [sys.executable, "-m", "roimeta.cli", "report", str(GOLDEN_PATH), "--format", "json"],
-            capture_output=True, env=env, timeout=120,
-        )
+        done = run_module("report", str(GOLDEN_PATH), "--format", "json")
         golden = GOLDEN_PATH.read_bytes()
         accepted = json.loads(golden)["decision"]["verdict"] == "accept"
         assert (done.returncode, done.stderr) == (0 if accepted else 1, b"")
@@ -414,3 +428,61 @@ class TestMalformedInputIsExit2:
         capsys.readouterr()
         assert main([argv[0], str(bad), *argv[1:]]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestProcessExit:
+    """A command runs as a one-shot process that ends with ``os._exit``: it
+    flushes its output first, and an output it cannot write gives one
+    ``error:`` line and exit 2 whether stdout is buffered or not."""
+
+    REPORT = ("report", str(GOLDEN_PATH), "--format", "json")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stdout, argv, code, stderr", [
+        ("closed", REPORT, 0, []),
+        ("/dev/full", REPORT, 2, ["error: [Errno 28] No space left on device"]),
+        ("no reader", REPORT, 2, ["error: [Errno 32] Broken pipe"]),
+        ("pipe", ("bogus",), 2, [
+            "usage: roimeta [-h] {evaluate,simulate,report} ...",
+            "roimeta: error: argument command: invalid choice: 'bogus' "
+            "(choose from 'evaluate', 'simulate', 'report')"]),
+        ("pipe", ("--help",), 0, []),
+    ], ids=["closed", "dev-full", "no-reader", "usage", "help"])
+    def test_exit_code_and_stderr(self, stdout, argv, code, stderr, buffered):
+        if stdout == "closed":
+            done = run_module(*argv, stdout=None, buffered=buffered, shell=">&-")
+        elif stdout == "/dev/full":
+            with open("/dev/full", "wb") as full:
+                done = run_module(*argv, stdout=full, buffered=buffered)
+        elif stdout == "no reader":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = run_module(*argv, stdout=write_end, buffered=buffered)
+            finally:
+                os.close(write_end)
+        else:
+            done = run_module(*argv, buffered=buffered)
+        assert (done.returncode, done.stderr.decode().splitlines()) == (code, stderr)
+
+    def test_no_output_is_lost(self, tmp_path):
+        # far more than one 8 KB buffer, on stdout and in the error line on stderr
+        from roimeta.dataio import write_dataset
+        from roimeta.simulate import SimConfig, generate_experiment
+
+        data = tmp_path / "wide.csv"
+        write_dataset(generate_experiment(SimConfig(n_campaigns=1000, seed=5)), data)
+        saved = tmp_path / "r.json"
+        evaluated = run_module("evaluate", str(data), "--format", "json", "--out", str(saved))
+        assert evaluated.returncode in (0, 1) and evaluated.stderr == b""
+        text = saved.read_bytes()
+        assert len(text) > 100_000 and evaluated.stdout == text
+        rendered = run_module("report", str(saved), "--format", "json")
+        assert (rendered.returncode, rendered.stderr) == (evaluated.returncode, b"")
+        assert rendered.stdout == text
+        missing = tmp_path / ("x" * 200) / ("y" * 200) / "r.json"
+        long_error = run_module("report", str(missing) * 30)
+        assert (long_error.returncode, long_error.stdout) == (2, b"")
+        assert long_error.stderr.decode() == (
+            f"error: [Errno 36] File name too long: {str(missing) * 30!r}\n")

@@ -37,6 +37,8 @@ GOOD = {
 
 FINITE = "mean must be finite and variance finite and >= 0"
 INCREASING = "phases must be strictly increasing within (0, 0.5], got "
+LABEL = ("subgroup labels cannot hold '#', ',' or a line break, a ':' in a campaign id, "
+         "an empty campaign or group, or spaces around one, got ")
 
 # (type, the fields a bad instance changes, the exception type, its message)
 REFUSED = [
@@ -65,6 +67,11 @@ REFUSED = [
     (SubgroupSpec, dict(spend_fractions=(0.5, 0.6), labels={"c1": "x"}), ConfigError,
      "spend fractions must sum to 1, got 1.1"),
     (SubgroupSpec, dict(labels={}), ConfigError, "a labels map must label at least one campaign"),
+    # a label whose audit line would not load back as the same map
+    (SubgroupSpec, dict(labels={"": "g"}), ConfigError, LABEL + "':g'"),
+    (SubgroupSpec, dict(labels={"c1": ""}), ConfigError, LABEL + "'c1:'"),
+    (SubgroupSpec, dict(labels={"c1": "a\nb"}), ConfigError, LABEL + "'c1:a\\nb'"),
+    (SubgroupSpec, dict(labels={"c\u20281": "g"}), ConfigError, LABEL + "'c\\u20281:g'"),
     (TrafficSchedule, dict(phases=()), ConfigError, "phases must be non-empty"),
     (TrafficSchedule, dict(phases=(0.1, 0.1, 0.5)), ConfigError, INCREASING + "(0.1, 0.1, 0.5)"),
     (TrafficSchedule, dict(phases=[0.1, 0.6]), ConfigError, INCREASING + "(0.1, 0.6)"),
