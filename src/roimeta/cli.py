@@ -5,8 +5,9 @@ Subcommands: ``evaluate`` (full pipeline), ``simulate`` (synthetic data),
 threshold (``baselines[*].threshold_theta``), the ``subgroup`` block and an
 ``audit`` block whose config lines name each value's source: a ``--config``
 file or a flag.
-Each subcommand imports only the layers it runs, so ``report`` loads
-``config``, ``errors``, ``records`` and ``reportio`` and none of the analysis.
+Each subcommand imports only the layers it runs, and the parser builds only
+the named subcommand's arguments, so ``report`` loads ``cli``, ``errors``,
+``records`` and ``reportio`` and neither ``config`` nor any of the analysis.
 
 Exit codes: 0 = ran and accepted, 1 = ran and rejected, 2 = input or
 configuration error. ``simulate`` exits 0 on success.
@@ -14,7 +15,8 @@ configuration error. ``simulate`` exits 0 on success.
 A command runs as a one-shot process (``run``): cyclic garbage collection is
 off, and once stdout and stderr are flushed the process ends without the
 interpreter's teardown. An output that cannot be written or flushed, such as
-a full disk or a pipe with no reader, gives one ``error:`` line and exit 2.
+a full disk or a pipe with no reader, gives one ``error:`` line and exit 2,
+and so does a help text that cannot be written.
 Library callers, and ``main`` called in process, are unaffected.
 """
 
@@ -26,7 +28,6 @@ import os
 import sys
 from typing import TYPE_CHECKING, NoReturn
 
-from .config import EVAL_KEY_PARSERS, INPUT_FORMATS, load_evaluation_config, load_sim_config
 from .errors import RoimetaError
 
 if TYPE_CHECKING:
@@ -35,16 +36,9 @@ if TYPE_CHECKING:
 _FORMAT_BY_ALIAS = {"human": "human-table", "json": "machine-json"}
 
 
-def _add_eval_config_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("configuration overrides")
-    for key in EVAL_KEY_PARSERS:
-        group.add_argument(
-            f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="VALUE",
-            help=f"override config key {key}",
-        )
-
-
 def _config_from_args(args: argparse.Namespace) -> EvaluationConfig:
+    from .config import EVAL_KEY_PARSERS, load_evaluation_config
+
     overrides = {
         key: getattr(args, f"cfg_{key}")
         for key in EVAL_KEY_PARSERS
@@ -68,6 +62,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .config import load_sim_config
     from .dataio import write_dataset
     from .simulate import generate_experiment
 
@@ -92,40 +87,71 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if report.decision.verdict is Verdict.ACCEPT else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _evaluate_arguments(parser: argparse.ArgumentParser) -> None:
+    from .config import EVAL_KEY_PARSERS, INPUT_FORMATS
+
+    parser.add_argument("data", help="part-level input file")
+    parser.add_argument("--config", help="evaluation config file")
+    parser.add_argument("--input-format", choices=INPUT_FORMATS, default="delimited-text")
+    parser.add_argument("--format", choices=("human", "json"), default="human")
+    parser.add_argument("--out", help="also write the machine JSON report here")
+    group = parser.add_argument_group("configuration overrides")
+    for key in EVAL_KEY_PARSERS:
+        group.add_argument(
+            f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="VALUE",
+            help=f"override config key {key}",
+        )
+
+
+def _simulate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="simulation config file")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--out", required=True, help="output data file (delimited text)")
+
+
+def _report_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("saved_report", help="machine JSON report file")
+    parser.add_argument("--format", choices=("human", "json"), default="human")
+
+
+_SUBCOMMANDS = {
+    "evaluate": ("run the full evaluation pipeline", _evaluate_arguments, _cmd_evaluate),
+    "simulate": ("generate a synthetic experiment", _simulate_arguments, _cmd_simulate),
+    "report": ("re-render a saved machine report", _report_arguments, _cmd_report),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        """argparse's, except that a help text that cannot be written raises, as
+        ``print`` does, where argparse drops it (stdout closed: it goes to stderr)."""
+        file = file or sys.stdout or sys.stderr
+        if file is not None:
+            file.write(self.format_help())
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``roimeta`` parser. Every subcommand is registered, but only
+    ``command``'s gets its arguments; all do when ``command`` names none."""
+    parser = _Parser(
         prog="roimeta",
         description="Evaluate a treatment bidding model against control on ROI "
         "across many campaigns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    evaluate_p = sub.add_parser("evaluate", help="run the full evaluation pipeline")
-    evaluate_p.add_argument("data", help="part-level input file")
-    evaluate_p.add_argument("--config", help="evaluation config file")
-    evaluate_p.add_argument("--input-format", choices=INPUT_FORMATS, default="delimited-text")
-    evaluate_p.add_argument("--format", choices=("human", "json"), default="human")
-    evaluate_p.add_argument("--out", help="also write the machine JSON report here")
-    _add_eval_config_flags(evaluate_p)
-    evaluate_p.set_defaults(func=_cmd_evaluate)
-
-    simulate_p = sub.add_parser("simulate", help="generate a synthetic experiment")
-    simulate_p.add_argument("--config", help="simulation config file")
-    simulate_p.add_argument("--seed", type=int, help="override the config seed")
-    simulate_p.add_argument("--out", required=True, help="output data file (delimited text)")
-    simulate_p.set_defaults(func=_cmd_simulate)
-
-    report_p = sub.add_parser("report", help="re-render a saved machine report")
-    report_p.add_argument("saved_report", help="machine JSON report file")
-    report_p.add_argument("--format", choices=("human", "json"), default="human")
-    report_p.set_defaults(func=_cmd_report)
+    for name, (help_text, add_arguments, func) in _SUBCOMMANDS.items():
+        sub_parser = sub.add_parser(name, help=help_text)
+        if command == name or command not in _SUBCOMMANDS:
+            add_arguments(sub_parser)
+        sub_parser.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except (RoimetaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -137,11 +163,14 @@ def run() -> NoReturn:
 
     A command keeps what it builds until it exits, so GC is off before the
     subcommand imports its layers, and ``os._exit`` skips the interpreter's
-    teardown once stdout and then stderr are flushed. A failed stdout flush is
-    reported as ``main`` reports a failed write. An uncaught exception or
-    argparse's ``SystemExit`` leaves through the normal exit."""
+    teardown once stdout and then stderr are flushed, also after argparse's
+    ``SystemExit``. A failed stdout flush is reported as ``main`` reports a
+    failed write. An uncaught exception leaves through the normal exit."""
     gc.disable()
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse, after its help or usage text
+        code = exc.code
     if sys.stdout is not None:
         try:
             sys.stdout.flush()

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import os
 from itertools import repeat
 from pathlib import Path
@@ -43,6 +44,7 @@ CSV_FIELDS = ("campaign_id", "arm", "part_id", "impressions", "spend", "value")
 _ARM_TAGS = ("A", "B")
 _BASE_TEXT = {bool: str, str: str.__str__, int: int.__repr__, float: float.__repr__, object: str}
 _DECODER = json.JSONDecoder()
+_RECORD_FIELDS = operator.itemgetter(*CSV_FIELDS)
 _WRITE_CHARS = 1 << 20
 
 
@@ -97,7 +99,10 @@ def _rows_from_jsonl(path: Path) -> Iterator[tuple[int, tuple[object, ...]]]:
             if not raw:
                 continue
             try:
-                record, end = _DECODER.raw_decode(raw)
+                try:
+                    record, end = _DECODER.scan_once(raw, 0)
+                except StopIteration:  # no value at the start: raw_decode words it
+                    record, end = _DECODER.raw_decode(raw)
             except json.JSONDecodeError as exc:
                 # json.loads' messages; it rejects a leading BOM before parsing
                 bom = raw[0] == "\ufeff"
@@ -109,9 +114,13 @@ def _rows_from_jsonl(path: Path) -> Iterator[tuple[int, tuple[object, ...]]]:
                 raise IngestError(f"invalid JSON: {exc}", line) from None
             if end != len(raw):
                 raise IngestError("invalid JSON: Extra data", line)
-            if not isinstance(record, dict):
-                raise IngestError("each line must be a JSON object", line)
-            yield line, tuple(map(record.get, CSV_FIELDS))
+            try:
+                fields = _RECORD_FIELDS(record)
+            except KeyError:  # the row checks name the missing field
+                fields = tuple(map(record.get, CSV_FIELDS))
+            except TypeError:  # only a dict is indexed by a field name
+                raise IngestError("each line must be a JSON object", line) from None
+            yield line, fields
 
 
 def _text(raw: object) -> str:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import roimeta
+from roimeta import cli
 from roimeta.cli import main
 from roimeta.reportio import report_from_json
 
@@ -430,6 +431,31 @@ class TestMalformedInputIsExit2:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+class TestParserOutput:
+    """A command's parser holds only that subcommand's arguments, yet help,
+    usage and errors read as from a parser that holds every subcommand's."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["evaluate", "--help"], ["simulate", "--help"],
+        ["report", "--help"], ["bogus"], ["--"], ["report"], ["evaluate", "d.csv", "--aa-seed"],
+        ["simulate"],
+    ], ids=["none", "h", "help", "evaluate-help", "simulate-help", "report-help", "bogus",
+            "double-dash", "report-no-file", "aa-seed-no-value", "simulate-no-out"])
+    def test_same_bytes_as_the_full_parser(self, monkeypatch, capsys, argv):
+        def outcome():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            return code, *capsys.readouterr()
+
+        own = outcome()
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command: full_parser())
+        assert own == outcome()
+        assert own[0] in (0, 2) and own[1] + own[2]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 class TestProcessExit:
     """A command runs as a one-shot process that ends with ``os._exit``: it
@@ -448,7 +474,11 @@ class TestProcessExit:
             "roimeta: error: argument command: invalid choice: 'bogus' "
             "(choose from 'evaluate', 'simulate', 'report')"]),
         ("pipe", ("--help",), 0, []),
-    ], ids=["closed", "dev-full", "no-reader", "usage", "help"])
+        ("/dev/full", ("--help",), 2, ["error: [Errno 28] No space left on device"]),
+        ("no reader", ("report", "--help"), 2, ["error: [Errno 32] Broken pipe"]),
+        ("closed", ("--help",), 0, "the help text"),
+    ], ids=["closed", "dev-full", "no-reader", "usage", "help", "help-dev-full",
+            "report-help-no-reader", "help-closed"])
     def test_exit_code_and_stderr(self, stdout, argv, code, stderr, buffered):
         if stdout == "closed":
             done = run_module(*argv, stdout=None, buffered=buffered, shell=">&-")
@@ -464,6 +494,8 @@ class TestProcessExit:
                 os.close(write_end)
         else:
             done = run_module(*argv, buffered=buffered)
+        if stderr == "the help text":  # argparse prints it to stderr when stdout is closed
+            stderr = run_module(*argv).stdout.decode().splitlines()
         assert (done.returncode, done.stderr.decode().splitlines()) == (code, stderr)
 
     def test_no_output_is_lost(self, tmp_path):

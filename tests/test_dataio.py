@@ -592,17 +592,71 @@ def render_raw(input_format, rows):
     return out.getvalue()
 
 
+def reference_record_lines(path):
+    """Record-lines as ``json.loads`` reads each non-blank line: a dict's six
+    fields by ``.get``, or the first line's ``IngestError``."""
+    with open(path, encoding="utf-8") as handle:
+        for line, raw in enumerate(handle, start=1):
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"invalid JSON: {exc.msg}", line) from None
+            except RecursionError:
+                raise IngestError("invalid JSON: nested too deeply", line) from None
+            except ValueError as exc:
+                raise IngestError(f"invalid JSON: {exc}", line) from None
+            if not isinstance(record, dict):
+                raise IngestError("each line must be a JSON object", line)
+            yield line, tuple(record.get(name) for name in CSV_FIELDS)
+
+
+GOOD_LINE = render_rows("record-lines", [GOOD])
+LONG_INT = "1" * 5000
+
+
 class TestRowPathParity:
     """Ingest, and ``dataset_from_rows`` given the same raw rows, give the
     columns, part views and first error of the object path."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        (GOOD_LINE + render_rows("record-lines", [row(part_id=1, value=ABSENT)]), 2,
+         "missing field(s): value"),
+        (GOOD_LINE.replace("}", ', "note": "x"}'), None, None),
+        (GOOD_LINE + "[1, 2]\n", 2, "each line must be a JSON object"),
+        (GOOD_LINE + "5\n", 2, "each line must be a JSON object"),
+        (GOOD_LINE + '"c1"\n', 2, "each line must be a JSON object"),
+        (GOOD_LINE + "null\n", 2, "each line must be a JSON object"),
+        (GOOD_LINE + "x\n", 2, "invalid JSON: Expecting value"),
+        (GOOD_LINE + "{\n", 2, "invalid JSON: Expecting property name enclosed in double quotes"),
+        ("\ufeff" + GOOD_LINE, 1, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (GOOD_LINE + "{} {}\n", 2, "invalid JSON: Extra data"),
+        (GOOD_LINE + GOOD_LINE.replace('"part_id": 0', f'"part_id": {LONG_INT}'), 2,
+         f"invalid JSON: {pytest.raises(ValueError, int, LONG_INT).value}"),
+        (GOOD_LINE + "[" * 100_000 + "]" * 100_000 + "\n", 2, "invalid JSON: nested too deeply"),
+        (GOOD_LINE + render_rows("record-lines", [row(campaign_id=None, part_id=1, spend=None)]),
+         2, "missing field(s): campaign_id, spend"),
+    ], ids=["missing-key", "extra-key", "array-line", "number-line", "string-line", "null-line",
+            "x", "open-brace", "leading-bom", "two-objects", "int-5000-digits",
+            "nested-100000-deep", "null-fields"])
+    def test_record_line_cases(self, tmp_path, text, line, message):
+        """Ingest reads each record-line as ``json.loads`` and ``.get`` read it;
+        an extra key is ignored."""
+        path = write(tmp_path, "d.jsonl", text)
+        expected = outcome(lambda: reference_dataset(reference_record_lines(path)))
+        if message is None:
+            assert expected == reference_dataset([(1, GOOD)])
+        else:
+            assert expected == ("IngestError", line, f"line {line}: {message}")
+        assert outcome(lambda: column_rows(ingest(path, "record-lines"))) == expected
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sampled_from(FORMATS), raw_rows())
     def test_same_columns_or_error(self, tmp_path, input_format, rows):
         path = write(tmp_path, "rows.txt", render_raw(input_format, rows))
-        reader = (dataio._rows_from_jsonl if input_format == "record-lines"
-                  else dataio._rows_from_csv)
+        reader = reference_record_lines if input_format == "record-lines" else dataio._rows_from_csv
         expected = outcome(lambda: reference_dataset(reader(path)))
         assert outcome(lambda: column_rows(ingest(path, input_format))) == expected
         if expected[0] != "IngestError":

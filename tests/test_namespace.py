@@ -100,8 +100,7 @@ class TestImportSets:
         code, modules = cli_modules("report", str(GOLDEN_PATH))
         assert code == 0
         assert package_modules(modules) == {
-            "roimeta", "roimeta.cli", "roimeta.config", "roimeta.errors", "roimeta.records",
-            "roimeta.reportio",
+            "roimeta", "roimeta.cli", "roimeta.errors", "roimeta.records", "roimeta.reportio",
         }
         # the report types are named tuples: no class is built by ``dataclasses``
         assert not modules & {"statistics", "hashlib", "csv", "dataclasses", "inspect"}
