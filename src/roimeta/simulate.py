@@ -21,11 +21,11 @@ part-by-part loop would take them: each part's ROI noise, then its impressions.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .campaigns import (
-    MAX_AMOUNT, MICROS_PER_UNIT, ArmColumns, CampaignExperiment, ExperimentDataset, arm_columns,
-    check_amount,
+    MAX_AMOUNT, MICROS_PER_UNIT, CampaignExperiment, ExperimentDataset, arm_columns, check_amount,
 )
 from .errors import ConfigError
 from .randomness import HashStream, poisson_quantiles
@@ -106,28 +106,41 @@ def generate_experiment(config: SimConfig) -> ExperimentDataset:
     outliers = set(by_budget[: config.outlier_campaigns])
     level_factors = _noise_factors(config.campaign_roi_sd, [u for _, u in draws])
 
-    width = len(str(config.n_campaigns - 1))
-    campaigns = []
+    lam = config.impressions_per_part_mean
+    # per arm, in draw order: (m, spend_micros, value_micros); the impression
+    # draws wait as doubles, not float objects, for one poisson_quantiles call
+    arms, impression_draws = [], array("d")
     for i in range(config.n_campaigns):
-        stream = streams[i]
-        campaign_id = f"camp_{i:0{width}d}"
         level = config.base_roi_mean * level_factors[i]
         lift = config.outlier_lift if i in outliers else config.treatment_lift
-        spend_a = budgets[i] * (1.0 - config.treatment_share) / config.m_a
-        spend_b = budgets[i] * config.treatment_share / config.m_b
-        arm_a = _generate_arm(stream, config.m_a, spend_a, level, config)
-        arm_b = _generate_arm(stream, config.m_b, spend_b, level * (1.0 + lift), config)
-        campaigns.append(CampaignExperiment(campaign_id, arm_a, arm_b))
-    return ExperimentDataset(tuple(campaigns))
+        for m, share, roi_level in ((config.m_a, 1.0 - config.treatment_share, level),
+                                    (config.m_b, config.treatment_share, level * (1.0 + lift))):
+            # part j's ROI noise is draw 2j, its impressions draw 2j + 1 (draw j alone at mean 0)
+            draws = streams[i].uniforms(2 * m if lam > 0 else m)
+            if lam > 0:
+                impression_draws.extend(draws[1::2])
+                draws = draws[::2]
+            spend = budgets[i] * share / m
+            arms.append((m, *_arm_money(spend, roi_level, config.part_noise_sd, draws)))
+    # one call for every arm, so that its boundary table pays
+    impressions = (poisson_quantiles(lam, impression_draws) if lam > 0
+                   else [0] * (config.n_campaigns * (config.m_a + config.m_b)))
+    columns, position = [], 0
+    for m, spend_micros, value_micros in arms:
+        columns.append(arm_columns(range(m), impressions[position:position + m],
+                                   (spend_micros,) * m, value_micros))
+        position += m
+    width = len(str(config.n_campaigns - 1))
+    return ExperimentDataset(tuple(
+        CampaignExperiment(f"camp_{i:0{width}d}", columns[2 * i], columns[2 * i + 1])
+        for i in range(config.n_campaigns)))
 
 
-def _generate_arm(stream: HashStream, m: int, spend: float, roi_level: float,
-                  config: SimConfig) -> ArmColumns:
-    """Parts 0..m-1 of one arm from one block of draws: part i takes draw 2i for
-    its ROI noise and draw 2i + 1 for its impressions (draw i alone at mean 0)."""
-    lam, sd = config.impressions_per_part_mean, config.part_noise_sd
-    draws = stream.uniforms(2 * m if lam > 0 else m)
-    values = [roi_level * f * spend for f in _noise_factors(sd, draws[::2] if lam > 0 else draws)]
+def _arm_money(spend: float, roi_level: float, sd: float,
+               draws: list[float]) -> tuple[int, list[int]]:
+    """One arm's spend per part and its parts' values, in micro-units, part i's
+    ROI noise from ``draws[i]``."""
+    values = [roi_level * f * spend for f in _noise_factors(sd, draws)]
     try:
         check_amount("spend", spend)
         # a column that passes this one test passes check_amount value by value;
@@ -137,8 +150,5 @@ def _generate_arm(stream: HashStream, m: int, spend: float, roi_level: float,
                 check_amount("value", value)
     except ValueError as exc:
         raise ConfigError(f"simulated {exc}") from None
-    impressions = poisson_quantiles(lam, draws[1::2]) if lam > 0 else [0] * m
     # to_micros, inlined
-    spend_micros = round(spend * MICROS_PER_UNIT)
-    return arm_columns(range(m), impressions, (spend_micros,) * m,
-                       [round(v * MICROS_PER_UNIT) for v in values])
+    return round(spend * MICROS_PER_UNIT), [round(v * MICROS_PER_UNIT) for v in values]

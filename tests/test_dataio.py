@@ -612,7 +612,30 @@ def reference_record_lines(path):
             yield line, tuple(record.get(name) for name in CSV_FIELDS)
 
 
+def reference_csv_rows(path):
+    """Delimited text as ``csv.reader`` reads it: record 1 is the header, each
+    field stripped, then each record of six fields, record n as line n; a
+    record that is empty or one blank field is skipped. A ``csv.Error`` is
+    "invalid CSV" at the reader's line."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            for line, record in enumerate(reader, start=1):
+                if line == 1:
+                    if [field.strip() for field in record] != list(CSV_FIELDS):
+                        raise IngestError(f"header must be {HEADER}, got {','.join(record)}", 1)
+                elif len(record) > 1 or "".join(record).strip():
+                    if len(record) != 6:
+                        raise IngestError(f"expected 6 columns, got {len(record)}", line)
+                    yield line, record
+            if reader.line_num == 0:
+                raise IngestError("empty file, expected a header row", 1)
+        except csv.Error as exc:
+            raise IngestError(f"invalid CSV: {exc}", reader.line_num) from None
+
+
 GOOD_LINE = render_rows("record-lines", [GOOD])
+GOOD_CSV = render_rows("delimited-text", [GOOD])
 LONG_INT = "1" * 5000
 
 
@@ -651,12 +674,38 @@ class TestRowPathParity:
             assert expected == ("IngestError", line, f"line {line}: {message}")
         assert outcome(lambda: column_rows(ingest(path, "record-lines"))) == expected
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "empty file, expected a header row"),
+        (GOOD_CSV.replace("part_id", "part"), 1,
+         f"header must be {HEADER}, got {HEADER.replace('part_id', 'part')}"),
+        (" " + GOOD_CSV.replace(",", " , ", 5), None, None),
+        (GOOD_CSV + "c1,A,1,10,1.5\n", 3, "expected 6 columns, got 5"),
+        (GOOD_CSV + "c1,A,1,10,1.5,2.0,x\n", 3, "expected 6 columns, got 7"),
+        (HEADER + "\n\n \n" + GOOD_CSV.split("\n", 1)[1] + "\t\n\n", None, None),
+        (GOOD_CSV + ",,,,,\n", 3,
+         "missing field(s): campaign_id, arm, part_id, impressions, spend, value"),
+        (GOOD_CSV + "c1,A,1,10,1.5," + "9" * 131_073 + "\n", 3,
+         "invalid CSV: field larger than field limit (131072)"),
+        (GOOD_CSV + '"c\n1",A,1,10,1.5,2.0\nc1,A,2,10\n', 4, "expected 6 columns, got 4"),
+    ], ids=["empty-file", "wrong-header", "padded-header", "short-row", "long-row",
+            "blank-lines", "blank-fields", "field-over-size-limit", "quoted-newline"])
+    def test_csv_cases(self, tmp_path, text, line, message):
+        """Ingest reads delimited text as ``csv.reader`` reads it; a blank line
+        is skipped, and line n is the n-th record, not the n-th line."""
+        path = write(tmp_path, "d.csv", text)
+        expected = outcome(lambda: reference_dataset(reference_csv_rows(path)))
+        if message is None:
+            assert expected == reference_dataset([(2, GOOD)])
+        else:
+            assert expected == ("IngestError", line, f"line {line}: {message}")
+        assert outcome(lambda: column_rows(ingest(path, "delimited-text"))) == expected
+
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sampled_from(FORMATS), raw_rows())
     def test_same_columns_or_error(self, tmp_path, input_format, rows):
         path = write(tmp_path, "rows.txt", render_raw(input_format, rows))
-        reader = reference_record_lines if input_format == "record-lines" else dataio._rows_from_csv
+        reader = reference_record_lines if input_format == "record-lines" else reference_csv_rows
         expected = outcome(lambda: reference_dataset(reader(path)))
         assert outcome(lambda: column_rows(ingest(path, input_format))) == expected
         if expected[0] != "IngestError":

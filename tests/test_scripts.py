@@ -33,6 +33,22 @@ RATE = r"(0|1)\.\d+"
             [r"significant-call rate: 0\.0000 \(nominal two-sided 0\.050\)",
              r"mu\* > 0 rate: +0\.4750 \(expect ~0\.5\)"],
         ),
+        # 203 campaigns x 20 parts draw their impressions through the boundary table
+        (
+            "run_outlier_study.py",
+            ["--runs", "20", "--campaigns", "203"],
+            [r"micro baseline accepts: +1\.000",
+             r"meta-analysis rejects: +1\.000",
+             r"disagreement \(accept\+reject\): +1\.000"],
+        ),
+        (
+            "run_outlier_study.py",
+            ["--runs", "20", "--campaigns", "203", "--background-lift", "0.0",
+             "--outlier-lift", "0.05"],
+            [r"micro baseline accepts: +0\.750",
+             r"meta-analysis rejects: +0\.950",
+             r"disagreement \(accept\+reject\): +0\.700"],
+        ),
         (
             "run_outlier_study.py",
             ["--runs", "2", "--campaigns", "20"],

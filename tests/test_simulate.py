@@ -12,6 +12,7 @@ from roimeta.dataio import ingest, render_dataset_csv, write_dataset
 from roimeta.errors import ConfigError, NoQualifiedCampaignsError
 from roimeta.pipeline import collect_effects, evaluate
 from roimeta.preprocess import qualify
+from roimeta import randomness
 from roimeta.randomness import HashStream, poisson_quantiles
 from roimeta.simulate import SimConfig, generate_experiment
 from roimeta.statfuncs import normal_quantile
@@ -80,10 +81,10 @@ class TestHashStream:
         assert stream.uniform() == HashStream("u").uniform()
 
     def test_poisson_small_mean_matches_inversion(self):
+        reference = ReferenceStream("p")
         draws = poisson_quantiles(3.0, HashStream("p").uniforms(2000))
-        mean = sum(draws) / len(draws)
-        assert mean == pytest.approx(3.0, abs=0.15)
-        assert min(draws) >= 0
+        assert draws == [reference.poisson(3.0) for _ in range(2000)]
+        assert set(draws) >= set(range(8))  # the inversion walks past the mode
 
     def test_poisson_large_mean_is_near_mean(self):
         draws = poisson_quantiles(2000.0, HashStream("p2").uniforms(500))
@@ -453,6 +454,66 @@ class TestDrawParity:
     ))
     def test_normal_quantile_matches(self, p):
         assert normal_quantile(p).hex() == reference_normal_quantile(p).hex()
+
+
+TABLE_LIMIT, GUARD = 1e6, 1e-9
+
+
+class TestPoissonBoundaryTable:
+    """``poisson_quantiles`` reads a large-mean count off a table of boundaries
+    only where ``ReferenceStream.poisson``'s formula gives the same count."""
+
+    STREAM = HashStream("poisson-table").uniforms(100_000)
+    QUANTILES = {}  # u -> normal_quantile(u), bit-identical to its reference (test above)
+
+    @staticmethod
+    def probes(lam):
+        """Each boundary within 8 sd of ``lam``, its two neighbouring doubles,
+        the points one and two guards either side, and both extreme uniforms."""
+        root = math.sqrt(lam)
+        probes = [2.0 ** -65, 1.0 - 2.0 ** -53]
+        for k in range(max(0, math.ceil(lam - 8.0 * root)), math.floor(lam + 8.0 * root) + 1):
+            b = reference_normal_cdf((k + 0.5 - lam) / root)
+            probes += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0),
+                       b - GUARD, b + GUARD, b - 2 * GUARD, b + 2 * GUARD]
+        return [u for u in probes if 0.0 < u < 1.0]
+
+    @pytest.mark.parametrize("lam", [50.000001, 118.0, 2000.0, TABLE_LIMIT,
+                                     math.nextafter(TABLE_LIMIT, math.inf)])
+    def test_every_count_matches_the_formula(self, lam, monkeypatch):
+        probes = self.probes(lam)
+        draws = probes + self.STREAM
+        quantiles, root = self.QUANTILES, math.sqrt(lam)
+        for u in draws:
+            if u not in quantiles:
+                quantiles[u] = normal_quantile(u)
+        # ReferenceStream.poisson above a mean of 50
+        expected = [max(0, int(round(lam + root * quantiles[u]))) for u in draws]
+        build, erfc, tables = randomness._count_bounds, math.erfc, {}
+        # libm's erfc as is, then one ulp low and one high while the table is built;
+        # a nudged table can move only the counts of draws near a boundary: the probes
+        for nudge, inputs in ((None, draws), (-math.inf, probes), (math.inf, probes)):
+            built = tables[nudge] = []
+
+            def nudged_build(*args, nudge=nudge, built=built):
+                with monkeypatch.context() as patch:
+                    if nudge is not None:
+                        patch.setattr(math, "erfc", lambda x: math.nextafter(erfc(x), nudge))
+                    built.append(build(*args))
+                return built[-1]
+
+            monkeypatch.setattr(randomness, "_count_bounds", nudged_build)
+            direct = []  # the draws the expression counted
+            with monkeypatch.context() as patch:
+                patch.setattr(randomness, "normal_quantile",
+                              lambda u: direct.append(u) or normal_quantile(u))
+                assert poisson_quantiles(lam, inputs) == expected[:len(inputs)], nudge
+            assert len(built) == (lam <= TABLE_LIMIT)
+            if lam > TABLE_LIMIT:
+                return
+            assert len(direct) < len(probes)  # the table counted the rest
+        for nudge in (-math.inf, math.inf):  # every boundary moved
+            assert all(map(float.__ne__, tables[None][0], tables[nudge][0]))
 
 
 def reference_factor(stream, sd):
