@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from roimeta.baselines import BaselineDecision, BaselineMethod
 from roimeta.pipeline import AaSettings, EvaluationConfig, Verdict, evaluate
-from roimeta.reportio import render_report
+from roimeta.reportio import render_human
 from roimeta.simulate import SimConfig, generate_experiment
 
 
@@ -60,7 +60,7 @@ def main() -> int:
     print(f"disagreement (accept+reject): {disagreements / args.runs:.3f}")
     if args.show_sample_report and sample is not None:
         print()
-        print(render_report(sample, "human-table"))
+        print(render_human(sample))
     return 0
 
 

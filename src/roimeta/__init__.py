@@ -31,7 +31,7 @@ _EXPORTS = {
     "preprocess": ("qualify",),
     "randomness": (),
     "records": (),
-    "reportio": ("render_report", "report_to_json"),
+    "reportio": ("render_human", "report_to_json"),
     "simulate": ("SimConfig", "generate_experiment"),
     "statfuncs": (),
     "subgroups": ("SubgroupSpec", "resolve_subgroups"),

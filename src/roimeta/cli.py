@@ -33,9 +33,6 @@ from .errors import RoimetaError
 if TYPE_CHECKING:
     from .pipeline import EvaluationConfig
 
-_FORMAT_BY_ALIAS = {"human": "human-table", "json": "machine-json"}
-
-
 def _config_from_args(args: argparse.Namespace) -> EvaluationConfig:
     from .config import EVAL_KEY_PARSERS, load_evaluation_config
 
@@ -50,14 +47,14 @@ def _config_from_args(args: argparse.Namespace) -> EvaluationConfig:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .dataio import ingest, write_text_atomic
     from .pipeline import Verdict, evaluate
-    from .reportio import render_report, report_to_json
+    from .reportio import render_human, report_to_json
 
     dataset = ingest(args.data, args.input_format)
     config = _config_from_args(args)
     report = evaluate(dataset, config)
     if args.out:
         write_text_atomic(args.out, report_to_json(report))
-    print(render_report(report, _FORMAT_BY_ALIAS[args.format]), end="")
+    print(report_to_json(report) if args.format == "json" else render_human(report), end="")
     return 0 if report.decision.verdict is Verdict.ACCEPT else 1
 
 
@@ -79,11 +76,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .records import Verdict
-    from .reportio import render_report, report_from_json
+    from .reportio import render_human, report_from_json, report_to_json
 
     with open(args.saved_report, encoding="utf-8") as handle:
         report = report_from_json(handle.read())
-    print(render_report(report, _FORMAT_BY_ALIAS[args.format]), end="")
+    print(report_to_json(report) if args.format == "json" else render_human(report), end="")
     return 0 if report.decision.verdict is Verdict.ACCEPT else 1
 
 

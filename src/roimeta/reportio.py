@@ -1,12 +1,12 @@
 """Evaluation report rendering: machine JSON (versioned, reparseable) and
 human tables.
 
-The machine format is deterministic (sorted keys, repr-exact floats), so the
-same report always serializes to identical bytes, and parsing it back yields
-an object equal to the original. It is strict JSON: the writer refuses a
-non-finite float and the reader the ``NaN`` and ``Infinity`` constants, a
-number too large for a float, such as ``1e999``, and in a float field an
-integer too large for one.
+The machine format is compact, deterministic JSON (one line, sorted keys,
+repr-exact floats), so the same report always serializes to identical bytes,
+and parsing it back yields an object equal to the original. It is strict
+JSON: the writer refuses a non-finite float and the reader the ``NaN`` and
+``Infinity`` constants, a number too large for a float, such as ``1e999``,
+and in a float field an integer too large for one.
 Encoding and decoding are both driven by the field types of the report's named
 tuples (``_codec``), so a report field is declared once, on its named tuple in
 ``records``. The codec has one rule for computed values: only named-tuple
@@ -16,20 +16,6 @@ a decoded report computes it again from the same fields.
 
 Each named tuple has one encoder and one decoder, applied item by item to a
 tuple of them; the decoder is the only place that words an error.
-
-The machine text is exactly ``json.dumps(doc, indent=2, sort_keys=True)``,
-but ``to_json`` does not call it that way: up to Python 3.12, json falls back
-from its C encoder to a pure-Python one whenever ``indent`` is set, one Python
-step per value, and a report of 1,000 campaigns holds about 10,000 values.
-``to_json`` writes the indentation itself only for containers that hold
-containers. Every flat block (a dict or list of scalars) goes to a
-``JSONEncoder`` whose item separator carries the newline and the indentation,
-so the C encoder writes it in one call. A list of flat dicts (the kept counts,
-the effects, the exclusions) is also one call, and its ``},\n<pad>{`` item
-boundaries are then re-indented with one ``str.replace``. That is safe because
-encoded JSON never holds a raw newline inside a string, so every newline in
-the encoder's output is a separator, and inside a flat dict the item after a
-separator starts with a key's quote, not ``{``.
 """
 
 from __future__ import annotations
@@ -41,18 +27,12 @@ import operator
 import types
 import typing
 from enum import Enum
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .errors import SchemaError
 from .records import BaselineDecision, EvaluationReport, Verdict
 
-SCHEMA_VERSION = "5"
-
-REPORT_FORMATS = ("human-table", "machine-json")
-
-_CONTAINERS = frozenset((dict, list))
+SCHEMA_VERSION = "6"
 
 # The types ``json.loads`` gives a value of each scalar annotation. A float
 # field also takes an int that a float can hold: ``ExplicitThetas(micro_theta=0)``
@@ -189,56 +169,11 @@ def to_plain(obj: Any) -> dict:
     return _codec(type(obj)).to_plain(obj)
 
 
-@functools.cache
-def _flat_encoder(depth: int) -> Callable[[Any], str]:
-    """Encode a value whose items sit one level below ``depth``, one per line."""
-    separators = (",\n" + "  " * (depth + 1), ": ")
-    return json.JSONEncoder(sort_keys=True, separators=separators, allow_nan=False).encode
-
-
-def _write(value: Any, depth: int, out: list[str]) -> None:
-    """Append the text of ``value``, nested ``depth`` levels deep, to ``out``."""
-    kind = type(value)
-    if kind not in _CONTAINERS or not value:
-        out.append(_flat_encoder(depth)(value))
-        return
-    pad, inner = "  " * depth, "  " * (depth + 1)
-    if _CONTAINERS.isdisjoint(map(type, value.values() if kind is dict else value)):
-        text = _flat_encoder(depth)(value)
-        out.append(f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}")
-    elif (kind is list and {dict}.issuperset(map(type, value)) and all(value)
-          and _CONTAINERS.isdisjoint(map(type, chain.from_iterable(map(dict.values, value))))):
-        deeper = inner + "  "
-        body = _flat_encoder(depth + 1)(value)[2:-2].replace(
-            "},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}"
-        )
-        out.append(f"[\n{inner}{{\n{deeper}{body}\n{inner}}}\n{pad}]")
-    elif kind is dict:
-        separator = "{\n"
-        for key, item in sorted(value.items()):
-            out.append(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
-            _write(item, depth + 1, out)
-            separator = ",\n"
-        out.append(f"\n{pad}}}")
-    else:
-        separator = "[\n"
-        for item in value:
-            out.append(separator + inner)
-            _write(item, depth + 1, out)
-            separator = ",\n"
-        out.append(f"\n{pad}]")
-
-
 def to_json(doc: Any) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"`` for
-    a plain document (dicts with string keys, lists and JSON scalars, as
-    ``to_plain`` and ``json.loads`` make them), written mostly by json's C
-    encoder (see the module docstring). A non-finite float raises ValueError,
-    as JSON has no such number."""
-    out: list[str] = []
-    _write(doc, 0, out)
-    out.append("\n")
-    return "".join(out)
+    """A plain document (as ``to_plain`` and ``json.loads`` make it) as compact
+    JSON with sorted keys on one line. A non-finite float raises ValueError, as
+    JSON has no such number."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
 
 
 def report_to_json(report: EvaluationReport) -> str:
@@ -304,6 +239,8 @@ _BASIS = {
 
 
 def render_human(report: EvaluationReport) -> str:
+    """The report as an aligned human table. Its heterogeneity lines are marked
+    against the report's own ``homogeneity_level``."""
     q = report.qualification
     lines = ["model evaluation report", "=======================", "", "qualification"]
     lines.append(
@@ -389,17 +326,3 @@ def render_human(report: EvaluationReport) -> str:
         lines.extend(f"  {warning}" for warning in report.audit.warnings)
     return "\n".join(lines) + "\n"
 
-
-def render_report(report: EvaluationReport, output_format: str = "human-table") -> str:
-    """Render a report as an aligned human table or versioned machine JSON.
-
-    The human heterogeneity lines are marked against the report's own
-    ``homogeneity_level``, the level the evaluation was configured with.
-    """
-    if output_format not in REPORT_FORMATS:
-        raise SchemaError(
-            f"output_format must be one of {REPORT_FORMATS}, got {output_format!r}"
-        )
-    if output_format == "machine-json":
-        return report_to_json(report)
-    return render_human(report)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v`` (a conftest hook prints one
 ``ACCEPTANCE ...`` line per criterion).
 """
 
+import difflib
 import json
 import math
 import time
@@ -43,7 +44,7 @@ from roimeta.pipeline import (
     evaluate,
 )
 from roimeta.preprocess import qualify
-from roimeta.reportio import render_report, report_from_json, report_to_json
+from roimeta.reportio import render_human, report_from_json, report_to_json
 from roimeta.simulate import SimConfig, generate_experiment
 from roimeta.statfuncs import normal_quantile
 from roimeta.subgroups import SubgroupSpec, resolve_subgroups, subgroup_analysis
@@ -343,7 +344,7 @@ class TestCriterion8InvariantSuite:
         decision = decide(result)
         assert decision.verdict is Verdict.REJECT_HARMFUL
         golden = report_from_json(GOLDEN_PATH.read_text(encoding="utf-8"))
-        text = render_report(golden._replace(significance=result, decision=decision))
+        text = render_human(golden._replace(significance=result, decision=decision))
         assert "\n  basis: CI 95% = [-1.081908, -0.000000] lies entirely below zero\n" in text
 
     @settings(max_examples=60, deadline=None)
@@ -370,14 +371,16 @@ class TestCriterion9GoldenPipeline:
         write_dataset(generate_experiment(GOLDEN_SIM), data_path)
         dataset = ingest(data_path)
         report = evaluate(dataset, GOLDEN_EVAL)
-        return render_report(report, "machine-json")
+        return report_to_json(report)
 
     def test_simulate_evaluate_report_is_byte_identical(self, tmp_path):
         first = self.run_pipeline(tmp_path / "a")
         second = self.run_pipeline(tmp_path / "b")
         assert first == second
         golden = GOLDEN_PATH.read_text(encoding="utf-8")
-        assert first == golden
+        assert first == golden, "".join(difflib.unified_diff(
+            *(json.dumps(json.loads(text), indent=2, sort_keys=True).splitlines(True)
+              for text in (golden, first)), "golden", "evaluated"))
         # the saved intermediate state reproduces the verdict
         parsed = report_from_json(golden)
         assert decide(parsed.significance) == parsed.decision

@@ -22,7 +22,7 @@ from roimeta.pipeline import (
 )
 from roimeta.preprocess import qualify
 from roimeta.records import AaRecord, BaselineMethod
-from roimeta.reportio import render_report
+from roimeta.reportio import render_human
 from roimeta.simulate import SimConfig, generate_experiment
 from roimeta.subgroups import SubgroupSpec
 
@@ -235,13 +235,13 @@ class TestWarnings:
             "excluded 1 campaign(s) with fewer than 2 control parts from A/A calibration: thin",
             "subgroup 'ghost' has no analyzable campaigns; dropped",
         )
-        assert render_report(report).endswith("\nwarnings\n" + "".join(
+        assert render_human(report).endswith("\nwarnings\n" + "".join(
             f"  {w}\n" for w in report.audit.warnings))
 
     def test_only_for_stages_that_ran(self, dataset):
         report = evaluate(with_thin(dataset), EvaluationConfig(aa=THETAS))
         assert report.audit.warnings == ()
-        assert "\nwarnings\n" not in render_report(report)
+        assert "\nwarnings\n" not in render_human(report)
 
     def test_evaluate_emits_no_python_warning(self, dataset):
         with warnings.catch_warnings():

@@ -136,7 +136,7 @@ class TestEvaluate:
         ])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == "5"
+        assert doc["schema_version"] == "6"
         # the audit block names where each config value came from
         config = doc["audit"]["config"]
         assert config["file"] == ["confidence_level = 0.95", "aa_seed = 11",
@@ -357,6 +357,14 @@ class TestReport:
         assert (done.returncode, done.stderr) == (0 if accepted else 1, b"")
         assert done.stdout == golden
 
+    def test_indented_golden_report_comes_back_canonical(self, tmp_path, capsys):
+        golden = GOLDEN_PATH.read_text(encoding="utf-8")
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(golden), indent=2), encoding="utf-8")
+        accepted = json.loads(golden)["decision"]["verdict"] == "accept"
+        assert main(["report", str(indented), "--format", "json"]) == (0 if accepted else 1)
+        assert capsys.readouterr() == (golden, "")
+
     def test_golden_report_prints_the_pinned_human_table(self, capsys):
         # the table as the schema-2 golden report printed it, before the
         # computed fields and the part list left the report, with schema 5's
@@ -380,7 +388,7 @@ class TestReport:
         main(["report", str(report_path)])
         assert capsys.readouterr().out == from_evaluate
 
-    @pytest.mark.parametrize("version", ["1", "2", "3", "4"])
+    @pytest.mark.parametrize("version", ["1", "2", "3", "4", "5"])
     def test_earlier_schema_version_report_is_exit_2(self, workdir, capsys, version):
         data = simulate(workdir)
         out = workdir / "report.json"
@@ -403,10 +411,10 @@ class TestMalformedInputIsExit2:
     NESTED = "[" * 100_000 + "]" * 100_000
     GOLDEN = GOLDEN_PATH.read_text(encoding="utf-8")
     BIG_TAU2 = GOLDEN.replace(
-        f'"tau2": {json.loads(GOLDEN)["heterogeneity"]["tau2"]!r}', '"tau2": 1' + "0" * 400)
+        f'"tau2":{json.loads(GOLDEN)["heterogeneity"]["tau2"]!r}', '"tau2":1' + "0" * 400)
     LONG_INT = "1" * 5000
-    LONG_DF = GOLDEN.replace(f'"df": {json.loads(GOLDEN)["heterogeneity"]["df"]},',
-                             f'"df": {LONG_INT},')
+    LONG_DF = GOLDEN.replace(f'"df":{json.loads(GOLDEN)["heterogeneity"]["df"]},',
+                             f'"df":{LONG_INT},')
     LONG_INT_ERROR = str(pytest.raises(ValueError, int, LONG_INT).value)
 
     @pytest.mark.parametrize("text, argv, message", [

@@ -40,7 +40,7 @@ EXPORTS = {
     ),
     "pipeline": ("EvaluationConfig", "evaluate"),
     "preprocess": ("qualify",),
-    "reportio": ("render_report", "report_to_json"),
+    "reportio": ("render_human", "report_to_json"),
     "simulate": ("SimConfig", "generate_experiment"),
     "subgroups": ("SubgroupSpec", "resolve_subgroups"),
 }

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from roimeta.meta import (
 )
 from roimeta.pipeline import collect_effects
 from roimeta.preprocess import qualify
-from roimeta.reportio import to_json, to_plain
+from roimeta.reportio import to_plain
 from roimeta.simulate import generate_experiment
 from test_simulate import PINNED_SHAPES
 from roimeta.subgroups import (
@@ -203,7 +204,7 @@ class TestSubgroupAnalysis:
             assert report.q_between >= -1e-9
 
 
-# SHA-256 of to_json(to_plain(x)) for the summary and three subgroup analyses
+# SHA-256 of indented(to_plain(x)) for the summary and three subgroup analyses
 # (spend thirds, fractions 0.5/0.2/0.1/0.1/0.1, labels g{i % 4} plus one
 # single-campaign group), and the number of groups each partition makes, on
 # the smoke shapes. The summary pins are the earlier ones with the random
@@ -235,6 +236,11 @@ PINNED_SUBGROUP_SHA = {
 PINNED_SUBGROUP_COUNTS = {"deep": [2, 4, 5], "study": [3, 5, 5], "wide": [3, 5, 5]}
 
 
+def indented(doc):
+    """The text the pins hash: the machine text of the reports up to schema 5."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def stored_split(report):
     """The plain subgroup document with the computed split written in, as the
     reports stored it before schema 4."""
@@ -261,7 +267,7 @@ class TestSubgroupOutputsPinned:
         reports = [subgroup_analysis(dv_by_id(effects), tau2, groups, 0.95)
                    for groups in partitions]
         digests = tuple(
-            hashlib.sha256(to_json(x).encode("utf-8")).hexdigest()
+            hashlib.sha256(indented(x).encode("utf-8")).hexdigest()
             for x in (to_plain(summary), *map(stored_split, reports))
         )
         assert digests == PINNED_SUBGROUP_SHA[shape]
