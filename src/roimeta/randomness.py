@@ -1,24 +1,26 @@
 """Counter-mode deterministic random streams built on BLAKE2b.
 
 Every stream is keyed by an explicit tuple (seed, purpose, index, ...), and
-each draw hashes the key with an incrementing counter. Output therefore never
+each block of eight draws hashes the key with an incrementing counter. Output therefore never
 depends on global state, platform, word size, or library version, and streams
 with distinct keys are independent, so per-campaign generation can run in any
 order. Normal variates come from the inverse-CDF transform; Poisson counts
 (``poisson_quantiles``, one uniform each) use exact inversion up to a mean of
 50 and above it ``max(0, round(lam + sqrt(lam) * normal_quantile(u)))``.
 
-Cost model: one keyed BLAKE2b (a copy of the key-absorbed state, fed the 8-byte
-counter) per draw, plus two BLAKE2b calls to absorb each new key. A single
-variate (``uniform``, ``normal``) adds a Python frame or two per draw;
-``uniforms(n)`` draws a block in one loop, about a fifth cheaper per draw, and
-the simulator takes all its draws that way. ``sample_sums`` absorbs its
-streams' shared key parts once, and its partial Fisher-Yates pays k draws, not
-n - 1. The digest maps to (0, 1) as ``(u64 + 0.5) * 2**-64`` in ``uniform``, in
-``uniforms`` and in ``sample_sums``' loop; the draw parity test in
-tests/test_simulate.py pins all three copies. For the top 2**10 u64 values the
-product rounds to 1.0, which ``uniform`` and ``uniforms`` replace and
-``sample_sums`` clamps to the last position.
+Cost model (stream v2): block ``c`` of a stream is one keyed BLAKE2b digest of
+64 bytes (a copy of the key-absorbed state, fed the 8-byte big-endian counter
+``c``), read as eight big-endian u64 words; draw ``i`` is word ``i % 8`` of block
+``i // 8``. A draw thus costs an eighth of a digest, plus two BLAKE2b calls to
+absorb each new key. ``uniforms(n)`` hashes the blocks that draws ``i`` to
+``i + n - 1`` touch, so a call that starts inside a block hashes it again;
+``uniform()`` is ``uniforms(1)[0]``. The simulator takes each campaign's
+draws in one call. ``sample_sums`` absorbs its streams' shared key parts once,
+hashes ceil(k / 8) blocks per split (its partial Fisher-Yates pays k draws, not
+n - 1) and keeps only the k words it uses. One function, ``_units``, maps words
+to (0, 1) as ``(u64 + 0.5) * 2**-64``; for the top 2**10 u64 values the product
+rounds to 1.0, which it replaces by the largest double below 1, and
+``sample_sums`` clamps the position that draw gives to the last one.
 
 A large-mean count costs one ``normal_quantile``. A call with more draws than
 there are counts within 8 sd of the mean (about ``16 * sqrt(lam)``) first
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from bisect import bisect
 from collections.abc import Iterable, Sequence
 
@@ -49,6 +52,14 @@ _POISSON_TABLE_LIMIT = 1e6  # the guard is shown to cover the errors up to this 
 _POISSON_TABLE_GUARD = 1e-9
 
 
+def _units(data: bytes) -> list[float]:
+    """Each big-endian u64 word in ``data`` as a uniform strictly inside (0, 1)."""
+    draws = [(w + 0.5) * 2.0 ** -64 for w in struct.unpack(f">{len(data) >> 3}Q", data)]
+    if 1.0 in draws:  # u64 >= 2**64 - 2**10 rounds to 1.0
+        draws = [u if u < 1.0 else 1.0 - 2.0 ** -53 for u in draws]
+    return draws
+
+
 class HashStream:
     """Deterministic stream of variates identified by its key parts."""
 
@@ -56,33 +67,28 @@ class HashStream:
 
     def __init__(self, *key_parts: object):
         material = "\x1f".join(map(str, key_parts)).encode("utf-8")
-        # Each draw hashes key + counter; the key is absorbed here, once.
+        # Each block hashes key + counter; the key is absorbed here, once.
         key = hashlib.blake2b(material, digest_size=16).digest()
-        self._prefix = hashlib.blake2b(key, digest_size=8)
+        self._prefix = hashlib.blake2b(key)  # 64-byte digests, blake2b's default
         self._counter = 0
 
     def uniform(self) -> float:
         """Uniform draw strictly inside (0, 1)."""
-        block = self._prefix.copy()
-        block.update(self._counter.to_bytes(8, "big"))
-        self._counter += 1
-        u = (int.from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64
-        return u if u < 1.0 else 1.0 - 2.0 ** -53  # u64 >= 2**64 - 2**10 rounds to 1.0
+        return self.uniforms(1)[0]
 
     def uniforms(self, n: int) -> list[float]:
-        """The next ``n`` values of ``uniform()``, drawn in one loop."""
+        """The next ``n`` draws of the stream."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n!r}")
-        copy, from_bytes = self._prefix.copy, int.from_bytes
-        start = self._counter
-        draws = []
-        for counter in range(start, start + n):
+        copy, start = self._prefix.copy, self._counter
+        data = bytearray()
+        for counter in range(start >> 3, (start + n + 7) >> 3):
             block = copy()
             block.update(counter.to_bytes(8, "big"))
-            u = (from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64
-            draws.append(u if u < 1.0 else 1.0 - 2.0 ** -53)
+            data += block.digest()
         self._counter = start + n
-        return draws
+        skip = (start & 7) << 3  # the words of the first block that earlier calls took
+        return _units(data[skip:skip + (n << 3)])
 
     def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
         return mean + sd * normal_quantile(self.uniform())
@@ -92,20 +98,30 @@ class HashStream:
         """Per ``(name, xs, ys, k)`` in ``columns``, the sums of ``xs`` and ``ys`` over k of
         their n positions, drawn from ``HashStream(*key_parts, name)`` (name in UTF-8) by a
         partial Fisher-Yates: draw i < k swaps i and i + min(int(u * (n - i)), n - i - 1)."""
-        blake2b, from_bytes = hashlib.blake2b, int.from_bytes
+        blake2b = hashlib.blake2b
         stem = blake2b("\x1f".join(map(str, (*key_parts, ""))).encode("utf-8"), digest_size=16)
-        sums_x, sums_y = [], []
-        for name, xs, ys, k in columns:
-            if not (n := len(xs)) >= k >= 0:
-                raise ValueError(f"k must be in [0, {n}], got {k!r}")
+        columns = list(columns)
+        data = bytearray()  # the words every split uses, in column order
+        for name, xs, _, k in columns:
+            if not len(xs) >= k >= 0:
+                raise ValueError(f"k must be in [0, {len(xs)}], got {k!r}")
             keyed = stem.copy()
             keyed.update(name)
-            copy = blake2b(keyed.digest(), digest_size=8).copy
+            prefix, full = blake2b(keyed.digest()), k >> 3
+            for counter in range(full):
+                block = prefix.copy()
+                block.update(counter.to_bytes(8, "big"))
+                data += block.digest()
+            if k & 7:  # the last block is the prefix's own, and only k % 8 of its words count
+                prefix.update(full.to_bytes(8, "big"))
+                data += prefix.digest()[:(k & 7) << 3]
+        draw = iter(_units(data)).__next__
+        sums_x, sums_y = [], []
+        for _, xs, ys, k in columns:
+            n = len(xs)
             moved, sum_x, sum_y = {}, 0, 0  # moved: position -> what it holds now
             for i in range(k):
-                block = copy()
-                block.update(i.to_bytes(8, "big"))
-                j = int((from_bytes(block.digest(), "big") + 0.5) * 2.0 ** -64 * (n - i))
+                j = int(draw() * (n - i))
                 j = i + j if j < n - i else n - 1  # i + min(j, n - i - 1)
                 pick, moved[j] = moved.get(j, j), moved.get(i, i)
                 sum_x, sum_y = sum_x + xs[pick], sum_y + ys[pick]

@@ -13,9 +13,10 @@ for fidelity to any production traffic.
 
 Each arm is built as integer micro columns, quantized and with ROIs derived as
 ingest does, so a dataset gives the same report bytes in memory as after a
-6-decimal file round trip. Each campaign's stream gives its budget and ROI
-level as one block of two draws, then each arm as one block, in the order a
-part-by-part loop would take them: each part's ROI noise, then its impressions.
+6-decimal file round trip. Each campaign's stream gives all its draws in one
+block, in the order a part-by-part loop would take them: its budget, its ROI
+level, then arm A's parts and arm B's, each part's ROI noise, then its
+impressions.
 """
 
 from __future__ import annotations
@@ -87,37 +88,34 @@ def _noise_factors(sd: float, draws: list[float]) -> list[float]:
     return [math.exp(sd * normal_quantile(u) - half_var) for u in draws]
 
 
-def _campaign_stream(seed: int, index: int) -> HashStream:
-    return HashStream("sim", seed, "campaign", index)
-
-
 def generate_experiment(config: SimConfig) -> ExperimentDataset:
     """Generate one experiment dataset, byte-stable for a given config."""
-    streams = [_campaign_stream(config.seed, i) for i in range(config.n_campaigns)]
-    draws = [s.uniforms(2) for s in streams]  # each campaign's budget, then its level
+    lam = config.impressions_per_part_mean
+    per_part = 2 if lam > 0 else 1  # a part's ROI noise, then its impressions (none at mean 0)
+    width_a = per_part * config.m_a
+    blocks = [HashStream("sim", config.seed, "campaign", i).uniforms(
+        2 + width_a + per_part * config.m_b) for i in range(config.n_campaigns)]
     try:
-        budgets = [math.exp(config.budget_log_mean + config.budget_log_sd * normal_quantile(u))
-                   for u, _ in draws]
+        budgets = [math.exp(config.budget_log_mean + config.budget_log_sd * normal_quantile(d[0]))
+                   for d in blocks]
     except OverflowError:
         raise ConfigError(
             f"simulated budget is too large for a float (budget_log_mean = "
             f"{config.budget_log_mean!r}, budget_log_sd = {config.budget_log_sd!r})") from None
     by_budget = sorted(range(config.n_campaigns), key=lambda i: (-budgets[i], i))
     outliers = set(by_budget[: config.outlier_campaigns])
-    level_factors = _noise_factors(config.campaign_roi_sd, [u for _, u in draws])
+    level_factors = _noise_factors(config.campaign_roi_sd, [d[1] for d in blocks])
 
-    lam = config.impressions_per_part_mean
     # per arm, in draw order: (m, spend_micros, value_micros); the impression
     # draws wait as doubles, not float objects, for one poisson_quantiles call
     arms, impression_draws = [], array("d")
-    for i in range(config.n_campaigns):
+    for i, block in enumerate(blocks):
         level = config.base_roi_mean * level_factors[i]
         lift = config.outlier_lift if i in outliers else config.treatment_lift
-        for m, share, roi_level in ((config.m_a, 1.0 - config.treatment_share, level),
-                                    (config.m_b, config.treatment_share, level * (1.0 + lift))):
-            # part j's ROI noise is draw 2j, its impressions draw 2j + 1 (draw j alone at mean 0)
-            draws = streams[i].uniforms(2 * m if lam > 0 else m)
-            if lam > 0:
+        for m, share, roi_level, draws in (
+                (config.m_a, 1.0 - config.treatment_share, level, block[2:2 + width_a]),
+                (config.m_b, config.treatment_share, level * (1.0 + lift), block[2 + width_a:])):
+            if lam > 0:  # part j's ROI noise is draw 2j of its arm, its impressions draw 2j + 1
                 impression_draws.extend(draws[1::2])
                 draws = draws[::2]
             spend = budgets[i] * share / m

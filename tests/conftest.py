@@ -66,15 +66,15 @@ def blake2b_log():
         yield log
 
 
-def stream_draws(log: list[tuple[int, bytes, bytes]]) -> list[tuple[str, int]]:
+def stream_blocks(log: list[tuple[int, bytes, bytes]]) -> list[tuple[str, int]]:
     """Each hash stream keyed in ``log``, as its key text, with the number of
-    draws taken from it, sorted: a stream's 16-byte key digest is what its
-    8-byte draw states absorb first."""
-    draws: dict[bytes, int] = {}
+    64-byte blocks (eight draws each) hashed from it, sorted: a stream's 16-byte
+    key digest is what its block states absorb first."""
+    blocks: dict[bytes, int] = {}
     for size, fed, _ in log:
-        if size == 8:
-            draws[fed[:16]] = draws.get(fed[:16], 0) + 1
-    return sorted((fed.decode("utf-8"), draws.get(out, 0)) for size, fed, out in log
+        if size == 64:
+            blocks[fed[:16]] = blocks.get(fed[:16], 0) + 1
+    return sorted((fed.decode("utf-8"), blocks.get(out, 0)) for size, fed, out in log
                   if size == 16)
 
 

@@ -24,7 +24,7 @@ from roimeta.preprocess import qualify
 from roimeta.records import AaRecord, BaselineMethod
 from roimeta.reportio import render_human
 from roimeta.simulate import SimConfig, generate_experiment
-from roimeta.subgroups import SubgroupSpec
+from roimeta.subgroups import SubgroupSpec, resolve_subgroups
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 THETAS = ExplicitThetas(micro_theta=0.0, macro_theta=0.0)
@@ -38,9 +38,16 @@ LABEL_PART = st.one_of(st.text(min_size=1, max_size=4),
 
 @pytest.fixture(scope="module")
 def dataset():
-    return generate_experiment(SimConfig(
-        n_campaigns=9, m_a=6, m_b=6, treatment_share=0.2, treatment_lift=0.1, seed=17,
+    """Nine campaigns whose budgets spread over e^1, not the simulator's e^2, so
+    that no campaign holds a third of the spend alone: every stage runs quietly."""
+    data = generate_experiment(SimConfig(
+        n_campaigns=9, m_a=6, m_b=6, treatment_share=0.2, budget_log_sd=1.0,
+        treatment_lift=0.1, seed=17,
     ))
+    # the precondition of TestWarnings.test_only_for_stages_that_ran: the
+    # default spend tiers are all non-empty
+    assert len(resolve_subgroups(campaign_micro_totals(data), SubgroupSpec())) == 3
+    return data
 
 
 @pytest.fixture(scope="module")

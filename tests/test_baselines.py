@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     blake2b_log, campaign_from_rows, dataset_strategy, make_campaign, make_dataset, make_part,
-    pooled_roi, sane_rois, stream_draws, walk_macro_delta, walk_micro_delta,
+    pooled_roi, sane_rois, stream_blocks, walk_macro_delta, walk_micro_delta,
 )
 from roimeta import baselines
 from roimeta.baselines import (
@@ -326,9 +326,9 @@ class TestAaCalibration:
         ])
         with blake2b_log() as log:
             record = aa_calibrate(dataset, totals_of(dataset), AaSettings(4, 9, 0.5))
-        # one stream per (repeat, campaign), each drawing its n_b = 2 parts
-        assert stream_draws(log) == sorted(
-            (split_key(9, k, c.campaign_id), 2) for k in range(4) for c in dataset.campaigns
+        # one stream per (repeat, campaign), each drawing its n_b = 2 parts from one block
+        assert stream_blocks(log) == sorted(
+            (split_key(9, k, c.campaign_id), 1) for k in range(4) for c in dataset.campaigns
         )
         for k in range(4):
             pseudo = pseudo_experiment(dataset, 0.5, 9, k)
@@ -338,15 +338,16 @@ class TestAaCalibration:
             assert stats[BaselineMethod.MACRO_MEDIAN] == walk_macro_delta(pseudo, "median")
 
     def test_each_split_draws_only_its_pseudo_treatment_parts(self):
-        # 500 control parts at share 0.1: 50 draws per split, not 499
+        # 500 control parts at share 0.1: 50 draws per split, not 499, so
+        # ceil(50 / 8) = 7 blocks, not 63
         dataset = make_dataset([
             make_campaign(f"c{i}", [1.0 + 0.001 * j for j in range(500)], [1.0])
             for i in range(2)
         ])
         with blake2b_log() as log:
             aa_calibrate(dataset, totals_of(dataset), AaSettings(3, 4, 0.1))
-        assert stream_draws(log) == sorted(
-            (split_key(4, k, f"c{i}"), 50) for k in range(3) for i in range(2))
+        assert stream_blocks(log) == sorted(
+            (split_key(4, k, f"c{i}"), 7) for k in range(3) for i in range(2))
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -3,7 +3,7 @@ import math
 from typing import get_type_hints
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import blake2b_log
 from roimeta.baselines import AaSettings, aa_calibrate, campaign_micro_totals
@@ -52,7 +52,7 @@ class TestHashStream:
                 pass
 
             def digest(self):
-                return u64.to_bytes(8, "big")
+                return u64.to_bytes(8, "big") * 8  # eight copies of the word
 
         stream = HashStream("u")
         stream._prefix = FixedBlock()
@@ -61,7 +61,8 @@ class TestHashStream:
         assert rounds_up == (u64 >= 2**64 - 2**10)
         assert u == (1.0 - 2.0 ** -53 if rounds_up else (u64 + 0.5) * 2.0 ** -64)
         assert 0.0 < u < 1.0
-        assert stream.uniforms(3) == [u, u, u]
+        assert stream.uniforms(3) == [u, u, u]  # words 1 to 3 of block 0
+        assert stream.uniforms(8) == [u] * 8  # words 4 to 7 of block 0, 0 to 3 of block 1
         assert math.isfinite(stream.normal()) and math.isfinite(math.exp(stream.normal(0.0, 1.0)))
         # the partial Fisher-Yates clamps: position i swaps with
         # i + min(int(u * (n - i)), n - i - 1), never past n - 1
@@ -73,6 +74,24 @@ class TestHashStream:
         monkeypatch.setattr(hashlib, "blake2b", lambda *args, **kwargs: FixedBlock())
         assert HashStream.sample_sums(("u",), [(b"c", BITS[:6], range(6), 3)]) == (
             [sum(BITS[p] for p in expected[:3])], [sum(expected[:3])])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 20), max_size=6))
+    @example([7, 1])  # the last word of block 0, then the first of block 1
+    @example([7, 2])  # a call across the block edge
+    @example([8, 8])  # calls on block edges
+    @example([1, 7, 9, 15, 1])
+    def test_uniforms_calls_split_the_stream_anywhere(self, sizes):
+        chunked = HashStream("chunks")
+        drawn = [u for n in sizes for u in chunked.uniforms(n)]
+        whole = HashStream("chunks").uniforms(sum(sizes) + 1)
+        assert drawn == whole[:-1]
+        assert chunked.uniform() == whole[-1]  # and the next draw follows on
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+    def test_single_draws_equal_one_call(self, n):
+        single = HashStream("single")
+        assert [single.uniform() for _ in range(n)] == HashStream("single").uniforms(n)
 
     def test_uniforms_rejects_a_negative_count(self):
         stream = HashStream("u")
@@ -93,18 +112,18 @@ class TestHashStream:
 
     @pytest.mark.parametrize("key,expected", [
         (("x", 1), [
-            0.4422043807225623, 0.16332588996732045, 0.18181098716848162,
-            0.4792241040660869, 0.29193193743184087, 0.7384774926582678,
-            0.01568420990421139, 0.4503348708317101,
+            0.8056254541136801, 0.9635803881880369, 0.6323402193408099,
+            0.2627718808927632, 0.29721909677728436, 0.10090845180188981,
+            0.28118723678662516, 0.9448714549879061,
         ]),
         (("aa-split", 9, 0, "c1"), [
-            0.9260549156328864, 0.22049136377084183, 0.7404377107957899,
-            0.6903585910793928, 0.7133044173914874, 0.11566107088333073,
-            0.6580987005124302, 0.017785713509410446,
+            0.7422077063517366, 0.32539048886634, 0.6620981758557293,
+            0.2139908936939579, 0.04158802839110916, 0.1474610392800889,
+            0.23041642817657623, 0.5841579030560144,
         ]),
     ], ids=["x", "aa-split"])
     def test_stream_values_are_pinned(self, key, expected):
-        # values of the roimeta-hash-stream/1 generator; any change to them
+        # values of the roimeta-hash-stream/2 generator; any change to them
         # must come with a new generator tag. How a caller consumes them (for
         # example how many draws an A/A split takes) is not part of the tag.
         stream = HashStream(*key)
@@ -134,13 +153,15 @@ class TestHashStream:
         chi2 = sum((c - 400) ** 2 / 400 for c in counts.values())
         assert chi2 < 27.88
 
-    @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (10, 1), (10, 3), (10, 9), (500, 50)])
+    @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (10, 1), (10, 3), (10, 8), (10, 9),
+                                     (16, 16), (500, 50)])
     def test_sample_sums_take_exactly_k_draws(self, n, k):
+        # k draws are the first k words of the stream: ceil(k / 8) digests, fed counters 0..
         with blake2b_log() as log:
             HashStream.sample_sums(("draws", n), [(b"c", range(n), range(n), k)])
         key = hashlib.blake2b(f"draws\x1f{n}\x1fc".encode(), digest_size=16).digest()
-        assert [fed for size, fed, _ in log if size == 8] == [
-            key + i.to_bytes(8, "big") for i in range(k)]
+        assert [fed for size, fed, _ in log if size == 64] == [
+            key + c.to_bytes(8, "big") for c in range(-(-k // 8))]
 
 
 class TestGenerateExperiment:
@@ -348,14 +369,16 @@ class ReferenceStream:
     def __init__(self, *key_parts):
         material = "\x1f".join(str(part) for part in key_parts).encode("utf-8")
         key = hashlib.blake2b(material, digest_size=16).digest()
-        self._prefix = hashlib.blake2b(key, digest_size=8)
+        self._prefix = hashlib.blake2b(key, digest_size=64)
         self._counter = 0
 
     def _next_u64(self):
+        """Word ``i % 8`` of block ``i // 8``, block ``c`` being the digest of key + ``c``."""
         block = self._prefix.copy()
-        block.update(self._counter.to_bytes(8, "big"))
+        block.update((self._counter // 8).to_bytes(8, "big"))
+        word = self._counter % 8
         self._counter += 1
-        return int.from_bytes(block.digest(), "big")
+        return int.from_bytes(block.digest()[8 * word:8 * word + 8], "big")
 
     def uniform(self):
         return (self._next_u64() + 0.5) * 2.0 ** -64
@@ -582,43 +605,43 @@ class TestGeneratorParity:
         assert [(c.campaign_id, c.a, c.b) for c in dataset.campaigns] == reference_arms(config)
 
 
-# Recorded with the chained generator that ReferenceStream copies; like
-# test_stream_values_are_pinned, a change to the dataset bytes needs a new
+# Recorded with the roimeta-hash-stream/2 generator that ReferenceStream copies;
+# like test_stream_values_are_pinned, a change to the dataset bytes needs a new
 # generator tag. The A/A statistics also pin how a split consumes its stream
 # (a partial shuffle of n_b draws), which can move them under the same tag.
 PINNED_SHAPES = {
     "wide": (SimConfig(n_campaigns=200, m_a=10, m_b=10, treatment_lift=0.02),
-             "218d9b582cd17ff88f4b00635834ec17b38eeaf8d4894683256357ec90b84246"),
+             "32e6d44094a854905aefcd3ce4e171d56f8bdddf30e6d72d10e842e43324ecd1"),
     "deep": (SimConfig(n_campaigns=10, m_a=200, m_b=200, treatment_lift=0.02),
-             "191591d118ba41c5c6f1654535cc0b1c00a966fce650f491d3d84aba717e8346"),
+             "e07156828da7ca001b8aed8ad31008e1ec2c06503d87d6eb9488b625f81496d1"),
     "study": (SimConfig(n_campaigns=203, m_a=10, m_b=10, treatment_lift=-0.03,
                         outlier_campaigns=3, outlier_lift=0.5),
-              "c8174b62d16220a901fe04c6bbaf6e595ebb12fc9ea995c4c83c293e24ba624c"),
+              "ccef4521741006ba5348368314e0aaecc2c711c668127fa3c7e4db74f2421d67"),
 }
 PINNED_AA_STATS = {  # the AaRecord's micro, macro, macro_median (5 repeats, seed 0)
     "wide": (
-        "(0.020625503048037674, -0.006381907033049972, 0.010358763045937414, "
-        "0.02176100753055754, -0.0004172786921162741)",
-        "(0.015504497655222493, 0.010201444055272586, 0.000982260278190758, "
-        "-0.005450810517360069, -0.001524490089328104)",
-        "(0.006711492606116476, 0.012290215653229908, -0.009475412864904331, "
-        "-0.015996109096364786, -0.008346615108698774)",
+        "(0.019630657983419675, 0.030547868990721816, -0.13136527514760965, "
+        "0.05814311317706422, 0.0011708621915290651)",
+        "(0.0019967779511849415, 0.012262763455581544, -0.01243058429245846, "
+        "0.005630011419565202, 0.003800700545206223)",
+        "(0.0026294135136522012, 0.003161671290888124, -0.013610369396240052, "
+        "-0.0009852158759309226, -0.009550850902389996)",
     ),
     "deep": (
-        "(0.0005176061468519233, -0.017283248390230876, -0.0047093137754709025, "
-        "-0.02251607958114621, 0.024529255784939363)",
-        "(0.003495827018376629, -0.00925041875966789, 0.004806970690545897, "
-        "-0.00655732601640493, 0.0006570285304875134)",
-        "(-0.0030250588876273854, -0.013028789548342967, -0.010612934246061467, "
-        "-0.001258340100188382, -0.0033095849828487234)",
+        "(-0.0011071631834924656, -0.04733655203378473, -0.03231338774994241, "
+        "-0.004280708603259242, 0.010469797653146262)",
+        "(-0.004053441158420901, -0.004359025001839623, -0.016074673886368573, "
+        "-0.0056329223990321696, 0.0148579008738025)",
+        "(-0.00880806070362794, -0.0023442674722547463, -0.01599077695941231, "
+        "-0.004626832568424, 0.01698055332554871)",
     ),
     "study": (
-        "(0.019782921337860082, -0.006545517207721008, 0.011228399788426269, "
-        "0.022391061626404474, -0.0008966468541173889)",
-        "(0.014277665452037689, 0.009282586195097349, 0.002686612608248011, "
-        "-0.004159991653617406, -0.0022517260011575882)",
-        "(0.006728742216359773, 0.012068151386585124, -0.008646415501413984, "
-        "-0.015037020525235256, -0.008560116600889622)",
+        "(0.020038550135661803, 0.030840711651267894, -0.1312287831219231, "
+        "0.05837246592175005, 0.0025631264210197457)",
+        "(0.0020139766942571997, 0.011774990660959826, -0.013114246366127146, "
+        "0.00687849498545854, 0.004577423478244924)",
+        "(0.005708406779234121, 0.0032089071457187535, -0.01436810462228344, "
+        "0.003511244220490095, -0.009015796871887582)",
     ),
 }
 

@@ -207,29 +207,28 @@ class TestSubgroupAnalysis:
 # SHA-256 of indented(to_plain(x)) for the summary and three subgroup analyses
 # (spend thirds, fractions 0.5/0.2/0.1/0.1/0.1, labels g{i % 4} plus one
 # single-campaign group), and the number of groups each partition makes, on
-# the smoke shapes. The summary pins are the earlier ones with the random
-# model's per-study weights and the significance block's ``significant`` flag
-# removed, which the summary no longer stores. The
-# subgroup documents carry the split the reports stored until it was computed
-# on access (``stored_split``), so these pins also pin the computed values.
+# the smoke shapes, recorded with the roimeta-hash-stream/2 generator. The
+# summary documents hold what the summary stores today. The subgroup documents
+# carry the split the reports stored until it was computed on access
+# (``stored_split``), so these pins also pin the computed values.
 PINNED_SUBGROUP_SHA = {
     "deep": (
-        "d4387c25448bb9d7ca90b4e180122d8c7cceb77193c36548f0d73aad9c77f605",
-        "4b5b34debb56d5520b6dc69ee7516737945a6f295afc16c6c516bf0415a27f72",
-        "5d0551398d09f6738bf963a1fae7c7c4e3ee0db3401e8a446571ca01b91debbc",
-        "62d69030ed16771dcafea473c63c221ad401902361bb0c306be2320fccda22ac",
+        "da318f337f1bac767601d5b8214be75cfa0768026afdbc9383532ca4fc426a82",
+        "b231c264a418f89e7b7448982c9cae064a044b1bbb6e7c92a56d42a6ed9c695c",
+        "b77505c79892c20658c8ae1a5e6b622d7b56ed85bcd6bbe9429008ee0a3a17d5",
+        "4835db0e299c0f5a284a81b86c1674ba72790cf0acfe0827a28a800125f56c8e",
     ),
     "study": (
-        "ac0495c3ac7df2c2dc2811105d6f0b1b76a454565cfa9723ae1de78489bfb5fd",
-        "71028953d164068f37ea93962954303f8a0033ebae074e32949647fb7afe8fd2",
-        "3fea38e9442bdc5269c0e0f26f615a6ea2b3d85050ed8a7697e36c41c7a93a6c",
-        "c7a23d3e719e20a0e56af100d1e1ef495afb256b0d32749e51aa9f053e4e351f",
+        "36559fc983fe951c1bdc4d17b5298528ca2fe04e7cc0c07c90e1ff2b9462d084",
+        "a6076a252269a5b49ef8801c600f491fd67856e654d69dcdc91d84ec86350405",
+        "bc1c7c7678b9cc7f7bfcf477b73ec10d20f1c110fd06fac9e2f4a508a2da7082",
+        "eb3883ab31f96ae8e335e1c67cf9bef5ac05900cb530db86eb362a3459878923",
     ),
     "wide": (
-        "d33ce2a0fa10cdff35395464f3371d6256f53af2923d908e7539dc1ae9896eac",
-        "804a2d53d3bb42e66b0351996ec1c9084d1b65d8260d86c3bde749bd326b868c",
-        "550a79719dc4a417ac6699a2611b1b588c2b468c7f1680e6fc020aadbb300edd",
-        "293af2abd77ed83f5730d33b170770d640ffaf52d1fc016f64ba13cd1b2c2583",
+        "12236921f5bd64198f628bfdacd17e554c1fb1dc83f6fab07fde28ed90bf8c67",
+        "e12f457e4bd82cf16ad6324514a5ff293ca9b30a02410dcb3830c4f92190d62c",
+        "91152a20023960ebadd5c6b026a607afae244806109bf029028acd2aba1c9032",
+        "9f4a294167702044ef72ffa6ee232eb74bdba67fbd0bcb43a04cec89809dc927",
     ),
 }
 # deep leaves one spend tier empty in each partition by spend
