@@ -105,6 +105,12 @@ def aa_skipped(dataset: ExperimentDataset) -> list[str]:
     return [c.campaign_id for c in dataset.campaigns if c.m_a < 2]
 
 
+def aa_split_sizes(dataset: ExperimentDataset, share_b: float) -> list[int]:
+    """n_b, the pseudo-treatment parts of each campaign ``aa_calibrate`` splits at
+    ``share_b``, in dataset order: at least 1 and at most m_a - 1."""
+    return [min(max(round(c.m_a * share_b), 1), c.m_a - 1) for c in dataset.campaigns if c.m_a >= 2]
+
+
 def aa_calibrate(
     dataset: ExperimentDataset, totals: MicroTotals, settings: AaSettings
 ) -> AaRecord:
@@ -121,9 +127,10 @@ def aa_calibrate(
 
     Column kernel: each call encodes each id once. A repeat is one
     ``HashStream.sample_sums`` call, which absorbs ``("aa-split", seed, k)`` once
-    and sums the micros of each campaign's n_b pseudo-treatment parts (n_b
-    draws, not m_a - 1); pseudo-control is the difference. ``baseline_statistics``
-    then computes the repeat's three statistics, as it does for the real arms.
+    and sums the micros of each campaign's n_b pseudo-treatment parts
+    (``aa_split_sizes``; n_b draws, not m_a - 1); pseudo-control is the
+    difference. ``baseline_statistics`` then computes the repeat's three
+    statistics, as it does for the real arms.
     """
     share_b = settings.treatment_share or observed_share(totals)  # a share is never 0
     repeats_k, seed = settings.repeats_k, settings.seed
@@ -131,8 +138,8 @@ def aa_calibrate(
     if not eligible:
         raise InsufficientDataError("no campaign has >= 2 control parts to split")
     ids = [c.campaign_id for c in eligible]
-    columns = [(c.campaign_id.encode("utf-8"), c.a.spend_micros, c.a.value_micros,
-                min(max(round(c.m_a * share_b), 1), c.m_a - 1)) for c in eligible]
+    columns = [(c.campaign_id.encode("utf-8"), c.a.spend_micros, c.a.value_micros, n_b)
+               for c, n_b in zip(eligible, aa_split_sizes(dataset, share_b))]
     spends = [sum(c.a.spend_micros) for c in eligible]
     values = [sum(c.a.value_micros) for c in eligible]
     stats = []

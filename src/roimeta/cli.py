@@ -4,7 +4,9 @@ Subcommands: ``evaluate`` (full pipeline), ``simulate`` (synthetic data),
 ``report`` (re-render a saved machine report). The report carries each A/A
 threshold (``baselines[*].threshold_theta``), the ``subgroup`` block and an
 ``audit`` block whose config lines name each value's source: a ``--config``
-file or a flag.
+file or a flag. ``evaluate --trace FILE`` writes the stage records of
+``pipeline.evaluate`` as JSON lines, after an ``ingest`` record (parts read,
+campaigns) and before a ``write_report`` one (1 report, characters written).
 Each subcommand imports only the layers it runs, and the parser builds only
 the named subcommand's arguments, so ``report`` loads ``cli``, ``errors``,
 ``records`` and ``reportio`` and neither ``config`` nor any of the analysis.
@@ -45,16 +47,27 @@ def _config_from_args(args: argparse.Namespace) -> EvaluationConfig:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    import json
+
     from .dataio import ingest, write_text_atomic
-    from .pipeline import Verdict, evaluate
+    from .pipeline import Verdict, evaluate, stage_clock
     from .reportio import render_human, report_to_json
 
+    trace = [] if args.trace else None
+    mark = stage_clock(trace)
     dataset = ingest(args.data, args.input_format)
+    mark("ingest", sum(c.m_a + c.m_b for c in dataset.campaigns), dataset.n)
     config = _config_from_args(args)
-    report = evaluate(dataset, config)
+    report = evaluate(dataset, config, trace)
+    mark = stage_clock(trace)
+    text = report_to_json(report) if args.out or args.format == "json" else ""
     if args.out:
-        write_text_atomic(args.out, report_to_json(report))
-    print(report_to_json(report) if args.format == "json" else render_human(report), end="")
+        write_text_atomic(args.out, text)
+    shown = text if args.format == "json" else render_human(report)
+    print(shown, end="")
+    mark("write_report", 1, len(shown) + (len(text) if args.out else 0))
+    if trace is not None:
+        write_text_atomic(args.trace, "".join(json.dumps(record) + "\n" for record in trace))
     return 0 if report.decision.verdict is Verdict.ACCEPT else 1
 
 
@@ -92,6 +105,8 @@ def _evaluate_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input-format", choices=INPUT_FORMATS, default="delimited-text")
     parser.add_argument("--format", choices=("human", "json"), default="human")
     parser.add_argument("--out", help="also write the machine JSON report here")
+    parser.add_argument("--trace", metavar="FILE",
+                        help="write one JSON line per stage here: stage, seconds, n_in, n_out")
     group = parser.add_argument_group("configuration overrides")
     for key in EVAL_KEY_PARSERS:
         group.add_argument(

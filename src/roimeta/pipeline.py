@@ -11,15 +11,22 @@ alone: accept when it lies entirely above zero, a harmful (strong) rejection
 when it lies entirely below, and a rejection for ineffectiveness otherwise.
 ``p_z`` and the baseline verdicts are reported alongside but never drive it.
 
-The report's ``audit`` block records what a later check of the decision needs:
-the effective config with the source of each value, each baseline's A/A
-statistic per repeat, the observed and configured arm-B spend share (data
-only), the warnings of the stages that ran, and the package version.
+``evaluate(dataset, config, trace)`` appends to a ``trace`` list one record per
+stage as it runs: ``stage``, ``seconds`` since the previous record, and the
+counts ``n_in`` and ``n_out``: ``qualify`` (campaigns in, kept), ``totals``
+(campaigns, totals), ``subgroup_partition`` (campaigns, groups),
+``aa_calibrate`` (campaigns, campaigns split; also ``splits`` and ``draws`` over
+all repeats, 0 for explicit thresholds), ``deltas`` (campaigns, statistics),
+``effects`` (campaigns, effect sizes), ``combine`` (effect sizes, 1),
+``decide`` (1, 1), ``subgroups`` (groups, groups analysed; 0 when skipped) and
+``digest`` (campaigns, 1: the parts digest and the report's assembly). Without
+a trace no clock is read, and the report never depends on the trace.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from typing import NamedTuple
 
 from . import __version__
@@ -28,6 +35,7 @@ from .baselines import (
     MicroTotals,
     aa_calibrate,
     aa_skipped,
+    aa_split_sizes,
     baseline_statistics,
     campaign_micro_totals,
     observed_share,
@@ -174,16 +182,37 @@ def collect_effects(
     return tuple(effects), tuple(exclusions)
 
 
+def stage_clock(trace: list[dict] | None):
+    """The ``mark(stage, n_in, n_out, **counts)`` that appends a stage's record to
+    ``trace``, its seconds counted from the previous mark or from this call; for
+    a ``trace`` of None, a ``mark`` that does nothing and reads no clock."""
+    if trace is None:
+        return lambda stage, n_in, n_out, **counts: None
+    last = time.perf_counter()
+
+    def mark(stage: str, n_in: int, n_out: int, **counts: int) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        trace.append({"stage": stage, "seconds": now - last, "n_in": n_in, "n_out": n_out,
+                      **counts})
+        last = now
+    return mark
+
+
 def evaluate(
-    dataset: ExperimentDataset, config: EvaluationConfig = EvaluationConfig()
+    dataset: ExperimentDataset, config: EvaluationConfig = EvaluationConfig(),
+    trace: list[dict] | None = None,
 ) -> EvaluationReport:
-    """Run the full decision sequence on one dataset.
+    """Run the full decision sequence on one dataset; with a ``trace`` list,
+    append one record per stage to it (see the module docstring).
 
     Raises NoQualifiedCampaignsError when qualification or effect-size
     screening leaves nothing to analyze; there is no decision in that case.
     """
+    mark = stage_clock(trace)
     qreport = qualify(dataset, config.qualification)
     qualified = qreport.qualified
+    mark("qualify", dataset.n, qualified.n)
     if not qualified.campaigns:
         if dataset.n == 0:
             raise NoQualifiedCampaignsError("dataset contains no campaigns")
@@ -194,7 +223,9 @@ def evaluate(
     # perfbench --trace 1 wraps qualify, aa_calibrate, collect_effects,
     # resolve_subgroups and subgroup_analysis by their names in this module
     totals = campaign_micro_totals(qualified)
+    mark("totals", qualified.n, len(totals))
     groups = resolve_subgroups(totals, config.subgroups)  # a bad label map fails here
+    mark("subgroup_partition", len(totals), len(groups))
     notes: list[str] = []  # the report's warnings, in stage order
     thetas, aa = _resolve_thetas(qualified, totals, config)
     skipped = aa_skipped(qualified) if aa is not None else []
@@ -204,13 +235,20 @@ def evaluate(
             f"from A/A calibration: {', '.join(skipped[:5])}"
             + ("..." if len(skipped) > 5 else "")
         )
+    if trace is not None:
+        sizes = aa_split_sizes(qualified, aa.treatment_share) if aa is not None else []
+        repeats = aa.repeats_k if aa is not None else 0
+        mark("aa_calibrate", qualified.n, len(sizes),
+             splits=repeats * len(sizes), draws=repeats * sum(sizes))
     stats = baseline_statistics(totals, *zip(*totals.values()))
     baselines = tuple(
         BaselineResult(method, statistic, theta, threshold_decision(statistic, theta))
         for method, statistic, theta in zip(BaselineMethod, stats, thetas)
     )
+    mark("deltas", len(totals), len(baselines))
 
     effects, exclusions = collect_effects(qualified)
+    mark("effects", qualified.n, len(effects))
     if not effects:
         raise NoQualifiedCampaignsError(
             "no qualified campaign is eligible for effect-size analysis "
@@ -218,7 +256,10 @@ def evaluate(
         )
     pairs = {e.campaign_id: (e.d, e.v) for e in effects}  # the chain's (d, v) pairs
     summary = summarize_effects(tuple(pairs.values()), config.confidence_level)
+    mark("combine", len(pairs), 1)
     decision = decide(summary.significance)
+    recommendation = recommend_traffic(decision, config.schedule)
+    mark("decide", 1, 1)
 
     subgroup = None
     if decision.verdict is not Verdict.REJECT_HARMFUL:
@@ -231,10 +272,10 @@ def evaluate(
         analysed = {s.group_id for s in subgroup.summaries}
         notes.extend(f"subgroup {g.group_id!r} has no analyzable campaigns; dropped"
                      for g in groups if g.group_id not in analysed)
+    mark("subgroups", len(groups), len(subgroup.summaries) if subgroup is not None else 0)
 
-    recommendation = recommend_traffic(decision, config.schedule)
     kept = tuple(KeptCampaign(c.campaign_id, c.m_a, c.m_b) for c in qualified.campaigns)
-    return EvaluationReport(
+    report = EvaluationReport(
         qualification=QualificationRecord(
             QualifiedParts(kept, parts_sha256(qualified)), qreport.part_exclusions,
             qreport.disqualified_campaigns, qreport.disqualified_fraction,
@@ -260,3 +301,5 @@ def evaluate(
             warnings=tuple(notes),
         ),
     )
+    mark("digest", qualified.n, 1)
+    return report

@@ -1,26 +1,23 @@
 """Counter-mode deterministic random streams built on BLAKE2b.
 
 Every stream is keyed by an explicit tuple (seed, purpose, index, ...), and
-each block of eight draws hashes the key with an incrementing counter. Output therefore never
-depends on global state, platform, word size, or library version, and streams
-with distinct keys are independent, so per-campaign generation can run in any
-order. Normal variates come from the inverse-CDF transform; Poisson counts
-(``poisson_quantiles``, one uniform each) use exact inversion up to a mean of
-50 and above it ``max(0, round(lam + sqrt(lam) * normal_quantile(u)))``.
+each block of eight draws hashes the key with an incrementing counter. Output
+therefore never depends on global state, platform, word size, or library
+version, and streams with distinct keys are independent, so per-campaign
+generation can run in any order. Normal variates come from the inverse-CDF
+transform; Poisson counts (``poisson_quantiles``, one uniform each) use exact
+inversion up to a mean of 50 and above it
+``max(0, round(lam + sqrt(lam) * normal_quantile(u)))``.
 
-Cost model (stream v2): block ``c`` of a stream is one keyed BLAKE2b digest of
-64 bytes (a copy of the key-absorbed state, fed the 8-byte big-endian counter
-``c``), read as eight big-endian u64 words; draw ``i`` is word ``i % 8`` of block
-``i // 8``. A draw thus costs an eighth of a digest, plus two BLAKE2b calls to
-absorb each new key. ``uniforms(n)`` hashes the blocks that draws ``i`` to
-``i + n - 1`` touch, so a call that starts inside a block hashes it again;
-``uniform()`` is ``uniforms(1)[0]``. The simulator takes each campaign's
-draws in one call. ``sample_sums`` absorbs its streams' shared key parts once,
-hashes ceil(k / 8) blocks per split (its partial Fisher-Yates pays k draws, not
-n - 1) and keeps only the k words it uses. One function, ``_units``, maps words
-to (0, 1) as ``(u64 + 0.5) * 2**-64``; for the top 2**10 u64 values the product
-rounds to 1.0, which it replaces by the largest double below 1, and
-``sample_sums`` clamps the position that draw gives to the last one.
+Cost model (stream v2): block ``c`` is the 64-byte BLAKE2b digest of the
+stream's 16-byte key and the 8-byte big-endian counter ``c``, read as eight
+big-endian u64 words, and draw ``i`` is word ``i % 8`` of block ``i // 8``: an
+eighth of a digest per draw, plus two BLAKE2b calls for each new key.
+``uniforms(n)`` hashes every block its draws touch, so a call that starts inside
+a block hashes it again; the simulator takes each campaign's draws in one call.
+``sample_sums`` hashes its streams' shared key parts once and ceil(k / 8) blocks
+per split for its partial Fisher-Yates (k draws, not n - 1). ``_units`` alone
+maps words to (0, 1), as ``(u64 + 0.5) * 2**-64``.
 
 A large-mean count costs one ``normal_quantile``. A call with more draws than
 there are counts within 8 sd of the mean (about ``16 * sqrt(lam)``) first
@@ -43,7 +40,7 @@ import hashlib
 import math
 import struct
 from bisect import bisect
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .statfuncs import normal_cdf, normal_quantile
 
@@ -53,23 +50,20 @@ _POISSON_TABLE_GUARD = 1e-9
 
 
 def _units(data: bytes) -> list[float]:
-    """Each big-endian u64 word in ``data`` as a uniform strictly inside (0, 1)."""
-    draws = [(w + 0.5) * 2.0 ** -64 for w in struct.unpack(f">{len(data) >> 3}Q", data)]
-    if 1.0 in draws:  # u64 >= 2**64 - 2**10 rounds to 1.0
-        draws = [u if u < 1.0 else 1.0 - 2.0 ** -53 for u in draws]
-    return draws
+    """Each big-endian u64 word in ``data`` as a uniform strictly inside (0, 1); the
+    top 2**10 words round to 1.0 and become the largest double below 1."""
+    return [u if (u := (w + 0.5) * 2.0 ** -64) < 1.0 else 1.0 - 2.0 ** -53
+            for w in struct.unpack(f">{len(data) >> 3}Q", data)]
 
 
 class HashStream:
     """Deterministic stream of variates identified by its key parts."""
 
-    __slots__ = ("_prefix", "_counter")
+    __slots__ = ("_key", "_counter")
 
     def __init__(self, *key_parts: object):
         material = "\x1f".join(map(str, key_parts)).encode("utf-8")
-        # Each block hashes key + counter; the key is absorbed here, once.
-        key = hashlib.blake2b(material, digest_size=16).digest()
-        self._prefix = hashlib.blake2b(key)  # 64-byte digests, blake2b's default
+        self._key = hashlib.blake2b(material, digest_size=16).digest()
         self._counter = 0
 
     def uniform(self) -> float:
@@ -80,13 +74,10 @@ class HashStream:
         """The next ``n`` draws of the stream."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n!r}")
-        copy, start = self._prefix.copy, self._counter
-        data = bytearray()
-        for counter in range(start >> 3, (start + n + 7) >> 3):
-            block = copy()
-            block.update(counter.to_bytes(8, "big"))
-            data += block.digest()
+        start, key = self._counter, self._key
         self._counter = start + n
+        data = b"".join([hashlib.blake2b(key + c.to_bytes(8, "big")).digest()
+                         for c in range(start >> 3, start + n + 7 >> 3)])
         skip = (start & 7) << 3  # the words of the first block that earlier calls took
         return _units(data[skip:skip + (n << 3)])
 
@@ -94,27 +85,23 @@ class HashStream:
         return mean + sd * normal_quantile(self.uniform())
 
     @staticmethod
-    def sample_sums(key_parts: tuple, columns: Iterable[tuple]) -> tuple[list[int], list[int]]:
+    def sample_sums(key_parts: tuple, columns: Sequence[tuple]) -> tuple[list[int], list[int]]:
         """Per ``(name, xs, ys, k)`` in ``columns``, the sums of ``xs`` and ``ys`` over k of
         their n positions, drawn from ``HashStream(*key_parts, name)`` (name in UTF-8) by a
         partial Fisher-Yates: draw i < k swaps i and i + min(int(u * (n - i)), n - i - 1)."""
         blake2b = hashlib.blake2b
         stem = blake2b("\x1f".join(map(str, (*key_parts, ""))).encode("utf-8"), digest_size=16)
-        columns = list(columns)
         data = bytearray()  # the words every split uses, in column order
         for name, xs, _, k in columns:
             if not len(xs) >= k >= 0:
                 raise ValueError(f"k must be in [0, {len(xs)}], got {k!r}")
             keyed = stem.copy()
             keyed.update(name)
-            prefix, full = blake2b(keyed.digest()), k >> 3
-            for counter in range(full):
-                block = prefix.copy()
-                block.update(counter.to_bytes(8, "big"))
-                data += block.digest()
-            if k & 7:  # the last block is the prefix's own, and only k % 8 of its words count
-                prefix.update(full.to_bytes(8, "big"))
-                data += prefix.digest()[:(k & 7) << 3]
+            key, full = keyed.digest(), k >> 3
+            for c in range(full):
+                data += blake2b(key + c.to_bytes(8, "big")).digest()
+            if k & 7:  # only k % 8 words of the last block count
+                data += blake2b(key + full.to_bytes(8, "big")).digest()[:(k & 7) << 3]
         draw = iter(_units(data)).__next__
         sums_x, sums_y = [], []
         for _, xs, ys, k in columns:

@@ -13,10 +13,9 @@ for fidelity to any production traffic.
 
 Each arm is built as integer micro columns, quantized and with ROIs derived as
 ingest does, so a dataset gives the same report bytes in memory as after a
-6-decimal file round trip. Each campaign's stream gives all its draws in one
-block, in the order a part-by-part loop would take them: its budget, its ROI
-level, then arm A's parts and arm B's, each part's ROI noise, then its
-impressions.
+6-decimal file round trip. Each campaign takes all its draws in one call, in
+the order a part-by-part loop would: its budget, its ROI level, then each part
+of arm A and then of arm B, its ROI noise before its impressions.
 """
 
 from __future__ import annotations

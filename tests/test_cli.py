@@ -207,6 +207,43 @@ class TestEvaluate:
         assert "too large to quantize" in capsys.readouterr().err
 
 
+    def test_json_stdout_and_out_file_hold_one_encoding(self, workdir, capsys, monkeypatch):
+        from roimeta import reportio
+
+        data = simulate(workdir)
+        report_path = workdir / "report.json"
+        capsys.readouterr()
+        encode, encoded = reportio.report_to_json, []
+        monkeypatch.setattr(reportio, "report_to_json",
+                            lambda report: encoded.append(1) or encode(report))
+        assert main(["evaluate", str(data), "--config", str(workdir / "eval.cfg"),
+                     "--out", str(report_path), "--format", "json"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == report_path.read_bytes()
+        assert len(encoded) == 1
+
+    @pytest.mark.parametrize("output_format", ["human", "json"])
+    def test_trace_writes_one_line_per_stage(self, workdir, capsys, output_format):
+        data = simulate(workdir)
+        args = ["evaluate", str(data), "--config", str(workdir / "eval.cfg"),
+                "--format", output_format]
+        capsys.readouterr()
+        assert main(args + ["--out", str(workdir / "plain.json")]) == 0
+        plain = capsys.readouterr().out
+        trace_path = workdir / "trace.jsonl"
+        assert main(args + ["--out", str(workdir / "traced.json"),
+                            "--trace", str(trace_path)]) == 0
+        assert capsys.readouterr().out == plain
+        assert (workdir / "traced.json").read_bytes() == (workdir / "plain.json").read_bytes()
+        records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        assert [r["stage"] for r in records] == [
+            "ingest", "qualify", "totals", "subgroup_partition", "aa_calibrate", "deltas",
+            "effects", "combine", "decide", "subgroups", "digest", "write_report"]
+        assert all({"stage", "seconds", "n_in", "n_out"} <= r.keys() for r in records)
+        assert (records[0]["n_in"], records[0]["n_out"]) == (120, 10)  # parts, campaigns
+        shown = len(plain) + len((workdir / "plain.json").read_text(encoding="utf-8"))
+        assert (records[-1]["n_in"], records[-1]["n_out"]) == (1, shown)
+
+
 class TestCalibrateAndSubgroup:
     """The subcommands are gone: every report carries the thresholds as
     ``baselines[*].threshold_theta`` and prints the ``subgroup`` block."""

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -376,3 +377,54 @@ class TestNoPartObjectsOnTheDecisionPath:
         assert any(c.m_a < sim.m_a or c.m_b < sim.m_b for c in kept)
         assert 0 < len(kept) < sim.n_campaigns
         assert [report_to_json(report) for report in reports] == [expected] * 4
+
+
+STAGES = ["qualify", "totals", "subgroup_partition", "aa_calibrate", "deltas", "effects",
+          "combine", "decide", "subgroups", "digest"]
+
+
+def no_clock(monkeypatch):
+    """Make every clock of the ``time`` module raise while the test runs."""
+    def refuse(*args):
+        raise AssertionError("a clock was read")
+
+    for name in ("perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "time",
+                 "time_ns", "process_time", "process_time_ns"):
+        monkeypatch.setattr(time, name, refuse)
+
+
+class TestStageTrace:
+    @pytest.mark.parametrize("lift,thetas", [(0.10, False), (0.10, True), (-0.15, True)],
+                             ids=["aa-accept", "thetas-accept", "harmful"])
+    def test_records_every_stage_and_leaves_the_report_alone(self, lift, thetas):
+        dataset = lifted_dataset(seed=7, lift=lift, n=20)
+        config = (config_with_thetas() if thetas
+                  else EvaluationConfig(aa=AaSettings(repeats_k=3, seed=5, treatment_share=0.1)))
+        trace = []
+        traced = evaluate(dataset, config, trace)
+        assert report_to_json(traced) == report_to_json(evaluate(dataset, config))
+        assert [r["stage"] for r in trace] == STAGES
+        for record in trace:
+            assert record["seconds"] >= 0.0
+            assert type(record["n_in"]) is int and type(record["n_out"]) is int
+        by_stage = {r["stage"]: r for r in trace}
+        kept = traced.qualification.qualified.campaigns
+        assert (by_stage["qualify"]["n_in"], by_stage["qualify"]["n_out"]) == (20, len(kept))
+        assert by_stage["effects"]["n_out"] == len(traced.effects)
+        analysed = len(traced.subgroup.summaries) if traced.subgroup is not None else 0
+        assert by_stage["subgroups"]["n_out"] == analysed
+        aa = by_stage["aa_calibrate"]
+        if thetas:
+            assert (aa["n_out"], aa["splits"], aa["draws"]) == (0, 0, 0)
+        else:  # 6 control parts at share 0.1: one pseudo-treatment part per split
+            assert (aa["n_out"], aa["splits"], aa["draws"]) == (len(kept), 3 * len(kept),
+                                                                3 * len(kept))
+
+    def test_untraced_evaluate_reads_no_clock(self, monkeypatch):
+        dataset = lifted_dataset()
+        config = EvaluationConfig(aa=AaSettings(seed=5, treatment_share=0.1))
+        expected = report_to_json(evaluate(dataset, config))
+        no_clock(monkeypatch)
+        assert report_to_json(evaluate(dataset, config)) == expected
+        with pytest.raises(AssertionError, match="a clock was read"):
+            evaluate(dataset, config, [])

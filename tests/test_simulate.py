@@ -55,7 +55,7 @@ class TestHashStream:
                 return u64.to_bytes(8, "big") * 8  # eight copies of the word
 
         stream = HashStream("u")
-        stream._prefix = FixedBlock()
+        monkeypatch.setattr(hashlib, "blake2b", lambda *args, **kwargs: FixedBlock())
         u = stream.uniform()
         rounds_up = (u64 + 0.5) * 2.0 ** -64 == 1.0
         assert rounds_up == (u64 >= 2**64 - 2**10)
@@ -71,7 +71,6 @@ class TestHashStream:
         for i in range(3):
             j = i + min(int(unclamped * (6 - i)), 6 - i - 1)
             expected[i], expected[j] = expected[j], expected[i]
-        monkeypatch.setattr(hashlib, "blake2b", lambda *args, **kwargs: FixedBlock())
         assert HashStream.sample_sums(("u",), [(b"c", BITS[:6], range(6), 3)]) == (
             [sum(BITS[p] for p in expected[:3])], [sum(expected[:3])])
 
