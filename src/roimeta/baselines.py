@@ -105,10 +105,13 @@ def aa_skipped(dataset: ExperimentDataset) -> list[str]:
     return [c.campaign_id for c in dataset.campaigns if c.m_a < 2]
 
 
-def aa_split_sizes(dataset: ExperimentDataset, share_b: float) -> list[int]:
-    """n_b, the pseudo-treatment parts of each campaign ``aa_calibrate`` splits at
-    ``share_b``, in dataset order: at least 1 and at most m_a - 1."""
-    return [min(max(round(c.m_a * share_b), 1), c.m_a - 1) for c in dataset.campaigns if c.m_a >= 2]
+def aa_columns(dataset: ExperimentDataset, share_b: float) -> list[tuple]:
+    """The ``sample_sums`` columns of ``aa_calibrate``'s splits at ``share_b``, one per
+    campaign with at least 2 control parts, in dataset order: the id in UTF-8, the
+    control spend and value micros, and n_b, at least 1 and at most m_a - 1."""
+    return [(c.campaign_id.encode("utf-8"), c.a.spend_micros, c.a.value_micros,
+             min(max(round(c.m_a * share_b), 1), c.m_a - 1))
+            for c in dataset.campaigns if c.m_a >= 2]
 
 
 def aa_calibrate(
@@ -128,7 +131,7 @@ def aa_calibrate(
     Column kernel: each call encodes each id once. A repeat is one
     ``HashStream.sample_sums`` call, which absorbs ``("aa-split", seed, k)`` once
     and sums the micros of each campaign's n_b pseudo-treatment parts
-    (``aa_split_sizes``; n_b draws, not m_a - 1); pseudo-control is the
+    (``aa_columns``; n_b draws, not m_a - 1); pseudo-control is the
     difference. ``baseline_statistics`` then computes the repeat's three
     statistics, as it does for the real arms.
     """
@@ -138,8 +141,7 @@ def aa_calibrate(
     if not eligible:
         raise InsufficientDataError("no campaign has >= 2 control parts to split")
     ids = [c.campaign_id for c in eligible]
-    columns = [(c.campaign_id.encode("utf-8"), c.a.spend_micros, c.a.value_micros, n_b)
-               for c, n_b in zip(eligible, aa_split_sizes(dataset, share_b))]
+    columns = aa_columns(dataset, share_b)
     spends = [sum(c.a.spend_micros) for c in eligible]
     values = [sum(c.a.value_micros) for c in eligible]
     stats = []

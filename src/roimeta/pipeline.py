@@ -34,8 +34,8 @@ from .baselines import (
     AaSettings,
     MicroTotals,
     aa_calibrate,
+    aa_columns,
     aa_skipped,
-    aa_split_sizes,
     baseline_statistics,
     campaign_micro_totals,
     observed_share,
@@ -236,8 +236,8 @@ def evaluate(
             + ("..." if len(skipped) > 5 else "")
         )
     if trace is not None:
-        sizes = aa_split_sizes(qualified, aa.treatment_share) if aa is not None else []
-        repeats = aa.repeats_k if aa is not None else 0
+        columns = aa_columns(qualified, aa.treatment_share) if aa is not None else []
+        sizes, repeats = [n_b for *_, n_b in columns], aa.repeats_k if aa is not None else 0
         mark("aa_calibrate", qualified.n, len(sizes),
              splits=repeats * len(sizes), draws=repeats * sum(sizes))
     stats = baseline_statistics(totals, *zip(*totals.values()))

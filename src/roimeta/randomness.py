@@ -12,7 +12,7 @@ inversion up to a mean of 50 and above it
 Cost model (stream v2): block ``c`` is the 64-byte BLAKE2b digest of the
 stream's 16-byte key and the 8-byte big-endian counter ``c``, read as eight
 big-endian u64 words, and draw ``i`` is word ``i % 8`` of block ``i // 8``: an
-eighth of a digest per draw, plus two BLAKE2b calls for each new key.
+eighth of a digest per draw, plus one BLAKE2b call for each new key.
 ``uniforms(n)`` hashes every block its draws touch, so a call that starts inside
 a block hashes it again; the simulator takes each campaign's draws in one call.
 ``sample_sums`` hashes its streams' shared key parts once and ceil(k / 8) blocks
@@ -77,7 +77,7 @@ class HashStream:
         start, key = self._counter, self._key
         self._counter = start + n
         data = b"".join([hashlib.blake2b(key + c.to_bytes(8, "big")).digest()
-                         for c in range(start >> 3, start + n + 7 >> 3)])
+                         for c in range(start >> 3, (start + n + 7) >> 3)])
         skip = (start & 7) << 3  # the words of the first block that earlier calls took
         return _units(data[skip:skip + (n << 3)])
 

@@ -92,28 +92,28 @@ def generate_experiment(config: SimConfig) -> ExperimentDataset:
     lam = config.impressions_per_part_mean
     per_part = 2 if lam > 0 else 1  # a part's ROI noise, then its impressions (none at mean 0)
     width_a = per_part * config.m_a
-    blocks = [HashStream("sim", config.seed, "campaign", i).uniforms(
+    campaign_draws = [HashStream("sim", config.seed, "campaign", i).uniforms(
         2 + width_a + per_part * config.m_b) for i in range(config.n_campaigns)]
     try:
         budgets = [math.exp(config.budget_log_mean + config.budget_log_sd * normal_quantile(d[0]))
-                   for d in blocks]
+                   for d in campaign_draws]
     except OverflowError:
         raise ConfigError(
             f"simulated budget is too large for a float (budget_log_mean = "
             f"{config.budget_log_mean!r}, budget_log_sd = {config.budget_log_sd!r})") from None
     by_budget = sorted(range(config.n_campaigns), key=lambda i: (-budgets[i], i))
     outliers = set(by_budget[: config.outlier_campaigns])
-    level_factors = _noise_factors(config.campaign_roi_sd, [d[1] for d in blocks])
+    level_factors = _noise_factors(config.campaign_roi_sd, [d[1] for d in campaign_draws])
 
     # per arm, in draw order: (m, spend_micros, value_micros); the impression
     # draws wait as doubles, not float objects, for one poisson_quantiles call
     arms, impression_draws = [], array("d")
-    for i, block in enumerate(blocks):
+    for i, drawn in enumerate(campaign_draws):
         level = config.base_roi_mean * level_factors[i]
         lift = config.outlier_lift if i in outliers else config.treatment_lift
         for m, share, roi_level, draws in (
-                (config.m_a, 1.0 - config.treatment_share, level, block[2:2 + width_a]),
-                (config.m_b, config.treatment_share, level * (1.0 + lift), block[2 + width_a:])):
+                (config.m_a, 1.0 - config.treatment_share, level, drawn[2:2 + width_a]),
+                (config.m_b, config.treatment_share, level * (1.0 + lift), drawn[2 + width_a:])):
             if lam > 0:  # part j's ROI noise is draw 2j of its arm, its impressions draw 2j + 1
                 impression_draws.extend(draws[1::2])
                 draws = draws[::2]

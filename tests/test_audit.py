@@ -38,7 +38,7 @@ LABEL_PART = st.one_of(st.text(min_size=1, max_size=4),
 
 @pytest.fixture(scope="module")
 def dataset():
-    """Nine campaigns whose budgets spread over e^1, not the simulator's e^2, so
+    """Nine campaigns whose log budgets have sd 1, not the simulator's 2, so
     that no campaign holds a third of the spend alone: every stage runs quietly."""
     data = generate_experiment(SimConfig(
         n_campaigns=9, m_a=6, m_b=6, treatment_share=0.2, budget_log_sd=1.0,

@@ -206,7 +206,6 @@ class TestEvaluate:
         assert main(["evaluate", str(data), "--input-format", input_format]) == 2
         assert "too large to quantize" in capsys.readouterr().err
 
-
     def test_json_stdout_and_out_file_hold_one_encoding(self, workdir, capsys, monkeypatch):
         from roimeta import reportio
 
