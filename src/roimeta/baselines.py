@@ -115,7 +115,8 @@ def aa_columns(dataset: ExperimentDataset, share_b: float) -> list[tuple]:
 
 
 def aa_calibrate(
-    dataset: ExperimentDataset, totals: MicroTotals, settings: AaSettings
+    dataset: ExperimentDataset, totals: MicroTotals, settings: AaSettings,
+    columns_out: list[tuple] | None = None,
 ) -> AaRecord:
     """Estimate every baseline's decision threshold from repeated A/A splits.
 
@@ -126,24 +127,25 @@ def aa_calibrate(
     pseudo-experiment, and each threshold, ``AaRecord.theta(method)``, is the
     signed mean of its statistic over repeats. Splits derive deterministically
     from (seed, repeat, campaign_id), so repeats are replayable and order
-    independent.
+    independent. A ``columns_out`` list is extended with the splits' columns.
 
-    Column kernel: each call encodes each id once. A repeat is one
-    ``HashStream.sample_sums`` call, which absorbs ``("aa-split", seed, k)`` once
-    and sums the micros of each campaign's n_b pseudo-treatment parts
-    (``aa_columns``; n_b draws, not m_a - 1); pseudo-control is the
-    difference. ``baseline_statistics`` then computes the repeat's three
-    statistics, as it does for the real arms.
+    Column kernel: each call builds ``aa_columns`` once, encoding each id once. A
+    repeat is one ``HashStream.sample_sums`` call, which absorbs ``("aa-split",
+    seed, k)`` once and sums the micros of each campaign's n_b pseudo-treatment
+    parts (n_b draws, not m_a - 1); pseudo-control is the difference from the
+    control totals in ``totals``. ``baseline_statistics`` then computes the
+    repeat's three statistics, as it does for the real arms.
     """
     share_b = settings.treatment_share or observed_share(totals)  # a share is never 0
     repeats_k, seed = settings.repeats_k, settings.seed
-    eligible = [c for c in dataset.campaigns if c.m_a >= 2]
-    if not eligible:
+    ids = [c.campaign_id for c in dataset.campaigns if c.m_a >= 2]
+    if not ids:
         raise InsufficientDataError("no campaign has >= 2 control parts to split")
-    ids = [c.campaign_id for c in eligible]
     columns = aa_columns(dataset, share_b)
-    spends = [sum(c.a.spend_micros) for c in eligible]
-    values = [sum(c.a.value_micros) for c in eligible]
+    if columns_out is not None:
+        columns_out.extend(columns)
+    spends = [totals[i][0] for i in ids]
+    values = [totals[i][1] for i in ids]
     stats = []
     for k in range(repeats_k):
         spend_b, value_b = HashStream.sample_sums(("aa-split", seed, k), columns)

@@ -28,13 +28,12 @@ import io
 import json
 import operator
 import os
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .campaigns import (
     MAX_AMOUNT, MICROS_PER_UNIT, ArmColumns, CampaignExperiment, ExperimentDataset, arm_columns,
-    check_amount, from_micros,
+    check_amount,
 )
 from .config import INPUT_FORMATS
 from .errors import IngestError
@@ -237,17 +236,24 @@ def ingest(path: str | Path, input_format: str = "delimited-text") -> Experiment
 
 
 def render_dataset_csv(dataset: ExperimentDataset) -> str:
-    """Serialize a dataset to the delimited-text format, 6-decimal money."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
+    """Serialize a dataset to the delimited-text format, 6-decimal money. Only a
+    campaign id can need quoting: ``csv.writer`` quotes it once per campaign, and
+    each part's row is one format."""
+    out, quoted = io.StringIO(), io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(CSV_FIELDS)
+    quote = csv.writer(quoted, lineterminator="\n").writerow
     for campaign in dataset.campaigns:
+        quoted.seek(0)
+        quoted.truncate()
+        quote((campaign.campaign_id, ""))
+        lead = quoted.getvalue()[:-1]  # the id as its row's first field, and its comma
         for arm, columns in (("A", campaign.a), ("B", campaign.b)):
-            writer.writerows(zip(
-                repeat(campaign.campaign_id), repeat(arm), columns.part_ids, columns.impressions,
-                [f"{from_micros(m):.6f}" for m in columns.spend_micros],
-                [f"{from_micros(m):.6f}" for m in columns.value_micros],
-            ))
+            out.write("".join([
+                f"{lead}{arm},{part_id},{impressions},{spend / MICROS_PER_UNIT:.6f},"
+                f"{value / MICROS_PER_UNIT:.6f}\n"
+                for part_id, impressions, spend, value in zip(
+                    columns.part_ids, columns.impressions, columns.spend_micros,
+                    columns.value_micros)]))
     return out.getvalue()
 
 

@@ -34,7 +34,6 @@ from .baselines import (
     AaSettings,
     MicroTotals,
     aa_calibrate,
-    aa_columns,
     aa_skipped,
     baseline_statistics,
     campaign_micro_totals,
@@ -148,13 +147,15 @@ def recommend_traffic(
 
 
 def _resolve_thetas(
-    qualified: ExperimentDataset, totals: MicroTotals, config: EvaluationConfig
+    qualified: ExperimentDataset, totals: MicroTotals, config: EvaluationConfig,
+    columns_out: list[tuple],
 ) -> tuple[tuple[float, float, float], AaRecord | None]:
     """Each baseline's threshold, in ``BaselineMethod`` order, and how A/A
-    calibration derived them (None for explicit thresholds)."""
+    calibration derived them (None for explicit thresholds); ``columns_out``
+    gets the A/A splits' columns."""
     if isinstance(config.aa, ExplicitThetas):
         return (config.aa.micro_theta, config.aa.macro_theta, config.aa.macro_theta), None
-    record = aa_calibrate(qualified, totals, config.aa)
+    record = aa_calibrate(qualified, totals, config.aa, columns_out)
     return tuple(map(record.theta, BaselineMethod)), record
 
 
@@ -227,7 +228,8 @@ def evaluate(
     groups = resolve_subgroups(totals, config.subgroups)  # a bad label map fails here
     mark("subgroup_partition", len(totals), len(groups))
     notes: list[str] = []  # the report's warnings, in stage order
-    thetas, aa = _resolve_thetas(qualified, totals, config)
+    columns: list[tuple] = []  # the A/A splits' sample_sums columns
+    thetas, aa = _resolve_thetas(qualified, totals, config, columns)
     skipped = aa_skipped(qualified) if aa is not None else []
     if skipped:
         notes.append(
@@ -236,10 +238,9 @@ def evaluate(
             + ("..." if len(skipped) > 5 else "")
         )
     if trace is not None:
-        columns = aa_columns(qualified, aa.treatment_share) if aa is not None else []
-        sizes, repeats = [n_b for *_, n_b in columns], aa.repeats_k if aa is not None else 0
-        mark("aa_calibrate", qualified.n, len(sizes),
-             splits=repeats * len(sizes), draws=repeats * sum(sizes))
+        repeats = aa.repeats_k if aa is not None else 0
+        mark("aa_calibrate", qualified.n, len(columns), splits=repeats * len(columns),
+             draws=repeats * sum(n_b for *_, n_b in columns))
     stats = baseline_statistics(totals, *zip(*totals.values()))
     baselines = tuple(
         BaselineResult(method, statistic, theta, threshold_decision(statistic, theta))

@@ -14,10 +14,13 @@ stream's 16-byte key and the 8-byte big-endian counter ``c``, read as eight
 big-endian u64 words, and draw ``i`` is word ``i % 8`` of block ``i // 8``: an
 eighth of a digest per draw, plus one BLAKE2b call for each new key.
 ``uniforms(n)`` hashes every block its draws touch, so a call that starts inside
-a block hashes it again; the simulator takes each campaign's draws in one call.
-``sample_sums`` hashes its streams' shared key parts once and ceil(k / 8) blocks
-per split for its partial Fisher-Yates (k draws, not n - 1). ``_units`` alone
-maps words to (0, 1), as ``(u64 + 0.5) * 2**-64``.
+a block hashes it again. ``leading_uniforms`` and ``sample_sums`` serve many
+streams that share their leading key parts: they hash those parts once, derive
+each stream's key from a copy of that state, hash ceil(n / 8) blocks for a
+stream's first n draws (a split's k draws, not n - 1), and map all the words
+with one ``_units`` call, which alone maps words to (0, 1), as ``(u64 + 0.5) *
+2**-64``. The simulator takes a whole experiment's draws in one such call. A
+split of k = 1 reads its one word as an index, with no Fisher-Yates state.
 
 A large-mean count costs one ``normal_quantile``. A call with more draws than
 there are counts within 8 sd of the mean (about ``16 * sqrt(lam)``) first
@@ -47,6 +50,7 @@ from .statfuncs import normal_cdf, normal_quantile
 _POISSON_EXACT_LIMIT = 50.0
 _POISSON_TABLE_LIMIT = 1e6  # the guard is shown to cover the errors up to this mean
 _POISSON_TABLE_GUARD = 1e-9
+_BLOCK_0 = (0).to_bytes(8, "big")
 
 
 def _units(data: bytes) -> list[float]:
@@ -54,6 +58,25 @@ def _units(data: bytes) -> list[float]:
     top 2**10 words round to 1.0 and become the largest double below 1."""
     return [u if (u := (w + 0.5) * 2.0 ** -64) < 1.0 else 1.0 - 2.0 ** -53
             for w in struct.unpack(f">{len(data) >> 3}Q", data)]
+
+
+def _leading_words(key_parts: tuple, streams: Sequence[tuple[bytes, int]]) -> bytearray:
+    """For each ``(name, n)`` in ``streams``, in order, the first ``n`` words of
+    ``HashStream(*key_parts, name)`` (name in UTF-8); the shared parts are hashed once."""
+    blake2b, data = hashlib.blake2b, bytearray()
+    stem = blake2b("\x1f".join(map(str, (*key_parts, ""))).encode("utf-8"), digest_size=16)
+    for name, n in streams:
+        keyed = stem.copy()
+        keyed.update(name)
+        key, full = keyed.digest(), n >> 3
+        if n == 1:  # a k = 1 split: the first word of block 0
+            data += blake2b(key + _BLOCK_0).digest()[:8]
+            continue
+        for c in range(full):
+            data += blake2b(key + c.to_bytes(8, "big")).digest()
+        if n & 7:  # only n % 8 words of the last block count
+            data += blake2b(key + full.to_bytes(8, "big")).digest()[:(n & 7) << 3]
+    return data
 
 
 class HashStream:
@@ -85,27 +108,30 @@ class HashStream:
         return mean + sd * normal_quantile(self.uniform())
 
     @staticmethod
+    def leading_uniforms(key_parts: tuple, streams: int, n: int) -> list[float]:
+        """The first ``n`` draws of ``HashStream(*key_parts, i)`` for each i in
+        ``range(streams)``, stream after stream, in one list."""
+        return _units(_leading_words(key_parts, [(str(i).encode(), n) for i in range(streams)]))
+
+    @staticmethod
     def sample_sums(key_parts: tuple, columns: Sequence[tuple]) -> tuple[list[int], list[int]]:
         """Per ``(name, xs, ys, k)`` in ``columns``, the sums of ``xs`` and ``ys`` over k of
         their n positions, drawn from ``HashStream(*key_parts, name)`` (name in UTF-8) by a
         partial Fisher-Yates: draw i < k swaps i and i + min(int(u * (n - i)), n - i - 1)."""
-        blake2b = hashlib.blake2b
-        stem = blake2b("\x1f".join(map(str, (*key_parts, ""))).encode("utf-8"), digest_size=16)
-        data = bytearray()  # the words every split uses, in column order
-        for name, xs, _, k in columns:
+        for _, xs, _, k in columns:
             if not len(xs) >= k >= 0:
                 raise ValueError(f"k must be in [0, {len(xs)}], got {k!r}")
-            keyed = stem.copy()
-            keyed.update(name)
-            key, full = keyed.digest(), k >> 3
-            for c in range(full):
-                data += blake2b(key + c.to_bytes(8, "big")).digest()
-            if k & 7:  # only k % 8 words of the last block count
-                data += blake2b(key + full.to_bytes(8, "big")).digest()[:(k & 7) << 3]
-        draw = iter(_units(data)).__next__
+        words = _leading_words(key_parts, [(name, k) for name, _, _, k in columns])
+        draw = iter(_units(words)).__next__
         sums_x, sums_y = [], []
         for _, xs, ys, k in columns:
             n = len(xs)
+            if k == 1:  # the one pick is position min(int(u * n), n - 1)
+                j = int(draw() * n)
+                j = j if j < n else n - 1
+                sums_x.append(xs[j])
+                sums_y.append(ys[j])
+                continue
             moved, sum_x, sum_y = {}, 0, 0  # moved: position -> what it holds now
             for i in range(k):
                 j = int(draw() * (n - i))

@@ -13,9 +13,13 @@ for fidelity to any production traffic.
 
 Each arm is built as integer micro columns, quantized and with ROIs derived as
 ingest does, so a dataset gives the same report bytes in memory as after a
-6-decimal file round trip. Each campaign takes all its draws in one call, in
-the order a part-by-part loop would: its budget, its ROI level, then each part
-of arm A and then of arm B, its ROI noise before its impressions.
+6-decimal file round trip. Each campaign's draws come in the order a
+part-by-part loop would take them: its budget, its ROI level, then each part of
+arm A and then of arm B, its ROI noise before its impressions. One
+``HashStream.leading_uniforms`` call takes the whole experiment's draws,
+campaign after campaign; stride slices then read the budgets, the levels, every
+part's noise (one ``_noise_factors`` call) and every impression draw (one
+``poisson_quantiles`` call), and each arm's money takes one pass.
 """
 
 from __future__ import annotations
@@ -89,63 +93,59 @@ def _noise_factors(sd: float, draws: list[float]) -> list[float]:
 
 def generate_experiment(config: SimConfig) -> ExperimentDataset:
     """Generate one experiment dataset, byte-stable for a given config."""
-    lam = config.impressions_per_part_mean
+    lam, n = config.impressions_per_part_mean, config.n_campaigns
     per_part = 2 if lam > 0 else 1  # a part's ROI noise, then its impressions (none at mean 0)
-    width_a = per_part * config.m_a
-    campaign_draws = [HashStream("sim", config.seed, "campaign", i).uniforms(
-        2 + width_a + per_part * config.m_b) for i in range(config.n_campaigns)]
+    width = 2 + per_part * (config.m_a + config.m_b)
+    draws = HashStream.leading_uniforms(("sim", config.seed, "campaign"), n, width)
     try:
-        budgets = [math.exp(config.budget_log_mean + config.budget_log_sd * normal_quantile(d[0]))
-                   for d in campaign_draws]
+        budgets = [math.exp(config.budget_log_mean + config.budget_log_sd * normal_quantile(u))
+                   for u in draws[::width]]
     except OverflowError:
         raise ConfigError(
             f"simulated budget is too large for a float (budget_log_mean = "
             f"{config.budget_log_mean!r}, budget_log_sd = {config.budget_log_sd!r})") from None
-    by_budget = sorted(range(config.n_campaigns), key=lambda i: (-budgets[i], i))
+    by_budget = sorted(range(n), key=lambda i: (-budgets[i], i))
     outliers = set(by_budget[: config.outlier_campaigns])
-    level_factors = _noise_factors(config.campaign_roi_sd, [d[1] for d in campaign_draws])
-
-    # per arm, in draw order: (m, spend_micros, value_micros); the impression
-    # draws wait as doubles, not float objects, for one poisson_quantiles call
-    arms, impression_draws = [], array("d")
-    for i, drawn in enumerate(campaign_draws):
+    level_factors = _noise_factors(config.campaign_roi_sd, draws[1::width])
+    del draws[::width], draws[::width - 1]  # each campaign's budget, then its level
+    # part j's ROI noise is draw 2j of its campaign's parts, its impressions draw 2j + 1;
+    # the impression draws wait as doubles, not float objects, for one call whose
+    # boundary table pays
+    noise = _noise_factors(config.part_noise_sd, draws[::per_part])
+    impression_draws = array("d", draws[1::2] if lam > 0 else ())
+    del draws
+    impressions = (poisson_quantiles(lam, impression_draws) if lam > 0
+                   else [0] * len(noise))
+    del impression_draws
+    campaigns, position, digits = [], 0, len(str(n - 1))
+    for i in range(n):
         level = config.base_roi_mean * level_factors[i]
         lift = config.outlier_lift if i in outliers else config.treatment_lift
-        for m, share, roi_level, draws in (
-                (config.m_a, 1.0 - config.treatment_share, level, drawn[2:2 + width_a]),
-                (config.m_b, config.treatment_share, level * (1.0 + lift), drawn[2 + width_a:])):
-            if lam > 0:  # part j's ROI noise is draw 2j of its arm, its impressions draw 2j + 1
-                impression_draws.extend(draws[1::2])
-                draws = draws[::2]
+        arms = []
+        for m, share, roi_level in ((config.m_a, 1.0 - config.treatment_share, level),
+                                    (config.m_b, config.treatment_share, level * (1.0 + lift))):
             spend = budgets[i] * share / m
-            arms.append((m, *_arm_money(spend, roi_level, config.part_noise_sd, draws)))
-    # one call for every arm, so that its boundary table pays
-    impressions = (poisson_quantiles(lam, impression_draws) if lam > 0
-                   else [0] * (config.n_campaigns * (config.m_a + config.m_b)))
-    columns, position = [], 0
-    for m, spend_micros, value_micros in arms:
-        columns.append(arm_columns(range(m), impressions[position:position + m],
-                                   (spend_micros,) * m, value_micros))
-        position += m
-    width = len(str(config.n_campaigns - 1))
-    return ExperimentDataset(tuple(
-        CampaignExperiment(f"camp_{i:0{width}d}", columns[2 * i], columns[2 * i + 1])
-        for i in range(config.n_campaigns)))
+            end = position + m
+            spend_micros, value_micros = _arm_money(spend, roi_level, noise[position:end])
+            arms.append(arm_columns(range(m), impressions[position:end],
+                                    (spend_micros,) * m, value_micros))
+            position = end
+        campaigns.append(CampaignExperiment(f"camp_{i:0{digits}d}", *arms))
+    return ExperimentDataset(tuple(campaigns))
 
 
-def _arm_money(spend: float, roi_level: float, sd: float,
-               draws: list[float]) -> tuple[int, list[int]]:
+def _arm_money(spend: float, roi_level: float, factors: list[float]) -> tuple[int, list[int]]:
     """One arm's spend per part and its parts' values, in micro-units, part i's
-    ROI noise from ``draws[i]``."""
-    values = [roi_level * f * spend for f in _noise_factors(sd, draws)]
-    try:
-        check_amount("spend", spend)
-        # a column that passes this one test passes check_amount value by value;
-        # any other is checked value by value, so the first failure words the error
-        if not (0.0 <= min(values) and sum(values) <= MAX_AMOUNT):
+    ROI noise factor ``factors[i]``."""
+    values = [roi_level * f * spend for f in factors]
+    # a column that passes this one test passes check_amount amount by amount;
+    # any other is checked amount by amount, so the first failure words the error
+    if not (0.0 <= spend <= MAX_AMOUNT and 0.0 <= min(values) and sum(values) <= MAX_AMOUNT):
+        try:
+            check_amount("spend", spend)
             for value in values:
                 check_amount("value", value)
-    except ValueError as exc:
-        raise ConfigError(f"simulated {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"simulated {exc}") from None
     # to_micros, inlined
     return round(spend * MICROS_PER_UNIT), [round(v * MICROS_PER_UNIT) for v in values]

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from roimeta.baselines import AaSettings
 from roimeta.campaigns import (
-    MAX_AMOUNT, MICROS_PER_UNIT, Arm, CampaignExperiment, ExperimentDataset, from_micros,
+    MAX_AMOUNT, MICROS_PER_UNIT, Arm, CampaignExperiment, ExperimentDataset, arm_columns,
+    from_micros, to_micros,
 )
 from roimeta import dataio
 from roimeta.dataio import (
@@ -183,6 +184,26 @@ class TestRoundTrip:
         write_dataset(dataset, path)
         loaded = ingest(path)
         assert loaded.campaigns[0].campaign_id == "camp,with,commas"
+
+    def test_rows_match_the_csv_writer(self):
+        # ids that need quoting, and money at 0, one micro and the top of the range;
+        # a leading space is no campaign id (CampaignExperiment refuses it), so that
+        # campaign is built as a bare tuple: the writer quotes whatever id it gets
+        arm = arm_columns(range(3), (0, 7, 2000), (0, 1, 10**6), (1, to_micros(MAX_AMOUNT), 5))
+        ids = ["a,b", 'a"b', "a\nb", "a\rb", " lead", "caf\u00e9 \u2603", '"x"', "plain"]
+        dataset = ExperimentDataset(tuple(
+            CampaignExperiment(i, arm, arm) if i == i.strip()
+            else tuple.__new__(CampaignExperiment, (i, arm, arm)) for i in ids))
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
+        for campaign in dataset.campaigns:
+            for tag, columns in (("A", campaign.a), ("B", campaign.b)):
+                writer.writerows(
+                    (campaign.campaign_id, tag, part_id, impressions,
+                     f"{from_micros(spend):.6f}", f"{from_micros(value):.6f}")
+                    for part_id, impressions, spend, value in zip(*columns[:4]))
+        assert render_dataset_csv(dataset) == out.getvalue()
 
 
 # --- the ingest error contract ------------------------------------------------

@@ -340,6 +340,26 @@ class TestTotalsOnce:
         assert [share.hex() for share in shares] == [walk_share(qualified).hex()]
 
 
+class TestAaColumnsOnce:
+    def test_one_aa_columns_call_per_evaluate_traced_or_not(self, monkeypatch):
+        # control arms of 2, 6 and 20 parts at share 0.3: splits of 1, 2 and 6 parts
+        dataset = make_dataset([
+            make_campaign(f"c{m}", [1.0 + 0.01 * j for j in range(m)], [1.1, 1.2, 0.9])
+            for m in (2, 6, 20)])
+        config = EvaluationConfig(aa=AaSettings(repeats_k=3, seed=2, treatment_share=0.3))
+        expected = report_to_json(evaluate(dataset, config))
+        calls, aa_columns = [], baselines.aa_columns
+        monkeypatch.setattr(baselines, "aa_columns",
+                            lambda *args: calls.append(args) or aa_columns(*args))
+        trace = []
+        assert report_to_json(evaluate(dataset, config, trace)) == expected
+        assert len(calls) == 1
+        assert report_to_json(evaluate(dataset, config)) == expected
+        assert len(calls) == 2
+        (record,) = [r for r in trace if r["stage"] == "aa_calibrate"]
+        assert (record["n_out"], record["splits"], record["draws"]) == (3, 3 * 3, 3 * (1 + 2 + 6))
+
+
 class TestNoPartObjectsOnTheDecisionPath:
     """Generating, ingesting files or rows, qualifying (with dropped parts) and
     evaluating build no ``PartMeasurement`` (by its constructor or ``_make``) and read no

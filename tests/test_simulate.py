@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from typing import get_type_hints
 
 import pytest
@@ -73,6 +74,11 @@ class TestHashStream:
             expected[i], expected[j] = expected[j], expected[i]
         assert HashStream.sample_sums(("u",), [(b"c", BITS[:6], range(6), 3)]) == (
             [sum(BITS[p] for p in expected[:3])], [sum(expected[:3])])
+        # a k = 1 split takes the same clamp, without the Fisher-Yates state
+        one = min(int(unclamped * 6), 5)
+        assert HashStream.sample_sums(("u",), [(b"c", BITS[:6], range(6), 1)]) == (
+            [BITS[one]], [one])
+        assert HashStream.leading_uniforms(("u",), 2, 9) == [u] * 18
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 20), max_size=6))
@@ -135,6 +141,27 @@ class TestHashStream:
         for (_, _, _, k), sum_x, sum_y in zip(columns, sums_x, sums_y):
             picks = [p for p in range(10) if sum_x >> p & 1]
             assert len(picks) == k and sum_x < 2**10 and sum_y == sum(picks), k
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 42, 1000])
+    def test_leading_uniforms_are_each_streams_first_draws(self, n):
+        expected = [u for i in range(3) for u in HashStream("lead", 5, i).uniforms(n)]
+        assert HashStream.leading_uniforms(("lead", 5), 3, n) == expected
+        assert HashStream.leading_uniforms(("lead", 5), 0, n) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 40), st.sampled_from([0, 1, 2, 9])), max_size=8))
+    @example([(1, 0), (1, 1), (2, 1), (10, 1), (10, 2), (9, 9), (40, 9), (5, 0), (12, 1)])
+    def test_sample_sums_match_the_reference_split_by_split(self, shapes):
+        # one call mixing k = 0, 1, 2 and 9: each column's k words, in column order
+        columns = [(f"s{i}".encode(), BITS[:n], range(n), min(k, n))
+                   for i, (n, k) in enumerate(shapes)]
+        expected = []
+        for name, xs, _, k in columns:
+            items = list(range(len(xs)))
+            ReferenceStream("mix", 3, name.decode()).shuffle(items, k)
+            expected.append((sum(BITS[p] for p in items[:k]), sum(items[:k])))
+        sums_x, sums_y = HashStream.sample_sums(("mix", 3), columns)
+        assert list(zip(sums_x, sums_y)) == expected
 
     @pytest.mark.parametrize("k", [-1, 11])
     def test_sample_sums_rejects_k_outside_the_column(self, k):
@@ -296,6 +323,20 @@ class TestGenerateExperiment:
         with pytest.raises(ConfigError) as caught:
             generate_experiment(SimConfig(n_campaigns=2, budget_log_sd=0.0, **changes))
         assert str(caught.value).startswith(message)
+
+    @pytest.mark.parametrize("lift, message", [
+        (1e300, "simulated value is too large to quantize, got 8.443886415456717e+303"),
+        (1e305, "simulated value must be finite and >= 0, got inf"),
+    ])
+    def test_money_overflow_in_a_later_treatment_arm_names_its_value(self, lift, message):
+        # camp_3 has the top budget, so only its arm B takes the outlier lift
+        config = SimConfig(n_campaigns=4, m_a=3, m_b=2, outlier_campaigns=1, seed=0)
+        spends = {cid: t[0] + t[2]
+                  for cid, t in campaign_micro_totals(generate_experiment(config)).items()}
+        assert max(spends, key=spends.get) == "camp_3"
+        with pytest.raises(ConfigError) as caught:
+            generate_experiment(replace(config, outlier_lift=lift))
+        assert str(caught.value) == message
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -599,6 +640,11 @@ class TestGeneratorParity:
 
     @settings(max_examples=150, deadline=None)
     @given(sim_configs())
+    # 12 and 7 draws per campaign, with and without impressions: not a multiple of 8
+    @example(SimConfig(n_campaigns=3, m_a=3, m_b=2, seed=5))
+    @example(SimConfig(n_campaigns=3, m_a=3, m_b=2, impressions_per_part_mean=0.0, seed=5))
+    @example(SimConfig(n_campaigns=1, seed=6))  # one campaign
+    @example(SimConfig(n_campaigns=4, part_noise_sd=0.0, seed=7))  # every factor exactly 1
     def test_arm_columns_match(self, config):
         dataset = generate_experiment(config)
         assert [(c.campaign_id, c.a, c.b) for c in dataset.campaigns] == reference_arms(config)
