@@ -127,13 +127,14 @@ def aa_calibrate(
     pseudo-experiment, and each threshold, ``AaRecord.theta(method)``, is the
     signed mean of its statistic over repeats. Splits derive deterministically
     from (seed, repeat, campaign_id), so repeats are replayable and order
-    independent. A ``columns_out`` list is extended with the splits' columns.
+    independent. ``totals`` must be ``campaign_micro_totals(dataset)``: a
+    campaign's pseudo-control is its control totals there less its pseudo-treatment.
+    A ``columns_out`` list is extended with the splits' columns.
 
     Column kernel: each call builds ``aa_columns`` once, encoding each id once. A
     repeat is one ``HashStream.sample_sums`` call, which absorbs ``("aa-split",
     seed, k)`` once and sums the micros of each campaign's n_b pseudo-treatment
-    parts (n_b draws, not m_a - 1); pseudo-control is the difference from the
-    control totals in ``totals``. ``baseline_statistics`` then computes the
+    parts (n_b draws, not m_a - 1). ``baseline_statistics`` then computes the
     repeat's three statistics, as it does for the real arms.
     """
     share_b = settings.treatment_share or observed_share(totals)  # a share is never 0

@@ -147,16 +147,15 @@ def recommend_traffic(
 
 
 def _resolve_thetas(
-    qualified: ExperimentDataset, totals: MicroTotals, config: EvaluationConfig,
-    columns_out: list[tuple],
-) -> tuple[tuple[float, float, float], AaRecord | None]:
-    """Each baseline's threshold, in ``BaselineMethod`` order, and how A/A
-    calibration derived them (None for explicit thresholds); ``columns_out``
-    gets the A/A splits' columns."""
+    qualified: ExperimentDataset, totals: MicroTotals, config: EvaluationConfig
+) -> tuple[tuple[float, float, float], AaRecord | None, list[tuple]]:
+    """Each baseline's threshold, in ``BaselineMethod`` order, how A/A calibration
+    derived them and the columns it split (None and none for explicit thresholds)."""
     if isinstance(config.aa, ExplicitThetas):
-        return (config.aa.micro_theta, config.aa.macro_theta, config.aa.macro_theta), None
-    record = aa_calibrate(qualified, totals, config.aa, columns_out)
-    return tuple(map(record.theta, BaselineMethod)), record
+        return (config.aa.micro_theta, config.aa.macro_theta, config.aa.macro_theta), None, []
+    columns: list[tuple] = []  # filled by aa_calibrate, which alone resolves the share
+    record = aa_calibrate(qualified, totals, config.aa, columns)
+    return tuple(map(record.theta, BaselineMethod)), record, columns
 
 
 def _observed_share(totals: MicroTotals) -> float | None:
@@ -228,8 +227,7 @@ def evaluate(
     groups = resolve_subgroups(totals, config.subgroups)  # a bad label map fails here
     mark("subgroup_partition", len(totals), len(groups))
     notes: list[str] = []  # the report's warnings, in stage order
-    columns: list[tuple] = []  # the A/A splits' sample_sums columns
-    thetas, aa = _resolve_thetas(qualified, totals, config, columns)
+    thetas, aa, columns = _resolve_thetas(qualified, totals, config)
     skipped = aa_skipped(qualified) if aa is not None else []
     if skipped:
         notes.append(

@@ -69,7 +69,7 @@ def _leading_words(key_parts: tuple, streams: Sequence[tuple[bytes, int]]) -> by
         keyed = stem.copy()
         keyed.update(name)
         key, full = keyed.digest(), n >> 3
-        if n == 1:  # a k = 1 split: the first word of block 0
+        if n == 1:  # a k = 1 split's word, without the block loop: ~0.2 us a split
             data += blake2b(key + _BLOCK_0).digest()[:8]
             continue
         for c in range(full):
@@ -117,7 +117,8 @@ class HashStream:
     def sample_sums(key_parts: tuple, columns: Sequence[tuple]) -> tuple[list[int], list[int]]:
         """Per ``(name, xs, ys, k)`` in ``columns``, the sums of ``xs`` and ``ys`` over k of
         their n positions, drawn from ``HashStream(*key_parts, name)`` (name in UTF-8) by a
-        partial Fisher-Yates: draw i < k swaps i and i + min(int(u * (n - i)), n - i - 1)."""
+        partial Fisher-Yates: draw i < k swaps i and i + int(u * (n - i)), below n because
+        a draw is at most 1 - 2**-53, and (1 - 2**-53) * m rounds below m for m < 2**53."""
         for _, xs, _, k in columns:
             if not len(xs) >= k >= 0:
                 raise ValueError(f"k must be in [0, {len(xs)}], got {k!r}")
@@ -126,16 +127,14 @@ class HashStream:
         sums_x, sums_y = [], []
         for _, xs, ys, k in columns:
             n = len(xs)
-            if k == 1:  # the one pick is position min(int(u * n), n - 1)
+            if k == 1:  # the one pick is position int(u * n)
                 j = int(draw() * n)
-                j = j if j < n else n - 1
                 sums_x.append(xs[j])
                 sums_y.append(ys[j])
                 continue
             moved, sum_x, sum_y = {}, 0, 0  # moved: position -> what it holds now
             for i in range(k):
-                j = int(draw() * (n - i))
-                j = i + j if j < n - i else n - 1  # i + min(j, n - i - 1)
+                j = i + int(draw() * (n - i))
                 pick, moved[j] = moved.get(j, j), moved.get(i, i)
                 sum_x, sum_y = sum_x + xs[pick], sum_y + ys[pick]
             sums_x.append(sum_x)

@@ -23,6 +23,7 @@ from roimeta.baselines import (
 )
 from roimeta.campaigns import Arm, CampaignExperiment, ExperimentDataset
 from roimeta.errors import InsufficientDataError, UndefinedRoiError
+from roimeta.preprocess import qualify
 from roimeta.records import AaRecord
 from test_simulate import ReferenceStream
 
@@ -336,6 +337,24 @@ class TestAaCalibration:
             assert stats[BaselineMethod.MICRO] == walk_micro_delta(pseudo)
             assert stats[BaselineMethod.MACRO] == walk_macro_delta(pseudo, "mean")
             assert stats[BaselineMethod.MACRO_MEDIAN] == walk_macro_delta(pseudo, "median")
+
+    def test_pseudo_control_comes_from_the_totals_of_the_dataset_split(self):
+        # qualification drops part 0 of each control arm (50 impressions), so the
+        # qualified dataset's control totals differ from the unqualified one's
+        dataset = make_dataset([campaign_from_rows([
+            make_part(f"c{i}", arm, j, roi=0.5 + 0.1 * ((i + 3 * j) % 7), spend=1.0 + j % 4,
+                      impressions=50 if (arm is Arm.CONTROL and j == 0) else 1000)
+            for arm in Arm for j in range(20)]) for i in range(3)])
+        qualified = qualify(dataset).qualified
+        assert [c.m_a for c in qualified.campaigns] == [19] * 3
+        record = aa_calibrate(qualified, totals_of(qualified), AaSettings(3, 6, 0.3))
+        for k in range(3):
+            pseudo = pseudo_experiment(qualified, 0.3, 6, k)
+            assert record.micro[k] == walk_micro_delta(pseudo)
+            assert record.macro[k] == walk_macro_delta(pseudo, "mean")
+            assert record.macro_median[k] == walk_macro_delta(pseudo, "median")
+        # the unqualified dataset's totals would give other pseudo-control arms
+        assert aa_calibrate(qualified, totals_of(dataset), AaSettings(3, 6, 0.3)) != record
 
     def test_each_split_draws_only_its_pseudo_treatment_parts(self):
         # 500 control parts at share 0.1: 50 draws per split, not 499, so

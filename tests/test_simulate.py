@@ -65,8 +65,9 @@ class TestHashStream:
         assert stream.uniforms(3) == [u, u, u]  # words 1 to 3 of block 0
         assert stream.uniforms(8) == [u] * 8  # words 4 to 7 of block 0, 0 to 3 of block 1
         assert math.isfinite(stream.normal()) and math.isfinite(math.exp(stream.normal(0.0, 1.0)))
-        # the partial Fisher-Yates clamps: position i swaps with
-        # i + min(int(u * (n - i)), n - i - 1), never past n - 1
+        # the picks match the spec's i + min(int(u * (n - i)), n - i - 1) on the exact
+        # (u64 + 0.5) * 2**-64, which is 1.0 for the top words: the kernel needs no
+        # clamp, since its draw of 1 - 2**-53 times n - i already rounds below n - i
         unclamped = (u64 + 0.5) * 2.0 ** -64
         expected = list(range(6))
         for i in range(3):
@@ -74,7 +75,7 @@ class TestHashStream:
             expected[i], expected[j] = expected[j], expected[i]
         assert HashStream.sample_sums(("u",), [(b"c", BITS[:6], range(6), 3)]) == (
             [sum(BITS[p] for p in expected[:3])], [sum(expected[:3])])
-        # a k = 1 split takes the same clamp, without the Fisher-Yates state
+        # and so does a k = 1 split, without the Fisher-Yates state
         one = min(int(unclamped * 6), 5)
         assert HashStream.sample_sums(("u",), [(b"c", BITS[:6], range(6), 1)]) == (
             [BITS[one]], [one])
