@@ -17,24 +17,24 @@ import importlib
 
 # Every submodule, reached as ``roimeta.<module>``, with the names it exports.
 _EXPORTS = {
-    "baselines": ("AaSettings", "aa_calibrate", "campaign_micro_totals"),
+    "baselines": ("aa_calibrate", "campaign_micro_totals"),
     "campaigns": (),
     "cli": (),
-    "config": (),
+    "config": ("AaSettings", "EvaluationConfig", "SubgroupSpec"),
     "dataio": ("dataset_from_rows",),
     "errors": (
         "ConfigError", "DegenerateEffectError", "IngestError", "InsufficientDataError",
         "NoQualifiedCampaignsError", "RoimetaError", "SchemaError", "UndefinedRoiError",
     ),
     "meta": (),
-    "pipeline": ("EvaluationConfig", "evaluate"),
+    "pipeline": ("evaluate",),
     "preprocess": ("qualify",),
     "randomness": (),
     "records": (),
     "reportio": ("render_human", "report_to_json"),
     "simulate": ("SimConfig", "generate_experiment"),
     "statfuncs": (),
-    "subgroups": ("SubgroupSpec", "resolve_subgroups"),
+    "subgroups": ("resolve_subgroups",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -10,8 +10,9 @@ one copy of the three statistics: ``evaluate`` calls it on the experiment's
 arms, and ``aa_calibrate`` on each repeat's pseudo-arms.
 
 ``aa_calibrate`` is the one A/A entry point. It resolves the pseudo-treatment
-share itself: the configured ``AaSettings.treatment_share``, else the
-``observed_share`` of arm-B spend in the campaigns' micro totals.
+share itself: the configured ``AaSettings.treatment_share`` (a ``config``
+type), else the ``observed_share`` of arm-B spend in the campaigns' micro
+totals, which is None, and calibration refuses, unless both arms have spend.
 """
 
 from __future__ import annotations
@@ -19,33 +20,15 @@ from __future__ import annotations
 from itertools import repeat
 from math import fsum
 from operator import sub, truediv
-from typing import NamedTuple
 
 from .campaigns import MICROS_PER_UNIT, Arm, ExperimentDataset, roi_of_micros
-from .errors import ConfigError, InsufficientDataError
+from .config import AaSettings
+from .errors import InsufficientDataError
 from .randomness import HashStream
 from .records import BaselineDecision, BaselineMethod, BaselineResult  # noqa: F401  re-exported
-from .records import AaRecord, checked
+from .records import AaRecord
 
 MicroTotals = dict[str, tuple[int, int, int, int]]  # see campaign_micro_totals
-
-
-@checked
-class AaSettings(NamedTuple):
-    """A/A calibration parameters; ``treatment_share`` overrides the share
-    observed in the data (see ``aa_calibrate``)."""
-
-    repeats_k: int = 5
-    seed: int = 0
-    treatment_share: float | None = None
-
-    def _check(self):
-        if not isinstance(self.repeats_k, int) or self.repeats_k < 1:
-            raise ConfigError(f"repeats_k must be an integer >= 1, got {self.repeats_k!r}")
-        if self.treatment_share is not None and not 0.0 < self.treatment_share < 1.0:
-            raise ConfigError(
-                f"treatment_share must be in (0, 1), got {self.treatment_share!r}"
-            )
 
 
 def campaign_micro_totals(dataset: ExperimentDataset) -> MicroTotals:
@@ -56,14 +39,13 @@ def campaign_micro_totals(dataset: ExperimentDataset) -> MicroTotals:
             for c in dataset.campaigns}
 
 
-def observed_share(totals: MicroTotals) -> float:
+def observed_share(totals: MicroTotals) -> float | None:
     """Arm-B spend over all spend, summed exactly from the micro ``totals``, so
-    the same parts give the same share however they were read."""
+    the same parts give the same share however they were read; None unless
+    both arms have spend."""
     spend_b = sum(t[2] for t in totals.values())
     spend = spend_b + sum(t[0] for t in totals.values())
-    if not 0 < spend_b < spend:
-        raise InsufficientDataError("no treatment share without spend in both arms")
-    return spend_b / spend
+    return spend_b / spend if 0 < spend_b < spend else None
 
 
 def _median(values: list[float]) -> float:
@@ -138,6 +120,8 @@ def aa_calibrate(
     repeat's three statistics, as it does for the real arms.
     """
     share_b = settings.treatment_share or observed_share(totals)  # a share is never 0
+    if share_b is None:
+        raise InsufficientDataError("no treatment share without spend in both arms")
     repeats_k, seed = settings.repeats_k, settings.seed
     ids = [c.campaign_id for c in dataset.campaigns if c.m_a >= 2]
     if not ids:

@@ -33,7 +33,10 @@ from typing import TYPE_CHECKING, NoReturn
 from .errors import RoimetaError
 
 if TYPE_CHECKING:
-    from .pipeline import EvaluationConfig
+    from .config import EvaluationConfig
+
+_REPORT_FORMATS = ("human", "json")  # the first is the default
+
 
 def _config_from_args(args: argparse.Namespace) -> EvaluationConfig:
     from .config import EVAL_KEY_PARSERS, load_evaluation_config
@@ -103,8 +106,8 @@ def _evaluate_arguments(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument("data", help="part-level input file")
     parser.add_argument("--config", help="evaluation config file")
-    parser.add_argument("--input-format", choices=INPUT_FORMATS, default="delimited-text")
-    parser.add_argument("--format", choices=("human", "json"), default="human")
+    parser.add_argument("--input-format", choices=INPUT_FORMATS, default=INPUT_FORMATS[0])
+    parser.add_argument("--format", choices=_REPORT_FORMATS, default=_REPORT_FORMATS[0])
     parser.add_argument("--out", help="also write the machine JSON report here")
     parser.add_argument("--trace", metavar="FILE",
                         help="write one JSON line per stage here: stage, seconds, n_in, n_out")
@@ -124,7 +127,7 @@ def _simulate_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _report_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("saved_report", help="machine JSON report file")
-    parser.add_argument("--format", choices=("human", "json"), default="human")
+    parser.add_argument("--format", choices=_REPORT_FORMATS, default=_REPORT_FORMATS[0])
 
 
 _SUBCOMMANDS = {

@@ -221,7 +221,7 @@ def dataset_from_rows(rows: Iterable[Sequence[object]]) -> ExperimentDataset:
     return _dataset_from_rows(enumerate(rows, 1), typed=True)
 
 
-def ingest(path: str | Path, input_format: str = "delimited-text") -> ExperimentDataset:
+def ingest(path: str | Path, input_format: str = INPUT_FORMATS[0]) -> ExperimentDataset:
     """Load an experiment dataset from a part-level file."""
     if input_format not in INPUT_FORMATS:
         raise IngestError(

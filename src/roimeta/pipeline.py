@@ -10,6 +10,8 @@ recommendation. The verdict reads the summary effect's confidence interval
 alone: accept when it lies entirely above zero, a harmful (strong) rejection
 when it lies entirely below, and a rejection for ineffectiveness otherwise.
 ``p_z`` and the baseline verdicts are reported alongside but never drive it.
+``config`` defines the ``EvaluationConfig`` that ``evaluate`` reads and each of
+its sections, down to the ramp schedule, which names its own current phase.
 
 ``evaluate(dataset, config, trace)`` appends to a ``trace`` list one record per
 stage as it runs: ``stage``, ``seconds`` since the previous record, and the
@@ -25,13 +27,11 @@ a trace no clock is read, and the report never depends on the trace.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import NamedTuple
 
 from . import __version__
 from .baselines import (
-    AaSettings,
     MicroTotals,
     aa_calibrate,
     aa_skipped,
@@ -41,86 +41,21 @@ from .baselines import (
     threshold_decision,
 )
 from .campaigns import ExperimentDataset, parts_sha256
-from .config import config_record
+from .config import AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule, config_record
 from .errors import (
-    ConfigError,
     DegenerateEffectError,
     InsufficientDataError,
     NoQualifiedCampaignsError,
 )
 from .meta import arm_stats, effect_size, summarize_effects
-from .preprocess import QualificationConfig, qualify
+from .preprocess import qualify
 from .records import (  # noqa: F401  re-exported
     AaRecord, Audit, BaselineMethod, BaselineResult, Decision, EffectExclusion, EffectSize,
     EvaluationReport, FixedEffectSummary, HeterogeneityStats, KeptCampaign, QualificationRecord,
     QualifiedParts, RandomEffectSummary, SignificanceResult, SubgroupReport,
-    TrafficRecommendation, Verdict, checked,
+    TrafficRecommendation, Verdict,
 )
-from .subgroups import SubgroupSpec, resolve_subgroups, subgroup_analysis
-
-
-@checked
-class ExplicitThetas(NamedTuple):
-    """Pre-computed baseline thresholds, bypassing A/A calibration; each finite,
-    so the report stays JSON."""
-
-    micro_theta: float
-    macro_theta: float
-
-    def _check(self):
-        for name, theta in zip(self._fields, self):
-            if not math.isfinite(theta):
-                raise ConfigError(f"{name} must be finite, got {theta!r}")
-
-
-@checked
-class TrafficSchedule(NamedTuple):
-    """Ramp phases for the treatment share, strictly increasing in (0, 0.5],
-    and the current share, which must be one of them."""
-
-    phases: tuple[float, ...] = (0.01, 0.10, 0.20, 0.50)
-    current_share: float = 0.01
-
-    def _check(self):
-        if type(self.phases) is not tuple:
-            return self._replace(phases=tuple(self.phases))
-        if not self.phases:
-            raise ConfigError("phases must be non-empty")
-        previous = 0.0
-        for share in self.phases:
-            if not previous < share <= 0.5:
-                raise ConfigError(
-                    f"phases must be strictly increasing within (0, 0.5], got {self.phases!r}"
-                )
-            previous = share
-        if _phase_index(self.phases, self.current_share) is None:
-            raise ConfigError(
-                f"current_share {self.current_share!r} is not one of the "
-                f"schedule phases {self.phases!r}"
-            )
-
-
-def _phase_index(phases: tuple[float, ...], share: float) -> int | None:
-    return next((i for i, phase in enumerate(phases)
-                 if math.isclose(phase, share, rel_tol=0.0, abs_tol=1e-12)), None)
-
-
-@checked
-class EvaluationConfig(NamedTuple):
-    confidence_level: float = 0.95
-    homogeneity_level: float = 0.10
-    qualification: QualificationConfig = QualificationConfig()
-    aa: AaSettings | ExplicitThetas = AaSettings()
-    subgroups: SubgroupSpec = SubgroupSpec()
-    schedule: TrafficSchedule = TrafficSchedule()
-    # Where the loader found each key ("file" or "flag"); compared, as the audit shows it.
-    sources: dict[str, str] | None = None
-
-    def _check(self):
-        for name in ("confidence_level", "homogeneity_level"):
-            level = getattr(self, name)
-            if not 0.0 < level < 1.0:
-                raise ConfigError(f"{name} must be in (0, 1), got {level!r}")
+from .subgroups import resolve_subgroups, subgroup_analysis
 
 
 def decide(significance: SignificanceResult) -> Decision:
@@ -138,7 +73,7 @@ def recommend_traffic(
     decision: Decision, schedule: TrafficSchedule
 ) -> TrafficRecommendation:
     """Next ramp move: step up on accept, promote at the final phase, halt on reject."""
-    index = _phase_index(schedule.phases, schedule.current_share)
+    index = schedule.phase_index()
     if decision.verdict is not Verdict.ACCEPT:
         return TrafficRecommendation(action="halt")
     if index == len(schedule.phases) - 1:
@@ -156,14 +91,6 @@ def _resolve_thetas(
     columns: list[tuple] = []  # filled by aa_calibrate, which alone resolves the share
     record = aa_calibrate(qualified, totals, config.aa, columns)
     return tuple(map(record.theta, BaselineMethod)), record, columns
-
-
-def _observed_share(totals: MicroTotals) -> float | None:
-    """The arm-B share of the spend, or None where ``observed_share`` finds none."""
-    try:
-        return observed_share(totals)
-    except InsufficientDataError:
-        return None
 
 
 def collect_effects(
@@ -294,7 +221,7 @@ def evaluate(
             version=__version__,
             config=config_record(config, aa.treatment_share if aa is not None else None),
             aa=aa,
-            spend_share_observed=_observed_share(totals),
+            spend_share_observed=observed_share(totals),
             spend_share_configured=(
                 config.aa.treatment_share if isinstance(config.aa, AaSettings) else None),
             warnings=tuple(notes),

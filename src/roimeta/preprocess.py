@@ -3,9 +3,10 @@
 A part is dropped when it has too few impressions or zero spend. A campaign
 stays in the analysis only if, in each arm, strictly more than
 ``min_qualified_fraction`` of its original parts survive; ties disqualify.
-Every analysis method downstream consumes the same qualified set. Dropped parts
-are counted per campaign arm and reason: too few impressions, zero spend, or a
-qualified part of a disqualified campaign.
+Both thresholds come from a ``config.QualificationConfig``. Every analysis
+method downstream consumes the same qualified set. Dropped parts are counted
+per campaign arm and reason: too few impressions, zero spend, or a qualified
+part of a disqualified campaign.
 """
 
 from __future__ import annotations
@@ -13,28 +14,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .campaigns import Arm, ArmColumns, CampaignExperiment, ExperimentDataset
-from .errors import ConfigError
+from .config import QualificationConfig
 from .records import (  # noqa: F401  re-exported
     DisqualifiedCampaign, KeptCampaign, PartExclusions, QualificationRecord, QualifiedParts,
-    checked,
 )
-
-
-@checked
-class QualificationConfig(NamedTuple):
-    min_impressions_per_part: int = 100
-    min_qualified_fraction: float = 0.9
-
-    def _check(self):
-        if not isinstance(self.min_impressions_per_part, int) or self.min_impressions_per_part < 1:
-            raise ConfigError(
-                f"min_impressions_per_part must be an integer >= 1, "
-                f"got {self.min_impressions_per_part!r}"
-            )
-        if not 0.0 < self.min_qualified_fraction <= 1.0:
-            raise ConfigError(
-                f"min_qualified_fraction must be in (0, 1], got {self.min_qualified_fraction!r}"
-            )
 
 
 class QualificationReport(NamedTuple):

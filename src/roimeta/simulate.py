@@ -85,8 +85,6 @@ class SimConfig:
 def _noise_factors(sd: float, draws: list[float]) -> list[float]:
     """Mean-one lognormal factors, one per uniform in ``draws``; exactly 1 when sd == 0,
     though the caller has still spent the draws, so stream positions do not depend on sd."""
-    if sd == 0.0:
-        return [1.0] * len(draws)
     half_var = 0.5 * sd * sd  # sd * z - sd * sd / 2 <= z * z / 2 cannot overflow
     return [math.exp(sd * normal_quantile(u) - half_var) for u in draws]
 

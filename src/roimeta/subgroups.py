@@ -1,15 +1,15 @@
 """Subgroup construction and the within/between heterogeneity decomposition.
 
-A ``SubgroupSpec`` names one partition of the campaigns: by an explicit label
-map when it sets ``labels``, otherwise by cumulative-spend tiers, which read
-micro totals. ``resolve_subgroups`` is its one entry. Cochran's Q is then
-recomputed with the random-model weights: per-group Q around the group mean,
-their sum (within-group), and the remainder of the grand-mean Q (between-group,
-chi-square with K-1 degrees of freedom). A significant between-group component
-means group membership explains part of the effect variation. Every group
-shares the single global between-study variance, and the grand and group means,
-CIs and Z tests are the verdict's own random model (``random_effect_summary``,
-``z_significance``).
+A ``SubgroupSpec`` (a ``config`` type) names one partition of the campaigns:
+by an explicit label map when it sets ``labels``, otherwise by cumulative-spend
+tiers, which read micro totals. ``resolve_subgroups`` is its one entry.
+Cochran's Q is then recomputed with the random-model weights: per-group Q
+around the group mean, their sum (within-group), and the remainder of the
+grand-mean Q (between-group, chi-square with K-1 degrees of freedom). A
+significant between-group component means group membership explains part of
+the effect variation. Every group shares the single global between-study
+variance, and the grand and group means, CIs and Z tests are the verdict's own
+random model (``random_effect_summary``, ``z_significance``).
 """
 
 from __future__ import annotations
@@ -19,43 +19,11 @@ from typing import NamedTuple
 
 from .baselines import MicroTotals
 from .campaigns import from_micros
+from .config import SubgroupSpec
 from .errors import ConfigError, InsufficientDataError, SchemaError
 from .meta import random_effect_summary, weighted_q, z_significance
-from .records import SubgroupReport, SubgroupSummary, checked
+from .records import SubgroupReport, SubgroupSummary
 from .statfuncs import chi_square_sf
-
-
-@checked
-class SubgroupSpec(NamedTuple):
-    """How to partition campaigns: by ``labels``, a campaign-to-group map, when
-    it is set, else by cumulative-spend tiers of ``spend_fractions``. The
-    fractions are checked either way."""
-
-    spend_fractions: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
-    labels: dict[str, str] | None = None
-
-    def _check(self):
-        fractions = self.spend_fractions
-        if type(fractions) is not tuple:
-            return self._replace(spend_fractions=tuple(fractions))
-        if not fractions or any(not f > 0 for f in fractions):
-            raise ConfigError("spend fractions must be positive")
-        if abs(fsum(fractions) - 1.0) > 1e-12:
-            raise ConfigError(f"spend fractions must sum to 1, got {fsum(fractions)!r}")
-        if self.labels is not None and not self.labels:
-            raise ConfigError("a labels map must label at least one campaign")
-        # The audit line replays the map from a config file, which is read as
-        # lines (str.splitlines), where '#' starts a comment, ',' and the first
-        # ':' split the pairs and each part is stripped and must not be empty.
-        for campaign_id, group in (self.labels or {}).items():
-            label = f"{campaign_id}:{group}"
-            if ("#" in label or "," in label or label.splitlines() != [label]
-                    or ":" in campaign_id or not campaign_id or not group
-                    or campaign_id != campaign_id.strip() or group != group.strip()):
-                raise ConfigError(
-                    "subgroup labels cannot hold '#', ',' or a line break, a ':' in a "
-                    "campaign id, an empty campaign or group, or spaces around one, "
-                    f"got {label!r}")
 
 
 class GroupAssignment(NamedTuple):

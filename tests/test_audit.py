@@ -17,8 +17,7 @@ from roimeta.campaigns import Arm, ExperimentDataset
 from roimeta.config import config_record, load_evaluation_config, parse_kv_text
 from roimeta.errors import ConfigError
 from roimeta.pipeline import (
-    AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule, Verdict, _observed_share,
-    evaluate,
+    AaSettings, EvaluationConfig, ExplicitThetas, TrafficSchedule, Verdict, evaluate,
 )
 from roimeta.preprocess import qualify
 from roimeta.records import AaRecord, BaselineMethod
@@ -116,8 +115,8 @@ class TestSpendShare:
         assert (far.significance, far.decision) == (near.significance, near.decision)
 
     def test_observed_is_null_without_spend_in_both_arms(self):
-        assert _observed_share({}) is None
-        assert _observed_share({"c": (1_000_000, 2_000_000, 0, 0)}) is None
+        assert observed_share({}) is None
+        assert observed_share({"c": (1_000_000, 2_000_000, 0, 0)}) is None
 
 
 class TestConfigRecord:

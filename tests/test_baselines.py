@@ -63,9 +63,11 @@ def pseudo_experiment(
 def reference_stats(dataset, share_b, repeats_k, seed) -> dict[BaselineMethod, tuple]:
     """Per-repeat statistics of the object path, walked one pseudo-experiment at
     a time, never through ``baseline_statistics``; a ``share_b`` of None is the
-    observed share."""
+    observed share, which needs spend in both arms."""
     if share_b is None:
         share_b = observed_share(totals_of(dataset))
+    if share_b is None:
+        raise InsufficientDataError("no treatment share without spend in both arms")
     stats = {m: [] for m in BaselineMethod}
     for k in range(repeats_k):
         pseudo = pseudo_experiment(dataset, share_b, seed, k)
@@ -134,6 +136,10 @@ edge_dataset = make_dataset([
     make_campaign(campaign_id, [1.0, 1.5, 0.8, 1.1], [1.0])
     for campaign_id in ("广告系列", "a\x1fb", "kampagne-ü")
 ])
+# control parts with no spend: no observed share to split at
+unpaid_control_dataset = make_dataset([campaign_from_rows([
+    ("c", "A", 0, 1000, 0.0, 0.0), ("c", "A", 1, 1000, 0.0, 0.0),
+    make_part("c", Arm.TREATMENT, 0, roi=1.0)])])
 
 
 def two_campaign_dataset():
@@ -380,6 +386,7 @@ class TestAaCalibration:
     @example(edge_dataset, None, 4, 12)
     @example(edge_dataset, 0.5, 2, -1)
     @example(edge_dataset, 0.2, 2, 2**64 + 1)
+    @example(unpaid_control_dataset, None, 1, 0)
     def test_column_kernel_matches_object_path(self, dataset, share, repeats_k, seed):
         def kernel():
             settings = AaSettings(repeats_k, seed, share)

@@ -11,14 +11,13 @@ import math
 import pytest
 
 from conftest import make_campaign
-from roimeta.baselines import AaSettings
 from roimeta.campaigns import CampaignExperiment, ExperimentDataset
-from roimeta.config import load_evaluation_config
+from roimeta.config import (
+    AaSettings, EvaluationConfig, ExplicitThetas, QualificationConfig, SubgroupSpec,
+    TrafficSchedule, load_evaluation_config,
+)
 from roimeta.errors import ConfigError, InsufficientDataError
 from roimeta.meta import ArmSampleStats
-from roimeta.pipeline import EvaluationConfig, ExplicitThetas, TrafficSchedule
-from roimeta.preprocess import QualificationConfig
-from roimeta.subgroups import SubgroupSpec
 
 C1 = make_campaign("c1", [1.0, 1.1], [0.9, 1.0])
 
@@ -72,6 +71,8 @@ REFUSED = [
     (SubgroupSpec, dict(labels={"c1": ""}), ConfigError, LABEL + "'c1:'"),
     (SubgroupSpec, dict(labels={"c1": "a\nb"}), ConfigError, LABEL + "'c1:a\\nb'"),
     (SubgroupSpec, dict(labels={"c\u20281": "g"}), ConfigError, LABEL + "'c\\u20281:g'"),
+    # a campaign id that is no text: its line reads back as the text '1'
+    (SubgroupSpec, dict(labels={1: "g"}), ConfigError, LABEL + "'1:g'"),
     (TrafficSchedule, dict(phases=()), ConfigError, "phases must be non-empty"),
     (TrafficSchedule, dict(phases=(0.1, 0.1, 0.5)), ConfigError, INCREASING + "(0.1, 0.1, 0.5)"),
     (TrafficSchedule, dict(phases=[0.1, 0.6]), ConfigError, INCREASING + "(0.1, 0.6)"),

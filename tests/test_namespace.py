@@ -20,6 +20,7 @@ import pytest
 
 import roimeta
 from roimeta import records
+from roimeta.config import EVAL_KEYS, parse_kv_text
 from roimeta.dataio import write_dataset
 from roimeta.simulate import SimConfig, generate_experiment
 
@@ -32,17 +33,18 @@ CI_PATH = SRC.parent / ".github" / "workflows" / "tier1.yml"
 # "Library use" section imports, what CI's in-memory one-liner imports, and the
 # exception classes. Every other name is reached as ``roimeta.<module>.<Name>``.
 EXPORTS = {
-    "baselines": ("AaSettings", "aa_calibrate", "campaign_micro_totals"),
+    "baselines": ("aa_calibrate", "campaign_micro_totals"),
+    "config": ("AaSettings", "EvaluationConfig", "SubgroupSpec"),
     "dataio": ("dataset_from_rows",),
     "errors": (
         "ConfigError", "DegenerateEffectError", "IngestError", "InsufficientDataError",
         "NoQualifiedCampaignsError", "RoimetaError", "SchemaError", "UndefinedRoiError",
     ),
-    "pipeline": ("EvaluationConfig", "evaluate"),
+    "pipeline": ("evaluate",),
     "preprocess": ("qualify",),
     "reportio": ("render_human", "report_to_json"),
     "simulate": ("SimConfig", "generate_experiment"),
-    "subgroups": ("SubgroupSpec", "resolve_subgroups"),
+    "subgroups": ("resolve_subgroups",),
 }
 
 # The report types, by the module that defined each before they moved.
@@ -121,6 +123,31 @@ class TestImportSets:
         assert code == 0
         assert "roimeta.simulate" in modules
         assert not modules & {"roimeta.pipeline", "roimeta.meta", "roimeta.reportio"}
+
+    def test_loading_a_config_loads_no_analysis(self, tmp_path):
+        # every key, the A/A keys in one file and the thresholds that replace them in the other
+        common = ("confidence_level = 0.9\nhomogeneity_level = 0.05\n"
+                  "min_impressions_per_part = 50\nmin_qualified_fraction = 0.8\n"
+                  "spend_fractions = 0.5, 0.5\nsubgroup_labels = c1:a, c2:b\n"
+                  "phases = 0.1, 0.5\ncurrent_share = 0.1\n")
+        texts = {"aa.cfg": "aa_repeats_k = 3\naa_seed = 1\naa_treatment_share = 0.2\n",
+                 "thetas.cfg": "micro_theta = 0.0\nmacro_theta = 0.0\n"}
+        paths, keys = [], set()
+        for name, text in texts.items():
+            (tmp_path / name).write_text(common + text, encoding="utf-8")
+            paths.append(str(tmp_path / name))
+            keys |= set(parse_kv_text(common + text))
+        assert keys == set(EVAL_KEYS)
+        done = run_fresh("-c", (
+            "import sys\n"
+            "from roimeta.config import load_evaluation_config\n"
+            f"for path in {paths!r}:\n"
+            "    load_evaluation_config(path)\n"
+            "print(' '.join(sorted(m for m in sys.modules if 'roimeta' in m)))\n"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [
+            "roimeta", "roimeta.config", "roimeta.errors", "roimeta.records"]
 
     def test_bare_import_loads_no_submodule_and_a_name_loads_its_module(self):
         done = run_fresh("-c", (
