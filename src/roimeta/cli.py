@@ -2,7 +2,7 @@
 
 Subcommands: ``evaluate`` (full pipeline), ``simulate`` (synthetic data),
 ``report`` (re-render a saved machine report). The report carries each A/A
-threshold (``baselines[*].threshold_theta``), the ``subgroup`` block and an
+threshold (``baselines.threshold_theta``), the ``subgroup`` block and an
 ``audit`` block whose config lines name each value's source: a ``--config``
 file or a flag. ``evaluate --trace FILE`` writes the stage records of
 ``pipeline.evaluate`` as JSON lines, after an ``ingest`` record (parts read,

@@ -14,8 +14,10 @@ fields are stored, so a value that ``records`` computes from them (a property
 such as ``EffectSize.d`` or ``SubgroupReport.q_within``) is never written, and
 a decoded report computes it again from the same fields.
 
-Each named tuple has one encoder and one decoder, applied item by item to a
-tuple of them; the decoder is the only place that words an error.
+A tuple of named tuples is a table: one object with one array per field, its
+column, all of one length, so a key is written once per table, not once per row.
+Each named tuple has one encoder and one decoder, which a table runs over its
+columns; the decoder is the only place that words an error.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Any, Callable
 from .errors import SchemaError
 from .records import BaselineDecision, EvaluationReport, Verdict
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 
 # The types ``json.loads`` gives a value of each scalar annotation. A float
 # field also takes an int that a float can hold: ``ExplicitThetas(micro_theta=0)``
@@ -98,6 +100,8 @@ def _codec(tp: Any) -> _Codec:
         return _record_codec(tp)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple and args[1:] == (Ellipsis,):
+        if hasattr(args[0], "_fields"):  # a tuple of records is a table
+            return _record_codec(args[0], table=True)
         return _tuple_codec(_codec(args[0]))
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         inner = _codec(args[0] if args[1] is type(None) else args[1])
@@ -107,7 +111,8 @@ def _codec(tp: Any) -> _Codec:
     raise TypeError(f"cannot encode or decode a report value annotated {tp!r}")
 
 
-def _tuple_codec(item: _Codec) -> _Codec:
+@functools.cache  # the columns of every table share one codec per item type
+def _tuple_codec(item: _Codec, where: str = "an array item") -> _Codec:
     """A tuple is written as a JSON array and read only from one (the
     enclosing record checks that), with every item of the item's type."""
     plain_types = _floats_only(item.json_types)
@@ -115,33 +120,35 @@ def _tuple_codec(item: _Codec) -> _Codec:
     def from_plain(doc: list) -> tuple:
         if not plain_types.issuperset(map(type, doc)):
             for value in doc:
-                _check_value("an array item", item.json_types, value)
+                _check_value(where, item.json_types, value)
         return tuple(doc) if item.from_plain is _same else tuple(map(item.from_plain, doc))
 
     to_plain = list if item.to_plain is _same else lambda v: list(map(item.to_plain, v))
     return _Codec(frozenset({list}), to_plain, from_plain)
 
 
-def _record_codec(tp: type) -> _Codec:
+def _record_codec(tp: type, table: bool = False) -> _Codec:
     """Write the named tuple ``tp`` as an object of its fields, converting only
     the fields that need it. Read it from an object holding exactly its field
     names, each of its field's JSON type, decoding only those that need it, and
     pass the fields positionally in field order. The field types are the class's
-    own evaluated annotations: ``records`` postpones none."""
+    own evaluated annotations: ``records`` postpones none. A ``table`` of them
+    runs the same over the columns, and builds the rows from columns of one length."""
     names = tp._fields
-    codecs = [_codec(tp.__annotations__[name]) for name in names]
-    json_types = tuple(c.json_types for c in codecs)
+    fields = [_codec(tp.__annotations__[name]) for name in names]
+    codecs = list(map(_tuple_codec, fields)) if table else fields
+    json_types, encoders, decoders = zip(*codecs)
     plain_types = tuple(map(_floats_only, json_types))
     items = operator.itemgetter(*names)
     if len(names) == 1:  # a getter of one name returns the bare value, not a 1-tuple
         items = lambda doc, one=items: (one(doc),)
-    encoded = [(i, c.to_plain) for i, c in enumerate(codecs) if c.to_plain is not _same]
-    decoded = [(i, c.from_plain) for i, c in enumerate(codecs) if c.from_plain is not _same]
+    encoded = [(i, encode) for i, encode in enumerate(encoders) if encode is not _same]
+    decoded = [(i, decode) for i, decode in enumerate(decoders) if decode is not _same]
 
     def to_plain(obj: Any) -> dict:
-        values = obj
+        values = (tuple(zip(*obj)) or ((),) * len(names)) if table else obj
         if encoded:
-            values = list(obj)
+            values = list(values)
             for i, encode in encoded:
                 values[i] = encode(values[i])
         return dict(zip(names, values))
@@ -157,15 +164,26 @@ def _record_codec(tp: type) -> _Codec:
         if decoded:
             values = list(values)
             for i, decode in decoded:
-                values[i] = decode(values[i])
-        return tp(*values)
+                try:
+                    values[i] = decode(values[i])
+                except (TypeError, ValueError):
+                    if table:  # decode the column again, to name it in the error
+                        _tuple_codec(fields[i], f"{tp.__name__}.{names[i]}").from_plain(values[i])
+                    raise
+        if not table:
+            return tp(*values)
+        for name, column in zip(names, values):
+            if len(column) != len(values[0]):
+                raise ValueError(f"{tp.__name__}.{name} must have {len(values[0])} items, "
+                                 f"as {tp.__name__}.{names[0]} has, not {len(column)}")
+        return tuple(map(tp, *values))
 
     return _Codec(frozenset({dict}), to_plain, from_plain)
 
 
 def to_plain(obj: Any) -> dict:
     """A report record as a plain document: enums as their values, tuples
-    as lists, nested records as objects."""
+    as lists, nested records as objects and tuples of records as tables."""
     return _codec(type(obj)).to_plain(obj)
 
 

@@ -15,6 +15,7 @@ from roimeta.reportio import report_from_json
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_report.json"
 GOLDEN_TEXT = GOLDEN_PATH.with_suffix(".txt")
+SCHEMA_6_GOLDEN = GOLDEN_PATH.with_name("golden_report_schema6.json")
 LABEL = ("subgroup labels cannot hold '#', ',' or a line break, a ':' in a campaign id, "
          "an empty campaign or group, or spaces around one, got ")
 
@@ -136,7 +137,7 @@ class TestEvaluate:
         ])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == "6"
+        assert doc["schema_version"] == "7"
         # the audit block names where each config value came from
         config = doc["audit"]["config"]
         assert config["file"] == ["confidence_level = 0.95", "aa_seed = 11",
@@ -245,7 +246,7 @@ class TestEvaluate:
 
 class TestCalibrateAndSubgroup:
     """The subcommands are gone: every report carries the thresholds as
-    ``baselines[*].threshold_theta`` and prints the ``subgroup`` block."""
+    ``baselines.threshold_theta`` and prints the ``subgroup`` block."""
 
     @pytest.mark.parametrize("command", ["calibrate", "subgroup"])
     def test_removed_subcommand_exits_2(self, workdir, capsys, command):
@@ -345,11 +346,11 @@ class TestSubcommandsAgreeWithEvaluate:
         report = json.loads(text)
         assert report["decision"] == {"verdict": "accept"}
         block = report["subgroup"]
-        assert block is not None and len(block["summaries"]) >= 1
+        assert block is not None and len(block["summaries"]["group_id"]) >= 1
         # the block stores the total; the decoded report computes its split
         assert sorted(block) == ["p_between", "q_star_total", "summaries"]
         split = report_from_json(text).subgroup
-        assert split.q_within == math.fsum(s["q_star_k"] for s in block["summaries"])
+        assert split.q_within == math.fsum(block["summaries"]["q_star_k"])
         assert block["q_star_total"] == pytest.approx(
             split.q_within + split.q_between, abs=1e-9
         )
@@ -424,7 +425,7 @@ class TestReport:
         main(["report", str(report_path)])
         assert capsys.readouterr().out == from_evaluate
 
-    @pytest.mark.parametrize("version", ["1", "2", "3", "4", "5"])
+    @pytest.mark.parametrize("version", ["1", "2", "3", "4", "5", "6"])
     def test_earlier_schema_version_report_is_exit_2(self, workdir, capsys, version):
         data = simulate(workdir)
         out = workdir / "report.json"
@@ -449,8 +450,10 @@ class TestMalformedInputIsExit2:
     BIG_TAU2 = GOLDEN.replace(
         f'"tau2":{json.loads(GOLDEN)["heterogeneity"]["tau2"]!r}', '"tau2":1' + "0" * 400)
     LONG_INT = "1" * 5000
-    LONG_DF = GOLDEN.replace(f'"df":{json.loads(GOLDEN)["heterogeneity"]["df"]},',
-                             f'"df":{LONG_INT},')
+    # the heterogeneity block's df; each effect's df is an item of the effects.df column
+    LONG_DF = GOLDEN.replace(
+        f'"heterogeneity":{{"df":{json.loads(GOLDEN)["heterogeneity"]["df"]},',
+        f'"heterogeneity":{{"df":{LONG_INT},')
     LONG_INT_ERROR = str(pytest.raises(ValueError, int, LONG_INT).value)
 
     @pytest.mark.parametrize("text, argv, message", [
@@ -473,6 +476,48 @@ class TestMalformedInputIsExit2:
         capsys.readouterr()
         assert main([argv[0], str(bad), *argv[1:]]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def golden_with(edit):
+    """The golden report's text after ``edit`` changed its plain document."""
+    doc = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def schema_6_relabelled():
+    """The schema-6 golden report, whose tables are lists of rows, labelled schema 7."""
+    doc = json.loads(SCHEMA_6_GOLDEN.read_text(encoding="utf-8"))
+    return json.dumps({**doc, "schema_version": "7"})
+
+
+class TestTableIsExit2:
+    """A table is one object with one array per field of its rows, the arrays of
+    one length: any other shape is exit 2 with one ``error:`` line that names the
+    row type, and the field where there is one."""
+
+    @pytest.mark.parametrize("text, message", [
+        (golden_with(lambda d: d["baselines"]["statistic"].pop()),
+         "BaselineResult.statistic must have 3 items, as BaselineResult.method has, not 2"),
+        (golden_with(lambda d: d["effects"].pop("v")),
+         "EffectSize must be an object with the keys "
+         "['campaign_id', 'delta', 'df', 'pooled_sd', 'v']"),
+        (golden_with(lambda d: d["effects"].update(d=d["effects"]["delta"])),
+         "EffectSize must be an object with the keys "
+         "['campaign_id', 'delta', 'df', 'pooled_sd', 'v']"),
+        (golden_with(lambda d: d["baselines"].update(method="micro")),
+         "BaselineResult.method must be an array, not a string"),
+        (golden_with(lambda d: d["effects"]["df"].__setitem__(3, 11.0)),
+         "EffectSize.df must be an integer, not a number"),
+        (schema_6_relabelled(), "EvaluationReport.baselines must be an object, not an array"),
+    ], ids=["unequal-columns", "missing-column", "extra-column", "column-not-an-array",
+            "item-of-wrong-type", "schema-6-rows-as-7"])
+    def test_one_error_line(self, workdir, capsys, text, message):
+        bad = workdir / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: malformed report document: {message}\n")
 
 
 class TestParserOutput:
@@ -543,7 +588,8 @@ class TestProcessExit:
         assert (done.returncode, done.stderr.decode().splitlines()) == (code, stderr)
 
     def test_no_output_is_lost(self, tmp_path):
-        # far more than one 8 KB buffer, on stdout and in the error line on stderr
+        # far more than one 8 KB buffer (ten of them), on stdout and in the
+        # error line on stderr
         from roimeta.dataio import write_dataset
         from roimeta.simulate import SimConfig, generate_experiment
 
@@ -553,7 +599,7 @@ class TestProcessExit:
         evaluated = run_module("evaluate", str(data), "--format", "json", "--out", str(saved))
         assert evaluated.returncode in (0, 1) and evaluated.stderr == b""
         text = saved.read_bytes()
-        assert len(text) > 100_000 and evaluated.stdout == text
+        assert len(text) > 80_000 and evaluated.stdout == text
         rendered = run_module("report", str(saved), "--format", "json")
         assert (rendered.returncode, rendered.stderr) == (evaluated.returncode, b"")
         assert rendered.stdout == text

@@ -4,15 +4,17 @@ import hashlib
 import json
 import operator
 import struct
+import typing
 from enum import Enum
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    campaign_from_rows, dv_by_id, dv_pairs, make_campaign, make_dataset, make_part, rows_of,
+    campaign_from_rows, dv_by_id, dv_pairs, make_campaign, make_dataset, make_part, row_layout,
+    rows_of,
 )
 from roimeta.campaigns import (
     Arm,
@@ -23,6 +25,10 @@ from roimeta.campaigns import (
 from roimeta.errors import SchemaError
 from roimeta.pipeline import Decision, EvaluationConfig, ExplicitThetas, Verdict, evaluate
 from roimeta.preprocess import qualify
+from roimeta.records import (
+    BaselineDecision, BaselineMethod, BaselineResult, EvaluationReport, PartExclusions,
+    SubgroupSummary,
+)
 from roimeta.reportio import (
     _codec,
     render_human,
@@ -37,10 +43,27 @@ from test_acceptance import GOLDEN_EVAL, GOLDEN_SIM
 from test_simulate import PINNED_SHAPES
 
 
-PART = ("qualification", "part_exclusions", 0)
-KEPT = ("qualification", "qualified", "campaigns", 0)
-SUMMARY = ("subgroup", "summaries", 0)
+PART = ("qualification", "part_exclusions")
+KEPT = ("qualification", "qualified", "campaigns")
+SUMMARY = ("subgroup", "summaries")
 DELETE = object()
+
+
+def tables_in(tp, path=()):
+    """The path to each table in a document of the named tuple ``tp``, with its
+    row type, read from the annotations: each field annotated ``tuple[R, ...]``
+    with R a named tuple, in ``tp`` or in the records nested in it."""
+    for name, annotation in tp.__annotations__.items():
+        args = typing.get_args(annotation)
+        if typing.get_origin(annotation) is tuple and hasattr(args[0], "_fields"):
+            yield path + (name,), args[0]
+            continue
+        for inner in (annotation, *args):
+            if hasattr(inner, "_fields"):
+                yield from tables_in(inner, path + (name,))
+
+
+TABLES = dict(tables_in(EvaluationReport))
 
 
 def spliced(path, number):
@@ -85,16 +108,16 @@ def assert_one_line_round_trip(doc):
 
 
 def plain(obj):
-    """Reference value-driven conversion of a report to a plain document."""
-    if isinstance(obj, Enum):
-        return obj.value
-    if hasattr(obj, "_fields"):  # a record is a tuple, but written as an object
-        return {name: plain(getattr(obj, name)) for name in obj._fields}
-    if isinstance(obj, (list, tuple)):
-        return [plain(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: plain(value) for key, value in obj.items()}
-    return obj
+    """Reference conversion of a report to a plain document: each table an object
+    of its columns, the rest as ``row_layout`` writes it."""
+    if not hasattr(obj, "_fields"):
+        return row_layout(obj)
+    tables = {path: rows for (*parents, path), rows in tables_in(type(obj)) if not parents}
+    return {
+        name: {field: [plain(getattr(row, field)) for row in value] for field in rows._fields}
+        if (rows := tables.get(name)) else plain(value)
+        for name, value in zip(obj._fields, obj)
+    }
 
 
 def assert_same_classes(decoded, original, path="report"):
@@ -159,7 +182,7 @@ def report_with_exclusions():
 def report_doc(dataset, config=None):
     """The plain document of ``dataset``'s report, made without ``to_json``."""
     report = evaluate(dataset, config or thetas_config())
-    return {**plain(report), "schema_version": "6"}
+    return {**plain(report), "schema_version": "7"}
 
 
 def odd_ids_dataset():
@@ -221,10 +244,19 @@ class TestMachineFormat:
     def test_report_is_one_line_that_decodes_to_the_document(self, request, name):
         report = request.getfixturevalue(name)
         text = report_to_json(report)
-        assert json.loads(text) == {**plain(report), "schema_version": "6"}
+        assert json.loads(text) == {**plain(report), "schema_version": "7"}
         assert text.index("\n") == len(text) - 1
         with pytest.raises(ValueError, match="not JSON compliant"):
             report_to_json(report._replace(homogeneity_level=float("nan")))
+
+    def test_schema_6_golden_holds_the_same_values(self):
+        # the golden report as schema 6 wrote it, each table a list of rows, is
+        # the schema-7 golden's values in the row layout, byte for byte
+        golden = report_from_json(GOLDEN_PATH.read_text(encoding="utf-8"))
+        schema_6 = GOLDEN_PATH.with_name("golden_report_schema6.json").read_text(encoding="utf-8")
+        assert to_json({**row_layout(golden), "schema_version": "6"}) == schema_6
+        with pytest.raises(SchemaError, match="EvaluationReport.baselines must be an object"):
+            report_from_json(schema_6.replace('"schema_version":"6"', '"schema_version":"7"'))
 
     def test_roundtrip_equality(self, accept_report, skipped_subgroup_report,
                                 report_with_exclusions):
@@ -251,43 +283,46 @@ class TestMachineFormat:
 
     def test_carries_schema_version(self, accept_report):
         doc = json.loads(report_to_json(accept_report))
-        assert doc["schema_version"] == "6"
+        assert doc["schema_version"] == "7"
 
     def test_rejects_wrong_schema_version(self, accept_report):
         doc = json.loads(report_to_json(accept_report))
-        for version in ("1", "2", "3", "4", "5", "99"):  # one reader, for the current schema
+        for version in ("1", "2", "3", "4", "5", "6", "99"):  # one reader, for the current schema
             doc["schema_version"] = version
-            with pytest.raises(SchemaError, match=f"schema_version '{version}', expected '6'"):
+            with pytest.raises(SchemaError, match=f"schema_version '{version}', expected '7'"):
                 report_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("malform", [
-        pytest.param(lambda doc: '{"schema_version": "6"}', id="truncated"),
+        pytest.param(lambda doc: '{"schema_version": "7"}', id="truncated"),
         pytest.param(lambda doc: "not json at all", id="not-json"),
-        pytest.param(edited(PART + ("extra",), 1), id="unknown-key-in-part"),
+        pytest.param(edited(PART + ("extra",), [1] * 20), id="unknown-column-in-parts"),
         pytest.param(edited(("fixed", "extra"), 1), id="unknown-key-in-fixed"),
-        pytest.param(edited(PART + ("zero_spend",), DELETE), id="missing-nested-key"),
-        pytest.param(edited(PART + ("arm",), "C"), id="unknown-arm"),
+        pytest.param(edited(PART + ("zero_spend",), DELETE), id="missing-column"),
+        pytest.param(edited(PART + ("arm", 0), "C"), id="unknown-arm"),
+        pytest.param(edited(PART + ("arm",), "A"), id="string-for-column"),
+        pytest.param(edited(PART + ("arm",), ["A"]), id="short-column"),
         pytest.param(edited(("decision", "verdict"), "maybe"), id="unknown-verdict"),
         pytest.param(edited(("fixed",), None), id="null-fixed"),
         pytest.param(edited(("baselines",), 5), id="number-for-baselines"),
-        pytest.param(edited(SUMMARY + ("members",), "abc"), id="string-for-members"),
-        pytest.param(edited(SUMMARY + ("members",), [1, 2]), id="numbers-in-members"),
+        pytest.param(edited(SUMMARY + ("members", 0), "abc"), id="string-for-members"),
+        pytest.param(edited(SUMMARY + ("members", 0), [1, 2]), id="numbers-in-members"),
         pytest.param(edited(("fixed", "mu"), "abc"), id="string-for-mu"),
         pytest.param(edited(("heterogeneity", "df"), True), id="boolean-for-df"),
-        pytest.param(edited(KEPT + ("parts_a",), []), id="parts-in-kept-campaign"),
-        pytest.param(edited(KEPT + ("m_b",), 2.0), id="number-for-kept-count"),
+        pytest.param(edited(KEPT + ("parts_a",), []), id="parts-in-kept-campaigns"),
+        pytest.param(edited(KEPT + ("m_b", 0), 2.0), id="number-for-kept-count"),
+        pytest.param(edited(("effects",), []), id="rows-for-table"),
         pytest.param(edited(("qualification", "qualified", "sha256"), None), id="null-digest"),
         pytest.param(edited(("homogeneity_level",), DELETE), id="missing-homogeneity-level"),
         # json.dumps writes these floats as the constants NaN, Infinity and -Infinity
         pytest.param(edited(("heterogeneity", "tau2"), float("nan")), id="NaN"),
         pytest.param(edited(("fixed", "mu"), float("inf")), id="Infinity"),
-        pytest.param(edited(SUMMARY + ("ci_low",), float("-inf")), id="-Infinity"),
+        pytest.param(edited(SUMMARY + ("ci_low", 0), float("-inf")), id="-Infinity"),
         # numbers that overflow a float, which json.loads would read as infinities
         pytest.param(spliced(("heterogeneity", "tau2"), "1e999"), id="1e999"),
-        pytest.param(spliced(SUMMARY + ("ci_low",), "-1e999"), id="-1e999"),
+        pytest.param(spliced(SUMMARY + ("ci_low", 0), "-1e999"), id="-1e999"),
         # integers that no float can hold, which a float field would otherwise take
         pytest.param(spliced(("heterogeneity", "tau2"), "1" + "0" * 400), id="int-1e400"),
-        pytest.param(spliced(SUMMARY + ("ci_low",), "-" + "9" * 400), id="-int-9e399"),
+        pytest.param(spliced(SUMMARY + ("ci_low", 0), "-" + "9" * 400), id="-int-9e399"),
         # an integer literal longer than int() converts from text
         pytest.param(spliced(("heterogeneity", "df"), "1" * 5000), id="int-5000-digits"),
     ])
@@ -305,7 +340,7 @@ class TestMachineFormat:
         dataset = generate_experiment(SimConfig(n_campaigns=9, m_a=5, m_b=5, seed=31))
         text = report_to_json(evaluate(dataset, EvaluationConfig(
             aa=ExplicitThetas(micro_theta=0, macro_theta=0))))
-        assert '"threshold_theta":0}' in text
+        assert '"threshold_theta":[0,0,0]}' in text
         assert report_to_json(report_from_json(text)) == text
 
     @pytest.mark.parametrize("path,number,message", [
@@ -340,6 +375,71 @@ class TestMachineFormat:
 
         with pytest.raises(TypeError, match="cannot encode or decode"):
             _codec(Plain)
+
+
+def with_rows(report, path, rows):
+    """``report`` with the table at ``path`` holding ``rows``."""
+    head, *rest = path
+    return report._replace(**{head: with_rows(getattr(report, head), rest, rows) if rest else rows})
+
+
+def field_values(annotation):
+    """Values of a table column's field type; a float field also holds an int."""
+    if isinstance(annotation, type) and issubclass(annotation, Enum):
+        return st.sampled_from(annotation)
+    return {
+        str: TEXT, int: st.integers(),
+        float: st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2 ** 60, 2 ** 60),
+        tuple[str, ...]: st.lists(TEXT, max_size=3).map(tuple),
+    }[annotation]
+
+
+def rows_of_type(tp):
+    fields = st.tuples(*map(field_values, tp.__annotations__.values()))
+    return st.lists(fields.map(tp._make), max_size=4).map(tuple)
+
+
+# (path to a table, its rows)
+TABLE_CASES = st.sampled_from(sorted(TABLES)).flatmap(
+    lambda path: st.tuples(st.just(path), rows_of_type(TABLES[path])))
+
+
+class TestTables:
+    """Each tuple of records is a table: one object with one array per field."""
+
+    def test_the_report_tables(self):
+        assert sorted(".".join(path) for path in TABLES) == [
+            "baselines", "effect_exclusions", "effects", "qualification.disqualified_campaigns",
+            "qualification.part_exclusions", "qualification.qualified.campaigns",
+            "subgroup.summaries",
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(TABLE_CASES)
+    @example((("effects",), ())).via("an empty table")
+    @example((("baselines",), (
+        BaselineResult(BaselineMethod.MICRO, 0.5, -0.25, BaselineDecision.ACCEPT),
+        BaselineResult(BaselineMethod.MACRO_MEDIAN, -1.0, 0, BaselineDecision.REJECT),
+    ))).via("an enum column: baselines")
+    @example((PART, (
+        PartExclusions("c1", Arm.CONTROL, 2, 0, 0), PartExclusions("c1", Arm.TREATMENT, 0, 1, 3),
+    ))).via("an enum column: part_exclusions.arm")
+    @example((SUMMARY, (
+        SubgroupSummary("g0", ("a", "b"), 0.1, -0.2, 0.4, 0.5, 1.5, 0.25),
+        SubgroupSummary("g1", (), 0.0, 0.0, 0.0, 1.0, 0.0, 1.0),
+    ))).via("an array-valued column: summaries.members")
+    def test_table_round_trips(self, case):
+        path, rows = case
+        golden = report_from_json(GOLDEN_PATH.read_text(encoding="utf-8"))
+        report = with_rows(golden, path, rows)
+        text = report_to_json(report)
+        table = functools.reduce(operator.getitem, path, json.loads(text))
+        assert table == {field: [plain(getattr(row, field)) for row in rows]
+                         for field in TABLES[path]._fields}
+        decoded = report_from_json(text)
+        assert decoded == report
+        assert_same_classes(decoded, report)
+        assert report_to_json(decoded) == text
 
 
 def keys_of(value):
@@ -624,39 +724,33 @@ def long_report_doc(seed):
     return json.loads(report_to_json(evaluate(dataset, thetas_config())))
 
 
-def tuples_of_items(doc):
-    """Paths to every non-empty array of objects in a report document."""
-    paths = []
-
-    def walk(value, path):
-        if isinstance(value, dict):
-            for key, item in value.items():
-                walk(item, path + (key,))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            paths.append(path)
-            for i, item in enumerate(value):
-                walk(item, path + (i,))
-
-    walk(doc, ())
-    return paths
+def nonempty_tables(doc):
+    """The path to each table in a report document that holds a row."""
+    tables = {path: functools.reduce(lambda d, key: d and d[key], path, doc) for path in TABLES}
+    return [path for path, table in tables.items() if table and next(iter(table.values()))]
 
 
-def mutations(item):
-    """Each listed fault that applies to ``item``, as (name, edit) pairs."""
-    key = sorted(item)[len(item) // 2]
+def mutations(table, row):
+    """Each listed fault that applies to the item at ``row`` of ``table``, or to
+    its column, as (name, edit) pairs."""
+    key = sorted(table)[len(table) // 2]
     found = [
-        ("missing-key", lambda d: d.pop(key)),
-        ("extra-key", lambda d: d.update(extra=1)),
-        ("renamed-key", lambda d: d.update({key + "_": d.pop(key)})),
-        ("array-for-value", lambda d: d.update({key: []})),
-        ("text-for-value", lambda d: d.update({key: "x"})),
-        ("object-for-value", lambda d: d.update({key: {}})),
+        ("missing-column", lambda t: t.pop(key)),
+        ("extra-column", lambda t: t.update(extra=[1] * len(t[key]))),
+        ("renamed-column", lambda t: t.update({key + "_": t.pop(key)})),
+        ("item-for-column", lambda t: t.update({key: t[key][row]})),
+        ("short-column", lambda t: t[key].pop(row)),
+        ("long-column", lambda t: t[key].insert(row, t[key][row])),
+        ("array-for-item", lambda t: t[key].__setitem__(row, [])),
+        ("text-for-item", lambda t: t[key].__setitem__(row, "x")),
+        ("object-for-item", lambda t: t[key].__setitem__(row, {})),
+        ("drop-row", lambda t: [column.pop(row) for column in t.values()]),
     ]
-    ints = sorted(k for k, v in item.items() if type(v) is int)
+    ints = sorted(k for k, column in table.items() if type(column[row]) is int)
     if ints:
-        found.append(("bool-for-int", lambda d: d.update({ints[0]: True})))
-    if "arm" in item:
-        found.append(("unknown-arm", lambda d: d.update(arm="C")))
+        found.append(("bool-for-int", lambda t: t[ints[0]].__setitem__(row, True)))
+    if "arm" in table:
+        found.append(("unknown-arm", lambda t: t["arm"].__setitem__(row, "C")))
     return found
 
 
@@ -675,32 +769,36 @@ class TestOneDecoder:
     @given(st.data())
     def test_fault_gives_a_report_or_a_schema_error(self, data):
         doc = json.loads(json.dumps(long_report_doc(data.draw(st.sampled_from([1, 2, 3])))))
-        path = data.draw(st.sampled_from(tuples_of_items(doc)))
-        items = functools.reduce(operator.getitem, path, doc)
-        position = data.draw(st.integers(0, len(items) - 1))
-        name, mutate = data.draw(st.sampled_from(mutations(items[position])))
-        mutate(items[position])
+        path = data.draw(st.sampled_from(nonempty_tables(doc)))
+        table = functools.reduce(operator.getitem, path, doc)
+        position = data.draw(st.integers(0, len(next(iter(table.values()))) - 1))
+        name, mutate = data.draw(st.sampled_from(mutations(table, position)))
+        mutate(table)
         result = outcome(json.dumps(doc))  # any other exception fails the test
         if isinstance(result, str):
             assert result.startswith("malformed report document: "), (path, position, name)
         else:
             assert report_to_json(result) == canonical(doc), (path, position, name)
 
-    # Messages for a bad exclusion count half-way through its list, as the
-    # per-item decoder has always worded them.
+    # Messages for a bad exclusion count half-way through its table, worded as
+    # the per-row decoder of schemas up to 6 worded them, and for a column that
+    # is not an array or not as long as the others.
     @pytest.mark.parametrize("name,message", [
-        ("missing-key", "PartExclusions must be an object with the keys "
-                        "['arm', 'campaign_disqualified', 'campaign_id', 'low_impressions', "
-                        "'zero_spend']"),
+        ("missing-column", "PartExclusions must be an object with the keys "
+                           "['arm', 'campaign_disqualified', 'campaign_id', 'low_impressions', "
+                           "'zero_spend']"),
         ("bool-for-int", "PartExclusions.campaign_disqualified must be an integer, "
                          "not a boolean"),
-        ("array-for-value", "PartExclusions.campaign_id must be a string, not an array"),
+        ("array-for-item", "PartExclusions.campaign_id must be a string, not an array"),
         ("unknown-arm", "'C' is not a valid Arm"),
+        ("item-for-column", "PartExclusions.campaign_id must be an array, not a string"),
+        ("short-column", "PartExclusions.arm must have 14 items, as "
+                         "PartExclusions.campaign_id has, not 15"),
     ])
     def test_pinned_messages(self, name, message):
         doc = json.loads(json.dumps(long_report_doc(1)))
         parts = doc["qualification"]["part_exclusions"]
-        dict(mutations(parts[12]))[name](parts[12])
+        dict(mutations(parts, 12))[name](parts)
         with pytest.raises(SchemaError) as caught:
             report_from_json(json.dumps(doc))
         assert str(caught.value) == f"malformed report document: {message}"

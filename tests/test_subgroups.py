@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dv_by_id, dv_pairs, make_campaign, make_dataset, random_dataset
+from conftest import (
+    dv_by_id, dv_pairs, make_campaign, make_dataset, random_dataset, row_layout,
+)
 from roimeta.baselines import campaign_micro_totals as totals_of
 from roimeta.errors import ConfigError, SchemaError
 from roimeta.meta import (
@@ -15,7 +17,6 @@ from roimeta.meta import (
 )
 from roimeta.pipeline import collect_effects
 from roimeta.preprocess import qualify
-from roimeta.reportio import to_plain
 from roimeta.simulate import generate_experiment
 from test_simulate import PINNED_SHAPES
 from roimeta.subgroups import (
@@ -204,7 +205,7 @@ class TestSubgroupAnalysis:
             assert report.q_between >= -1e-9
 
 
-# SHA-256 of indented(to_plain(x)) for the summary and three subgroup analyses
+# SHA-256 of indented(row_layout(x)) for the summary and three subgroup analyses
 # (spend thirds, fractions 0.5/0.2/0.1/0.1/0.1, labels g{i % 4} plus one
 # single-campaign group), and the number of groups each partition makes, on
 # the smoke shapes, recorded with the roimeta-hash-stream/2 generator. The
@@ -243,7 +244,7 @@ def indented(doc):
 def stored_split(report):
     """The plain subgroup document with the computed split written in, as the
     reports stored it before schema 4."""
-    return {**to_plain(report), "q_within": report.q_within, "q_between": report.q_between,
+    return {**row_layout(report), "q_within": report.q_within, "q_between": report.q_between,
             "df_between": report.df_between}
 
 
@@ -267,7 +268,7 @@ class TestSubgroupOutputsPinned:
                    for groups in partitions]
         digests = tuple(
             hashlib.sha256(indented(x).encode("utf-8")).hexdigest()
-            for x in (to_plain(summary), *map(stored_split, reports))
+            for x in (row_layout(summary), *map(stored_split, reports))
         )
         assert digests == PINNED_SUBGROUP_SHA[shape]
         assert [len(groups) for groups in partitions] == PINNED_SUBGROUP_COUNTS[shape]
